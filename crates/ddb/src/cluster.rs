@@ -1,13 +1,15 @@
 //! The distributed-database cluster driver.
 //!
-//! Builds a [`SiteNode`] per site, submits a client workload at the master,
-//! runs the simulation, and returns the metrics plus every site's final
-//! storage and WAL — the harness behind experiment E14 and the banking
-//! example.
+//! [`DbCluster`] is the paper's model — one fully-replicated group, site 0
+//! master of every transaction: it lowers its workload to a flat
+//! [`PlanTable`] and hands it to [`run_planned`], the one driver every
+//! simulated cluster runs through (a [`ShardNode`] per site, one
+//! simulation, metrics plus every site's final storage and WAL back) — the
+//! harness behind experiment E14 and the banking example.
 
-use crate::site::{
-    DbMsg, Metrics, ParticipantBuilder, ParticipantFactory, ReadSpec, SiteNode, TxnSpec,
-};
+use crate::node::{ShardNode, ShardNodeOpts};
+use crate::plan::PlanTable;
+use crate::site::{DbMsg, Metrics, ParticipantBuilder, ParticipantFactory, ReadSpec, TxnSpec};
 use crate::storage::Storage;
 use crate::value::{Key, TxnId, Value};
 use ptp_protocols::api::Vote;
@@ -261,76 +263,137 @@ impl DbCluster {
 
     /// Runs the cluster to quiescence (or the horizon).
     pub fn run(self) -> DbRun {
-        let metrics = Rc::new(RefCell::new(Metrics::default()));
-        let builder = self.protocol.participant_builder();
-        let factory = if self.reuse_participants {
-            ParticipantFactory::pooled(builder)
-        } else {
-            ParticipantFactory::construct_per_txn(builder)
-        };
-
-        let mut seeds: BTreeMap<u16, Storage> = BTreeMap::new();
-        for (site, key, value) in self.seed {
-            seeds.entry(site).or_default().seed(key, value);
-        }
-
-        let actors: Vec<Box<dyn Actor<DbMsg>>> = (0..self.n as u16)
-            .map(|i| {
-                let workload = if i == 0 { self.workload.clone() } else { Vec::new() };
-                let reads = if i == 0 { self.read_workload.clone() } else { Vec::new() };
-                Box::new(
-                    SiteNode::new(
-                        SiteId(i),
-                        self.n,
-                        &factory,
-                        metrics.clone(),
-                        workload,
-                        seeds.remove(&i).unwrap_or_default(),
-                    )
-                    .with_reads(reads),
-                ) as Box<dyn Actor<DbMsg>>
-            })
+        // Writes first, then reads: the master arms its submission timers
+        // in this order.
+        let submissions: Vec<(u64, TxnId)> = self
+            .workload
+            .iter()
+            .map(|(at, spec)| (*at, spec.id))
+            .chain(self.read_workload.iter().map(|(at, spec)| (*at, spec.id)))
             .collect();
+        let plans = PlanTable::flat(
+            self.n,
+            self.workload.into_iter().map(|(_, spec)| spec),
+            self.read_workload.into_iter().map(|(_, spec)| spec),
+        );
+        let net = SimNet {
+            config: self.config,
+            partition: self.partition,
+            delay: self.delay,
+            failures: self.failures,
+            env_faults: self.env_faults,
+            degrades: self.degrades,
+        };
+        run_planned(
+            Rc::new(plans),
+            &submissions,
+            self.seed,
+            self.protocol,
+            self.reuse_participants,
+            ShardNodeOpts::default(),
+            net,
+        )
+    }
+}
 
-        let mut sim =
-            Simulation::new(self.config, actors, self.partition, &self.delay, self.failures);
-        if !self.env_faults.is_empty() {
-            sim.set_envelope_faults(&self.env_faults);
-        }
-        if !self.degrades.is_empty() {
-            sim.set_degrades(&self.degrades);
-        }
-        let (actors, trace, report) = sim.run();
+/// The simulated network a cluster runs on, with everything injected into
+/// it.
+pub struct SimNet {
+    /// Network configuration.
+    pub config: NetConfig,
+    /// Network partition schedule.
+    pub partition: PartitionEngine,
+    /// Message delays.
+    pub delay: DelayModel,
+    /// Site failures to inject (crash / crash-recover).
+    pub failures: Vec<ptp_simnet::FailureSpec>,
+    /// Envelope-level faults (duplicate / reorder / drop) to arm.
+    pub env_faults: Vec<ptp_simnet::EnvelopeFault>,
+    /// Degraded-network delay windows to arm.
+    pub degrades: Vec<ptp_simnet::DegradeWindow>,
+}
 
-        let mut storages = Vec::with_capacity(self.n);
-        let mut wals = Vec::with_capacity(self.n);
-        let mut blocked = Vec::with_capacity(self.n);
-        let mut participants_constructed = 0;
-        let mut participants_reused = 0;
-        for actor in &actors {
-            let node = actor
-                .as_any()
-                .and_then(|a| a.downcast_ref::<SiteNode>())
-                .expect("cluster actors are SiteNodes");
-            storages.push(node.storage().clone());
-            wals.push(node.wal().clone());
-            blocked.push(node.active_txns());
-            participants_constructed += node.pool().constructed();
-            participants_reused += node.pool().reused();
-        }
-        drop(actors);
-        let metrics = Rc::try_unwrap(metrics).expect("metrics uniquely owned").into_inner();
-        DbRun {
-            metrics,
-            trace,
-            report,
-            storages,
-            wals,
-            blocked,
-            participants_constructed,
-            participants_reused,
+/// Runs a planned workload to quiescence (or the horizon): one
+/// [`ShardNode`] per site of the plans' topology, `seed`ed with initial
+/// committed `(site, key, value)` data, each `(tick, txn)` submission armed
+/// at its plan's master (per master in slice order), all in **one**
+/// simulation over `net` — so a single partition schedule or failure spec
+/// cuts across every replica group deterministically. [`DbCluster::run`]
+/// and `ptp_shard::ShardCluster::run` are both front ends over this.
+pub fn run_planned(
+    plans: Rc<PlanTable>,
+    submissions: &[(u64, TxnId)],
+    seed: impl IntoIterator<Item = (u16, Key, Value)>,
+    protocol: CommitProtocol,
+    reuse_participants: bool,
+    opts: ShardNodeOpts,
+    net: SimNet,
+) -> DbRun {
+    let n = plans.topology.sites();
+    let mut seeds = vec![Storage::new(); n];
+    for (site, key, value) in seed {
+        // (A seed addressed past the last site has no store to land in.)
+        if let Some(storage) = seeds.get_mut(site as usize) {
+            storage.seed(key, value);
         }
     }
+    let mut workloads: Vec<Vec<(u64, TxnId)>> = vec![Vec::new(); n];
+    for &(at, txn) in submissions {
+        let master = plans.master_of(txn).expect("submitted transactions are planned");
+        workloads[master.index()].push((at, txn));
+    }
+
+    let metrics = Rc::new(RefCell::new(Metrics::default()));
+    let builder = protocol.participant_builder();
+    let factory = if reuse_participants {
+        ParticipantFactory::pooled(builder)
+    } else {
+        ParticipantFactory::construct_per_txn(builder)
+    };
+    let actors: Vec<Box<dyn Actor<DbMsg>>> = seeds
+        .into_iter()
+        .zip(workloads)
+        .enumerate()
+        .map(|(i, (storage, workload))| {
+            Box::new(ShardNode::new(
+                SiteId(i as u16),
+                plans.clone(),
+                factory.clone(),
+                metrics.clone(),
+                workload,
+                storage,
+                opts,
+            )) as Box<dyn Actor<DbMsg>>
+        })
+        .collect();
+
+    let mut sim = Simulation::new(net.config, actors, net.partition, &net.delay, net.failures);
+    sim.set_envelope_faults(&net.env_faults);
+    sim.set_degrades(&net.degrades);
+    let (actors, trace, report) = sim.run();
+
+    let mut run = DbRun {
+        metrics: metrics.take(),
+        trace,
+        report,
+        storages: Vec::with_capacity(n),
+        wals: Vec::with_capacity(n),
+        blocked: Vec::with_capacity(n),
+        participants_constructed: 0,
+        participants_reused: 0,
+    };
+    for actor in &actors {
+        let node = actor
+            .as_any()
+            .and_then(|a| a.downcast_ref::<ShardNode>())
+            .expect("cluster actors are ShardNodes");
+        run.storages.push(node.storage().clone());
+        run.wals.push(node.wal().clone());
+        run.blocked.push(node.active_txns());
+        run.participants_constructed += node.participants_constructed();
+        run.participants_reused += node.participants_reused();
+    }
+    run
 }
 
 /// Convenience: the horizon instant of a run's config (for

@@ -14,11 +14,19 @@
 //! * [`recovery`] — crash recovery by log replay (redo committed, discard
 //!   uncommitted).
 //! * [`locks`] — strict two-phase locking with FIFO queues.
-//! * [`site`] — the site actor: storage + WAL + locks + one embedded
-//!   commit-protocol participant per transaction.
-//! * [`cluster`] — the cluster driver: seeds data, submits a workload at
-//!   the master, runs the simulated network, returns metrics and final
-//!   states.
+//! * [`site`] — a site's vocabulary: the `DbMsg` wire format, workload
+//!   specs, the participant pool, the shared run `Metrics`.
+//! * [`topology`] / [`plan`] — replica groups and per-transaction routing:
+//!   which sites run a transaction's commit protocol, what each stages,
+//!   who gets the outcome shipped. [`PlanTable::flat`] is the paper's
+//!   one-group model; `PlanTable::compile` routes by key over shards.
+//! * [`node`] — **the** site actor, the only one in the workspace:
+//!   storage, WAL, locks and one embedded commit-protocol participant per
+//!   transaction, routed by plan; with [`lease`], master-lease reads and
+//!   anti-entropy catch-up.
+//! * [`cluster`] — the cluster driver: [`DbCluster`] seeds data, submits a
+//!   workload at the master, and runs it through `run_planned` — the one
+//!   simulate-and-harvest loop `ptp-shard`'s `ShardCluster` shares.
 //!
 //! ```
 //! use ptp_ddb::cluster::{CommitProtocol, DbCluster};
@@ -40,18 +48,25 @@
 
 pub mod bytes;
 pub mod cluster;
+pub mod lease;
 pub mod locks;
+pub mod node;
+pub mod plan;
 pub mod recovery;
 pub mod site;
 pub mod storage;
+pub mod topology;
 pub mod value;
 pub mod wal;
 
 pub use cluster::{CommitProtocol, DbCluster, DbRun};
+pub use node::{ShardNode, ShardNodeOpts};
+pub use plan::{PlanTable, ReadPlan, TxnPlan};
 pub use site::{
     DbMsg, LockHold, Metrics, ParticipantBuilder, ParticipantFactory, ParticipantPool, ReadPath,
-    ReadRecord, ReadSpec, SiteNode, SyncPayload, TxnSpec,
+    ReadRecord, ReadSpec, SyncPayload, TxnSpec,
 };
 pub use storage::Storage;
+pub use topology::ShardTopology;
 pub use value::{Key, TxnId, Value, WriteOp};
 pub use wal::{Record, RecoveryAction, Wal};

@@ -1,12 +1,16 @@
-//! Transaction routing: compiling key-addressed transactions into
-//! per-group commit-protocol plans.
+//! Transaction routing: per-group commit-protocol plans, the one input the
+//! site actor ([`crate::node::ShardNode`]) routes by.
 //!
-//! This is the router layer of the sharded store. Every submitted
-//! [`ShardTxnSpec`] is classified at build time:
+//! A [`PlanTable`] is built one of two ways. [`PlanTable::flat`] lowers the
+//! paper's model — [`crate::DbCluster`]'s site-addressed [`TxnSpec`]s, one
+//! fully-replicated group, site 0 master of every transaction — verbatim
+//! onto one all-sites group. [`PlanTable::compile`] is the router of the
+//! sharded store: every key-addressed [`ShardTxnSpec`] is classified at
+//! build time:
 //!
 //! * **single-shard** — all keys land in one shard; the commit protocol
 //!   runs *inside* that shard's replica group (master = the group's first
-//!   member), exactly like a small [`ptp_ddb::DbCluster`];
+//!   member), exactly like a small [`crate::DbCluster`];
 //! * **cross-shard** — keys span several shards; a **top-level** instance
 //!   of the same commit protocol runs over the involved groups' masters
 //!   (coordinator = the lowest involved shard's master), so a partition
@@ -15,8 +19,9 @@
 //!   ships the outcome (and, on commit, the shard's writes) to its replicas
 //!   that were not part of the top-level group.
 
+use crate::site::{ReadSpec, TxnSpec};
 use crate::topology::ShardTopology;
-use ptp_ddb::value::{Key, TxnId, WriteOp};
+use crate::value::{Key, TxnId, WriteOp};
 use ptp_simnet::SiteId;
 use std::collections::BTreeMap;
 
@@ -61,7 +66,8 @@ pub struct TxnPlan {
     /// involved shard whose group contains it (in shard order — the same
     /// order participants stage).
     pub replica_writes: BTreeMap<u16, Vec<WriteOp>>,
-    /// Per-shard write sets, in submission order.
+    /// Per-shard write sets, in submission order (empty for a flat plan,
+    /// whose write sets are addressed by site, not by key).
     pub shard_writes: BTreeMap<usize, Vec<WriteOp>>,
 }
 
@@ -275,6 +281,40 @@ impl PlanTable {
         PlanTable { topology, plans, reads: BTreeMap::new() }
     }
 
+    /// Lowers a flat, fully-replicated workload over `n` sites: one
+    /// all-sites group with site 0 master of every transaction, each site's
+    /// write set taken from the spec untouched (a site the spec leaves out
+    /// still votes, with nothing to stage), no outcome shipping; every read
+    /// served by site 0 alone. Duplicate or colliding ids are rejected.
+    pub fn flat(
+        n: usize,
+        txns: impl IntoIterator<Item = TxnSpec>,
+        reads: impl IntoIterator<Item = ReadSpec>,
+    ) -> PlanTable {
+        let topology = ShardTopology::uniform(n, 1, n);
+        let mut plans = BTreeMap::new();
+        for TxnSpec { id, writes } in txns {
+            let plan = TxnPlan {
+                id,
+                shards: vec![0],
+                group: topology.group(0).to_vec(),
+                writes,
+                ships: BTreeMap::new(),
+                replica_writes: BTreeMap::new(),
+                shard_writes: BTreeMap::new(),
+            };
+            assert!(plans.insert(id, plan).is_none(), "duplicate {id}");
+        }
+        let mut read_plans = BTreeMap::new();
+        for ReadSpec { id, keys } in reads {
+            assert!(!plans.contains_key(&id), "read id collides with write {id}");
+            let plan =
+                ReadPlan { id, shards: vec![0], group: vec![SiteId(0)], keys: [(0, keys)].into() };
+            assert!(read_plans.insert(id, plan).is_none(), "duplicate read {id}");
+        }
+        PlanTable { topology, plans, reads: read_plans }
+    }
+
     /// Compiles and installs a read-only workload. Read ids must not
     /// collide with each other or with write-transaction ids.
     pub fn with_reads(mut self, specs: &[ShardReadSpec]) -> PlanTable {
@@ -301,6 +341,12 @@ impl PlanTable {
         self.reads.get(&txn)
     }
 
+    /// The site `txn` is submitted at — its write or read plan's master —
+    /// if the workload contains it.
+    pub fn master_of(&self, txn: TxnId) -> Option<SiteId> {
+        self.get(txn).map(TxnPlan::master).or_else(|| self.get_read(txn).map(ReadPlan::master))
+    }
+
     /// All read plans, by transaction id.
     pub fn iter_reads(&self) -> impl Iterator<Item = (&TxnId, &ReadPlan)> {
         self.reads.iter()
@@ -310,7 +356,7 @@ impl PlanTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptp_ddb::value::{Key, Value};
+    use crate::value::{Key, Value};
 
     fn w(key: &str) -> WriteOp {
         WriteOp { key: Key::from(key), value: Value::from_u64(1) }
@@ -444,6 +490,27 @@ mod tests {
         assert!(table.get(TxnId(1)).is_some());
         assert!(table.get(TxnId(9)).is_none());
         assert_eq!(table.iter().count(), 2);
+    }
+
+    #[test]
+    fn flat_lowering_keeps_site_addressed_writes_in_one_all_sites_group() {
+        // Site 0 is left out of the spec and site 2 has nothing to write:
+        // both still sit in the group, and the map passes through as is.
+        let writes: BTreeMap<u16, Vec<WriteOp>> = [(1, vec![w("a")]), (2, vec![])].into();
+        let spec = TxnSpec { id: TxnId(1), writes: writes.clone() };
+        let read = ReadSpec { id: TxnId(9), keys: vec![Key::from("a"), Key::from("absent")] };
+        let table = PlanTable::flat(3, [spec], [read.clone()]);
+        let plan = table.get(TxnId(1)).unwrap();
+        assert_eq!(plan.group, vec![SiteId(0), SiteId(1), SiteId(2)]);
+        assert_eq!(plan.writes, writes);
+        assert!(!plan.is_cross_shard() && plan.ships.is_empty() && plan.replica_writes.is_empty());
+        // The key router reaches the same group over the one-shard topology.
+        let routed = ShardTxnSpec { id: TxnId(1), writes: vec![w("a")] };
+        assert_eq!(TxnPlan::compile(&table.topology, &routed).group, plan.group);
+        // Reads are served by the master alone: no protocol round.
+        let served = table.get_read(TxnId(9)).unwrap();
+        assert_eq!(served.group, vec![SiteId(0)]);
+        assert_eq!(served.keys[&0], read.keys);
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! A database site: storage engine + WAL + lock manager + one embedded
-//! commit-protocol participant per in-flight distributed transaction.
+//! The vocabulary of a database site: the wire format, the workload specs,
+//! the participant pool and the shared run metrics. The site *actor* that
+//! speaks it — storage engine + WAL + lock manager + one embedded
+//! commit-protocol participant per in-flight distributed transaction — is
+//! [`crate::node::ShardNode`], the one `ptp-simnet` actor every simulated
+//! cluster runs on.
 //!
-//! The site is a `ptp-simnet` actor speaking [`DbMsg`] — the commit
-//! protocol's messages wrapped with a transaction id (and, on `xact`, the
-//! destination site's write set, which is how the paper's "Xact" message
-//! carries "the transaction"). Site 0 is the master for every transaction
-//! (the paper's model); the cluster driver schedules client submissions
-//! there.
+//! Sites speak [`DbMsg`] — the commit protocol's messages wrapped with a
+//! transaction id (and, on `xact`, the destination site's write set, which
+//! is how the paper's "Xact" message carries "the transaction"). In the
+//! paper's model site 0 is the master for every transaction;
+//! [`crate::DbCluster`] schedules client submissions there.
 //!
 //! Lifecycle of a transaction at a slave:
 //! 1. `xact` arrives with the local write set → acquire exclusive locks
@@ -23,16 +26,12 @@
 //! Every lock-hold interval is reported to the cluster metrics — the data
 //! behind experiment E14's availability comparison.
 
-use crate::locks::{LockGrant, LockMode, LockTable};
-use crate::storage::Storage;
 use crate::value::{Key, TxnId, Value, WriteOp};
-use crate::wal::{Record, Wal};
 use ptp_model::Decision;
-use ptp_protocols::api::{Action, CommitMsg, Participant, TimerTag, Vote};
+use ptp_protocols::api::{CommitMsg, Participant, Vote};
 use ptp_protocols::AnyParticipant;
-use ptp_simnet::{Actor, Ctx, Envelope, Payload, SimTime, SiteId, TimerHandle};
-use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use ptp_simnet::{Payload, SimTime, SiteId};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// The wire format of the distributed database: commit-protocol messages
@@ -305,482 +304,11 @@ impl Metrics {
     }
 }
 
-/// Per-transaction state at one site. The participant itself lives in the
-/// site's [`ParticipantPool`] arena; this holds its slot index.
-struct TxnSlot {
-    participant: usize,
-    timers: HashMap<TimerTag, TimerHandle>,
-    hold_index: Option<usize>,
-}
-
-/// An in-flight xact waiting for locks.
-struct ParkedXact {
-    from: SiteId,
-    writes: Vec<WriteOp>,
-}
-
-/// A database site actor.
-pub struct SiteNode {
-    me: SiteId,
-    n: usize,
-    pool: ParticipantPool,
-    storage: Storage,
-    wal: Wal,
-    locks: LockTable,
-    metrics: Rc<RefCell<Metrics>>,
-    slots: BTreeMap<TxnId, TxnSlot>,
-    parked: BTreeMap<TxnId, ParkedXact>,
-    finished: BTreeMap<TxnId, Decision>,
-    /// Master only: the workload to submit, as (tick, spec).
-    workload: Vec<(u64, TxnSpec)>,
-    /// Index into `workload` by transaction id, so per-message lookups
-    /// (xact write sets, client submissions) cost O(log T) instead of a
-    /// linear scan of the whole workload.
-    workload_index: HashMap<TxnId, usize>,
-    /// Master only: read-only transactions to submit, as (tick, spec).
-    read_workload: Vec<(u64, ReadSpec)>,
-    /// Index into `read_workload` by transaction id.
-    read_index: HashMap<TxnId, usize>,
-    /// Reads waiting for shared locks, by txn → remaining key set.
-    parked_reads: BTreeMap<TxnId, Vec<Key>>,
-}
-
-/// Timer-tag encoding: protocol timers are `(txn + 1) << 8 | tag`; client
-/// submission timers are `(txn + 1) << 8 | 0xfe` (writes) / `0xfd` (reads).
-const CLIENT_TAG: u64 = 0xfe;
-
-/// Client read-submission timer tag (see [`CLIENT_TAG`]).
-const READ_TAG: u64 = 0xfd;
-
-impl SiteNode {
-    /// Creates a site. Only the master (`me == 0`) uses `workload`.
-    pub fn new(
-        me: SiteId,
-        n: usize,
-        factory: &ParticipantFactory,
-        metrics: Rc<RefCell<Metrics>>,
-        workload: Vec<(u64, TxnSpec)>,
-        storage: Storage,
-    ) -> SiteNode {
-        assert!(me.index() < n);
-        assert!(me == SiteId(0) || workload.is_empty(), "only the master submits");
-        let workload_index =
-            workload.iter().enumerate().map(|(i, (_, spec))| (spec.id, i)).collect();
-        SiteNode {
-            me,
-            n,
-            pool: factory.pool(me, n),
-            storage,
-            wal: Wal::new(),
-            locks: LockTable::new(),
-            metrics,
-            slots: BTreeMap::new(),
-            parked: BTreeMap::new(),
-            finished: BTreeMap::new(),
-            workload,
-            workload_index,
-            read_workload: Vec::new(),
-            read_index: HashMap::new(),
-            parked_reads: BTreeMap::new(),
-        }
-    }
-
-    /// Installs the master's read-only workload (builder form so the write
-    /// path's constructor signature stays put).
-    pub fn with_reads(mut self, reads: Vec<(u64, ReadSpec)>) -> SiteNode {
-        assert!(self.me == SiteId(0) || reads.is_empty(), "only the master submits reads");
-        self.read_index = reads.iter().enumerate().map(|(i, (_, spec))| (spec.id, i)).collect();
-        self.read_workload = reads;
-        self
-    }
-
-    /// Read access to the committed store (post-run inspection).
-    pub fn storage(&self) -> &Storage {
-        &self.storage
-    }
-
-    /// Read access to the WAL (post-run inspection).
-    pub fn wal(&self) -> &Wal {
-        &self.wal
-    }
-
-    /// Still-active (undecided) transactions at this site.
-    pub fn active_txns(&self) -> Vec<TxnId> {
-        self.slots.keys().copied().collect()
-    }
-
-    /// This site's participant pool (post-run reuse inspection).
-    pub fn pool(&self) -> &ParticipantPool {
-        &self.pool
-    }
-
-    fn apply_actions(&mut self, txn: TxnId, actions: Vec<Action>, ctx: &mut Ctx<'_, DbMsg>) {
-        for action in actions {
-            match action {
-                Action::Send { to, msg } => {
-                    let writes = self.xact_writes_for(txn, &msg, to);
-                    ctx.send(to, DbMsg { txn, inner: msg, writes, sync: None });
-                }
-                Action::Broadcast { msg } => {
-                    for dst in (0..self.n as u16).map(SiteId) {
-                        if dst != self.me {
-                            let writes = self.xact_writes_for(txn, &msg, dst);
-                            ctx.send(dst, DbMsg { txn, inner: msg, writes, sync: None });
-                        }
-                    }
-                }
-                Action::SetTimer { t_units, tag } => {
-                    let raw = ((txn.0 as u64 + 1) << 8) | tag.encode();
-                    let handle = ctx.set_timer(ctx.t(t_units), raw);
-                    if let Some(slot) = self.slots.get_mut(&txn) {
-                        if let Some(old) = slot.timers.insert(tag, handle) {
-                            ctx.cancel_timer(old);
-                        }
-                    }
-                }
-                Action::CancelTimer { tag } => {
-                    if let Some(slot) = self.slots.get_mut(&txn) {
-                        if let Some(old) = slot.timers.remove(&tag) {
-                            ctx.cancel_timer(old);
-                        }
-                    }
-                }
-                Action::Decide(decision) => self.finish(txn, decision, ctx),
-                Action::Note(label, detail) => ctx.note(label, detail),
-            }
-        }
-    }
-
-    /// The master attaches each destination's write set to its xact.
-    fn xact_writes_for(&self, txn: TxnId, msg: &CommitMsg, dst: SiteId) -> Option<Vec<WriteOp>> {
-        if self.me != SiteId(0) || !matches!(msg, CommitMsg::Kind("xact")) {
-            return None;
-        }
-        self.workload_index.get(&txn).and_then(|&i| self.workload[i].1.writes.get(&dst.0).cloned())
-    }
-
-    /// Terminates a transaction locally: WAL, storage, locks, metrics.
-    fn finish(&mut self, txn: TxnId, decision: Decision, ctx: &mut Ctx<'_, DbMsg>) {
-        let Some(mut slot) = self.slots.remove(&txn) else { return };
-        for (_, handle) in slot.timers.drain() {
-            ctx.cancel_timer(handle);
-        }
-        match decision {
-            Decision::Commit => {
-                // Force the commit record, apply, then mark applied. (The
-                // write set may be empty: a site can participate in a
-                // transaction without local writes.)
-                self.wal.append_durable(Record::Commit { txn });
-                self.storage.apply(txn);
-                self.wal.append_durable(Record::Applied { txn });
-            }
-            Decision::Abort => {
-                self.wal.append_durable(Record::Abort { txn });
-                self.storage.discard(txn);
-            }
-        }
-        let now = ctx.now();
-        {
-            let mut m = self.metrics.borrow_mut();
-            m.decisions.entry(txn).or_default().insert(self.me.0, (decision, now));
-            if let Some(idx) = slot.hold_index {
-                m.lock_holds[idx].to = Some(now);
-            }
-        }
-        self.pool.release(slot.participant);
-        self.finished.insert(txn, decision);
-        let promoted = self.locks.release_all(txn);
-        for t in promoted {
-            self.try_unpark(t, ctx);
-        }
-    }
-
-    /// Attempts to start a parked xact (or serve a parked read) whose locks
-    /// may now be available.
-    fn try_unpark(&mut self, txn: TxnId, ctx: &mut Ctx<'_, DbMsg>) {
-        if let Some(keys) = self.parked_reads.get(&txn) {
-            let all_held = keys.iter().all(|k| self.locks.holds(txn, k, LockMode::Shared));
-            if all_held {
-                let keys = self.parked_reads.remove(&txn).expect("checked");
-                self.serve_read(txn, &keys, ReadPath::LockLocal, ctx);
-                self.release_read(txn, ctx);
-            }
-            return;
-        }
-        let Some(parked) = self.parked.remove(&txn) else { return };
-        // Its queued requests were just granted by release_all; verify.
-        let all_held =
-            parked.writes.iter().all(|w| self.locks.holds(txn, &w.key, LockMode::Exclusive));
-        if all_held {
-            self.begin_local(txn, parked.from, parked.writes, ctx);
-        } else {
-            self.parked.insert(txn, parked);
-        }
-    }
-
-    /// Locks are held: stage the writes, create the participant, feed it the
-    /// xact.
-    fn begin_local(
-        &mut self,
-        txn: TxnId,
-        from: SiteId,
-        writes: Vec<WriteOp>,
-        ctx: &mut Ctx<'_, DbMsg>,
-    ) {
-        self.wal.append(Record::Begin { txn, writes: writes.clone() });
-        self.wal.flush();
-        self.storage.stage(txn, writes);
-
-        let hold_index = {
-            let mut m = self.metrics.borrow_mut();
-            m.lock_holds.push(LockHold { site: self.me, txn, from: ctx.now(), to: None });
-            Some(m.lock_holds.len() - 1)
-        };
-
-        let slot = self.pool.acquire(Vote::Yes);
-        let mut out = Vec::new();
-        let participant = self.pool.get_mut(slot);
-        participant.start(&mut out);
-        if self.me != SiteId(0) {
-            participant.on_msg(from, &CommitMsg::Kind("xact"), &mut out);
-        }
-        self.slots.insert(txn, TxnSlot { participant: slot, timers: HashMap::new(), hold_index });
-        self.apply_actions(txn, out, ctx);
-    }
-
-    /// A brand-new xact arrived (or the master submits one): acquire locks
-    /// or park.
-    fn admit_xact(
-        &mut self,
-        txn: TxnId,
-        from: SiteId,
-        writes: Vec<WriteOp>,
-        ctx: &mut Ctx<'_, DbMsg>,
-    ) {
-        if self.finished.contains_key(&txn)
-            || self.slots.contains_key(&txn)
-            || self.parked.contains_key(&txn)
-        {
-            // Duplicate delivery. The `parked` guard matters: re-admitting a
-            // parked transaction would enqueue duplicate wait-queue entries
-            // in the lock table and overwrite its ParkedXact.
-            return;
-        }
-        let mut all = true;
-        for w in &writes {
-            if self.locks.acquire(txn, w.key.clone(), LockMode::Exclusive) == LockGrant::Waiting {
-                all = false;
-            }
-        }
-        if all {
-            self.begin_local(txn, from, writes, ctx);
-        } else {
-            ctx.note("lock-wait", txn.0 as u64);
-            self.parked.insert(txn, ParkedXact { from, writes });
-        }
-    }
-
-    /// Admits a read-only transaction: acquire shared locks on every key and
-    /// serve immediately, or park until writers drain. Reads never touch the
-    /// WAL, storage, or lock-hold metrics.
-    fn admit_read(&mut self, txn: TxnId, keys: Vec<Key>, ctx: &mut Ctx<'_, DbMsg>) {
-        if self.finished.contains_key(&txn) || self.parked_reads.contains_key(&txn) {
-            return;
-        }
-        let mut all = true;
-        for key in &keys {
-            if self.locks.acquire(txn, key.clone(), LockMode::Shared) == LockGrant::Waiting {
-                all = false;
-            }
-        }
-        if all {
-            self.serve_read(txn, &keys, ReadPath::LockLocal, ctx);
-            self.release_read(txn, ctx);
-        } else {
-            ctx.note("read-wait", txn.0 as u64);
-            self.parked_reads.insert(txn, keys);
-        }
-    }
-
-    /// Snapshots `keys` from committed storage and reports the read.
-    fn serve_read(&mut self, txn: TxnId, keys: &[Key], path: ReadPath, ctx: &mut Ctx<'_, DbMsg>) {
-        let values = keys.iter().map(|k| (k.clone(), self.storage.get(k).cloned())).collect();
-        self.metrics.borrow_mut().reads.push(ReadRecord {
-            id: txn,
-            site: self.me,
-            at: ctx.now(),
-            path,
-            values,
-        });
-        ctx.note("read-served", txn.0 as u64);
-        self.finished.insert(txn, Decision::Commit);
-    }
-
-    /// Drops a read's shared locks and restarts whatever that promoted.
-    fn release_read(&mut self, txn: TxnId, ctx: &mut Ctx<'_, DbMsg>) {
-        let promoted = self.locks.release_all(txn);
-        for t in promoted {
-            self.try_unpark(t, ctx);
-        }
-    }
-}
-
-impl Actor<DbMsg> for SiteNode {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, DbMsg>) {
-        let submissions: Vec<(u64, TxnId)> =
-            self.workload.iter().map(|(at, spec)| (*at, spec.id)).collect();
-        for (at, txn) in submissions {
-            let raw = ((txn.0 as u64 + 1) << 8) | CLIENT_TAG;
-            ctx.set_timer(ptp_simnet::SimDuration(at), raw);
-        }
-        let reads: Vec<(u64, TxnId)> =
-            self.read_workload.iter().map(|(at, spec)| (*at, spec.id)).collect();
-        for (at, txn) in reads {
-            let raw = ((txn.0 as u64 + 1) << 8) | READ_TAG;
-            ctx.set_timer(ptp_simnet::SimDuration(at), raw);
-        }
-    }
-
-    fn on_message(&mut self, env: Envelope<DbMsg>, ctx: &mut Ctx<'_, DbMsg>) {
-        let DbMsg { txn, inner, writes, .. } = env.payload;
-        if matches!(inner, CommitMsg::Kind("xact")) {
-            let writes = writes.unwrap_or_default();
-            self.admit_xact(txn, env.src, writes, ctx);
-            return;
-        }
-        if let Some(slot) = self.slots.get(&txn) {
-            let mut out = Vec::new();
-            self.pool.get_mut(slot.participant).on_msg(env.src, &inner, &mut out);
-            self.apply_actions(txn, out, ctx);
-        } else if self.parked.contains_key(&txn) {
-            // Decision for a transaction still waiting on locks: honor it —
-            // it can only be an abort (the master gave up on us) or a peer
-            // commit (impossible while we never voted; note it).
-            if matches!(inner, CommitMsg::Kind("abort")) {
-                self.parked.remove(&txn);
-                let promoted = self.locks.release_all(txn);
-                self.finished.insert(txn, Decision::Abort);
-                let now = ctx.now();
-                self.metrics
-                    .borrow_mut()
-                    .decisions
-                    .entry(txn)
-                    .or_default()
-                    .insert(self.me.0, (Decision::Abort, now));
-                ctx.note("parked-abort", txn.0 as u64);
-                // A parked txn can hold granted locks (it parks if *any*
-                // request waits) with other waiters queued behind them;
-                // restart whatever its release promoted, as finish() does.
-                for t in promoted {
-                    self.try_unpark(t, ctx);
-                }
-            }
-        }
-    }
-
-    fn on_undeliverable(&mut self, env: Envelope<DbMsg>, ctx: &mut Ctx<'_, DbMsg>) {
-        let DbMsg { txn, inner, .. } = env.payload;
-        if let Some(slot) = self.slots.get(&txn) {
-            let mut out = Vec::new();
-            self.pool.get_mut(slot.participant).on_ud(env.dst, &inner, &mut out);
-            self.apply_actions(txn, out, ctx);
-        }
-    }
-
-    fn on_timer(&mut self, raw: u64, ctx: &mut Ctx<'_, DbMsg>) {
-        let txn = TxnId((raw >> 8).saturating_sub(1) as u32);
-        let low = raw & 0xff;
-        if low == CLIENT_TAG {
-            // Client submission at the master.
-            let Some((_, spec)) = self.workload_index.get(&txn).map(|&i| self.workload[i].clone())
-            else {
-                return;
-            };
-            self.metrics.borrow_mut().submitted.insert(spec.id, ctx.now());
-            ctx.note("txn-submitted", spec.id.0 as u64);
-            let local = spec.writes.get(&0).cloned().unwrap_or_default();
-            self.admit_xact(spec.id, self.me, local, ctx);
-            return;
-        }
-        if low == READ_TAG {
-            // Client read submission at the master.
-            let Some(spec) = self.read_index.get(&txn).map(|&i| self.read_workload[i].1.clone())
-            else {
-                return;
-            };
-            self.metrics.borrow_mut().reads_submitted.insert(spec.id, ctx.now());
-            ctx.note("read-submitted", spec.id.0 as u64);
-            self.admit_read(spec.id, spec.keys, ctx);
-            return;
-        }
-        let Some(tag) = TimerTag::decode(low) else { return };
-        if let Some(slot) = self.slots.get_mut(&txn) {
-            slot.timers.remove(&tag);
-            let participant = slot.participant;
-            let mut out = Vec::new();
-            self.pool.get_mut(participant).on_timer(tag, &mut out);
-            self.apply_actions(txn, out, ctx);
-        }
-    }
-
-    /// The crash wipes this site's volatile state, so its in-flight
-    /// lock-hold intervals end *now* — leaving them open would bill a
-    /// crashed site's locks to the full horizon and corrupt E14's
-    /// blocked-lock accounting. Pure metrics bookkeeping; the state itself
-    /// is torn down in [`SiteNode::on_recover`].
-    fn on_crash(&mut self, ctx: &mut Ctx<'_, DbMsg>) {
-        let now = ctx.now();
-        let mut m = self.metrics.borrow_mut();
-        for slot in self.slots.values() {
-            if let Some(idx) = slot.hold_index {
-                if m.lock_holds[idx].to.is_none() {
-                    m.lock_holds[idx].to = Some(now);
-                }
-            }
-        }
-    }
-
-    /// Crash recovery (Sec. 2's single-site discipline): volatile state —
-    /// staged writes, unflushed log records, in-flight protocol
-    /// participants, lock table — is gone; the durable log decides what to
-    /// redo and what to presume aborted.
-    fn on_recover(&mut self, ctx: &mut Ctx<'_, DbMsg>) {
-        for (_, slot) in std::mem::take(&mut self.slots) {
-            self.pool.release(slot.participant);
-        }
-        self.parked.clear();
-        self.parked_reads.clear();
-        self.locks = LockTable::new();
-        self.storage.crash();
-        self.wal.crash();
-        let summary = crate::recovery::recover(&mut self.storage, &mut self.wal);
-        for txn in &summary.redone {
-            let now = ctx.now();
-            self.metrics
-                .borrow_mut()
-                .decisions
-                .entry(*txn)
-                .or_default()
-                .insert(self.me.0, (Decision::Commit, now));
-            self.finished.insert(*txn, Decision::Commit);
-        }
-        for txn in &summary.discarded {
-            self.finished.insert(*txn, Decision::Abort);
-        }
-        ctx.note("recovered", (summary.redone.len() + summary.discarded.len()) as u64);
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::value::{Key, Value};
     use ptp_protocols::termination::{PhasePlan, TerminationSlave, TerminationVariant};
-    use ptp_simnet::{DelayModel, NetConfig, PartitionEngine, Simulation, TraceEvent};
 
     fn slave_factory() -> ParticipantFactory {
         ParticipantFactory::pooled(Rc::new(|site, _n| {
@@ -792,136 +320,6 @@ mod tests {
             )
             .into()
         }))
-    }
-
-    fn xact(txn: u32, key: &str) -> DbMsg {
-        DbMsg {
-            txn: TxnId(txn),
-            inner: CommitMsg::Kind("xact"),
-            writes: Some(vec![WriteOp { key: Key::from(key), value: Value::from_u64(1) }]),
-            sync: None,
-        }
-    }
-
-    /// Master stand-in at site 0: fires a scripted burst of xacts at the
-    /// slave and ignores everything the slave's protocol sends back.
-    struct ScriptedMaster(Vec<DbMsg>);
-
-    impl Actor<DbMsg> for ScriptedMaster {
-        fn on_start(&mut self, ctx: &mut Ctx<'_, DbMsg>) {
-            for msg in self.0.drain(..) {
-                ctx.send(SiteId(1), msg);
-            }
-        }
-        fn on_message(&mut self, _env: Envelope<DbMsg>, _ctx: &mut Ctx<'_, DbMsg>) {}
-    }
-
-    #[test]
-    fn duplicate_xact_for_parked_txn_is_ignored() {
-        // txn 1 takes the lock on "k"; txn 2 parks behind it; the duplicate
-        // xact for parked txn 2 must not re-acquire (which would enqueue a
-        // second wait-queue entry and overwrite the ParkedXact).
-        let metrics = Rc::new(RefCell::new(Metrics::default()));
-        let slave = SiteNode::new(
-            SiteId(1),
-            2,
-            &slave_factory(),
-            metrics.clone(),
-            Vec::new(),
-            Storage::new(),
-        );
-        let driver = ScriptedMaster(vec![xact(1, "k"), xact(2, "k"), xact(2, "k")]);
-        let actors: Vec<Box<dyn Actor<DbMsg>>> = vec![Box::new(driver), Box::new(slave)];
-        let sim = Simulation::new(
-            NetConfig::default(),
-            actors,
-            PartitionEngine::always_connected(),
-            &DelayModel::Fixed(100),
-            vec![],
-        );
-        let (actors, trace, _) = sim.run();
-
-        let lock_waits = trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Note { label: "lock-wait", detail: 2, .. }))
-            .count();
-        assert_eq!(lock_waits, 1, "the duplicate xact re-parked txn 2");
-
-        let node = actors[1].as_any().and_then(|a| a.downcast_ref::<SiteNode>()).unwrap();
-        assert_eq!(node.locks.waiting_count(), 0, "stale wait-queue entries remain");
-        assert!(node.parked.is_empty());
-        assert!(node.slots.is_empty());
-        // Both transactions terminated (abandoned by the silent master, so
-        // both abort) — and txn 2 reused txn 1's pooled participant.
-        assert_eq!(node.finished.len(), 2);
-        assert_eq!(node.pool.constructed(), 1);
-        assert_eq!(node.pool.reused(), 1);
-    }
-
-    #[test]
-    fn parked_abort_promotes_waiters_queued_behind_its_granted_locks() {
-        // txn 1 takes k1. txn 2 wants [k1, k2]: k2 is granted, k1 waits, so
-        // it parks *holding* k2. txn 3 wants k2 and queues behind txn 2.
-        // The master then aborts parked txn 2: releasing its locks promotes
-        // txn 3, which must actually start (regression: the promoted list
-        // was dropped, stranding txn 3 in `parked` forever).
-        use ptp_simnet::ScheduleBuilder;
-        let metrics = Rc::new(RefCell::new(Metrics::default()));
-        let slave = SiteNode::new(
-            SiteId(1),
-            2,
-            &slave_factory(),
-            metrics.clone(),
-            Vec::new(),
-            Storage::new(),
-        );
-        let two = DbMsg {
-            txn: TxnId(2),
-            inner: CommitMsg::Kind("xact"),
-            writes: Some(vec![
-                WriteOp { key: Key::from("k1"), value: Value::from_u64(2) },
-                WriteOp { key: Key::from("k2"), value: Value::from_u64(2) },
-            ]),
-            sync: None,
-        };
-        let abort_two =
-            DbMsg { txn: TxnId(2), inner: CommitMsg::Kind("abort"), writes: None, sync: None };
-        let driver = ScriptedMaster(vec![xact(1, "k1"), two, xact(3, "k2"), abort_two]);
-        let actors: Vec<Box<dyn Actor<DbMsg>>> = vec![Box::new(driver), Box::new(slave)];
-        // Deliver in script order: msg i arrives at (i + 1) * 100.
-        let delay = ScheduleBuilder::with_default(100)
-            .outbound(1, 200)
-            .outbound(2, 300)
-            .outbound(3, 400)
-            .build();
-        let sim = Simulation::new(
-            NetConfig::default(),
-            actors,
-            PartitionEngine::always_connected(),
-            &delay,
-            vec![],
-        );
-        let (actors, trace, _) = sim.run();
-
-        let node = actors[1].as_any().and_then(|a| a.downcast_ref::<SiteNode>()).unwrap();
-        assert!(
-            trace.first_note(SiteId(1), "parked-abort").is_some(),
-            "txn 2 must be aborted while parked"
-        );
-        assert!(node.parked.is_empty(), "txn 3 stranded in parked: promotion dropped");
-        // txn 3 began (WAL Begin) once txn 2's release promoted it, and —
-        // abandoned by the silent master — terminated via its own timeout.
-        assert!(
-            node.wal
-                .durable()
-                .iter()
-                .any(|r| matches!(r, Record::Begin { txn, .. } if *txn == TxnId(3))),
-            "txn 3 never began"
-        );
-        assert_eq!(node.finished.get(&TxnId(2)), Some(&Decision::Abort));
-        assert!(node.finished.contains_key(&TxnId(3)), "txn 3 must terminate");
-        assert_eq!(node.locks.waiting_count(), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! overlap: one site can serve several shards, which is how small clusters
 //! host many shards (per-key replica groups à la partial replication).
 
-use ptp_ddb::value::Key;
+use crate::value::Key;
 use ptp_simnet::SiteId;
 
 /// The shard map: `S` replica groups over `n` sites, plus the key router.
@@ -15,7 +15,7 @@ use ptp_simnet::SiteId;
 /// # Examples
 ///
 /// ```
-/// use ptp_shard::ShardTopology;
+/// use ptp_ddb::topology::ShardTopology;
 /// use ptp_ddb::value::Key;
 /// use ptp_simnet::SiteId;
 ///
@@ -63,8 +63,8 @@ impl ShardTopology {
     /// round-robin: shard `i`'s group is sites `i*replication .. +replication`
     /// (mod `n`), so groups tile the cluster and overlap exactly when
     /// `shards * replication > n`. With `shards == 1` and `replication == n`
-    /// this is the fully-replicated flat cluster [`ptp_ddb::DbCluster`]
-    /// models — the configuration the equivalence suite pins.
+    /// this is the fully-replicated flat cluster [`crate::DbCluster`] models
+    /// (the topology [`crate::plan::PlanTable::flat`] lowers it onto).
     pub fn uniform(n: usize, shards: usize, replication: usize) -> ShardTopology {
         assert!(replication >= 1 && replication <= n, "replication must be in 1..=n");
         let groups = (0..shards)

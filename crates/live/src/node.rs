@@ -1,10 +1,11 @@
-//! The live site thread: `ptp-shard`'s planning/storage/protocol stack
+//! The live site thread: `ptp-ddb`'s planning/storage/protocol stack
 //! driven by wall-clock messages and timers instead of the simulator.
 //!
-//! A [`LiveNode`] mirrors `ptp_shard::ShardNode` — same plan-routed virtual
-//! site ids, same lock/WAL/storage discipline, same cross-shard outcome
-//! shipping — re-hosted on an OS thread behind an mpsc mailbox. Two things
-//! exist only here:
+//! A [`LiveNode`] mirrors `ptp_ddb::node::ShardNode` — the one simulated
+//! site actor, which the flat `DbCluster` runs on too: same plan-routed
+//! virtual site ids, same lock/WAL/storage discipline, same cross-shard
+//! outcome shipping — re-hosted on an OS thread behind an mpsc mailbox.
+//! Two things exist only here:
 //!
 //! * **Group-commit WAL batching** — with [`BatchConfig::enabled`], log
 //!   records are appended volatile and flushed once per batch window
@@ -140,7 +141,7 @@ struct TxnSlot {
     participant: usize,
 }
 
-/// A transaction waiting for locks (mirrors `ShardNode`).
+/// A transaction waiting for locks (mirrors `ptp_ddb::node`'s `Parked`).
 enum Parked {
     Xact {
         from: SiteId,
@@ -466,7 +467,7 @@ impl LiveNode {
         }
     }
 
-    // ---- protocol plumbing (mirrors ShardNode) ----
+    // ---- protocol plumbing (mirrors ptp_ddb::node::ShardNode) ----
 
     fn apply_actions(&mut self, txn: TxnId, mut actions: Vec<Action>) {
         let plans = self.plans.clone();
@@ -819,7 +820,7 @@ impl LiveNode {
     /// Is this site's lease over `shard` live right now? True only at the
     /// shard's master, and only while *every* replica's grant covers the
     /// present instant (an empty replica set is trivially covered,
-    /// mirroring `ptp_shard::LeaseTable`).
+    /// mirroring `ptp_ddb::lease::LeaseTable`).
     fn lease_valid(&self, shard: usize, now: Instant) -> bool {
         let topo = &self.plans.topology;
         topo.master(shard) == self.me
@@ -1089,7 +1090,8 @@ impl LiveNode {
             self.apply_actions(txn, out);
         } else if self.parked.contains_key(&txn) {
             // An abort can reach a transaction still waiting on locks (the
-            // master gave up on us); see ShardNode for why only aborts can.
+            // master gave up on us); see `ShardNode::abort_parked` in
+            // ptp-ddb for why only aborts can.
             if matches!(inner, CommitMsg::Kind("abort"))
                 && matches!(self.parked.get(&txn), Some(Parked::Xact { .. }))
             {

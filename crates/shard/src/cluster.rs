@@ -1,24 +1,20 @@
-//! The sharded cluster driver: builds one [`crate::ShardNode`] per site,
-//! routes seeds and workload through the shard map, runs everything in
-//! **one** simulation — so a single partition schedule or failure spec cuts
-//! across every replica group deterministically — and aggregates global
-//! plus per-shard metrics.
+//! The sharded cluster driver: compiles the key-addressed workload through
+//! the shard map, routes seeds to every replica of their key's shard, runs
+//! the plans through [`ptp_ddb::cluster::run_planned`] — the same driver,
+//! and the same site actor, as the flat [`ptp_ddb::DbCluster`] — and
+//! aggregates global plus per-shard metrics.
 
-use crate::lease::LeaseConfig;
-use crate::node::{ShardNode, ShardNodeOpts};
-use crate::plan::{PlanTable, ShardReadSpec, ShardTxnSpec};
-use crate::topology::ShardTopology;
-use ptp_ddb::cluster::CommitProtocol;
-use ptp_ddb::site::{DbMsg, Metrics, ParticipantFactory, ReadPath};
+use ptp_ddb::cluster::{run_planned, CommitProtocol, SimNet};
+use ptp_ddb::lease::LeaseConfig;
+use ptp_ddb::node::ShardNodeOpts;
+use ptp_ddb::plan::{PlanTable, ShardReadSpec, ShardTxnSpec};
+use ptp_ddb::site::{Metrics, ReadPath};
 use ptp_ddb::storage::Storage;
+use ptp_ddb::topology::ShardTopology;
 use ptp_ddb::value::{Key, TxnId, Value};
 use ptp_ddb::wal::Wal;
 use ptp_model::Decision;
-use ptp_simnet::{
-    Actor, DelayModel, NetConfig, PartitionEngine, RunReport, Simulation, SiteId, Trace,
-};
-use std::cell::RefCell;
-use std::collections::BTreeMap;
+use ptp_simnet::{DelayModel, NetConfig, PartitionEngine, RunReport, SiteId, Trace};
 use std::rc::Rc;
 
 /// A sharded cluster specification, mirroring [`ptp_ddb::DbCluster`] one
@@ -293,94 +289,59 @@ impl ShardCluster {
 
     /// Runs the cluster to quiescence (or the horizon).
     pub fn run(self) -> ShardRun {
-        let n = self.topology.sites();
+        let topology = &self.topology;
         let specs: Vec<ShardTxnSpec> = self.workload.iter().map(|(_, spec)| spec.clone()).collect();
         let read_specs: Vec<ShardReadSpec> =
             self.read_workload.iter().map(|(_, spec)| spec.clone()).collect();
-        let plans =
-            Rc::new(PlanTable::compile(self.topology.clone(), &specs).with_reads(&read_specs));
+        let plans = Rc::new(PlanTable::compile(topology.clone(), &specs).with_reads(&read_specs));
 
-        // Route seeds: every replica of the key's shard holds it.
-        let mut seeds: BTreeMap<u16, Storage> = BTreeMap::new();
-        for (key, value) in &self.seed {
-            let shard = self.topology.shard_of(key);
-            for site in self.topology.group(shard) {
-                seeds.entry(site.0).or_default().seed(key.clone(), value.clone());
-            }
-        }
-
-        // Route submissions to each plan's master, preserving order
-        // (reads after writes at each site, each in submission order).
-        let mut workloads: Vec<Vec<(u64, TxnId)>> = vec![Vec::new(); n];
-        for (at, spec) in &self.workload {
-            let master = plans.get(spec.id).expect("just compiled").master();
-            workloads[master.index()].push((*at, spec.id));
-        }
-        for (at, spec) in &self.read_workload {
-            let master = plans.get_read(spec.id).expect("just compiled").master();
-            workloads[master.index()].push((*at, spec.id));
-        }
-
-        let metrics = Rc::new(RefCell::new(Metrics::default()));
-        let builder = self.protocol.participant_builder();
-        let factory = if self.reuse_participants {
-            ParticipantFactory::pooled(builder)
-        } else {
-            ParticipantFactory::construct_per_txn(builder)
-        };
-
-        let opts = ShardNodeOpts { lease: self.lease, anti_entropy: self.anti_entropy };
-        let actors: Vec<Box<dyn Actor<DbMsg>>> = (0..n as u16)
-            .map(|i| {
-                Box::new(ShardNode::new(
-                    SiteId(i),
-                    plans.clone(),
-                    factory.clone(),
-                    metrics.clone(),
-                    std::mem::take(&mut workloads[i as usize]),
-                    seeds.remove(&i).unwrap_or_default(),
-                    opts,
-                )) as Box<dyn Actor<DbMsg>>
-            })
+        // Every replica of the key's shard holds its seed.
+        let seed = self.seed.iter().flat_map(|(key, value)| {
+            let replicas = topology.group(topology.shard_of(key));
+            replicas.iter().map(move |site| (site.0, key.clone(), value.clone()))
+        });
+        // Each transaction is submitted at its plan's master: reads after
+        // writes at each site, each in submission order.
+        let submissions: Vec<(u64, TxnId)> = self
+            .workload
+            .iter()
+            .map(|(at, spec)| (*at, spec.id))
+            .chain(self.read_workload.iter().map(|(at, spec)| (*at, spec.id)))
             .collect();
 
         let horizon = self.config.max_time;
-        let sim = Simulation::new(self.config, actors, self.partition, &self.delay, self.failures);
-        let (actors, trace, report) = sim.run();
+        let net = SimNet {
+            config: self.config,
+            partition: self.partition,
+            delay: self.delay,
+            failures: self.failures,
+            env_faults: Vec::new(),
+            degrades: Vec::new(),
+        };
+        let opts = ShardNodeOpts { lease: self.lease, anti_entropy: self.anti_entropy };
+        let run = run_planned(
+            plans.clone(),
+            &submissions,
+            seed,
+            self.protocol,
+            self.reuse_participants,
+            opts,
+            net,
+        );
 
-        let mut storages = Vec::with_capacity(n);
-        let mut wals = Vec::with_capacity(n);
-        let mut blocked = Vec::with_capacity(n);
-        let mut participants_constructed = 0;
-        let mut participants_reused = 0;
-        for actor in &actors {
-            let node = actor
-                .as_any()
-                .and_then(|a| a.downcast_ref::<ShardNode>())
-                .expect("cluster actors are ShardNodes");
-            storages.push(node.storage().clone());
-            wals.push(node.wal().clone());
-            blocked.push(node.active_txns());
-            participants_constructed += node.participants_constructed();
-            participants_reused += node.participants_reused();
-        }
-        drop(actors);
-        let metrics = Rc::try_unwrap(metrics).expect("metrics uniquely owned").into_inner();
-
-        let (shards, cross_shard) = aggregate(&plans, &metrics, horizon);
-        let reads = aggregate_reads(&plans, &metrics);
+        let (shards, cross_shard) = aggregate(&plans, &run.metrics, horizon);
         ShardRun {
-            metrics,
             shards,
             cross_shard,
-            reads,
-            trace,
-            report,
-            storages,
-            wals,
-            blocked,
-            participants_constructed,
-            participants_reused,
+            reads: aggregate_reads(&plans, &run.metrics),
+            metrics: run.metrics,
+            trace: run.trace,
+            report: run.report,
+            storages: run.storages,
+            wals: run.wals,
+            blocked: run.blocked,
+            participants_constructed: run.participants_constructed,
+            participants_reused: run.participants_reused,
         }
     }
 }

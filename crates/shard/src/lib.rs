@@ -8,24 +8,23 @@
 //! overlap), all hosted in **one** deterministic simulation — so a single
 //! partition schedule or `FailureSpec` cuts across every group at once.
 //!
-//! * [`topology`] — the shard map: shards → replica groups, key routing.
-//! * [`plan`] — the router: classifies each transaction as single-shard
-//!   (commit protocol inside its replica group) or cross-shard (a
-//!   top-level instance of the *same* protocol over the involved groups'
-//!   masters, plus outcome shipping to out-of-group replicas).
-//! * [`node`] — the site actor: `ptp-ddb`'s storage/WAL/locks/participant
-//!   pools, generalized to per-transaction protocol groups via virtual
-//!   site ids.
-//! * [`cluster`] — the [`ShardCluster`] driver, mirroring
-//!   [`ptp_ddb::DbCluster`], with aggregate and per-shard [`Metrics`]
-//!   (`committed`, cross-shard abort rate, lock-hold time, per-shard
-//!   availability).
+//! * [`cluster`] — the [`ShardCluster`] driver: key-addressed workload →
+//!   routing plans → `ptp_ddb::cluster::run_planned`, with aggregate and
+//!   per-shard [`Metrics`] (`committed`, cross-shard abort rate, lock-hold
+//!   time, per-shard availability) and the read-path report.
+//! * [`lineariz`] — the read-history linearizability oracle.
+//! * [`topology`], [`plan`], [`node`], [`lease`] — re-exported from
+//!   `ptp-ddb`, where the shard map, the router (single-shard: commit
+//!   protocol inside the replica group; cross-shard: a top-level instance
+//!   of the *same* protocol over the involved groups' masters, plus
+//!   outcome shipping to out-of-group replicas) and the one site actor
+//!   live, so that the flat [`ptp_ddb::DbCluster`] runs on them too.
 //!
-//! The sharded path must not fork behaviour: a 1-shard topology with
-//! replication `n` runs byte-for-byte the flat cluster's message schedule,
-//! and the `tests/shard_equivalence.rs` suite pins its
-//! `Metrics`/storages/WALs field-identical to [`ptp_ddb::DbCluster`] for
-//! every commit protocol.
+//! The sharded path cannot fork behaviour from the flat one: both are
+//! front ends over the same driver and the same actor, and a 1-shard
+//! topology with replication `n` compiles a transaction to the group,
+//! master and write sets `ptp_ddb::PlanTable::flat` gives the same
+//! transaction written uniformly at every site.
 //!
 //! ```
 //! use ptp_ddb::cluster::CommitProtocol;
@@ -48,11 +47,9 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod lease;
 pub mod lineariz;
-pub mod node;
-pub mod plan;
-pub mod topology;
+
+pub use ptp_ddb::{lease, node, plan, topology};
 
 pub use cluster::{CrossShardReport, ReadReport, ShardCluster, ShardMetrics, ShardRun};
 pub use lease::{LeaseConfig, LeaseTable};
@@ -180,6 +177,51 @@ mod tests {
             outcomes.iter().any(|(p, decided)| *p == CommitProtocol::TwoPhase && !*decided),
             "{outcomes:?}"
         );
+    }
+
+    #[test]
+    fn cross_shard_read_never_splits_across_a_simple_partition() {
+        // Regression: a bounced message of a cross-shard *read* round was
+        // resolved through the write plans only, so it never reached the
+        // read's participant — the coordinator served the snapshot while
+        // the isolated master timed out and aborted: a commit/abort split
+        // inside one simple partition (Theorem 9 excludes it), invisible to
+        // the atomicity audit because reads never enter `decisions`.
+        let topo = ShardTopology::uniform(6, 3, 2);
+        let keys = vec![key_in(&topo, 0), key_in(&topo, 2)];
+        let cut = topo.master(2);
+        let group = [topo.master(0), cut];
+        for protocol in PROTOCOLS {
+            for at in [100, 600, 900, 1300, 1600, 2000, 2300, 2700, 3000, 3400] {
+                let rest = (0..6).map(SiteId).filter(|s| *s != cut).collect();
+                let run = ShardCluster::new(topo.clone(), protocol)
+                    .partition(PartitionEngine::new(vec![PartitionSpec::simple(
+                        SimTime(at),
+                        rest,
+                        vec![cut],
+                    )]))
+                    .submit_read(0, ShardReadSpec { id: TxnId(1), keys: keys.clone() })
+                    .run();
+                let tag = format!("{} cut at {at}", protocol.name());
+                let served = |s: &SiteId| run.metrics.reads.iter().any(|r| r.site == *s);
+                let aborted = |s: &SiteId| {
+                    ["read-aborted", "read-parked-abort"]
+                        .iter()
+                        .any(|label| run.trace.first_note(*s, label).is_some())
+                };
+                assert!(
+                    !(group.iter().any(served) && group.iter().any(aborted)),
+                    "{tag}: served at one member, aborted at another"
+                );
+                // The two baselines may block; the termination protocol
+                // decides at the coordinator and leaves no round in flight
+                // (a master cut off before the xact never joined one).
+                if protocol == CommitProtocol::HuangLi {
+                    assert!(served(&group[0]) || aborted(&group[0]), "{tag}: undecided");
+                    assert!(run.blocked.iter().all(|b| b.is_empty()), "{tag}: {:?}", run.blocked);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,32 +1,28 @@
-//! The elastic read path must not fork behaviour (this PR's tentpole
-//! guarantee, extending `tests/shard_equivalence.rs` to reads):
+//! The elastic read path must not fork behaviour: **read-only
+//! transactions never mutate write state**. A run with reads mixed in
+//! leaves every storage, WAL, lock-hold interval and write decision
+//! identical to the write-only baseline — pooled and per-transaction
+//! participant construction alike, leases on or off.
 //!
-//! 1. A **read-enabled 1-shard** [`ShardCluster`] runs byte-identical
-//!    (metrics, storages, WALs, blocked sets, trace) to [`DbCluster`]
-//!    serving the same write *and* read workload, for every protocol.
-//! 2. **Read-only transactions never mutate write state**: a run with
-//!    reads mixed in leaves every storage, WAL, lock-hold interval and
-//!    write decision identical to the write-only baseline — pooled and
-//!    per-transaction participant construction alike, leases on or off.
+//! (The suite once also pinned a read-enabled 1-shard [`ShardCluster`]
+//! byte-identical to `DbCluster`; both now run on the same site actor
+//! through the same driver, so that comparison had two equal sides and was
+//! retired — `tests/ddb_golden.rs` pins the flat cluster's reads instead.)
 //!
 //! Workloads randomize write sets, read sets (single- and cross-shard),
 //! submission times, delays, partitions and crashes from a seeded
 //! [`SmallRng`] so failures replay bit-for-bit.
 
-use ptp_core::ddb::cluster::{CommitProtocol, DbCluster};
-use ptp_core::ddb::site::{ReadSpec, TxnSpec};
+use ptp_core::ddb::cluster::CommitProtocol;
 use ptp_core::ddb::value::{Key, TxnId, Value, WriteOp};
 use ptp_shard::{ShardCluster, ShardReadSpec, ShardTopology, ShardTxnSpec};
 use ptp_simnet::rng::SmallRng;
 use ptp_simnet::{DelayModel, FailureSpec, PartitionEngine, PartitionSpec, SimTime, SiteId};
-use std::collections::BTreeMap;
-
-const RUNS_PER_PROTOCOL: usize = 30;
 
 /// Read ids live above every write id so the plan table never collides.
 const READ_BASE: u32 = 1000;
 
-/// One deterministic mixed workload, buildable as either cluster flavour.
+/// One deterministic mixed workload.
 struct WorkloadSpec {
     n: usize,
     /// Per write transaction: `(submit tick, id, writes)`.
@@ -115,32 +111,7 @@ impl WorkloadSpec {
         WorkloadSpec { n, txns, reads, seeds, delay, partition, failure }
     }
 
-    /// The flat baseline: full replication, reads served at the master.
-    fn build_flat(&self, protocol: CommitProtocol) -> DbCluster {
-        let mut cluster = DbCluster::new(self.n, protocol).delay(self.delay.clone());
-        for (key, value) in &self.seeds {
-            for site in 0..self.n as u16 {
-                cluster = cluster.seed(site, key.clone(), value.clone());
-            }
-        }
-        for (at, id, writes) in &self.txns {
-            let per_site: BTreeMap<u16, Vec<WriteOp>> =
-                (0..self.n as u16).map(|s| (s, writes.clone())).collect();
-            cluster = cluster.submit(*at, TxnSpec { id: *id, writes: per_site });
-        }
-        for (at, id, keys) in &self.reads {
-            cluster = cluster.submit_read(*at, ReadSpec { id: *id, keys: keys.clone() });
-        }
-        if let Some(p) = &self.partition {
-            cluster = cluster.partition(PartitionEngine::new(vec![p.clone()]));
-        }
-        if let Some(f) = self.failure {
-            cluster = cluster.fail(f);
-        }
-        cluster
-    }
-
-    /// The same workload as a 1-shard, replication-`n` sharded cluster.
+    /// The workload as a 1-shard, replication-`n` sharded cluster.
     fn build_sharded(&self, protocol: CommitProtocol, with_reads: bool) -> ShardCluster {
         let topology = ShardTopology::uniform(self.n, 1, self.n);
         let mut cluster = ShardCluster::new(topology, protocol).delay(self.delay.clone());
@@ -165,30 +136,6 @@ impl WorkloadSpec {
     }
 }
 
-#[test]
-fn one_shard_mixed_read_write_matches_db_cluster_for_every_protocol() {
-    for protocol in
-        [CommitProtocol::TwoPhase, CommitProtocol::HuangLi, CommitProtocol::QuorumMajority]
-    {
-        let mut rng = SmallRng::seed_from_u64(0x0EAD ^ protocol.name().len() as u64);
-        for i in 0..RUNS_PER_PROTOCOL {
-            let spec = WorkloadSpec::random(&mut rng, "k");
-            let flat = spec.build_flat(protocol).run();
-            let sharded = spec.build_sharded(protocol, true).run();
-            let tag = format!("{} run #{i}", protocol.name());
-            assert_eq!(flat.metrics, sharded.metrics, "{tag}: metrics");
-            assert_eq!(flat.storages, sharded.storages, "{tag}: storages");
-            assert_eq!(flat.wals, sharded.wals, "{tag}: WALs");
-            assert_eq!(flat.blocked, sharded.blocked, "{tag}: blocked sets");
-            assert_eq!(flat.trace.events(), sharded.trace.events(), "{tag}: trace");
-            assert_eq!(flat.report.events, sharded.report.events, "{tag}: event count");
-            // Single-shard reads never open a protocol round.
-            assert_eq!(sharded.reads.protocol, 0, "{tag}");
-            assert_eq!(sharded.reads.lease, 0, "{tag}: leases are off");
-        }
-    }
-}
-
 /// Strips the read-only records out of a metrics value so mixed runs can be
 /// compared against write-only baselines field-by-field.
 fn write_side(metrics: &ptp_core::ddb::site::Metrics) -> ptp_core::ddb::site::Metrics {
@@ -208,7 +155,7 @@ fn reads_never_mutate_write_state_on_sharded_topologies() {
     // intervals. Reads draw from the disjoint `r` key family here so the
     // comparison isolates mutation from legitimate shared-lock contention
     // (a write queueing behind a reader shifts timings; that contention
-    // semantics is pinned byte-identically by the DbCluster test above).
+    // semantics is pinned byte for byte by `tests/ddb_golden.rs`).
     let mut rng = SmallRng::seed_from_u64(0xF00D);
     for i in 0..20 {
         let spec = WorkloadSpec::random(&mut rng, "r");
