@@ -3,9 +3,10 @@
 //! [`DbCluster`] is the paper's model — one fully-replicated group, site 0
 //! master of every transaction: it lowers its workload to a flat
 //! [`PlanTable`] and hands it to [`run_planned`], the one driver every
-//! simulated cluster runs through (a [`ShardNode`] per site, one
-//! simulation, metrics plus every site's final storage and WAL back) — the
-//! harness behind experiment E14 and the banking example.
+//! simulated cluster runs through (a [`ShardNode`] — the site core's
+//! simulator host — per site, one simulation, metrics plus every site's
+//! final storage and WAL back) — the harness behind experiment E14 and the
+//! banking example.
 
 use crate::node::{ShardNode, ShardNodeOpts};
 use crate::plan::PlanTable;
@@ -285,7 +286,7 @@ impl DbCluster {
             degrades: self.degrades,
         };
         run_planned(
-            Rc::new(plans),
+            Arc::new(plans),
             &submissions,
             self.seed,
             self.protocol,
@@ -321,7 +322,7 @@ pub struct SimNet {
 /// cuts across every replica group deterministically. [`DbCluster::run`]
 /// and `ptp_shard::ShardCluster::run` are both front ends over this.
 pub fn run_planned(
-    plans: Rc<PlanTable>,
+    plans: Arc<PlanTable>,
     submissions: &[(u64, TxnId)],
     seed: impl IntoIterator<Item = (u16, Key, Value)>,
     protocol: CommitProtocol,
@@ -383,15 +384,17 @@ pub fn run_planned(
         participants_reused: 0,
     };
     for actor in &actors {
-        let node = actor
+        let site = actor
             .as_any()
             .and_then(|a| a.downcast_ref::<ShardNode>())
-            .expect("cluster actors are ShardNodes");
-        run.storages.push(node.storage().clone());
-        run.wals.push(node.wal().clone());
-        run.blocked.push(node.active_txns());
-        run.participants_constructed += node.participants_constructed();
-        run.participants_reused += node.participants_reused();
+            .expect("cluster actors are ShardNodes")
+            .core();
+        run.storages.push(site.storage().clone());
+        run.wals.push(site.wal().clone());
+        run.blocked.push(site.active_txns());
+        let (constructed, reused) = site.participants();
+        run.participants_constructed += constructed;
+        run.participants_reused += reused;
     }
     run
 }
@@ -451,7 +454,7 @@ mod tests {
     fn duplicated_xact_envelopes_leave_the_workload_clean() {
         // The PR-3 duplicate-delivery class, reproduced through the armed
         // envelope-fault path instead of a hand-scripted driver (see
-        // `site::tests::duplicate_xact_for_parked_txn_is_ignored`): the
+        // `core::tests::duplicate_xact_for_parked_txn_is_ignored`): the
         // network duplicates every xact send; parked and fresh transactions
         // alike must absorb the replays without double-acquiring locks.
         let run = seeded(3, CommitProtocol::HuangLi)

@@ -20,10 +20,13 @@
 //!   which sites run a transaction's commit protocol, what each stages,
 //!   who gets the outcome shipped. [`PlanTable::flat`] is the paper's
 //!   one-group model; `PlanTable::compile` routes by key over shards.
-//! * [`node`] — **the** site actor, the only one in the workspace:
-//!   storage, WAL, locks and one embedded commit-protocol participant per
-//!   transaction, routed by plan; with [`lease`], master-lease reads and
-//!   anti-entropy catch-up.
+//! * [`core`] — **the** site: a sans-IO [`SiteCore`] holding storage, WAL,
+//!   locks and one embedded commit-protocol participant per transaction,
+//!   routed by plan, version-stamping what it commits; with [`lease`],
+//!   master-lease reads and anti-entropy catch-up. It reaches its
+//!   environment only through the [`Host`] trait.
+//! * [`node`] — the core's simulator host, the only `ptp-simnet` actor that
+//!   speaks `DbMsg` (the other host is `ptp-live`'s site thread).
 //! * [`cluster`] — the cluster driver: [`DbCluster`] seeds data, submits a
 //!   workload at the master, and runs it through `run_planned` — the one
 //!   simulate-and-harvest loop `ptp-shard`'s `ShardCluster` shares.
@@ -48,6 +51,7 @@
 
 pub mod bytes;
 pub mod cluster;
+pub mod core;
 pub mod lease;
 pub mod locks;
 pub mod node;
@@ -60,11 +64,12 @@ pub mod value;
 pub mod wal;
 
 pub use cluster::{CommitProtocol, DbCluster, DbRun};
-pub use node::{ShardNode, ShardNodeOpts};
+pub use core::{Host, Hosted, ShardNodeOpts, SiteCore, SiteEvent, TimerKey, Via};
+pub use node::ShardNode;
 pub use plan::{PlanTable, ReadPlan, TxnPlan};
 pub use site::{
     DbMsg, LockHold, Metrics, ParticipantBuilder, ParticipantFactory, ParticipantPool, ReadPath,
-    ReadRecord, ReadSpec, SyncPayload, TxnSpec,
+    ReadRecord, ReadSpec, Stamps, SyncPayload, TxnSpec,
 };
 pub use storage::Storage;
 pub use topology::ShardTopology;

@@ -1,5 +1,5 @@
 //! Transaction routing: per-group commit-protocol plans, the one input the
-//! site actor ([`crate::node::ShardNode`]) routes by.
+//! site core ([`crate::core::SiteCore`]) routes by.
 //!
 //! A [`PlanTable`] is built one of two ways. [`PlanTable::flat`] lowers the
 //! paper's model — [`crate::DbCluster`]'s site-addressed [`TxnSpec`]s, one
@@ -268,6 +268,7 @@ pub struct PlanTable {
     pub topology: ShardTopology,
     plans: BTreeMap<TxnId, TxnPlan>,
     reads: BTreeMap<TxnId, ReadPlan>,
+    ships: bool,
 }
 
 impl PlanTable {
@@ -278,7 +279,8 @@ impl PlanTable {
             let plan = TxnPlan::compile(&topology, spec);
             assert!(plans.insert(spec.id, plan).is_none(), "duplicate {}", spec.id);
         }
-        PlanTable { topology, plans, reads: BTreeMap::new() }
+        let ships = plans.values().any(|plan| !plan.ships.is_empty());
+        PlanTable { topology, plans, reads: BTreeMap::new(), ships }
     }
 
     /// Lowers a flat, fully-replicated workload over `n` sites: one
@@ -312,7 +314,7 @@ impl PlanTable {
                 ReadPlan { id, shards: vec![0], group: vec![SiteId(0)], keys: [(0, keys)].into() };
             assert!(read_plans.insert(id, plan).is_none(), "duplicate read {id}");
         }
-        PlanTable { topology, plans, reads: read_plans }
+        PlanTable { topology, plans, reads: read_plans, ships: false }
     }
 
     /// Compiles and installs a read-only workload. Read ids must not
@@ -329,6 +331,11 @@ impl PlanTable {
     /// The plan of `txn`, if the workload contains it.
     pub fn get(&self, txn: TxnId) -> Option<&TxnPlan> {
         self.plans.get(&txn)
+    }
+
+    /// True if any plan ships its outcome to out-of-group replicas.
+    pub fn ships(&self) -> bool {
+        self.ships
     }
 
     /// All plans, by transaction id.

@@ -1,15 +1,16 @@
 //! The vocabulary of a database site: the wire format, the workload specs,
-//! the participant pool and the shared run metrics. The site *actor* that
+//! the participant pool and the shared run metrics. The site *logic* that
 //! speaks it — storage engine + WAL + lock manager + one embedded
 //! commit-protocol participant per in-flight distributed transaction — is
-//! [`crate::node::ShardNode`], the one `ptp-simnet` actor every simulated
-//! cluster runs on.
+//! [`crate::core::SiteCore`], hosted by the simulator
+//! ([`crate::node::ShardNode`]) and by `ptp-live`'s site threads alike.
 //!
-//! Sites speak [`DbMsg`] — the commit protocol's messages wrapped with a
-//! transaction id (and, on `xact`, the destination site's write set, which
-//! is how the paper's "Xact" message carries "the transaction"). In the
-//! paper's model site 0 is the master for every transaction;
-//! [`crate::DbCluster`] schedules client submissions there.
+//! Sites speak [`DbMsg`] — the one wire type, simulated or live: the commit
+//! protocol's messages wrapped with a transaction id (and, on `xact`, the
+//! destination site's write set, which is how the paper's "Xact" message
+//! carries "the transaction"). In the paper's model site 0 is the master
+//! for every transaction; [`crate::DbCluster`] schedules client submissions
+//! there.
 //!
 //! Lifecycle of a transaction at a slave:
 //! 1. `xact` arrives with the local write set → acquire exclusive locks
@@ -33,6 +34,11 @@ use ptp_protocols::AnyParticipant;
 use ptp_simnet::{Payload, SimTime, SiteId};
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
+
+/// Per-key version stamps, each assigned by its key's shard master at
+/// commit: shared by every message of the transaction that carries them.
+pub type Stamps = Arc<[(Key, u64)]>;
 
 /// The wire format of the distributed database: commit-protocol messages
 /// multiplexed by transaction.
@@ -40,14 +46,35 @@ use std::rc::Rc;
 pub struct DbMsg {
     /// Which transaction this belongs to.
     pub txn: TxnId,
-    /// The commit-protocol message.
+    /// The commit-protocol (or shipping / control / client) message.
     pub inner: CommitMsg,
-    /// On `xact` only: the destination site's write set. Anti-entropy
-    /// `sync-resp` reuses the field for its key/value delta.
+    /// On `xact`: the destination site's write set; on `shard-apply`: the
+    /// replica's. Anti-entropy `sync-resp` reuses the field for its
+    /// key/value delta, `client-read` for its keys (as dummy writes).
     pub writes: Option<Vec<WriteOp>>,
-    /// Anti-entropy payload (`sync-req`/`sync-resp` only). Boxed so the
-    /// common protocol messages don't pay for its size.
+    /// Everything about versions: the anti-entropy body of `sync-req` /
+    /// `sync-resp`, and — on a commit-round or ship message, any message
+    /// that can make the receiver install a value — the stamps the sender
+    /// assigned as shard master ([`DbMsg::stamped`]). Boxed so the common
+    /// protocol messages don't pay for its size.
     pub sync: Option<Box<SyncPayload>>,
+}
+
+impl DbMsg {
+    /// A bare message of `kind` for `txn`: no writes, no version body.
+    pub fn bare(txn: TxnId, kind: &'static str) -> DbMsg {
+        DbMsg { txn, inner: CommitMsg::Kind(kind), writes: None, sync: None }
+    }
+
+    /// This message carrying `stamps` (if any): a replica installs a
+    /// shipped write only if its stamp is newer than what it holds — ships
+    /// to one key ride independent delays and can arrive out of commit
+    /// order.
+    pub fn stamped(self, stamps: Option<&Stamps>) -> DbMsg {
+        let body =
+            |s: &Stamps| Box::new(SyncPayload { versions: s.clone(), ..SyncPayload::default() });
+        DbMsg { sync: stamps.map(body), ..self }
+    }
 }
 
 impl Payload for DbMsg {
@@ -57,22 +84,26 @@ impl Payload for DbMsg {
 }
 
 /// Anti-entropy exchange body. A stranded replica sends its per-key version
-/// stamps plus its undecided/decided transaction ids (`sync-req`); the
-/// master answers with the decisions the replica is missing and a
-/// version-stamped key/value delta (`sync-resp`, delta in [`DbMsg::writes`],
-/// stamps aligned index-wise in `versions`).
+/// stamps plus its undecided and newly decided transaction ids
+/// (`sync-req`); the master answers with the decisions the replica is
+/// missing and a version-stamped key/value delta (`sync-resp`, delta in
+/// [`DbMsg::writes`], stamps aligned index-wise in `versions`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SyncPayload {
-    /// Per-key version stamps (replica's view in a request, the master's
-    /// authoritative stamps for the delta in a response).
-    pub versions: Vec<(Key, u64)>,
+    /// Per-key version stamps: the replica's view in a request, the
+    /// master's authoritative stamps for the delta in a response, the
+    /// sender's own assignments on a commit-round or ship message.
+    pub versions: Stamps,
     /// Request only: transactions the replica has in flight (undecided).
     pub pending: Vec<TxnId>,
-    /// Request only: transactions the replica already finished, so the
-    /// master does not repeat decisions the replica has.
+    /// Request only: transactions the replica finished since its previous
+    /// request to this master (the master keeps the union), so the master
+    /// does not repeat decisions the replica has.
     pub known: Vec<TxnId>,
-    /// Response only: the `(txn, decision)` pairs the replica is missing.
-    pub decisions: Vec<(TxnId, Decision)>,
+    /// Response only: the decisions the replica is missing, each with the
+    /// stamps its master assigned (`None` for aborts and after a master
+    /// crash).
+    pub decisions: Vec<(TxnId, Decision, Option<Stamps>)>,
 }
 
 /// A read-only transaction: a set of keys snapshotted together.
@@ -353,9 +384,7 @@ mod tests {
 
     #[test]
     fn db_msg_kind_delegates() {
-        let m =
-            DbMsg { txn: TxnId(1), inner: CommitMsg::Kind("prepare"), writes: None, sync: None };
-        assert_eq!(m.kind(), "prepare");
+        assert_eq!(DbMsg::bare(TxnId(1), "prepare").kind(), "prepare");
     }
 
     #[test]

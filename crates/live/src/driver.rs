@@ -11,16 +11,20 @@
 //! to the system.
 
 use crate::config::{KeySkew, LiveOptions};
-use crate::node::{Packet, WireMsg, CLIENT_READ, CLIENT_XACT, READ_BASE};
+use crate::node::{Packet, CLIENT_READ, CLIENT_XACT};
+use ptp_ddb::site::DbMsg;
 use ptp_ddb::value::{Key, TxnId, Value, WriteOp};
 use ptp_livenet::Inbound;
-use ptp_protocols::api::CommitMsg;
 use ptp_shard::plan::ShardTxnSpec;
 use ptp_shard::ShardTopology;
 use ptp_simnet::rng::SmallRng;
 use ptp_simnet::SiteId;
 use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
+
+/// Read operations use transaction ids at or above this; write plans never
+/// do, so the two namespaces cannot collide.
+pub const READ_BASE: u32 = 0x8000_0000;
 
 /// What one scheduled operation does.
 #[derive(Debug, Clone)]
@@ -161,17 +165,10 @@ pub fn run_driver(ops: Vec<ScheduledOp>, site_txs: Vec<Sender<Inbound<Packet>>>,
             std::thread::sleep((due - now).min(Duration::from_millis(2)));
         }
         let wire = match op.kind {
-            OpKind::Write => WireMsg {
-                txn: op.txn,
-                inner: CommitMsg::Kind(CLIENT_XACT),
-                writes: None,
-                versions: None,
-            },
-            OpKind::Read(key) => WireMsg {
-                txn: op.txn,
-                inner: CommitMsg::Kind(CLIENT_READ),
+            OpKind::Write => DbMsg::bare(op.txn, CLIENT_XACT),
+            OpKind::Read(key) => DbMsg {
                 writes: Some(vec![WriteOp { key, value: Value::from_u64(0) }]),
-                versions: None,
+                ..DbMsg::bare(op.txn, CLIENT_READ)
             },
         };
         let _ = site_txs[op.target.index()]

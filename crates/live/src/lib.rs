@@ -2,9 +2,10 @@
 //!
 //! Every workload in this workspace so far ran under the discrete-event
 //! simulator. This crate is the serving path the north star asks for: a
-//! **long-running, multi-threaded shard server** hosting the `ptp-shard`
-//! planning machinery and the `ptp-ddb` storage stack (WAL, strict-2PL
-//! locks, pooled protocol participants) on one OS thread per site, with
+//! **long-running, multi-threaded shard server** hosting `ptp-ddb`'s site
+//! core — the very `SiteCore` the simulator runs: plan routing, WAL,
+//! strict-2PL locks, pooled protocol participants, version-stamped
+//! replication, leases, anti-entropy — on one OS thread per site, with
 //! messages delayed by the generic `ptp-livenet` router — bounded-delay
 //! delivery, live partition episodes, optimistic undeliverable bounces.
 //!
@@ -48,7 +49,7 @@ pub mod driver;
 pub mod node;
 
 pub use config::{BatchConfig, KeySkew, LeaseConfig, LiveOptions};
-pub use node::{Completion, LiveNode, NodeReport, Packet, WireMsg};
+pub use node::{Completion, LiveNode, NodeCounters, NodeReport, Packet};
 // The histogram moved to `ptp-obs` in PR 10; these re-exports keep the old
 // `ptp_live::hist::LogHistogram` / `ptp_live::LatencySummary` paths alive.
 pub use ptp_obs::hist;
@@ -201,26 +202,12 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
         let plans = plans.clone();
         let router_tx = router_tx.clone();
         let completions_tx = completions_tx.clone();
-        let (protocol, t, batch, flush_cost) = (opts.protocol, opts.t, opts.batch, opts.flush_cost);
-        let (lease, anti_entropy, obs) = (opts.lease, opts.anti_entropy, opts.obs);
+        let opts = opts.clone();
         node_handles.push(std::thread::spawn(move || {
             // Participant builders are Rc-based: construct inside the thread.
-            let factory = ParticipantFactory::pooled(protocol.participant_builder());
-            let node = LiveNode::new(
-                SiteId(i as u16),
-                plans,
-                factory,
-                t,
-                batch,
-                flush_cost,
-                lease,
-                anti_entropy,
-                obs,
-                start,
-                router_tx,
-                completions_tx,
-            );
-            node.run(rx)
+            let factory = ParticipantFactory::pooled(opts.protocol.participant_builder());
+            let me = SiteId(i as u16);
+            LiveNode::new(me, plans, factory, &opts, start, router_tx, completions_tx).run(rx)
         }));
     }
     drop(router_tx);
@@ -347,12 +334,12 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
     // the two latency populations riding along as histograms.
     let mut metrics = Registry::new();
     for r in &reports {
-        metrics.add("flushes", r.flushes);
-        metrics.add("channel_sends", r.channel_sends);
-        metrics.add("protocol_messages", r.protocol_messages);
-        metrics.add("reads_lease", r.reads_lease);
-        metrics.add("reads_local", r.reads_local);
-        metrics.add("sync_installs", r.sync_installs);
+        metrics.add("flushes", r.counters.flushes);
+        metrics.add("channel_sends", r.counters.channel_sends);
+        metrics.add("protocol_messages", r.counters.protocol_messages);
+        metrics.add("reads_lease", r.counters.reads_lease);
+        metrics.add("reads_local", r.counters.reads_local);
+        metrics.add("sync_installs", r.counters.sync_installs);
     }
     metrics.add("committed", committed as u64);
     metrics.add("aborted", aborted as u64);
@@ -406,13 +393,13 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
         clean_drain,
         audit,
         elapsed,
-        flushes: reports.iter().map(|r| r.flushes).sum(),
-        channel_sends: reports.iter().map(|r| r.channel_sends).sum(),
-        protocol_messages: reports.iter().map(|r| r.protocol_messages).sum(),
+        flushes: reports.iter().map(|r| r.counters.flushes).sum(),
+        channel_sends: reports.iter().map(|r| r.counters.channel_sends).sum(),
+        protocol_messages: reports.iter().map(|r| r.counters.protocol_messages).sum(),
         batching: opts.batch.enabled,
-        lease_reads: reports.iter().map(|r| r.reads_lease).sum(),
-        lock_reads: reports.iter().map(|r| r.reads_local).sum(),
-        sync_installs: reports.iter().map(|r| r.sync_installs).sum(),
+        lease_reads: reports.iter().map(|r| r.counters.reads_lease).sum(),
+        lock_reads: reports.iter().map(|r| r.counters.reads_local).sum(),
+        sync_installs: reports.iter().map(|r| r.counters.sync_installs).sum(),
         metrics,
         stages,
         series,

@@ -1,7 +1,7 @@
 //! The sharded cluster driver: compiles the key-addressed workload through
 //! the shard map, routes seeds to every replica of their key's shard, runs
 //! the plans through [`ptp_ddb::cluster::run_planned`] — the same driver,
-//! and the same site actor, as the flat [`ptp_ddb::DbCluster`] — and
+//! and the same site core, as the flat [`ptp_ddb::DbCluster`] — and
 //! aggregates global plus per-shard metrics.
 
 use ptp_ddb::cluster::{run_planned, CommitProtocol, SimNet};
@@ -15,7 +15,7 @@ use ptp_ddb::value::{Key, TxnId, Value};
 use ptp_ddb::wal::Wal;
 use ptp_model::Decision;
 use ptp_simnet::{DelayModel, NetConfig, PartitionEngine, RunReport, SiteId, Trace};
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// A sharded cluster specification, mirroring [`ptp_ddb::DbCluster`] one
 /// structural level up: instead of one fully-replicated site group, a
@@ -293,7 +293,7 @@ impl ShardCluster {
         let specs: Vec<ShardTxnSpec> = self.workload.iter().map(|(_, spec)| spec.clone()).collect();
         let read_specs: Vec<ShardReadSpec> =
             self.read_workload.iter().map(|(_, spec)| spec.clone()).collect();
-        let plans = Rc::new(PlanTable::compile(topology.clone(), &specs).with_reads(&read_specs));
+        let plans = Arc::new(PlanTable::compile(topology.clone(), &specs).with_reads(&read_specs));
 
         // Every replica of the key's shard holds its seed.
         let seed = self.seed.iter().flat_map(|(key, value)| {

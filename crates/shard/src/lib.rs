@@ -17,11 +17,12 @@
 //!   `ptp-ddb`, where the shard map, the router (single-shard: commit
 //!   protocol inside the replica group; cross-shard: a top-level instance
 //!   of the *same* protocol over the involved groups' masters, plus
-//!   outcome shipping to out-of-group replicas) and the one site actor
-//!   live, so that the flat [`ptp_ddb::DbCluster`] runs on them too.
+//!   outcome shipping to out-of-group replicas) and the one site core
+//!   (with its simulator host) live, so that the flat
+//!   [`ptp_ddb::DbCluster`] runs on them too.
 //!
 //! The sharded path cannot fork behaviour from the flat one: both are
-//! front ends over the same driver and the same actor, and a 1-shard
+//! front ends over the same driver and the same core, and a 1-shard
 //! topology with replication `n` compiles a transaction to the group,
 //! master and write sets `ptp_ddb::PlanTable::flat` gives the same
 //! transaction written uniformly at every site.
