@@ -10,7 +10,7 @@
 
 use crate::node::{ShardNode, ShardNodeOpts};
 use crate::plan::PlanTable;
-use crate::site::{DbMsg, Metrics, ParticipantBuilder, ParticipantFactory, ReadSpec, TxnSpec};
+use crate::site::{Metrics, ParticipantBuilder, ParticipantFactory, ReadSpec, TxnSpec};
 use crate::storage::Storage;
 use crate::value::{Key, TxnId, Value};
 use ptp_protocols::api::Vote;
@@ -20,7 +20,7 @@ use ptp_protocols::termination::{
     PhasePlan, TerminationMaster, TerminationSlave, TerminationVariant,
 };
 use ptp_simnet::{
-    Actor, DelayModel, NetConfig, PartitionEngine, RunReport, SimTime, Simulation, SiteId, Trace,
+    DelayModel, NetConfig, PartitionEngine, RunReport, SimTime, Simulation, SiteId, Trace,
 };
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -351,12 +351,12 @@ pub fn run_planned(
     } else {
         ParticipantFactory::construct_per_txn(builder)
     };
-    let actors: Vec<Box<dyn Actor<DbMsg>>> = seeds
+    let actors: Vec<ShardNode> = seeds
         .into_iter()
         .zip(workloads)
         .enumerate()
         .map(|(i, (storage, workload))| {
-            Box::new(ShardNode::new(
+            ShardNode::new(
                 SiteId(i as u16),
                 plans.clone(),
                 factory.clone(),
@@ -364,7 +364,7 @@ pub fn run_planned(
                 workload,
                 storage,
                 opts,
-            )) as Box<dyn Actor<DbMsg>>
+            )
         })
         .collect();
 
@@ -383,18 +383,15 @@ pub fn run_planned(
         participants_constructed: 0,
         participants_reused: 0,
     };
-    for actor in &actors {
-        let site = actor
-            .as_any()
-            .and_then(|a| a.downcast_ref::<ShardNode>())
-            .expect("cluster actors are ShardNodes")
-            .core();
-        run.storages.push(site.storage().clone());
-        run.wals.push(site.wal().clone());
+    for actor in actors {
+        let site = actor.into_core();
         run.blocked.push(site.active_txns());
         let (constructed, reused) = site.participants();
         run.participants_constructed += constructed;
         run.participants_reused += reused;
+        let (storage, wal, _) = site.into_parts();
+        run.storages.push(storage);
+        run.wals.push(wal);
     }
     run
 }

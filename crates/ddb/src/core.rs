@@ -44,7 +44,7 @@
 
 use crate::lease::{LeaseConfig, LeaseTable};
 use crate::locks::{LockGrant, LockMode, LockTable};
-use crate::plan::{PlanTable, ReadPlan, TxnPlan};
+use crate::plan::{PlanTable, ReadView, TxnView};
 use crate::site::{DbMsg, ParticipantFactory, ParticipantPool, ReadPath, Stamps, SyncPayload};
 use crate::storage::Storage;
 use crate::value::{Key, TxnId, Value, WriteOp};
@@ -198,12 +198,12 @@ pub struct ShardNodeOpts {
 
 /// A transaction's routing, resolved from the plan table once per handler
 /// call and handed down. Write plans and read plans both route protocol
-/// actions through their group vector; only write plans attach xact write
-/// sets, touch the WAL or ship.
+/// actions through their group; only write plans attach xact write sets,
+/// touch the WAL or ship.
 #[derive(Clone, Copy)]
 enum Route<'a> {
-    Write(&'a TxnPlan),
-    Read(&'a ReadPlan),
+    Write(TxnView<'a>),
+    Read(ReadView<'a>),
 }
 
 impl<'a> Route<'a> {
@@ -213,8 +213,8 @@ impl<'a> Route<'a> {
 
     fn group(self) -> &'a [SiteId] {
         match self {
-            Route::Write(plan) => &plan.group,
-            Route::Read(read) => &read.group,
+            Route::Write(plan) => plan.group(),
+            Route::Read(read) => read.group(),
         }
     }
 
@@ -222,7 +222,7 @@ impl<'a> Route<'a> {
         self.group().iter().position(|&s| s == site)
     }
 
-    fn write(self) -> Option<&'a TxnPlan> {
+    fn write(self) -> Option<TxnView<'a>> {
         match self {
             Route::Write(plan) => Some(plan),
             Route::Read(_) => None,
@@ -475,14 +475,14 @@ impl<H: Host> Hosted<'_, H> {
     /// Commit half of the WAL discipline (Sec. 2): force the commit record;
     /// once it is durable, [`Hosted::finalize`]. (The staged write set may be
     /// empty: a site can participate in a transaction without local writes.)
-    fn commit_staged(&mut self, txn: TxnId, via: Via, plan: Option<&TxnPlan>) {
+    fn commit_staged(&mut self, txn: TxnId, via: Via, plan: Option<TxnView<'_>>) {
         let durable = self.force(Record::Commit { txn });
         self.committed(txn, via, plan, durable);
     }
 
     /// The commit record is logged: finalize now if it is durable already,
     /// else once the host has flushed.
-    fn committed(&mut self, txn: TxnId, via: Via, plan: Option<&TxnPlan>, durable: bool) {
+    fn committed(&mut self, txn: TxnId, via: Via, plan: Option<TxnView<'_>>, durable: bool) {
         if durable {
             self.finalize(txn, via, plan);
         } else {
@@ -491,7 +491,7 @@ impl<H: Host> Hosted<'_, H> {
     }
 
     /// The commit record is durable: apply, mark applied, complete.
-    fn finalize(&mut self, txn: TxnId, via: Via, plan: Option<&TxnPlan>) {
+    fn finalize(&mut self, txn: TxnId, via: Via, plan: Option<TxnView<'_>>) {
         self.site.storage.apply(txn);
         // Redo-avoidance only: nothing waits for this record.
         self.site.wal.append(Record::Applied { txn });
@@ -502,7 +502,7 @@ impl<H: Host> Hosted<'_, H> {
     /// An outcome is final here: record and report it, ship it to any
     /// out-of-group replicas this site masters for, free the locks. (A delta
     /// install is no decision of its own, and took no locks.)
-    fn complete(&mut self, txn: TxnId, decision: Decision, via: Via, plan: Option<&TxnPlan>) {
+    fn complete(&mut self, txn: TxnId, decision: Decision, via: Via, plan: Option<TxnView<'_>>) {
         if via != Via::Sync {
             self.conclude(txn, decision, plan);
         }
@@ -517,7 +517,7 @@ impl<H: Host> Hosted<'_, H> {
     /// Records `txn`'s outcome, and keeps the anti-entropy books: as
     /// replica it is news for the next sync request, as master see
     /// [`Hosted::owe`].
-    fn conclude(&mut self, txn: TxnId, decision: Decision, plan: Option<&TxnPlan>) {
+    fn conclude(&mut self, txn: TxnId, decision: Decision, plan: Option<TxnView<'_>>) {
         self.site.finished.insert(txn, decision);
         for news in self.site.unreported.values_mut() {
             news.push(txn);
@@ -527,17 +527,15 @@ impl<H: Host> Hosted<'_, H> {
 
     /// As master of a shard of `plan`, this site owes finished `txn`'s
     /// decision to every replica of that shard the plan names.
-    fn owe(&mut self, txn: TxnId, plan: Option<&TxnPlan>) {
+    fn owe(&mut self, txn: TxnId, plan: Option<TxnView<'_>>) {
         let Some(plan) = plan.filter(|_| self.site.opts.anti_entropy.is_some()) else { return };
-        for &shard in &plan.shards {
+        for &shard in plan.shards() {
             let group = self.plans.topology.group(shard);
             if group[0] != self.site.me {
                 continue;
             }
             for replica in &group[1..] {
-                if plan.writes.contains_key(&replica.0)
-                    || plan.replica_writes.contains_key(&replica.0)
-                {
+                if plan.writes_at(*replica).is_some() {
                     self.site.owed.entry((shard, replica.0)).or_default().insert(txn);
                 }
             }
@@ -607,7 +605,7 @@ impl<H: Host> Hosted<'_, H> {
         let msg_to = |dst: SiteId, msg: CommitMsg| {
             let writes = match (route, my_v, &msg) {
                 (Route::Write(plan), 0, CommitMsg::Kind("xact")) => {
-                    plan.writes.get(&dst.0).cloned()
+                    plan.writes_at(dst).map(|writes| writes.cloned().collect())
                 }
                 _ => None,
             };
@@ -688,7 +686,7 @@ impl<H: Host> Hosted<'_, H> {
         // — never any WAL, storage, or lock-hold traffic.
         match decision {
             Decision::Commit => {
-                let keys = read.keys.get(&self.site.me.0).map(Vec::as_slice).unwrap_or_default();
+                let keys = read.keys_at(self.site.me).into_iter().flatten();
                 self.serve_read(txn, keys, ReadPath::Protocol);
             }
             Decision::Abort => {
@@ -704,7 +702,7 @@ impl<H: Host> Hosted<'_, H> {
     /// discipline; [`Hosted::complete`] follows once it is durable. Commits
     /// come here with their versions assigned, and — `logged` says how
     /// durably — perhaps with their commit record written.
-    fn settle(&mut self, txn: TxnId, plan: &TxnPlan, decision: Decision, logged: Option<bool>) {
+    fn settle(&mut self, txn: TxnId, plan: TxnView<'_>, decision: Decision, logged: Option<bool>) {
         self.host.event(SiteEvent::Decided { txn, decision });
         match (decision, logged) {
             (Decision::Commit, Some(durable)) => {
@@ -727,22 +725,22 @@ impl<H: Host> Hosted<'_, H> {
     /// replica serving several involved shards installs everything from
     /// whichever master's ship arrives first and drops the rest as
     /// duplicates.
-    fn ship(&mut self, txn: TxnId, plan: &TxnPlan, decision: Decision) {
+    fn ship(&mut self, txn: TxnId, plan: TxnView<'_>, decision: Decision) {
         // The stamps outlive the ships only while anti-entropy may replay
         // the decision.
         let stamps = match self.site.opts.anti_entropy {
             Some(_) => self.site.out_stamps.get(&txn).cloned(),
             None => self.site.out_stamps.remove(&txn),
         };
-        for replica in plan.ships.get(&self.site.me.0).into_iter().flatten() {
+        for &replica in plan.ships_from(self.site.me) {
             let msg = match decision {
                 Decision::Commit => {
-                    let writes = plan.replica_writes.get(&replica.0).cloned();
+                    let writes = plan.writes_at(replica).map(|writes| writes.cloned().collect());
                     DbMsg { writes, ..DbMsg::bare(txn, SHARD_APPLY) }.stamped(stamps.as_ref())
                 }
                 Decision::Abort => DbMsg::bare(txn, SHARD_ABORT),
             };
-            self.send(*replica, msg);
+            self.send(replica, msg);
         }
     }
 
@@ -794,7 +792,7 @@ impl<H: Host> Hosted<'_, H> {
             (Work::Xact { writes }, Some(route @ Route::Write(plan))) => {
                 self.stage(txn, writes);
                 self.host.event(SiteEvent::LocksHeld { txn });
-                if plan.group.len() == 1 {
+                if plan.group().len() == 1 {
                     // A replication-1 shard (or a cross-shard group that
                     // collapsed to one shared master): the only voter is
                     // this site — there is no one to poll — so the
@@ -809,7 +807,7 @@ impl<H: Host> Hosted<'_, H> {
             }
             // A cross-shard read joins the top-level protocol round for an
             // atomic snapshot; any other is served on the spot.
-            (Work::Read { .. }, Some(route @ Route::Read(read))) if read.group.len() > 1 => {
+            (Work::Read { .. }, Some(route @ Route::Read(read))) if read.is_cross_shard() => {
                 self.start_participant(txn, route)
             }
             (Work::Read { keys }, _) => {
@@ -882,11 +880,11 @@ impl<H: Host> Hosted<'_, H> {
         match Route::of(self.plans, txn) {
             Some(route @ Route::Write(plan)) => {
                 self.host.event(SiteEvent::Submitted { txn, read: false });
-                let writes = plan.writes.get(&self.site.me.0).cloned().unwrap_or_default();
+                let writes = plan.writes_at(self.site.me).into_iter().flatten().cloned().collect();
                 self.admit(txn, Some(route), Work::Xact { writes });
             }
             Some(Route::Read(read)) => {
-                let keys = read.keys.get(&self.site.me.0).cloned().unwrap_or_default();
+                let keys = read.keys_at(self.site.me).into_iter().flatten().cloned().collect();
                 self.submit_read(txn, Some(read), keys);
             }
             None => {}
@@ -896,9 +894,9 @@ impl<H: Host> Hosted<'_, H> {
     /// A read-only transaction over `keys`, submitted here: the lease fast
     /// path when it holds, the shared-lock (and, cross-shard, protocol)
     /// path otherwise. A read without a plan is a local one.
-    fn submit_read(&mut self, txn: TxnId, read: Option<&ReadPlan>, keys: Vec<Key>) {
+    fn submit_read(&mut self, txn: TxnId, read: Option<ReadView<'_>>, keys: Vec<Key>) {
         self.host.event(SiteEvent::Submitted { txn, read: true });
-        if self.site.opts.lease.is_some() && !read.is_some_and(ReadPlan::is_cross_shard) {
+        if self.site.opts.lease.is_some() && !read.is_some_and(ReadView::is_cross_shard) {
             let (topology, now) = (&self.plans.topology, self.host.now());
             // The lease proves no *remote* commit is missing; a locked key
             // means a local commit round is mid-flight, so probe — read-only,
@@ -920,8 +918,14 @@ impl<H: Host> Hosted<'_, H> {
     }
 
     /// Snapshots `keys` from committed storage and reports the read.
-    fn serve_read(&mut self, txn: TxnId, keys: &[Key], path: ReadPath) {
-        let values = keys.iter().map(|k| (k.clone(), self.site.storage.get(k).cloned())).collect();
+    fn serve_read<'k>(
+        &mut self,
+        txn: TxnId,
+        keys: impl IntoIterator<Item = &'k Key>,
+        path: ReadPath,
+    ) {
+        let snapshot = |k: &Key| (k.clone(), self.site.storage.get(k).cloned());
+        let values = keys.into_iter().map(snapshot).collect();
         self.host.event(SiteEvent::ReadServed { txn, path, values });
     }
 
@@ -1092,13 +1096,11 @@ impl<H: Host> Hosted<'_, H> {
                 return;
             }
         }
-        let me = self.site.me.0;
         match (decision, route.and_then(Route::write)) {
             (Decision::Commit, Some(plan)) => {
-                if let Some(writes) = plan.writes.get(&me).or_else(|| plan.replica_writes.get(&me))
-                {
-                    let work = Work::Apply { writes: writes.clone(), stamps, via: Via::Replay };
-                    self.admit(txn, None, work);
+                if let Some(writes) = plan.writes_at(self.site.me) {
+                    let writes = writes.cloned().collect();
+                    self.admit(txn, None, Work::Apply { writes, stamps, via: Via::Replay });
                 }
             }
             (Decision::Abort, Some(_)) => self.admit_abort_ship(txn),
@@ -1122,7 +1124,7 @@ impl<H: Host> Hosted<'_, H> {
                 // A cross-shard read's coordinator polls this serving
                 // master: shared locks on the local keys, then the round.
                 Some(Route::Read(read)) if read.virtual_of(self.site.me).is_some() => {
-                    let keys = read.keys.get(&self.site.me.0).cloned().unwrap_or_default();
+                    let keys = read.keys_at(self.site.me).into_iter().flatten().cloned().collect();
                     self.admit(txn, route, Work::Read { keys });
                 }
                 Some(Route::Write(_)) => {

@@ -18,7 +18,9 @@
 //!   specs, the participant pool, the shared run `Metrics`.
 //! * [`topology`] / [`plan`] — replica groups and per-transaction routing:
 //!   which sites run a transaction's commit protocol, what each stages,
-//!   who gets the outcome shipped. [`PlanTable::flat`] is the paper's
+//!   who gets the outcome shipped — one interned shape per distinct set of
+//!   involved shards, a 16-byte row per transaction over one write arena,
+//!   read through `Copy` views. [`PlanTable::flat`] is the paper's
 //!   one-group model; `PlanTable::compile` routes by key over shards.
 //! * [`core`] — **the** site: a sans-IO [`SiteCore`] holding storage, WAL,
 //!   locks and one embedded commit-protocol participant per transaction,
@@ -66,7 +68,7 @@ pub mod wal;
 pub use cluster::{CommitProtocol, DbCluster, DbRun};
 pub use core::{Host, Hosted, ShardNodeOpts, SiteCore, SiteEvent, TimerKey, Via};
 pub use node::ShardNode;
-pub use plan::{PlanTable, ReadPlan, TxnPlan};
+pub use plan::{PlanTable, PlanView, ReadView, TxnPlan, TxnView};
 pub use site::{
     DbMsg, LockHold, Metrics, ParticipantBuilder, ParticipantFactory, ParticipantPool, ReadPath,
     ReadRecord, ReadSpec, Stamps, SyncPayload, TxnSpec,

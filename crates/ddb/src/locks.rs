@@ -13,6 +13,7 @@
 //! everything).
 
 use crate::value::{Key, TxnId};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Lock mode.
@@ -43,6 +44,9 @@ struct LockEntry {
 #[derive(Debug, Default, Clone)]
 pub struct LockTable {
     locks: BTreeMap<Key, LockEntry>,
+    /// The keys each transaction holds or waits for — all a release has to
+    /// visit (a blocked protocol's locks stay in the table for good).
+    keys_of: BTreeMap<TxnId, Vec<Key>>,
 }
 
 impl LockTable {
@@ -55,6 +59,10 @@ impl LockTable {
     /// support: requesting exclusive while holding shared conflicts like
     /// any other request unless the txn is the sole holder).
     pub fn acquire(&mut self, txn: TxnId, key: Key, mode: LockMode) -> LockGrant {
+        let keys = self.keys_of.entry(txn).or_default();
+        if !keys.contains(&key) {
+            keys.push(key.clone());
+        }
         let entry = self
             .locks
             .entry(key)
@@ -94,8 +102,9 @@ impl LockTable {
     /// re-checks whether they can now proceed.
     pub fn release_all(&mut self, txn: TxnId) -> Vec<TxnId> {
         let mut promoted = Vec::new();
-        let mut empty_keys = Vec::new();
-        for (key, entry) in self.locks.iter_mut() {
+        for key in self.keys_of.remove(&txn).unwrap_or_default() {
+            let Entry::Occupied(mut slot) = self.locks.entry(key) else { continue };
+            let entry = slot.get_mut();
             entry.holders.retain(|(t, _)| *t != txn);
             entry.queue.retain(|(t, _)| *t != txn);
             // Promote from the queue head while compatible. The requester's
@@ -117,11 +126,8 @@ impl LockTable {
                 promoted.push(next);
             }
             if entry.holders.is_empty() && entry.queue.is_empty() {
-                empty_keys.push(key.clone());
+                slot.remove();
             }
-        }
-        for k in empty_keys {
-            self.locks.remove(&k);
         }
         promoted.sort_by_key(|t| t.0);
         promoted.dedup();

@@ -169,7 +169,8 @@ pub struct ShardNode {
 
 impl ShardNode {
     /// Creates a site. `workload` holds the submissions whose plans name
-    /// this site as master/coordinator (reads included).
+    /// this site as master/coordinator (reads included); the caller routes
+    /// them ([`crate::cluster::run_planned`] resolves each master once).
     pub fn new(
         me: SiteId,
         plans: Arc<PlanTable>,
@@ -179,17 +180,17 @@ impl ShardNode {
         storage: Storage,
         opts: ShardNodeOpts,
     ) -> ShardNode {
-        for (_, txn) in &workload {
-            let master = plans.master_of(*txn).expect("workload transactions are planned");
-            assert_eq!(master, me, "{txn} submitted away from its master");
-        }
+        debug_assert!(
+            workload.iter().all(|(_, txn)| plans.master_of(*txn) == Some(me)),
+            "a transaction is submitted away from its master"
+        );
         let core = SiteCore::new(me, plans, factory, storage, opts);
         ShardNode { core, metrics, workload, timers: BTreeMap::new(), holds: BTreeMap::new() }
     }
 
-    /// The hosted core (post-run inspection).
-    pub fn core(&self) -> &SiteCore {
-        &self.core
+    /// The hosted core, to inspect and take apart after the run.
+    pub fn into_core(self) -> SiteCore {
+        self.core
     }
 
     /// Runs `call` on the core, hosted for this handler.
@@ -245,9 +246,5 @@ impl Actor<DbMsg> for ShardNode {
 
     fn on_recover(&mut self, ctx: &mut Ctx<'_, DbMsg>) {
         self.hosted(ctx, |mut core| core.recover());
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }

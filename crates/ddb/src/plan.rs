@@ -4,9 +4,9 @@
 //! A [`PlanTable`] is built one of two ways. [`PlanTable::flat`] lowers the
 //! paper's model — [`crate::DbCluster`]'s site-addressed [`TxnSpec`]s, one
 //! fully-replicated group, site 0 master of every transaction — verbatim
-//! onto one all-sites group. [`PlanTable::compile`] is the router of the
-//! sharded store: every key-addressed [`ShardTxnSpec`] is classified at
-//! build time:
+//! onto one all-sites group. [`PlanTable::compile`] / [`PlanTable::route`]
+//! is the router of the sharded store: every key-addressed [`ShardTxnSpec`]
+//! is classified at build time:
 //!
 //! * **single-shard** — all keys land in one shard; the commit protocol
 //!   runs *inside* that shard's replica group (master = the group's first
@@ -18,12 +18,25 @@
 //!   by the paper's protocol one layer up. When a group master decides, it
 //!   ships the outcome (and, on commit, the shard's writes) to its replicas
 //!   that were not part of the top-level group.
+//!
+//! **Representation.** Everything about a route but the write set itself is
+//! a function of the *set of involved shards*: the protocol group, which
+//! member stages which shard's writes, who ships to whom, which
+//! out-of-group replicas install what. The table computes that once per
+//! distinct shard set — a *route shape*, a handful per workload — and keeps
+//! per transaction only a 16-byte row `{id, shape, where its segments
+//! start}` over two shared arenas: the writes of every plan, grouped by
+//! shard in shard order (submission order inside a shard — the order sites
+//! stage), and each plan's segment ends. [`PlanTable::get`] /
+//! [`PlanTable::get_read`] hand out a `Copy` [`PlanView`] — the shape plus
+//! the plan's slices — and everything reads routes through its accessors.
+//! Read plans are the same thing over an arena of keys; a flat table is the
+//! one-shape case whose segments are per site instead of per shard.
 
 use crate::site::{ReadSpec, TxnSpec};
 use crate::topology::ShardTopology;
 use crate::value::{Key, TxnId, WriteOp};
 use ptp_simnet::SiteId;
-use std::collections::BTreeMap;
 
 /// A transaction addressed by key, before routing: the shard map decides
 /// which sites it touches.
@@ -35,139 +48,6 @@ pub struct ShardTxnSpec {
     pub writes: Vec<WriteOp>,
 }
 
-/// One transaction's compiled routing: which shards it touches, which sites
-/// run its commit protocol (and under which virtual identities), what each
-/// participant stages, and which replicas get the decided outcome shipped.
-#[derive(Debug, Clone)]
-pub struct TxnPlan {
-    /// The transaction.
-    pub id: TxnId,
-    /// Involved shards, ascending.
-    pub shards: Vec<usize>,
-    /// The commit-protocol group: physical sites, master/coordinator first.
-    /// Participants run under *virtual* ids `0..group.len()` — index in
-    /// this vector — so the unmodified protocol machinery coordinates any
-    /// subset of the cluster.
-    pub group: Vec<SiteId>,
-    /// What each protocol participant stages: the union of the write sets
-    /// of every involved shard whose replica group contains that site.
-    pub writes: BTreeMap<u16, Vec<WriteOp>>,
-    /// Outcome shipping, keyed by shipper: when that group master decides,
-    /// it sends each listed replica the decision (plus, on commit, the
-    /// replica's **full** write set from [`TxnPlan::replica_writes`]).
-    /// Targets are involved-group replicas outside the protocol group. A
-    /// replica serving several involved shards is listed under *each* of
-    /// their masters — every ship carries everything the replica needs, so
-    /// the first arrival installs the complete outcome and later arrivals
-    /// are true duplicates (and a replica reachable from any one involved
-    /// master still converges).
-    pub ships: BTreeMap<u16, Vec<SiteId>>,
-    /// Per out-of-group replica: the union of the write sets of every
-    /// involved shard whose group contains it (in shard order — the same
-    /// order participants stage).
-    pub replica_writes: BTreeMap<u16, Vec<WriteOp>>,
-    /// Per-shard write sets, in submission order (empty for a flat plan,
-    /// whose write sets are addressed by site, not by key).
-    pub shard_writes: BTreeMap<usize, Vec<WriteOp>>,
-}
-
-impl TxnPlan {
-    /// Routes `spec` through `topology`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the write set is empty (nothing to route).
-    pub fn compile(topology: &ShardTopology, spec: &ShardTxnSpec) -> TxnPlan {
-        assert!(!spec.writes.is_empty(), "{} has an empty write set", spec.id);
-        let mut shard_writes: BTreeMap<usize, Vec<WriteOp>> = BTreeMap::new();
-        for w in &spec.writes {
-            shard_writes.entry(topology.shard_of(&w.key)).or_default().push(w.clone());
-        }
-        let shards: Vec<usize> = shard_writes.keys().copied().collect();
-
-        let group: Vec<SiteId> = if shards.len() == 1 {
-            topology.group(shards[0]).to_vec()
-        } else {
-            // Masters of the involved shards, in shard order, deduplicated
-            // (overlapping groups can share a master).
-            let mut masters = Vec::new();
-            for &s in &shards {
-                let m = topology.master(s);
-                if !masters.contains(&m) {
-                    masters.push(m);
-                }
-            }
-            masters
-        };
-
-        let mut writes: BTreeMap<u16, Vec<WriteOp>> = BTreeMap::new();
-        for &site in &group {
-            let mut local = Vec::new();
-            for &s in &shards {
-                if topology.group(s).contains(&site) {
-                    local.extend(shard_writes[&s].iter().cloned());
-                }
-            }
-            writes.insert(site.0, local);
-        }
-
-        let mut ships: BTreeMap<u16, Vec<SiteId>> = BTreeMap::new();
-        let mut replica_writes: BTreeMap<u16, Vec<WriteOp>> = BTreeMap::new();
-        if shards.len() > 1 {
-            for &s in &shards {
-                let master = topology.master(s);
-                for &replica in topology.group(s) {
-                    if !group.contains(&replica) {
-                        let targets = ships.entry(master.0).or_default();
-                        if !targets.contains(&replica) {
-                            targets.push(replica);
-                        }
-                        replica_writes.entry(replica.0).or_default();
-                    }
-                }
-            }
-            // Each out-of-group replica needs every involved shard it
-            // serves, regardless of which master's ship reaches it first.
-            for (&replica, local) in &mut replica_writes {
-                for &s in &shards {
-                    if topology.group(s).contains(&SiteId(replica)) {
-                        local.extend(shard_writes[&s].iter().cloned());
-                    }
-                }
-            }
-        }
-
-        TxnPlan { id: spec.id, shards, group, writes, ships, replica_writes, shard_writes }
-    }
-
-    /// True if the transaction spans more than one shard.
-    pub fn is_cross_shard(&self) -> bool {
-        self.shards.len() > 1
-    }
-
-    /// The stage-attribution path tag for this plan's write route
-    /// (`"write-single"` / `"write-cross"`) — a `&'static str` so span
-    /// tables can key on it without allocating.
-    pub fn path_tag(&self) -> &'static str {
-        if self.is_cross_shard() {
-            "write-cross"
-        } else {
-            "write-single"
-        }
-    }
-
-    /// The protocol group's master (the top-level coordinator for
-    /// cross-shard transactions).
-    pub fn master(&self) -> SiteId {
-        self.group[0]
-    }
-
-    /// `site`'s virtual id within the protocol group, if it participates.
-    pub fn virtual_of(&self, site: SiteId) -> Option<usize> {
-        self.group.iter().position(|&s| s == site)
-    }
-}
-
 /// A read-only transaction addressed by key, before routing.
 #[derive(Debug, Clone)]
 pub struct ShardReadSpec {
@@ -177,70 +57,376 @@ pub struct ShardReadSpec {
     pub keys: Vec<Key>,
 }
 
-/// One read-only transaction's compiled routing. Single-shard reads are
-/// served at the shard master under shared locks with **no protocol
-/// round** (group = the master alone); cross-shard reads run a top-level
-/// instance of the commit protocol over the involved masters so the
-/// snapshot is atomic across shards. Replicas never serve reads — only a
-/// master's store is guaranteed current (the LARK master-lease argument).
-#[derive(Debug, Clone)]
-pub struct ReadPlan {
-    /// The read transaction.
-    pub id: TxnId,
+/// What a route owes to its set of involved shards alone, shared by every
+/// plan over that set.
+#[derive(Debug)]
+struct RouteShape {
     /// Involved shards, ascending.
-    pub shards: Vec<usize>,
-    /// The serving group: involved masters, coordinator first. A
-    /// single-shard read's group is just its master — no protocol runs.
-    pub group: Vec<SiteId>,
-    /// Per serving site: the keys it snapshots (the keys of every involved
-    /// shard that site masters).
-    pub keys: BTreeMap<u16, Vec<Key>>,
+    shards: Vec<usize>,
+    /// The protocol group, master first.
+    group: Vec<SiteId>,
+    /// Segments per plan: one per involved shard (a flat shape: per site).
+    segments: usize,
+    /// Who stages which segments: the group in group order, then the
+    /// out-of-group replicas, ascending.
+    members: Vec<Member>,
+    /// Outcome shipping: per shipping master, its out-of-group replicas.
+    ships: Vec<(SiteId, Vec<SiteId>)>,
 }
 
-impl ReadPlan {
-    /// Routes `spec` through `topology`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key set is empty (nothing to read).
-    pub fn compile(topology: &ShardTopology, spec: &ShardReadSpec) -> ReadPlan {
-        assert!(!spec.keys.is_empty(), "{} has an empty key set", spec.id);
-        let mut shard_keys: BTreeMap<usize, Vec<Key>> = BTreeMap::new();
-        for k in &spec.keys {
-            shard_keys.entry(topology.shard_of(k)).or_default().push(k.clone());
-        }
-        let shards: Vec<usize> = shard_keys.keys().copied().collect();
+#[derive(Debug)]
+struct Member {
+    site: SiteId,
+    /// Indices of the plan's segments this site stages, ascending.
+    segments: Vec<usize>,
+}
 
-        let mut group = Vec::new();
-        for &s in &shards {
-            let m = topology.master(s);
-            if !group.contains(&m) {
-                group.push(m);
-            }
-        }
+impl Member {
+    /// `site`, staging the segment of every shard of `shards` that `serves`.
+    fn of(site: SiteId, shards: &[usize], serves: impl Fn(usize) -> bool) -> Member {
+        let mut segments = Vec::with_capacity(shards.len());
+        segments.extend((0..shards.len()).filter(|&i| serves(shards[i])));
+        Member { site, segments }
+    }
+}
 
-        let mut keys: BTreeMap<u16, Vec<Key>> = BTreeMap::new();
-        for &site in &group {
-            let mut local = Vec::new();
-            for &s in &shards {
-                if topology.master(s) == site {
-                    local.extend(shard_keys[&s].iter().cloned());
+/// Masters of `shards`, in shard order, deduplicated (overlapping groups
+/// can share a master).
+fn masters(topology: &ShardTopology, shards: &[usize]) -> Vec<SiteId> {
+    let mut masters = Vec::with_capacity(shards.len());
+    for &s in shards {
+        let m = topology.master(s);
+        if !masters.contains(&m) {
+            masters.push(m);
+        }
+    }
+    masters
+}
+
+impl RouteShape {
+    /// The write route over `shards` (ascending, not empty).
+    ///
+    /// Single-shard: the shard's replica group runs the protocol and stages
+    /// the one segment. Cross-shard: the involved masters run it; each
+    /// stages the segment of every involved shard whose group contains it.
+    /// Ship targets are involved-group replicas outside the protocol group.
+    /// A replica serving several involved shards is listed under *each* of
+    /// their masters, and stages every involved shard it serves whichever
+    /// master's ship reaches it first — every ship carries everything the
+    /// replica needs, so the first arrival installs the complete outcome
+    /// and later arrivals are true duplicates (and a replica reachable from
+    /// any one involved master still converges).
+    fn write(topology: &ShardTopology, shards: &[usize]) -> RouteShape {
+        let group = match shards {
+            [only] => topology.group(*only).to_vec(),
+            _ => masters(topology, shards),
+        };
+        let mut ships: Vec<(SiteId, Vec<SiteId>)> = Vec::new();
+        let mut replicas = Vec::new();
+        if shards.len() > 1 {
+            for &s in shards {
+                let master = topology.master(s);
+                for replica in topology.group(s).iter().filter(|site| !group.contains(site)) {
+                    let shipper = ships.iter().position(|(from, _)| *from == master);
+                    let shipper = shipper.unwrap_or_else(|| {
+                        ships.push((master, Vec::new()));
+                        ships.len() - 1
+                    });
+                    let targets = &mut ships[shipper].1;
+                    if !targets.contains(replica) {
+                        targets.push(*replica);
+                    }
+                    if !replicas.contains(replica) {
+                        replicas.push(*replica);
+                    }
                 }
             }
-            keys.insert(site.0, local);
+            replicas.sort();
         }
-
-        ReadPlan { id: spec.id, shards, group, keys }
+        let staging = |&site| Member::of(site, shards, |s| topology.group(s).contains(&site));
+        RouteShape {
+            shards: shards.to_vec(),
+            members: group.iter().chain(&replicas).map(staging).collect(),
+            group,
+            segments: shards.len(),
+            ships,
+        }
     }
 
+    /// The read route over `shards`: the involved masters serve, each the
+    /// keys of every involved shard it masters. Replicas never serve reads
+    /// — only a master's store is guaranteed current (the LARK master-lease
+    /// argument) — so a single-shard read's group is its master alone.
+    fn read(topology: &ShardTopology, shards: &[usize]) -> RouteShape {
+        let group = masters(topology, shards);
+        let serving = |&site| Member::of(site, shards, |s| topology.master(s) == site);
+        RouteShape {
+            shards: shards.to_vec(),
+            members: group.iter().map(serving).collect(),
+            group,
+            segments: shards.len(),
+            ships: Vec::new(),
+        }
+    }
+
+    /// The flat route: sites `0..n` in one group over one shard, site `i`
+    /// staging segment `i`, nothing shipped.
+    fn flat(n: usize) -> RouteShape {
+        let group: Vec<SiteId> = (0..n as u16).map(SiteId).collect();
+        RouteShape {
+            shards: vec![0],
+            members: group
+                .iter()
+                .map(|&site| Member { site, segments: vec![site.index()] })
+                .collect(),
+            group,
+            segments: n,
+            ships: Vec::new(),
+        }
+    }
+}
+
+/// One plan's row: 16 bytes, whatever the plan holds.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    id: TxnId,
+    /// Index into [`Routed::shapes`].
+    shape: u32,
+    /// Where the plan's items start in [`Routed::items`].
+    items: u32,
+    /// Where its segment ends start in [`Routed::ends`].
+    ends: u32,
+}
+
+/// An arena offset. A table addresses its arenas with 32 bits.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a plan table holds fewer than 2^32 writes")
+}
+
+/// Routed plans over items of one kind (writes, or the keys of reads):
+/// interned shapes, one arena, id-sorted rows.
+#[derive(Debug)]
+struct Routed<T> {
+    /// One per distinct set of involved shards.
+    shapes: Vec<RouteShape>,
+    /// Every plan's items, plan after plan; inside a plan, segment after
+    /// segment.
+    items: Vec<T>,
+    /// Every plan's segment ends (as many as its shape has segments),
+    /// counted from the plan's first item.
+    ends: Vec<u32>,
+    /// Sorted by id once a build is over.
+    rows: Vec<Row>,
+}
+
+impl<T> Routed<T> {
+    fn new() -> Routed<T> {
+        Routed { shapes: Vec::new(), items: Vec::new(), ends: Vec::new(), rows: Vec::new() }
+    }
+
+    /// Opens the row of plan `id`: what is pushed to `items` from here on
+    /// is its, segment by segment.
+    fn begin(&mut self, id: TxnId, shape: u32) {
+        let (items, ends) = (offset(self.items.len()), offset(self.ends.len()));
+        self.rows.push(Row { id, shape, items, ends });
+    }
+
+    /// Closes the open row's current segment.
+    fn end_segment(&mut self) {
+        let row = self.rows.last().expect("a row is open");
+        self.ends.push(offset(self.items.len()) - row.items);
+    }
+
+    /// Routes every `(id, items)` of `specs` by the shard of each item's
+    /// `key`: items grouped by shard in shard order, spec order inside a
+    /// shard; one shape over each distinct shard set, made on first use.
+    fn route<'s>(
+        &mut self,
+        topology: &ShardTopology,
+        specs: impl Iterator<Item = (TxnId, &'s [T])> + Clone,
+        key: impl Fn(&T) -> &Key,
+        shape_over: impl Fn(&ShardTopology, &[usize]) -> RouteShape,
+        what: &str,
+    ) where
+        T: Clone + 's,
+    {
+        let (plans, items) =
+            specs.clone().fold((0, 0), |(plans, items), (_, spec)| (plans + 1, items + spec.len()));
+        self.rows.reserve_exact(plans);
+        self.ends.reserve(plans);
+        self.items.reserve_exact(items);
+        // The interning index: shape indices ordered by shard set.
+        let mut by_shards: Vec<u32> = Vec::new();
+        // (shard, position in the spec) per item, and the shard set.
+        let (mut order, mut shards) = (Vec::new(), Vec::new());
+        for (id, spec) in specs {
+            assert!(!spec.is_empty(), "{id} has an empty {what}");
+            order.clear();
+            order.extend(spec.iter().map(|item| topology.shard_of(key(item))).zip(0..));
+            order.sort_unstable();
+            shards.clear();
+            shards.extend(order.iter().map(|&(shard, _)| shard));
+            shards.dedup();
+            let known =
+                by_shards.binary_search_by(|&i| self.shapes[i as usize].shards.cmp(&shards));
+            let shape = known.map(|at| by_shards[at]).unwrap_or_else(|at| {
+                by_shards.insert(at, offset(self.shapes.len()));
+                self.shapes.push(shape_over(topology, &shards));
+                by_shards[at]
+            });
+            self.begin(id, shape);
+            for (n, &(shard, i)) in order.iter().enumerate() {
+                if n > 0 && order[n - 1].0 != shard {
+                    self.end_segment();
+                }
+                self.items.push(spec[i].clone());
+            }
+            self.end_segment();
+        }
+    }
+
+    /// Ends a build: sorts the rows by id. Returns an id two rows share, if
+    /// any.
+    fn index(&mut self) -> Option<TxnId> {
+        self.rows.sort_unstable_by_key(|row| row.id);
+        self.rows.windows(2).find(|pair| pair[0].id == pair[1].id).map(|pair| pair[0].id)
+    }
+
+    fn view(&self, row: &Row) -> PlanView<'_, T> {
+        let shape = &self.shapes[row.shape as usize];
+        let ends = &self.ends[row.ends as usize..][..shape.segments];
+        let len = ends.last().map_or(0, |&end| end as usize);
+        PlanView { shape, items: &self.items[row.items as usize..][..len], ends }
+    }
+
+    fn get(&self, id: TxnId) -> Option<PlanView<'_, T>> {
+        let at = self.rows.binary_search_by_key(&id, |row| row.id).ok()?;
+        Some(self.view(&self.rows[at]))
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (TxnId, PlanView<'_, T>)> {
+        self.rows.iter().map(|row| (row.id, self.view(row)))
+    }
+}
+
+/// One plan's compiled routing, as the table hands it out: its shape —
+/// which shards it touches, which sites run its commit protocol (and under
+/// which virtual identities) — and its own segments: what each member
+/// stages ([`TxnView`]: writes) or snapshots ([`ReadView`]: keys).
+#[derive(Debug)]
+pub struct PlanView<'a, T> {
+    shape: &'a RouteShape,
+    /// The plan's items, segment after segment.
+    items: &'a [T],
+    /// Where each segment ends in `items`.
+    ends: &'a [u32],
+}
+
+/// A write transaction's routing: which replicas get the decided outcome
+/// shipped, on top of [`PlanView`]'s group and per-site write sets.
+pub type TxnView<'a> = PlanView<'a, WriteOp>;
+
+/// A read-only transaction's routing. Single-shard reads are served at the
+/// shard master under shared locks with **no protocol round** (group = the
+/// master alone); cross-shard reads run a top-level instance of the commit
+/// protocol over the involved masters so the snapshot is atomic across
+/// shards.
+pub type ReadView<'a> = PlanView<'a, Key>;
+
+impl<T> Clone for PlanView<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for PlanView<'_, T> {}
+
+impl<'a, T> PlanView<'a, T> {
+    /// Involved shards, ascending.
+    pub fn shards(self) -> &'a [usize] {
+        &self.shape.shards
+    }
+
+    /// The commit-protocol (serving) group: physical sites,
+    /// master/coordinator first. Participants run under *virtual* ids
+    /// `0..group.len()` — index in this slice — so the unmodified protocol
+    /// machinery coordinates any subset of the cluster.
+    pub fn group(self) -> &'a [SiteId] {
+        &self.shape.group
+    }
+
+    /// The group's master (the top-level coordinator of a cross-shard
+    /// transaction).
+    pub fn master(self) -> SiteId {
+        self.shape.group[0]
+    }
+
+    /// `site`'s virtual id within the group, if it participates.
+    pub fn virtual_of(self, site: SiteId) -> Option<usize> {
+        self.shape.group.iter().position(|&s| s == site)
+    }
+
+    fn segment(self, i: usize) -> &'a [T] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.items[start..self.ends[i] as usize]
+    }
+
+    /// What `site` holds of this plan, if the plan names it.
+    fn at(self, site: SiteId) -> Option<impl Iterator<Item = &'a T> + 'a> {
+        let member = self.shape.members.iter().find(|member| member.site == site)?;
+        Some(member.segments.iter().flat_map(move |&i| self.segment(i)))
+    }
+}
+
+impl<'a> PlanView<'a, WriteOp> {
+    /// True if the transaction spans more than one shard.
+    pub fn is_cross_shard(self) -> bool {
+        self.shape.shards.len() > 1
+    }
+
+    /// The stage-attribution path tag for this plan's write route
+    /// (`"write-single"` / `"write-cross"`) — a `&'static str` so span
+    /// tables can key on it without allocating.
+    pub fn path_tag(self) -> &'static str {
+        if self.is_cross_shard() {
+            "write-cross"
+        } else {
+            "write-single"
+        }
+    }
+
+    /// What `site` stages, in staging order, if the plan names it: as a
+    /// group member, the union of the write sets of every involved shard
+    /// whose replica group contains it (a flat plan: the spec's write set
+    /// for it); as an out-of-group replica, the same union — its **full**
+    /// write set, which every ship to it carries.
+    pub fn writes_at(self, site: SiteId) -> Option<impl Iterator<Item = &'a WriteOp> + 'a> {
+        self.at(site)
+    }
+
+    /// The out-of-group replicas the decided outcome is shipped to,
+    /// ascending.
+    pub fn replicas(self) -> impl Iterator<Item = SiteId> + 'a {
+        self.shape.members[self.shape.group.len()..].iter().map(|member| member.site)
+    }
+
+    /// Outcome shipping: the replicas `site` sends the decision to when it
+    /// decides as an involved group's master (none for anyone else).
+    pub fn ships_from(self, site: SiteId) -> &'a [SiteId] {
+        let ships = self.shape.ships.iter().find(|(master, _)| *master == site);
+        ships.map_or(&[], |(_, targets)| targets)
+    }
+}
+
+impl<'a> PlanView<'a, Key> {
     /// True if the read spans more than one shard master.
-    pub fn is_cross_shard(&self) -> bool {
-        self.group.len() > 1
+    pub fn is_cross_shard(self) -> bool {
+        self.shape.group.len() > 1
     }
 
     /// The stage-attribution path tag for this plan's read route
     /// (`"read-single"` / `"read-cross"`).
-    pub fn path_tag(&self) -> &'static str {
+    pub fn path_tag(self) -> &'static str {
         if self.is_cross_shard() {
             "read-cross"
         } else {
@@ -248,16 +434,49 @@ impl ReadPlan {
         }
     }
 
-    /// The serving master (the top-level coordinator for cross-shard
-    /// reads).
-    pub fn master(&self) -> SiteId {
-        self.group[0]
+    /// The keys `site` snapshots — those of every involved shard it masters
+    /// — if it serves this read.
+    pub fn keys_at(self, site: SiteId) -> Option<impl Iterator<Item = &'a Key> + 'a> {
+        self.at(site)
+    }
+}
+
+/// One write transaction routed on its own (a one-row [`PlanTable`] without
+/// the table).
+#[derive(Debug)]
+pub struct TxnPlan(Routed<WriteOp>);
+
+impl TxnPlan {
+    /// Routes `spec` through `topology`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the write set is empty (nothing to route).
+    pub fn compile(topology: &ShardTopology, spec: &ShardTxnSpec) -> TxnPlan {
+        let mut routed = Routed::new();
+        route_writes(&mut routed, topology, std::iter::once(spec));
+        TxnPlan(routed)
     }
 
-    /// `site`'s virtual id within the serving group, if it participates.
-    pub fn virtual_of(&self, site: SiteId) -> Option<usize> {
-        self.group.iter().position(|&s| s == site)
+    /// The routing.
+    pub fn view(&self) -> TxnView<'_> {
+        self.0.view(&self.0.rows[0])
     }
+
+    /// The protocol group's master (the top-level coordinator for
+    /// cross-shard transactions).
+    pub fn master(&self) -> SiteId {
+        self.view().master()
+    }
+}
+
+fn route_writes<'s>(
+    routed: &mut Routed<WriteOp>,
+    topology: &ShardTopology,
+    specs: impl Iterator<Item = &'s ShardTxnSpec> + Clone,
+) {
+    let specs = specs.map(|spec| (spec.id, spec.writes.as_slice()));
+    routed.route(topology, specs, |w| &w.key, RouteShape::write, "write set");
 }
 
 /// The compiled routing of a whole workload, shared read-only by every
@@ -266,21 +485,34 @@ impl ReadPlan {
 pub struct PlanTable {
     /// The shard map the plans were compiled against.
     pub topology: ShardTopology,
-    plans: BTreeMap<TxnId, TxnPlan>,
-    reads: BTreeMap<TxnId, ReadPlan>,
-    ships: bool,
+    writes: Routed<WriteOp>,
+    reads: Routed<Key>,
 }
 
 impl PlanTable {
     /// Compiles every spec. Duplicate transaction ids are rejected.
     pub fn compile(topology: ShardTopology, specs: &[ShardTxnSpec]) -> PlanTable {
-        let mut plans = BTreeMap::new();
-        for spec in specs {
-            let plan = TxnPlan::compile(&topology, spec);
-            assert!(plans.insert(spec.id, plan).is_none(), "duplicate {}", spec.id);
-        }
-        let ships = plans.values().any(|plan| !plan.ships.is_empty());
-        PlanTable { topology, plans, reads: BTreeMap::new(), ships }
+        PlanTable::route(topology, specs, [])
+    }
+
+    /// Compiles a workload of writes and read-only transactions. Ids must
+    /// not repeat, nor collide between the two.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a duplicate or colliding id, and on an empty write or key
+    /// set (nothing to route).
+    pub fn route<'s>(
+        topology: ShardTopology,
+        txns: impl IntoIterator<Item = &'s ShardTxnSpec, IntoIter: Clone>,
+        reads: impl IntoIterator<Item = &'s ShardReadSpec, IntoIter: Clone>,
+    ) -> PlanTable {
+        let mut table = PlanTable { topology, writes: Routed::new(), reads: Routed::new() };
+        route_writes(&mut table.writes, &table.topology, txns.into_iter());
+        let reads = reads.into_iter().map(|spec| (spec.id, spec.keys.as_slice()));
+        table.reads.route(&table.topology, reads, |key| key, RouteShape::read, "key set");
+        table.index();
+        table
     }
 
     /// Lowers a flat, fully-replicated workload over `n` sites: one
@@ -294,68 +526,66 @@ impl PlanTable {
         reads: impl IntoIterator<Item = ReadSpec>,
     ) -> PlanTable {
         let topology = ShardTopology::uniform(n, 1, n);
-        let mut plans = BTreeMap::new();
-        for TxnSpec { id, writes } in txns {
-            let plan = TxnPlan {
-                id,
-                shards: vec![0],
-                group: topology.group(0).to_vec(),
-                writes,
-                ships: BTreeMap::new(),
-                replica_writes: BTreeMap::new(),
-                shard_writes: BTreeMap::new(),
-            };
-            assert!(plans.insert(id, plan).is_none(), "duplicate {id}");
+        let mut table = PlanTable { topology, writes: Routed::new(), reads: Routed::new() };
+        table.writes.shapes.push(RouteShape::flat(n));
+        for TxnSpec { id, mut writes } in txns {
+            table.writes.begin(id, 0);
+            for site in 0..n as u16 {
+                table.writes.items.extend(writes.remove(&site).unwrap_or_default());
+                table.writes.end_segment();
+            }
         }
-        let mut read_plans = BTreeMap::new();
+        table.reads.shapes.push(RouteShape::flat(1));
         for ReadSpec { id, keys } in reads {
-            assert!(!plans.contains_key(&id), "read id collides with write {id}");
-            let plan =
-                ReadPlan { id, shards: vec![0], group: vec![SiteId(0)], keys: [(0, keys)].into() };
-            assert!(read_plans.insert(id, plan).is_none(), "duplicate read {id}");
+            table.reads.begin(id, 0);
+            table.reads.items.extend(keys);
+            table.reads.end_segment();
         }
-        PlanTable { topology, plans, reads: read_plans, ships: false }
+        table.index();
+        table
     }
 
-    /// Compiles and installs a read-only workload. Read ids must not
-    /// collide with each other or with write-transaction ids.
-    pub fn with_reads(mut self, specs: &[ShardReadSpec]) -> PlanTable {
-        for spec in specs {
-            assert!(!self.plans.contains_key(&spec.id), "read id collides with write {}", spec.id);
-            let plan = ReadPlan::compile(&self.topology, spec);
-            assert!(self.reads.insert(spec.id, plan).is_none(), "duplicate read {}", spec.id);
+    /// Ends a build: sorts both sides by id and rejects ids used twice.
+    fn index(&mut self) {
+        if let Some(id) = self.writes.index() {
+            panic!("duplicate {id}");
         }
-        self
+        if let Some(id) = self.reads.index() {
+            panic!("duplicate read {id}");
+        }
+        if let Some(row) = self.reads.rows.iter().find(|row| self.get(row.id).is_some()) {
+            panic!("read id collides with write {}", row.id);
+        }
     }
 
     /// The plan of `txn`, if the workload contains it.
-    pub fn get(&self, txn: TxnId) -> Option<&TxnPlan> {
-        self.plans.get(&txn)
+    pub fn get(&self, txn: TxnId) -> Option<TxnView<'_>> {
+        self.writes.get(txn)
     }
 
     /// True if any plan ships its outcome to out-of-group replicas.
     pub fn ships(&self) -> bool {
-        self.ships
+        self.writes.shapes.iter().any(|shape| !shape.ships.is_empty())
     }
 
-    /// All plans, by transaction id.
-    pub fn iter(&self) -> impl Iterator<Item = (&TxnId, &TxnPlan)> {
-        self.plans.iter()
+    /// All plans, ascending by transaction id.
+    pub fn iter(&self) -> impl Iterator<Item = (TxnId, TxnView<'_>)> {
+        self.writes.iter()
     }
 
     /// The read plan of `txn`, if the read workload contains it.
-    pub fn get_read(&self, txn: TxnId) -> Option<&ReadPlan> {
-        self.reads.get(&txn)
+    pub fn get_read(&self, txn: TxnId) -> Option<ReadView<'_>> {
+        self.reads.get(txn)
     }
 
     /// The site `txn` is submitted at — its write or read plan's master —
     /// if the workload contains it.
     pub fn master_of(&self, txn: TxnId) -> Option<SiteId> {
-        self.get(txn).map(TxnPlan::master).or_else(|| self.get_read(txn).map(ReadPlan::master))
+        self.get(txn).map(PlanView::master).or_else(|| self.get_read(txn).map(PlanView::master))
     }
 
-    /// All read plans, by transaction id.
-    pub fn iter_reads(&self) -> impl Iterator<Item = (&TxnId, &ReadPlan)> {
+    /// All read plans, ascending by transaction id.
+    pub fn iter_reads(&self) -> impl Iterator<Item = (TxnId, ReadView<'_>)> {
         self.reads.iter()
     }
 }
@@ -380,57 +610,95 @@ mod tests {
         panic!("no probe key found for shard {shard}");
     }
 
+    fn write_plan(topo: &ShardTopology, id: u32, shards: &[usize]) -> TxnPlan {
+        let writes = shards.iter().map(|&s| key_in(topo, s)).collect();
+        TxnPlan::compile(topo, &ShardTxnSpec { id: TxnId(id), writes })
+    }
+
+    fn read_table(topo: &ShardTopology, id: u32, shards: &[usize]) -> PlanTable {
+        let keys = shards.iter().map(|&s| key_in(topo, s).key).collect();
+        PlanTable::route(topo.clone(), [], [&ShardReadSpec { id: TxnId(id), keys }])
+    }
+
+    /// What `site` stages under `plan` (`None`: the plan does not name it).
+    fn staged(plan: TxnView<'_>, site: u16) -> Option<Vec<WriteOp>> {
+        plan.writes_at(SiteId(site)).map(|writes| writes.cloned().collect())
+    }
+
+    fn served(plan: ReadView<'_>, site: u16) -> Option<Vec<Key>> {
+        plan.keys_at(SiteId(site)).map(|keys| keys.cloned().collect())
+    }
+
+    #[test]
+    fn a_row_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Row>(), 16);
+    }
+
     #[test]
     fn single_shard_txn_runs_in_its_replica_group() {
         let topo = ShardTopology::uniform(6, 3, 2);
-        let spec = ShardTxnSpec { id: TxnId(1), writes: vec![key_in(&topo, 1)] };
-        let plan = TxnPlan::compile(&topo, &spec);
-        assert!(!plan.is_cross_shard());
-        assert_eq!(plan.group, vec![SiteId(2), SiteId(3)]);
+        let plan = write_plan(&topo, 1, &[1]);
+        let view = plan.view();
+        assert!(!view.is_cross_shard());
+        assert_eq!(view.group(), [SiteId(2), SiteId(3)]);
         assert_eq!(plan.master(), SiteId(2));
         // Every group member stages the full shard write set; nothing ships.
-        assert_eq!(plan.writes[&2], plan.writes[&3]);
-        assert!(plan.ships.is_empty());
-        assert_eq!(plan.virtual_of(SiteId(3)), Some(1));
-        assert_eq!(plan.virtual_of(SiteId(0)), None);
-        assert_eq!(plan.path_tag(), "write-single");
+        assert_eq!(staged(view, 2), Some(vec![key_in(&topo, 1)]));
+        assert_eq!(staged(view, 2), staged(view, 3));
+        assert_eq!(staged(view, 0), None);
+        assert_eq!(view.replicas().count(), 0);
+        assert!(view.ships_from(SiteId(2)).is_empty());
+        assert_eq!(view.virtual_of(SiteId(3)), Some(1));
+        assert_eq!(view.virtual_of(SiteId(0)), None);
+        assert_eq!(view.path_tag(), "write-single");
     }
 
     #[test]
     fn path_tags_follow_the_route_shape() {
         let topo = ShardTopology::uniform(6, 3, 2);
-        let cross = TxnPlan::compile(
-            &topo,
-            &ShardTxnSpec { id: TxnId(9), writes: vec![key_in(&topo, 0), key_in(&topo, 2)] },
-        );
-        assert_eq!(cross.path_tag(), "write-cross");
-        let k0 = key_in(&topo, 0).key;
-        let k2 = key_in(&topo, 2).key;
-        let single =
-            ReadPlan::compile(&topo, &ShardReadSpec { id: TxnId(10), keys: vec![k0.clone()] });
-        assert_eq!(single.path_tag(), "read-single");
-        let multi = ReadPlan::compile(&topo, &ShardReadSpec { id: TxnId(11), keys: vec![k0, k2] });
-        assert_eq!(multi.path_tag(), "read-cross");
+        assert_eq!(write_plan(&topo, 9, &[0, 2]).view().path_tag(), "write-cross");
+        let single = read_table(&topo, 10, &[0]);
+        assert_eq!(single.get_read(TxnId(10)).unwrap().path_tag(), "read-single");
+        let multi = read_table(&topo, 11, &[0, 2]);
+        assert_eq!(multi.get_read(TxnId(11)).unwrap().path_tag(), "read-cross");
     }
 
     #[test]
     fn cross_shard_txn_coordinates_over_masters_and_ships_to_replicas() {
         let topo = ShardTopology::uniform(6, 3, 2);
-        let spec = ShardTxnSpec { id: TxnId(2), writes: vec![key_in(&topo, 0), key_in(&topo, 2)] };
-        let plan = TxnPlan::compile(&topo, &spec);
-        assert!(plan.is_cross_shard());
-        assert_eq!(plan.shards, vec![0, 2]);
+        let plan = write_plan(&topo, 2, &[0, 2]);
+        let view = plan.view();
+        assert!(view.is_cross_shard());
+        assert_eq!(view.shards(), [0, 2]);
         // Coordinator = master of the lowest involved shard.
-        assert_eq!(plan.group, vec![SiteId(0), SiteId(4)]);
+        assert_eq!(view.group(), [SiteId(0), SiteId(4)]);
         // Each master stages only its own shard's writes here (disjoint
         // groups), and ships its out-of-group replica that replica's full
         // planned write set.
-        assert_eq!(plan.writes[&0].len(), 1);
-        assert_eq!(plan.writes[&4].len(), 1);
-        assert_eq!(plan.ships[&0], vec![SiteId(1)]);
-        assert_eq!(plan.ships[&4], vec![SiteId(5)]);
-        assert_eq!(plan.replica_writes[&1].len(), 1);
-        assert_eq!(plan.replica_writes[&5].len(), 1);
+        assert_eq!(staged(view, 0), Some(vec![key_in(&topo, 0)]));
+        assert_eq!(staged(view, 4), Some(vec![key_in(&topo, 2)]));
+        assert_eq!(view.ships_from(SiteId(0)), [SiteId(1)]);
+        assert_eq!(view.ships_from(SiteId(4)), [SiteId(5)]);
+        assert_eq!(view.replicas().collect::<Vec<_>>(), [SiteId(1), SiteId(5)]);
+        assert_eq!(staged(view, 1), staged(view, 0));
+        assert_eq!(staged(view, 5), staged(view, 4));
+    }
+
+    #[test]
+    fn writes_are_staged_by_shard_then_in_submission_order() {
+        // Site 0 masters shards 0 and 2 (3 shards × 2 replicas over 4
+        // sites): it stages shard 0's writes, then shard 2's, each in the
+        // order the spec lists them — whatever order the spec mixes them in.
+        let topo = ShardTopology::uniform(4, 3, 2);
+        let in_shard = |shard, nth| {
+            let keys = (0..512).map(|i| Key::from(format!("probe-{i}")));
+            let key = keys.filter(|k| topo.shard_of(k) == shard).nth(nth).expect("probe key");
+            WriteOp { key, value: Value::from_u64(nth as u64) }
+        };
+        let (a0, a1, c0, c1) = (in_shard(0, 0), in_shard(0, 1), in_shard(2, 0), in_shard(2, 1));
+        let writes = vec![c1.clone(), a1.clone(), c0.clone(), a0.clone()];
+        let plan = TxnPlan::compile(&topo, &ShardTxnSpec { id: TxnId(1), writes });
+        assert_eq!(staged(plan.view(), 0), Some(vec![a1, a0, c1, c0]));
     }
 
     #[test]
@@ -438,17 +706,17 @@ mod tests {
         // Shards 0 and 2 share master 0 (3 shards × 2 replicas over 4 sites).
         let topo = ShardTopology::uniform(4, 3, 2);
         assert_eq!(topo.master(0), topo.master(2));
-        let spec = ShardTxnSpec { id: TxnId(3), writes: vec![key_in(&topo, 0), key_in(&topo, 2)] };
-        let plan = TxnPlan::compile(&topo, &spec);
-        assert_eq!(plan.group, vec![SiteId(0)], "shared master listed once");
+        let plan = write_plan(&topo, 3, &[0, 2]);
+        let view = plan.view();
+        assert_eq!(view.group(), [SiteId(0)], "shared master listed once");
         // The shared master stages both shards' writes.
-        assert_eq!(plan.writes[&0].len(), 2);
+        assert_eq!(staged(view, 0).unwrap().len(), 2);
         // Site 1 replicates both shards but sits outside the top-level
         // group: it is listed ONCE as a ship target, and the single ship
         // carries both shards' writes (a per-shard ship would be dropped as
         // a duplicate by the replica after the first one installed).
-        assert_eq!(plan.ships[&0], vec![SiteId(1)]);
-        assert_eq!(plan.replica_writes[&1].len(), 2);
+        assert_eq!(view.ships_from(SiteId(0)), [SiteId(1)]);
+        assert_eq!(staged(view, 1).unwrap().len(), 2);
     }
 
     #[test]
@@ -460,12 +728,12 @@ mod tests {
         // true duplicate.
         let topo =
             ShardTopology::new(4, vec![vec![SiteId(0), SiteId(3)], vec![SiteId(2), SiteId(3)]]);
-        let spec = ShardTxnSpec { id: TxnId(5), writes: vec![key_in(&topo, 0), key_in(&topo, 1)] };
-        let plan = TxnPlan::compile(&topo, &spec);
-        assert_eq!(plan.group, vec![SiteId(0), SiteId(2)]);
-        assert_eq!(plan.ships[&0], vec![SiteId(3)]);
-        assert_eq!(plan.ships[&2], vec![SiteId(3)]);
-        assert_eq!(plan.replica_writes[&3].len(), 2, "each ship carries both shards");
+        let plan = write_plan(&topo, 5, &[0, 1]);
+        let view = plan.view();
+        assert_eq!(view.group(), [SiteId(0), SiteId(2)]);
+        assert_eq!(view.ships_from(SiteId(0)), [SiteId(3)]);
+        assert_eq!(view.ships_from(SiteId(2)), [SiteId(3)]);
+        assert_eq!(staged(view, 3).unwrap().len(), 2, "each ship carries both shards");
     }
 
     #[test]
@@ -474,75 +742,84 @@ mod tests {
         // make site 0 both shard-2 master and a shard-1 replica by hand.
         let topo =
             ShardTopology::new(4, vec![vec![SiteId(2), SiteId(3)], vec![SiteId(0), SiteId(2)]]);
-        let spec = ShardTxnSpec { id: TxnId(4), writes: vec![key_in(&topo, 0), key_in(&topo, 1)] };
-        let plan = TxnPlan::compile(&topo, &spec);
-        assert_eq!(plan.group, vec![SiteId(2), SiteId(0)]);
+        let plan = write_plan(&topo, 4, &[0, 1]);
+        let view = plan.view();
+        assert_eq!(view.group(), [SiteId(2), SiteId(0)]);
         // Site 2 masters shard 0 and replicates shard 1: it stages both
         // write sets as a participant, so shard 1's master must not ship
         // to it — only to site 3 (shard 0's true out-of-group replica).
-        assert_eq!(plan.writes[&2].len(), 2);
-        assert_eq!(plan.ships.get(&0), None, "no out-of-group replica for shard 1");
-        assert_eq!(plan.ships[&2], vec![SiteId(3)]);
-        assert_eq!(plan.replica_writes[&3].len(), 1, "site 3 serves only shard 0");
+        assert_eq!(staged(view, 2).unwrap().len(), 2);
+        assert!(view.ships_from(SiteId(0)).is_empty(), "no out-of-group replica for shard 1");
+        assert_eq!(view.ships_from(SiteId(2)), [SiteId(3)]);
+        assert_eq!(staged(view, 3).unwrap().len(), 1, "site 3 serves only shard 0");
     }
 
     #[test]
-    fn plan_table_compiles_and_indexes() {
+    fn plan_table_compiles_and_indexes_whatever_the_spec_order() {
         let topo = ShardTopology::uniform(6, 3, 2);
         let specs = vec![
+            ShardTxnSpec { id: TxnId(7), writes: vec![key_in(&topo, 1), key_in(&topo, 2)] },
             ShardTxnSpec { id: TxnId(1), writes: vec![key_in(&topo, 0)] },
-            ShardTxnSpec { id: TxnId(2), writes: vec![key_in(&topo, 1), key_in(&topo, 2)] },
+            ShardTxnSpec { id: TxnId(4), writes: vec![key_in(&topo, 0)] },
         ];
-        let table = PlanTable::compile(topo, &specs);
-        assert!(table.get(TxnId(1)).is_some());
+        let table = PlanTable::compile(topo.clone(), &specs);
         assert!(table.get(TxnId(9)).is_none());
-        assert_eq!(table.iter().count(), 2);
+        assert_eq!(table.iter().map(|(id, _)| id.0).collect::<Vec<_>>(), [1, 4, 7]);
+        assert!(table.ships());
+        assert_eq!(table.master_of(TxnId(7)), Some(SiteId(2)));
+        // Two plans over shard 0 share one shape; each keeps its own writes.
+        assert_eq!(table.writes.shapes.len(), 2);
+        assert_eq!(staged(table.get(TxnId(4)).unwrap(), 1), Some(vec![key_in(&topo, 0)]));
+        assert_eq!(staged(table.get(TxnId(7)).unwrap(), 4), Some(vec![key_in(&topo, 2)]));
+        assert!(!PlanTable::compile(topo, &specs[1..]).ships());
     }
 
     #[test]
     fn flat_lowering_keeps_site_addressed_writes_in_one_all_sites_group() {
         // Site 0 is left out of the spec and site 2 has nothing to write:
-        // both still sit in the group, and the map passes through as is.
-        let writes: BTreeMap<u16, Vec<WriteOp>> = [(1, vec![w("a")]), (2, vec![])].into();
-        let spec = TxnSpec { id: TxnId(1), writes: writes.clone() };
+        // both still sit in the group, with nothing to stage.
+        let writes = [(1, vec![w("a"), w("b")]), (2, vec![])].into();
+        let spec = TxnSpec { id: TxnId(1), writes };
         let read = ReadSpec { id: TxnId(9), keys: vec![Key::from("a"), Key::from("absent")] };
         let table = PlanTable::flat(3, [spec], [read.clone()]);
         let plan = table.get(TxnId(1)).unwrap();
-        assert_eq!(plan.group, vec![SiteId(0), SiteId(1), SiteId(2)]);
-        assert_eq!(plan.writes, writes);
-        assert!(!plan.is_cross_shard() && plan.ships.is_empty() && plan.replica_writes.is_empty());
+        assert_eq!(plan.group(), [SiteId(0), SiteId(1), SiteId(2)]);
+        assert_eq!(staged(plan, 0), Some(vec![]));
+        assert_eq!(staged(plan, 1), Some(vec![w("a"), w("b")]));
+        assert_eq!(staged(plan, 2), Some(vec![]));
+        assert_eq!(staged(plan, 3), None);
+        assert!(!plan.is_cross_shard() && plan.replicas().count() == 0 && !table.ships());
         // The key router reaches the same group over the one-shard topology.
         let routed = ShardTxnSpec { id: TxnId(1), writes: vec![w("a")] };
-        assert_eq!(TxnPlan::compile(&table.topology, &routed).group, plan.group);
+        assert_eq!(TxnPlan::compile(&table.topology, &routed).view().group(), plan.group());
         // Reads are served by the master alone: no protocol round.
-        let served = table.get_read(TxnId(9)).unwrap();
-        assert_eq!(served.group, vec![SiteId(0)]);
-        assert_eq!(served.keys[&0], read.keys);
+        let reader = table.get_read(TxnId(9)).unwrap();
+        assert_eq!(reader.group(), [SiteId(0)]);
+        assert_eq!(served(reader, 0), Some(read.keys));
+        assert_eq!(table.master_of(TxnId(9)), Some(SiteId(0)));
     }
 
     #[test]
     fn single_shard_read_is_served_by_its_master_alone() {
         let topo = ShardTopology::uniform(6, 3, 2);
-        let probe = key_in(&topo, 1).key;
-        let spec = ShardReadSpec { id: TxnId(10), keys: vec![probe.clone()] };
-        let plan = ReadPlan::compile(&topo, &spec);
+        let table = read_table(&topo, 10, &[1]);
+        let plan = table.get_read(TxnId(10)).unwrap();
         assert!(!plan.is_cross_shard());
-        assert_eq!(plan.group, vec![SiteId(2)], "master only — no protocol round");
-        assert_eq!(plan.keys[&2], vec![probe]);
+        assert_eq!(plan.group(), [SiteId(2)], "master only — no protocol round");
+        assert_eq!(served(plan, 2), Some(vec![key_in(&topo, 1).key]));
+        assert_eq!(served(plan, 3), None, "replicas never serve reads");
     }
 
     #[test]
     fn cross_shard_read_coordinates_over_involved_masters() {
         let topo = ShardTopology::uniform(6, 3, 2);
-        let k0 = key_in(&topo, 0).key;
-        let k2 = key_in(&topo, 2).key;
-        let spec = ShardReadSpec { id: TxnId(11), keys: vec![k0.clone(), k2.clone()] };
-        let plan = ReadPlan::compile(&topo, &spec);
+        let table = read_table(&topo, 11, &[0, 2]);
+        let plan = table.get_read(TxnId(11)).unwrap();
         assert!(plan.is_cross_shard());
-        assert_eq!(plan.group, vec![SiteId(0), SiteId(4)]);
+        assert_eq!(plan.group(), [SiteId(0), SiteId(4)]);
         assert_eq!(plan.master(), SiteId(0));
-        assert_eq!(plan.keys[&0], vec![k0]);
-        assert_eq!(plan.keys[&4], vec![k2]);
+        assert_eq!(served(plan, 0), Some(vec![key_in(&topo, 0).key]));
+        assert_eq!(served(plan, 4), Some(vec![key_in(&topo, 2).key]));
         assert_eq!(plan.virtual_of(SiteId(4)), Some(1));
     }
 
@@ -552,7 +829,7 @@ mod tests {
         let topo = ShardTopology::uniform(4, 2, 2);
         let write = ShardTxnSpec { id: TxnId(1), writes: vec![key_in(&topo, 0)] };
         let read = ShardReadSpec { id: TxnId(1), keys: vec![key_in(&topo, 0).key] };
-        let _ = PlanTable::compile(topo, &[write]).with_reads(&[read]);
+        let _ = PlanTable::route(topo, [&write], [&read]);
     }
 
     #[test]

@@ -20,6 +20,7 @@ use ptp_shard::ShardTopology;
 use ptp_simnet::rng::SmallRng;
 use ptp_simnet::SiteId;
 use std::sync::mpsc::Sender;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Read operations use transaction ids at or above this; write plans never
@@ -54,8 +55,9 @@ pub struct ScheduledOp {
 /// transaction specs the plan table compiles.
 #[derive(Debug)]
 pub struct Schedule {
-    /// Operations in arrival order.
-    pub ops: Vec<ScheduledOp>,
+    /// Operations in arrival order (shared: the driver thread injects them
+    /// while the harness times and audits them).
+    pub ops: Arc<[ScheduledOp]>,
     /// Write specs, one per `OpKind::Write` op.
     pub specs: Vec<ShardTxnSpec>,
     /// Number of writes in `ops`.
@@ -146,7 +148,7 @@ pub fn generate(opts: &LiveOptions, topo: &ShardTopology, pools: &[Vec<Key>]) ->
 
     let writes = specs.len();
     let reads = ops.len() - writes;
-    Schedule { ops, specs, writes, reads }
+    Schedule { ops: ops.into(), specs, writes, reads }
 }
 
 /// The driver thread body: sleeps until each op's scheduled arrival (or
@@ -154,7 +156,7 @@ pub fn generate(opts: &LiveOptions, topo: &ShardTopology, pools: &[Vec<Key>]) ->
 /// it to the target site's mailbox. Client traffic goes straight to the
 /// local site, not through the delayed router: the client *is* local to its
 /// master.
-pub fn run_driver(ops: Vec<ScheduledOp>, site_txs: Vec<Sender<Inbound<Packet>>>, start: Instant) {
+pub fn run_driver(ops: &[ScheduledOp], site_txs: Vec<Sender<Inbound<Packet>>>, start: Instant) {
     for op in ops {
         let due = start + op.at;
         loop {
@@ -164,10 +166,10 @@ pub fn run_driver(ops: Vec<ScheduledOp>, site_txs: Vec<Sender<Inbound<Packet>>>,
             }
             std::thread::sleep((due - now).min(Duration::from_millis(2)));
         }
-        let wire = match op.kind {
+        let wire = match &op.kind {
             OpKind::Write => DbMsg::bare(op.txn, CLIENT_XACT),
             OpKind::Read(key) => DbMsg {
-                writes: Some(vec![WriteOp { key, value: Value::from_u64(0) }]),
+                writes: Some(vec![WriteOp { key: key.clone(), value: Value::from_u64(0) }]),
                 ..DbMsg::bare(op.txn, CLIENT_READ)
             },
         };
@@ -265,7 +267,7 @@ mod tests {
         assert!((0.25..=0.35).contains(&fraction), "read fraction {fraction} far from 0.3");
         // Every read targets its key's shard master — the site that serves
         // it (lease or shared-lock path), not a synthesized placeholder.
-        for op in &s.ops {
+        for op in s.ops.iter() {
             if let OpKind::Read(key) = &op.kind {
                 assert_eq!(op.target, topo.master(topo.shard_of(key)));
             }
@@ -278,7 +280,7 @@ mod tests {
         let topo = ShardTopology::uniform(o.sites, o.shards, o.replication);
         let pools = topo.key_pool(o.keys_per_shard);
         let s = generate(&o, &topo, &pools);
-        for op in &s.ops {
+        for op in s.ops.iter() {
             match op.kind {
                 OpKind::Write => assert!(op.txn.0 < READ_BASE),
                 OpKind::Read(_) => assert!(op.txn.0 >= READ_BASE),

@@ -213,10 +213,10 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
     drop(router_tx);
     drop(completions_tx);
 
-    let driver_ops = schedule.ops.clone();
+    let driver_ops = Arc::clone(&schedule.ops);
     let driver_txs = site_txs.clone();
     let driver_handle =
-        std::thread::spawn(move || driver::run_driver(driver_ops, driver_txs, start));
+        std::thread::spawn(move || driver::run_driver(&driver_ops, driver_txs, start));
 
     // Collect acks until every scheduled op completed or the drain deadline
     // passes (open loop: the driver never waits, so backlog drains here).
@@ -287,7 +287,7 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
     let mut last_write_done: Option<Instant> = None;
     let mut stages = StageTable::new();
     let mut series = opts.obs.series_bin.map(Series::new);
-    for op in &schedule.ops {
+    for op in schedule.ops.iter() {
         let Some((decision, _, at, span)) = completions.get(&op.txn.0) else { continue };
         let latency = at.saturating_duration_since(start + op.at).as_micros() as u64;
         match op.kind {
@@ -568,7 +568,7 @@ fn audit(
             if strict {
                 // Durability: every replica of every involved shard holds
                 // exactly one durable commit record and recorded the commit.
-                for &shard in &plan.shards {
+                for &shard in plan.shards() {
                     for &site in topo.group(shard) {
                         let r = &reports[site.index()];
                         let count = durable_commits[site.index()].get(&txn).copied().unwrap_or(0);
@@ -636,7 +636,7 @@ fn audit(
             writers_of.entry(w.key.clone()).or_default().push(spec.id);
         }
     }
-    for op in &schedule.ops {
+    for op in schedule.ops.iter() {
         let OpKind::Read(key) = &op.kind else { continue };
         let Some((_, value, ..)) = completions.get(&op.txn.0) else { continue };
         checked_reads += 1;

@@ -30,7 +30,7 @@ use ptp_ddb::{ShardNodeOpts, Storage};
 use ptp_livenet::{Inbound, Outbound};
 use ptp_model::Decision;
 use ptp_obs::{FlightRecorder, ObsConfig, TxnSpan};
-use ptp_shard::plan::{PlanTable, TxnPlan};
+use ptp_shard::plan::{PlanTable, TxnView};
 use ptp_simnet::{Payload, SiteId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -224,7 +224,7 @@ impl Host for ThreadHost {
         let now = Instant::now();
         match event {
             SiteEvent::Submitted { txn, read } if self.obs.spans => {
-                let write = || self.plans.get(txn).map_or("write-single", TxnPlan::path_tag);
+                let write = || self.plans.get(txn).map_or("write-single", TxnView::path_tag);
                 let path = if read { "read-local" } else { write() };
                 self.spans.insert(txn, TxnSpan::begin(path, now));
             }

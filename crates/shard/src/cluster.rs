@@ -15,6 +15,7 @@ use ptp_ddb::value::{Key, TxnId, Value};
 use ptp_ddb::wal::Wal;
 use ptp_model::Decision;
 use ptp_simnet::{DelayModel, NetConfig, PartitionEngine, RunReport, SiteId, Trace};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A sharded cluster specification, mirroring [`ptp_ddb::DbCluster`] one
@@ -290,10 +291,11 @@ impl ShardCluster {
     /// Runs the cluster to quiescence (or the horizon).
     pub fn run(self) -> ShardRun {
         let topology = &self.topology;
-        let specs: Vec<ShardTxnSpec> = self.workload.iter().map(|(_, spec)| spec.clone()).collect();
-        let read_specs: Vec<ShardReadSpec> =
-            self.read_workload.iter().map(|(_, spec)| spec.clone()).collect();
-        let plans = Arc::new(PlanTable::compile(topology.clone(), &specs).with_reads(&read_specs));
+        let plans = Arc::new(PlanTable::route(
+            topology.clone(),
+            self.workload.iter().map(|(_, spec)| spec),
+            self.read_workload.iter().map(|(_, spec)| spec),
+        ));
 
         // Every replica of the key's shard holds its seed.
         let seed = self.seed.iter().flat_map(|(key, value)| {
@@ -371,7 +373,7 @@ fn aggregate(
     let mut cross = CrossShardReport::default();
 
     for (txn, plan) in plans.iter() {
-        let decisions = metrics.decisions.get(txn);
+        let decisions = metrics.decisions.get(&txn);
         if plan.is_cross_shard() {
             cross.submitted += 1;
             match decisions.and_then(|d| d.get(&plan.master().0)) {
@@ -380,7 +382,7 @@ fn aggregate(
                 None => cross.blocked += 1,
             }
         }
-        for &s in &plan.shards {
+        for &s in plan.shards() {
             let m = &mut shards[s];
             m.txns += 1;
             if plan.is_cross_shard() {
@@ -403,7 +405,7 @@ fn aggregate(
     // replica group contains the holding site.
     for hold in &metrics.lock_holds {
         let Some(plan) = plans.get(hold.txn) else { continue };
-        let Some(&shard) = plan.shards.iter().find(|&&s| topology.group(s).contains(&hold.site))
+        let Some(&shard) = plan.shards().iter().find(|&&s| topology.group(s).contains(&hold.site))
         else {
             continue;
         };
@@ -422,18 +424,21 @@ fn aggregate(
 /// only the coordinator's record counts the read as served).
 fn aggregate_reads(plans: &PlanTable, metrics: &Metrics) -> ReadReport {
     let mut report = ReadReport::default();
+    // The path of the first record each site served each read by.
+    let mut served: BTreeMap<(TxnId, SiteId), ReadPath> = BTreeMap::new();
+    for record in &metrics.reads {
+        served.entry((record.id, record.site)).or_insert(record.path);
+    }
     for (id, plan) in plans.iter_reads() {
-        let submitted = metrics.reads_submitted.contains_key(id);
+        let submitted = metrics.reads_submitted.contains_key(&id);
         if submitted {
             report.submitted += 1;
         }
-        let master = plan.master();
-        let record = metrics.reads.iter().find(|r| r.id == *id && r.site == master);
-        match record.map(|r| r.path) {
+        match served.get(&(id, plan.master())) {
             Some(ReadPath::Lease) => report.lease += 1,
             Some(ReadPath::LockLocal) => report.lock_local += 1,
             Some(ReadPath::Protocol) => report.protocol += 1,
-            None if metrics.read_aborts.contains_key(id) => report.aborted += 1,
+            None if metrics.read_aborts.contains_key(&id) => report.aborted += 1,
             None if submitted => report.blocked += 1,
             None => {}
         }

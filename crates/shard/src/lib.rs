@@ -58,7 +58,7 @@ pub use lineariz::{check_read_history, ReadViolation};
 pub use node::{
     ShardNode, ShardNodeOpts, LEASE_ACK, LEASE_RENEW, SHARD_ABORT, SHARD_APPLY, SYNC_REQ, SYNC_RESP,
 };
-pub use plan::{PlanTable, ReadPlan, ShardReadSpec, ShardTxnSpec, TxnPlan};
+pub use plan::{PlanTable, ReadView, ShardReadSpec, ShardTxnSpec, TxnPlan, TxnView};
 pub use topology::ShardTopology;
 
 // Re-exported so downstream code can name the shared metrics type without

@@ -221,6 +221,7 @@ mod lock_props {
     use proptest::prelude::*;
     use ptp_core::ddb::locks::{LockGrant, LockMode, LockTable};
     use ptp_core::ddb::value::{Key, TxnId};
+    use std::collections::{BTreeMap, VecDeque};
 
     #[derive(Debug, Clone)]
     enum Op {
@@ -233,6 +234,105 @@ mod lock_props {
             (0u8..5, 0u8..4, any::<bool>()).prop_map(|(t, k, x)| Op::Acquire(t, k, x)),
             (0u8..5).prop_map(Op::Release),
         ]
+    }
+
+    /// The lock table as it was before releases kept a per-transaction key
+    /// list (PR 14's `locks.rs`): `release_all` walks every entry of the
+    /// table. Kept as the oracle the key-list release must match.
+    #[derive(Default)]
+    struct ScanTable {
+        locks: BTreeMap<Key, ScanEntry>,
+    }
+
+    #[derive(Default)]
+    struct ScanEntry {
+        holders: Vec<(TxnId, LockMode)>,
+        queue: VecDeque<(TxnId, LockMode)>,
+    }
+
+    impl ScanTable {
+        fn acquire(&mut self, txn: TxnId, key: Key, mode: LockMode) -> LockGrant {
+            let entry = self.locks.entry(key).or_default();
+
+            if let Some(pos) = entry.holders.iter().position(|(t, _)| *t == txn) {
+                let held = entry.holders[pos].1;
+                match (held, mode) {
+                    (LockMode::Exclusive, _) | (_, LockMode::Shared) => return LockGrant::Granted,
+                    (LockMode::Shared, LockMode::Exclusive) => {
+                        if entry.holders.len() == 1 {
+                            entry.holders[pos].1 = LockMode::Exclusive;
+                            return LockGrant::Granted;
+                        }
+                        entry.queue.push_back((txn, mode));
+                        return LockGrant::Waiting;
+                    }
+                }
+            }
+
+            let compatible = entry.queue.is_empty()
+                && match mode {
+                    LockMode::Shared => entry.holders.iter().all(|(_, m)| *m == LockMode::Shared),
+                    LockMode::Exclusive => entry.holders.is_empty(),
+                };
+            if compatible {
+                entry.holders.push((txn, mode));
+                LockGrant::Granted
+            } else {
+                entry.queue.push_back((txn, mode));
+                LockGrant::Waiting
+            }
+        }
+
+        fn release_all(&mut self, txn: TxnId) -> Vec<TxnId> {
+            let mut promoted = Vec::new();
+            let mut empty_keys = Vec::new();
+            for (key, entry) in self.locks.iter_mut() {
+                entry.holders.retain(|(t, _)| *t != txn);
+                entry.queue.retain(|(t, _)| *t != txn);
+                while let Some(&(next, mode)) = entry.queue.front() {
+                    let ok = match mode {
+                        LockMode::Shared => {
+                            entry.holders.iter().all(|(_, m)| *m == LockMode::Shared)
+                        }
+                        LockMode::Exclusive => entry.holders.iter().all(|(t, _)| *t == next),
+                    };
+                    if !ok {
+                        break;
+                    }
+                    entry.queue.pop_front();
+                    match entry.holders.iter().position(|(t, _)| *t == next) {
+                        Some(pos) => entry.holders[pos].1 = mode,
+                        None => entry.holders.push((next, mode)),
+                    }
+                    promoted.push(next);
+                }
+                if entry.holders.is_empty() && entry.queue.is_empty() {
+                    empty_keys.push(key.clone());
+                }
+            }
+            for k in empty_keys {
+                self.locks.remove(&k);
+            }
+            promoted.sort_by_key(|t| t.0);
+            promoted.dedup();
+            promoted
+        }
+
+        fn holds(&self, txn: TxnId, key: &Key, mode: LockMode) -> bool {
+            self.locks.get(key).is_some_and(|e| {
+                e.holders.iter().any(|(t, m)| {
+                    *t == txn && (*m == LockMode::Exclusive || mode == LockMode::Shared)
+                })
+            })
+        }
+
+        fn is_locked(&self, key: &Key) -> bool {
+            self.locks.get(key).is_some_and(|e| !e.holders.is_empty())
+        }
+
+        fn waiting_count(&self) -> usize {
+            self.locks.values().map(|e| e.queue.len()).sum()
+        }
     }
 
     proptest! {
@@ -294,6 +394,43 @@ mod lock_props {
                     }
                 }
             }
+        }
+
+        #[test]
+        fn release_visits_only_the_releasers_keys_yet_matches_the_full_scan(
+            ops in prop::collection::vec(op_strategy(), 1..80),
+        ) {
+            let (mut table, mut oracle) = (LockTable::new(), ScanTable::default());
+            for op in &ops {
+                match *op {
+                    Op::Acquire(t, k, exclusive) => {
+                        let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
+                        let key = Key::from(format!("k{k}"));
+                        let granted = table.acquire(TxnId(t as u32), key.clone(), mode);
+                        prop_assert_eq!(granted, oracle.acquire(TxnId(t as u32), key, mode));
+                    }
+                    Op::Release(t) => {
+                        let promoted = table.release_all(TxnId(t as u32));
+                        prop_assert_eq!(promoted, oracle.release_all(TxnId(t as u32)));
+                    }
+                }
+                // Same holders, same modes, same queues, after every step.
+                for k in (0u8..4).map(|k| Key::from(format!("k{k}"))) {
+                    prop_assert_eq!(table.is_locked(&k), oracle.is_locked(&k));
+                    for t in (0u32..5).map(TxnId) {
+                        for mode in [LockMode::Shared, LockMode::Exclusive] {
+                            prop_assert_eq!(table.holds(t, &k, mode), oracle.holds(t, &k, mode));
+                        }
+                    }
+                }
+                prop_assert_eq!(table.waiting_count(), oracle.waiting_count());
+            }
+            // Releasing everyone leaves nothing behind, waiting or held.
+            for t in (0u32..5).map(TxnId) {
+                prop_assert_eq!(table.release_all(t), oracle.release_all(t));
+            }
+            prop_assert_eq!(table.waiting_count(), 0);
+            prop_assert!((0u8..4).all(|k| !table.is_locked(&Key::from(format!("k{k}")))));
         }
     }
 }
