@@ -28,7 +28,7 @@ fn partitioned_run(timing: ProtocolTiming, delay: &DelayModel) {
         vec![SiteId(0), SiteId(1)],
         vec![SiteId(2), SiteId(3)],
     )]);
-    let run = run_protocol(parts, NetConfig::default(), partition, delay, vec![]);
+    let run = run_protocol(parts, NetConfig::default(), partition, delay);
     assert!(ptp_protocols::Verdict::judge(&run.outcomes).is_atomic());
 }
 

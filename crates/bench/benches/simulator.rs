@@ -44,7 +44,6 @@ fn bench_ping_pong(c: &mut Criterion) {
                     actors,
                     PartitionEngine::always_connected(),
                     &DelayModel::Fixed(10),
-                    vec![],
                 );
                 let (_, _, report) = sim.run();
                 assert!(report.events >= rounds);
@@ -92,7 +91,6 @@ fn bench_fan_out(c: &mut Criterion) {
                     actors,
                     PartitionEngine::always_connected(),
                     &DelayModel::Uniform { seed: 1, min: 1, max: 1000 },
-                    vec![],
                 );
                 let (_, _, report) = sim.run();
                 assert_eq!(report.events, rounds * (n as u64 - 1));
@@ -124,8 +122,7 @@ fn bench_partition_overhead(c: &mut Criterion) {
                     Box::new(Bouncer { peer: SiteId(1), remaining: 2_000, starts: true }),
                     Box::new(Bouncer { peer: SiteId(0), remaining: 2_000, starts: false }),
                 ];
-                let sim =
-                    Simulation::new(config, actors, engine.clone(), &DelayModel::Fixed(10), vec![]);
+                let sim = Simulation::new(config, actors, engine.clone(), &DelayModel::Fixed(10));
                 sim.run()
             })
         });

@@ -6,12 +6,6 @@
 //! `BENCH_ddb.json` next to the working directory so future performance
 //! work on the database layer has a recorded trajectory to beat.
 //!
-//! Modes:
-//!
-//! * default — the production path: pooled participants.
-//! * `--compare` — additionally times the construct-per-transaction
-//!   baseline (the pre-pool behaviour), yielding the speedup column.
-//!
 //! `CRITERION_BUDGET_MS` caps the per-measurement sampling time (as in the
 //! criterion shim), so the CI smoke run finishes in milliseconds while a
 //! real baseline run samples enough rounds for a stable median.
@@ -52,11 +46,8 @@ fn workload() -> Vec<(u64, TxnSpec)> {
         .collect()
 }
 
-fn build(protocol: CommitProtocol, pooled: bool) -> DbCluster {
+fn build(protocol: CommitProtocol) -> DbCluster {
     let mut cluster = DbCluster::new(SITES, protocol);
-    if !pooled {
-        cluster = cluster.construct_per_txn();
-    }
     for (at, spec) in workload() {
         cluster = cluster.submit(at, spec);
     }
@@ -66,8 +57,8 @@ fn build(protocol: CommitProtocol, pooled: bool) -> DbCluster {
 /// One timed observation: `REPEATS` consecutive executions of the workload
 /// under one clock read, so a single run's wall time comes out with far
 /// less timer/scheduler jitter than timing runs individually.
-fn run_block(protocol: CommitProtocol, pooled: bool) -> (f64, DbRun) {
-    let clusters: Vec<DbCluster> = (0..REPEATS).map(|_| build(protocol, pooled)).collect();
+fn run_block(protocol: CommitProtocol) -> (f64, DbRun) {
+    let clusters: Vec<DbCluster> = (0..REPEATS).map(|_| build(protocol)).collect();
     let mut last = None;
     let round = Instant::now();
     for cluster in clusters {
@@ -80,58 +71,33 @@ fn run_block(protocol: CommitProtocol, pooled: bool) -> (f64, DbRun) {
     (wall, run)
 }
 
-/// Samples pooled (and, in compare mode, per-txn) wall times within the
-/// budget.
-///
-/// The comparison is *paired*: each round times both modes back to back
-/// (order alternating between rounds), and the reported speedup is the
-/// median of the per-round ratios. Adjacent observations see the same
-/// container load, so the pairing cancels the slow CPU-contention drift
-/// that dwarfs the few-percent construction cost on a shared box.
-fn sample(
-    protocol: CommitProtocol,
-    compare: bool,
-    budget_ms: u64,
-) -> (f64, Option<(f64, f64)>, DbRun) {
-    let _ = run_block(protocol, true); // warmup
-    let mut pooled_walls = Vec::new();
-    let mut per_txn_walls = Vec::new();
-    let mut ratios = Vec::new();
+/// Samples wall times within the budget; returns their median and the last
+/// run.
+fn sample(protocol: CommitProtocol, budget_ms: u64) -> (f64, DbRun) {
+    let _ = run_block(protocol); // warmup
+    let mut walls = Vec::new();
     let started = Instant::now();
     let mut last = None;
-    while pooled_walls.is_empty()
-        || (pooled_walls.len() < MAX_ROUNDS && started.elapsed().as_millis() < budget_ms as u128)
+    while walls.is_empty()
+        || (walls.len() < MAX_ROUNDS && started.elapsed().as_millis() < budget_ms as u128)
     {
-        let pooled_first = pooled_walls.len() % 2 == 0;
-        if compare && !pooled_first {
-            per_txn_walls.push(run_block(protocol, false).0);
-        }
-        let (wall, run) = run_block(protocol, true);
-        pooled_walls.push(wall);
+        let (wall, run) = run_block(protocol);
+        walls.push(wall);
         last = Some(run);
-        if compare {
-            if pooled_first {
-                per_txn_walls.push(run_block(protocol, false).0);
-            }
-            ratios.push(per_txn_walls.last().unwrap() / wall.max(f64::MIN_POSITIVE));
-        }
     }
-    let per_txn = compare.then(|| (median_of(&mut per_txn_walls), median_of(&mut ratios)));
-    (median_of(&mut pooled_walls), per_txn, last.expect("at least one round"))
+    (median_of(&mut walls), last.expect("at least one round"))
 }
 
 struct Measurement {
     protocol: CommitProtocol,
-    pooled_ms: f64,
+    wall_ms: f64,
     constructed: usize,
     reused: usize,
-    /// Compare mode: `(median per-txn wall ms, paired median speedup)`.
-    per_txn: Option<(f64, f64)>,
 }
 
 impl Measurement {
     fn txns_per_sec(&self) -> f64 {
-        TXNS as f64 * 1000.0 / self.pooled_ms.max(f64::MIN_POSITIVE)
+        TXNS as f64 * 1000.0 / self.wall_ms.max(f64::MIN_POSITIVE)
     }
 }
 
@@ -150,17 +116,11 @@ fn render_json(measurements: &[Measurement]) -> String {
             "\"protocol\": \"{}\", \"wall_ms\": {:.3}, \"txns_per_sec\": {:.1}, \
              \"participants_constructed\": {}, \"participants_reused\": {}",
             json_escape(m.protocol.name()),
-            m.pooled_ms,
+            m.wall_ms,
             m.txns_per_sec(),
             m.constructed,
             m.reused
         );
-        if let Some((per_txn_ms, speedup)) = m.per_txn {
-            let _ = write!(
-                out,
-                ", \"per_txn_wall_ms\": {per_txn_ms:.3}, \"speedup_vs_per_txn\": {speedup:.3}"
-            );
-        }
         out.push_str(if i + 1 == measurements.len() { "}\n" } else { "},\n" });
     }
     out.push_str("  ]\n}\n");
@@ -168,48 +128,34 @@ fn render_json(measurements: &[Measurement]) -> String {
 }
 
 fn main() {
-    let compare = std::env::args().any(|a| a == "--compare");
     let budget_ms = criterion_budget_ms(2_000);
     println!("== bench_ddb: {TXNS}-txn workload throughput, n = {SITES} ==");
-    println!(
-        "budget {budget_ms} ms per measurement{}\n",
-        if compare { ", with construct-per-txn baseline" } else { "" }
-    );
+    println!("budget {budget_ms} ms per measurement\n");
 
     let protocols =
         [CommitProtocol::TwoPhase, CommitProtocol::HuangLi, CommitProtocol::QuorumMajority];
     let measurements: Vec<Measurement> = protocols
         .iter()
         .map(|&protocol| {
-            let (pooled_ms, per_txn, run) = sample(protocol, compare, budget_ms);
+            let (wall_ms, run) = sample(protocol, budget_ms);
             Measurement {
                 protocol,
-                pooled_ms,
+                wall_ms,
                 constructed: run.participants_constructed,
                 reused: run.participants_reused,
-                per_txn,
             }
         })
         .collect();
 
-    let mut headers = vec!["protocol", "wall ms", "txns/s", "constructed", "reused"];
-    if compare {
-        headers.extend(["per-txn ms", "vs per-txn"]);
-    }
-    let mut table = Table::new(headers);
+    let mut table = Table::new(vec!["protocol", "wall ms", "txns/s", "constructed", "reused"]);
     for m in &measurements {
-        let mut row = vec![
+        table.row(vec![
             m.protocol.name().to_string(),
-            format!("{:.1}", m.pooled_ms),
+            format!("{:.1}", m.wall_ms),
             format!("{:.0}", m.txns_per_sec()),
             m.constructed.to_string(),
             m.reused.to_string(),
-        ];
-        if let Some((per_txn_ms, speedup)) = m.per_txn {
-            row.push(format!("{per_txn_ms:.1}"));
-            row.push(format!("{speedup:.2}x"));
-        }
-        table.row(row);
+        ]);
     }
     println!("{}", table.render());
 

@@ -40,11 +40,8 @@ fn partition_options(duration: Duration) -> LiveOptions {
     let topo = ptp_shard::ShardTopology::uniform(6, 3, 2);
     let replica = topo.group(0)[1];
     let mut opts = base_options(duration);
-    opts.partition = Some(ptp_livenet::LivePartition::new(vec![ptp_livenet::LiveEpisode {
-        from: duration / 4,
-        until: Some(duration / 2),
-        groups: vec![vec![replica]],
-    }]));
+    opts.partition =
+        Some(ptp_livenet::LivePartition::simple(duration / 4, vec![replica], Some(duration / 2)));
     opts
 }
 

@@ -25,13 +25,7 @@ fn run_once(timing: ProtocolTiming, delay: &DelayModel) -> (Verdict, usize) {
         TerminationVariant::Transient,
         timing,
     );
-    let run = run_protocol(
-        parts,
-        NetConfig::default(),
-        PartitionEngine::always_connected(),
-        delay,
-        vec![],
-    );
+    let run = run_protocol(parts, NetConfig::default(), PartitionEngine::always_connected(), delay);
     let timeouts = run
         .trace
         .events()

@@ -11,11 +11,10 @@
 
 use ptp_bench::standard_delays;
 use ptp_core::{
-    run_scenario_opts, sweep, PartitionShape, ProtocolKind, RunOptions, Scenario, SweepGrid,
-    SweepReport,
+    run_scenario_opts, sweep, ProtocolKind, RunOptions, Scenario, SweepGrid, SweepReport,
 };
 use ptp_protocols::Verdict;
-use ptp_simnet::SiteId;
+use ptp_simnet::{PartitionEngine, PartitionSpec, SimTime, SiteId};
 
 fn pessimistic_sweep() -> SweepReport {
     let mut grid = SweepGrid::standard(3).pessimistic();
@@ -56,7 +55,10 @@ fn main() {
     // schedules plus the paper-style crafted one: prepare->2 arrives just
     // before the cut, prepare->3 is still in flight.
     println!("multiple (3-way) partitioning, HL-3PC, n = 4:");
-    let groups = vec![vec![SiteId(0), SiteId(1)], vec![SiteId(2)], vec![SiteId(3)]];
+    let three_way = |at: u64| {
+        let groups = vec![vec![SiteId(0), SiteId(1)], vec![SiteId(2)], vec![SiteId(3)]];
+        PartitionEngine::new(vec![PartitionSpec { at: SimTime(at), groups, heal_at: None }])
+    };
     let mut violations = 0usize;
     let mut blocked = 0usize;
     let mut total = 0usize;
@@ -65,9 +67,7 @@ fn main() {
     // Crafted: message 7 is prepare->2 (sends 0-2 are xacts, 3-5 the yes
     // replies, 6-8 the prepares).
     let crafted = ptp_simnet::ScheduleBuilder::with_default(1000).outbound(7, 400).build();
-    let mut scenario = Scenario::new(4).delay(crafted);
-    scenario.partition =
-        PartitionShape::Multiple { groups: groups.clone(), at: 2500, heal_at: None };
+    let scenario = Scenario::new(4).delay(crafted).partition_schedule(three_way(2500));
     let result = run_scenario_opts(ProtocolKind::HuangLi3pc, &scenario, &RunOptions::new());
     total += 1;
     if let Verdict::Inconsistent { .. } = result.verdict {
@@ -77,10 +77,9 @@ fn main() {
 
     for seed in 0..30u64 {
         for at in (1500..=4500).step_by(500) {
-            let mut scenario =
-                Scenario::new(4).delay(ptp_simnet::DelayModel::Uniform { seed, min: 1, max: 1000 });
-            scenario.partition =
-                PartitionShape::Multiple { groups: groups.clone(), at, heal_at: None };
+            let scenario = Scenario::new(4)
+                .delay(ptp_simnet::DelayModel::Uniform { seed, min: 1, max: 1000 })
+                .partition_schedule(three_way(at));
             let result = run_scenario_opts(ProtocolKind::HuangLi3pc, &scenario, &RunOptions::new());
             total += 1;
             match result.verdict {

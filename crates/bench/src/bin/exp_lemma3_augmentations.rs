@@ -60,11 +60,11 @@ fn find_violation(aug: &Augmentation, grid: &Grid) -> Option<(Vec<SiteId>, u64, 
             for (di, delay) in grid.delays.iter().enumerate() {
                 for votes in &grid.votes {
                     runner.reset(votes);
-                    let groups = runner.partition_mut().reset_single(SimTime(at), None, 2);
+                    let groups = runner.faults_mut().partition.reset_single(SimTime(at), None, 2);
                     groups[0].extend((0..3u16).map(SiteId).filter(|s| !g2.contains(s)));
                     groups[1].extend_from_slice(g2);
                     let (outcomes, _, _) =
-                        runner.run_borrowed(NetConfig::default(), delay, TraceMode::Counters, &[]);
+                        runner.run_borrowed(NetConfig::default(), delay, TraceMode::Counters);
                     if matches!(Verdict::judge(outcomes), Verdict::Inconsistent { .. }) {
                         return Some((g2.clone(), at, di));
                     }

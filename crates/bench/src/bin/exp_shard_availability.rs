@@ -22,9 +22,9 @@
 use ptp_core::ddb::cluster::CommitProtocol;
 use ptp_core::ddb::value::{TxnId, Value, WriteOp};
 use ptp_core::report::Table;
-use ptp_core::{PartitionSchedule, ScheduleShape};
+use ptp_core::ScheduleShape;
 use ptp_shard::{ShardCluster, ShardRun, ShardTopology, ShardTxnSpec};
-use ptp_simnet::{PartitionEngine, PartitionSpec, SimTime, SiteId};
+use ptp_simnet::{PartitionEngine, SiteId};
 
 const SITES: usize = 6;
 const SHARDS: usize = 3;
@@ -96,19 +96,9 @@ fn workload(topo: &ShardTopology) -> Vec<(u64, ShardTxnSpec)> {
 
 /// Derives the family's concrete partition engine from the shared boundary.
 fn engine_for(shape: ScheduleShape) -> PartitionEngine {
-    let mut schedule = PartitionSchedule::new();
-    shape.write_schedule(SITES, &G2, SPLIT_AT, None, &mut schedule);
-    PartitionEngine::new(
-        schedule
-            .episodes()
-            .iter()
-            .map(|e| PartitionSpec {
-                at: SimTime(e.at),
-                groups: e.groups.clone(),
-                heal_at: e.heal_at.map(SimTime),
-            })
-            .collect(),
-    )
+    let mut engine = PartitionEngine::always_connected();
+    shape.write_schedule(SITES, &G2, SPLIT_AT, None, &mut engine);
+    engine
 }
 
 fn run_cell(shape: ScheduleShape, protocol: CommitProtocol) -> ShardRun {
@@ -129,19 +119,8 @@ const SYNC_PERIOD: u64 = 3_000;
 
 fn run_healed(protocol: CommitProtocol, anti_entropy: bool) -> ShardRun {
     let topo = topology();
-    let mut schedule = PartitionSchedule::new();
-    ScheduleShape::Simple.write_schedule(SITES, &G2, SPLIT_AT, Some(HEAL_AT), &mut schedule);
-    let engine = PartitionEngine::new(
-        schedule
-            .episodes()
-            .iter()
-            .map(|e| PartitionSpec {
-                at: SimTime(e.at),
-                groups: e.groups.clone(),
-                heal_at: e.heal_at.map(SimTime),
-            })
-            .collect(),
-    );
+    let mut engine = PartitionEngine::always_connected();
+    ScheduleShape::Simple.write_schedule(SITES, &G2, SPLIT_AT, Some(HEAL_AT), &mut engine);
     let mut cluster = ShardCluster::new(topo.clone(), protocol).partition(engine);
     if anti_entropy {
         cluster = cluster.anti_entropy(SYNC_PERIOD);

@@ -12,19 +12,22 @@
 //!
 //! This crate is the front door:
 //!
-//! * [`Scenario`] describes a cluster and its network conditions;
+//! * [`Scenario`] describes a cluster and its network conditions; what is
+//!   injected into the run is its `faults`, one [`simnet::FaultPlan`] (the
+//!   same value the database clusters and, scaled to nanoseconds, the live
+//!   router read), which a [`Timeline`] lowers to in one pass;
 //! * [`Session`] builds a protocol cluster **once** and executes any number
 //!   of scenarios through it, reusing every buffer across runs;
 //! * [`SessionPool`] keys sessions by `(kind, n)` so flows that interleave
 //!   several protocols or cluster sizes share clusters the same way;
-//! * [`RunOptions`] types the per-run choices (trace retention, injected
-//!   failures, horizon) that used to be positional `bool`/`Vec` parameters;
+//! * [`RunOptions`] types the per-run choices (trace retention, horizon)
+//!   that used to be positional parameters;
 //! * [`run_scenario`] / [`run_scenario_opts`] are the one-shot conveniences;
 //! * [`sweep()`] grids over schedule shapes × boundaries × partition
 //!   instants × heal instants × delay schedules and reports every atomicity
 //!   violation or blocked site;
-//! * [`PartitionSchedule`] generalizes the paper's single simple partition
-//!   to ordered multi-episode, multi-group schedules, and
+//! * [`Scenario::partition_schedule`] generalizes the paper's single
+//!   simple partition to ordered multi-episode, multi-group schedules, and
 //!   [`ScheduleShape`] enumerates whole families of them in sweeps;
 //! * [`cases`] classifies transient-partition runs into the paper's Sec. 6
 //!   case tree and measures the per-case worst-case waits.
@@ -67,14 +70,14 @@ pub mod timeline;
 pub use campaign::{Campaign, CampaignConfig, CampaignFailure, CampaignReport};
 pub use read_audit::{ReadAuditFailure, ReadAuditReport, ReadWorkload};
 pub use run::{run_scenario, run_scenario_opts, ScenarioResult};
-pub use scenario::{PartitionEpisode, PartitionSchedule, PartitionShape, ProtocolKind, Scenario};
+pub use scenario::{PartitionShape, ProtocolKind, Scenario};
 pub use session::{build_cluster_any, Session, SessionPool};
 pub use sweep::{
     all_simple_boundaries, sweep, sweep_parallel, sweep_profiled, sweep_serial, sweep_threads,
     sweep_with_session, sweep_with_threads, ScenarioDesc, ScenarioSpec, ScheduleShape, SweepGrid,
     SweepReport,
 };
-pub use timeline::{DbFaults, ScenarioBuilder, TimedEvent, Timeline, TimelineEvent};
+pub use timeline::{ScenarioBuilder, TimedEvent, Timeline, TimelineEvent};
 
 // The typed execution options, re-exported from `ptp-protocols` so most
 // callers need only this crate.

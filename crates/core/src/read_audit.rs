@@ -3,7 +3,7 @@
 //! [`Campaign`] sweeps fault timelines against the *protocol* clusters and
 //! audits commit atomicity. This module points the same timeline generator
 //! at the **database** backend: every sampled timeline is lowered through
-//! [`Timeline::db_faults`] onto a [`DbCluster`] serving a seeded mixed
+//! [`Timeline::faults`] onto a [`DbCluster`] serving a seeded mixed
 //! read/write workload, and every read the cluster served is audited
 //! against the committed-write history — the flat-cluster analogue of
 //! `ptp_shard::check_read_history`.
@@ -27,7 +27,7 @@ use ptp_ddb::site::{Metrics, ReadSpec, TxnSpec};
 use ptp_ddb::value::{Key, TxnId, Value, WriteOp};
 use ptp_model::Decision;
 use ptp_simnet::rng::SmallRng;
-use ptp_simnet::SimTime;
+use ptp_simnet::{FaultPlan, SimTime};
 use std::collections::BTreeMap;
 
 /// Read ids live above every write id so the two namespaces cannot
@@ -107,13 +107,9 @@ impl ReadWorkload {
         for (at, spec) in &self.reads {
             cluster = cluster.submit_read(*at, spec.clone());
         }
-        let faults = timeline.db_faults();
-        if let Some(p) = faults.partition {
-            cluster = cluster.partition(p);
-        }
-        for f in faults.failures {
-            cluster = cluster.fail(f);
-        }
+        // Partitions and crashes only: see `Campaign::run_db_read_audit`.
+        let FaultPlan { partition, failures, .. } = timeline.faults();
+        cluster.faults = FaultPlan { partition, failures, ..FaultPlan::default() };
         cluster.run().metrics
     }
 }
@@ -203,16 +199,17 @@ impl ReadAuditReport {
 
 impl Campaign {
     /// Runs the campaign's timelines against the **database backend**: each
-    /// timeline is lowered via [`Timeline::db_faults`] onto a [`DbCluster`]
+    /// timeline is lowered via [`Timeline::faults`] onto a [`DbCluster`]
     /// serving a seeded mixed read/write workload ([`ReadWorkload::sample`]
     /// keyed by the timeline seed), and every served read is audited
     /// against the committed-write history
     /// ([`read_history_violations`]). Failures shrink the fault schedule
     /// with the workload held fixed.
     ///
-    /// Degrade windows and envelope faults are dropped by the lowering —
-    /// use a config that samples partitions and crashes only if every
-    /// sampled fault should reach the cluster.
+    /// Only the plan's partition episodes and crashes are armed; degrade
+    /// windows and envelope faults are left out — use a config that
+    /// samples partitions and crashes only if every sampled fault should
+    /// reach the cluster.
     pub fn run_db_read_audit(&self, protocol: CommitProtocol) -> ReadAuditReport {
         let config = self.config();
         let mut failures = Vec::new();

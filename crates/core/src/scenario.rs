@@ -7,7 +7,7 @@ pub use crate::timeline::{At, ScenarioBuilder, TimedEvent, Timeline, TimelineEve
 use ptp_protocols::api::Vote;
 use ptp_protocols::quorum::QuorumConfig;
 use ptp_simnet::{
-    DegradeWindow, DelayModel, EnvelopeFault, FailureSpec, NetConfig, PartitionEngine,
+    DegradeWindow, DelayModel, EnvelopeFault, FailureSpec, FaultPlan, NetConfig, PartitionEngine,
     PartitionMode, SimTime, SiteId,
 };
 
@@ -73,190 +73,33 @@ impl ProtocolKind {
     }
 }
 
-/// One episode of a [`PartitionSchedule`]: at tick `at` the sites regroup
-/// into `groups`; if `heal_at` is set, full connectivity returns at that
-/// instant (until the next episode, if any).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionEpisode {
-    /// The connectivity groups. Two = simple partitioning; more = multiple
-    /// partitioning. Sites listed nowhere are isolated singletons.
-    pub groups: Vec<Vec<SiteId>>,
-    /// Episode start, in ticks.
-    pub at: u64,
-    /// Heal instant, in ticks, if the episode ends.
-    pub heal_at: Option<u64>,
-}
-
-/// An ordered multi-episode partition schedule: cascading splits, staggered
-/// heals, regroupings. This is the general form behind
-/// [`PartitionShape::Schedule`]; the paper's *simple* partitioning is the
-/// one-episode, two-group special case.
-///
-/// Episodes are appended in time order with [`PartitionSchedule::episode`],
-/// which validates the no-overlap invariant (an episode may start only at or
-/// after its predecessor's heal instant; an unhealed episode must be last).
+/// The paper's partition shapes, as a shortcut over the scenario's
+/// [`FaultPlan`]: the sweep hot path rewrites one of these per grid cell
+/// instead of an episode schedule.
 ///
 /// # Examples
 ///
-/// Split → heal → re-split, then a run through the usual session API:
-///
 /// ```
-/// use ptp_core::{PartitionSchedule, ProtocolKind, Scenario, Session};
-/// use ptp_simnet::SiteId;
-///
-/// let schedule = PartitionSchedule::new()
-///     .episode(vec![vec![SiteId(0), SiteId(1)], vec![SiteId(2)]], 1500, Some(4000))
-///     .episode(vec![vec![SiteId(0), SiteId(2)], vec![SiteId(1)]], 6500, None);
-/// assert_eq!(schedule.len(), 2);
-/// assert!(!schedule.is_multi_group());
-///
-/// let scenario = Scenario::new(3).partition_schedule(schedule);
-/// let mut session = Session::new(ProtocolKind::HuangLi3pc, 3);
-/// assert!(session.run(&scenario).verdict.is_atomic());
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PartitionSchedule {
-    episodes: Vec<PartitionEpisode>,
-}
-
-impl PartitionSchedule {
-    /// An empty schedule (always connected until episodes are added).
-    pub fn new() -> PartitionSchedule {
-        PartitionSchedule::default()
-    }
-
-    /// Appends an episode: the sites regroup into `groups` at tick `at`,
-    /// healing at `heal_at` if given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the episode overlaps its predecessor (`at` before the
-    /// previous heal instant, or the previous episode never heals), or if
-    /// `heal_at <= at`.
-    pub fn episode(
-        mut self,
-        groups: Vec<Vec<SiteId>>,
-        at: u64,
-        heal_at: Option<u64>,
-    ) -> PartitionSchedule {
-        if let Some(prev) = self.episodes.last() {
-            let end = prev.heal_at.expect("an unhealed episode must be the last");
-            assert!(end <= at, "partition episodes overlap in time");
-        }
-        if let Some(h) = heal_at {
-            assert!(at < h, "an episode must heal after it starts");
-        }
-        self.episodes.push(PartitionEpisode { groups, at, heal_at });
-        self
-    }
-
-    /// The episodes, in time order.
-    pub fn episodes(&self) -> &[PartitionEpisode] {
-        &self.episodes
-    }
-
-    /// Number of episodes.
-    pub fn len(&self) -> usize {
-        self.episodes.len()
-    }
-
-    /// True if the schedule has no episodes.
-    pub fn is_empty(&self) -> bool {
-        self.episodes.is_empty()
-    }
-
-    /// True if any episode splits the sites into more than two groups
-    /// (multiple partitioning — outside the paper's model).
-    pub fn is_multi_group(&self) -> bool {
-        self.episodes.iter().any(|e| e.groups.len() > 2)
-    }
-
-    /// Truncates/extends the schedule in place to `count` episodes, keeping
-    /// surviving episode records (and their group-vector capacity) for
-    /// [`PartitionSchedule::episode_groups`] to rewrite. The in-place dual
-    /// of building a fresh schedule with [`PartitionSchedule::episode`];
-    /// every episode must then be rewritten, in index order. Kept episodes
-    /// have their heal instants stamped out, so an out-of-order rewrite
-    /// trips the predecessor check instead of validating against a stale
-    /// header.
-    pub fn reset(&mut self, count: usize) {
-        self.episodes.truncate(count);
-        for episode in &mut self.episodes {
-            episode.heal_at = None;
-        }
-        self.episodes.resize_with(count, || PartitionEpisode {
-            groups: Vec::new(),
-            at: 0,
-            heal_at: None,
-        });
-    }
-
-    /// Rewrites episode `index`'s start/heal instants and returns its
-    /// cleared group buffers (recycled, like
-    /// [`ptp_simnet::PartitionEngine::episode_groups`]) for the caller to
-    /// fill. Like the engine-level writer — and unlike the validated
-    /// [`PartitionSchedule::episode`] builder — a degenerate heal instant
-    /// (`heal_at <= at`) is tolerated as an empty, never-active episode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is outside the schedule set up by
-    /// [`PartitionSchedule::reset`], or if the episode would overlap its
-    /// predecessor (an unhealed — or not-yet-rewritten — predecessor means
-    /// this write is out of order).
-    pub fn episode_groups(
-        &mut self,
-        index: usize,
-        at: u64,
-        heal_at: Option<u64>,
-        group_count: usize,
-    ) -> &mut [Vec<SiteId>] {
-        assert!(
-            index < self.episodes.len(),
-            "episode index {index} outside the {}-episode schedule",
-            self.episodes.len()
-        );
-        if index > 0 {
-            let end =
-                self.episodes[index - 1].heal_at.expect("an unhealed episode must be the last");
-            assert!(end <= at, "partition episodes overlap in time");
-        }
-        let episode = &mut self.episodes[index];
-        episode.at = at;
-        episode.heal_at = heal_at;
-        for g in episode.groups.iter_mut() {
-            g.clear();
-        }
-        episode.groups.truncate(group_count);
-        episode.groups.resize_with(group_count, Vec::new);
-        &mut episode.groups
-    }
-}
-
-/// How (and whether) the network partitions during the run.
-///
-/// # Examples
-///
-/// Each [`Scenario`] builder maps to one shape:
-///
-/// ```
-/// use ptp_core::{PartitionSchedule, PartitionShape, Scenario};
-/// use ptp_simnet::SiteId;
+/// use ptp_core::{PartitionShape, Scenario};
+/// use ptp_simnet::{PartitionEngine, PartitionSpec, SimTime, SiteId};
 ///
 /// assert_eq!(Scenario::new(3).partition, PartitionShape::None);
 /// let s = Scenario::new(3).partition_g2(vec![SiteId(2)], 2500);
 /// assert!(matches!(s.partition, PartitionShape::Simple { .. }));
-/// let s = Scenario::new(3).partition_schedule(
-///     PartitionSchedule::new().episode(vec![vec![SiteId(0), SiteId(1)], vec![SiteId(2)]], 1000, None),
-/// );
-/// assert!(matches!(s.partition, PartitionShape::Schedule(_)));
+/// // Anything beyond one simple split is a schedule in the fault plan.
+/// let split = PartitionSpec::simple(SimTime(1000), vec![SiteId(0), SiteId(1)], vec![SiteId(2)]);
+/// let s = Scenario::new(3).partition_schedule(PartitionEngine::new(vec![split]));
+/// assert_eq!(s.partition, PartitionShape::None);
+/// assert_eq!(s.faults.partition.episodes().len(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PartitionShape {
-    /// No partition.
+    /// No shortcut: the partition schedule of [`Scenario::faults`] applies
+    /// (empty — always connected — unless one was set).
     None,
     /// Simple partitioning: `g2` (the non-master group) splits off at `at`;
     /// heals at `heal_at` if given. Sites not in `g2` stay with the master.
+    /// Replaces whatever schedule the fault plan carries.
     Simple {
         /// The slaves separated from the master (the paper's G2).
         g2: Vec<SiteId>,
@@ -265,18 +108,6 @@ pub enum PartitionShape {
         /// Heal instant (transient partitioning), in ticks.
         heal_at: Option<u64>,
     },
-    /// Multiple partitioning: explicit groups (experiment E12).
-    Multiple {
-        /// The connectivity groups.
-        groups: Vec<Vec<SiteId>>,
-        /// Partition instant, in ticks.
-        at: u64,
-        /// Heal instant, if any.
-        heal_at: Option<u64>,
-    },
-    /// An ordered multi-episode schedule (cascading splits, staggered
-    /// heals, regroupings) — the generalization the schedule sweeps explore.
-    Schedule(PartitionSchedule),
 }
 
 /// A complete scenario: cluster size, votes, network behaviour.
@@ -286,7 +117,7 @@ pub struct Scenario {
     pub n: usize,
     /// One vote per slave.
     pub votes: Vec<Vote>,
-    /// Partition shape.
+    /// Simple-partition shortcut over `faults.partition`.
     pub partition: PartitionShape,
     /// Per-message delays (clamped to `(0, T]` by the network).
     pub delay: DelayModel,
@@ -294,13 +125,11 @@ pub struct Scenario {
     pub t_unit: u64,
     /// Optimistic (return undeliverables) or pessimistic (drop) partitions.
     pub mode: PartitionMode,
-    /// Site failures to inject (experiment E13 only; the paper's protocol
-    /// assumes none).
-    pub failures: Vec<FailureSpec>,
-    /// Envelope-level faults (duplicate / reorder / drop) to arm.
-    pub env_faults: Vec<EnvelopeFault>,
-    /// Degraded-network delay windows to arm.
-    pub degrades: Vec<DegradeWindow>,
+    /// Everything injected into the run, in ticks: a multi-episode
+    /// partition schedule (overridden by a [`PartitionShape::Simple`]
+    /// `partition`), site failures (experiment E13 only; the paper's
+    /// protocol assumes none), degraded-delay windows, envelope faults.
+    pub faults: FaultPlan,
     /// Simulation horizon in units of `T`.
     pub horizon_t: u64,
 }
@@ -316,9 +145,7 @@ impl Scenario {
             delay: DelayModel::Fixed(1000),
             t_unit: 1000,
             mode: PartitionMode::Optimistic,
-            failures: Vec::new(),
-            env_faults: Vec::new(),
-            degrades: Vec::new(),
+            faults: FaultPlan::default(),
             horizon_t: 100,
         }
     }
@@ -343,15 +170,11 @@ impl Scenario {
         self
     }
 
-    /// Sets an explicit multiple partition.
-    pub fn multiple_partition(mut self, groups: Vec<Vec<SiteId>>, at: u64) -> Scenario {
-        self.partition = PartitionShape::Multiple { groups, at, heal_at: None };
-        self
-    }
-
-    /// Sets a multi-episode partition schedule (see [`PartitionSchedule`]).
-    pub fn partition_schedule(mut self, schedule: PartitionSchedule) -> Scenario {
-        self.partition = PartitionShape::Schedule(schedule);
+    /// Sets a multi-episode partition schedule (cascading splits, staggered
+    /// heals, multi-way regroupings), in ticks.
+    pub fn partition_schedule(mut self, schedule: PartitionEngine) -> Scenario {
+        self.partition = PartitionShape::None;
+        self.faults.partition = schedule;
         self
     }
 
@@ -369,19 +192,19 @@ impl Scenario {
 
     /// Injects a site failure.
     pub fn fail(mut self, spec: FailureSpec) -> Scenario {
-        self.failures.push(spec);
+        self.faults.failures.push(spec);
         self
     }
 
     /// Arms an envelope-level fault (duplicate / reorder / drop).
     pub fn env_fault(mut self, fault: EnvelopeFault) -> Scenario {
-        self.env_faults.push(fault);
+        self.faults.env_faults.push(fault);
         self
     }
 
     /// Arms a degraded-network delay window.
     pub fn degrade(mut self, window: DegradeWindow) -> Scenario {
-        self.degrades.push(window);
+        self.faults.degrades.push(window);
         self
     }
 
@@ -394,69 +217,69 @@ impl Scenario {
         }
     }
 
-    /// The derived partition engine, as a fresh allocation.
+    /// The scenario's whole fault plan, as a fresh allocation.
     ///
-    /// Repeated-run workloads should prefer [`Scenario::configure_partition`]
-    /// (via [`crate::Session`]), which rewrites an existing engine's buffers
-    /// in place instead of rebuilding the G1/G2 vectors per call.
-    pub fn partition_engine(&self) -> PartitionEngine {
-        let mut engine = PartitionEngine::always_connected();
-        self.configure_partition(&mut engine);
-        engine
+    /// Repeated-run workloads should prefer [`Scenario::write_faults`] (via
+    /// [`crate::Session`]), which rewrites an existing plan's buffers in
+    /// place instead of rebuilding the G1/G2 vectors per call.
+    pub fn fault_plan(&self) -> FaultPlan {
+        let mut plan = FaultPlan::default();
+        self.write_faults(&mut plan);
+        plan
     }
 
-    /// Rewrites `engine` in place to this scenario's partition shape,
-    /// reusing the engine's episode and group buffers. The G1 complement of
-    /// a simple partition is written directly into the engine's first group
+    /// Rewrites `plan` in place to this scenario's faults, reusing the
+    /// plan's episode, group and list buffers. The G1 complement of a
+    /// simple partition is written directly into the engine's first group
     /// buffer — no intermediate vector is built.
-    pub fn configure_partition(&self, engine: &mut PartitionEngine) {
+    pub fn write_faults(&self, plan: &mut FaultPlan) {
+        let engine = &mut plan.partition;
         match &self.partition {
-            PartitionShape::None => engine.clear(),
             PartitionShape::Simple { g2, at, heal_at } => {
                 let groups = engine.reset_single(SimTime(*at), heal_at.map(SimTime), 2);
                 groups[0].extend((0..self.n as u16).map(SiteId).filter(|s| !g2.contains(s)));
                 groups[1].extend_from_slice(g2);
             }
-            PartitionShape::Multiple { groups, at, heal_at } => {
-                let bufs = engine.reset_single(SimTime(*at), heal_at.map(SimTime), groups.len());
-                for (buf, group) in bufs.iter_mut().zip(groups) {
-                    buf.extend_from_slice(group);
-                }
-            }
-            PartitionShape::Schedule(schedule) => {
-                engine.reset_schedule(schedule.len());
-                for (i, episode) in schedule.episodes().iter().enumerate() {
-                    let bufs = engine.episode_groups(
-                        i,
-                        SimTime(episode.at),
-                        episode.heal_at.map(SimTime),
-                        episode.groups.len(),
-                    );
+            PartitionShape::None => {
+                let episodes = self.faults.partition.episodes();
+                engine.reset_schedule(episodes.len());
+                for (i, episode) in episodes.iter().enumerate() {
+                    let bufs =
+                        engine.episode_groups(i, episode.at, episode.heal_at, episode.groups.len());
                     for (buf, group) in bufs.iter_mut().zip(&episode.groups) {
                         buf.extend_from_slice(group);
                     }
                 }
             }
         }
+        plan.failures.clone_from(&self.faults.failures);
+        plan.degrades.clone_from(&self.faults.degrades);
+        plan.env_faults.clone_from(&self.faults.env_faults);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptp_simnet::PartitionSpec;
+
+    fn episode(groups: Vec<Vec<SiteId>>, at: u64, heal_at: Option<u64>) -> PartitionSpec {
+        PartitionSpec { at: SimTime(at), groups, heal_at: heal_at.map(SimTime) }
+    }
 
     #[test]
     fn default_scenario_shape() {
         let s = Scenario::new(3);
         assert_eq!(s.votes.len(), 2);
         assert_eq!(s.partition, PartitionShape::None);
+        assert!(s.fault_plan().partition.episodes().is_empty());
         assert_eq!(s.net_config().t_unit, 1000);
     }
 
     #[test]
-    fn partition_engine_puts_master_in_g1() {
+    fn fault_plan_puts_master_in_g1() {
         let s = Scenario::new(3).partition_g2(vec![SiteId(2)], 1500);
-        let eng = s.partition_engine();
+        let eng = s.fault_plan().partition;
         assert!(eng.connected(SiteId(0), SiteId(1), SimTime(2000)));
         assert!(!eng.connected(SiteId(0), SiteId(2), SimTime(2000)));
         assert!(eng.connected(SiteId(0), SiteId(2), SimTime(1000)));
@@ -465,54 +288,73 @@ mod tests {
     #[test]
     fn transient_partition_heals() {
         let s = Scenario::new(3).transient_partition(vec![SiteId(2)], 1000, 5000);
-        let eng = s.partition_engine();
+        let eng = s.fault_plan().partition;
         assert!(!eng.connected(SiteId(0), SiteId(2), SimTime(3000)));
         assert!(eng.connected(SiteId(0), SiteId(2), SimTime(5000)));
     }
 
     #[test]
-    fn schedule_engine_replays_every_episode() {
-        let schedule = PartitionSchedule::new()
-            .episode(vec![vec![SiteId(0), SiteId(1)], vec![SiteId(2)]], 1000, Some(3000))
-            .episode(vec![vec![SiteId(0)], vec![SiteId(1)], vec![SiteId(2)]], 5000, None);
+    fn schedule_plan_replays_every_episode() {
+        let schedule = PartitionEngine::new(vec![
+            episode(vec![vec![SiteId(0), SiteId(1)], vec![SiteId(2)]], 1000, Some(3000)),
+            episode(vec![vec![SiteId(0)], vec![SiteId(1)], vec![SiteId(2)]], 5000, None),
+        ]);
         let s = Scenario::new(3).partition_schedule(schedule);
-        let eng = s.partition_engine();
+        let eng = s.fault_plan().partition;
         assert!(!eng.connected(SiteId(0), SiteId(2), SimTime(2000)), "episode 1 split");
         assert!(eng.connected(SiteId(0), SiteId(2), SimTime(4000)), "healed gap");
         assert!(!eng.connected(SiteId(0), SiteId(1), SimTime(6000)), "episode 2 shatter");
     }
 
     #[test]
-    fn single_episode_schedule_matches_simple_shape_engine() {
-        // A one-episode two-group schedule must configure the engine
-        // identically to the legacy Simple shape (the reset_single path).
+    fn single_episode_schedule_matches_simple_shape_plan() {
+        // A one-episode two-group schedule must write the plan identically
+        // to the Simple shortcut (the reset_single path).
         let simple = Scenario::new(4).transient_partition(vec![SiteId(2), SiteId(3)], 1500, 6000);
-        let schedule = Scenario::new(4).partition_schedule(PartitionSchedule::new().episode(
+        let schedule = Scenario::new(4).partition_schedule(PartitionEngine::new(vec![episode(
             vec![vec![SiteId(0), SiteId(1)], vec![SiteId(2), SiteId(3)]],
             1500,
             Some(6000),
-        ));
-        assert_eq!(simple.partition_engine().episodes(), schedule.partition_engine().episodes());
+        )]));
+        assert_eq!(
+            simple.fault_plan().partition.episodes(),
+            schedule.fault_plan().partition.episodes()
+        );
     }
 
     #[test]
-    fn schedule_reset_reuses_buffers_and_matches_builder() {
-        let built = PartitionSchedule::new()
-            .episode(vec![vec![SiteId(0)], vec![SiteId(1)]], 100, Some(200))
-            .episode(vec![vec![SiteId(0), SiteId(1)], vec![SiteId(2)]], 300, None);
-        let mut reused = PartitionSchedule::new().episode(
-            vec![vec![SiteId(5), SiteId(6)], vec![SiteId(7)]],
-            50,
+    fn write_faults_replaces_everything_a_reused_plan_held() {
+        // A session's plan goes from a faulty schedule scenario to a simple
+        // one and on to a clean one without leaking any list between them.
+        let faulty = Scenario::new(3)
+            .partition_schedule(PartitionEngine::new(vec![
+                episode(vec![vec![SiteId(0)], vec![SiteId(1), SiteId(2)]], 100, Some(200)),
+                episode(vec![vec![SiteId(0), SiteId(1)], vec![SiteId(2)]], 300, None),
+            ]))
+            .fail(FailureSpec::crash(SiteId(1), SimTime(50)))
+            .degrade(DegradeWindow::new(SimTime(10), None, 800, 1000));
+        let mut plan = faulty.fault_plan();
+        assert_eq!((plan.partition.episodes().len(), plan.failures.len()), (2, 1));
+        let simple = Scenario::new(3).partition_g2(vec![SiteId(2)], 1500);
+        simple.write_faults(&mut plan);
+        assert_eq!(plan.partition.episodes(), simple.fault_plan().partition.episodes());
+        assert!(plan.failures.is_empty() && plan.degrades.is_empty());
+        Scenario::new(3).write_faults(&mut plan);
+        assert!(plan.partition.episodes().is_empty());
+    }
+
+    #[test]
+    fn simple_shape_overrides_the_plans_schedule() {
+        let mut s = Scenario::new(3).partition_schedule(PartitionEngine::new(vec![episode(
+            vec![vec![SiteId(0)], vec![SiteId(1)], vec![SiteId(2)]],
+            100,
             None,
-        );
-        reused.reset(2);
-        let g = reused.episode_groups(0, 100, Some(200), 2);
-        g[0].push(SiteId(0));
-        g[1].push(SiteId(1));
-        let g = reused.episode_groups(1, 300, None, 2);
-        g[0].extend([SiteId(0), SiteId(1)]);
-        g[1].push(SiteId(2));
-        assert_eq!(reused, built);
+        )]));
+        s.partition = PartitionShape::Simple { g2: vec![SiteId(2)], at: 2000, heal_at: None };
+        let eng = s.fault_plan().partition;
+        assert_eq!(eng.episodes().len(), 1);
+        assert!(eng.connected(SiteId(0), SiteId(1), SimTime(3000)));
+        assert!(!eng.connected(SiteId(0), SiteId(2), SimTime(3000)));
     }
 
     #[test]
@@ -521,49 +363,9 @@ mod tests {
         // no-op before the schedule refactor; it must stay one.
         let mut s = Scenario::new(3);
         s.partition = PartitionShape::Simple { g2: vec![SiteId(2)], at: 2000, heal_at: Some(2000) };
-        let eng = s.partition_engine();
+        let eng = s.fault_plan().partition;
         assert!(eng.connected(SiteId(0), SiteId(2), SimTime(2000)));
         assert!(eng.connected(SiteId(0), SiteId(2), SimTime(3000)));
-    }
-
-    #[test]
-    #[should_panic(expected = "unhealed")]
-    fn schedule_out_of_order_rewrite_is_rejected() {
-        let mut schedule = PartitionSchedule::new()
-            .episode(vec![vec![SiteId(0)], vec![SiteId(1)]], 0, Some(50))
-            .episode(vec![vec![SiteId(0)], vec![SiteId(1)]], 100, None);
-        schedule.reset(2);
-        // Episode 0's stale heal instant is stamped out by reset, so
-        // writing episode 1 first cannot silently validate against it.
-        let _ = schedule.episode_groups(1, 100, None, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "overlap")]
-    fn schedule_builder_rejects_overlap() {
-        let _ = PartitionSchedule::new()
-            .episode(vec![vec![SiteId(0)], vec![SiteId(1)]], 100, Some(500))
-            .episode(vec![vec![SiteId(0)], vec![SiteId(1)]], 400, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "unhealed")]
-    fn schedule_builder_rejects_episode_after_permanent_split() {
-        let _ = PartitionSchedule::new()
-            .episode(vec![vec![SiteId(0)], vec![SiteId(1)]], 100, None)
-            .episode(vec![vec![SiteId(0)], vec![SiteId(1)]], 400, None);
-    }
-
-    #[test]
-    fn multi_group_classification() {
-        let two = PartitionSchedule::new().episode(vec![vec![SiteId(0)], vec![SiteId(1)]], 0, None);
-        assert!(!two.is_multi_group());
-        let three = PartitionSchedule::new().episode(
-            vec![vec![SiteId(0)], vec![SiteId(1)], vec![SiteId(2)]],
-            0,
-            None,
-        );
-        assert!(three.is_multi_group());
     }
 
     #[test]

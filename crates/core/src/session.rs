@@ -4,7 +4,7 @@
 //! `Session::new(kind, n)` builds the protocol cluster **once** —
 //! enum-dispatched, one flat allocation — and `session.run(&scenario)`
 //! resets and reuses it, together with the simulator's event heap, timer
-//! slab and the partition engine's group buffers, for every subsequent run.
+//! slab and the fault plan's group and list buffers, for every subsequent run.
 //! The sweep engine runs each worker's grid cells through one session, so
 //! the steady-state hot path performs no per-cell cluster construction, no
 //! `Box<dyn Participant>` allocation, and no G1/G2 vector rebuilds.
@@ -23,23 +23,6 @@ use ptp_protocols::quorum::quorum_cluster_any;
 use ptp_protocols::runner::ClusterRunner;
 use ptp_protocols::termination::TerminationVariant;
 use ptp_protocols::{AnyParticipant, RunOptions, Verdict, Vote};
-use ptp_simnet::{DegradeWindow, EnvelopeFault, FailureSpec};
-
-/// Picks the effective slice for a per-run fault list that exists both on
-/// the scenario and the options: borrow whichever side is alone non-empty,
-/// concatenate into `scratch` only when both contribute.
-fn merged<'a, T: Copy>(scenario: &'a [T], options: &'a [T], scratch: &'a mut Vec<T>) -> &'a [T] {
-    match (scenario.is_empty(), options.is_empty()) {
-        (true, _) => options,
-        (false, true) => scenario,
-        (false, false) => {
-            scratch.clear();
-            scratch.extend_from_slice(scenario);
-            scratch.extend_from_slice(options);
-            scratch
-        }
-    }
-}
 
 /// Builds the enum-dispatched participant vector for a protocol kind.
 pub fn build_cluster_any(kind: ProtocolKind, n: usize, votes: &[Vote]) -> Vec<AnyParticipant> {
@@ -87,13 +70,6 @@ pub struct Session {
     kind: ProtocolKind,
     n: usize,
     runner: ClusterRunner<AnyParticipant>,
-    /// Concatenation buffer for scenario + option failures (rarely needed;
-    /// kept to avoid allocating when it is).
-    failures_scratch: Vec<FailureSpec>,
-    /// Same, for envelope faults.
-    env_scratch: Vec<EnvelopeFault>,
-    /// Same, for degrade windows.
-    degrade_scratch: Vec<DegradeWindow>,
 }
 
 impl Session {
@@ -102,14 +78,7 @@ impl Session {
     pub fn new(kind: ProtocolKind, n: usize) -> Session {
         assert!(n >= 2);
         let votes = vec![Vote::Yes; n - 1];
-        Session {
-            kind,
-            n,
-            runner: ClusterRunner::new(build_cluster_any(kind, n, &votes)),
-            failures_scratch: Vec::new(),
-            env_scratch: Vec::new(),
-            degrade_scratch: Vec::new(),
-        }
+        Session { kind, n, runner: ClusterRunner::new(build_cluster_any(kind, n, &votes)) }
     }
 
     /// The protocol this session runs.
@@ -149,11 +118,8 @@ impl Session {
         self.run_with(scenario, &RunOptions::new())
     }
 
-    /// Runs `scenario` under typed [`RunOptions`].
-    ///
-    /// The effective failure set is the scenario's failures followed by the
-    /// options' failures; `options.horizon_t` overrides the scenario's
-    /// horizon.
+    /// Runs `scenario` under typed [`RunOptions`]; `options.horizon_t`
+    /// overrides the scenario's horizon.
     ///
     /// # Panics
     ///
@@ -182,19 +148,9 @@ impl Session {
             scenario.n, self.n
         );
         self.runner.reset(&scenario.votes);
-        scenario.configure_partition(self.runner.partition_mut());
+        scenario.write_faults(self.runner.faults_mut());
         let config = options.apply_horizon(scenario.net_config());
-        let failures = merged(&scenario.failures, &options.failures, &mut self.failures_scratch);
-        let env_faults = merged(&scenario.env_faults, &options.env_faults, &mut self.env_scratch);
-        let degrades = merged(&scenario.degrades, &options.degrades, &mut self.degrade_scratch);
-        let (_, trace, report) = self.runner.run_borrowed_faulty(
-            config,
-            &scenario.delay,
-            options.trace,
-            failures,
-            env_faults,
-            degrades,
-        );
+        let (_, trace, report) = self.runner.run_borrowed(config, &scenario.delay, options.trace);
         (trace, report)
     }
 }

@@ -24,11 +24,11 @@
 //! performs no cluster construction, no participant boxing, no G1/G2
 //! rebuild, and no trace allocation.
 
-use crate::scenario::{PartitionSchedule, PartitionShape, ProtocolKind, Scenario};
+use crate::scenario::{PartitionShape, ProtocolKind, Scenario};
 use crate::session::Session;
 use ptp_protocols::api::Vote;
 use ptp_protocols::{RunOptions, Verdict};
-use ptp_simnet::{DelayModel, PartitionMode, SiteId};
+use ptp_simnet::{DelayModel, PartitionEngine, PartitionMode, SimTime, SiteId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
@@ -65,18 +65,18 @@ pub fn all_simple_boundaries(n: usize) -> Vec<Vec<SiteId>> {
 /// # Examples
 ///
 /// ```
-/// use ptp_core::{PartitionSchedule, ScheduleShape};
-/// use ptp_simnet::SiteId;
+/// use ptp_core::ScheduleShape;
+/// use ptp_simnet::{PartitionEngine, SimTime, SiteId};
 ///
 /// // Derive the concrete schedule a nested secession implies for the
 /// // boundary G2 = {2, 3} of a 4-site cluster, split at t = 2000.
 /// let shape = ScheduleShape::NestedSecession { after: 1500 };
-/// let mut schedule = PartitionSchedule::new();
+/// let mut schedule = PartitionEngine::always_connected();
 /// shape.write_schedule(4, &[SiteId(2), SiteId(3)], 2000, None, &mut schedule);
-/// assert_eq!(schedule.len(), 2);
+/// assert_eq!(schedule.episodes().len(), 2);
 /// assert_eq!(schedule.episodes()[0].groups.len(), 2); // [G1 | G2]
 /// assert_eq!(schedule.episodes()[1].groups.len(), 3); // [G1 | {2} | {3}]
-/// assert_eq!(schedule.episodes()[1].at, 3500);
+/// assert_eq!(schedule.episodes()[1].at, SimTime(3500));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScheduleShape {
@@ -153,33 +153,35 @@ impl ScheduleShape {
         g2: &[SiteId],
         at: u64,
         heal: Option<u64>,
-        schedule: &mut PartitionSchedule,
+        schedule: &mut PartitionEngine,
     ) {
+        let heal_from = |at: u64| heal.map(|h| SimTime(at + h));
         fn fill_g1(buf: &mut Vec<SiteId>, n: usize, g2: &[SiteId]) {
             buf.extend((0..n as u16).map(SiteId).filter(|s| !g2.contains(s)));
         }
         match self {
             ScheduleShape::Simple => {
-                schedule.reset(1);
-                let bufs = schedule.episode_groups(0, at, heal.map(|h| at + h), 2);
+                schedule.reset_schedule(1);
+                let bufs = schedule.episode_groups(0, SimTime(at), heal_from(at), 2);
                 fill_g1(&mut bufs[0], n, g2);
                 bufs[1].extend_from_slice(g2);
             }
             ScheduleShape::SplitHealResplit { heal_after, resplit_after } => {
                 assert!(heal_after > 0, "the first episode must heal before the re-split");
-                schedule.reset(2);
-                let bufs = schedule.episode_groups(0, at, Some(at + heal_after), 2);
+                schedule.reset_schedule(2);
+                let bufs =
+                    schedule.episode_groups(0, SimTime(at), Some(SimTime(at + heal_after)), 2);
                 fill_g1(&mut bufs[0], n, g2);
                 bufs[1].extend_from_slice(g2);
                 let at2 = at + heal_after + resplit_after;
-                let bufs = schedule.episode_groups(1, at2, heal.map(|h| at2 + h), 2);
+                let bufs = schedule.episode_groups(1, SimTime(at2), heal_from(at2), 2);
                 fill_g1(&mut bufs[0], n, g2);
                 bufs[1].extend_from_slice(g2);
             }
             ScheduleShape::MultiWay { g2_groups } => {
                 assert!(g2_groups >= 1, "G2 must shatter into at least one fragment");
-                schedule.reset(1);
-                let bufs = schedule.episode_groups(0, at, heal.map(|h| at + h), 1 + g2_groups);
+                schedule.reset_schedule(1);
+                let bufs = schedule.episode_groups(0, SimTime(at), heal_from(at), 1 + g2_groups);
                 fill_g1(&mut bufs[0], n, g2);
                 for (i, site) in g2.iter().enumerate() {
                     bufs[1 + i % g2_groups].push(*site);
@@ -187,12 +189,12 @@ impl ScheduleShape {
             }
             ScheduleShape::NestedSecession { after } => {
                 assert!(after > 0, "the secession must follow the first split");
-                schedule.reset(2);
-                let bufs = schedule.episode_groups(0, at, Some(at + after), 2);
+                schedule.reset_schedule(2);
+                let bufs = schedule.episode_groups(0, SimTime(at), Some(SimTime(at + after)), 2);
                 fill_g1(&mut bufs[0], n, g2);
                 bufs[1].extend_from_slice(g2);
                 let at2 = at + after;
-                let bufs = schedule.episode_groups(1, at2, heal.map(|h| at2 + h), 3);
+                let bufs = schedule.episode_groups(1, SimTime(at2), heal_from(at2), 3);
                 fill_g1(&mut bufs[0], n, g2);
                 let head = g2.len().div_ceil(2);
                 bufs[1].extend_from_slice(&g2[..head]);
@@ -541,19 +543,12 @@ impl CellState {
                     };
                 }
             },
-            // Multi-episode / multi-group families: rewrite the scenario's
-            // schedule in place (episode and group buffers recycled; the
-            // shape axis varies slowest, so the Simple↔Schedule variant
-            // switch happens once per family, not once per cell).
+            // Multi-episode / multi-group families: rewrite the schedule of
+            // the scenario's fault plan in place (episode and group buffers
+            // recycled).
             shape => {
-                let schedule = match &mut scenario.partition {
-                    PartitionShape::Schedule(schedule) => schedule,
-                    other => {
-                        *other = PartitionShape::Schedule(PartitionSchedule::default());
-                        let PartitionShape::Schedule(schedule) = other else { unreachable!() };
-                        schedule
-                    }
-                };
+                scenario.partition = PartitionShape::None;
+                let schedule = &mut scenario.faults.partition;
                 shape.write_schedule(grid.n, spec.g2, spec.at, spec.heal, schedule);
             }
         }
@@ -905,14 +900,15 @@ mod tests {
         let g2 = [SiteId(2), SiteId(3)];
         let mut derived = Vec::new();
         for shape in &multi {
-            let mut schedule = PartitionSchedule::new();
+            let mut schedule = PartitionEngine::always_connected();
             shape.write_schedule(4, &g2, 2000, None, &mut schedule);
+            let episodes = schedule.episodes().to_vec();
             assert!(
-                schedule.len() > 1 || schedule.is_multi_group(),
-                "{} stayed inside the simple model: {schedule:?}",
+                episodes.len() > 1 || episodes.iter().any(|e| e.groups.len() > 2),
+                "{} stayed inside the simple model: {episodes:?}",
                 shape.name()
             );
-            derived.push(schedule);
+            derived.push(episodes);
         }
         // Structurally distinct: no two families derive the same schedule.
         for i in 0..derived.len() {
@@ -937,13 +933,14 @@ mod tests {
                 delay_index: 0,
                 vote_index: 0,
             };
-            let mut schedule = PartitionSchedule::new();
+            let mut schedule = PartitionEngine::always_connected();
             shape.write_schedule(4, &g2, spec.at, spec.heal, &mut schedule);
             let last = schedule.episodes().last().unwrap();
-            assert_eq!(spec.final_episode_at(), last.at, "{}", shape.name());
-            assert_eq!(spec.heal_at(), last.heal_at, "{}", shape.name());
+            let heal_at = last.heal_at.map(SimTime::ticks);
+            assert_eq!(spec.final_episode_at(), last.at.ticks(), "{}", shape.name());
+            assert_eq!(spec.heal_at(), heal_at, "{}", shape.name());
             let desc = spec.describe(Verdict::AllCommit);
-            assert_eq!(desc.heal_at, last.heal_at, "{}", shape.name());
+            assert_eq!(desc.heal_at, heal_at, "{}", shape.name());
         }
     }
 

@@ -3,17 +3,18 @@
 //! Every fault the workspace can inject — partitions, heals, site crashes
 //! and recoveries, degraded-delay windows, and per-envelope
 //! duplicate/reorder/drop faults — is expressed once, as a [`Timeline`] of
-//! instants in simulator ticks, and *compiled* to each execution layer:
+//! instants in simulator ticks, and lowered **once**, by
+//! [`Timeline::faults`], to the interval form every runtime reads: a
+//! [`FaultPlan`].
 //!
-//! * [`Timeline::scenario`] lowers to the discrete-event simulator's
-//!   [`Scenario`] (a [`PartitionSchedule`], `FailureSpec`s,
-//!   `DegradeWindow`s and `EnvelopeFault`s), for [`crate::Session`] and
-//!   the sweep machinery;
-//! * [`Timeline::live_faults`] lowers to [`ptp_livenet::LiveFaults`] — the
-//!   router schedules consumed by both `ptp-livenet`'s protocol harness
-//!   (`run_live_with`) and `ptp-live`'s threaded shard server
-//!   (`LiveOptions::with_faults`), with ticks mapped onto the wall clock
-//!   through the configured `T`.
+//! * In ticks, the plan is what the simulator takes: [`Timeline::scenario`]
+//!   wraps it in a [`Scenario`] for [`crate::Session`] and the sweep
+//!   machinery, and the database clusters (`ptp_ddb::DbCluster`,
+//!   `ptp_shard::ShardCluster`) hold it as their `faults` field.
+//! * Scaled onto the wall clock — [`Timeline::live_faults`], which is
+//!   `faults().scaled(T_ns, t_unit)` — it is what the thread-backed router
+//!   reads, under both `ptp-livenet`'s protocol harness (`run_live_plan`)
+//!   and `ptp-live`'s shard server (`LiveOptions.faults`).
 //!
 //! One timeline value therefore drives all three backends; the
 //! compiler-equivalence tests pin that a single-episode timeline reproduces
@@ -39,28 +40,12 @@
 //! assert!(result.verdict.is_atomic());
 //! ```
 
-use crate::scenario::{PartitionSchedule, Scenario};
-use ptp_livenet::{
-    LiveCrash, LiveDegrade, LiveEnvAction, LiveEnvFault, LiveEpisode, LiveFaults, LivePartition,
-};
+use crate::scenario::Scenario;
 use ptp_simnet::{
-    DegradeWindow, DelayModel, EnvelopeAction, EnvelopeFault, EnvelopeMatch, FailureSpec,
+    DegradeWindow, DelayModel, EnvelopeFault, EnvelopeMatch, FailureSpec, FaultPlan,
     PartitionEngine, PartitionSpec, SimDuration, SimTime, SiteId,
 };
 use std::time::Duration;
-
-/// A timeline lowered for the `ptp-ddb` database backend: the fault inputs
-/// a `DbCluster` (or `ShardCluster`) accepts. Degrade windows and envelope
-/// faults have no database-cluster counterpart and are dropped by the
-/// lowering — campaign configs that audit at this backend should sample
-/// partitions and crashes only.
-#[derive(Debug, Clone, Default)]
-pub struct DbFaults {
-    /// The partition episode schedule, if any partition events exist.
-    pub partition: Option<PartitionEngine>,
-    /// Crash (and crash/recover) specs.
-    pub failures: Vec<FailureSpec>,
-}
 
 /// One kind of instantaneous fault transition on a [`Timeline`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,8 +55,8 @@ pub enum TimelineEvent {
     /// The crashed site resumes processing.
     Recover(SiteId),
     /// The sites regroup into the listed connectivity groups. Every site
-    /// must appear in exactly one group, so the simulator and live
-    /// lowerings (which treat unlisted sites differently) agree.
+    /// must appear in exactly one group (a site in none would be isolated;
+    /// say so with a singleton group).
     Partition(Vec<Vec<SiteId>>),
     /// Full connectivity returns and any open degraded-delay window ends.
     Heal,
@@ -96,9 +81,8 @@ pub struct TimedEvent {
 }
 
 /// A validated fault timeline: the single source of truth a scenario's
-/// faults are compiled from. Built by [`ScenarioBuilder::build`]; consumed
-/// by [`Timeline::scenario`] (simulator) and [`Timeline::live_faults`]
-/// (both thread-backed runtimes).
+/// faults are compiled from. Built by [`ScenarioBuilder::build`]; lowered
+/// by [`Timeline::faults`] to the one [`FaultPlan`] every runtime reads.
 ///
 /// # Examples
 ///
@@ -106,7 +90,7 @@ pub struct TimedEvent {
 ///
 /// ```
 /// use ptp_core::scenario::ScenarioBuilder;
-/// use ptp_simnet::SiteId;
+/// use ptp_simnet::{SimTime, SiteId};
 /// use std::time::Duration;
 ///
 /// let timeline = ScenarioBuilder::new(4)
@@ -118,11 +102,13 @@ pub struct TimedEvent {
 ///     .heal()
 ///     .build();
 ///
-/// let sim = timeline.scenario(); // discrete-event backend
-/// assert_eq!(sim.degrades.len(), 1);
+/// let sim = timeline.scenario(); // discrete-event backend, in ticks
+/// assert_eq!(sim.faults.degrades.len(), 1);
+/// assert_eq!(sim.faults.partition.episodes()[0].at, SimTime(2000));
 ///
-/// let live = timeline.live_faults(Duration::from_millis(10)); // thread backends
-/// assert_eq!(live.partition.as_ref().unwrap().episodes().len(), 1);
+/// // Thread backends: the same plan in ns, at 1000 ticks per 10 ms.
+/// let live = timeline.live_faults(Duration::from_millis(10));
+/// assert_eq!(live.partition.episodes()[0].at, SimTime(20_000_000));
 /// assert_eq!(live.degrades.len(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -384,86 +370,73 @@ impl At {
 }
 
 impl Timeline {
-    /// Compiles the timeline to the discrete-event simulator's [`Scenario`]
-    /// — the lowering behind [`crate::Session`], [`crate::run_scenario`]
-    /// and the sweep machinery. Partition events become a
-    /// [`PartitionSchedule`], crash/recover pairs become `FailureSpec`s,
-    /// degrade events become `DegradeWindow`s, and envelope faults pass
-    /// through unchanged.
-    pub fn scenario(&self) -> Scenario {
-        let mut schedule = PartitionSchedule::new();
-        let mut open_partition: Option<(u64, Vec<Vec<SiteId>>)> = None;
-        let mut open_degrade: Option<(u64, u64, u64)> = None;
+    /// Lowers the timeline to interval form, in ticks — the one pairing
+    /// pass every backend's faults come from. Each partition event opens an
+    /// episode that the next partition or heal closes, crash/recover pairs
+    /// become [`FailureSpec`]s, each degrade event opens a
+    /// [`DegradeWindow`] that the next degrade or heal closes, and envelope
+    /// faults pass through unchanged.
+    pub fn faults(&self) -> FaultPlan {
+        let mut episodes: Vec<PartitionSpec> = Vec::new();
         let mut degrades: Vec<DegradeWindow> = Vec::new();
-        let mut open_crashes: Vec<(SiteId, u64)> = Vec::new();
+        let mut open_crashes: Vec<(SiteId, SimTime)> = Vec::new();
         let mut failures: Vec<FailureSpec> = Vec::new();
 
         for TimedEvent { at, event } in &self.events {
+            let at = SimTime(*at);
+            // An interval still open is the last of its list, with no end yet.
+            let close_episode = |episodes: &mut Vec<PartitionSpec>| {
+                if let Some(open) = episodes.last_mut().filter(|e| e.heal_at.is_none()) {
+                    open.heal_at = Some(at);
+                }
+            };
+            let close_window = |degrades: &mut Vec<DegradeWindow>| {
+                if let Some(open) = degrades.last_mut().filter(|w| w.until.is_none()) {
+                    open.until = Some(at);
+                }
+            };
             match event {
-                TimelineEvent::Crash(site) => open_crashes.push((*site, *at)),
+                TimelineEvent::Crash(site) => open_crashes.push((*site, at)),
                 TimelineEvent::Recover(site) => {
                     let pos = open_crashes
                         .iter()
                         .position(|(s, _)| s == site)
                         .expect("validated: recover pairs with a crash");
                     let (site, crashed_at) = open_crashes.remove(pos);
-                    failures.push(FailureSpec::crash_recover(
-                        site,
-                        SimTime(crashed_at),
-                        SimTime(*at),
-                    ));
+                    failures.push(FailureSpec::crash_recover(site, crashed_at, at));
                 }
                 TimelineEvent::Partition(groups) => {
-                    if let Some((start, prev)) = open_partition.take() {
-                        schedule = schedule.episode(prev, start, Some(*at));
-                    }
-                    open_partition = Some((*at, groups.clone()));
+                    close_episode(&mut episodes);
+                    episodes.push(PartitionSpec { at, groups: groups.clone(), heal_at: None });
                 }
                 TimelineEvent::Heal => {
-                    if let Some((start, prev)) = open_partition.take() {
-                        schedule = schedule.episode(prev, start, Some(*at));
-                    }
-                    if let Some((from, min, max)) = open_degrade.take() {
-                        degrades.push(DegradeWindow::new(
-                            SimTime(from),
-                            Some(SimTime(*at)),
-                            min,
-                            max,
-                        ));
-                    }
+                    close_episode(&mut episodes);
+                    close_window(&mut degrades);
                 }
                 TimelineEvent::Degrade { min, max } => {
-                    if let Some((from, pmin, pmax)) = open_degrade.take() {
-                        degrades.push(DegradeWindow::new(
-                            SimTime(from),
-                            Some(SimTime(*at)),
-                            pmin,
-                            pmax,
-                        ));
-                    }
-                    open_degrade = Some((*at, *min, *max));
+                    close_window(&mut degrades);
+                    degrades.push(DegradeWindow::new(at, None, *min, *max));
                 }
             }
         }
-        if let Some((start, groups)) = open_partition {
-            schedule = schedule.episode(groups, start, None);
+        failures.extend(open_crashes.into_iter().map(|(site, at)| FailureSpec::crash(site, at)));
+        FaultPlan {
+            partition: PartitionEngine::new(episodes),
+            failures,
+            degrades,
+            env_faults: self.env_faults.clone(),
         }
-        if let Some((from, min, max)) = open_degrade {
-            degrades.push(DegradeWindow::new(SimTime(from), None, min, max));
-        }
-        for (site, at) in open_crashes {
-            failures.push(FailureSpec::crash(site, SimTime(at)));
-        }
+    }
 
+    /// Compiles the timeline to the discrete-event simulator's [`Scenario`]
+    /// — the lowering behind [`crate::Session`], [`crate::run_scenario`]
+    /// and the sweep machinery: [`Timeline::faults`] plus the timeline's
+    /// clock (`T`-delays of `t_unit` ticks, the horizon).
+    pub fn scenario(&self) -> Scenario {
         let mut scenario = Scenario::new(self.n).delay(DelayModel::Fixed(self.t_unit));
         scenario.t_unit = self.t_unit;
         scenario.horizon_t = self.horizon_t;
-        if !schedule.is_empty() {
-            scenario = scenario.partition_schedule(schedule);
-        }
-        scenario.failures = failures;
-        scenario.env_faults = self.env_faults.clone();
-        scenario.degrades = degrades;
+        scenario.faults = self.faults();
         scenario
     }
 
@@ -475,171 +448,12 @@ impl Timeline {
         )
     }
 
-    /// Compiles the timeline to [`LiveFaults`] for the thread-backed
-    /// runtimes — `ptp_livenet::run_live_with` and
-    /// `ptp-live`'s `LiveOptions::with_faults` — with every tick instant
-    /// mapped onto the wall clock through the run's `T` (see
-    /// [`Timeline::wall`]).
-    pub fn live_faults(&self, t: Duration) -> LiveFaults {
-        let mut episodes: Vec<LiveEpisode> = Vec::new();
-        let mut open_partition: Option<(u64, Vec<Vec<SiteId>>)> = None;
-        let mut open_degrade: Option<(u64, u64, u64)> = None;
-        let mut degrades: Vec<LiveDegrade> = Vec::new();
-        let mut open_crashes: Vec<(SiteId, u64)> = Vec::new();
-        let mut crashes: Vec<LiveCrash> = Vec::new();
-
-        for TimedEvent { at, event } in &self.events {
-            match event {
-                TimelineEvent::Crash(site) => open_crashes.push((*site, *at)),
-                TimelineEvent::Recover(site) => {
-                    let pos = open_crashes
-                        .iter()
-                        .position(|(s, _)| s == site)
-                        .expect("validated: recover pairs with a crash");
-                    let (site, crashed_at) = open_crashes.remove(pos);
-                    crashes.push(LiveCrash::crash_recover(
-                        site,
-                        self.wall(crashed_at, t),
-                        self.wall(*at, t),
-                    ));
-                }
-                TimelineEvent::Partition(groups) => {
-                    if let Some((start, prev)) = open_partition.take() {
-                        episodes.push(LiveEpisode {
-                            from: self.wall(start, t),
-                            until: Some(self.wall(*at, t)),
-                            groups: prev,
-                        });
-                    }
-                    open_partition = Some((*at, groups.clone()));
-                }
-                TimelineEvent::Heal => {
-                    if let Some((start, prev)) = open_partition.take() {
-                        episodes.push(LiveEpisode {
-                            from: self.wall(start, t),
-                            until: Some(self.wall(*at, t)),
-                            groups: prev,
-                        });
-                    }
-                    if let Some((from, min, max)) = open_degrade.take() {
-                        degrades.push(LiveDegrade::new(
-                            self.wall(from, t),
-                            Some(self.wall(*at, t)),
-                            self.wall(min, t),
-                            self.wall(max, t),
-                        ));
-                    }
-                }
-                TimelineEvent::Degrade { min, max } => {
-                    if let Some((from, pmin, pmax)) = open_degrade.take() {
-                        degrades.push(LiveDegrade::new(
-                            self.wall(from, t),
-                            Some(self.wall(*at, t)),
-                            self.wall(pmin, t),
-                            self.wall(pmax, t),
-                        ));
-                    }
-                    open_degrade = Some((*at, *min, *max));
-                }
-            }
-        }
-        if let Some((start, groups)) = open_partition {
-            episodes.push(LiveEpisode { from: self.wall(start, t), until: None, groups });
-        }
-        if let Some((from, min, max)) = open_degrade {
-            degrades.push(LiveDegrade::new(
-                self.wall(from, t),
-                None,
-                self.wall(min, t),
-                self.wall(max, t),
-            ));
-        }
-        for (site, at) in open_crashes {
-            crashes.push(LiveCrash::crash(site, self.wall(at, t)));
-        }
-
-        let env_faults = self
-            .env_faults
-            .iter()
-            .map(|f| LiveEnvFault {
-                matches: f.matches,
-                action: match f.action {
-                    EnvelopeAction::Drop => LiveEnvAction::Drop,
-                    EnvelopeAction::Duplicate { after } => {
-                        LiveEnvAction::Duplicate { after: self.wall(after.0, t) }
-                    }
-                    EnvelopeAction::Delay { by } => LiveEnvAction::Delay { by: self.wall(by.0, t) },
-                },
-            })
-            .collect();
-
-        LiveFaults {
-            partition: (!episodes.is_empty()).then(|| LivePartition::new(episodes)),
-            crashes,
-            degrades,
-            env_faults,
-        }
-    }
-
-    /// Compiles the timeline to [`DbFaults`] for the database clusters
-    /// (`ptp_ddb::DbCluster`, `ptp_shard::ShardCluster`): partition events
-    /// become a [`PartitionEngine`] episode schedule and crash/recover
-    /// pairs become [`FailureSpec`]s. Degrade windows and envelope faults
-    /// are dropped (see [`DbFaults`]).
-    pub fn db_faults(&self) -> DbFaults {
-        let mut episodes: Vec<PartitionSpec> = Vec::new();
-        let mut open_partition: Option<(u64, Vec<Vec<SiteId>>)> = None;
-        let mut open_crashes: Vec<(SiteId, u64)> = Vec::new();
-        let mut failures: Vec<FailureSpec> = Vec::new();
-
-        for TimedEvent { at, event } in &self.events {
-            match event {
-                TimelineEvent::Crash(site) => open_crashes.push((*site, *at)),
-                TimelineEvent::Recover(site) => {
-                    let pos = open_crashes
-                        .iter()
-                        .position(|(s, _)| s == site)
-                        .expect("validated: recover pairs with a crash");
-                    let (site, crashed_at) = open_crashes.remove(pos);
-                    failures.push(FailureSpec::crash_recover(
-                        site,
-                        SimTime(crashed_at),
-                        SimTime(*at),
-                    ));
-                }
-                TimelineEvent::Partition(groups) => {
-                    if let Some((start, prev)) = open_partition.take() {
-                        episodes.push(PartitionSpec {
-                            at: SimTime(start),
-                            groups: prev,
-                            heal_at: Some(SimTime(*at)),
-                        });
-                    }
-                    open_partition = Some((*at, groups.clone()));
-                }
-                TimelineEvent::Heal => {
-                    if let Some((start, prev)) = open_partition.take() {
-                        episodes.push(PartitionSpec {
-                            at: SimTime(start),
-                            groups: prev,
-                            heal_at: Some(SimTime(*at)),
-                        });
-                    }
-                }
-                TimelineEvent::Degrade { .. } => {}
-            }
-        }
-        if let Some((start, groups)) = open_partition {
-            episodes.push(PartitionSpec { at: SimTime(start), groups, heal_at: None });
-        }
-        for (site, at) in open_crashes {
-            failures.push(FailureSpec::crash(site, SimTime(at)));
-        }
-
-        DbFaults {
-            partition: (!episodes.is_empty()).then(|| PartitionEngine::new(episodes)),
-            failures,
-        }
+    /// [`Timeline::faults`] on the wall clock of the thread-backed runtimes
+    /// (`ptp_livenet::run_live_plan`, `ptp-live`'s `LiveOptions.faults`):
+    /// every instant and duration in nanoseconds since the run started,
+    /// where [`Timeline::wall`] puts it for the run's `T`.
+    pub fn live_faults(&self, t: Duration) -> FaultPlan {
+        self.faults().scaled(t.as_nanos() as u64, self.t_unit)
     }
 }
 
@@ -647,6 +461,7 @@ impl Timeline {
 mod tests {
     use super::*;
     use crate::scenario::PartitionShape;
+    use ptp_simnet::EnvelopeAction;
 
     fn two_groups(n: u16, g2: &[u16]) -> Vec<Vec<SiteId>> {
         let g2: Vec<SiteId> = g2.iter().copied().map(SiteId).collect();
@@ -671,15 +486,12 @@ mod tests {
             .heal()
             .build();
         let s = tl.scenario();
-        match &s.partition {
-            PartitionShape::Schedule(schedule) => {
-                assert_eq!(schedule.len(), 1);
-                let e = &schedule.episodes()[0];
-                assert_eq!((e.at, e.heal_at), (1500, Some(6000)));
-                assert_eq!(e.groups, two_groups(4, &[2, 3]));
-            }
-            other => panic!("expected a schedule, got {other:?}"),
-        }
+        assert_eq!(s.partition, PartitionShape::None, "the schedule is the plan's, not a shortcut");
+        let schedule = s.faults.partition.episodes();
+        assert_eq!(schedule.len(), 1);
+        let e = &schedule[0];
+        assert_eq!((e.at, e.heal_at), (SimTime(1500), Some(SimTime(6000))));
+        assert_eq!(e.groups, two_groups(4, &[2, 3]));
     }
 
     #[test]
@@ -690,10 +502,9 @@ mod tests {
             .at(3000)
             .partition(two_groups(3, &[1]))
             .build();
-        let s = tl.scenario();
-        let PartitionShape::Schedule(schedule) = &s.partition else { panic!() };
-        assert_eq!(schedule.len(), 2);
-        assert_eq!(schedule.episodes()[0].heal_at, Some(3000));
+        let schedule = tl.faults().partition;
+        assert_eq!(schedule.episodes().len(), 2);
+        assert_eq!(schedule.episodes()[0].heal_at, Some(SimTime(3000)));
         assert_eq!(schedule.episodes()[1].heal_at, None);
     }
 
@@ -707,10 +518,11 @@ mod tests {
             .at(4000)
             .heal()
             .build();
-        let s = tl.scenario();
-        assert_eq!(s.degrades.len(), 1);
-        assert!(s.degrades[0].covers(SimTime(3999)));
-        assert!(!s.degrades[0].covers(SimTime(4000)));
+        let plan = tl.faults();
+        assert_eq!(plan.degrades.len(), 1);
+        assert!(plan.degrades[0].covers(SimTime(3999)));
+        assert!(!plan.degrades[0].covers(SimTime(4000)));
+        assert_eq!(plan.partition.episodes()[0].heal_at, Some(SimTime(4000)));
     }
 
     #[test]
@@ -723,13 +535,10 @@ mod tests {
             .at(7000)
             .crash(SiteId(2))
             .build();
-        let s = tl.scenario();
-        assert_eq!(s.failures.len(), 2);
-        assert_eq!(
-            s.failures[0],
-            FailureSpec::crash_recover(SiteId(3), SimTime(500), SimTime(4500))
-        );
-        assert_eq!(s.failures[1], FailureSpec::crash(SiteId(2), SimTime(7000)));
+        let failures = tl.faults().failures;
+        assert_eq!(failures.len(), 2);
+        assert_eq!(failures[0], FailureSpec::crash_recover(SiteId(3), SimTime(500), SimTime(4500)));
+        assert_eq!(failures[1], FailureSpec::crash(SiteId(2), SimTime(7000)));
     }
 
     #[test]
@@ -745,14 +554,16 @@ mod tests {
             .duplicate(EnvelopeMatch::kind("xact"), 400)
             .build();
         let faults = tl.live_faults(t);
-        let p = faults.partition.expect("one episode");
-        assert_eq!(p.episodes()[0].from, Duration::from_millis(15));
-        assert_eq!(p.episodes()[0].until, Some(Duration::from_millis(60)));
-        assert_eq!(faults.crashes.len(), 1);
-        assert_eq!(faults.crashes[0].after, Duration::from_millis(70));
+        let ns = |d: Duration| SimTime(d.as_nanos() as u64);
+        let p = faults.partition.episodes();
+        assert_eq!(p.len(), 1);
+        assert_eq!(p[0].at, ns(Duration::from_millis(15)));
+        assert_eq!(p[0].heal_at, Some(ns(Duration::from_millis(60))));
+        assert_eq!(faults.failures.len(), 1);
+        assert_eq!(faults.failures[0].at, ns(Duration::from_millis(70)));
         assert_eq!(faults.env_faults.len(), 1);
         match faults.env_faults[0].action {
-            LiveEnvAction::Duplicate { after } => assert_eq!(after, Duration::from_micros(4000)),
+            EnvelopeAction::Duplicate { after } => assert_eq!(after.0, 4_000_000),
             other => panic!("expected a duplicate, got {other:?}"),
         }
     }
@@ -764,11 +575,11 @@ mod tests {
             .reorder(EnvelopeMatch::kind("yes").nth(0), 2000)
             .drop_matching(EnvelopeMatch::any().from(SiteId(0)).nth(1))
             .build();
-        let s = tl.scenario();
-        assert_eq!(s.env_faults.len(), 3);
-        assert!(matches!(s.env_faults[0].action, EnvelopeAction::Duplicate { .. }));
-        assert!(matches!(s.env_faults[1].action, EnvelopeAction::Delay { .. }));
-        assert!(matches!(s.env_faults[2].action, EnvelopeAction::Drop));
+        let env_faults = tl.scenario().faults.env_faults;
+        assert_eq!(env_faults.len(), 3);
+        assert!(matches!(env_faults[0].action, EnvelopeAction::Duplicate { .. }));
+        assert!(matches!(env_faults[1].action, EnvelopeAction::Delay { .. }));
+        assert!(matches!(env_faults[2].action, EnvelopeAction::Drop));
     }
 
     #[test]
@@ -814,10 +625,11 @@ mod tests {
         let a = tl.scenario();
         let b = tl.live_faults(Duration::from_millis(8));
         // Both lowerings observe the same episode boundaries.
-        let PartitionShape::Schedule(schedule) = &a.partition else { panic!() };
-        let wall = |ticks| tl.wall(ticks, Duration::from_millis(8));
-        let live = b.partition.unwrap();
-        assert_eq!(live.episodes()[0].from, wall(schedule.episodes()[0].at));
-        assert_eq!(live.episodes()[0].until, schedule.episodes()[0].heal_at.map(wall));
+        let sim = &a.faults.partition.episodes()[0];
+        let wall = |at: SimTime| SimTime(tl.wall(at.0, Duration::from_millis(8)).as_nanos() as u64);
+        let live = &b.partition.episodes()[0];
+        assert_eq!(live.at, wall(sim.at));
+        assert_eq!(live.heal_at, sim.heal_at.map(wall));
+        assert_eq!(live.groups, sim.groups);
     }
 }

@@ -20,7 +20,8 @@ use ptp_protocols::termination::{
     PhasePlan, TerminationMaster, TerminationSlave, TerminationVariant,
 };
 use ptp_simnet::{
-    DelayModel, NetConfig, PartitionEngine, RunReport, SimTime, Simulation, SiteId, Trace,
+    DelayModel, FaultPlan, NetConfig, PartitionEngine, RunReport, SimTime, Simulation, SiteId,
+    Trace,
 };
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -146,22 +147,13 @@ pub struct DbCluster {
     /// Read-only workload: `(submit tick, spec)`, served at the master
     /// under shared locks without a commit round.
     pub read_workload: Vec<(u64, ReadSpec)>,
-    /// Network partition schedule.
-    pub partition: PartitionEngine,
+    /// Everything injected into the run, in ticks: partition schedule,
+    /// site failures, degraded-delay windows, envelope faults.
+    pub faults: FaultPlan,
     /// Message delays.
     pub delay: DelayModel,
     /// Network configuration.
     pub config: NetConfig,
-    /// Site failures to inject (crash / crash-recover).
-    pub failures: Vec<ptp_simnet::FailureSpec>,
-    /// Envelope-level faults (duplicate / reorder / drop) to arm.
-    pub env_faults: Vec<ptp_simnet::EnvelopeFault>,
-    /// Degraded-network delay windows to arm.
-    pub degrades: Vec<ptp_simnet::DegradeWindow>,
-    /// Recycle protocol participants through per-site free-lists (the
-    /// default). `false` constructs one participant per transaction — the
-    /// pre-pool behaviour, kept as the equivalence/bench baseline.
-    pub reuse_participants: bool,
 }
 
 /// Everything a cluster run produces.
@@ -193,21 +185,10 @@ impl DbCluster {
             seed: Vec::new(),
             workload: Vec::new(),
             read_workload: Vec::new(),
-            partition: PartitionEngine::always_connected(),
+            faults: FaultPlan::default(),
             delay: DelayModel::Fixed(700),
             config: NetConfig::default(),
-            failures: Vec::new(),
-            env_faults: Vec::new(),
-            degrades: Vec::new(),
-            reuse_participants: true,
         }
-    }
-
-    /// Constructs one participant per transaction instead of pooling —
-    /// the equivalence/bench baseline.
-    pub fn construct_per_txn(mut self) -> DbCluster {
-        self.reuse_participants = false;
-        self
     }
 
     /// Seeds a key at a site.
@@ -231,7 +212,7 @@ impl DbCluster {
 
     /// Sets the partition schedule.
     pub fn partition(mut self, partition: PartitionEngine) -> DbCluster {
-        self.partition = partition;
+        self.faults.partition = partition;
         self
     }
 
@@ -245,20 +226,20 @@ impl DbCluster {
     /// site replays its durable WAL: committed-unapplied transactions are
     /// redone, everything else is presumed aborted (Sec. 2).
     pub fn fail(mut self, spec: ptp_simnet::FailureSpec) -> DbCluster {
-        self.failures.push(spec);
+        self.faults.failures.push(spec);
         self
     }
 
     /// Arms an envelope-level fault (duplicate / reorder / drop) matched
     /// against the multiplexed `DbMsg` traffic by wire-kind and endpoints.
     pub fn env_fault(mut self, fault: ptp_simnet::EnvelopeFault) -> DbCluster {
-        self.env_faults.push(fault);
+        self.faults.env_faults.push(fault);
         self
     }
 
     /// Arms a degraded-network delay window.
     pub fn degrade(mut self, window: ptp_simnet::DegradeWindow) -> DbCluster {
-        self.degrades.push(window);
+        self.faults.degrades.push(window);
         self
     }
 
@@ -277,20 +258,12 @@ impl DbCluster {
             self.workload.into_iter().map(|(_, spec)| spec),
             self.read_workload.into_iter().map(|(_, spec)| spec),
         );
-        let net = SimNet {
-            config: self.config,
-            partition: self.partition,
-            delay: self.delay,
-            failures: self.failures,
-            env_faults: self.env_faults,
-            degrades: self.degrades,
-        };
+        let net = SimNet { config: self.config, faults: self.faults, delay: self.delay };
         run_planned(
             Arc::new(plans),
             &submissions,
             self.seed,
             self.protocol,
-            self.reuse_participants,
             ShardNodeOpts::default(),
             net,
         )
@@ -302,16 +275,10 @@ impl DbCluster {
 pub struct SimNet {
     /// Network configuration.
     pub config: NetConfig,
-    /// Network partition schedule.
-    pub partition: PartitionEngine,
+    /// Everything injected into the run, in ticks.
+    pub faults: FaultPlan,
     /// Message delays.
     pub delay: DelayModel,
-    /// Site failures to inject (crash / crash-recover).
-    pub failures: Vec<ptp_simnet::FailureSpec>,
-    /// Envelope-level faults (duplicate / reorder / drop) to arm.
-    pub env_faults: Vec<ptp_simnet::EnvelopeFault>,
-    /// Degraded-network delay windows to arm.
-    pub degrades: Vec<ptp_simnet::DegradeWindow>,
 }
 
 /// Runs a planned workload to quiescence (or the horizon): one
@@ -326,7 +293,6 @@ pub fn run_planned(
     submissions: &[(u64, TxnId)],
     seed: impl IntoIterator<Item = (u16, Key, Value)>,
     protocol: CommitProtocol,
-    reuse_participants: bool,
     opts: ShardNodeOpts,
     net: SimNet,
 ) -> DbRun {
@@ -345,12 +311,7 @@ pub fn run_planned(
     }
 
     let metrics = Rc::new(RefCell::new(Metrics::default()));
-    let builder = protocol.participant_builder();
-    let factory = if reuse_participants {
-        ParticipantFactory::pooled(builder)
-    } else {
-        ParticipantFactory::construct_per_txn(builder)
-    };
+    let factory = ParticipantFactory::pooled(protocol.participant_builder());
     let actors: Vec<ShardNode> = seeds
         .into_iter()
         .zip(workloads)
@@ -368,10 +329,7 @@ pub fn run_planned(
         })
         .collect();
 
-    let mut sim = Simulation::new(net.config, actors, net.partition, &net.delay, net.failures);
-    sim.set_envelope_faults(&net.env_faults);
-    sim.set_degrades(&net.degrades);
-    let (actors, trace, report) = sim.run();
+    let (actors, trace, report) = Simulation::new(net.config, actors, net.faults, &net.delay).run();
 
     let mut run = DbRun {
         metrics: metrics.take(),
@@ -626,15 +584,6 @@ mod tests {
         assert!(run.metrics.atomicity_violations().is_empty());
         assert_eq!(run.participants_constructed, 3);
         assert_eq!(run.participants_reused, 27);
-
-        let mut per_txn = seeded(3, CommitProtocol::HuangLi).construct_per_txn();
-        for i in 0..10u32 {
-            per_txn = per_txn.submit(i as u64 * 8000, transfer_spec(i + 1, 1));
-        }
-        let baseline = per_txn.run();
-        assert_eq!(baseline.participants_constructed, 30);
-        assert_eq!(baseline.participants_reused, 0);
-        assert_eq!(run.metrics, baseline.metrics, "pooling must be behaviour-neutral");
     }
 
     #[test]

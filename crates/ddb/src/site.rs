@@ -150,28 +150,20 @@ pub struct ReadRecord {
 /// in-flight transaction.
 pub type ParticipantBuilder = Rc<dyn Fn(SiteId, usize) -> AnyParticipant>;
 
-/// A shared pool handle: the builder plus the reuse policy, cloned to every
+/// A shared pool handle: the participant builder, cloned to every
 /// site of a cluster. Each site derives its own [`ParticipantPool`] from it
 /// ([`ParticipantFactory::pool`]), because participants carry their site
 /// identity and cannot migrate between sites.
 #[derive(Clone)]
 pub struct ParticipantFactory {
     builder: ParticipantBuilder,
-    reuse: bool,
 }
 
 impl ParticipantFactory {
     /// A factory whose pools keep finished participants on a free-list and
-    /// `reset` them for the next transaction (the default).
+    /// `reset` them for the next transaction.
     pub fn pooled(builder: ParticipantBuilder) -> ParticipantFactory {
-        ParticipantFactory { builder, reuse: true }
-    }
-
-    /// A factory whose pools construct a fresh participant for every
-    /// transaction — the pre-pool behaviour, kept as the equivalence
-    /// baseline for tests and the `bench_ddb --compare` mode.
-    pub fn construct_per_txn(builder: ParticipantBuilder) -> ParticipantFactory {
-        ParticipantFactory { builder, reuse: false }
+        ParticipantFactory { builder }
     }
 
     /// The per-site pool for `me` in a cluster of `n`.
@@ -182,7 +174,6 @@ impl ParticipantFactory {
             n,
             arena: Vec::new(),
             free: Vec::new(),
-            reuse: self.reuse,
             constructed: 0,
             reused: 0,
         }
@@ -197,39 +188,31 @@ impl ParticipantFactory {
 /// constructing per transaction, and `release` just parks the index. (An
 /// earlier free-list design moved the participant value in and out of the
 /// pool; two 192-byte enum moves per transaction cost more than some
-/// protocols' entire allocation-free constructors.) Reuse is provably
-/// behaviour-neutral — `reset` restores the freshly-constructed state (the
-/// PR 2 session-reuse guarantee), and the pooled-vs-per-txn property test
-/// pins cluster [`Metrics`] to be field-identical either way.
+/// protocols' entire allocation-free constructors.) Reuse is
+/// behaviour-neutral because `reset` restores the freshly-constructed state
+/// — `tests/session_reuse.rs` pins that for every protocol kind, and
+/// `tests/ddb_golden.rs` pins a pooled cluster's output byte for byte.
 pub struct ParticipantPool {
     builder: ParticipantBuilder,
     me: SiteId,
     n: usize,
     arena: Vec<AnyParticipant>,
     free: Vec<u32>,
-    reuse: bool,
     constructed: usize,
     reused: usize,
 }
 
 impl ParticipantPool {
     /// The slot of a participant ready to run one transaction: a freed slot
-    /// recycled (or, for a [`ParticipantFactory::construct_per_txn`] pool,
-    /// rebuilt) in place when one is available, a freshly built arena entry
+    /// recycled in place when one is available, a freshly built arena entry
     /// otherwise. Whatever the path, the participant ends up in its
     /// freshly-reset state voting `vote` — never the vote the builder baked
     /// in.
     pub fn acquire(&mut self, vote: Vote) -> usize {
         let idx = match self.free.pop() {
             Some(idx) => {
-                let idx = idx as usize;
-                if self.reuse {
-                    self.reused += 1;
-                } else {
-                    self.constructed += 1;
-                    self.arena[idx] = (self.builder)(self.me, self.n);
-                }
-                idx
+                self.reused += 1;
+                idx as usize
             }
             None => {
                 self.constructed += 1;
@@ -362,24 +345,6 @@ mod tests {
         assert_eq!(pool.idle(), 1);
         assert_eq!(pool.acquire(Vote::Yes), slot, "freed slot is recycled");
         assert_eq!((pool.constructed(), pool.reused(), pool.idle()), (1, 1, 0));
-    }
-
-    #[test]
-    fn per_txn_pool_rebuilds_instead_of_resetting() {
-        let factory = ParticipantFactory::construct_per_txn(Rc::new(|site, _n| {
-            TerminationSlave::new(
-                PhasePlan::three_phase(),
-                site,
-                Vote::Yes,
-                TerminationVariant::Transient,
-            )
-            .into()
-        }));
-        let mut pool = factory.pool(SiteId(1), 2);
-        let slot = pool.acquire(Vote::Yes);
-        pool.release(slot);
-        assert_eq!(pool.acquire(Vote::Yes), slot, "the arena slot is still recycled");
-        assert_eq!((pool.constructed(), pool.reused()), (2, 0), "but its machine is rebuilt");
     }
 
     #[test]

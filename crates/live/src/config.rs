@@ -1,7 +1,8 @@
 //! Configuration of a live serving run: topology, offered load, batching.
 
 use ptp_ddb::CommitProtocol;
-use ptp_livenet::{LiveCrash, LiveDegrade, LiveEnvFault, LivePartition};
+use ptp_livenet::LivePartition;
+use ptp_simnet::FaultPlan;
 use std::time::Duration;
 
 /// How the driver picks keys.
@@ -108,14 +109,14 @@ pub struct LiveOptions {
     /// RNG seed for the schedule and delay sampling (thread scheduling
     /// keeps runs nondeterministic regardless).
     pub seed: u64,
-    /// Optional partition episodes injected mid-run.
+    /// Everything injected mid-run, in [`ptp_livenet::host_time`]
+    /// (nanoseconds since the run started): partition episodes, site
+    /// crashes and recoveries, degraded-delay windows, envelope faults —
+    /// e.g. a `ptp_core` timeline's `live_faults(t)`.
+    pub faults: FaultPlan,
+    /// A partition schedule stated in `Duration`s; if set it replaces
+    /// `faults.partition`, completed for this cluster's `sites`.
     pub partition: Option<LivePartition>,
-    /// Site crashes (and recoveries) injected mid-run.
-    pub crashes: Vec<LiveCrash>,
-    /// Degraded-delay windows injected mid-run.
-    pub degrades: Vec<LiveDegrade>,
-    /// Envelope-level faults (duplicate / reorder / drop) to arm.
-    pub env_faults: Vec<LiveEnvFault>,
     /// After the load window, how long to wait for in-flight transactions
     /// to decide before declaring the drain unclean.
     pub drain_timeout: Duration,
@@ -151,10 +152,8 @@ impl LiveOptions {
             batch: BatchConfig::off(),
             flush_cost: Duration::from_micros(400),
             seed: 7,
+            faults: FaultPlan::default(),
             partition: None,
-            crashes: Vec::new(),
-            degrades: Vec::new(),
-            env_faults: Vec::new(),
             drain_timeout: Duration::from_secs(10),
             lease: None,
             anti_entropy: None,
@@ -162,15 +161,13 @@ impl LiveOptions {
         }
     }
 
-    /// Installs a compiled [`ptp_livenet::LiveFaults`] bundle — the
-    /// lowering target of `ptp_core`'s scenario timeline — replacing this
-    /// run's partition, crash, degrade, and envelope-fault schedules.
-    pub fn with_faults(mut self, faults: ptp_livenet::LiveFaults) -> LiveOptions {
-        self.partition = faults.partition;
-        self.crashes = faults.crashes;
-        self.degrades = faults.degrades;
-        self.env_faults = faults.env_faults;
-        self
+    /// The run's whole fault plan: `faults`, under `partition` if one is set.
+    pub fn fault_plan(&self) -> FaultPlan {
+        let mut plan = self.faults.clone();
+        if let Some(partition) = &self.partition {
+            plan.partition = partition.clone().complete(self.sites);
+        }
+        plan
     }
 
     /// Validates the knobs that have hard domains.

@@ -62,14 +62,14 @@ use driver::{OpKind, Schedule};
 use ptp_ddb::site::ParticipantFactory;
 use ptp_ddb::value::{Key, TxnId, Value};
 use ptp_ddb::wal::Record;
-use ptp_livenet::{Inbound, LiveConfig, LiveFaults, Outbound, Router};
+use ptp_livenet::{host_time, Inbound, LiveConfig, Outbound, Router};
 use ptp_model::Decision;
 use ptp_obs::{
     STAGE_COMMIT_WAIT, STAGE_LOCK_WAIT, STAGE_PROTOCOL, STAGE_QUEUE, STAGE_ROUNDS, STAGE_SERVE,
 };
 use ptp_shard::plan::PlanTable;
 use ptp_shard::ShardTopology;
-use ptp_simnet::SiteId;
+use ptp_simnet::{FaultPlan, SimTime, SiteId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -188,13 +188,9 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
     let start = Instant::now();
     let live_config =
         LiveConfig { t: opts.t, run_timeout: opts.duration + opts.drain_timeout, seed: opts.seed };
-    let faults = LiveFaults {
-        partition: opts.partition.clone(),
-        crashes: opts.crashes.clone(),
-        degrades: opts.degrades.clone(),
-        env_faults: opts.env_faults.clone(),
-    };
-    let router: Router<Packet> = Router::with_faults(live_config, faults, site_txs.clone(), start);
+    let faults = opts.fault_plan();
+    let router: Router<Packet> =
+        Router::with_plan(live_config, faults.clone(), site_txs.clone(), start);
     let router_handle = std::thread::spawn(move || router.run(router_rx));
 
     let mut node_handles = Vec::with_capacity(n);
@@ -312,7 +308,7 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
             s.record(at.saturating_duration_since(start), latency);
         }
         if let Some(span) = span {
-            attribute_span(&mut stages, opts, op, span, start, *at);
+            attribute_span(&mut stages, &faults, op, span, start, *at);
         }
     }
     let achieved_rate = match last_write_done {
@@ -327,7 +323,9 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
     // Partitions, crashes, and envelope faults all legitimately leave
     // replicas stale; only degrades (which merely slow delivery) keep the
     // full replica-convergence checks on.
-    let strict = opts.partition.is_none() && opts.crashes.is_empty() && opts.env_faults.is_empty();
+    let strict = faults.partition.episodes().is_empty()
+        && faults.failures.is_empty()
+        && faults.env_faults.is_empty();
     let audit = audit(&schedule, &plans, &pools, &completions, duplicate_acks, &reports, strict);
 
     // The cluster-wide metrics snapshot: per-node counters folded together,
@@ -411,24 +409,15 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
 /// `"none"` for fault-free runs, else `"before"` / `"fault"` / `"after"`
 /// relative to the configured partition episodes and crash windows (the
 /// harness knows the schedule; the nodes never do).
-fn fault_phase(opts: &LiveOptions, at: Duration) -> &'static str {
-    let mut windows: Vec<(Duration, Option<Duration>)> = Vec::new();
-    if let Some(p) = &opts.partition {
-        for ep in p.episodes() {
-            windows.push((ep.from, ep.until));
-        }
-    }
-    for c in &opts.crashes {
-        windows.push((c.after, c.recover_after));
-    }
-    if windows.is_empty() {
+fn fault_phase(faults: &FaultPlan, at: SimTime) -> &'static str {
+    let episodes = faults.partition.episodes().iter().map(|e| (e.at, e.heal_at));
+    let windows = episodes.chain(faults.failures.iter().map(|f| (f.at, f.recover_at)));
+    let Some(first) = windows.clone().map(|(from, _)| from).min() else {
         return "none";
-    }
-    if windows.iter().any(|(from, until)| at >= *from && until.is_none_or(|u| at < u)) {
-        return "fault";
-    }
-    let first = windows.iter().map(|(from, _)| *from).min().expect("nonempty");
-    if at < first {
+    };
+    if windows.clone().any(|(from, until)| at >= from && until.is_none_or(|u| at < u)) {
+        "fault"
+    } else if at < first {
         "before"
     } else {
         "after"
@@ -441,7 +430,7 @@ fn fault_phase(opts: &LiveOptions, at: Duration) -> &'static str {
 /// table reconstructs (almost all of) the measured end-to-end latency.
 fn attribute_span(
     stages: &mut StageTable,
-    opts: &LiveOptions,
+    faults: &FaultPlan,
     op: &driver::ScheduledOp,
     span: &TxnSpan,
     start: Instant,
@@ -450,7 +439,7 @@ fn attribute_span(
     let us = |later: Instant, earlier: Instant| {
         later.saturating_duration_since(earlier).as_micros() as u64
     };
-    let phase = fault_phase(opts, acked.saturating_duration_since(start));
+    let phase = fault_phase(faults, host_time(acked.saturating_duration_since(start)));
     stages.add(span.path, phase, STAGE_QUEUE, us(span.recv, start + op.at));
     match op.kind {
         OpKind::Write => {
@@ -819,7 +808,7 @@ mod tests {
         let mut opts = LiveOptions::small(200.0, Duration::from_millis(250));
         opts.flush_cost = Duration::ZERO;
         opts.drain_timeout = Duration::from_millis(600);
-        opts.crashes = vec![ptp_livenet::LiveCrash::crash(master, Duration::ZERO)];
+        opts.faults.failures = vec![ptp_simnet::FailureSpec::crash(master, SimTime(0))];
         opts.obs = ObsConfig::recording();
         let report = run_server(&opts);
         assert!(!report.clean_drain, "the crashed master must strand its operations");
@@ -854,11 +843,11 @@ mod tests {
         opts.flush_cost = Duration::ZERO;
         opts.keys_per_shard = 8;
         opts.anti_entropy = Some(Duration::from_millis(15));
-        opts.partition = Some(ptp_livenet::LivePartition::new(vec![ptp_livenet::LiveEpisode {
-            from: Duration::from_millis(100),
-            until: Some(Duration::from_millis(300)),
-            groups: vec![vec![replica]],
-        }]));
+        opts.partition = Some(ptp_livenet::LivePartition::simple(
+            Duration::from_millis(100),
+            vec![replica],
+            Some(Duration::from_millis(300)),
+        ));
         let report = run_server(&opts);
         assert!(report.audit.ok, "audit: {:?}", report.audit.violations);
         assert!(report.clean_drain, "unclean drain: {report:?}");

@@ -6,12 +6,16 @@
 //! messages travel through **mpsc channels** via a router thread that
 //! imposes wall-clock delays bounded by a configurable `T`, and the paper's
 //! optimistic partition semantics (undeliverable messages bounce back to
-//! their senders) are enforced against the actual system clock. Partition
-//! schedules are multi-episode ([`LivePartition`] covers the same families
-//! as the simulator's `ScheduleShape`: simple, split→heal→re-split,
-//! multi-way, nested secession) and sites can crash mid-run
-//! ([`LiveCrash`]). The delivery core ([`Router`]) is generic over the
-//! payload, so `ptp-live`'s long-running shard server reuses it unchanged.
+//! their senders) are enforced against the actual system clock. The faults
+//! of a run are the simulator's own [`ptp_simnet::FaultPlan`], read in
+//! nanoseconds since the run started ([`host_time`]): [`run_live_plan`]
+//! takes one whole (partition episodes, crashes, degraded-delay windows,
+//! envelope faults — e.g. a `ptp_core` timeline's
+//! `faults().scaled(T_ns, t_unit)`), and [`LivePartition`] builds the
+//! partition part from `Duration`s for the same families as the simulator's
+//! `ScheduleShape` (simple, split→heal→re-split, multi-way, nested
+//! secession). The delivery core ([`Router`]) is generic over the payload,
+//! so `ptp-live`'s long-running shard server reuses it unchanged.
 //!
 //! Nothing in the protocol code changes between the two runtimes — which is
 //! itself a useful validation: the termination protocol's guarantees follow
@@ -44,14 +48,11 @@
 mod router;
 mod site;
 
-pub use router::{
-    Inbound, LiveConfig, LiveCrash, LiveDegrade, LiveEnvAction, LiveEnvFault, LiveEpisode,
-    LiveFaults, LivePartition, Outbound, Router, Tagged,
-};
+pub use router::{host_time, Inbound, LiveConfig, LivePartition, Outbound, Router, Tagged};
 
 use ptp_model::Decision;
 use ptp_protocols::api::{CommitMsg, Participant};
-use ptp_simnet::{Payload, SiteId};
+use ptp_simnet::{FaultPlan, Payload, SiteId};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -105,30 +106,21 @@ pub fn run_live<P: Participant + 'static>(
     config: LiveConfig,
     partition: Option<LivePartition>,
 ) -> LiveOutcome {
-    run_live_faulty(participants, config, partition, Vec::new())
+    let n = participants.len();
+    let partition = partition.map(|p| p.complete(n)).unwrap_or_default();
+    run_live_plan(participants, config, partition.into())
 }
 
-/// [`run_live`] with site crashes: the full fault vocabulary of the live
-/// harness. A crashed site stops processing messages and timers; with
-/// [`LiveCrash::crash_recover`] it resumes (its protocol state intact —
-/// the livenet harness models the network-level message loss, not WAL
-/// recovery, which lives in `ptp-live`).
-pub fn run_live_faulty<P: Participant + 'static>(
+/// [`run_live`] under a whole [`FaultPlan`] in [`host_time`]: partition
+/// episodes, site crashes, degraded-delay windows and envelope-level faults
+/// — what `ptp_core`'s scenario timeline lowers to. A crashed site stops
+/// processing messages and timers; if it recovers it resumes with its
+/// protocol state intact (the livenet harness models the network-level
+/// message loss, not WAL recovery, which lives in `ptp-live`).
+pub fn run_live_plan<P: Participant + 'static>(
     participants: Vec<P>,
     config: LiveConfig,
-    partition: Option<LivePartition>,
-    crashes: Vec<LiveCrash>,
-) -> LiveOutcome {
-    run_live_with(participants, config, LiveFaults { partition, crashes, ..LiveFaults::default() })
-}
-
-/// [`run_live`] with the full [`LiveFaults`] vocabulary: partition
-/// episodes, site crashes, degraded-delay windows, and envelope-level
-/// faults — the lowering target of `ptp_core`'s scenario timeline.
-pub fn run_live_with<P: Participant + 'static>(
-    participants: Vec<P>,
-    config: LiveConfig,
-    faults: LiveFaults,
+    faults: FaultPlan,
 ) -> LiveOutcome {
     let n = participants.len();
     assert!(n >= 2);
@@ -145,7 +137,7 @@ pub fn run_live_with<P: Participant + 'static>(
     }
     let (done_tx, done_rx) = mpsc::channel();
 
-    let router: Router<CommitMsg> = Router::with_faults(config, faults, site_txs.clone(), started);
+    let router: Router<CommitMsg> = Router::with_plan(config, faults, site_txs.clone(), started);
     let router_handle = std::thread::spawn(move || router.run(router_rx));
 
     let mut handles = Vec::with_capacity(n);
@@ -206,6 +198,7 @@ mod tests {
     use ptp_protocols::clusters::huang_li_3pc_cluster_any;
     use ptp_protocols::termination::TerminationVariant;
     use ptp_protocols::AnyParticipant;
+    use ptp_simnet::FailureSpec;
 
     fn cfg() -> LiveConfig {
         LiveConfig::with_t(Duration::from_millis(8))
@@ -252,12 +245,9 @@ mod tests {
 
     #[test]
     fn crashed_slave_does_not_block_the_rest() {
-        let outcome = run_live_faulty(
-            hl_cluster(4),
-            cfg(),
-            None,
-            vec![LiveCrash::crash(SiteId(3), Duration::from_millis(10))],
-        );
+        let crash = FailureSpec::crash(SiteId(3), host_time(Duration::from_millis(10)));
+        let faults = FaultPlan { failures: vec![crash], ..FaultPlan::default() };
+        let outcome = run_live_plan(hl_cluster(4), cfg(), faults);
         assert!(outcome.consistent(), "{outcome:?}");
         assert!(outcome.all_decided_except(&[SiteId(3)]), "{outcome:?}");
     }

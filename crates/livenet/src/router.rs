@@ -7,7 +7,9 @@
 //! *same* router — one delay-queue implementation serves both runtimes.
 
 use ptp_simnet::rng::SmallRng;
-use ptp_simnet::{EnvelopeMatch, SiteId};
+use ptp_simnet::{
+    EnvelopeAction, FailureSpec, FaultPlan, PartitionEngine, PartitionSpec, SimTime, SiteId,
+};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -33,64 +35,43 @@ impl LiveConfig {
     }
 }
 
-/// One connectivity episode of a live partition schedule: from `from` until
-/// `until` (forever if `None`), the listed `groups` can only talk within
-/// themselves. Sites not listed in any group form one implicit extra group
-/// together.
-#[derive(Debug, Clone)]
-pub struct LiveEpisode {
-    /// When the episode begins, relative to run start.
-    pub from: Duration,
-    /// When it ends (exclusive), or `None` for "until the run ends".
-    pub until: Option<Duration>,
-    /// The severed groups. One group splits it from the unlisted rest;
-    /// several groups make a multi-way split.
-    pub groups: Vec<Vec<SiteId>>,
+/// A wall-clock offset since the run started, as router host time
+/// (nanoseconds) — the unit every instant of the router's
+/// [`FaultPlan`] is in.
+pub fn host_time(offset: Duration) -> SimTime {
+    SimTime(offset.as_nanos() as u64)
 }
 
-impl LiveEpisode {
-    fn active(&self, at: Duration) -> bool {
-        at >= self.from && self.until.is_none_or(|u| at < u)
-    }
-
-    /// The group index of `site` (listed group position, or `usize::MAX`
-    /// for the implicit rest-group).
-    fn group_of(&self, site: SiteId) -> usize {
-        self.groups.iter().position(|g| g.contains(&site)).unwrap_or(usize::MAX)
-    }
-}
-
-/// A wall-clock partition schedule: ordered, non-overlapping episodes —
-/// the live counterpart of the simulator's multi-episode
-/// `PartitionSchedule`, covering the same `ScheduleShape` families
-/// (simple split, split→heal→re-split, multi-way, nested secession).
+/// A partition schedule stated in wall-clock [`Duration`]s since the run
+/// started: thin constructors over nanosecond [`PartitionSpec`]s, covering
+/// the same families as the simulator's `ScheduleShape` (simple split,
+/// split→heal→re-split, multi-way, nested secession).
+///
+/// The constructors list only the *seceding* groups, because they do not
+/// know the cluster size; [`LivePartition::complete`] adds every episode's
+/// rest group once `n` is known (the router and `ptp-live`'s `run_server`
+/// do), after which the schedule follows the simulator's one rule — a site
+/// in no group is isolated — like any other [`PartitionEngine`].
 #[derive(Debug, Clone)]
 pub struct LivePartition {
-    episodes: Vec<LiveEpisode>,
+    /// Ordered and non-overlapping ([`PartitionEngine::new`] checked).
+    schedule: PartitionEngine,
 }
 
 impl LivePartition {
-    /// A schedule from explicit episodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `episodes` is empty, out of order, or overlapping (every
-    /// episode but the last must end, at or before its successor starts).
-    pub fn new(episodes: Vec<LiveEpisode>) -> LivePartition {
-        assert!(!episodes.is_empty(), "a partition schedule needs at least one episode");
-        for pair in episodes.windows(2) {
-            let end = pair[0].until.expect("only the last episode may be open-ended");
-            assert!(pair[0].from <= end, "episode ends before it starts");
-            assert!(end <= pair[1].from, "episodes must be ordered and non-overlapping");
-        }
-        LivePartition { episodes }
+    fn episode(from: Duration, until: Option<Duration>, groups: Vec<Vec<SiteId>>) -> PartitionSpec {
+        PartitionSpec { at: host_time(from), groups, heal_at: until.map(host_time) }
+    }
+
+    fn of(episodes: Vec<PartitionSpec>) -> LivePartition {
+        LivePartition { schedule: PartitionEngine::new(episodes) }
     }
 
     /// The single-episode schedule of the original harness: `g2` splits
     /// from the rest `after` the start, healing at `heal_after` (from the
     /// start) if given.
     pub fn simple(after: Duration, g2: Vec<SiteId>, heal_after: Option<Duration>) -> LivePartition {
-        LivePartition::new(vec![LiveEpisode { from: after, until: heal_after, groups: vec![g2] }])
+        Self::of(vec![Self::episode(after, heal_after, vec![g2])])
     }
 
     /// Split→heal→re-split: `first` secedes during `[split_at, heal_at)`,
@@ -102,16 +83,16 @@ impl LivePartition {
         second: Vec<SiteId>,
         resplit_at: Duration,
     ) -> LivePartition {
-        LivePartition::new(vec![
-            LiveEpisode { from: split_at, until: Some(heal_at), groups: vec![first] },
-            LiveEpisode { from: resplit_at, until: None, groups: vec![second] },
+        Self::of(vec![
+            Self::episode(split_at, Some(heal_at), vec![first]),
+            Self::episode(resplit_at, None, vec![second]),
         ])
     }
 
     /// A single multi-way split: from `at` on, each listed group (plus the
-    /// implicit rest) can only talk within itself.
+    /// rest, together) can only talk within itself.
     pub fn multi_way(at: Duration, groups: Vec<Vec<SiteId>>) -> LivePartition {
-        LivePartition::new(vec![LiveEpisode { from: at, until: None, groups }])
+        Self::of(vec![Self::episode(at, None, groups)])
     }
 
     /// Nested secession: `g2` secedes at `at`; at `then_at` a `splinter`
@@ -123,172 +104,40 @@ impl LivePartition {
         splinter: Vec<SiteId>,
     ) -> LivePartition {
         let remainder: Vec<SiteId> = g2.iter().copied().filter(|s| !splinter.contains(s)).collect();
-        LivePartition::new(vec![
-            LiveEpisode { from: at, until: Some(then_at), groups: vec![g2] },
-            LiveEpisode { from: then_at, until: None, groups: vec![remainder, splinter] },
+        Self::of(vec![
+            Self::episode(at, Some(then_at), vec![g2]),
+            Self::episode(then_at, None, vec![remainder, splinter]),
         ])
     }
 
-    /// The schedule's episodes, in order.
-    pub fn episodes(&self) -> &[LiveEpisode] {
-        &self.episodes
-    }
-
-    /// True if `a` and `b` cannot talk at instant `at` (relative to start).
-    pub fn severed(&self, a: SiteId, b: SiteId, at: Duration) -> bool {
-        self.episodes.iter().find(|e| e.active(at)).is_some_and(|e| e.group_of(a) != e.group_of(b))
-    }
-}
-
-/// Crash (and optionally recover) one site at wall-clock instants — the
-/// live counterpart of `ptp_simnet::FailureSpec`. While crashed, messages
-/// to and from the site are dropped (the message-loss effect of Sec. 7)
-/// and its timers are suppressed.
-#[derive(Debug, Clone)]
-pub struct LiveCrash {
-    /// The site to crash.
-    pub site: SiteId,
-    /// When it halts, relative to run start.
-    pub after: Duration,
-    /// When it comes back, if ever.
-    pub recover_after: Option<Duration>,
-}
-
-impl LiveCrash {
-    /// A permanent crash.
-    pub fn crash(site: SiteId, after: Duration) -> LiveCrash {
-        LiveCrash { site, after, recover_after: None }
-    }
-
-    /// A crash followed by recovery.
-    pub fn crash_recover(site: SiteId, after: Duration, recover_after: Duration) -> LiveCrash {
-        assert!(recover_after > after, "recovery must come after the crash");
-        LiveCrash { site, after, recover_after: Some(recover_after) }
-    }
-
-    fn down(&self, site: SiteId, at: Duration) -> bool {
-        self.site == site && at >= self.after && self.recover_after.is_none_or(|r| at < r)
+    /// The schedule for a cluster of `n` sites: every episode gains, as its
+    /// first group, the sites of `0..n` it lists nowhere (if any) — the
+    /// group the `Duration` constructors leave implicit.
+    pub fn complete(self, n: usize) -> PartitionEngine {
+        let mut episodes = self.schedule.episodes().to_vec();
+        for episode in &mut episodes {
+            let rest: Vec<SiteId> = (0..n as u16)
+                .map(SiteId)
+                .filter(|s| !episode.groups.iter().any(|g| g.contains(s)))
+                .collect();
+            if !rest.is_empty() {
+                episode.groups.insert(0, rest);
+            }
+        }
+        PartitionEngine::new(episodes)
     }
 }
 
 /// Message-kind tagging for envelope-fault matching.
 ///
-/// The router matches [`LiveEnvFault`]s by the same `&'static str` kind
-/// tags the simulator uses (`"xact"`, `"prepare"`, ...). Payload types
-/// implement this explicitly: `ptp-livenet` tags bare `CommitMsg`s,
-/// `ptp-live` tags its coalesced `Packet`s by their first inner message.
+/// The router matches [`ptp_simnet::EnvelopeFault`]s by the same
+/// `&'static str` kind tags the simulator uses (`"xact"`, `"prepare"`,
+/// ...). Payload types implement this explicitly: `ptp-livenet` tags bare
+/// `CommitMsg`s, `ptp-live` tags its coalesced `Packet`s by their first
+/// inner message.
 pub trait Tagged {
     /// The kind tag envelope faults match against.
     fn tag(&self) -> &'static str;
-}
-
-/// A wall-clock degraded-network window: while active, sampled delays come
-/// from `min..=max` instead of the healthy `(T/10, T]` band — the live
-/// counterpart of `ptp_simnet::DegradeWindow`.
-#[derive(Debug, Clone, Copy)]
-pub struct LiveDegrade {
-    /// When the window opens, relative to run start.
-    pub from: Duration,
-    /// When it closes (exclusive), or `None` for "until the run ends".
-    pub until: Option<Duration>,
-    /// Slowest-band lower bound for each leg's delay.
-    pub min: Duration,
-    /// Slowest-band upper bound.
-    pub max: Duration,
-}
-
-impl LiveDegrade {
-    /// A window degrading delays to `min..=max` during `[from, until)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the band is empty or inverted, or the window never opens.
-    pub fn new(from: Duration, until: Option<Duration>, min: Duration, max: Duration) -> Self {
-        assert!(min <= max, "degraded band is inverted");
-        assert!(!max.is_zero(), "degraded band must allow positive delays");
-        assert!(until.is_none_or(|u| from < u), "degrade window never opens");
-        LiveDegrade { from, until, min, max }
-    }
-
-    fn active(&self, at: Duration) -> bool {
-        at >= self.from && self.until.is_none_or(|u| at < u)
-    }
-}
-
-/// What happens to a matched message — the wall-clock counterpart of
-/// `ptp_simnet::EnvelopeAction`.
-#[derive(Debug, Clone, Copy)]
-pub enum LiveEnvAction {
-    /// Silently lose the forward leg (no undeliverable bounce).
-    Drop,
-    /// Deliver the original and a clone `after` later.
-    Duplicate {
-        /// Extra delay of the duplicate past the original's delivery.
-        after: Duration,
-    },
-    /// Postpone delivery by `by` past the sampled delay (reordering).
-    Delay {
-        /// The extra delay.
-        by: Duration,
-    },
-}
-
-/// One armed envelope-level fault: messages matching `matches` (by kind
-/// tag, endpoints, and per-fault ordinal — the same [`EnvelopeMatch`] the
-/// simulator uses) suffer `action`.
-#[derive(Debug, Clone, Copy)]
-pub struct LiveEnvFault {
-    /// Which sends this fault applies to.
-    pub matches: EnvelopeMatch,
-    /// What happens to them.
-    pub action: LiveEnvAction,
-}
-
-impl LiveEnvFault {
-    /// A fault silently dropping every matched send.
-    pub fn drop(matches: EnvelopeMatch) -> LiveEnvFault {
-        LiveEnvFault { matches, action: LiveEnvAction::Drop }
-    }
-
-    /// A fault duplicating matched sends, the clone landing `after` later.
-    pub fn duplicate(matches: EnvelopeMatch, after: Duration) -> LiveEnvFault {
-        LiveEnvFault { matches, action: LiveEnvAction::Duplicate { after } }
-    }
-
-    /// A fault delaying matched sends by `by` past their sampled delay.
-    pub fn delay(matches: EnvelopeMatch, by: Duration) -> LiveEnvFault {
-        LiveEnvFault { matches, action: LiveEnvAction::Delay { by } }
-    }
-}
-
-/// The full fault vocabulary of a live run, bundled: partition episodes,
-/// site crashes, degraded-delay windows, and envelope-level faults. This is
-/// what `ptp_core`'s timeline compiler lowers to.
-#[derive(Debug, Clone, Default)]
-pub struct LiveFaults {
-    /// Partition episodes, if any.
-    pub partition: Option<LivePartition>,
-    /// Site crash (and recovery) schedule.
-    pub crashes: Vec<LiveCrash>,
-    /// Degraded-delay windows.
-    pub degrades: Vec<LiveDegrade>,
-    /// Envelope-level faults.
-    pub env_faults: Vec<LiveEnvFault>,
-}
-
-impl LiveFaults {
-    /// No faults at all.
-    pub fn none() -> LiveFaults {
-        LiveFaults::default()
-    }
-
-    /// True when nothing is armed.
-    pub fn is_empty(&self) -> bool {
-        self.partition.is_none()
-            && self.crashes.is_empty()
-            && self.degrades.is_empty()
-            && self.env_faults.is_empty()
-    }
 }
 
 /// A message handed to the router by a site (or an injecting client).
@@ -367,55 +216,50 @@ impl<M> PartialOrd for Scheduled<M> {
     }
 }
 
-/// The router: owns the delay queue, the partition schedule, and the crash
-/// schedule. Generic over the payload type — see the module docs.
+/// The router: owns the delay queue and reads the run's [`FaultPlan`],
+/// whose instants are nanoseconds since `started`. Generic over the payload
+/// type — see the module docs.
 pub struct Router<M> {
     config: LiveConfig,
-    faults: LiveFaults,
+    faults: FaultPlan,
     site_txs: Vec<Sender<Inbound<M>>>,
     started: Instant,
 }
 
 impl<M: Send + Clone + Tagged> Router<M> {
     /// A router delivering through `site_txs`, with delays and schedules
-    /// measured from `started`.
+    /// measured from `started`; `partition` is completed for the
+    /// `site_txs.len()` sites, `crashes` are in [`host_time`].
     pub fn new(
         config: LiveConfig,
         partition: Option<LivePartition>,
-        crashes: Vec<LiveCrash>,
+        crashes: Vec<FailureSpec>,
         site_txs: Vec<Sender<Inbound<M>>>,
         started: Instant,
     ) -> Router<M> {
-        let faults = LiveFaults { partition, crashes, ..LiveFaults::default() };
-        Router::with_faults(config, faults, site_txs, started)
+        let partition = partition.map(|p| p.complete(site_txs.len())).unwrap_or_default();
+        let faults = FaultPlan { partition, failures: crashes, ..FaultPlan::default() };
+        Router::with_plan(config, faults, site_txs, started)
     }
 
-    /// A router armed with the full [`LiveFaults`] vocabulary.
-    pub fn with_faults(
+    /// A router under a whole [`FaultPlan`] in [`host_time`] (a timeline's
+    /// `faults().scaled(T_ns, t_unit)`, say).
+    pub fn with_plan(
         config: LiveConfig,
-        faults: LiveFaults,
+        faults: FaultPlan,
         site_txs: Vec<Sender<Inbound<M>>>,
         started: Instant,
     ) -> Router<M> {
         Router { config, faults, site_txs, started }
     }
 
-    fn severed(&self, a: SiteId, b: SiteId, now: Instant) -> bool {
-        self.faults
-            .partition
-            .as_ref()
-            .is_some_and(|p| p.severed(a, b, now.duration_since(self.started)))
+    fn host_time(&self, now: Instant) -> SimTime {
+        host_time(now.duration_since(self.started))
     }
 
-    fn crashed(&self, site: SiteId, now: Instant) -> bool {
-        let at = now.duration_since(self.started);
-        self.faults.crashes.iter().any(|c| c.down(site, at))
-    }
-
-    fn sample_delay(&self, rng: &mut SmallRng, at: Duration) -> Duration {
-        if let Some(w) = self.faults.degrades.iter().find(|w| w.active(at)) {
-            let (lo, hi) = (w.min.as_micros() as u64, w.max.as_micros() as u64);
-            return Duration::from_micros(rng.gen_range(lo..=hi).max(1));
+    fn sample_delay(&self, rng: &mut SmallRng, at: SimTime) -> Duration {
+        if let Some(w) = self.faults.degraded(at) {
+            return Duration::from_nanos(rng.gen_range(w.min..=w.max).max(1));
         }
         let t = self.config.t.as_micros() as u64;
         Duration::from_micros(rng.gen_range(t / 10..=t).max(1))
@@ -432,19 +276,19 @@ impl<M: Send + Clone + Tagged> Router<M> {
 
         // Crash/recover control messages are ordinary queue entries with
         // exact (unsampled) due instants.
-        for c in &self.faults.crashes {
+        for f in &self.faults.failures {
             seq += 1;
             queue.push(Reverse(Scheduled {
-                due: self.started + c.after,
+                due: self.started + Duration::from_nanos(f.at.0),
                 seq,
-                what: Sched::Crash(c.site),
+                what: Sched::Crash(f.site),
             }));
-            if let Some(r) = c.recover_after {
+            if let Some(r) = f.recover_at {
                 seq += 1;
                 queue.push(Reverse(Scheduled {
-                    due: self.started + r,
+                    due: self.started + Duration::from_nanos(r.0),
                     seq,
-                    what: Sched::Recover(c.site),
+                    what: Sched::Recover(f.site),
                 }));
             }
         }
@@ -454,19 +298,19 @@ impl<M: Send + Clone + Tagged> Router<M> {
             let now = Instant::now();
             while queue.peek().is_some_and(|Reverse(s)| s.due <= now) {
                 let Reverse(s) = queue.pop().expect("peeked");
+                let at = self.host_time(s.due);
                 match s.what {
                     Sched::Deliver(out, ghost) => {
-                        if self.crashed(out.src, s.due) || self.crashed(out.dst, s.due) {
+                        if self.faults.down(out.src, at) || self.faults.down(out.dst, at) {
                             // Message loss: a crashed endpoint neither sends
                             // nor receives (mirrors the simulator).
-                        } else if self.severed(out.src, out.dst, s.due) {
+                        } else if !self.faults.partition.connected(out.src, out.dst, at) {
                             // Hit the partition boundary: schedule the
                             // optimistic return leg — unless this copy is a
                             // ghost duplicate, which the network silently
                             // loses (mirrors the simulator).
                             if !ghost {
-                                let rel = s.due.duration_since(self.started);
-                                let due = s.due + self.sample_delay(&mut rng, rel);
+                                let due = s.due + self.sample_delay(&mut rng, at);
                                 seq += 1;
                                 queue.push(Reverse(Scheduled {
                                     due,
@@ -480,7 +324,7 @@ impl<M: Send + Clone + Tagged> Router<M> {
                         }
                     }
                     Sched::Bounce(out) => {
-                        if !self.crashed(out.src, s.due) {
+                        if !self.faults.down(out.src, at) {
                             let _ = self.site_txs[out.src.index()].send(Inbound::Undeliverable {
                                 original_dst: out.dst,
                                 msg: out.msg,
@@ -508,8 +352,7 @@ impl<M: Send + Clone + Tagged> Router<M> {
             match inbox.recv_timeout(timeout) {
                 Ok(out) => {
                     let now = Instant::now();
-                    let rel = now.duration_since(self.started);
-                    let mut due = now + self.sample_delay(&mut rng, rel);
+                    let mut due = now + self.sample_delay(&mut rng, self.host_time(now));
                     // Envelope faults are matched at send time, like the
                     // simulator's `Core::send` hook.
                     let mut dropped = false;
@@ -524,11 +367,11 @@ impl<M: Send + Clone + Tagged> Router<M> {
                             continue;
                         }
                         match fault.action {
-                            LiveEnvAction::Drop => dropped = true,
-                            LiveEnvAction::Duplicate { after } => {
-                                duplicate_at = Some(due + after);
+                            EnvelopeAction::Drop => dropped = true,
+                            EnvelopeAction::Duplicate { after } => {
+                                duplicate_at = Some(due + Duration::from_nanos(after.0));
                             }
-                            LiveEnvAction::Delay { by } => due += by,
+                            EnvelopeAction::Delay { by } => due += Duration::from_nanos(by.0),
                         }
                     }
                     if dropped {
@@ -561,89 +404,88 @@ mod tests {
         Duration::from_millis(v)
     }
 
+    fn s(i: u16) -> SiteId {
+        SiteId(i)
+    }
+
     #[test]
-    fn simple_partition_windows() {
-        let p = LivePartition::simple(ms(10), vec![SiteId(2)], Some(ms(30)));
-        let a = SiteId(0);
-        let b = SiteId(2);
-        assert!(!p.severed(a, b, ms(5)));
-        assert!(p.severed(a, b, ms(15)));
-        assert!(!p.severed(a, b, ms(35)));
-        // Same side: never severed.
-        assert!(!p.severed(SiteId(0), SiteId(1), ms(15)));
+    fn completed_simple_partition_is_the_simulators_transient_spec() {
+        // Satellite 1's pin: after completion there is one meaning for an
+        // unlisted site (the simulator's), so `simple(a, g2, h)` for `n`
+        // sites answers `connected` exactly like `transient(rest, g2)` at
+        // the same ns instants — `at` and `heal_at` themselves included
+        // (`at ≤ now < heal_at` on both sides).
+        let (at, heal) = (ms(10), ms(30));
+        let live = LivePartition::simple(at, vec![s(2), s(4)], Some(heal)).complete(5);
+        let sim = PartitionEngine::new(vec![PartitionSpec::transient(
+            host_time(at),
+            vec![s(0), s(1), s(3)],
+            vec![s(2), s(4)],
+            host_time(heal),
+        )]);
+        assert_eq!(live.episodes(), sim.episodes());
+        let (at, heal) = (host_time(at).0, host_time(heal).0);
+        for now in [0, at - 1, at, at + 1, heal - 1, heal, heal + 1] {
+            for a in 0..6 {
+                for b in 0..6 {
+                    assert_eq!(
+                        live.connected(s(a), s(b), SimTime(now)),
+                        sim.connected(s(a), s(b), SimTime(now)),
+                        "{a}-{b} at {now} ns"
+                    );
+                }
+            }
+        }
+        // Site 5 is outside the cluster the schedule was completed for: in
+        // no group, hence isolated while the episode is open — the
+        // simulator's rule, not a silent member of the rest.
+        assert!(!live.connected(s(0), s(5), SimTime(at)));
+        assert!(live.connected(s(0), s(5), SimTime(heal)));
+        // A permanent split never heals.
+        let forever = LivePartition::simple(ms(10), vec![s(2)], None).complete(3);
+        assert!(!forever.connected(s(0), s(2), SimTime(u64::MAX)));
     }
 
     #[test]
     fn split_heal_resplit_schedule() {
-        let p = LivePartition::split_heal_resplit(
-            vec![SiteId(2), SiteId(3)],
-            ms(10),
-            ms(30),
-            vec![SiteId(1)],
-            ms(50),
-        );
+        let p =
+            LivePartition::split_heal_resplit(vec![s(2), s(3)], ms(10), ms(30), vec![s(1)], ms(50))
+                .complete(4);
         assert_eq!(p.episodes().len(), 2);
-        assert!(p.severed(SiteId(0), SiteId(2), ms(15)));
-        assert!(!p.severed(SiteId(0), SiteId(2), ms(40)), "healed between episodes");
-        assert!(p.severed(SiteId(0), SiteId(1), ms(60)));
-        assert!(!p.severed(SiteId(0), SiteId(2), ms(60)), "second split severs g2 only");
+        let at = |v| host_time(ms(v));
+        assert!(!p.connected(s(0), s(2), at(15)));
+        assert!(p.connected(s(0), s(2), at(40)), "healed between episodes");
+        assert!(!p.connected(s(0), s(1), at(60)));
+        assert!(p.connected(s(0), s(2), at(60)), "second split severs its g2 only");
     }
 
     #[test]
-    fn multi_way_severs_across_groups() {
-        let p = LivePartition::multi_way(ms(10), vec![vec![SiteId(1)], vec![SiteId(2)]]);
-        assert!(p.severed(SiteId(1), SiteId(2), ms(20)));
-        assert!(p.severed(SiteId(0), SiteId(1), ms(20)));
-        // Unlisted sites share the implicit rest-group.
-        assert!(!p.severed(SiteId(0), SiteId(3), ms(20)));
+    fn multi_way_keeps_the_unlisted_sites_together() {
+        let p = LivePartition::multi_way(ms(10), vec![vec![s(1)], vec![s(2)]]).complete(4);
+        let now = host_time(ms(20));
+        assert!(!p.connected(s(1), s(2), now));
+        assert!(!p.connected(s(0), s(1), now));
+        // Unlisted sites share the rest group.
+        assert!(p.connected(s(0), s(3), now));
     }
 
     #[test]
     fn nested_secession_splits_the_splinter() {
-        let p = LivePartition::nested_secession(
-            ms(10),
-            vec![SiteId(2), SiteId(3)],
-            ms(30),
-            vec![SiteId(3)],
-        );
-        assert!(!p.severed(SiteId(2), SiteId(3), ms(20)), "still one seceded group");
-        assert!(p.severed(SiteId(2), SiteId(3), ms(40)), "splinter seceded again");
-        assert!(p.severed(SiteId(0), SiteId(2), ms(40)));
+        let p = LivePartition::nested_secession(ms(10), vec![s(2), s(3)], ms(30), vec![s(3)])
+            .complete(5);
+        let at = |v| host_time(ms(v));
+        assert!(p.connected(s(2), s(3), at(20)), "still one seceded group");
+        assert!(!p.connected(s(2), s(3), at(30)), "splinter seceded again, at the boundary");
+        assert!(!p.connected(s(0), s(2), at(40)));
+        // The rest group is whoever neither episode lists, both times.
+        assert!(p.connected(s(0), s(4), at(20)));
+        assert!(p.connected(s(1), s(4), at(40)));
     }
 
     #[test]
-    #[should_panic(expected = "ordered and non-overlapping")]
+    #[should_panic(expected = "overlap")]
     fn overlapping_episodes_rejected() {
-        let _ = LivePartition::new(vec![
-            LiveEpisode { from: ms(10), until: Some(ms(40)), groups: vec![vec![SiteId(1)]] },
-            LiveEpisode { from: ms(30), until: None, groups: vec![vec![SiteId(2)]] },
-        ]);
-    }
-
-    #[test]
-    #[should_panic(expected = "open-ended")]
-    fn open_ended_middle_episode_rejected() {
-        let _ = LivePartition::new(vec![
-            LiveEpisode { from: ms(10), until: None, groups: vec![vec![SiteId(1)]] },
-            LiveEpisode { from: ms(30), until: None, groups: vec![vec![SiteId(2)]] },
-        ]);
-    }
-
-    #[test]
-    fn crash_windows() {
-        let c = LiveCrash::crash_recover(SiteId(1), ms(10), ms(30));
-        assert!(!c.down(SiteId(1), ms(5)));
-        assert!(c.down(SiteId(1), ms(15)));
-        assert!(!c.down(SiteId(1), ms(35)));
-        assert!(!c.down(SiteId(2), ms(15)));
-        let p = LiveCrash::crash(SiteId(1), ms(10));
-        assert!(p.down(SiteId(1), ms(1000)));
-    }
-
-    #[test]
-    #[should_panic(expected = "recovery must come after")]
-    fn recovery_before_crash_rejected() {
-        let _ = LiveCrash::crash_recover(SiteId(1), ms(30), ms(10));
+        let _ = LivePartition::split_heal_resplit(vec![s(1)], ms(10), ms(40), vec![s(2)], ms(30));
     }
 
     #[test]

@@ -206,7 +206,6 @@ mod tests {
             NetConfig::default(),
             PartitionEngine::always_connected(),
             &DelayModel::Fixed(400),
-            vec![],
         );
         Verdict::judge(&run.outcomes)
     }

@@ -20,7 +20,7 @@
 //! constructors return flat, enum-dispatched [`AnyParticipant`] vectors
 //! (see [`dispatch`]); [`runner::ClusterRunner`] is the reusable execution
 //! harness (`ptp_core::Session` wraps it); [`options::RunOptions`] types
-//! the per-run choices (trace retention, failures, horizon);
+//! the per-run choices (trace retention, horizon);
 //! [`runner::run_protocol`] / [`runner::run_protocol_opts`] are the
 //! one-shot conveniences; [`outcome::Verdict`] judges atomicity and
 //! blocking.
@@ -41,7 +41,7 @@
 //! for at in [1500u64, 2500, 3500] {
 //!     runner.reset(&[Vote::Yes; 2]);
 //!     // The network splits {master, site1} | {site2} at tick `at`.
-//!     let groups = runner.partition_mut().reset_single(SimTime(at), None, 2);
+//!     let groups = runner.faults_mut().partition.reset_single(SimTime(at), None, 2);
 //!     groups[0].extend([SiteId(0), SiteId(1)]);
 //!     groups[1].push(SiteId(2));
 //!     let run = runner.run(NetConfig::default(), &DelayModel::Fixed(900), &RunOptions::new());

@@ -1,12 +1,12 @@
 //! Typed execution options.
 //!
-//! The historical runner API threaded a bare `record_trace: bool` and a
-//! positional `Vec<FailureSpec>` through every call site; [`RunOptions`]
-//! replaces both with a self-describing builder that the whole stack —
-//! [`crate::runner::ClusterRunner`], `ptp_core::Session`, `run_scenario`,
-//! `sweep` — shares.
+//! [`RunOptions`] says how a run is *observed and bounded* — trace
+//! retention, horizon — in a self-describing builder that the whole stack
+//! ([`crate::runner::ClusterRunner`], `ptp_core::Session`, `run_scenario`,
+//! `sweep`) shares. What is *injected* into a run is not an option: it is
+//! the run's [`ptp_simnet::FaultPlan`].
 
-use ptp_simnet::{DegradeWindow, EnvelopeFault, FailureSpec, NetConfig, SimTime, TraceSink};
+use ptp_simnet::{NetConfig, SimTime, TraceSink};
 
 /// What the simulator should retain about a run's events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -39,8 +39,8 @@ impl TraceMode {
 
 /// Typed options for one protocol run.
 ///
-/// The default is the verdict-oriented fast path: counters-only tracing, no
-/// injected failures, the caller's horizon. Build variations fluently:
+/// The default is the verdict-oriented fast path: counters-only tracing,
+/// the caller's horizon. Build variations fluently:
 ///
 /// ```
 /// use ptp_protocols::options::{RunOptions, TraceMode};
@@ -54,23 +54,13 @@ impl TraceMode {
 pub struct RunOptions {
     /// Trace retention mode.
     pub trace: TraceMode,
-    /// Site failures to inject (experiment E13; the paper's protocol assumes
-    /// none). At the scenario layer these are *added to* the scenario's own
-    /// failure list.
-    pub failures: Vec<FailureSpec>,
-    /// Envelope-level faults (duplicate / reorder / drop) to arm for the
-    /// run. Added to the scenario's own list at the scenario layer.
-    pub env_faults: Vec<EnvelopeFault>,
-    /// Degraded-network windows to arm for the run. Added to the scenario's
-    /// own list at the scenario layer.
-    pub degrades: Vec<DegradeWindow>,
     /// Horizon override in units of `T`; `None` keeps the configured
     /// horizon.
     pub horizon_t: Option<u64>,
 }
 
 impl RunOptions {
-    /// The default options: counters-only tracing, no failures.
+    /// The default options: counters-only tracing.
     pub fn new() -> RunOptions {
         RunOptions::default()
     }
@@ -83,30 +73,6 @@ impl RunOptions {
     /// Sets the trace mode.
     pub fn trace(mut self, trace: TraceMode) -> RunOptions {
         self.trace = trace;
-        self
-    }
-
-    /// Injects one site failure.
-    pub fn fail(mut self, spec: FailureSpec) -> RunOptions {
-        self.failures.push(spec);
-        self
-    }
-
-    /// Replaces the failure list.
-    pub fn failures(mut self, failures: Vec<FailureSpec>) -> RunOptions {
-        self.failures = failures;
-        self
-    }
-
-    /// Arms one envelope-level fault.
-    pub fn env_fault(mut self, fault: EnvelopeFault) -> RunOptions {
-        self.env_faults.push(fault);
-        self
-    }
-
-    /// Arms one degraded-network window.
-    pub fn degrade(mut self, window: DegradeWindow) -> RunOptions {
-        self.degrades.push(window);
         self
     }
 
@@ -128,25 +94,18 @@ impl RunOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptp_simnet::SiteId;
-
     #[test]
     fn default_is_counters_only() {
         let o = RunOptions::default();
         assert_eq!(o.trace, TraceMode::Counters);
         assert!(!o.trace.records());
-        assert!(o.failures.is_empty());
         assert_eq!(o.horizon_t, None);
     }
 
     #[test]
     fn builder_composes() {
-        let o = RunOptions::new()
-            .trace(TraceMode::Record)
-            .fail(FailureSpec::crash(SiteId(1), SimTime(5)))
-            .horizon_t(7);
+        let o = RunOptions::new().trace(TraceMode::Record).horizon_t(7);
         assert!(o.trace.records());
-        assert_eq!(o.failures.len(), 1);
         assert_eq!(o.horizon_t, Some(7));
     }
 

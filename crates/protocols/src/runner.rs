@@ -17,9 +17,8 @@ use crate::options::{RunOptions, TraceMode};
 use crate::outcome::SiteOutcome;
 use ptp_model::Decision;
 use ptp_simnet::{
-    Actor, Ctx, DegradeWindow, DelayModel, Envelope, EnvelopeFault, FailureSpec, NetConfig,
-    PartitionEngine, ProfKey, ProfSink, Profile, RunReport, SimScratch, Simulation, SiteId,
-    TimerHandle, Trace,
+    Actor, Ctx, DelayModel, Envelope, FaultPlan, NetConfig, ProfKey, ProfSink, Profile, RunReport,
+    SimScratch, Simulation, SiteId, TimerHandle, Trace,
 };
 use std::sync::Arc;
 
@@ -186,7 +185,7 @@ pub struct ProtocolRun {
 /// let mut runner = ClusterRunner::new(cluster);
 /// for at in [0u64, 1500, 2500, 4500] {
 ///     runner.reset(&[Vote::Yes; 2]);
-///     let groups = runner.partition_mut().reset_single(SimTime(at), None, 2);
+///     let groups = runner.faults_mut().partition.reset_single(SimTime(at), None, 2);
 ///     groups[0].extend([SiteId(0), SiteId(1)]);
 ///     groups[1].push(SiteId(2));
 ///     let run = runner.run(NetConfig::default(), &DelayModel::Fixed(900), &RunOptions::new());
@@ -245,17 +244,14 @@ impl<P: Participant> ClusterRunner<P> {
         }
     }
 
-    /// The partition engine the next run will use. Reconfigure it in place
-    /// ([`PartitionEngine::clear`], [`PartitionEngine::reset_single`], or
-    /// [`PartitionEngine::reset_schedule`] + episode writes for
-    /// multi-episode schedules) to reuse its group buffers across runs.
-    pub fn partition_mut(&mut self) -> &mut PartitionEngine {
-        &mut self.scratch.as_mut().expect("scratch present between runs").partition
-    }
-
-    /// Replaces the partition engine wholesale.
-    pub fn set_partition(&mut self, engine: PartitionEngine) {
-        *self.partition_mut() = engine;
+    /// The fault plan the next run will use, in ticks. Rewrite it in place
+    /// — its partition engine through [`ptp_simnet::PartitionEngine::clear`],
+    /// [`ptp_simnet::PartitionEngine::reset_single`] or `reset_schedule` +
+    /// episode writes, its fault lists like any `Vec` — to reuse every
+    /// buffer across runs, or assign a whole new plan. It persists from run
+    /// to run until rewritten.
+    pub fn faults_mut(&mut self) -> &mut FaultPlan {
+        &mut self.scratch.as_mut().expect("scratch present between runs").faults
     }
 
     /// The outcomes of the most recent run (empty defaults before any run).
@@ -289,49 +285,25 @@ impl<P: Participant> ClusterRunner<P> {
         merged
     }
 
-    /// Runs the cluster once with everything explicit, returning the
-    /// outcomes by reference — the zero-copy path the sweep engine uses.
+    /// Runs the cluster once under the plan in [`ClusterRunner::faults_mut`],
+    /// returning the outcomes by reference — the zero-copy path the sweep
+    /// engine uses.
     ///
     /// The caller is responsible for having [`ClusterRunner::reset`] the
-    /// participants and configured [`ClusterRunner::partition_mut`]; any
-    /// horizon override must already be folded into `config` (see
-    /// [`RunOptions::apply_horizon`]).
+    /// participants and written the fault plan; any horizon override must
+    /// already be folded into `config` (see [`RunOptions::apply_horizon`]).
     pub fn run_borrowed(
         &mut self,
         config: NetConfig,
         delay: &DelayModel,
         trace: TraceMode,
-        failures: &[FailureSpec],
-    ) -> (&[SiteOutcome], Trace, RunReport) {
-        self.run_borrowed_faulty(config, delay, trace, failures, &[], &[])
-    }
-
-    /// [`ClusterRunner::run_borrowed`] plus envelope faults and degrade
-    /// windows — the full fault surface a compiled scenario timeline
-    /// carries. Empty slices keep the behaviour (and the hot path)
-    /// identical to `run_borrowed`.
-    pub fn run_borrowed_faulty(
-        &mut self,
-        config: NetConfig,
-        delay: &DelayModel,
-        trace: TraceMode,
-        failures: &[FailureSpec],
-        env_faults: &[EnvelopeFault],
-        degrades: &[DegradeWindow],
     ) -> (&[SiteOutcome], Trace, RunReport) {
         for actor in &mut self.actors {
             actor.begin_run();
         }
         let actors = std::mem::take(&mut self.actors);
         let scratch = self.scratch.take().expect("scratch present between runs");
-        let mut sim =
-            Simulation::with_scratch(config, actors, delay, failures, trace.sink(), scratch);
-        if !env_faults.is_empty() {
-            sim.set_envelope_faults(env_faults);
-        }
-        if !degrades.is_empty() {
-            sim.set_degrades(degrades);
-        }
+        let sim = Simulation::with_scratch(config, actors, delay, trace.sink(), scratch);
         let (actors, trace, report, scratch) = sim.run_recycling();
         self.actors = actors;
         self.scratch = Some(scratch);
@@ -350,20 +322,14 @@ impl<P: Participant> ClusterRunner<P> {
         options: &RunOptions,
     ) -> ProtocolRun {
         let config = options.apply_horizon(config);
-        let (outcomes, trace, report) = self.run_borrowed_faulty(
-            config,
-            delay,
-            options.trace,
-            &options.failures,
-            &options.env_faults,
-            &options.degrades,
-        );
+        let (outcomes, trace, report) = self.run_borrowed(config, delay, options.trace);
         ProtocolRun { outcomes: outcomes.to_vec(), trace, report }
     }
 }
 
 /// One-shot execution of `participants` (site `i` = `participants[i]`,
-/// site 0 the master) with typed [`RunOptions`].
+/// site 0 the master) under `faults` (a whole [`FaultPlan`] in ticks, or
+/// just a [`ptp_simnet::PartitionEngine`]) with typed [`RunOptions`].
 ///
 /// Builds a [`ClusterRunner`], runs it once and discards it; workloads that
 /// run many scenarios should keep a runner (or a `ptp_core::Session`)
@@ -371,32 +337,25 @@ impl<P: Participant> ClusterRunner<P> {
 pub fn run_protocol_opts<P: Participant>(
     participants: Vec<P>,
     config: NetConfig,
-    partition: PartitionEngine,
+    faults: impl Into<FaultPlan>,
     delay: &DelayModel,
     options: &RunOptions,
 ) -> ProtocolRun {
     let mut runner = ClusterRunner::new(participants);
-    runner.set_partition(partition);
+    *runner.faults_mut() = faults.into();
     runner.run(config, delay, options)
 }
 
 /// Runs `participants` under the given network conditions, recording a full
 /// trace (the timing experiments measure over it). Equivalent to
-/// [`run_protocol_opts`] with [`RunOptions::recording`] plus `failures`.
+/// [`run_protocol_opts`] with [`RunOptions::recording`].
 pub fn run_protocol<P: Participant>(
     participants: Vec<P>,
     config: NetConfig,
-    partition: PartitionEngine,
+    faults: impl Into<FaultPlan>,
     delay: &DelayModel,
-    failures: Vec<FailureSpec>,
 ) -> ProtocolRun {
-    run_protocol_opts(
-        participants,
-        config,
-        partition,
-        delay,
-        &RunOptions::recording().failures(failures),
-    )
+    run_protocol_opts(participants, config, faults, delay, &RunOptions::recording())
 }
 
 #[cfg(test)]
@@ -406,7 +365,7 @@ mod tests {
     use crate::interp::FsaParticipant;
     use crate::outcome::Verdict;
     use ptp_model::protocols::two_phase;
-    use ptp_simnet::{PartitionSpec, SimTime};
+    use ptp_simnet::{PartitionEngine, PartitionSpec, SimTime};
 
     fn two_pc_parts(votes: &[Vote]) -> Vec<FsaParticipant> {
         let spec = Arc::new(two_phase(votes.len() + 1));
@@ -424,7 +383,6 @@ mod tests {
             NetConfig::default(),
             PartitionEngine::always_connected(),
             &DelayModel::Fixed(300),
-            vec![],
         )
     }
 
@@ -461,7 +419,6 @@ mod tests {
             NetConfig::default(),
             PartitionEngine::always_connected(),
             &DelayModel::Fixed(300),
-            vec![],
         );
         assert_eq!(Verdict::judge(&run.outcomes), Verdict::AllCommit);
     }
@@ -475,7 +432,7 @@ mod tests {
         let votes_grid = [[Vote::Yes, Vote::Yes], [Vote::No, Vote::Yes], [Vote::Yes, Vote::Yes]];
         for votes in votes_grid {
             runner.reset(&votes);
-            runner.partition_mut().clear();
+            runner.faults_mut().partition.clear();
             let reused =
                 runner.run(NetConfig::default(), &DelayModel::Fixed(300), &RunOptions::recording());
             let fresh = run_2pc(&votes);
@@ -491,7 +448,7 @@ mod tests {
         let mut runner = ClusterRunner::new(two_pc_parts(&[Vote::Yes, Vote::Yes]));
         for at in [500u64, 1500] {
             runner.reset(&[Vote::Yes, Vote::Yes]);
-            let groups = runner.partition_mut().reset_single(SimTime(at), None, 2);
+            let groups = runner.faults_mut().partition.reset_single(SimTime(at), None, 2);
             groups[0].extend([SiteId(0), SiteId(1)]);
             groups[1].push(SiteId(2));
             let run = runner.run(NetConfig::default(), &DelayModel::Fixed(300), &RunOptions::new());
@@ -510,7 +467,7 @@ mod tests {
         for round in 0..3u64 {
             let at = 500 + round * 250;
             runner.reset(&[Vote::Yes, Vote::Yes]);
-            let engine = runner.partition_mut();
+            let engine = &mut runner.faults_mut().partition;
             engine.reset_schedule(2);
             let g = engine.episode_groups(0, SimTime(at), Some(SimTime(at + 2000)), 2);
             g[0].extend([SiteId(0), SiteId(1)]);
@@ -531,7 +488,7 @@ mod tests {
                     vec![SiteId(2)],
                 ),
             ]);
-            assert_eq!(runner.partition_mut().episodes(), expected.episodes());
+            assert_eq!(runner.faults_mut().partition.episodes(), expected.episodes());
 
             let reused =
                 runner.run(NetConfig::default(), &DelayModel::Fixed(300), &RunOptions::new());
@@ -554,13 +511,13 @@ mod tests {
     fn profiling_attributes_events_and_leaves_outcomes_alone() {
         let mut base = ClusterRunner::new(two_pc_parts(&[Vote::Yes, Vote::Yes]));
         base.reset(&[Vote::Yes, Vote::Yes]);
-        base.partition_mut().clear();
+        base.faults_mut().partition.clear();
         let plain = base.run(NetConfig::default(), &DelayModel::Fixed(300), &RunOptions::new());
 
         let mut prof = ClusterRunner::new(two_pc_parts(&[Vote::Yes, Vote::Yes]));
         prof.set_profiling(true);
         prof.reset(&[Vote::Yes, Vote::Yes]);
-        prof.partition_mut().clear();
+        prof.faults_mut().partition.clear();
         let profiled = prof.run(NetConfig::default(), &DelayModel::Fixed(300), &RunOptions::new());
         assert_eq!(plain.outcomes, profiled.outcomes, "profiling must not perturb the run");
 

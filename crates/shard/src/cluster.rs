@@ -14,7 +14,7 @@ use ptp_ddb::topology::ShardTopology;
 use ptp_ddb::value::{Key, TxnId, Value};
 use ptp_ddb::wal::Wal;
 use ptp_model::Decision;
-use ptp_simnet::{DelayModel, NetConfig, PartitionEngine, RunReport, SiteId, Trace};
+use ptp_simnet::{DelayModel, FaultPlan, NetConfig, PartitionEngine, RunReport, SiteId, Trace};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -63,17 +63,13 @@ pub struct ShardCluster {
     /// Read-only workload: `(submit tick, spec)`; each read is submitted
     /// at its plan's serving master.
     pub read_workload: Vec<(u64, ShardReadSpec)>,
-    /// Network partition schedule (cuts across all groups).
-    pub partition: PartitionEngine,
+    /// Everything injected into the run, in ticks; one plan cuts across
+    /// all groups.
+    pub faults: FaultPlan,
     /// Message delays.
     pub delay: DelayModel,
     /// Network configuration.
     pub config: NetConfig,
-    /// Site failures to inject.
-    pub failures: Vec<ptp_simnet::FailureSpec>,
-    /// Recycle protocol participants through per-site pools (default), or
-    /// construct per transaction (the equivalence/bench baseline).
-    pub reuse_participants: bool,
     /// Master-lease fast path for local reads (off by default).
     pub lease: Option<LeaseConfig>,
     /// Anti-entropy catch-up period in ticks (off by default).
@@ -220,20 +216,12 @@ impl ShardCluster {
             seed: Vec::new(),
             workload: Vec::new(),
             read_workload: Vec::new(),
-            partition: PartitionEngine::always_connected(),
+            faults: FaultPlan::default(),
             delay: DelayModel::Fixed(700),
             config: NetConfig::default(),
-            failures: Vec::new(),
-            reuse_participants: true,
             lease: None,
             anti_entropy: None,
         }
-    }
-
-    /// Constructs one participant per transaction instead of pooling.
-    pub fn construct_per_txn(mut self) -> ShardCluster {
-        self.reuse_participants = false;
-        self
     }
 
     /// Seeds a key at every replica of its shard.
@@ -272,7 +260,7 @@ impl ShardCluster {
 
     /// Sets the partition schedule.
     pub fn partition(mut self, partition: PartitionEngine) -> ShardCluster {
-        self.partition = partition;
+        self.faults.partition = partition;
         self
     }
 
@@ -284,7 +272,7 @@ impl ShardCluster {
 
     /// Injects a site failure (crash or crash-recover).
     pub fn fail(mut self, spec: ptp_simnet::FailureSpec) -> ShardCluster {
-        self.failures.push(spec);
+        self.faults.failures.push(spec);
         self
     }
 
@@ -312,24 +300,9 @@ impl ShardCluster {
             .collect();
 
         let horizon = self.config.max_time;
-        let net = SimNet {
-            config: self.config,
-            partition: self.partition,
-            delay: self.delay,
-            failures: self.failures,
-            env_faults: Vec::new(),
-            degrades: Vec::new(),
-        };
+        let net = SimNet { config: self.config, faults: self.faults, delay: self.delay };
         let opts = ShardNodeOpts { lease: self.lease, anti_entropy: self.anti_entropy };
-        let run = run_planned(
-            plans.clone(),
-            &submissions,
-            seed,
-            self.protocol,
-            self.reuse_participants,
-            opts,
-            net,
-        );
+        let run = run_planned(plans.clone(), &submissions, seed, self.protocol, opts, net);
 
         let (shards, cross_shard) = aggregate(&plans, &run.metrics, horizon);
         ShardRun {

@@ -20,6 +20,8 @@
 //! * [`failure`] — crash/recover injection (for the Sec. 7 counterexamples).
 //! * [`envfault`] — envelope-level faults (duplicate / reorder / drop by
 //!   match predicate) and degraded-network delay windows.
+//! * [`faults`] — [`FaultPlan`]: the four above as one value in host time,
+//!   the only fault description the simulator (and the live router) reads.
 //! * [`event`] — the deterministic event queue.
 //! * [`net`] — the [`Simulation`] engine, [`Actor`] trait and [`Ctx`] handle.
 //! * [`trace`] — complete execution logs and measurement helpers.
@@ -49,7 +51,6 @@
 //!     vec![Box::new(Greeter), Box::new(Greeter)],
 //!     PartitionEngine::always_connected(),
 //!     &DelayModel::Fixed(500),
-//!     vec![],
 //! );
 //! let (_actors, trace, report) = sim.run();
 //! assert_eq!(trace.first_note(SiteId(1), "got").unwrap().0.ticks(), 500);
@@ -63,6 +64,7 @@ pub mod delay;
 pub mod envfault;
 pub mod event;
 pub mod failure;
+pub mod faults;
 pub mod message;
 pub mod net;
 pub mod partition;
@@ -75,6 +77,7 @@ pub mod trace;
 pub use delay::{DelayModel, Leg, ScheduleBuilder};
 pub use envfault::{DegradeWindow, EnvelopeAction, EnvelopeFault, EnvelopeMatch};
 pub use failure::FailureSpec;
+pub use faults::FaultPlan;
 pub use message::{Disposition, Envelope, MsgId, SiteId};
 pub use net::{
     Actor, Ctx, NetConfig, Payload, RunReport, SimScratch, Simulation, StopReason, TimerHandle,

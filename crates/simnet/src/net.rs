@@ -1,11 +1,11 @@
 //! The simulation engine: actors, contexts, and the event loop.
 
 use crate::delay::{DelayModel, DelaySampler, Leg};
-use crate::envfault::{DegradeWindow, EnvelopeAction, EnvelopeFault};
+use crate::envfault::EnvelopeAction;
 use crate::event::{EventKind, EventQueue};
-use crate::failure::FailureSpec;
+use crate::faults::FaultPlan;
 use crate::message::{Envelope, MsgId, SiteId};
-use crate::partition::{PartitionEngine, PartitionMode};
+use crate::partition::PartitionMode;
 use crate::time::{SimDuration, SimTime};
 use crate::timers::TimerSlab;
 use crate::trace::{Trace, TraceCounters, TraceEvent, TraceSink};
@@ -213,19 +213,16 @@ struct Core<P: Payload> {
     next_msg: u64,
     timers: TimerSlab,
     crashed: Vec<bool>,
-    partition: PartitionEngine,
+    /// The run's faults, in ticks. The partition engine is the connectivity
+    /// oracle; crashes were turned into queue events at construction;
+    /// degrade windows and envelope faults (usually none) apply at send time.
+    faults: FaultPlan,
     sampler: DelaySampler,
     sink: TraceSink,
     counters: TraceCounters,
-    /// Envelope-level faults, applied at send time (usually empty; see
-    /// [`Simulation::set_envelope_faults`]).
-    env_faults: Vec<EnvelopeFault>,
     /// Per-fault count of sends matching the fault's field filters, for
-    /// `nth` ordinals. Parallel to `env_faults`.
+    /// `nth` ordinals. Parallel to `faults.env_faults`.
     env_hits: Vec<u32>,
-    /// Degraded-network windows (usually empty; see
-    /// [`Simulation::set_degrades`]).
-    degrades: Vec<DegradeWindow>,
 }
 
 impl<P: Payload> Core<P> {
@@ -249,12 +246,7 @@ impl<P: Payload> Core<P> {
     /// windows never shifts the random stream the rest of the run sees.
     #[inline]
     fn degraded(&self, id: MsgId, raw: u64) -> u64 {
-        for w in &self.degrades {
-            if w.covers(self.now) {
-                return w.remap(id.0, raw);
-            }
-        }
-        raw
+        self.faults.degraded(self.now).map_or(raw, |w| w.remap(id.0, raw))
     }
 
     fn send(&mut self, src: SiteId, dst: SiteId, payload: P) {
@@ -273,9 +265,9 @@ impl<P: Payload> Core<P> {
         // `Delay` pushes the delivery instant; `Duplicate` schedules a
         // second copy (same message id — the *network* duplicated it).
         let mut duplicate_after = None;
-        if !self.env_faults.is_empty() {
-            for i in 0..self.env_faults.len() {
-                let fault = self.env_faults[i];
+        if !self.faults.env_faults.is_empty() {
+            for i in 0..self.faults.env_faults.len() {
+                let fault = self.faults.env_faults[i];
                 if !fault.matches.covers(kind, src, dst) {
                     continue;
                 }
@@ -333,7 +325,7 @@ impl<P: Payload> Core<P> {
         // Either way the return leg adds at most `T`, so an undeliverable
         // message is back at its sender within `2T` of sending — the bound
         // the Fig. 6 timing analysis uses.
-        match self.partition.bounce_instant(src, dst, self.now, delivery_at) {
+        match self.faults.partition.bounce_instant(src, dst, self.now, delivery_at) {
             None => {
                 self.queue.push(delivery_at, EventKind::Deliver(env));
             }
@@ -377,8 +369,8 @@ impl<P: Payload> Core<P> {
 }
 
 /// The simulator's reusable buffers: event heap, timer slab, crash flags,
-/// and the partition engine (whose group vectors a session rewrites between
-/// runs).
+/// and the fault plan (whose partition-group vectors and fault lists a
+/// session rewrites between runs).
 ///
 /// A simulation built with [`Simulation::with_scratch`] and finished with
 /// [`Simulation::run_recycling`] hands these back so the next run starts
@@ -391,20 +383,20 @@ pub struct SimScratch<P: Payload> {
     queue: EventQueue<P>,
     timers: TimerSlab,
     crashed: Vec<bool>,
-    /// The partition engine. Callers reconfigure it in place between runs
-    /// via [`PartitionEngine::clear`] / [`PartitionEngine::reset_single`],
-    /// or simply assign a new one.
-    pub partition: PartitionEngine,
+    /// The next run's faults. Callers rewrite the plan in place between
+    /// runs (e.g. [`crate::PartitionEngine::reset_single`] on its partition
+    /// engine), or simply assign a new one.
+    pub faults: FaultPlan,
 }
 
 impl<P: Payload> SimScratch<P> {
-    /// Fresh, empty scratch with an always-connected partition engine.
+    /// Fresh, empty scratch with no faults armed.
     pub fn new() -> SimScratch<P> {
         SimScratch {
             queue: EventQueue::with_capacity(0),
             timers: TimerSlab::with_capacity(0),
             crashed: Vec::new(),
-            partition: PartitionEngine::always_connected(),
+            faults: FaultPlan::default(),
         }
     }
 }
@@ -453,16 +445,41 @@ pub struct Simulation<P: Payload, A: Actor<P> = Box<dyn Actor<P>>> {
 }
 
 impl<P: Payload, A: Actor<P>> Simulation<P, A> {
-    /// Creates a simulation over `actors` (site `i` is `actors[i]`) with a
-    /// full-recording trace sink.
+    /// Creates a simulation over `actors` (site `i` is `actors[i]`) under
+    /// `faults` (a whole [`FaultPlan`] in ticks, or just a
+    /// [`crate::PartitionEngine`]), with a full-recording trace sink.
+    ///
+    /// ```
+    /// use ptp_simnet::{
+    ///     DelayModel, EnvelopeFault, EnvelopeMatch, FaultPlan, NetConfig, SimDuration, Simulation,
+    /// };
+    /// # use ptp_simnet::{Actor, Ctx, Envelope, SiteId};
+    /// # struct Pinger;
+    /// # impl Actor<&'static str> for Pinger {
+    /// #     fn on_start(&mut self, ctx: &mut Ctx<'_, &'static str>) {
+    /// #         if ctx.me() == SiteId(0) { ctx.send(SiteId(1), "ping"); }
+    /// #     }
+    /// #     fn on_message(&mut self, _: Envelope<&'static str>, _: &mut Ctx<'_, &'static str>) {}
+    /// # }
+    /// // Deliver every "ping" twice, the copy 100 ticks later.
+    /// let mut faults = FaultPlan::default();
+    /// faults.env_faults.push(EnvelopeFault::duplicate(EnvelopeMatch::kind("ping"), SimDuration(100)));
+    /// let sim = Simulation::new(
+    ///     NetConfig::default(),
+    ///     vec![Box::new(Pinger), Box::new(Pinger)],
+    ///     faults,
+    ///     &DelayModel::Fixed(500),
+    /// );
+    /// let (_, trace, _) = sim.run();
+    /// assert_eq!(trace.deliveries_to(SiteId(1), "ping").count(), 2);
+    /// ```
     pub fn new(
         config: NetConfig,
         actors: Vec<A>,
-        partition: PartitionEngine,
+        faults: impl Into<FaultPlan>,
         delay: &DelayModel,
-        failures: Vec<FailureSpec>,
     ) -> Self {
-        Simulation::with_sink(config, actors, partition, delay, failures, TraceSink::recording())
+        Simulation::with_sink(config, actors, faults, delay, TraceSink::recording())
     }
 
     /// Creates a simulation with an explicit [`TraceSink`].
@@ -474,19 +491,18 @@ impl<P: Payload, A: Actor<P>> Simulation<P, A> {
     pub fn with_sink(
         config: NetConfig,
         actors: Vec<A>,
-        partition: PartitionEngine,
+        faults: impl Into<FaultPlan>,
         delay: &DelayModel,
-        failures: Vec<FailureSpec>,
         sink: TraceSink,
     ) -> Self {
         let mut scratch = SimScratch::new();
-        scratch.partition = partition;
-        Simulation::with_scratch(config, actors, delay, &failures, sink, scratch)
+        scratch.faults = faults.into();
+        Simulation::with_scratch(config, actors, delay, sink, scratch)
     }
 
     /// Creates a simulation that reuses the buffers of a previous run.
     ///
-    /// The partition engine is taken from `scratch.partition` (configure it
+    /// The faults are taken from `scratch.faults` (configure the plan
     /// before calling); every other buffer is reset to a fresh state, so
     /// the run is indistinguishable from one built by
     /// [`Simulation::with_sink`]. Finish with [`Simulation::run_recycling`]
@@ -495,19 +511,18 @@ impl<P: Payload, A: Actor<P>> Simulation<P, A> {
         config: NetConfig,
         actors: Vec<A>,
         delay: &DelayModel,
-        failures: &[FailureSpec],
         sink: TraceSink,
         scratch: SimScratch<P>,
     ) -> Self {
         let n = actors.len();
-        let SimScratch { mut queue, mut timers, mut crashed, partition } = scratch;
+        let SimScratch { mut queue, mut timers, mut crashed, faults } = scratch;
         // Broadcast peaks put O(n²) deliveries plus O(n) timers in flight;
         // reserving once here keeps the heap from reallocating mid-run.
-        queue.reset(n * n + 4 * n + 2 * failures.len() + 8);
+        queue.reset(n * n + 4 * n + 2 * faults.failures.len() + 8);
         timers.reset();
         crashed.clear();
         crashed.resize(n, false);
-        for f in failures {
+        for f in &faults.failures {
             assert!(f.site.index() < n, "failure spec names unknown site {}", f.site);
             queue.push(f.at, EventKind::Crash(f.site));
             if let Some(r) = f.recover_at {
@@ -522,63 +537,14 @@ impl<P: Payload, A: Actor<P>> Simulation<P, A> {
                 next_msg: 0,
                 timers,
                 crashed,
-                partition,
+                env_hits: vec![0; faults.env_faults.len()],
+                faults,
                 sampler: delay.sampler(),
                 sink,
                 counters: TraceCounters::default(),
-                env_faults: Vec::new(),
-                env_hits: Vec::new(),
-                degrades: Vec::new(),
             },
             actors,
         }
-    }
-
-    /// Arms envelope-level faults (duplicate / reorder / drop by match
-    /// predicate) for this run. Call before [`Simulation::run`]; the
-    /// default is none, leaving the hot path untouched.
-    ///
-    /// ```
-    /// use ptp_simnet::{
-    ///     DelayModel, EnvelopeFault, EnvelopeMatch, NetConfig, PartitionEngine, SimDuration,
-    ///     Simulation,
-    /// };
-    /// # use ptp_simnet::{Actor, Ctx, Envelope, SiteId};
-    /// # struct Pinger;
-    /// # impl Actor<&'static str> for Pinger {
-    /// #     fn on_start(&mut self, ctx: &mut Ctx<'_, &'static str>) {
-    /// #         if ctx.me() == SiteId(0) { ctx.send(SiteId(1), "ping"); }
-    /// #     }
-    /// #     fn on_message(&mut self, _: Envelope<&'static str>, _: &mut Ctx<'_, &'static str>) {}
-    /// # }
-    /// let mut sim = Simulation::new(
-    ///     NetConfig::default(),
-    ///     vec![Box::new(Pinger), Box::new(Pinger)],
-    ///     PartitionEngine::always_connected(),
-    ///     &DelayModel::Fixed(500),
-    ///     vec![],
-    /// );
-    /// // Deliver every "ping" twice, the copy 100 ticks later.
-    /// sim.set_envelope_faults(&[EnvelopeFault::duplicate(
-    ///     EnvelopeMatch::kind("ping"),
-    ///     SimDuration(100),
-    /// )]);
-    /// let (_, trace, _) = sim.run();
-    /// assert_eq!(trace.deliveries_to(SiteId(1), "ping").count(), 2);
-    /// ```
-    pub fn set_envelope_faults(&mut self, faults: &[EnvelopeFault]) {
-        self.core.env_faults.clear();
-        self.core.env_faults.extend_from_slice(faults);
-        self.core.env_hits.clear();
-        self.core.env_hits.resize(faults.len(), 0);
-    }
-
-    /// Arms degraded-network windows for this run: while a window covers
-    /// the send instant, sampled delays are remapped into its band (see
-    /// [`DegradeWindow`]). Default: none.
-    pub fn set_degrades(&mut self, windows: &[DegradeWindow]) {
-        self.core.degrades.clear();
-        self.core.degrades.extend_from_slice(windows);
     }
 
     /// Number of sites.
@@ -594,7 +560,7 @@ impl<P: Payload, A: Actor<P>> Simulation<P, A> {
             queue: core.queue,
             timers: core.timers,
             crashed: core.crashed,
-            partition: core.partition,
+            faults: core.faults,
         };
         (actors, trace, report, scratch)
     }
@@ -712,7 +678,8 @@ impl<P: Payload, A: Actor<P>> Simulation<P, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::PartitionSpec;
+    use crate::failure::FailureSpec;
+    use crate::partition::{PartitionEngine, PartitionSpec};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -768,7 +735,6 @@ mod tests {
             vec![Box::new(a), Box::new(b)],
             partition,
             &DelayModel::Fixed(100),
-            vec![],
         );
         let (_, trace, report) = sim.run();
         (board, trace, report)
@@ -866,7 +832,6 @@ mod tests {
             vec![Box::new(TimerActor { board: board.clone(), cancel_second: false })],
             PartitionEngine::always_connected(),
             &DelayModel::Fixed(1),
-            vec![],
         );
         sim.run();
         assert_eq!(board.borrow().timers, vec![(0, 1, 10), (0, 2, 20)]);
@@ -880,7 +845,6 @@ mod tests {
             vec![Box::new(TimerActor { board: board.clone(), cancel_second: true })],
             PartitionEngine::always_connected(),
             &DelayModel::Fixed(1),
-            vec![],
         );
         let (_, trace, _) = sim.run();
         assert_eq!(board.borrow().timers, vec![(0, 1, 10)]);
@@ -895,9 +859,11 @@ mod tests {
         let sim = Simulation::new(
             NetConfig::default(),
             vec![Box::new(a), Box::new(b)],
-            PartitionEngine::always_connected(),
+            FaultPlan {
+                failures: vec![FailureSpec::crash(SiteId(1), SimTime(50))],
+                ..FaultPlan::default()
+            },
             &DelayModel::Fixed(100),
-            vec![FailureSpec::crash(SiteId(1), SimTime(50))],
         );
         let (_, trace, _) = sim.run();
         assert!(board.borrow().delivered.is_empty());
@@ -925,9 +891,11 @@ mod tests {
         let sim = Simulation::new(
             NetConfig::default(),
             vec![Box::new(CrashWatcher { board: board.clone() })],
-            PartitionEngine::always_connected(),
+            FaultPlan {
+                failures: vec![FailureSpec::crash_recover(SiteId(0), SimTime(40), SimTime(90))],
+                ..FaultPlan::default()
+            },
             &DelayModel::Fixed(1),
-            vec![FailureSpec::crash_recover(SiteId(0), SimTime(40), SimTime(90))],
         );
         sim.run();
         assert_eq!(*board.borrow(), vec![("crash", 40), ("recover", 90)]);
@@ -951,7 +919,6 @@ mod tests {
             vec![Box::new(Looper)],
             PartitionEngine::always_connected(),
             &DelayModel::Fixed(1),
-            vec![],
         );
         let (_, _, report) = sim.run();
         assert_eq!(report.stop, StopReason::Horizon);
@@ -969,7 +936,6 @@ mod tests {
             vec![Box::new(a), Box::new(b)],
             PartitionEngine::always_connected(),
             &DelayModel::Fixed(10_000),
-            vec![],
         );
         sim.run();
         assert_eq!(board.borrow().delivered[0], (1, "ping", 1000));
@@ -997,7 +963,6 @@ mod tests {
                 NetConfig::default(),
                 actors,
                 &DelayModel::Fixed(100),
-                &[],
                 TraceSink::recording(),
                 scratch,
             );
@@ -1005,9 +970,9 @@ mod tests {
             (trace, report.events, scratch)
         };
         let mut scratch = SimScratch::new();
-        scratch.partition = part();
+        scratch.faults.partition = part();
         let (cold_trace, cold_events, mut scratch) = run_once(scratch);
-        scratch.partition = part();
+        scratch.faults.partition = part();
         let (warm_trace, warm_events, _) = run_once(scratch);
         assert_eq!(cold_trace.events(), warm_trace.events());
         assert_eq!(cold_events, warm_events);
@@ -1020,15 +985,17 @@ mod tests {
         let board = Rc::new(RefCell::new(Board::default()));
         let a = Echo { board: board.clone(), peer: Some(SiteId(1)), starts_ping: true };
         let b = Echo { board: board.clone(), peer: None, starts_ping: false };
-        let mut sim = Simulation::new(
+        let plan = FaultPlan {
+            env_faults: faults.to_vec(),
+            degrades: degrades.to_vec(),
+            ..FaultPlan::default()
+        };
+        let sim = Simulation::new(
             NetConfig::default(),
             vec![Box::new(a), Box::new(b)],
-            PartitionEngine::always_connected(),
+            plan,
             &DelayModel::Fixed(100),
-            vec![],
         );
-        sim.set_envelope_faults(faults);
-        sim.set_degrades(degrades);
         let (_, trace, report) = sim.run();
         (board, trace, report)
     }
@@ -1123,7 +1090,6 @@ mod tests {
             vec![Box::new(Noter)],
             PartitionEngine::always_connected(),
             &DelayModel::Fixed(1),
-            vec![],
         );
         let (_, trace, _) = sim.run();
         assert_eq!(trace.first_note(SiteId(0), "hello"), Some((SimTime(0), 42)));

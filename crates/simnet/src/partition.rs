@@ -161,7 +161,7 @@ impl PartitionSpec {
 ///     assert!(!engine.connected(SiteId(0), SiteId(2), SimTime(6000)), "re-split");
 /// }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PartitionEngine {
     episodes: Vec<PartitionSpec>,
 }
@@ -485,6 +485,15 @@ mod tests {
     fn overlapping_episodes_rejected() {
         PartitionEngine::new(vec![
             PartitionSpec::transient(SimTime(0), vec![s(1)], vec![s(2)], SimTime(50)),
+            PartitionSpec::simple(SimTime(25), vec![s(1)], vec![s(2)]),
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unhealed")]
+    fn episode_after_a_permanent_split_rejected() {
+        PartitionEngine::new(vec![
+            PartitionSpec::simple(SimTime(0), vec![s(1)], vec![s(2)]),
             PartitionSpec::simple(SimTime(25), vec![s(1)], vec![s(2)]),
         ]);
     }

@@ -2,12 +2,12 @@
 //! counterexamples, as tests: each *must* produce a violation, documenting
 //! that the paper's model boundaries are real.
 
-use ptp_core::{
-    run_scenario, sweep, PartitionShape, ProtocolKind, RunOptions, Scenario, Session, SweepGrid,
-};
+use ptp_core::{run_scenario, sweep, ProtocolKind, RunOptions, Scenario, Session, SweepGrid};
 use ptp_model::Decision;
 use ptp_protocols::Verdict;
-use ptp_simnet::{DelayModel, FailureSpec, ScheduleBuilder, SimTime, SiteId};
+use ptp_simnet::{
+    DelayModel, FailureSpec, PartitionEngine, PartitionSpec, ScheduleBuilder, SimTime, SiteId,
+};
 
 #[test]
 fn message_loss_breaks_the_termination_protocol() {
@@ -48,12 +48,13 @@ fn multiple_partitioning_breaks_the_termination_protocol() {
     // partitioning." Crafted 3-way split: slave 2's prepare crosses into
     // its own fragment; slave 3 never hears anything again.
     let crafted = ScheduleBuilder::with_default(1000).outbound(7, 400).build();
-    let mut scenario = Scenario::new(4).delay(crafted);
-    scenario.partition = PartitionShape::Multiple {
+    let three_way = PartitionSpec {
+        at: SimTime(2500),
         groups: vec![vec![SiteId(0), SiteId(1)], vec![SiteId(2)], vec![SiteId(3)]],
-        at: 2500,
         heal_at: None,
     };
+    let scenario =
+        Scenario::new(4).delay(crafted).partition_schedule(PartitionEngine::new(vec![three_way]));
     let result = run_scenario(ProtocolKind::HuangLi3pc, &scenario);
     assert!(
         matches!(result.verdict, Verdict::Inconsistent { .. }),
@@ -79,19 +80,17 @@ fn sec7_counterexample_1_lone_prepared_g2_slave_crashes() {
 
 #[test]
 fn sec7_counterexample_2_g1_slave_crashes_before_probing() {
-    // The crash is injected through RunOptions (not the scenario) to cover
-    // the typed failure path end to end.
     let scenario = Scenario::new(4).partition_g2(vec![SiteId(3)], 2500);
-    let options = RunOptions::recording().fail(FailureSpec::crash(SiteId(1), SimTime(3500)));
+    let crashing = scenario.clone().fail(FailureSpec::crash(SiteId(1), SimTime(3500)));
     let mut session = Session::new(ProtocolKind::HuangLi3pc, 4);
-    let result = session.run_with(&scenario, &options);
+    let result = session.run_with(&crashing, &RunOptions::recording());
     assert_eq!(result.outcomes[0].decision, Some(Decision::Commit));
     assert_eq!(result.outcomes[2].decision, Some(Decision::Commit));
     assert_eq!(result.outcomes[3].decision, Some(Decision::Abort));
     assert!(matches!(result.verdict, Verdict::Inconsistent { .. }));
 
-    // The same session without the failure option: resilient again (the
-    // injected crash does not leak into later runs).
+    // The same session on the crash-free scenario: resilient again (the
+    // injected crash does not leak into later runs through the reused plan).
     let clean = session.run(&scenario);
     assert!(clean.verdict.is_resilient(), "{:?}", clean.verdict);
 }

@@ -8,13 +8,13 @@
 //! *invariants* — atomic consistency always, termination where the paper
 //! guarantees it — rather than replaying a pinned trace.
 
-use ptp_core::livenet::{run_live, run_live_faulty, LiveConfig, LiveCrash, LivePartition};
+use ptp_core::livenet::{host_time, run_live, run_live_plan, LiveConfig, LivePartition};
 use ptp_core::protocols::api::Vote;
 use ptp_core::protocols::clusters::{huang_li_3pc_cluster_any, huang_li_4pc_cluster_any};
 use ptp_core::protocols::quorum::{quorum_cluster_any, QuorumConfig};
 use ptp_core::protocols::termination::TerminationVariant;
 use ptp_core::protocols::AnyParticipant;
-use ptp_simnet::SiteId;
+use ptp_simnet::{FailureSpec, FaultPlan, SiteId};
 use std::time::Duration;
 
 const T: Duration = Duration::from_millis(8);
@@ -63,12 +63,9 @@ fn every_protocol_survives_a_crashed_slave() {
     let crashed = SiteId(3);
     for (name, cluster) in clusters(4) {
         for rep in 0..REPS {
-            let outcome = run_live_faulty(
-                cluster(),
-                LiveConfig::with_t(T),
-                None,
-                vec![LiveCrash::crash(crashed, T)],
-            );
+            let crash = FailureSpec::crash(crashed, host_time(T));
+            let faults = FaultPlan { failures: vec![crash], ..FaultPlan::default() };
+            let outcome = run_live_plan(cluster(), LiveConfig::with_t(T), faults);
             assert!(outcome.consistent(), "{name} rep {rep}: {outcome:?}");
             // The survivors must terminate; the crashed site is exempt.
             assert!(outcome.all_decided_except(&[crashed]), "{name} rep {rep}: {outcome:?}");
@@ -84,12 +81,9 @@ fn every_protocol_survives_a_crash_with_recovery() {
     let crashed = SiteId(2);
     for (name, cluster) in clusters(4) {
         for rep in 0..REPS {
-            let outcome = run_live_faulty(
-                cluster(),
-                LiveConfig::with_t(T),
-                None,
-                vec![LiveCrash::crash_recover(crashed, T, T * 8)],
-            );
+            let crash = FailureSpec::crash_recover(crashed, host_time(T), host_time(T * 8));
+            let faults = FaultPlan { failures: vec![crash], ..FaultPlan::default() };
+            let outcome = run_live_plan(cluster(), LiveConfig::with_t(T), faults);
             assert!(outcome.consistent(), "{name} rep {rep}: {outcome:?}");
             assert!(outcome.all_decided_except(&[crashed]), "{name} rep {rep}: {outcome:?}");
         }

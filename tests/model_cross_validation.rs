@@ -28,7 +28,6 @@ fn interpreted_and_engine_3pc_agree_failure_free() {
             NetConfig::default(),
             PartitionEngine::always_connected(),
             &delay,
-            vec![],
         );
         let engine = run_scenario(ProtocolKind::HuangLi3pc, &Scenario::new(4).delay(delay));
         assert_eq!(Verdict::judge(&interpreted.outcomes), engine.verdict, "seed {seed}");
@@ -47,7 +46,6 @@ fn interpreted_and_engine_agree_on_no_votes() {
             NetConfig::default(),
             PartitionEngine::always_connected(),
             &DelayModel::Fixed(700),
-            vec![],
         );
         let engine = run_scenario(
             ProtocolKind::HuangLi3pc,
@@ -73,7 +71,6 @@ fn simulated_concurrency_is_within_model_concurrency_sets() {
             NetConfig::default(),
             PartitionEngine::always_connected(),
             &DelayModel::Uniform { seed, min: 1, max: 1000 },
-            vec![],
         );
         // Current state per site, updated event by event.
         let mut current: Vec<usize> = vec![0; 3];
@@ -121,7 +118,6 @@ fn every_simulated_state_is_reachable_in_the_model() {
             NetConfig::default(),
             PartitionEngine::always_connected(),
             &DelayModel::Uniform { seed, min: 1, max: 1000 },
-            vec![],
         );
         for ev in run.trace.events() {
             if let TraceEvent::Note { site, label: "enter-state", detail, .. } = ev {

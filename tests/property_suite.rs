@@ -3,6 +3,10 @@
 //! * **Theorem 9 as a property**: any simple partition of any small
 //!   cluster, at any instant, healing or not, under any seeded delay
 //!   schedule, leaves the termination protocol atomic and nonblocking.
+//! * **One fault plan, any clock**: a random valid timeline's `FaultPlan`
+//!   answers connectivity, crash-down and degrade-active identically after
+//!   `scaled(k, 1)` at `k·t`, and `scaled(T_ns, t_unit)` puts every
+//!   boundary where `Timeline::wall` puts it.
 //! * **WAL recovery**: arbitrary interleavings of log records and crash
 //!   points never resurrect uncommitted writes nor lose committed ones.
 //! * **Lock table**: arbitrary acquire/release sequences never leave two
@@ -100,6 +104,162 @@ proptest! {
             .delay(DelayModel::Uniform { seed, min: 1, max: 1000 });
         let result = run_scenario_opts(ProtocolKind::QuorumMajority, &scenario, &RunOptions::new());
         prop_assert!(result.verdict.is_atomic());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fault-plan scaling properties
+// ---------------------------------------------------------------------------
+
+mod fault_plan_props {
+    use proptest::prelude::*;
+    use ptp_core::scenario::ScenarioBuilder;
+    use ptp_core::Timeline;
+    use ptp_simnet::rng::SmallRng;
+    use ptp_simnet::{EnvelopeAction, EnvelopeMatch, FaultPlan, SimTime, SiteId};
+    use std::time::Duration;
+
+    /// A random valid timeline: up to three partition episodes (regrouped
+    /// or healed, the last possibly permanent), crashes and recoveries,
+    /// degrade windows, and one envelope fault — strictly increasing
+    /// instants on a random tick scale.
+    fn random_timeline(seed: u64) -> Timeline {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = 3 + rng.gen_range(0..=2) as usize;
+        let t_unit = [1, 7, 1000, 1024][rng.gen_range(0..=3) as usize];
+        let mut b = ScenarioBuilder::new(n).t_unit(t_unit);
+        let (mut t, mut episodes) = (0u64, 0);
+        let (mut partition_open, mut degrade_open) = (false, false);
+        let mut down: Vec<SiteId> = Vec::new();
+        for _ in 0..rng.gen_range(2..=10) {
+            t += 1 + rng.gen_range(0..=2500);
+            match rng.gen_range(0..=4) {
+                0 if episodes < 3 => {
+                    let group_count = 2 + rng.gen_range(0..=1) as usize;
+                    let mut groups = vec![Vec::new(); group_count];
+                    for site in 0..n {
+                        let g = if site < 2 { site } else { rng.gen_range(0..=2) as usize };
+                        groups[g % group_count].push(SiteId(site as u16));
+                    }
+                    groups.retain(|g| !g.is_empty());
+                    b = b.at(t).partition(groups);
+                    (partition_open, episodes) = (true, episodes + 1);
+                }
+                1 if partition_open || degrade_open => {
+                    b = b.at(t).heal();
+                    (partition_open, degrade_open) = (false, false);
+                }
+                2 => {
+                    let site = SiteId(rng.gen_range(0..=n as u64 - 1) as u16);
+                    match down.iter().position(|s| *s == site) {
+                        Some(pos) => {
+                            down.remove(pos);
+                            b = b.at(t).recover(site);
+                        }
+                        None => {
+                            down.push(site);
+                            b = b.at(t).crash(site);
+                        }
+                    }
+                }
+                3 => {
+                    let min = rng.gen_range(1..=900);
+                    b = b.at(t).degrade(min..=rng.gen_range(min..=1000));
+                    degrade_open = true;
+                }
+                _ => {}
+            }
+        }
+        let matches = EnvelopeMatch::kind("xact");
+        let by = rng.gen_range(1..=3000);
+        if rng.gen_range(0..=1) == 0 { b.duplicate(matches, by) } else { b.reorder(matches, by) }
+            .build()
+    }
+
+    /// Every instant the plan changes its answers at.
+    fn boundaries(plan: &FaultPlan) -> Vec<u64> {
+        let episodes = plan.partition.episodes().iter().flat_map(|e| [Some(e.at), e.heal_at]);
+        let failures = plan.failures.iter().flat_map(|f| [Some(f.at), f.recover_at]);
+        let degrades = plan.degrades.iter().flat_map(|w| [Some(w.from), w.until]);
+        episodes.chain(failures).chain(degrades).flatten().map(SimTime::ticks).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        #[test]
+        fn integer_scaling_preserves_every_answer(seed in 0u64..1 << 32, k in 1u64..5000) {
+            let timeline = random_timeline(seed);
+            let plan = timeline.faults();
+            let scaled = plan.scaled(k, 1);
+            let mut probes = vec![0];
+            for b in boundaries(&plan) {
+                probes.extend([b.saturating_sub(1), b, b + 1]);
+            }
+            // One site beyond the cluster: in no group, isolated on both sides.
+            let sites: Vec<SiteId> = (0..=timeline.n as u16).map(SiteId).collect();
+            for t in probes {
+                // The whole scaled interval [k·t, k·(t+1)) answers like `t`.
+                for now in [k * t, k * t + (k - 1)] {
+                    let (at, now) = (SimTime(t), SimTime(now));
+                    for &a in &sites {
+                        prop_assert_eq!(plan.down(a, at), scaled.down(a, now), "{} at {}", a, t);
+                        for &b in &sites {
+                            prop_assert_eq!(
+                                plan.partition.connected(a, b, at),
+                                scaled.partition.connected(a, b, now),
+                                "{}-{} at {}", a, b, t
+                            );
+                        }
+                    }
+                    prop_assert_eq!(
+                        plan.degraded(at).map(|w| (k * w.min, k * w.max)),
+                        scaled.degraded(now).map(|w| (w.min, w.max)),
+                        "degrade at {}", t
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn wall_clock_scaling_puts_every_boundary_where_wall_puts_it(
+            seed in 0u64..1 << 32,
+            t_us in 1u64..50_000,
+        ) {
+            let timeline = random_timeline(seed);
+            let t = Duration::from_micros(t_us) + Duration::from_nanos(seed % 1000);
+            let wall = |ticks: u64| timeline.wall(ticks, t).as_nanos() as u64;
+            let plan = timeline.faults();
+            let live = timeline.live_faults(t);
+            prop_assert_eq!(
+                boundaries(&live),
+                boundaries(&plan).into_iter().map(wall).collect::<Vec<_>>()
+            );
+            for (l, p) in live.partition.episodes().iter().zip(plan.partition.episodes()) {
+                prop_assert_eq!(&l.groups, &p.groups);
+            }
+            for (l, p) in live.failures.iter().zip(&plan.failures) {
+                prop_assert_eq!(l.site, p.site);
+            }
+            for (l, p) in live.degrades.iter().zip(&plan.degrades) {
+                prop_assert_eq!((l.min, l.max), (wall(p.min), wall(p.max)));
+            }
+            prop_assert_eq!(live.env_faults.len(), 1);
+            let (l, p) = (live.env_faults[0], plan.env_faults[0]);
+            prop_assert_eq!(l.matches, p.matches);
+            match (l.action, p.action) {
+                (EnvelopeAction::Duplicate { after: l }, EnvelopeAction::Duplicate { after: p }) => {
+                    prop_assert_eq!(l.0, wall(p.0))
+                }
+                (EnvelopeAction::Delay { by: l }, EnvelopeAction::Delay { by: p }) => {
+                    prop_assert_eq!(l.0, wall(p.0))
+                }
+                other => prop_assert!(false, "action kind changed: {:?}", other),
+            }
+            // And that lowering is nothing but the one scaling rule.
+            let scaled = plan.scaled(t.as_nanos() as u64, timeline.t_unit);
+            prop_assert_eq!(boundaries(&live), boundaries(&scaled));
+        }
     }
 }
 

@@ -1,8 +1,7 @@
 //! The elastic read path must not fork behaviour: **read-only
 //! transactions never mutate write state**. A run with reads mixed in
 //! leaves every storage, WAL, lock-hold interval and write decision
-//! identical to the write-only baseline — pooled and per-transaction
-//! participant construction alike, leases on or off.
+//! identical to the write-only baseline, leases on or off.
 //!
 //! (The suite once also pinned a read-enabled 1-shard [`ShardCluster`]
 //! byte-identical to `DbCluster`; both now run on the same site actor
@@ -197,22 +196,25 @@ fn reads_never_mutate_write_state_on_sharded_topologies() {
 }
 
 #[test]
-fn mixed_read_write_pooled_matches_per_txn_construction() {
+fn mixed_read_write_pooled_runs_reuse_participants_and_reproduce() {
+    // Reads contend with writes on the `k` family here, under random
+    // partitions and crashes. The per-transaction construction baseline
+    // this case used to compare against is retired (`reset` ≡ fresh
+    // construction is `tests/session_reuse.rs`); what stays pinned is that
+    // the pooled run recycles participants, stays atomic, and is a pure
+    // function of the workload.
     let mut rng = SmallRng::seed_from_u64(0xCAFE);
+    let mut reused = 0;
     for i in 0..10 {
         let spec = WorkloadSpec::random(&mut rng, "k");
-        let build = |pooled: bool| {
-            let mut cluster = spec.build_sharded(CommitProtocol::HuangLi, true);
-            if !pooled {
-                cluster = cluster.construct_per_txn();
-            }
-            cluster.run()
-        };
-        let pooled = build(true);
-        let baseline = build(false);
-        assert_eq!(pooled.metrics, baseline.metrics, "run #{i}: metrics");
-        assert_eq!(pooled.storages, baseline.storages, "run #{i}: storages");
-        assert_eq!(pooled.wals, baseline.wals, "run #{i}: WALs");
-        assert_eq!(pooled.reads, baseline.reads, "run #{i}: read report");
+        let first = spec.build_sharded(CommitProtocol::HuangLi, true).run();
+        let again = spec.build_sharded(CommitProtocol::HuangLi, true).run();
+        assert!(first.metrics.atomicity_violations().is_empty(), "run #{i}");
+        assert_eq!(first.metrics, again.metrics, "run #{i}: metrics");
+        assert_eq!(first.storages, again.storages, "run #{i}: storages");
+        assert_eq!(first.wals, again.wals, "run #{i}: WALs");
+        assert_eq!(first.reads, again.reads, "run #{i}: read report");
+        reused += first.participants_reused;
     }
+    assert!(reused > 0, "sequential transactions must recycle pooled participants");
 }

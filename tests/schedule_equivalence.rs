@@ -11,11 +11,9 @@
 //!    buffer recycling across schedule rewrites never leaks state.
 
 use proptest::prelude::*;
-use ptp_core::{
-    run_scenario_opts, PartitionSchedule, ProtocolKind, RunOptions, Scenario, SessionPool,
-};
+use ptp_core::{run_scenario_opts, ProtocolKind, RunOptions, Scenario, SessionPool};
 use ptp_simnet::rng::SmallRng;
-use ptp_simnet::{DelayModel, SiteId};
+use ptp_simnet::{DelayModel, PartitionEngine, PartitionSpec, SimTime, SiteId};
 
 /// The sites `0..n` minus `g2` (G1, master included).
 fn complement(n: usize, g2: &[SiteId]) -> Vec<SiteId> {
@@ -47,10 +45,10 @@ fn assert_results_identical(
 /// A randomized valid multi-episode schedule over `n` sites: 1–3 episodes,
 /// each regrouping the sites into 2–3 groups (master in group 0), separated
 /// by non-overlapping time windows.
-fn random_schedule(n: usize, seed: u64) -> PartitionSchedule {
+fn random_schedule(n: usize, seed: u64) -> PartitionEngine {
     let mut rng = SmallRng::seed_from_u64(seed);
     let episodes = 1 + rng.gen_range(0..=2) as usize;
-    let mut schedule = PartitionSchedule::new();
+    let mut schedule = Vec::new();
     let mut t = 250 * rng.gen_range(1..=16); // first split in (0, 4T]
     for e in 0..episodes {
         let group_count = 2 + rng.gen_range(0..=1) as usize;
@@ -66,12 +64,13 @@ fn random_schedule(n: usize, seed: u64) -> PartitionSchedule {
         } else {
             Some(t + 250 * rng.gen_range(1..=12))
         };
-        schedule = schedule.episode(groups, t, heal);
+        schedule.push(PartitionSpec { at: SimTime(t), groups, heal_at: heal.map(SimTime) });
         // Next episode starts at or after the heal (sometimes exactly at
         // it — the seamless-regroup case).
-        t = schedule.episodes()[e].heal_at.unwrap_or(t) + 250 * rng.gen_range(0..=8);
+        t = heal.unwrap_or(t) + 250 * rng.gen_range(0..=8);
     }
-    schedule
+    // Validates order and the no-overlap invariant.
+    PartitionEngine::new(schedule)
 }
 
 proptest! {
@@ -96,9 +95,11 @@ proptest! {
         .delay(delay.clone());
 
         let schedule = Scenario::new(n)
-            .partition_schedule(
-                PartitionSchedule::new().episode(vec![complement(n, &g2), g2], at, heal_at),
-            )
+            .partition_schedule(PartitionEngine::new(vec![PartitionSpec {
+                at: SimTime(at),
+                groups: vec![complement(n, &g2), g2],
+                heal_at: heal_at.map(SimTime),
+            }]))
             .delay(delay);
 
         for kind in ProtocolKind::ALL {

@@ -17,7 +17,7 @@ use ptp_core::{
     TraceMode,
 };
 use ptp_simnet::rng::SmallRng;
-use ptp_simnet::{DelayModel, SiteId};
+use ptp_simnet::{DelayModel, PartitionEngine, PartitionSpec, SimTime, SiteId};
 
 const N: usize = 4;
 const RUNS_PER_KIND: usize = 100;
@@ -52,11 +52,15 @@ fn random_scenario(rng: &mut SmallRng) -> Scenario {
             PartitionShape::Simple { g2, at, heal_at: heal }
         }
         3 => PartitionShape::Simple { g2: random_g2(rng), at, heal_at: None },
-        _ => PartitionShape::Multiple {
-            groups: vec![vec![SiteId(0), SiteId(1)], vec![SiteId(2)], vec![SiteId(3)]],
-            at,
-            heal_at: if rng.gen_range(0..=1) == 0 { None } else { Some(at + 2000) },
-        },
+        _ => {
+            // Multiple partitioning: a schedule in the fault plan.
+            scenario.faults.partition = PartitionEngine::new(vec![PartitionSpec {
+                at: SimTime(at),
+                groups: vec![vec![SiteId(0), SiteId(1)], vec![SiteId(2)], vec![SiteId(3)]],
+                heal_at: if rng.gen_range(0..=1) == 0 { None } else { Some(SimTime(at + 2000)) },
+            }]);
+            PartitionShape::None
+        }
     };
 
     if rng.gen_range(0..=5) == 0 {

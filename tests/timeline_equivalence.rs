@@ -8,10 +8,13 @@
 //!   kinds;
 //! * lowered to `ptp-livenet`, the same timeline passes the live invariant
 //!   audits (consistency, termination) for all four thread-backed kinds;
-//! * lowered into `ptp-live`'s serving stack via `LiveOptions::with_faults`,
-//!   the same timeline still audits clean.
+//! * lowered into `ptp-live`'s serving stack as `LiveOptions.faults`, the
+//!   same timeline still audits clean.
+//!
+//! All three read the one `FaultPlan` of `Timeline::faults` — in ticks
+//! under the simulator, `scaled` to nanoseconds under threads.
 
-use ptp_core::livenet::run_live_with;
+use ptp_core::livenet::run_live_plan;
 use ptp_core::protocols::api::Vote;
 use ptp_core::protocols::clusters::{huang_li_3pc_cluster_any, huang_li_4pc_cluster_any};
 use ptp_core::protocols::quorum::{quorum_cluster_any, QuorumConfig};
@@ -107,7 +110,7 @@ fn the_same_timeline_survives_the_livenet_lowering() {
     for (name, cluster) in live_clusters(n) {
         for rep in 0..2 {
             let config = ptp_core::livenet::LiveConfig::with_t(t);
-            let outcome = run_live_with(cluster(), config, faults.clone());
+            let outcome = run_live_plan(cluster(), config, faults.clone());
             assert!(outcome.consistent(), "{name} rep {rep}: {outcome:?}");
             assert!(outcome.all_decided(), "{name} rep {rep}: {outcome:?}");
         }
@@ -117,8 +120,8 @@ fn the_same_timeline_survives_the_livenet_lowering() {
 #[test]
 fn the_same_timeline_survives_the_live_serving_lowering() {
     // Third backend: the threaded shard server. The timeline's faults are
-    // installed through LiveOptions::with_faults; the storage audit (minus
-    // the convergence checks a partition legitimately relaxes) must hold.
+    // installed as LiveOptions.faults; the storage audit (minus the
+    // convergence checks a partition legitimately relaxes) must hold.
     let mut opts = ptp_live::LiveOptions::small(120.0, Duration::from_millis(300));
     opts.flush_cost = Duration::ZERO;
     let timeline = ScenarioBuilder::new(opts.sites)
@@ -131,9 +134,12 @@ fn the_same_timeline_survives_the_live_serving_lowering() {
         .at(9000)
         .heal()
         .build();
-    let faults = timeline.live_faults(opts.t);
-    let opts = opts.with_faults(faults);
-    assert!(opts.partition.is_some(), "the lowering must arm the partition");
+    opts.faults = timeline.live_faults(opts.t);
+    assert_eq!(
+        opts.fault_plan().partition.episodes().len(),
+        1,
+        "the lowering must arm the partition"
+    );
     let report = ptp_live::run_server(&opts);
     assert!(report.audit.ok, "audit: {:?}", report.audit.violations);
     assert!(!report.audit.strict, "partitioned runs drop convergence checks");
@@ -163,7 +169,7 @@ fn degrade_and_duplicate_timeline_is_clean_on_sim_and_livenet() {
     assert_eq!(faults.degrades.len(), 1);
     assert_eq!(faults.env_faults.len(), 1);
     let cluster = huang_li_3pc_cluster_any(n, &[Vote::Yes; 2], TerminationVariant::Transient);
-    let outcome = run_live_with(cluster, ptp_core::livenet::LiveConfig::with_t(t), faults);
+    let outcome = run_live_plan(cluster, ptp_core::livenet::LiveConfig::with_t(t), faults);
     assert!(outcome.consistent(), "{outcome:?}");
     assert!(outcome.all_decided(), "{outcome:?}");
 }
