@@ -8,6 +8,7 @@
 //! final storage and WAL back) — the harness behind experiment E14 and the
 //! banking example.
 
+use crate::core::SiteCore;
 use crate::node::{ShardNode, ShardNodeOpts};
 use crate::plan::PlanTable;
 use crate::site::{Metrics, ParticipantBuilder, ParticipantFactory, ReadSpec, TxnSpec};
@@ -296,6 +297,42 @@ pub fn run_planned(
     opts: ShardNodeOpts,
     net: SimNet,
 ) -> DbRun {
+    let (sites, metrics, trace, report) = run_sites(plans, submissions, seed, protocol, opts, net);
+    let n = sites.len();
+    let mut run = DbRun {
+        metrics,
+        trace,
+        report,
+        storages: Vec::with_capacity(n),
+        wals: Vec::with_capacity(n),
+        blocked: Vec::with_capacity(n),
+        participants_constructed: 0,
+        participants_reused: 0,
+    };
+    for site in sites {
+        run.blocked.push(site.active_txns());
+        let (constructed, reused) = site.participants();
+        run.participants_constructed += constructed;
+        run.participants_reused += reused;
+        let (storage, wal, _) = site.into_parts();
+        run.storages.push(storage);
+        run.wals.push(wal);
+    }
+    run
+}
+
+/// [`run_planned`] up to the harvest: the same simulation, handing back the
+/// site cores as it left them (in site order) beside the run's metrics,
+/// trace and report — for whoever needs to look at a whole site, not just
+/// its durable remains.
+pub fn run_sites(
+    plans: Arc<PlanTable>,
+    submissions: &[(u64, TxnId)],
+    seed: impl IntoIterator<Item = (u16, Key, Value)>,
+    protocol: CommitProtocol,
+    opts: ShardNodeOpts,
+    net: SimNet,
+) -> (Vec<SiteCore>, Metrics, Trace, RunReport) {
     let n = plans.topology.sites();
     let mut seeds = vec![Storage::new(); n];
     for (site, key, value) in seed {
@@ -330,28 +367,8 @@ pub fn run_planned(
         .collect();
 
     let (actors, trace, report) = Simulation::new(net.config, actors, net.faults, &net.delay).run();
-
-    let mut run = DbRun {
-        metrics: metrics.take(),
-        trace,
-        report,
-        storages: Vec::with_capacity(n),
-        wals: Vec::with_capacity(n),
-        blocked: Vec::with_capacity(n),
-        participants_constructed: 0,
-        participants_reused: 0,
-    };
-    for actor in actors {
-        let site = actor.into_core();
-        run.blocked.push(site.active_txns());
-        let (constructed, reused) = site.participants();
-        run.participants_constructed += constructed;
-        run.participants_reused += reused;
-        let (storage, wal, _) = site.into_parts();
-        run.storages.push(storage);
-        run.wals.push(wal);
-    }
-    run
+    let sites = actors.into_iter().map(ShardNode::into_core).collect();
+    (sites, metrics.take(), trace, report)
 }
 
 /// Convenience: the horizon instant of a run's config (for

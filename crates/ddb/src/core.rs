@@ -41,10 +41,16 @@
 //! host defers it (group commit), nothing the core sends leaves and no
 //! commit becomes visible: messages wait in the outbox, decided commits
 //! wait with their locks held, until [`Hosted::flushed`].
+//!
+//! **Log reclaim.** The core checkpoints its own WAL
+//! ([`Wal::checkpoint`]) as transactions complete, whenever the log has
+//! grown by more than a fixed floor and more than the last checkpoint left
+//! in play: a finished transaction costs the log a 4-byte commit id, and a
+//! recovery scan costs what is in flight. No host takes part.
 
 use crate::lease::{LeaseConfig, LeaseTable};
 use crate::locks::{LockGrant, LockMode, LockTable};
-use crate::plan::{PlanTable, ReadView, TxnView};
+use crate::plan::{PlanTable, ReadView, Staged, TxnView};
 use crate::site::{DbMsg, ParticipantFactory, ParticipantPool, ReadPath, Stamps, SyncPayload};
 use crate::storage::Storage;
 use crate::value::{Key, TxnId, Value, WriteOp};
@@ -87,6 +93,10 @@ const CTRL_BASE: u32 = 0xFF00_0000;
 /// (`SYNC_BASE + per-site counter`), so delta installs run the normal WAL
 /// discipline without colliding with planned transactions.
 const SYNC_BASE: u32 = 0xFE00_0000;
+
+/// The log is not checkpointed for fewer reclaimable records than this: a
+/// short run's log stays whole, and a long run's costs a bounded scan.
+const CHECKPOINT_FLOOR: usize = 1024;
 
 /// A control message of `kind` for `(shard, round)`.
 fn ctrl_msg(kind: &'static str, shard: usize, round: u8) -> DbMsg {
@@ -302,6 +312,9 @@ struct Site {
     pools: Vec<((u16, u16), ParticipantPool)>,
     storage: Storage,
     wal: Wal,
+    /// How many records the last WAL checkpoint left in the log (the
+    /// transactions then in play).
+    wal_tail: usize,
     locks: LockTable,
     slots: BTreeMap<TxnId, TxnSlot>,
     parked: BTreeMap<TxnId, Work>,
@@ -361,6 +374,7 @@ impl SiteCore {
             pools: Vec::new(),
             storage,
             wal: Wal::new(),
+            wal_tail: 0,
             locks: LockTable::new(),
             slots: BTreeMap::new(),
             parked: BTreeMap::new(),
@@ -512,6 +526,21 @@ impl<H: Host> Hosted<'_, H> {
             self.ship(txn, plan, decision);
         }
         self.release_and_unpark(txn);
+        self.checkpoint_if_due();
+    }
+
+    /// A finished transaction's log records are dead weight once its
+    /// `Applied`/`Abort` is durable (Sec. 2 keeps the log for redo alone):
+    /// checkpoint the WAL when what it has grown by since the last time
+    /// exceeds both a fixed floor and the tail then left in play — so a
+    /// record is scanned O(1) times, and the log stays proportional to the
+    /// work in flight.
+    fn checkpoint_if_due(&mut self) {
+        let site = &mut *self.site;
+        let grown = site.wal.held().saturating_sub(site.wal_tail);
+        if grown > CHECKPOINT_FLOOR.max(site.wal_tail) {
+            site.wal_tail = site.wal.checkpoint();
+        }
     }
 
     /// Records `txn`'s outcome, and keeps the anti-entropy books: as
@@ -605,7 +634,7 @@ impl<H: Host> Hosted<'_, H> {
         let msg_to = |dst: SiteId, msg: CommitMsg| {
             let writes = match (route, my_v, &msg) {
                 (Route::Write(plan), 0, CommitMsg::Kind("xact")) => {
-                    plan.writes_at(dst).map(|writes| writes.cloned().collect())
+                    plan.writes_at(dst).map(Staged::to_vec)
                 }
                 _ => None,
             };
@@ -735,7 +764,7 @@ impl<H: Host> Hosted<'_, H> {
         for &replica in plan.ships_from(self.site.me) {
             let msg = match decision {
                 Decision::Commit => {
-                    let writes = plan.writes_at(replica).map(|writes| writes.cloned().collect());
+                    let writes = plan.writes_at(replica).map(Staged::to_vec);
                     DbMsg { writes, ..DbMsg::bare(txn, SHARD_APPLY) }.stamped(stamps.as_ref())
                 }
                 Decision::Abort => DbMsg::bare(txn, SHARD_ABORT),
@@ -880,11 +909,11 @@ impl<H: Host> Hosted<'_, H> {
         match Route::of(self.plans, txn) {
             Some(route @ Route::Write(plan)) => {
                 self.host.event(SiteEvent::Submitted { txn, read: false });
-                let writes = plan.writes_at(self.site.me).into_iter().flatten().cloned().collect();
+                let writes = plan.writes_at(self.site.me).map(Staged::to_vec).unwrap_or_default();
                 self.admit(txn, Some(route), Work::Xact { writes });
             }
             Some(Route::Read(read)) => {
-                let keys = read.keys_at(self.site.me).into_iter().flatten().cloned().collect();
+                let keys = read.keys_at(self.site.me).map(Staged::to_vec).unwrap_or_default();
                 self.submit_read(txn, Some(read), keys);
             }
             None => {}
@@ -1099,7 +1128,7 @@ impl<H: Host> Hosted<'_, H> {
         match (decision, route.and_then(Route::write)) {
             (Decision::Commit, Some(plan)) => {
                 if let Some(writes) = plan.writes_at(self.site.me) {
-                    let writes = writes.cloned().collect();
+                    let writes = writes.to_vec();
                     self.admit(txn, None, Work::Apply { writes, stamps, via: Via::Replay });
                 }
             }
@@ -1124,7 +1153,7 @@ impl<H: Host> Hosted<'_, H> {
                 // A cross-shard read's coordinator polls this serving
                 // master: shared locks on the local keys, then the round.
                 Some(Route::Read(read)) if read.virtual_of(self.site.me).is_some() => {
-                    let keys = read.keys_at(self.site.me).into_iter().flatten().cloned().collect();
+                    let keys = read.keys_at(self.site.me).map(Staged::to_vec).unwrap_or_default();
                     self.admit(txn, route, Work::Read { keys });
                 }
                 Some(Route::Write(_)) => {
@@ -1255,21 +1284,7 @@ impl<H: Host> Hosted<'_, H> {
             // log (committed transactions' Begin keys — exact for the keys
             // this site masters). A post-crash under-count elsewhere only
             // costs a redundant — idempotent — anti-entropy transfer.
-            self.site.versions.clear();
-            let mut begin_keys: BTreeMap<TxnId, &[WriteOp]> = BTreeMap::new();
-            for rec in self.site.wal.durable() {
-                match rec {
-                    Record::Begin { txn, writes } => {
-                        begin_keys.insert(*txn, writes);
-                    }
-                    Record::Commit { txn } => {
-                        for w in begin_keys.get(txn).copied().unwrap_or_default() {
-                            *self.site.versions.entry(w.key.clone()).or_insert(0) += 1;
-                        }
-                    }
-                    _ => {}
-                }
-            }
+            self.site.versions = self.site.wal.committed_writes();
         }
         // Maintenance chains may have died while the site was down.
         self.start();
@@ -1590,6 +1605,34 @@ mod tests {
         assert_eq!(second.sync.as_ref().expect("a sync body").known, vec![TxnId(7)], "taken back");
         let third = round(&mut core, &mut host);
         assert!(third.sync.expect("a sync body").known.is_empty(), "reported once it got through");
+    }
+
+    #[test]
+    fn the_core_checkpoints_its_own_log_and_recovers_the_same_versions() {
+        // One site, one shard, no one to poll: every submission commits on
+        // the spot, three log records each. Anti-entropy on, so versions
+        // are stamped — and recounted from the log after a crash.
+        let txns = 4 * CHECKPOINT_FLOOR as u32;
+        let specs: Vec<ShardTxnSpec> = (1..=txns)
+            .map(|id| ShardTxnSpec { id: TxnId(id), writes: vec![w(&format!("k{}", id % 7), 1)] })
+            .collect();
+        let plans = PlanTable::compile(ShardTopology::uniform(1, 1, 1), &specs);
+        let opts = ShardNodeOpts { lease: None, anti_entropy: Some(50) };
+        let (mut core, mut host) =
+            (site(0, plans, CommitProtocol::HuangLi, opts), Script::durable());
+        for id in 1..=txns {
+            core.with(&mut host).submit(TxnId(id));
+        }
+        assert_eq!(host.completed(txns), Some((Decision::Commit, Via::Protocol)));
+        let wal = core.wal();
+        assert_eq!((wal.len(), wal.unflushed()), (3 * txns as usize, 0), "positions are logical");
+        assert!(wal.held() <= CHECKPOINT_FLOOR + 3, "{} records held", wal.held());
+        assert_eq!(wal.durable_commits().count(), txns as usize);
+        let versions = core.site.versions.clone();
+        assert_eq!(versions.values().sum::<u64>(), txns as u64);
+        core.with(&mut host).recover();
+        assert_eq!(core.site.versions, versions, "recounted across the checkpoints");
+        assert_eq!(host.events.last(), Some(&SiteEvent::Recovered(0)));
     }
 
     #[test]

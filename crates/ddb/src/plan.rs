@@ -371,10 +371,60 @@ impl<'a, T> PlanView<'a, T> {
         &self.items[start..self.ends[i] as usize]
     }
 
+    /// Everything the plan holds — a write plan's whole write set, a read
+    /// plan's whole key set — segment after segment: grouped by shard in
+    /// shard order, spec order inside a shard (a flat plan: by site).
+    pub fn items(self) -> &'a [T] {
+        self.items
+    }
+
     /// What `site` holds of this plan, if the plan names it.
-    fn at(self, site: SiteId) -> Option<impl Iterator<Item = &'a T> + 'a> {
+    fn at(self, site: SiteId) -> Option<Staged<'a, T>> {
         let member = self.shape.members.iter().find(|member| member.site == site)?;
-        Some(member.segments.iter().flat_map(move |&i| self.segment(i)))
+        Some(Staged { plan: self, segments: member.segments.iter(), current: [].iter() })
+    }
+}
+
+/// What one site holds of a plan ([`PlanView::writes_at`] /
+/// [`PlanView::keys_at`]): the items of its segments, in order. Knows its
+/// length, so copying it out allocates exactly once, exactly enough.
+#[derive(Debug)]
+pub struct Staged<'a, T> {
+    plan: PlanView<'a, T>,
+    /// The site's segments not yet started.
+    segments: std::slice::Iter<'a, usize>,
+    /// What is left of the segment being walked.
+    current: std::slice::Iter<'a, T>,
+}
+
+impl<'a, T> Iterator for Staged<'a, T> {
+    type Item = &'a T;
+
+    fn next(&mut self) -> Option<&'a T> {
+        loop {
+            if let Some(item) = self.current.next() {
+                return Some(item);
+            }
+            self.current = self.plan.segment(*self.segments.next()?).iter();
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let ahead: usize = self.segments.clone().map(|&i| self.plan.segment(i).len()).sum();
+        let len = self.current.len() + ahead;
+        (len, Some(len))
+    }
+}
+
+impl<T> ExactSizeIterator for Staged<'_, T> {}
+
+impl<T: Clone> Staged<'_, T> {
+    /// The items, cloned into a vector of exactly their number (`collect`
+    /// rounds a short vector up to four slots).
+    pub fn to_vec(self) -> Vec<T> {
+        let mut items = Vec::with_capacity(self.len());
+        items.extend(self.cloned());
+        items
     }
 }
 
@@ -400,7 +450,7 @@ impl<'a> PlanView<'a, WriteOp> {
     /// whose replica group contains it (a flat plan: the spec's write set
     /// for it); as an out-of-group replica, the same union — its **full**
     /// write set, which every ship to it carries.
-    pub fn writes_at(self, site: SiteId) -> Option<impl Iterator<Item = &'a WriteOp> + 'a> {
+    pub fn writes_at(self, site: SiteId) -> Option<Staged<'a, WriteOp>> {
         self.at(site)
     }
 
@@ -436,7 +486,7 @@ impl<'a> PlanView<'a, Key> {
 
     /// The keys `site` snapshots — those of every involved shard it masters
     /// — if it serves this read.
-    pub fn keys_at(self, site: SiteId) -> Option<impl Iterator<Item = &'a Key> + 'a> {
+    pub fn keys_at(self, site: SiteId) -> Option<Staged<'a, Key>> {
         self.at(site)
     }
 }
@@ -698,7 +748,29 @@ mod tests {
         let (a0, a1, c0, c1) = (in_shard(0, 0), in_shard(0, 1), in_shard(2, 0), in_shard(2, 1));
         let writes = vec![c1.clone(), a1.clone(), c0.clone(), a0.clone()];
         let plan = TxnPlan::compile(&topo, &ShardTxnSpec { id: TxnId(1), writes });
-        assert_eq!(staged(plan.view(), 0), Some(vec![a1, a0, c1, c0]));
+        assert_eq!(
+            staged(plan.view(), 0),
+            Some(vec![a1.clone(), a0.clone(), c1.clone(), c0.clone()])
+        );
+        // The arena holds the whole write set in that same order.
+        assert_eq!(plan.view().items(), [a1, a0, c1, c0]);
+    }
+
+    #[test]
+    fn what_a_site_stages_knows_its_length_at_every_step() {
+        // Site 0 stages two segments of two writes.
+        let topo = ShardTopology::uniform(4, 3, 2);
+        let plan = write_plan(&topo, 1, &[0, 0, 2, 2]);
+        let mut at_zero = plan.view().writes_at(SiteId(0)).expect("a member");
+        for left in (1..=4).rev() {
+            assert_eq!(at_zero.len(), left);
+            assert!(at_zero.next().is_some());
+        }
+        assert_eq!((at_zero.len(), at_zero.next()), (0, None));
+        // Copied out, a short write set costs its own length, not four slots.
+        let single = write_plan(&topo, 2, &[1]);
+        let sent = single.view().writes_at(SiteId(3)).expect("shard 1's replica").to_vec();
+        assert_eq!((sent.len(), sent.capacity()), (1, 1));
     }
 
     #[test]

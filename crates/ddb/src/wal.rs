@@ -15,8 +15,9 @@
 //! [`Wal::flush`]; a crash ([`Wal::crash`]) discards everything beyond the
 //! flushed watermark, exactly like losing the OS page cache.
 
-use crate::value::{TxnId, WriteOp};
+use crate::value::{Key, TxnId, WriteOp};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// A log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,16 +69,53 @@ pub enum RecoveryAction {
     Complete,
 }
 
+/// What a [`Wal::checkpoint`] keeps of the records it dropped — durable,
+/// like them: it survives [`Wal::crash`]. Only the transactions still in
+/// play cost records; history costs this.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct Checkpoint {
+    /// Records dropped so far, so that positions stay logical.
+    dropped: usize,
+    /// The ids of the dropped `Commit` records, in log order — what an
+    /// audit of "one durable commit record per committed transaction"
+    /// counts ([`Wal::durable_commits`]).
+    commits: Vec<TxnId>,
+    /// Per key, how many dropped committed transactions wrote it — what a
+    /// recovering site's version recount reads ([`Wal::committed_writes`]).
+    /// Bounded by the key vocabulary.
+    writes: BTreeMap<Key, u64>,
+}
+
 /// The write-ahead log of one site.
 ///
-/// `PartialEq` compares records *and* the durable watermark, so equality is
-/// full stable-storage equivalence — what the recovery-idempotency and
-/// sharded-equivalence suites pin.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+/// Positions are **logical**: [`Wal::len`], [`Wal::watermark`] and
+/// [`Wal::unflushed`] count every record ever appended, whether or not a
+/// [checkpoint](Wal::checkpoint) has dropped it since.
+///
+/// `PartialEq` compares records *and* the durable watermark (and what the
+/// checkpoints kept), so equality is full stable-storage equivalence — what
+/// the recovery-idempotency and sharded-equivalence suites pin. A log that
+/// never checkpointed compares, and renders under `{:?}`, as its records
+/// and watermark alone.
+#[derive(Default, Clone, PartialEq, Eq)]
 pub struct Wal {
+    /// The records still held: every volatile one, and the durable ones the
+    /// last checkpoint found in play.
     records: Vec<Record>,
-    /// Records `< flushed` are on stable storage.
+    /// Records at logical positions `< flushed` are on stable storage.
     flushed: usize,
+    checkpoint: Checkpoint,
+}
+
+impl fmt::Debug for Wal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = f.debug_struct("Wal");
+        out.field("records", &self.records).field("flushed", &self.flushed);
+        if self.checkpoint != Checkpoint::default() {
+            out.field("checkpoint", &self.checkpoint);
+        }
+        out.finish()
+    }
 }
 
 impl Wal {
@@ -94,8 +132,8 @@ impl Wal {
     /// Forces everything appended so far to stable storage. Returns the
     /// number of newly durable records.
     pub fn flush(&mut self) -> usize {
-        let newly = self.records.len() - self.flushed;
-        self.flushed = self.records.len();
+        let newly = self.len() - self.flushed;
+        self.flushed = self.len();
         newly
     }
 
@@ -108,18 +146,25 @@ impl Wal {
 
     /// Simulates a crash: all volatile records vanish.
     pub fn crash(&mut self) {
-        self.records.truncate(self.flushed);
+        self.records.truncate(self.held_durable());
     }
 
-    /// All durable records (what recovery sees).
+    /// How many of the held records are durable.
+    fn held_durable(&self) -> usize {
+        self.flushed - self.checkpoint.dropped
+    }
+
+    /// The durable records still held (what recovery sees): all of them
+    /// until the first [`Wal::checkpoint`], afterwards those of the
+    /// transactions it found in play, and whatever became durable since.
     pub fn durable(&self) -> &[Record] {
-        &self.records[..self.flushed]
+        &self.records[..self.held_durable()]
     }
 
     /// Records appended but not yet flushed — what a group-commit batcher
     /// inspects to decide whether a window flush has work to do.
     pub fn unflushed(&self) -> usize {
-        self.records.len() - self.flushed
+        self.len() - self.flushed
     }
 
     /// The durable watermark: records `< watermark()` are on stable
@@ -129,18 +174,119 @@ impl Wal {
         self.flushed
     }
 
-    /// Total records including volatile ones (for tests).
+    /// Total records ever appended and not lost to a crash, volatile ones
+    /// included.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.checkpoint.dropped + self.records.len()
     }
 
     /// True if nothing was ever logged.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
-    /// Scans the durable log and decides, per transaction, what recovery
-    /// must do (the paper's Sec. 2 discipline).
+    /// Records physically held: what the log costs in memory, and what a
+    /// checkpoint or a recovery scan visits.
+    pub fn held(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Drops the durable records of every transaction that is durably
+    /// complete — its `Applied` or `Abort` record is on stable storage, so
+    /// recovery has nothing left to do for it (Sec. 2) — and folds what
+    /// later readers still need of them into the [`Checkpoint`]: the id of
+    /// each dropped `Commit` record, and per key the writes of the dropped
+    /// transactions that had one (each transaction's `Begin` keys once).
+    /// Volatile records and transactions still in play are untouched, and
+    /// positions stay logical. Costs one pass over the held records;
+    /// returns how many are left.
+    pub fn checkpoint(&mut self) -> usize {
+        const COMMITTED: u8 = 1;
+        const COMPLETE: u8 = 2;
+        let durable = self.held_durable();
+        // What the durable records say of each transaction, as an id-sorted
+        // table (a handful of entries per transaction in play: no map).
+        let mut states: Vec<(TxnId, u8)> = (self.records[..durable].iter())
+            .filter_map(|rec| match rec {
+                Record::Begin { .. } => None,
+                Record::Commit { txn } => Some((*txn, COMMITTED)),
+                Record::Applied { txn } | Record::Abort { txn } => Some((*txn, COMPLETE)),
+            })
+            .collect();
+        states.sort_unstable();
+        states.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 |= next.1;
+            }
+            same
+        });
+        let state_of = |txn: TxnId| {
+            states.binary_search_by_key(&txn, |&(t, _)| t).map_or(0, |at| states[at].1)
+        };
+        let Checkpoint { dropped, commits, writes } = &mut self.checkpoint;
+        let mut at = 0;
+        self.records.retain(|rec| {
+            at += 1;
+            let state = if at <= durable { state_of(rec.txn()) } else { 0 };
+            if state & COMPLETE == 0 {
+                return true;
+            }
+            match rec {
+                Record::Begin { writes: set, .. } if state & COMMITTED != 0 => {
+                    for w in set {
+                        // (No `entry`: cloning a key bumps a refcount every
+                        // site thread shares.)
+                        match writes.get_mut(&w.key) {
+                            Some(count) => *count += 1,
+                            None => drop(writes.insert(w.key.clone(), 1)),
+                        }
+                    }
+                }
+                Record::Commit { txn } => commits.push(*txn),
+                _ => {}
+            }
+            *dropped += 1;
+            false
+        });
+        self.records.len()
+    }
+
+    /// The transaction of every durable `Commit` record, one item per
+    /// record: those a checkpoint dropped, then those still held.
+    pub fn durable_commits(&self) -> impl Iterator<Item = TxnId> + '_ {
+        let held = self.durable().iter().filter_map(|rec| match rec {
+            Record::Commit { txn } => Some(*txn),
+            _ => None,
+        });
+        self.checkpoint.commits.iter().copied().chain(held)
+    }
+
+    /// Per key, how many durably committed transactions wrote it: a
+    /// transaction's `Begin` keys count once its `Commit` record is
+    /// durable. What a recovering site recounts its version stamps from.
+    pub fn committed_writes(&self) -> BTreeMap<Key, u64> {
+        let mut counts = self.checkpoint.writes.clone();
+        let mut begun: BTreeMap<TxnId, &[WriteOp]> = BTreeMap::new();
+        for rec in self.durable() {
+            match rec {
+                Record::Begin { txn, writes } => {
+                    begun.insert(*txn, writes);
+                }
+                Record::Commit { txn } => {
+                    for w in begun.get(txn).copied().unwrap_or_default() {
+                        *counts.entry(w.key.clone()).or_insert(0) += 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+        counts
+    }
+
+    /// Scans the durable records still held and decides, per transaction,
+    /// what recovery must do (the paper's Sec. 2 discipline). Transactions
+    /// a checkpoint dropped were complete, and are not listed.
     pub fn recovery_plan(&self) -> BTreeMap<TxnId, RecoveryAction> {
         #[derive(Default)]
         struct St {
@@ -270,5 +416,77 @@ mod tests {
         let plan = wal.recovery_plan();
         assert!(matches!(plan[&TxnId(1)], RecoveryAction::Redo(_)));
         assert_eq!(plan[&TxnId(2)], RecoveryAction::Discard);
+    }
+
+    /// Transaction `id`'s whole committed lifecycle, durable.
+    fn applied(wal: &mut Wal, id: u32, writes: Vec<WriteOp>) {
+        wal.append(Record::Begin { txn: TxnId(id), writes });
+        wal.append(Record::Commit { txn: TxnId(id) });
+        wal.append_durable(Record::Applied { txn: TxnId(id) });
+    }
+
+    #[test]
+    fn checkpoint_drops_complete_transactions_and_recovery_scans_only_the_tail() {
+        let mut wal = Wal::new();
+        for id in 1..=100 {
+            applied(&mut wal, id, vec![w("a", id as u64)]);
+        }
+        wal.append(Record::Begin { txn: TxnId(200), writes: vec![w("b", 1)] });
+        wal.append_durable(Record::Abort { txn: TxnId(200) });
+        // In play: one committed-unapplied, one merely begun, one volatile.
+        wal.append(Record::Begin { txn: TxnId(301), writes: vec![w("c", 1)] });
+        wal.append(Record::Commit { txn: TxnId(301) });
+        wal.append_durable(Record::Begin { txn: TxnId(302), writes: vec![w("d", 1)] });
+        wal.append(Record::Begin { txn: TxnId(303), writes: vec![] });
+        let (len, watermark, unflushed) = (wal.len(), wal.watermark(), wal.unflushed());
+        assert_eq!((len, unflushed), (306, 1));
+        let before = wal.recovery_plan();
+        assert_eq!(before.len(), 103);
+
+        assert_eq!(wal.checkpoint(), 4);
+        // Positions are logical: nothing a group-commit batcher reads moved.
+        assert_eq!((wal.len(), wal.watermark(), wal.unflushed()), (len, watermark, unflushed));
+        // Recovery visits the live tail only, and decides it as before.
+        assert_eq!(wal.durable().len(), 3);
+        let after = wal.recovery_plan();
+        assert_eq!(after.keys().copied().collect::<Vec<_>>(), [TxnId(301), TxnId(302)]);
+        assert!(after.iter().all(|(txn, action)| before[txn] == *action));
+        // What the dropped records said that is still read.
+        assert_eq!(wal.durable_commits().count(), 101);
+        assert_eq!(wal.committed_writes(), [(Key::from("a"), 100), (Key::from("c"), 1)].into());
+        // The checkpoint is durable; the volatile tail is not.
+        wal.crash();
+        assert_eq!((wal.len(), wal.held()), (len - 1, 3));
+        assert_eq!(wal.durable_commits().count(), 101);
+        // A second checkpoint with nothing newly complete changes nothing.
+        let same = wal.clone();
+        assert_eq!(wal.checkpoint(), 3);
+        assert_eq!(wal, same);
+    }
+
+    #[test]
+    fn a_log_that_never_checkpointed_renders_as_records_and_watermark() {
+        let mut wal = Wal::new();
+        wal.append_durable(Record::Commit { txn: TxnId(1) });
+        assert_eq!(format!("{wal:?}"), "Wal { records: [Commit { txn: TxnId(1) }], flushed: 1 }");
+        // A checkpoint that found nothing to drop kept nothing either.
+        wal.checkpoint();
+        assert_eq!(format!("{wal:?}"), "Wal { records: [Commit { txn: TxnId(1) }], flushed: 1 }");
+        wal.append_durable(Record::Applied { txn: TxnId(1) });
+        wal.checkpoint();
+        assert!(format!("{wal:?}").contains("checkpoint: Checkpoint { dropped: 2"));
+    }
+
+    #[test]
+    fn every_dropped_commit_record_is_still_counted() {
+        // A duplicated commit record is what an audit looks for: dropping
+        // the transaction must not hide it.
+        let mut wal = Wal::new();
+        wal.append(Record::Begin { txn: TxnId(1), writes: vec![w("a", 1)] });
+        wal.append(Record::Commit { txn: TxnId(1) });
+        wal.append(Record::Commit { txn: TxnId(1) });
+        wal.append_durable(Record::Applied { txn: TxnId(1) });
+        assert_eq!(wal.checkpoint(), 0);
+        assert_eq!(wal.durable_commits().collect::<Vec<_>>(), [TxnId(1), TxnId(1)]);
     }
 }

@@ -58,10 +58,9 @@ pub use ptp_obs::{
     StageTable, TxnSpan,
 };
 
-use driver::{OpKind, Schedule};
+use driver::{OpKind, Schedule, ScheduledOp, READ_BASE};
 use ptp_ddb::site::ParticipantFactory;
 use ptp_ddb::value::{Key, TxnId, Value};
-use ptp_ddb::wal::Record;
 use ptp_livenet::{host_time, Inbound, LiveConfig, Outbound, Router};
 use ptp_model::Decision;
 use ptp_obs::{
@@ -70,14 +69,101 @@ use ptp_obs::{
 use ptp_shard::plan::PlanTable;
 use ptp_shard::ShardTopology;
 use ptp_simnet::{FaultPlan, SimTime, SiteId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One acked operation: decision, read value, ack instant, and the stage
-/// span the serving master attached (recording runs only).
-type CompletionEntry = (Decision, Option<Value>, Instant, Option<TxnSpan>);
+/// One operation's acknowledgement, as the harness keeps it.
+#[derive(Debug, Clone, Copy)]
+struct Ack {
+    /// The ack instant, in nanoseconds since the run's `start`.
+    at_ns: u64,
+    decision: Decision,
+}
+
+/// Every acknowledgement of a run, in dense tables sized once from the
+/// schedule — the driver numbers writes `1..=W` and reads from
+/// [`READ_BASE`] up, so an operation's id is its slot. 16 bytes per write
+/// and 32 per read, nothing that rehashes while the run is being timed.
+struct Ledger {
+    /// The ack of write `id`, at `id - 1`.
+    writes: Vec<Option<Ack>>,
+    /// The ack of read `READ_BASE + i` and the value it returned, at `i`.
+    reads: Vec<Option<(Ack, Option<Value>)>>,
+    /// The stage spans the serving masters attached (recording runs only).
+    spans: HashMap<u32, TxnSpan>,
+    /// Operations acknowledged at least once.
+    acked: usize,
+    /// Acknowledgements of an operation already acknowledged.
+    duplicates: usize,
+    /// Acknowledged ids the schedule never issued (the first few).
+    strays: Vec<u32>,
+}
+
+impl Ledger {
+    fn new(writes: usize, reads: usize) -> Ledger {
+        Ledger {
+            writes: vec![None; writes],
+            reads: vec![None; reads],
+            spans: HashMap::new(),
+            acked: 0,
+            duplicates: 0,
+            strays: Vec::new(),
+        }
+    }
+
+    /// The slot of write `id`, if the schedule issued it.
+    fn write_slot(&self, id: u32) -> Option<usize> {
+        (id as usize).checked_sub(1).filter(|&slot| slot < self.writes.len())
+    }
+
+    /// The slot of read `id`, if the schedule issued it.
+    fn read_slot(&self, id: u32) -> Option<usize> {
+        id.checked_sub(READ_BASE).map(|slot| slot as usize).filter(|&slot| slot < self.reads.len())
+    }
+
+    /// Books one completion; the latest ack of an operation wins.
+    fn record(&mut self, c: Completion, start: Instant) {
+        let id = c.txn.0;
+        let at_ns = c.at.saturating_duration_since(start).as_nanos() as u64;
+        let ack = Ack { at_ns, decision: c.decision };
+        let earlier = if let Some(slot) = self.write_slot(id) {
+            self.writes[slot].replace(ack).is_some()
+        } else if let Some(slot) = self.read_slot(id) {
+            self.reads[slot].replace((ack, c.value)).is_some()
+        } else {
+            if self.strays.len() < MAX_VIOLATIONS {
+                self.strays.push(id);
+            }
+            return;
+        };
+        if earlier {
+            self.duplicates += 1;
+        } else {
+            self.acked += 1;
+        }
+        if let Some(span) = c.span {
+            self.spans.insert(id, span);
+        }
+    }
+
+    /// The ack of operation `id`, if it was acknowledged.
+    fn ack(&self, id: TxnId) -> Option<Ack> {
+        match self.write_slot(id.0) {
+            Some(slot) => self.writes[slot],
+            None => self.reads[self.read_slot(id.0)?].as_ref().map(|(ack, _)| *ack),
+        }
+    }
+
+    /// The value read `id` returned, if it was acknowledged with one.
+    fn value_read(&self, id: TxnId) -> Option<&Value> {
+        self.reads[self.read_slot(id.0)?].as_ref().and_then(|(_, value)| value.as_ref())
+    }
+}
+
+/// The audit keeps this many violation lines.
+const MAX_VIOLATIONS: usize = 20;
 
 /// The post-run storage audit: the driver's issue log checked against every
 /// node's storage, WAL, and decision record.
@@ -173,6 +259,9 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
     let pools = topo.key_pool(opts.keys_per_shard);
     let schedule = driver::generate(opts, &topo, &pools);
     let plans = Arc::new(PlanTable::compile(topo.clone(), &schedule.specs));
+    // From here on the plan arena holds every write set: the specs go.
+    let Schedule { ops, specs, writes: issued_writes, reads: issued_reads } = schedule;
+    drop(specs);
     let n = opts.sites;
 
     let (router_tx, router_rx) = mpsc::channel::<Outbound<Packet>>();
@@ -209,30 +298,24 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
     drop(router_tx);
     drop(completions_tx);
 
-    let driver_ops = Arc::clone(&schedule.ops);
+    let driver_ops = Arc::clone(&ops);
     let driver_txs = site_txs.clone();
     let driver_handle =
         std::thread::spawn(move || driver::run_driver(&driver_ops, driver_txs, start));
 
     // Collect acks until every scheduled op completed or the drain deadline
     // passes (open loop: the driver never waits, so backlog drains here).
-    let expected = schedule.ops.len();
+    let expected = ops.len();
     let deadline = start + opts.duration + opts.drain_timeout;
-    let mut completions: HashMap<u32, CompletionEntry> = HashMap::new();
-    let mut duplicate_acks = 0usize;
-    while completions.len() < expected {
+    let mut ledger = Ledger::new(issued_writes, issued_reads);
+    while ledger.acked < expected {
         let now = Instant::now();
         if now >= deadline {
             break;
         }
         match completions_rx.recv_timeout(deadline - now) {
-            Ok(c) => {
-                if completions.insert(c.txn.0, (c.decision, c.value, c.at, c.span)).is_some() {
-                    duplicate_acks += 1;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => break,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            Ok(c) => ledger.record(c, start),
+            Err(_) => break,
         }
     }
 
@@ -252,11 +335,7 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
             break;
         }
         match completions_rx.recv_timeout(grace_deadline - now) {
-            Ok(c) => {
-                if completions.insert(c.txn.0, (c.decision, c.value, c.at, c.span)).is_some() {
-                    duplicate_acks += 1;
-                }
-            }
+            Ok(c) => ledger.record(c, start),
             Err(_) => break,
         }
     }
@@ -280,12 +359,12 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
     let mut aborted = 0usize;
     let mut completed_writes = 0usize;
     let mut completed_reads = 0usize;
-    let mut last_write_done: Option<Instant> = None;
+    let mut last_commit_ns: Option<u64> = None;
     let mut stages = StageTable::new();
     let mut series = opts.obs.series_bin.map(Series::new);
-    for op in schedule.ops.iter() {
-        let Some((decision, _, at, span)) = completions.get(&op.txn.0) else { continue };
-        let latency = at.saturating_duration_since(start + op.at).as_micros() as u64;
+    for op in ops.iter() {
+        let Some(Ack { at_ns, decision }) = ledger.ack(op.txn) else { continue };
+        let latency = at_ns.saturating_sub(op.at.as_nanos() as u64) / 1_000;
         match op.kind {
             OpKind::Write => {
                 write_hist.record(latency);
@@ -293,8 +372,7 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
                 match decision {
                     Decision::Commit => {
                         committed += 1;
-                        last_write_done =
-                            Some(last_write_done.map_or(*at, |prev: Instant| prev.max(*at)));
+                        last_commit_ns = last_commit_ns.max(Some(at_ns));
                     }
                     Decision::Abort => aborted += 1,
                 }
@@ -305,28 +383,26 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
             }
         }
         if let Some(s) = &mut series {
-            s.record(at.saturating_duration_since(start), latency);
+            s.record(Duration::from_nanos(at_ns), latency);
         }
-        if let Some(span) = span {
-            attribute_span(&mut stages, &faults, op, span, start, *at);
+        if let Some(span) = ledger.spans.get(&op.txn.0) {
+            attribute_span(&mut stages, &faults, op, span, start, Duration::from_nanos(at_ns));
         }
     }
-    let achieved_rate = match last_write_done {
-        Some(done) if committed > 0 => {
-            committed as f64 / done.duration_since(start).as_secs_f64().max(1e-9)
-        }
-        _ => 0.0,
+    let achieved_rate = match last_commit_ns {
+        Some(done_ns) => committed as f64 / (done_ns as f64 / 1e9).max(1e-9),
+        None => 0.0,
     };
 
     let clean_drain =
-        completions.len() == expected && reports.iter().all(|r| r.in_flight_at_shutdown == 0);
+        ledger.acked == expected && reports.iter().all(|r| r.in_flight_at_shutdown == 0);
     // Partitions, crashes, and envelope faults all legitimately leave
     // replicas stale; only degrades (which merely slow delivery) keep the
     // full replica-convergence checks on.
     let strict = faults.partition.episodes().is_empty()
         && faults.failures.is_empty()
         && faults.env_faults.is_empty();
-    let audit = audit(&schedule, &plans, &pools, &completions, duplicate_acks, &reports, strict);
+    let audit = audit(&ops, &plans, &pools, &ledger, &reports, strict);
 
     // The cluster-wide metrics snapshot: per-node counters folded together,
     // the two latency populations riding along as histograms.
@@ -349,7 +425,7 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
     // The flight recorder earns its keep exactly here: an audit failure or
     // a stuck drain dumps the merged event tail of every site.
     let flight_dump = if (!audit.ok
-        || completions.len() != expected
+        || ledger.acked != expected
         || reports.iter().any(|r| r.in_flight_at_shutdown > 0))
         && opts.obs.flight_capacity > 0
     {
@@ -368,7 +444,7 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
                 audit.violations.first().map_or("(no detail)", |v| v.as_str())
             )
         } else {
-            format!("run failed to drain: {} of {expected} operations completed", completions.len())
+            format!("run failed to drain: {} of {expected} operations completed", ledger.acked)
         };
         let dump = FlightRecorder::render_dump(&reason, dropped, &events);
         eprintln!("--- flight-recorder dump ---\n{dump}");
@@ -380,8 +456,8 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
     LiveReport {
         offered_rate: opts.offered_rate,
         achieved_rate,
-        issued_writes: schedule.writes,
-        issued_reads: schedule.reads,
+        issued_writes,
+        issued_reads,
         completed_writes,
         committed,
         aborted,
@@ -431,15 +507,16 @@ fn fault_phase(faults: &FaultPlan, at: SimTime) -> &'static str {
 fn attribute_span(
     stages: &mut StageTable,
     faults: &FaultPlan,
-    op: &driver::ScheduledOp,
+    op: &ScheduledOp,
     span: &TxnSpan,
     start: Instant,
-    acked: Instant,
+    acked: Duration,
 ) {
     let us = |later: Instant, earlier: Instant| {
         later.saturating_duration_since(earlier).as_micros() as u64
     };
-    let phase = fault_phase(faults, host_time(acked.saturating_duration_since(start)));
+    let phase = fault_phase(faults, host_time(acked));
+    let acked = start + acked;
     stages.add(span.path, phase, STAGE_QUEUE, us(span.recv, start + op.at));
     match op.kind {
         OpKind::Write => {
@@ -463,54 +540,49 @@ fn attribute_span(
 /// against the driver's issue log. Strict mode (no partition) additionally
 /// requires full replica convergence.
 fn audit(
-    schedule: &Schedule,
+    ops: &[ScheduledOp],
     plans: &PlanTable,
     pools: &[Vec<Key>],
-    completions: &HashMap<u32, CompletionEntry>,
-    duplicate_acks: usize,
+    ledger: &Ledger,
     reports: &[NodeReport],
     strict: bool,
 ) -> AuditReport {
     let mut violations: Vec<String> = Vec::new();
     let mut violate = |msg: String| {
-        if violations.len() < 20 {
+        if violations.len() < MAX_VIOLATIONS {
             violations.push(msg);
         }
     };
     let topo = &plans.topology;
 
-    if duplicate_acks > 0 {
-        violate(format!("{duplicate_acks} operations were acknowledged more than once"));
+    if ledger.duplicates > 0 {
+        violate(format!("{} operations were acknowledged more than once", ledger.duplicates));
+    }
+    for id in &ledger.strays {
+        violate(format!("txn{id} was acked but never issued"));
     }
 
-    // Issued-id sets.
-    let issued: std::collections::HashSet<u32> = schedule.ops.iter().map(|o| o.txn.0).collect();
-    for id in completions.keys() {
-        if !issued.contains(id) {
-            violate(format!("txn{id} was acked but never issued"));
-        }
-    }
-
-    // Durable commit-record counts per (site, txn).
-    let mut durable_commits: Vec<BTreeMap<TxnId, usize>> = Vec::with_capacity(reports.len());
-    for r in reports {
-        let mut per: BTreeMap<TxnId, usize> = BTreeMap::new();
-        for rec in r.wal.durable() {
-            if let Record::Commit { txn } = rec {
-                *per.entry(*txn).or_default() += 1;
+    // Durable commit records per (site, write id), dropped by a checkpoint
+    // or not: one byte each in the ledger's shape (255 stands for more).
+    let durable_commits: Vec<Vec<u8>> = (reports.iter())
+        .map(|r| {
+            let mut per = vec![0u8; ledger.writes.len()];
+            for txn in r.wal.durable_commits() {
+                // (Anti-entropy's synthetic installs have ids of their own.)
+                if let Some(slot) = ledger.write_slot(txn.0) {
+                    per[slot] = per[slot].saturating_add(1);
+                }
             }
-        }
-        durable_commits.push(per);
-    }
+            per
+        })
+        .collect();
 
     // Per-write-transaction checks.
     let mut checked_writes = 0usize;
     let mut committed_writers_of: HashMap<Key, Vec<TxnId>> = HashMap::new();
-    for spec in &schedule.specs {
+    for (txn, plan) in plans.iter() {
         checked_writes += 1;
-        let txn = spec.id;
-        let plan = plans.get(txn).expect("audited transactions are planned");
-        let ack = completions.get(&txn.0).map(|(d, ..)| *d);
+        let ack = ledger.ack(txn).map(|ack| ack.decision);
 
         // Atomicity: every decision recorded anywhere (including the ack)
         // agrees.
@@ -537,8 +609,10 @@ fn audit(
 
         // Duplicated commit records are a violation everywhere; commit
         // records for an aborted transaction too.
-        for (r, per) in reports.iter().zip(&durable_commits) {
-            let count = per.get(&txn).copied().unwrap_or(0);
+        let slot = ledger.write_slot(txn.0).expect("planned writes are scheduled");
+        let commits_at = |site: usize| durable_commits[site][slot];
+        for (site, r) in reports.iter().enumerate() {
+            let count = commits_at(site);
             if count > 1 {
                 violate(format!("{txn}: {count} durable commit records at site {}", r.site));
             }
@@ -551,7 +625,7 @@ fn audit(
         }
 
         if ack == Some(Decision::Commit) {
-            for w in &spec.writes {
+            for w in plan.items() {
                 committed_writers_of.entry(w.key.clone()).or_default().push(txn);
             }
             if strict {
@@ -560,7 +634,7 @@ fn audit(
                 for &shard in plan.shards() {
                     for &site in topo.group(shard) {
                         let r = &reports[site.index()];
-                        let count = durable_commits[site.index()].get(&txn).copied().unwrap_or(0);
+                        let count = commits_at(site.index());
                         if count != 1 {
                             violate(format!(
                                 "{txn}: committed but site {site} holds {count} durable commit records"
@@ -620,16 +694,18 @@ fn audit(
     // that key (reads of never-written keys legitimately return nothing).
     let mut checked_reads = 0usize;
     let mut writers_of: HashMap<Key, Vec<TxnId>> = HashMap::new();
-    for spec in &schedule.specs {
-        for w in &spec.writes {
-            writers_of.entry(w.key.clone()).or_default().push(spec.id);
+    for (txn, plan) in plans.iter() {
+        for w in plan.items() {
+            writers_of.entry(w.key.clone()).or_default().push(txn);
         }
     }
-    for op in schedule.ops.iter() {
+    for op in ops {
         let OpKind::Read(key) = &op.kind else { continue };
-        let Some((_, value, ..)) = completions.get(&op.txn.0) else { continue };
+        if ledger.ack(op.txn).is_none() {
+            continue;
+        }
         checked_reads += 1;
-        if let Some(v) = value {
+        if let Some(v) = ledger.value_read(op.txn) {
             let ok = v
                 .as_u64()
                 .map(|id| TxnId(id as u32))
@@ -856,5 +932,141 @@ mod tests {
             report.audit.converged,
             "anti-entropy must reconverge every replica after the heal"
         );
+    }
+
+    /// What [`audit`] reads of a run.
+    struct ByHand {
+        ops: Arc<[ScheduledOp]>,
+        plans: PlanTable,
+        pools: Vec<Vec<Key>>,
+        ledger: Ledger,
+        reports: Vec<NodeReport>,
+    }
+
+    impl ByHand {
+        fn audit(&self) -> AuditReport {
+            audit(&self.ops, &self.plans, &self.pools, &self.ledger, &self.reports, true)
+        }
+    }
+
+    /// A 300-operation schedule served by hand: every write committed and
+    /// acknowledged, and each replica of each involved shard holding its
+    /// writes, the decision and its log records — `commit_records(site,
+    /// txn)` `Commit`s between the `Begin` and the `Applied`; one each is
+    /// what a clean strict run leaves behind.
+    fn served_by_hand(commit_records: impl Fn(SiteId, TxnId) -> usize) -> ByHand {
+        use ptp_ddb::wal::Record;
+        let opts = LiveOptions::small(1_000.0, Duration::from_millis(300));
+        let topo = ShardTopology::uniform(opts.sites, opts.shards, opts.replication);
+        let pools = topo.key_pool(opts.keys_per_shard);
+        let schedule = driver::generate(&opts, &topo, &pools);
+        let plans = PlanTable::compile(topo.clone(), &schedule.specs);
+        let start = Instant::now();
+        let mut ledger = Ledger::new(schedule.writes, schedule.reads);
+        for op in schedule.ops.iter() {
+            let (txn, at) = (op.txn, start + op.at + Duration::from_millis(1));
+            ledger.record(
+                Completion { txn, decision: Decision::Commit, value: None, at, span: None },
+                start,
+            );
+        }
+        let mut reports: Vec<NodeReport> = (0..opts.sites as u16)
+            .map(|site| NodeReport {
+                site: SiteId(site),
+                storage: Default::default(),
+                wal: Default::default(),
+                finished: Default::default(),
+                in_flight_at_shutdown: 0,
+                counters: NodeCounters::default(),
+                flight: None,
+            })
+            .collect();
+        for (txn, plan) in plans.iter() {
+            let sites = plan.group().iter().copied().chain(plan.replicas());
+            for site in sites {
+                let r = &mut reports[site.index()];
+                let writes = plan.writes_at(site).expect("a member stages").to_vec();
+                for w in &writes {
+                    r.storage.seed(w.key.clone(), w.value.clone());
+                }
+                r.wal.append(Record::Begin { txn, writes });
+                for _ in 0..commit_records(site, txn) {
+                    r.wal.append(Record::Commit { txn });
+                }
+                r.wal.append_durable(Record::Applied { txn });
+                r.finished.insert(txn, Decision::Commit);
+            }
+        }
+        ByHand { ops: schedule.ops, plans, pools, ledger, reports }
+    }
+
+    #[test]
+    fn audit_counts_commit_records_a_checkpoint_dropped() {
+        let mut run = served_by_hand(|_, _| 1);
+        let clean = run.audit();
+        assert!(clean.ok, "{:?}", clean.violations);
+        assert!(clean.checked_writes > 100 && clean.converged);
+
+        // Checkpointed logs audit exactly the same.
+        for r in &mut run.reports {
+            assert_eq!(r.wal.checkpoint(), 0, "every transaction is complete");
+        }
+        let clean = run.audit();
+        assert!(clean.ok, "{:?}", clean.violations);
+
+        // Plant a duplicated commit record at one master and leave one out
+        // at another, both below the checkpoint.
+        let master_of = |txn| run.plans.get(txn).expect("planned").master();
+        let twice = TxnId(3);
+        let elsewhere = run.plans.iter().find(|(_, plan)| plan.master() != master_of(twice));
+        let never = elsewhere.expect("another master").0;
+        let (a, b) = (master_of(twice), master_of(never));
+        let mut planted = served_by_hand(|site, txn| {
+            if (site, txn) == (a, twice) {
+                2
+            } else {
+                usize::from((site, txn) != (b, never))
+            }
+        });
+        for r in &mut planted.reports {
+            assert_eq!(r.wal.checkpoint(), 0);
+        }
+        let planted = planted.audit();
+        let said = |what: String| planted.violations.contains(&what);
+        assert!(said(format!("{twice}: 2 durable commit records at site {a}")), "{planted:?}");
+        assert!(
+            said(format!("{twice}: committed but site {a} holds 2 durable commit records")),
+            "{planted:?}"
+        );
+        assert!(
+            said(format!("{never}: committed but site {b} holds 0 durable commit records")),
+            "{planted:?}"
+        );
+        assert_eq!(planted.violations.len(), 3, "{planted:?}");
+    }
+
+    #[test]
+    fn ledger_tells_fresh_duplicate_and_stray_acks_apart() {
+        let start = Instant::now();
+        let ack = |id: u32, value: Option<Value>| Completion {
+            txn: TxnId(id),
+            decision: Decision::Commit,
+            value,
+            at: start + Duration::from_micros(id as u64 % 1000),
+            span: None,
+        };
+        let mut ledger = Ledger::new(2, 1);
+        ledger.record(ack(1, None), start);
+        ledger.record(ack(READ_BASE, Some(Value::from_u64(1))), start);
+        ledger.record(ack(1, None), start);
+        ledger.record(ack(0, None), start);
+        ledger.record(ack(3, None), start);
+        ledger.record(ack(READ_BASE + 1, None), start);
+        assert_eq!((ledger.acked, ledger.duplicates), (2, 1));
+        assert_eq!(ledger.strays, [0, 3, READ_BASE + 1]);
+        assert_eq!(ledger.ack(TxnId(1)).map(|a| a.at_ns), Some(1_000));
+        assert!(ledger.ack(TxnId(2)).is_none() && ledger.ack(TxnId(3)).is_none());
+        assert_eq!(ledger.value_read(TxnId(READ_BASE)).and_then(Value::as_u64), Some(1));
+        assert_eq!(ledger.value_read(TxnId(1)), None);
     }
 }

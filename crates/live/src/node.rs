@@ -112,13 +112,59 @@ fn nanos(d: Duration) -> u64 {
     d.as_nanos() as u64
 }
 
+/// The wall-clock timer table: about one armed timer per transaction in
+/// flight, consulted on every pass of the mailbox loop — so it is kept in
+/// deadline order, and the next timer due is the first.
+#[derive(Default)]
+struct Timers {
+    /// `(deadline, arming order)` → key: ties fire in the order armed.
+    by_deadline: BTreeMap<(u64, u64), TimerKey>,
+    /// Where each armed key sits in `by_deadline`.
+    armed: HashMap<TimerKey, (u64, u64)>,
+    /// Timers armed so far.
+    order: u64,
+}
+
+impl Timers {
+    /// Arms `key` for `deadline`, replacing the timer armed under it.
+    fn set(&mut self, key: TimerKey, deadline: u64) {
+        self.cancel(key);
+        self.order += 1;
+        self.by_deadline.insert((deadline, self.order), key);
+        self.armed.insert(key, (deadline, self.order));
+    }
+
+    fn cancel(&mut self, key: TimerKey) {
+        if let Some(at) = self.armed.remove(&key) {
+            self.by_deadline.remove(&at);
+        }
+    }
+
+    /// Disarms and returns the earliest timer due at `now`, if one is.
+    fn pop_due(&mut self, now: u64) -> Option<TimerKey> {
+        let entry = self.by_deadline.first_entry().filter(|entry| entry.key().0 <= now)?;
+        let key = entry.remove();
+        self.armed.remove(&key);
+        Some(key)
+    }
+
+    /// The earliest deadline armed.
+    fn next_deadline(&self) -> Option<u64> {
+        self.by_deadline.first_key_value().map(|(&(deadline, _), _)| deadline)
+    }
+
+    fn clear(&mut self) {
+        self.by_deadline.clear();
+        self.armed.clear();
+    }
+}
+
 /// The core's environment on a site thread (host time = nanoseconds since
 /// the run's `start`).
 struct ThreadHost {
     me: SiteId,
     plans: Arc<PlanTable>,
-    /// Wall-clock timers, by deadline.
-    timers: HashMap<TimerKey, u64>,
+    timers: Timers,
     /// `T`, in host time.
     t: u64,
     batch: BatchConfig,
@@ -204,11 +250,11 @@ impl Host for ThreadHost {
     }
 
     fn set_timer(&mut self, key: TimerKey, after: u64) {
-        self.timers.insert(key, self.now() + after);
+        self.timers.set(key, self.now() + after);
     }
 
     fn cancel_timer(&mut self, key: TimerKey) {
-        self.timers.remove(&key);
+        self.timers.cancel(key);
     }
 
     fn flush(&mut self, wal: &mut Wal) -> bool {
@@ -304,7 +350,7 @@ impl LiveNode {
         let host = ThreadHost {
             me,
             plans: plans.clone(),
-            timers: HashMap::new(),
+            timers: Timers::default(),
             t: nanos(opts.t),
             batch: opts.batch,
             flush_cost: opts.flush_cost,
@@ -343,11 +389,7 @@ impl LiveNode {
     /// Fires the timers due at `now`, one at a time: a handler may re-arm or
     /// cancel any of the others, so the table is consulted afresh for each.
     fn fire_due_timers(&mut self, now: u64) {
-        let due = |timers: &HashMap<TimerKey, u64>| {
-            timers.iter().find(|(_, deadline)| **deadline <= now).map(|(key, _)| *key)
-        };
-        while let Some(key) = due(&self.host.timers) {
-            self.host.timers.remove(&key);
+        while let Some(key) = self.host.timers.pop_due(now) {
             // Due-while-down timers are discarded unfired.
             if !self.host.crashed {
                 self.core.with(&mut self.host).on_timer(key);
@@ -373,7 +415,7 @@ impl LiveNode {
                 }
                 next_tick = now + window;
             }
-            let mut wake = self.host.timers.values().copied().min().unwrap_or(now + 20_000_000);
+            let mut wake = self.host.timers.next_deadline().unwrap_or(now + 20_000_000);
             if self.host.batch.enabled {
                 wake = wake.min(next_tick);
             }
@@ -421,5 +463,74 @@ impl LiveNode {
             counters: host.counters,
             flight: host.flight,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ptp_shard::ShardTopology;
+    use std::sync::mpsc;
+
+    const LEASE: TimerKey = TimerKey::Lease(0);
+    const SYNC: TimerKey = TimerKey::Sync(0);
+
+    #[test]
+    fn timers_fire_in_deadline_order_and_a_rearm_replaces() {
+        let mut timers = Timers::default();
+        timers.set(LEASE, 30);
+        timers.set(SYNC, 20);
+        timers.set(TimerKey::Sync(1), 20);
+        assert_eq!(timers.next_deadline(), Some(20));
+        assert_eq!(timers.pop_due(19), None);
+        // Re-arming moves the timer: its old deadline is gone, not doubled.
+        timers.set(SYNC, 40);
+        assert_eq!(timers.pop_due(35), Some(TimerKey::Sync(1)));
+        assert_eq!(timers.pop_due(35), Some(LEASE));
+        assert_eq!((timers.pop_due(35), timers.next_deadline()), (None, Some(40)));
+        // Equal deadlines fire in the order armed.
+        timers.set(LEASE, 40);
+        assert_eq!([timers.pop_due(40), timers.pop_due(40)], [Some(SYNC), Some(LEASE)]);
+        assert_eq!((timers.pop_due(u64::MAX), timers.next_deadline()), (None, None));
+        assert!(timers.armed.is_empty());
+    }
+
+    #[test]
+    fn a_cancelled_timer_never_fires() {
+        let mut timers = Timers::default();
+        timers.set(LEASE, 10);
+        timers.set(SYNC, 20);
+        timers.cancel(LEASE);
+        timers.cancel(LEASE);
+        assert_eq!(timers.next_deadline(), Some(20));
+        assert_eq!([timers.pop_due(100), timers.pop_due(100)], [Some(SYNC), None]);
+    }
+
+    #[test]
+    fn timers_due_while_the_site_is_down_are_discarded_unfired() {
+        // Site 0 masters shard 0 with leases on: a fired lease timer would
+        // solicit its replica through the router.
+        let mut opts = LiveOptions::small(100.0, Duration::from_millis(100));
+        opts.lease =
+            Some(crate::LeaseConfig::new(Duration::from_millis(10), Duration::from_millis(50)));
+        let topo = ShardTopology::uniform(opts.sites, opts.shards, opts.replication);
+        let plans = Arc::new(PlanTable::compile(topo, &[]));
+        let factory = ParticipantFactory::pooled(opts.protocol.participant_builder());
+        let (router_tx, router_rx) = mpsc::channel();
+        let (completions_tx, _completions_rx) = mpsc::channel();
+        let start = Instant::now();
+        let mut node =
+            LiveNode::new(SiteId(0), plans, factory, &opts, start, router_tx, completions_tx);
+        node.host.timers.set(LEASE, 5);
+        node.host.timers.set(SYNC, 50);
+        node.host.crashed = true;
+        node.fire_due_timers(10);
+        assert_eq!(node.host.timers.next_deadline(), Some(50), "the due timer is gone");
+        assert!(router_rx.try_recv().is_err(), "a crashed site fired a timer");
+        // The same timer on a live site does fire.
+        node.host.crashed = false;
+        node.host.timers.set(LEASE, 5);
+        node.fire_due_timers(10);
+        assert!(router_rx.try_recv().is_ok(), "the lease round went out");
     }
 }

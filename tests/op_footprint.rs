@@ -1,0 +1,154 @@
+//! What a *finished* transaction costs a site in memory.
+//!
+//! The paper's Sec. 2 keeps a commit log for one purpose — redo after a
+//! crash — so a transaction whose `Applied`/`Abort` record is durable owes
+//! the log nothing. The site core checkpoints its own WAL as transactions
+//! complete: what stays behind per finished transaction is its decision in
+//! the `finished` map and the 4-byte id of its commit record, not three
+//! 32-byte records and a write-set allocation. A counting global allocator
+//! pins the heap a whole `SiteCore` keeps alive after a long run, per
+//! transaction it finished, and that the log it holds is a bounded tail,
+//! not the run. (Before the checkpoint: ≈ 140–230 bytes per finished
+//! transaction per site, the log alone three quarters of it.)
+
+use ptp_core::ddb::cluster::{run_sites, CommitProtocol, SimNet};
+use ptp_core::ddb::plan::{PlanTable, ShardTxnSpec};
+use ptp_core::ddb::topology::ShardTopology;
+use ptp_core::ddb::value::{Key, TxnId, Value, WriteOp};
+use ptp_core::ddb::wal::RecoveryAction;
+use ptp_model::Decision;
+use ptp_simnet::{DelayModel, FaultPlan, NetConfig, SimTime};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+const TXNS: usize = 10_000;
+/// Ticks between submissions: a few transactions in flight at a time.
+const SPACING: u64 = 400;
+const LIVE_BYTES_PER_FINISHED: usize = 48;
+
+thread_local! {
+    /// Net heap bytes this thread allocated while it measures (`None`: not
+    /// measuring — the harness's other threads never are).
+    static LIVE: Cell<Option<isize>> = const { Cell::new(None) };
+}
+
+fn tally(bytes: isize) {
+    LIVE.with(|live| {
+        if let Some(so_far) = live.get() {
+            live.set(Some(so_far + bytes));
+        }
+    });
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the tally touches only a const-initialised
+// thread-local `Cell`, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        tally(layout.size() as isize);
+        // SAFETY: the caller's obligations are `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        tally(-(layout.size() as isize));
+        // SAFETY: `ptr` came from `System` under this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        tally(new_size as isize - layout.size() as isize);
+        // SAFETY: `ptr` came from `System` under this `layout`; the caller
+        // vouches for `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `release` and returns what it gave back: its result, and the heap
+/// bytes it freed on balance.
+fn freed_by<T>(release: impl FnOnce() -> T) -> (T, usize) {
+    LIVE.with(|live| live.set(Some(0)));
+    let result = release();
+    let live = LIVE.with(|live| live.take()).expect("measuring");
+    (result, usize::try_from(-live).expect("releasing frees more than it allocates"))
+}
+
+#[test]
+fn a_finished_transaction_leaves_a_site_its_decision_and_a_commit_id() {
+    let topo = ShardTopology::uniform(6, 3, 2);
+    let pools = topo.key_pool(64);
+    // Every tenth transaction spans two shards, over all three pairs.
+    let keys_of = |i: usize| -> Vec<Key> {
+        let key = |shard: usize| pools[shard % 3][i / 3 % 64].clone();
+        match i % 10 {
+            0 => vec![key(i), key(i + 1 + i / 10 % 2)],
+            _ => vec![key(i)],
+        }
+    };
+    let specs: Vec<ShardTxnSpec> = (0..TXNS)
+        .map(|i| {
+            let write = |key| WriteOp { key, value: Value::from_u64(i as u64) };
+            ShardTxnSpec {
+                id: TxnId(i as u32 + 1),
+                writes: keys_of(i).into_iter().map(write).collect(),
+            }
+        })
+        .collect();
+    let plans = Arc::new(PlanTable::compile(topo, &specs));
+    let submissions: Vec<(u64, TxnId)> =
+        specs.iter().zip(0..).map(|(spec, i)| (i * SPACING, spec.id)).collect();
+    let horizon = SimTime(TXNS as u64 * SPACING + 100_000);
+    let net = SimNet {
+        config: NetConfig { max_time: horizon, ..NetConfig::default() },
+        faults: FaultPlan::default(),
+        delay: DelayModel::Fixed(700),
+    };
+
+    let (sites, metrics, trace, report) = run_sites(
+        plans.clone(),
+        &submissions,
+        [],
+        CommitProtocol::HuangLi,
+        Default::default(),
+        net,
+    );
+    assert!(metrics.atomicity_violations().is_empty());
+    assert_eq!(metrics.decisions.len(), TXNS, "every transaction was decided");
+    drop((metrics, trace, report));
+
+    // The plan table outlives the sites (`plans` is held here): what taking
+    // them apart frees is their own.
+    let (finished, freed) = freed_by(|| {
+        let mut finished = 0;
+        for site in sites {
+            assert_eq!(site.in_flight(), 0);
+            let (_, wal, decided) = site.into_parts();
+            finished += decided.len();
+            // The log holds a bounded tail of a run it counted in full, and
+            // nothing in it is left for recovery to do.
+            assert_eq!(wal.len(), wal.watermark());
+            assert!(wal.len() > 2 * decided.len(), "{} records logged", wal.len());
+            assert!(wal.held() * 8 < wal.len(), "{} of {} held", wal.held(), wal.len());
+            let commits = decided.values().filter(|d| **d == Decision::Commit).count();
+            assert_eq!(wal.durable_commits().count(), commits, "one commit record each");
+            assert!(wal.recovery_plan().values().all(|todo| *todo == RecoveryAction::Complete));
+        }
+        finished
+    });
+    // Two replicas finish a single-shard write, two masters and two
+    // replicas a cross-shard one (but for an abort that found a master
+    // still waiting for its locks: that one is not shipped on).
+    let everywhere = TXNS / 10 * 9 * 2 + TXNS / 10 * 4;
+    assert!((everywhere * 9 / 10..=everywhere).contains(&finished), "{finished} finished");
+    let each = freed / finished;
+    assert!(
+        each <= LIVE_BYTES_PER_FINISHED,
+        "six sites keep {freed} heap bytes alive after finishing {finished} transactions: {each} each"
+    );
+}

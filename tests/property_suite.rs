@@ -374,6 +374,130 @@ mod wal_props {
 }
 
 // ---------------------------------------------------------------------------
+// WAL checkpoint properties
+// ---------------------------------------------------------------------------
+
+mod checkpoint_props {
+    use proptest::prelude::*;
+    use ptp_core::ddb::recovery::recover;
+    use ptp_core::ddb::storage::Storage;
+    use ptp_core::ddb::value::{Key, TxnId, Value, WriteOp};
+    use ptp_core::ddb::wal::{Record, RecoveryAction, Wal};
+
+    /// One step of a site's log discipline, as `SiteCore` drives it.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// The transaction in this slot logs its next record: `Begin`,
+        /// then `Commit` and `Applied` — or `Abort`, if it is an aborter.
+        Advance(u8),
+        Flush,
+        /// Crash and recover: the volatile tail is lost, the transactions
+        /// in flight are gone, recovery closes what the log left open.
+        Crash,
+        /// Checkpoints the checkpointed twin (the other never does).
+        Checkpoint,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u8..4).prop_map(Op::Advance),
+            (0u8..4).prop_map(Op::Advance),
+            Just(Op::Flush),
+            Just(Op::Crash),
+            Just(Op::Checkpoint),
+        ]
+    }
+
+    /// Everything a reader of the log can ask, checkpointed or not.
+    fn assert_same_answers(plain: &Wal, kept: &Wal) -> Result<(), TestCaseError> {
+        prop_assert_eq!(
+            (plain.len(), plain.watermark(), plain.unflushed()),
+            (kept.len(), kept.watermark(), kept.unflushed()),
+            "logical positions"
+        );
+        let sorted = |wal: &Wal| {
+            let mut commits: Vec<TxnId> = wal.durable_commits().collect();
+            commits.sort();
+            commits
+        };
+        prop_assert_eq!(sorted(plain), sorted(kept), "commit multiset");
+        prop_assert_eq!(plain.committed_writes(), kept.committed_writes(), "version recount");
+        // Every transaction still in the checkpointed log is decided alike;
+        // the ones it dropped had nothing left to do.
+        let (full, tail) = (plain.recovery_plan(), kept.recovery_plan());
+        for (txn, action) in &full {
+            match tail.get(txn) {
+                Some(same) => prop_assert_eq!(same, action, "{}", txn),
+                None => prop_assert_eq!(action, &RecoveryAction::Complete, "{} dropped", txn),
+            }
+        }
+        prop_assert!(tail.keys().all(|txn| full.contains_key(txn)));
+        prop_assert!(kept.held() <= plain.held());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn a_checkpointed_log_answers_like_its_never_checkpointed_twin(
+            ops in prop::collection::vec(op_strategy(), 1..80),
+        ) {
+            let (mut plain, mut kept) = (Wal::new(), Wal::new());
+            let (mut plain_store, mut kept_store) = (Storage::new(), Storage::new());
+            // Per slot: the transaction in flight and its last record.
+            let mut slots: [Option<(TxnId, Record)>; 4] = [None, None, None, None];
+            let mut next_id = 1u32;
+            for op in &ops {
+                match *op {
+                    Op::Advance(slot) => {
+                        let slot = &mut slots[slot as usize];
+                        let next = match slot.take() {
+                            None => {
+                                let txn = TxnId(next_id);
+                                next_id += 1;
+                                let key = Key::from(format!("k{}", txn.0 % 3));
+                                let value = Value::from_u64(txn.0 as u64);
+                                Record::Begin { txn, writes: vec![WriteOp { key, value }] }
+                            }
+                            // Every third transaction aborts.
+                            Some((txn, Record::Begin { .. })) if txn.0 % 3 == 0 => {
+                                Record::Abort { txn }
+                            }
+                            Some((txn, Record::Begin { .. })) => Record::Commit { txn },
+                            Some((txn, _)) => Record::Applied { txn },
+                        };
+                        plain.append(next.clone());
+                        kept.append(next.clone());
+                        *slot = match next {
+                            Record::Begin { txn, .. } | Record::Commit { txn } => Some((txn, next)),
+                            Record::Applied { .. } | Record::Abort { .. } => None,
+                        };
+                    }
+                    Op::Flush => {
+                        prop_assert_eq!(plain.flush(), kept.flush());
+                    }
+                    Op::Crash => {
+                        plain.crash();
+                        kept.crash();
+                        assert_same_answers(&plain, &kept)?;
+                        let summary = recover(&mut plain_store, &mut plain);
+                        prop_assert_eq!(&summary, &recover(&mut kept_store, &mut kept));
+                        prop_assert_eq!(&plain_store, &kept_store);
+                        slots = [None, None, None, None];
+                    }
+                    Op::Checkpoint => {
+                        let left = kept.checkpoint();
+                        prop_assert_eq!(left, kept.held());
+                    }
+                }
+                assert_same_answers(&plain, &kept)?;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Lock-table properties
 // ---------------------------------------------------------------------------
 

@@ -7,7 +7,11 @@
 //! crash, and what was flushed), crashes, and checks that `recover` twice
 //! is exactly `recover` once — storage **and** WAL field-identical — and
 //! that a second crash between the two recoveries changes nothing either
-//! (recovery writes its own effects durably).
+//! (recovery writes its own effects durably). The same holds across WAL
+//! checkpoints wherever they fall — before the crash, between the two
+//! recoveries, after them: a checkpointed history recovers to the storage,
+//! the summary, the commit records and the version recount of its
+//! never-checkpointed twin.
 
 use proptest::prelude::*;
 use ptp_core::ddb::recovery::recover;
@@ -32,6 +36,16 @@ enum Progress {
 /// Builds one randomized site history: seeds, staged transactions in
 /// assorted lifecycle stages, a randomized flush watermark, then a crash.
 fn build_site(seed: u64, txn_count: usize) -> (Storage, Wal) {
+    build_site_with(seed, txn_count, |_, _| {})
+}
+
+/// [`build_site`], with `after_txn(i, wal)` run once transaction `i` has
+/// logged what it will (the history itself does not depend on it).
+fn build_site_with(
+    seed: u64,
+    txn_count: usize,
+    mut after_txn: impl FnMut(usize, &mut Wal),
+) -> (Storage, Wal) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut storage = Storage::new();
     let mut wal = Wal::new();
@@ -71,6 +85,7 @@ fn build_site(seed: u64, txn_count: usize) -> (Storage, Wal) {
                 storage.discard(txn);
             }
         }
+        after_txn(i, &mut wal);
     }
     storage.crash();
     wal.crash();
@@ -126,6 +141,67 @@ proptest! {
         prop_assert!(again.redone.is_empty() && again.discarded.is_empty());
         prop_assert_eq!(&storage_once, &storage_twice, "storage diverged");
         prop_assert_eq!(&wal_once, &wal_twice, "WAL diverged");
+    }
+
+    #[test]
+    fn checkpoints_anywhere_change_nothing_recovery_reads(
+        seed in 0u64..1_000_000,
+        txn_count in 1usize..8,
+        // Bit `i`: checkpoint after transaction `i`; bits 8 and 9: between
+        // the two recoveries, and after them.
+        checkpoints in 0u32..1 << 10,
+    ) {
+        let due = |bit: usize| checkpoints >> bit & 1 == 1;
+        let same_log = |plain: &Wal, kept: &Wal| -> Result<(), TestCaseError> {
+            prop_assert_eq!(
+                (plain.len(), plain.watermark(), plain.unflushed()),
+                (kept.len(), kept.watermark(), kept.unflushed()),
+                "logical positions"
+            );
+            let commits = |wal: &Wal| {
+                let mut commits: Vec<TxnId> = wal.durable_commits().collect();
+                commits.sort();
+                commits
+            };
+            prop_assert_eq!(commits(plain), commits(kept), "durable commit records");
+            prop_assert_eq!(plain.committed_writes(), kept.committed_writes(), "version recount");
+            Ok(())
+        };
+
+        // The never-checkpointed twin, and the same history checkpointed
+        // before the crash (the volatile tail is lost either way).
+        let (mut storage, mut wal) = build_site(seed, txn_count);
+        let (mut kept_storage, mut kept) = build_site_with(seed, txn_count, |i, wal| {
+            if due(i) {
+                wal.checkpoint();
+            }
+        });
+        prop_assert_eq!(&storage, &kept_storage);
+        same_log(&wal, &kept)?;
+
+        let summary = recover(&mut storage, &mut wal);
+        prop_assert_eq!(&summary, &recover(&mut kept_storage, &mut kept), "same crash, same recovery");
+        prop_assert_eq!(&storage, &kept_storage, "storage diverged");
+        same_log(&wal, &kept)?;
+
+        // Between the recoveries; then crash and recover again: nothing.
+        if due(8) {
+            kept.checkpoint();
+        }
+        kept_storage.crash();
+        kept.crash();
+        let again = recover(&mut kept_storage, &mut kept);
+        prop_assert!(again.redone.is_empty() && again.discarded.is_empty());
+        if due(9) {
+            prop_assert_eq!(kept.checkpoint(), 0, "every transaction is complete");
+        }
+        prop_assert_eq!(&storage, &kept_storage, "storage diverged");
+        same_log(&wal, &kept)?;
+
+        // Recovering the checkpointed log twice is recovering it once.
+        let once = (kept_storage.clone(), kept.clone());
+        let _ = recover(&mut kept_storage, &mut kept);
+        prop_assert_eq!(&once, &(kept_storage, kept), "recovering twice diverged");
     }
 
     #[test]
