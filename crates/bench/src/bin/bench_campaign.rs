@@ -1,20 +1,20 @@
-//! Chaos-campaign throughput and shrinking baseline.
+//! The chaos-campaign claim: the safe family stays green, and 2PC shrinks.
 //!
-//! Measures the reproduction's own machinery, like `bench_sweep`: how fast
-//! the seeded campaign runner samples, executes, and audits scenario
-//! timelines against the Huang–Li protocol, and how hard the shrinker works
-//! when a campaign does find a counterexample (plain 2PC under the
-//! resilience audit — the paper's own motivating failure). It prints a
-//! table and writes `BENCH_campaign.json` so future performance work has a
-//! recorded trajectory to beat.
+//! Runs seeded campaigns of scenario timelines against the Huang–Li
+//! protocol — every one must audit green — and then plain 2PC under the
+//! resilience audit, the paper's own motivating failure, whose first
+//! counterexample must shrink. It prints a table and writes
+//! `BENCH_campaign.json`; the campaign runner's speed is the benchmark's
+//! `core.campaign_timelines_per_s` rung, the figure here only says how many
+//! timelines stood behind the green verdict.
 //!
-//! Honors `CRITERION_BUDGET_MS`: the green-campaign phase keeps adding
+//! Honors `BENCH_BUDGET_MS`: the green-campaign phase keeps adding
 //! batches of timelines until the budget is spent.
 
-use ptp_bench::{criterion_budget_ms, host_fields, json_escape, write_record};
+use ptp_bench::bench_budget_ms;
+use ptp_bench::record::Obj;
 use ptp_core::report::Table;
 use ptp_core::{Campaign, CampaignConfig, ProtocolKind};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 const PROTOCOL: ProtocolKind = ProtocolKind::HuangLi3pc;
@@ -25,6 +25,12 @@ const SEED: u64 = 0xBE_2026;
 struct GreenRun {
     timelines: usize,
     wall_ms: f64,
+}
+
+impl GreenRun {
+    fn timelines_per_sec(&self) -> f64 {
+        self.timelines as f64 * 1000.0 / self.wall_ms.max(f64::MIN_POSITIVE)
+    }
 }
 
 /// The shrink-demo phase: a blocking protocol under the resilience audit.
@@ -87,34 +93,30 @@ fn shrink_phase() -> ShrinkRun {
     }
 }
 
-fn render_json(green: &GreenRun, shrink: &ShrinkRun) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"benchmark\": \"{}\",", json_escape("campaign"));
-    let _ = writeln!(out, "  \"protocol\": \"{}\",", json_escape(PROTOCOL.name()));
-    let _ = writeln!(out, "  {},", host_fields());
-    let _ = writeln!(out, "  \"green_timelines\": {},", green.timelines);
-    let _ = writeln!(out, "  \"green_wall_ms\": {:.3},", green.wall_ms);
-    let _ = writeln!(
-        out,
-        "  \"timelines_per_sec\": {:.1},",
-        green.timelines as f64 * 1000.0 / green.wall_ms.max(f64::MIN_POSITIVE)
-    );
-    let _ = writeln!(out, "  \"shrink_demo\": {{");
-    let _ = writeln!(out, "    \"protocol\": \"{}\",", json_escape(ProtocolKind::Plain2pc.name()));
-    let _ = writeln!(out, "    \"timelines\": {},", shrink.timelines);
-    let _ = writeln!(out, "    \"faults_found\": {},", shrink.faults);
-    let _ = writeln!(out, "    \"shrink_steps\": {},", shrink.shrink_steps);
-    let _ = writeln!(out, "    \"shrink_candidates_tested\": {},", shrink.shrink_tested);
-    let _ = writeln!(out, "    \"first_original_weight\": {},", shrink.original_weight);
-    let _ = writeln!(out, "    \"first_minimal_weight\": {},", shrink.minimal_weight);
-    let _ = writeln!(out, "    \"wall_ms\": {:.3}", shrink.wall_ms);
-    out.push_str("  }\n}\n");
-    out
+fn record(green: &GreenRun, shrink: &ShrinkRun) -> Obj {
+    Obj::new()
+        .str("benchmark", "campaign")
+        .str("protocol", PROTOCOL.name())
+        .host()
+        .num("green_timelines", green.timelines)
+        .fixed("green_wall_ms", green.wall_ms, 3)
+        .fixed("timelines_per_sec", green.timelines_per_sec(), 1)
+        .obj(
+            "shrink_demo",
+            Obj::new()
+                .str("protocol", ProtocolKind::Plain2pc.name())
+                .num("timelines", shrink.timelines)
+                .num("faults_found", shrink.faults)
+                .num("shrink_steps", shrink.shrink_steps)
+                .num("shrink_candidates_tested", shrink.shrink_tested)
+                .num("first_original_weight", shrink.original_weight)
+                .num("first_minimal_weight", shrink.minimal_weight)
+                .fixed("wall_ms", shrink.wall_ms, 3),
+        )
 }
 
 fn main() {
-    let budget_ms = criterion_budget_ms(2_000);
+    let budget_ms = bench_budget_ms(2_000);
     println!("== bench_campaign: seeded chaos campaigns, {budget_ms} ms budget ==");
     println!("safe family (partitions + degrades + duplicates), n = 4, {BATCH}-timeline batches\n");
 
@@ -130,7 +132,7 @@ fn main() {
         format!("green ({})", PROTOCOL.name()),
         green.timelines.to_string(),
         format!("{:.1}", green.wall_ms),
-        format!("{:.0}", green.timelines as f64 * 1000.0 / green.wall_ms.max(f64::MIN_POSITIVE)),
+        format!("{:.0}", green.timelines_per_sec()),
         "0".into(),
     ]);
     table.row(vec![
@@ -149,5 +151,5 @@ fn main() {
     println!("\nfirst counterexample, minimal timeline + flight-recorder tail:");
     println!("{}", shrink.first_rendered);
 
-    write_record("BENCH_campaign.json", &render_json(&green, &shrink));
+    record(&green, &shrink).write("BENCH_campaign.json");
 }

@@ -1,9 +1,9 @@
-//! Read-path throughput baseline.
+//! The read-path claim: local reads beat the commit round by ≥ 5×.
 //!
-//! `bench_shard` measures the *write* side of the sharded store; this
-//! bench measures the **read** side introduced with the elastic read path:
-//! the same 3-shard × 2-replica topology over six sites serves a
-//! 960-read workload three ways (large enough that per-read cost, not
+//! The benchmark's `sim_shard` workload prices the sharded store as a
+//! whole; this emitter pins the one ratio that justifies the elastic read
+//! path. A 3-shard × 2-replica topology over six sites serves a 960-read
+//! workload three ways (large enough that per-read cost, not
 //! cluster setup, dominates the wall time) —
 //!
 //! * `lease` — master leases armed, single-shard reads served on the
@@ -18,15 +18,14 @@
 //! commit-round path on the same topology — the number that justifies
 //! routing single-shard reads around the protocol in the first place.
 //!
-//! `CRITERION_BUDGET_MS` caps the per-measurement sampling time, as in
-//! the sibling benches.
+//! `BENCH_BUDGET_MS` caps the per-measurement sampling time.
 
-use ptp_bench::{criterion_budget_ms, host_fields, json_escape, median_of, write_record};
+use ptp_bench::record::Obj;
+use ptp_bench::{bench_budget_ms, median_of};
 use ptp_core::ddb::cluster::CommitProtocol;
 use ptp_core::ddb::value::{TxnId, Value, WriteOp};
 use ptp_core::report::Table;
 use ptp_shard::{ShardCluster, ShardReadSpec, ShardRun, ShardTopology, ShardTxnSpec};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 const SITES: usize = 6;
@@ -73,7 +72,7 @@ fn topology() -> ShardTopology {
 /// for the protocol mode.
 fn build(mode: Mode) -> ShardCluster {
     let topo = topology();
-    let pools = ptp_bench::shard_key_pool(&topo, 8);
+    let pools = topo.key_pool(8);
     let mut cluster = ShardCluster::new(topo, CommitProtocol::HuangLi);
     for (shard, pool) in pools.iter().enumerate().take(SHARDS) {
         cluster = cluster.submit(
@@ -171,46 +170,35 @@ impl Measurement {
     }
 }
 
-fn render_json(measurements: &[Measurement], speedups: &[(String, f64)]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"benchmark\": \"{}\",", json_escape("shard_read_throughput"));
-    let _ = writeln!(out, "  {},", host_fields());
-    let _ = writeln!(out, "  \"sites\": {SITES},");
-    let _ = writeln!(out, "  \"shards\": {SHARDS},");
-    let _ = writeln!(out, "  \"replication\": {REPLICATION},");
-    let _ = writeln!(out, "  \"reads\": {READS},");
-    out.push_str("  \"paths\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
+fn record(measurements: &[Measurement], speedups: &[(String, f64)]) -> Obj {
+    let paths = measurements.iter().map(|m| {
         let r = &m.run.reads;
-        out.push_str("    {");
-        let _ = write!(
-            out,
-            "\"path\": \"{}\", \"wall_ms\": {:.3}, \"reads_per_sec\": {:.1}, \
-             \"served_lease\": {}, \"served_lock_local\": {}, \"served_protocol\": {}, \
-             \"aborted\": {}, \"blocked\": {}",
-            json_escape(m.mode.name()),
-            m.wall_ms,
-            m.reads_per_sec(),
-            r.lease,
-            r.lock_local,
-            r.protocol,
-            r.aborted,
-            r.blocked,
-        );
-        out.push_str(if i + 1 == measurements.len() { "}\n" } else { "},\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"speedup_vs_protocol\": {");
-    for (i, (name, x)) in speedups.iter().enumerate() {
-        let _ = write!(out, "{}\"{}\": {:.2}", if i == 0 { " " } else { ", " }, name, x);
-    }
-    out.push_str(" }\n}\n");
-    out
+        Obj::new()
+            .str("path", m.mode.name())
+            .fixed("wall_ms", m.wall_ms, 3)
+            .fixed("reads_per_sec", m.reads_per_sec(), 1)
+            .num("served_lease", r.lease)
+            .num("served_lock_local", r.lock_local)
+            .num("served_protocol", r.protocol)
+            .num("aborted", r.aborted)
+            .num("blocked", r.blocked)
+    });
+    Obj::new()
+        .str("benchmark", "shard_read_throughput")
+        .host()
+        .num("sites", SITES)
+        .num("shards", SHARDS)
+        .num("replication", REPLICATION)
+        .num("reads", READS)
+        .arr("paths", paths)
+        .obj(
+            "speedup_vs_protocol",
+            speedups.iter().fold(Obj::new(), |o, (name, x)| o.fixed(name, *x, 2)),
+        )
 }
 
 fn main() {
-    let budget_ms = criterion_budget_ms(2_000);
+    let budget_ms = bench_budget_ms(2_000);
     println!(
         "== bench_read: {READS}-read workload per path, {SHARDS} shards x {REPLICATION} \
          replicas over {SITES} sites =="
@@ -272,5 +260,5 @@ fn main() {
     }
     println!("local read paths clear the 5x bar over the commit-round path");
 
-    write_record("BENCH_read.json", &render_json(&measurements, &speedups));
+    record(&measurements, &speedups).write("BENCH_read.json");
 }

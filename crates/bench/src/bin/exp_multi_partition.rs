@@ -15,17 +15,15 @@
 //! counterexample, so the multi-way family provably contains the paper's
 //! own breaking scenario.
 //!
-//! Writes `BENCH_schedule.json` (the third committed perf/behaviour record
-//! next to `BENCH_sweep.json` and `BENCH_ddb.json`); CI regenerates it in
-//! the bench smoke step.
+//! Writes `BENCH_schedule.json`, one of the three committed behaviour
+//! records; CI regenerates it in the bench smoke step.
 
-use ptp_bench::{host_fields, json_escape, write_record};
+use ptp_bench::record::Obj;
 use ptp_core::report::Table;
 use ptp_core::{
     sweep_threads, sweep_with_threads, ProtocolKind, ScheduleShape, SweepGrid, SweepReport,
 };
 use ptp_simnet::{DelayModel, ScheduleBuilder};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 const N: usize = 4;
@@ -78,45 +76,33 @@ fn measure_family(shape: ScheduleShape) -> (SweepGrid, Vec<Cell>) {
     (grid, cells)
 }
 
-fn render_json(families: &[(ScheduleShape, SweepGrid, Vec<Cell>)]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"benchmark\": \"{}\",", json_escape("schedule"));
-    let _ = writeln!(out, "  \"n\": {N},");
-    let _ = writeln!(out, "  \"threads\": {},", sweep_threads());
-    let _ = writeln!(out, "  {},", host_fields());
-    let _ = writeln!(out, "  \"protocols\": {},", KINDS.len());
-    out.push_str("  \"families\": [\n");
-    for (fi, (shape, grid, cells)) in families.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"family\": \"{}\",", json_escape(shape.name()));
-        let _ = writeln!(out, "      \"episodes\": {},", shape.episode_count());
-        let _ = writeln!(out, "      \"scenarios_per_protocol\": {},", grid.size());
-        out.push_str("      \"protocols\": [\n");
-        for (ci, cell) in cells.iter().enumerate() {
+fn record(families: &[(ScheduleShape, SweepGrid, Vec<Cell>)]) -> Obj {
+    let families = families.iter().map(|(shape, grid, cells)| {
+        let protocols = cells.iter().map(|cell| {
             let r = &cell.report;
-            out.push_str("        {");
-            let _ = write!(
-                out,
-                "\"protocol\": \"{}\", \"all_commit\": {}, \"all_abort\": {}, \
-                 \"blocked\": {}, \"inconsistent\": {}, \"resilient\": {}, \
-                 \"atomic\": {}, \"wall_ms\": {:.3}",
-                json_escape(cell.kind.name()),
-                r.all_commit,
-                r.all_abort,
-                r.blocked_count,
-                r.inconsistent_count,
-                r.fully_resilient(),
-                r.fully_atomic(),
-                cell.wall_ms
-            );
-            out.push_str(if ci + 1 == cells.len() { "}\n" } else { "},\n" });
-        }
-        out.push_str("      ]\n");
-        out.push_str(if fi + 1 == families.len() { "    }\n" } else { "    },\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+            Obj::new()
+                .str("protocol", cell.kind.name())
+                .num("all_commit", r.all_commit)
+                .num("all_abort", r.all_abort)
+                .num("blocked", r.blocked_count)
+                .num("inconsistent", r.inconsistent_count)
+                .num("resilient", r.fully_resilient())
+                .num("atomic", r.fully_atomic())
+                .fixed("wall_ms", cell.wall_ms, 3)
+        });
+        Obj::new()
+            .str("family", shape.name())
+            .num("episodes", shape.episode_count())
+            .num("scenarios_per_protocol", grid.size())
+            .arr("protocols", protocols)
+    });
+    Obj::new()
+        .str("benchmark", "schedule")
+        .num("n", N)
+        .num("threads", sweep_threads())
+        .host()
+        .num("protocols", KINDS.len())
+        .arr("families", families)
 }
 
 fn main() {
@@ -186,5 +172,5 @@ fn main() {
         }
     }
 
-    write_record("BENCH_schedule.json", &render_json(&families));
+    record(&families).write("BENCH_schedule.json");
 }

@@ -49,7 +49,7 @@ fn topology() -> ShardTopology {
 /// pair in the same window — 13 transactions, every one potentially caught
 /// by an episode.
 fn workload(topo: &ShardTopology) -> Vec<(u64, ShardTxnSpec)> {
-    let pools = ptp_bench::shard_key_pool(topo, 8);
+    let pools = topo.key_pool(8);
     let mut out = Vec::new();
     let mut id = 1u32;
     for pool in pools.iter().take(SHARDS) {

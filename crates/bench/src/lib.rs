@@ -1,6 +1,6 @@
 //! Shared plumbing for the experiment binaries (`src/bin/exp_*.rs`) that
 //! regenerate every figure and table of Huang & Li (ICDE 1987), and for the
-//! Criterion benchmarks in `benches/`.
+//! two emitters that pin a *claim* in a committed record.
 //!
 //! Experiment ↔ paper map (see ARCHITECTURE.md for the full index):
 //!
@@ -23,32 +23,17 @@
 //! | `exp_quorum_baseline` | reference \[5\] baseline comparison |
 //! | `exp_multi_partition` | partition-schedule families beyond the paper's model (`BENCH_schedule.json`) |
 //! | `exp_shard_availability` | shard-level availability of the sharded store under each schedule family |
-//! | `bench_sweep` | sweep-engine throughput baseline (`BENCH_sweep.json`) |
-//! | `bench_ddb` | database workload throughput baseline (`BENCH_ddb.json`) |
-//! | `bench_shard` | sharded-store throughput baseline (`BENCH_shard.json`) |
-//! | `bench_read` | read-path throughput: lease / lock-local / commit-round (`BENCH_read.json`) |
-//! | `bench_profile` | simulator hot-path profile (`BENCH_profile.json`) |
-//! | `bench_live` | threaded shard serving, batching off vs on (`BENCH_live.json`) |
-//! | `bench_campaign` | chaos-campaign throughput + shrink demo (`BENCH_campaign.json`) |
-//! | `bench_obs` | stage-attributed live latency + flight recorder (`BENCH_obs.json`) |
+//! | `bench_read` | local read paths ≥ 5× the commit-round path (`BENCH_read.json`) |
+//! | `bench_campaign` | all-green safe campaign + the shrunk 2PC counterexample (`BENCH_campaign.json`) |
 //!
-//! ## Sweep-engine performance baseline
-//!
-//! `bench_sweep` measures the scenario-execution pipeline itself rather
-//! than any paper artifact: it sweeps `dense_grid(3..=6)` with the
-//! Huang–Li protocol and writes `BENCH_sweep.json` (per-grid wall time,
-//! scenarios/sec, peak grid size, thread count) so later PRs have a
-//! trajectory to beat. Regenerate with:
-//!
-//! ```text
-//! cargo run --release -p ptp-bench --bin bench_sweep          # parallel, trace-free
-//! cargo run --release -p ptp-bench --bin bench_sweep -- --compare
-//! ```
-//!
-//! `--compare` additionally times the serial trace-free and serial
-//! full-trace (pre-refactor-equivalent) paths for the speedup table.
-//! `PTP_SWEEP_THREADS` caps the worker count; sweeps are parallel by
-//! default and deterministic at any thread count.
+//! How fast anything is — sweeps, the database, the sharded store, the
+//! live server, the instruments — is the business of the frozen
+//! `benchmark/` package alone (ARCHITECTURE.md maps each retired `bench_*`
+//! binary to its rungs). The three records above go through [`record`],
+//! the one writer. `PTP_SWEEP_THREADS` caps the sweep worker count; sweeps
+//! are parallel by default and deterministic at any thread count.
+
+pub mod record;
 
 use ptp_core::report::Table;
 use ptp_core::{sweep, sweep_with_session, ProtocolKind, SessionPool, SweepGrid, SweepReport};
@@ -76,21 +61,11 @@ pub fn dense_grid(n: usize) -> SweepGrid {
     grid
 }
 
-/// `per_shard` keys per shard of `topo`, found by probing the router with
-/// `key-{i}` names — the deterministic workload vocabulary shared by the
-/// sharded-store binaries (`bench_shard`, `exp_shard_availability`).
-pub fn shard_key_pool(
-    topo: &ptp_shard::ShardTopology,
-    per_shard: usize,
-) -> Vec<Vec<ptp_core::ddb::Key>> {
-    topo.key_pool(per_shard)
-}
-
-/// The measurement budget in milliseconds: `CRITERION_BUDGET_MS` if set
-/// (the CI smoke runs set 20), else `default`. Every bench emitter scales
-/// its sample counts from this one knob.
-pub fn criterion_budget_ms(default: u64) -> u64 {
-    std::env::var("CRITERION_BUDGET_MS").ok().and_then(|s| s.parse().ok()).unwrap_or(default)
+/// The measurement budget in milliseconds: `BENCH_BUDGET_MS` if set (the
+/// CI smoke runs set 20), else `default`. Both emitters scale their sample
+/// counts from this one knob.
+pub fn bench_budget_ms(default: u64) -> u64 {
+    std::env::var("BENCH_BUDGET_MS").ok().and_then(|s| s.parse().ok()).unwrap_or(default)
 }
 
 /// Median of the samples (sorts in place; mean of the middle two when even).
@@ -108,21 +83,6 @@ pub fn median_of(samples: &mut [f64]) -> f64 {
         (samples[mid - 1] + samples[mid]) / 2.0
     }
 }
-
-/// Writes a `BENCH_*.json` record to the repo root (the directory `cargo
-/// run` executes from) and prints where it went — the shared tail of every
-/// bench emitter.
-pub fn write_record(path: &str, json: &str) {
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("\nwrote {path}");
-}
-
-// The host/JSON helpers every emitter embeds (`nproc`, `host_class`,
-// `host_fields`, `json_escape`) now live in `ptp-obs`, the one crate with
-// no workspace dependencies, so bench records and observability snapshots
-// stamp identical headers. Re-exported here so `use ptp_bench::…` keeps
-// working across every binary.
-pub use ptp_obs::{host_class, host_fields, json_escape, nproc};
 
 /// Renders a sweep report as one table row.
 pub fn sweep_row(kind: ProtocolKind, report: &SweepReport) -> Vec<String> {
@@ -208,13 +168,5 @@ mod tests {
         assert_eq!(median_of(&mut [3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median_of(&mut [4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median_of(&mut [7.0]), 7.0);
-    }
-
-    #[test]
-    fn host_fields_is_valid_fragment() {
-        let f = host_fields();
-        assert!(f.starts_with("\"nproc\": "));
-        assert!(f.contains("\"host\": \""));
-        assert!(!f.ends_with(','));
     }
 }

@@ -73,9 +73,8 @@ pub use run::{run_scenario, run_scenario_opts, ScenarioResult};
 pub use scenario::{PartitionShape, ProtocolKind, Scenario};
 pub use session::{build_cluster_any, Session, SessionPool};
 pub use sweep::{
-    all_simple_boundaries, sweep, sweep_parallel, sweep_profiled, sweep_serial, sweep_threads,
-    sweep_with_session, sweep_with_threads, ScenarioDesc, ScenarioSpec, ScheduleShape, SweepGrid,
-    SweepReport,
+    all_simple_boundaries, sweep, sweep_parallel, sweep_serial, sweep_threads, sweep_with_session,
+    sweep_with_threads, ScenarioDesc, ScenarioSpec, ScheduleShape, SweepGrid, SweepReport,
 };
 pub use timeline::{ScenarioBuilder, TimedEvent, Timeline, TimelineEvent};
 

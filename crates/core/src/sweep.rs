@@ -606,22 +606,6 @@ pub fn sweep_serial(kind: ProtocolKind, grid: &SweepGrid) -> SweepReport {
     sweep_with_session(&mut session, grid)
 }
 
-/// Runs the grid serially with event-attribution profiling switched on,
-/// returning the verdict report together with the merged
-/// [`ptp_simnet::Profile`] across every cell — the `bench_profile` path.
-///
-/// Serial on purpose: attribution totals are deterministic in structure
-/// (same keys, same counts at any thread count), but the nanosecond
-/// tallies are wall-clock measurements, so there is nothing to gain from
-/// racing workers; the report itself is identical to [`sweep_serial`].
-pub fn sweep_profiled(kind: ProtocolKind, grid: &SweepGrid) -> (SweepReport, ptp_simnet::Profile) {
-    let mut session = Session::new(kind, grid.n);
-    session.set_profiling(true);
-    let report = sweep_with_session(&mut session, grid);
-    let profile = session.take_profile();
-    (report, profile)
-}
-
 /// Runs the grid serially through a caller-owned [`Session`] — the
 /// [`crate::SessionPool`] path: flows that sweep several grids over the
 /// same `(kind, n)` clusters (the Theorem 9 scorecards, for instance) hold

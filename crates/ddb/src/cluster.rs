@@ -21,8 +21,7 @@ use ptp_protocols::termination::{
     PhasePlan, TerminationMaster, TerminationSlave, TerminationVariant,
 };
 use ptp_simnet::{
-    DelayModel, FaultPlan, NetConfig, PartitionEngine, RunReport, SimTime, Simulation, SiteId,
-    Trace,
+    DelayModel, FaultPlan, NetConfig, PartitionEngine, RunReport, Simulation, SiteId, Trace,
 };
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -369,12 +368,6 @@ pub fn run_sites(
     let (actors, trace, report) = Simulation::new(net.config, actors, net.faults, &net.delay).run();
     let sites = actors.into_iter().map(ShardNode::into_core).collect();
     (sites, metrics.take(), trace, report)
-}
-
-/// Convenience: the horizon instant of a run's config (for
-/// [`Metrics::hold_durations`]).
-pub fn horizon(config: &NetConfig) -> SimTime {
-    config.max_time
 }
 
 #[cfg(test)]

@@ -14,14 +14,14 @@
 //! uniform or hot-key skew and a read/write mix, injected on the wall clock
 //! regardless of completions — so queueing delay lands in the recorded
 //! latency instead of silently stretching the run. Latency percentiles come
-//! from a hand-rolled log-bucketed histogram ([`hist`]).
+//! from a hand-rolled log-bucketed histogram ([`ptp_obs::hist`]).
 //!
 //! Two server-side optimizations are switchable per run ([`BatchConfig`]):
 //! **group-commit WAL batching** (one simulated-fsync per batch window,
 //! acked per transaction after its commit record's flush) and
 //! **protocol-message coalescing** (all envelopes to one destination in a
-//! window ride one channel send). `bench_live` records both modes at equal
-//! offered load in `BENCH_live.json`.
+//! window ride one channel send). The benchmark runs one workload in each
+//! mode: `live_steady` with both off, `live_partition` with both on.
 //!
 //! Live runs are nondeterministic (real threads, real clocks), so
 //! correctness is asserted as **invariants**, not replay equality: the
@@ -50,13 +50,9 @@ pub mod node;
 
 pub use config::{BatchConfig, KeySkew, LeaseConfig, LiveOptions};
 pub use node::{Completion, LiveNode, NodeCounters, NodeReport, Packet};
-// The histogram moved to `ptp-obs` in PR 10; these re-exports keep the old
-// `ptp_live::hist::LogHistogram` / `ptp_live::LatencySummary` paths alive.
-pub use ptp_obs::hist;
-pub use ptp_obs::{
-    FlightEvent, FlightRecorder, LatencySummary, LogHistogram, ObsConfig, Registry, Series,
-    StageTable, TxnSpan,
-};
+// The `ptp-obs` types that `LiveOptions` / `LiveReport` carry in public
+// fields.
+pub use ptp_obs::{LatencySummary, ObsConfig, Registry, Series, StageTable};
 
 use driver::{OpKind, Schedule, ScheduledOp, READ_BASE};
 use ptp_ddb::site::ParticipantFactory;
@@ -64,7 +60,8 @@ use ptp_ddb::value::{Key, TxnId, Value};
 use ptp_livenet::{host_time, Inbound, LiveConfig, Outbound, Router};
 use ptp_model::Decision;
 use ptp_obs::{
-    STAGE_COMMIT_WAIT, STAGE_LOCK_WAIT, STAGE_PROTOCOL, STAGE_QUEUE, STAGE_ROUNDS, STAGE_SERVE,
+    FlightEvent, FlightRecorder, LogHistogram, TxnSpan, STAGE_COMMIT_WAIT, STAGE_LOCK_WAIT,
+    STAGE_PROTOCOL, STAGE_QUEUE, STAGE_ROUNDS, STAGE_SERVE,
 };
 use ptp_shard::plan::PlanTable;
 use ptp_shard::ShardTopology;
@@ -729,6 +726,36 @@ fn audit(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fault_phase_classifies_against_episodes_and_crash_windows() {
+        use ptp_simnet::{FailureSpec, PartitionEngine, PartitionSpec};
+        assert_eq!(fault_phase(&FaultPlan::default(), SimTime(5)), "none");
+
+        // One healed episode over [100, 200), one crash window over [400, 500).
+        let episode =
+            PartitionSpec::transient(SimTime(100), vec![SiteId(0)], vec![SiteId(1)], SimTime(200));
+        let mut plan = FaultPlan::from(PartitionEngine::new(vec![episode]));
+        plan.failures.push(FailureSpec::crash_recover(SiteId(1), SimTime(400), SimTime(500)));
+        let phases = [
+            (99, "before"),
+            (100, "fault"),
+            (199, "fault"),
+            (200, "after"),
+            (399, "after"),
+            (400, "fault"),
+            (499, "fault"),
+            (500, "after"),
+        ];
+        for (at, phase) in phases {
+            assert_eq!(fault_phase(&plan, SimTime(at)), phase, "at {at}");
+        }
+
+        // A crash that never recovers keeps the run in the fault phase.
+        plan.failures.push(FailureSpec::crash(SiteId(0), SimTime(600)));
+        assert_eq!(fault_phase(&plan, SimTime(599)), "after");
+        assert_eq!(fault_phase(&plan, SimTime(u64::MAX)), "fault");
+    }
 
     #[test]
     fn small_run_without_batching_is_clean() {

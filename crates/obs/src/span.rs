@@ -11,8 +11,8 @@
 //!
 //! Stages are consecutive boundary deltas over one timeline, so the table
 //! accounts for the whole end-to-end latency by construction; the
-//! `bench_obs` record asserts the accounting covers ≥ 95% of measured
-//! commit latency (saturating arithmetic can shave microseconds, never
+//! benchmark's `live.stage_coverage` gate asserts the accounting covers
+//! ≥ 95% of measured latency (saturating arithmetic can shave microseconds, never
 //! add them).
 
 use crate::hist::LogHistogram;

@@ -156,8 +156,8 @@ pub fn termination_cluster_any(
 }
 
 /// The paper's protocol with non-default timer constants — used by the
-/// timing/ablation experiments (E6 and the `ablations` bench) to show the
-/// paper's 2T/3T/5T/6T values are necessary.
+/// timing experiment (E6, `exp_fig5_timeouts`) to show the paper's
+/// 2T/3T/5T/6T values are necessary.
 pub fn huang_li_3pc_cluster_with_timing_any(
     n: usize,
     votes: &[Vote],
@@ -246,6 +246,39 @@ mod tests {
             run_failure_free(huang_li_4pc_cluster_any(n, &votes, TerminationVariant::Transient)),
             Verdict::AllAbort
         );
+    }
+
+    #[test]
+    fn stretched_timers_and_skewed_links_stay_atomic_under_partition() {
+        use crate::termination::ProtocolTiming;
+        use ptp_simnet::{PartitionSpec, SimTime};
+        let generous =
+            ProtocolTiming { master_proto: 4, slave_proto: 6, collect: 10, w_wait: 12, p_wait: 10 };
+        let skewed = DelayModel::PerLink { links: [((0u16, 1u16), 300u64)].into(), default: 900 };
+        for (timing, delay) in [
+            (generous, DelayModel::Fixed(1000)),
+            (ProtocolTiming::default(), skewed),
+            (ProtocolTiming::default(), DelayModel::Uniform { seed: 5, min: 1, max: 1000 }),
+        ] {
+            let parts = huang_li_3pc_cluster_with_timing_any(
+                4,
+                &[Vote::Yes; 3],
+                TerminationVariant::Transient,
+                timing,
+            );
+            let split = PartitionSpec::simple(
+                SimTime(2500),
+                vec![SiteId(0), SiteId(1)],
+                vec![SiteId(2), SiteId(3)],
+            );
+            let run = run_protocol(
+                parts,
+                NetConfig::default(),
+                PartitionEngine::new(vec![split]),
+                &delay,
+            );
+            assert!(Verdict::judge(&run.outcomes).is_atomic(), "{timing:?} / {delay:?}");
+        }
     }
 
     #[test]

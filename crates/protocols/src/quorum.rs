@@ -20,7 +20,7 @@
 //!
 //! The naive rendition dominated the schedule benchmark: a blocked minority
 //! re-armed its collection round every 2T until the horizon, and every round
-//! allocated a fresh report map. Profiling (`bench_profile`) attributed the
+//! allocated a fresh report map. Event-attribution profiling attributed the
 //! bulk of Quorum's wall time to exactly those state-request/report rounds,
 //! so the collection machinery is rewritten behind a [`QuorumTuning`] knob:
 //!

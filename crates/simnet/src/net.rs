@@ -232,7 +232,7 @@ impl<P: Payload> Core<P> {
     /// is only *built* when a recording sink will keep it: the sweep hot
     /// path runs under [`TraceSink::Null`], where assembling a
     /// [`TraceEvent`] per send/delivery/timer just to discard it was
-    /// measurable in the event-dispatch profile (`bench_profile`).
+    /// measurable in the event-dispatch profile.
     #[inline]
     fn trace(&mut self, bump: impl FnOnce(&mut TraceCounters), ev: impl FnOnce() -> TraceEvent) {
         bump(&mut self.counters);
@@ -667,7 +667,7 @@ impl<P: Payload, A: Actor<P>> Simulation<P, A> {
     /// no per-event move of the actor is needed. The old take-and-put-back
     /// scheme copied the full actor struct — several hundred bytes for an
     /// enum-dispatched protocol site — twice per dispatched event, which
-    /// the event profile (`bench_profile`) showed as pure overhead.
+    /// the event profile showed as pure overhead.
     #[inline]
     fn with_actor(&mut self, idx: usize, f: impl FnOnce(&mut A, &mut Ctx<'_, P>)) {
         let mut ctx = Ctx { core: &mut self.core, me: SiteId(idx as u16) };

@@ -12,7 +12,8 @@
 //! discriminant test per event, nothing more. Profiling runs flip the sink
 //! to recording and aggregate into a [`Profile`], whose rollups
 //! ([`Profile::by_phase`], [`Profile::by_kind`], [`Profile::by_site`]) feed
-//! the `bench_profile` binary's `BENCH_profile.json`.
+//! the benchmark's `protocols.handler_ns` and `simnet.dispatch_overhead_ns`
+//! rungs.
 
 use std::collections::BTreeMap;
 

@@ -172,4 +172,12 @@ fn decision_latency_bounded_under_any_partition() {
             );
         }
     }
+    // Nor does cluster size open a gap: the upper half secedes at 2.5T and
+    // every site of a 3- to 17-site cluster still decides, consistently.
+    for n in [3usize, 5, 9, 17] {
+        let g2 = (n as u16 / 2..n as u16).map(SiteId).collect();
+        let result =
+            run_scenario(ProtocolKind::HuangLi3pc, &Scenario::new(n).partition_g2(g2, 2500));
+        assert!(result.verdict.is_resilient(), "n = {n}: {:?}", result.verdict);
+    }
 }
