@@ -36,7 +36,7 @@
 pub mod record;
 
 use ptp_core::report::Table;
-use ptp_core::{sweep, sweep_with_session, ProtocolKind, SessionPool, SweepGrid, SweepReport};
+use ptp_core::{sweep_with_session, ProtocolKind, SessionPool, SweepGrid, SweepReport};
 use ptp_simnet::DelayModel;
 
 /// The delay schedules used by default across experiments: the slowest
@@ -97,34 +97,18 @@ pub fn sweep_row(kind: ProtocolKind, report: &SweepReport) -> Vec<String> {
     ]
 }
 
-fn scorecard_table() -> Table {
-    Table::new(vec![
-        "protocol",
-        "scenarios",
-        "all-commit",
-        "all-abort",
-        "blocked",
-        "inconsistent",
-        "resilient?",
-    ])
-}
-
-/// Runs a set of protocols over one grid and prints the scorecard.
+/// Runs a set of protocols over one grid and prints the scorecard:
+/// [`print_scorecard_pooled`] over clusters of its own.
 pub fn print_scorecard(title: &str, kinds: &[ProtocolKind], grid: &SweepGrid) {
-    println!("== {title} ==");
-    println!("({} scenarios per protocol)\n", grid.size());
-    let mut table = scorecard_table();
-    for &kind in kinds {
-        let report = sweep(kind, grid);
-        table.row(sweep_row(kind, &report));
-    }
-    println!("{}", table.render());
+    print_scorecard_pooled(&mut SessionPool::new(), title, kinds, grid);
 }
 
-/// [`print_scorecard`] routed through a caller's [`SessionPool`]: each
-/// `(kind, n)` cluster is built once for the whole binary and reused
-/// across every grid it sweeps (serial, which is deterministic by
-/// construction — no thread-count dependence to even think about).
+/// Prints the scorecard of `kinds` over `grid`, each swept serially through
+/// the caller's [`SessionPool`]: every `(kind, n)` cluster is built once for
+/// the whole binary and reused across every grid it sweeps, and the line
+/// under the table — how many of the cells were simulated rather than
+/// proved ([`ptp_core::Session::executed`]) — does not depend on a thread
+/// count.
 pub fn print_scorecard_pooled(
     pool: &mut SessionPool,
     title: &str,
@@ -133,12 +117,25 @@ pub fn print_scorecard_pooled(
 ) {
     println!("== {title} ==");
     println!("({} scenarios per protocol)\n", grid.size());
-    let mut table = scorecard_table();
+    let mut table = Table::new(vec![
+        "protocol",
+        "scenarios",
+        "all-commit",
+        "all-abort",
+        "blocked",
+        "inconsistent",
+        "resilient?",
+    ]);
+    let mut simulated = 0;
     for &kind in kinds {
-        let report = sweep_with_session(pool.session(kind, grid.n), grid);
+        let session = pool.session(kind, grid.n);
+        let before = session.executed();
+        let report = sweep_with_session(session, grid);
+        simulated += session.executed() - before;
         table.row(sweep_row(kind, &report));
     }
     println!("{}", table.render());
+    println!("(simulated {simulated} of {} cells)\n", kinds.len() * grid.size());
 }
 
 #[cfg(test)]

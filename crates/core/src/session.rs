@@ -70,6 +70,7 @@ pub struct Session {
     kind: ProtocolKind,
     n: usize,
     runner: ClusterRunner<AnyParticipant>,
+    executed: u64,
 }
 
 impl Session {
@@ -78,7 +79,8 @@ impl Session {
     pub fn new(kind: ProtocolKind, n: usize) -> Session {
         assert!(n >= 2);
         let votes = vec![Vote::Yes; n - 1];
-        Session { kind, n, runner: ClusterRunner::new(build_cluster_any(kind, n, &votes)) }
+        let runner = ClusterRunner::new(build_cluster_any(kind, n, &votes));
+        Session { kind, n, runner, executed: 0 }
     }
 
     /// The protocol this session runs.
@@ -89,6 +91,15 @@ impl Session {
     /// The cluster size.
     pub fn sites(&self) -> usize {
         self.n
+    }
+
+    /// How many simulations this session has run since it was built. It only
+    /// grows. A sweep answers a cell without simulating it when it can prove
+    /// the verdict (see [`mod@crate::sweep`]'s execution model), so reading this
+    /// before and after a sweep tells how many of the grid's cells were
+    /// actually run.
+    pub fn executed(&self) -> u64 {
+        self.executed
     }
 
     /// Direct access to the underlying cluster runner (custom participant
@@ -133,8 +144,18 @@ impl Session {
     /// Runs `scenario` and returns only the verdict — the sweep hot path:
     /// no outcome vector, no trace, nothing cloned.
     pub fn verdict(&mut self, scenario: &Scenario, options: &RunOptions) -> Verdict {
-        let _ = self.execute(scenario, options);
-        Verdict::judge(self.runner.last_outcomes())
+        self.verdict_and_report(scenario, options).0
+    }
+
+    /// [`Session::verdict`] with the simulator's report beside it: the sweep
+    /// engine reads [`ptp_simnet::RunReport::last_landing`] off it.
+    pub(crate) fn verdict_and_report(
+        &mut self,
+        scenario: &Scenario,
+        options: &RunOptions,
+    ) -> (Verdict, ptp_simnet::RunReport) {
+        let (_, report) = self.execute(scenario, options);
+        (Verdict::judge(self.runner.last_outcomes()), report)
     }
 
     fn execute(
@@ -147,6 +168,7 @@ impl Session {
             "scenario has {} sites but the session was built for {}",
             scenario.n, self.n
         );
+        self.executed += 1;
         self.runner.reset(&scenario.votes);
         scenario.write_faults(self.runner.faults_mut());
         let config = options.apply_horizon(scenario.net_config());

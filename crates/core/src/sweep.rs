@@ -23,6 +23,40 @@
 //! cells through the verdict-only fast path — so the steady-state hot path
 //! performs no cluster construction, no participant boxing, no G1/G2
 //! rebuild, and no trace allocation.
+//!
+//! ### Proving before simulating
+//!
+//! A partition acts only on messages outstanding when it occurs (Lemma 3's
+//! set-up; [`PartitionEngine::bounce_instant`] ignores every episode with
+//! `e.at > delivery_at`). A commit is over within a few `T`, so on a grid
+//! that runs partition instants out to `8T` about half the cells are the
+//! partition-free run over again. The engine keeps one rule, in `CellState`
+//! and nowhere else:
+//!
+//! > If a cell's first episode starts strictly after `L0`, the latest
+//! > instant any message of its own run was scheduled to land
+//! > ([`ptp_simnet::RunReport::last_landing`]), then that run *is* the
+//! > partition-free run of its `(delay, votes)` pair, and its verdict holds
+//! > for every cell of the grid with the same pair whose `at > L0`.
+//!
+//! Proof. (1) Every send of such a run has `delivery_at <= L0 < at <= e.at`
+//! for every episode `e`, so `bounce_instant` answers `None` for each, as it
+//! does under an empty schedule: the run is the partition-free run `P`, event
+//! for event. (2) A cell with the same delays and votes and `at' > L0`
+//! replays `P` for as long as none of its sends bounces, and every send of
+//! `P` has `delivery_at <= L0 < at'`, so none does. (3) Boundary, shape, heal
+//! and [`PartitionMode`] only say what an episode does to a message it
+//! reaches; none is reached. ∎
+//!
+//! Each worker learns `(L0, verdict)` per `(delay, votes)` pair from the
+//! first cell it simulates that satisfies the rule — there is no pre-pass
+//! and no extra run — and answers later cells of the pair from it. The
+//! bound is strict: a message landing *at* the partition instant is
+//! bounced. Reports are unchanged by construction (`tests/sweep_pruning.rs`
+//! folds [`crate::Session::verdict`] over every cell as oracle); only
+//! [`crate::Session::executed`] tells how many cells were simulated, and
+//! since each worker learns on its own that count is kept out of
+//! [`SweepReport`].
 
 use crate::scenario::{PartitionShape, ProtocolKind, Scenario};
 use crate::session::Session;
@@ -504,16 +538,37 @@ struct CellState {
     scenario: Scenario,
     options: RunOptions,
     delay_index: Option<usize>,
+    /// The partition-free run of each `(delay_index, vote_index)` pair, once
+    /// a simulated cell has shown it: the latest landing instant `L0` of
+    /// that run and its verdict, which every cell of the pair with
+    /// `at > L0` shares (module docs, "Proving before simulating").
+    partition_free: Vec<Option<(SimTime, Verdict)>>,
 }
 
 impl CellState {
     fn new(grid: &SweepGrid) -> CellState {
         let mut scenario = Scenario::new(grid.n);
         scenario.mode = grid.mode;
-        CellState { scenario, options: RunOptions::new(), delay_index: None }
+        CellState {
+            scenario,
+            options: RunOptions::new(),
+            delay_index: None,
+            partition_free: vec![None; grid.delays.len() * grid.votes.len()],
+        }
     }
 
     fn run(&mut self, session: &mut Session, grid: &SweepGrid, spec: &ScenarioSpec<'_>) -> Verdict {
+        // The rule: this cell's episodes (the first of every shape starts
+        // at `spec.at`) cannot reach a run whose last message was due to
+        // land strictly earlier. Strictly: one landing *at* `spec.at` bounces.
+        let out_of_reach = |last_landing: SimTime| SimTime(spec.at) > last_landing;
+        let pair = spec.delay_index * grid.votes.len() + spec.vote_index;
+        if let Some((last_landing, verdict)) = &self.partition_free[pair] {
+            if out_of_reach(*last_landing) {
+                return verdict.clone();
+            }
+        }
+
         let scenario = &mut self.scenario;
         if self.delay_index != Some(spec.delay_index) {
             // DelayModel clones can be heavy (scheduled/per-link maps);
@@ -552,7 +607,18 @@ impl CellState {
                 shape.write_schedule(grid.n, spec.g2, spec.at, spec.heal, schedule);
             }
         }
-        session.verdict(scenario, &self.options)
+        let (verdict, report) = session.verdict_and_report(scenario, &self.options);
+        if out_of_reach(report.last_landing) {
+            // Sweep scenarios carry no crashes or envelope faults, so a run
+            // no episode reached cannot have lost or returned a message.
+            debug_assert!(
+                report.counters.returned == 0 && report.counters.dropped == 0,
+                "{spec:?} touched no message, yet {:?}",
+                report.counters
+            );
+            self.partition_free[pair] = Some((report.last_landing, verdict.clone()));
+        }
+        verdict
     }
 }
 

@@ -46,32 +46,35 @@ pub enum Verdict {
 
 impl Verdict {
     /// Classifies a slice of outcomes.
+    ///
+    /// Counts first and collects site ids only for the two verdicts that
+    /// carry them, so the all-commit / all-abort bulk of a sweep allocates
+    /// nothing.
     pub fn judge(outcomes: &[SiteOutcome]) -> Verdict {
-        let mut committed = Vec::new();
-        let mut aborted = Vec::new();
-        let mut undecided = Vec::new();
-        for (i, o) in outcomes.iter().enumerate() {
-            match o.decision {
-                Some(Decision::Commit) => committed.push(SiteId(i as u16)),
-                Some(Decision::Abort) => aborted.push(SiteId(i as u16)),
-                None => undecided.push(SiteId(i as u16)),
-            }
-        }
-        match (committed.is_empty(), aborted.is_empty(), undecided.is_empty()) {
-            (false, false, _) => Verdict::Inconsistent { committed, aborted },
-            (_, _, false) => Verdict::Blocked {
-                undecided,
-                agreed: if !committed.is_empty() {
+        let sites_with = |decision: Option<Decision>| -> Vec<SiteId> {
+            let sites = (0..outcomes.len()).filter(|&i| outcomes[i].decision == decision);
+            sites.map(|i| SiteId(i as u16)).collect()
+        };
+        let count = |decision| outcomes.iter().filter(|o| o.decision == decision).count();
+        let (commits, aborts) = (count(Some(Decision::Commit)), count(Some(Decision::Abort)));
+        let undecided = outcomes.len() - commits - aborts;
+        match (commits, aborts, undecided) {
+            (1.., 1.., _) => Verdict::Inconsistent {
+                committed: sites_with(Some(Decision::Commit)),
+                aborted: sites_with(Some(Decision::Abort)),
+            },
+            (1.., 0, 0) => Verdict::AllCommit,
+            (0, 1.., 0) => Verdict::AllAbort,
+            _ => Verdict::Blocked {
+                undecided: sites_with(None),
+                agreed: if commits > 0 {
                     Some(Decision::Commit)
-                } else if !aborted.is_empty() {
+                } else if aborts > 0 {
                     Some(Decision::Abort)
                 } else {
                     None
                 },
             },
-            (false, true, true) => Verdict::AllCommit,
-            (true, false, true) => Verdict::AllAbort,
-            (true, true, true) => Verdict::Blocked { undecided: vec![], agreed: None },
         }
     }
 

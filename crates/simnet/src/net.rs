@@ -223,6 +223,8 @@ struct Core<P: Payload> {
     /// Per-fault count of sends matching the fault's field filters, for
     /// `nth` ordinals. Parallel to `faults.env_faults`.
     env_hits: Vec<u32>,
+    /// Latest `delivery_at` handed to [`Core::route`] so far.
+    last_landing: SimTime,
 }
 
 impl<P: Payload> Core<P> {
@@ -312,6 +314,7 @@ impl<P: Payload> Core<P> {
     fn route(&mut self, env: Envelope<P>, delivery_at: SimTime, ghost: bool) {
         let (id, src, dst, kind) = (env.id, env.src, env.dst, env.payload.kind());
         let at = self.now;
+        self.last_landing = self.last_landing.max(delivery_at);
         // Does the message cross a partition boundary, and if so when does
         // it bounce?
         //
@@ -427,6 +430,14 @@ pub struct RunReport {
     pub events: u64,
     /// Per-category trace tallies, kept even under [`TraceSink::Null`].
     pub counters: TraceCounters,
+    /// The latest instant any routed message was *scheduled* to land at its
+    /// destination — forward legs only, delayed and duplicated copies
+    /// included, whether or not a partition then bounced or dropped it;
+    /// [`SimTime::ZERO`] if nothing was sent. A partition episode starting
+    /// strictly after this instant cannot have touched the run:
+    /// [`crate::PartitionEngine::bounce_instant`] only looks at episodes
+    /// with `at <= delivery_at`.
+    pub last_landing: SimTime,
 }
 
 /// A configured simulation: actors plus network behaviour.
@@ -542,6 +553,7 @@ impl<P: Payload, A: Actor<P>> Simulation<P, A> {
                 sampler: delay.sampler(),
                 sink,
                 counters: TraceCounters::default(),
+                last_landing: SimTime::ZERO,
             },
             actors,
         }
@@ -656,7 +668,13 @@ impl<P: Payload, A: Actor<P>> Simulation<P, A> {
             }
         };
 
-        let report = RunReport { stop, ended_at, events, counters: self.core.counters };
+        let report = RunReport {
+            stop,
+            ended_at,
+            events,
+            counters: self.core.counters,
+            last_landing: self.core.last_landing,
+        };
         let Simulation { mut core, actors } = self;
         let sink = std::mem::replace(&mut core.sink, TraceSink::Null);
         (actors, sink.into_trace(), report, core)
@@ -1065,6 +1083,73 @@ mod tests {
         let (board, _, _) =
             faulted_two_site(&[], &[DegradeWindow::new(SimTime(0), Some(SimTime(50)), 900, 900)]);
         assert_eq!(board.borrow().delivered, vec![(1, "ping", 900), (0, "pong", 1000)]);
+    }
+
+    #[test]
+    fn last_landing_is_the_last_delivery_of_a_clean_run() {
+        let (board, _, report) =
+            two_site(PartitionEngine::always_connected(), PartitionMode::Optimistic);
+        assert_eq!(board.borrow().delivered.last(), Some(&(0, "pong", 200)));
+        assert_eq!(report.last_landing, SimTime(200));
+    }
+
+    #[test]
+    fn last_landing_of_a_bounced_send_is_its_scheduled_forward_landing() {
+        // Ping sent at 0 towards a landing at 100; the split at 50 bounces
+        // it mid-flight and it is back at 150 — none of which moves the
+        // instant it was scheduled to land. Same when it is dropped.
+        for mode in [PartitionMode::Optimistic, PartitionMode::Pessimistic] {
+            let part = PartitionEngine::new(vec![PartitionSpec::simple(
+                SimTime(50),
+                vec![SiteId(0)],
+                vec![SiteId(1)],
+            )]);
+            let (board, _, report) = two_site(part, mode);
+            assert!(board.borrow().delivered.is_empty());
+            assert_eq!(report.last_landing, SimTime(100), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn last_landing_follows_delayed_and_duplicated_copies() {
+        use crate::envfault::{EnvelopeFault, EnvelopeMatch};
+        // The pong is sent at 100 and would land at 200.
+        let (_, _, delayed) = faulted_two_site(
+            &[EnvelopeFault::delay(EnvelopeMatch::kind("pong"), SimDuration(500))],
+            &[],
+        );
+        assert_eq!(delayed.last_landing, SimTime(700));
+        let (board, _, duplicated) = faulted_two_site(
+            &[EnvelopeFault::duplicate(EnvelopeMatch::kind("pong"), SimDuration(40))],
+            &[],
+        );
+        assert_eq!(board.borrow().delivered.last(), Some(&(0, "pong", 240)));
+        assert_eq!(duplicated.last_landing, SimTime(240));
+    }
+
+    #[test]
+    fn last_landing_is_zero_without_sends_and_starts_over_on_a_recycled_scratch() {
+        let run = |starts_ping: bool, scratch: SimScratch<&'static str>| {
+            let board = Rc::new(RefCell::new(Board::default()));
+            let a = Echo { board: board.clone(), peer: Some(SiteId(1)), starts_ping };
+            let b = Echo { board, peer: None, starts_ping: false };
+            let actors: Vec<Box<dyn Actor<&'static str>>> = vec![Box::new(a), Box::new(b)];
+            let sim = Simulation::with_scratch(
+                NetConfig::default(),
+                actors,
+                &DelayModel::Fixed(100),
+                TraceSink::Null,
+                scratch,
+            );
+            let (_, _, report, scratch) = sim.run_recycling();
+            (report, scratch)
+        };
+        let (silent, scratch) = run(false, SimScratch::new());
+        assert_eq!((silent.events, silent.last_landing), (0, SimTime::ZERO));
+        let (busy, scratch) = run(true, scratch);
+        assert_eq!(busy.last_landing, SimTime(200));
+        let (silent_again, _) = run(false, scratch);
+        assert_eq!(silent_again.last_landing, SimTime::ZERO);
     }
 
     #[test]
