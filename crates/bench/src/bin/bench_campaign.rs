@@ -1,20 +1,24 @@
 //! The chaos-campaign claim: the safe family stays green, and 2PC shrinks.
 //!
 //! Runs seeded campaigns of scenario timelines against the Huang–Li
-//! protocol — every one must audit green — and then plain 2PC under the
-//! resilience audit, the paper's own motivating failure, whose first
-//! counterexample must shrink. It prints a table and writes
-//! `BENCH_campaign.json`; the campaign runner's speed is the benchmark's
-//! `core.campaign_timelines_per_s` rung, the figure here only says how many
-//! timelines stood behind the green verdict.
+//! protocol — every one must audit green, first on the flat protocol
+//! cluster, then on the sharded store `run_planned` serves (3 × 2, crashes
+//! armed too; atomicity, read history, convergence, leaked locks) — and
+//! then plain 2PC under the resilience audit, the paper's own motivating
+//! failure, whose first counterexample must shrink. It prints a table and
+//! writes `BENCH_campaign.json`; the campaign runner's speed is the
+//! benchmark's `core.campaign_timelines_per_s` rung, the figures here only
+//! say how many timelines stood behind each green verdict.
 //!
-//! Honors `BENCH_BUDGET_MS`: the green-campaign phase keeps adding
+//! Honors `BENCH_BUDGET_MS`: each green-campaign phase keeps adding
 //! batches of timelines until the budget is spent.
 
 use ptp_bench::bench_budget_ms;
 use ptp_bench::record::Obj;
+use ptp_core::ddb::cluster::CommitProtocol;
+use ptp_core::ddb::topology::ShardTopology;
 use ptp_core::report::Table;
-use ptp_core::{Campaign, CampaignConfig, ProtocolKind};
+use ptp_core::{Campaign, CampaignConfig, CampaignReport, ProtocolKind};
 use std::time::Instant;
 
 const PROTOCOL: ProtocolKind = ProtocolKind::HuangLi3pc;
@@ -47,13 +51,13 @@ struct ShrinkRun {
     wall_ms: f64,
 }
 
-fn green_phase(budget_ms: u64) -> GreenRun {
+/// Runs `campaign(seed)` batch after batch until the budget is spent.
+fn green_phase(budget_ms: u64, campaign: impl Fn(u64) -> CampaignReport) -> GreenRun {
     let started = Instant::now();
     let mut timelines = 0usize;
     let mut batch = 0u64;
     loop {
-        let config = CampaignConfig::safe(PROTOCOL, 4, BATCH, SEED.wrapping_add(batch));
-        let report = Campaign::new(config).run();
+        let report = campaign(SEED.wrapping_add(batch));
         assert!(
             report.all_green(),
             "the safe family must stay green while we benchmark: {:?}",
@@ -93,7 +97,17 @@ fn shrink_phase() -> ShrinkRun {
     }
 }
 
-fn record(green: &GreenRun, shrink: &ShrinkRun) -> Obj {
+fn flat_batch(seed: u64) -> CampaignReport {
+    Campaign::new(CampaignConfig::safe(PROTOCOL, 4, BATCH, seed)).run()
+}
+
+fn sharded_batch(seed: u64) -> CampaignReport {
+    let mut config = CampaignConfig::safe(PROTOCOL, 6, BATCH, seed);
+    config.crashes = true;
+    Campaign::new(config).run_planned(&ShardTopology::uniform(6, 3, 2), CommitProtocol::HuangLi)
+}
+
+fn record(green: &GreenRun, sharded: &GreenRun, shrink: &ShrinkRun) -> Obj {
     Obj::new()
         .str("benchmark", "campaign")
         .str("protocol", PROTOCOL.name())
@@ -101,6 +115,13 @@ fn record(green: &GreenRun, shrink: &ShrinkRun) -> Obj {
         .num("green_timelines", green.timelines)
         .fixed("green_wall_ms", green.wall_ms, 3)
         .fixed("timelines_per_sec", green.timelines_per_sec(), 1)
+        .obj(
+            "sharded",
+            Obj::new()
+                .str("topology", "uniform(6, 3, 2)")
+                .num("timelines", sharded.timelines)
+                .fixed("timelines_per_sec", sharded.timelines_per_sec(), 1),
+        )
         .obj(
             "shrink_demo",
             Obj::new()
@@ -118,9 +139,13 @@ fn record(green: &GreenRun, shrink: &ShrinkRun) -> Obj {
 fn main() {
     let budget_ms = bench_budget_ms(2_000);
     println!("== bench_campaign: seeded chaos campaigns, {budget_ms} ms budget ==");
-    println!("safe family (partitions + degrades + duplicates), n = 4, {BATCH}-timeline batches\n");
+    println!(
+        "safe family (partitions + degrades + duplicates) at n = 4, then with non-master crashes \
+         on the 3 x 2 sharded store; {BATCH}-timeline batches\n"
+    );
 
-    let green = green_phase(budget_ms);
+    let green = green_phase(budget_ms, flat_batch);
+    let sharded = green_phase(budget_ms, sharded_batch);
     let shrink = shrink_phase();
     assert!(
         shrink.minimal_weight <= shrink.original_weight,
@@ -128,13 +153,17 @@ fn main() {
     );
 
     let mut table = Table::new(vec!["phase", "timelines", "wall ms", "timelines/s", "faults"]);
-    table.row(vec![
-        format!("green ({})", PROTOCOL.name()),
-        green.timelines.to_string(),
-        format!("{:.1}", green.wall_ms),
-        format!("{:.0}", green.timelines_per_sec()),
-        "0".into(),
-    ]);
+    let green_row = |subject: &str, run: &GreenRun| {
+        vec![
+            format!("green ({}{subject})", PROTOCOL.name()),
+            run.timelines.to_string(),
+            format!("{:.1}", run.wall_ms),
+            format!("{:.0}", run.timelines_per_sec()),
+            "0".into(),
+        ]
+    };
+    table.row(green_row("", &green));
+    table.row(green_row(", sharded store 3x2", &sharded));
     table.row(vec![
         "shrink (2PC, resilience audit)".into(),
         shrink.timelines.to_string(),
@@ -151,5 +180,5 @@ fn main() {
     println!("\nfirst counterexample, minimal timeline + flight-recorder tail:");
     println!("{}", shrink.first_rendered);
 
-    record(&green, &shrink).write("BENCH_campaign.json");
+    record(&green, &sharded, &shrink).write("BENCH_campaign.json");
 }

@@ -24,7 +24,7 @@
 //! | `exp_multi_partition` | partition-schedule families beyond the paper's model (`BENCH_schedule.json`) |
 //! | `exp_shard_availability` | shard-level availability of the sharded store under each schedule family |
 //! | `bench_read` | local read paths ≥ 5× the commit-round path (`BENCH_read.json`) |
-//! | `bench_campaign` | all-green safe campaign + the shrunk 2PC counterexample (`BENCH_campaign.json`) |
+//! | `bench_campaign` | all-green safe campaigns (protocol cluster, sharded store) + the shrunk 2PC counterexample (`BENCH_campaign.json`) |
 //!
 //! How fast anything is — sweeps, the database, the sharded store, the
 //! live server, the instruments — is the business of the frozen

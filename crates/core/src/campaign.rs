@@ -1,10 +1,13 @@
 //! Randomized chaos campaigns over the timeline DSL.
 //!
-//! A campaign samples many [`Timeline`]s from a seeded generator, executes
-//! each through the simulator backend, audits the result (atomicity by
-//! default), and **shrinks** every failing timeline to a minimal
-//! counterexample — the property-testing loop of `crates/proptest`,
-//! specialized to fault schedules.
+//! A campaign is one loop — *sample timeline `i` → judge → on failure
+//! [`shrink`] → replay the minimum recording and keep its flight tail* —
+//! over one of two subjects: the **protocol cluster** ([`Campaign::run`] /
+//! [`Campaign::run_with`]: one transaction through a flat [`Session`],
+//! audited for atomicity by default) or the **planned store**
+//! ([`Campaign::run_planned`]: a seeded [`Workload`] served by
+//! [`ptp_ddb::cluster::run_planned`], the driver under `DbCluster` and
+//! `ShardCluster` alike, under the whole lowered [`Timeline::faults`]).
 //!
 //! Everything is deterministic from the campaign seed: timeline `i` of a
 //! campaign is always the same [`Timeline`] (see [`Campaign::timeline`]),
@@ -15,7 +18,9 @@
 //! degraded-delay windows (delays still bounded by `T`). Site crashes are
 //! opt-in ([`CampaignConfig::crashes`]) and sampled only while no
 //! partition is open, because crash *during* partition is the paper's own
-//! Sec. 7 impossibility — a known atomicity violation, not a bug.
+//! Sec. 7 impossibility — a known atomicity violation, not a bug — and
+//! only at sites that master no shard: a crashed coordinator is outside
+//! the model too.
 //!
 //! # Examples
 //!
@@ -32,15 +37,24 @@ use crate::run::ScenarioResult;
 use crate::scenario::ProtocolKind;
 use crate::session::Session;
 use crate::timeline::{ScenarioBuilder, TimedEvent, Timeline};
+use ptp_ddb::cluster::{run_planned, CommitProtocol, DbRun, SimNet};
+use ptp_ddb::lease::LeaseConfig;
+use ptp_ddb::lineariz::check_read_history;
+use ptp_ddb::plan::{PlanTable, ShardReadSpec, ShardTxnSpec};
+use ptp_ddb::topology::ShardTopology;
+use ptp_ddb::value::{Key, TxnId, Value, WriteOp};
+use ptp_ddb::ShardNodeOpts;
 use ptp_obs::{FlightEvent, FlightRecorder};
 use ptp_protocols::RunOptions;
 use ptp_simnet::rng::SmallRng;
-use ptp_simnet::{EnvelopeMatch, SiteId, TraceEvent};
+use ptp_simnet::{DelayModel, EnvelopeMatch, NetConfig, SimTime, SiteId, Trace, TraceEvent};
+use std::sync::Arc;
 
 /// What a [`Campaign`] samples and how much of it.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// The protocol under test.
+    /// The protocol the flat cluster runs ([`Campaign::run_planned`] is
+    /// told its store's commit protocol directly).
     pub kind: ProtocolKind,
     /// Cluster size.
     pub n: usize,
@@ -52,8 +66,9 @@ pub struct CampaignConfig {
     pub max_events: usize,
     /// Sample two-group partition/heal episodes.
     pub partitions: bool,
-    /// Sample slave crash/recover pairs (only while no partition is open —
-    /// crash during partition is the paper's Sec. 7 impossibility).
+    /// Sample crash/recover pairs of sites that master nothing (only while
+    /// no partition is open — crash during partition is the paper's Sec. 7
+    /// impossibility).
     pub crashes: bool,
     /// Sample degraded-delay windows (bands stay within `T`).
     pub degrades: bool,
@@ -94,6 +109,9 @@ pub struct CampaignFailure {
     pub original: Timeline,
     /// The still-failing minimal counterexample.
     pub minimal: Timeline,
+    /// What of the sampled [`Workload`] the minimal counterexample still
+    /// needs (`None`: a protocol campaign, which serves none).
+    pub workload: Option<Workload>,
     /// Accepted shrinking steps.
     pub shrink_steps: usize,
     /// Candidate executions the shrinker spent.
@@ -113,13 +131,14 @@ impl CampaignFailure {
     pub fn render(&self) -> String {
         format!(
             "timeline {} (seed {:#x}): {}\nminimal counterexample ({} shrink step(s), \
-             {} candidate(s) tested):\n{:#?}\nflight recorder:\n{}",
+             {} candidate(s) tested):\n{:#?}\n{}flight recorder:\n{}",
             self.index,
             self.seed,
             self.message,
             self.shrink_steps,
             self.shrink_tested,
             self.minimal,
+            self.workload.as_ref().map(|w| format!("{w:#?}\n")).unwrap_or_default(),
             self.flight,
         )
     }
@@ -153,6 +172,241 @@ const SHRINK_BUDGET: usize = 256;
 /// flight dump keeps.
 pub const FLIGHT_TAIL: usize = 64;
 
+/// The seeded read/write mix the planned store serves under one timeline:
+/// a deterministic function of the timeline's seed and the topology, so
+/// `(seed, index)` replays bit-for-bit.
+#[derive(Debug, Clone)]
+pub struct Workload {
+    /// Initial `(key, value)` pairs, installed at every replica of the
+    /// key's shard.
+    pub seeds: Vec<(Key, Value)>,
+    /// Write transactions: `(submit tick, spec)`; one or two keys each, so
+    /// single- and cross-shard routes both occur.
+    pub writes: Vec<(u64, ShardTxnSpec)>,
+    /// Read-only transactions: `(submit tick, spec)`.
+    pub reads: Vec<(u64, ShardReadSpec)>,
+    /// The healthy network's delay model (`Fixed` or `Uniform`, within `T`).
+    pub delay: DelayModel,
+}
+
+/// Read ids live above every write id so the two namespaces cannot
+/// collide.
+const READ_BASE: u32 = 1000;
+
+impl Workload {
+    /// Samples the workload over `topology` from `seed`.
+    pub fn sample(seed: u64, topology: &ShardTopology) -> Workload {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED_0F4E_AD50_u64.rotate_left(17));
+        let per_shard = 4usize.div_ceil(topology.shards()).max(2);
+        let keys: Vec<Key> = topology.key_pool(per_shard).into_iter().flatten().collect();
+        let seeds = keys.iter().zip(0..).map(|(k, i)| (k.clone(), Value::from_u64(i))).collect();
+        let pick = |rng: &mut SmallRng| {
+            let mut ks: Vec<Key> = (0..=rng.gen_range(0..=1))
+                .map(|_| keys[rng.gen_range(0..=keys.len() as u64 - 1) as usize].clone())
+                .collect();
+            ks.sort();
+            ks.dedup();
+            ks
+        };
+
+        let writes = (1..=1 + rng.gen_range(0..=5) as u32)
+            .map(|id| {
+                let at = rng.gen_range(0..=20_000);
+                let writes = pick(&mut rng)
+                    .into_iter()
+                    .map(|key| WriteOp {
+                        key,
+                        value: Value::from_u64(1000 * id as u64 + rng.gen_range(0..=999)),
+                    })
+                    .collect();
+                (at, ShardTxnSpec { id: TxnId(id), writes })
+            })
+            .collect();
+        let reads = (0..2 + rng.gen_range(0..=6) as u32)
+            .map(|i| {
+                let at = rng.gen_range(0..=30_000);
+                (at, ShardReadSpec { id: TxnId(READ_BASE + i), keys: pick(&mut rng) })
+            })
+            .collect();
+        let delay = match rng.gen_range(0..=1) {
+            0 => DelayModel::Fixed(rng.gen_range(1..=1000)),
+            _ => DelayModel::Uniform { seed: rng.gen_range(0..=9_999), min: 1, max: 1000 },
+        };
+        Workload { seeds, writes, reads, delay }
+    }
+}
+
+/// What one pass of the campaign loop executes and, on failure, shrinks.
+#[derive(Debug, Clone)]
+struct Case {
+    timeline: Timeline,
+    workload: Option<Workload>,
+}
+
+impl Case {
+    /// The two halves of a case the planned subject sampled.
+    fn planned(&self) -> (&Timeline, &Workload) {
+        let workload = self.workload.as_ref().expect("the planned subject samples a workload");
+        (&self.timeline, workload)
+    }
+
+    /// Strictly-smaller mutations: every [`candidates`] mutation of the
+    /// timeline under the same workload, then the same timeline with one
+    /// write, then one read, dropped.
+    fn candidates(&self) -> Vec<Case> {
+        let mut out: Vec<Case> = candidates(&self.timeline)
+            .into_iter()
+            .map(|timeline| Case { timeline, workload: self.workload.clone() })
+            .collect();
+        let Some(workload) = &self.workload else { return out };
+        let mut push = |workload| out.push(Case { timeline: self.timeline.clone(), workload });
+        for i in 0..workload.writes.len() {
+            let mut less = workload.clone();
+            less.writes.remove(i);
+            push(Some(less));
+        }
+        for i in 0..workload.reads.len() {
+            let mut less = workload.clone();
+            less.reads.remove(i);
+            push(Some(less));
+        }
+        out
+    }
+}
+
+/// What a campaign points its timelines at. The loop
+/// ([`Campaign::drive`]) asks it for nothing else.
+trait Subject {
+    /// Sites the sampler may crash: those that master no shard — a crashed
+    /// coordinator is outside the paper's model.
+    fn crashable(&self) -> Vec<SiteId>;
+    /// The workload served under the timeline sampled from `seed`, if the
+    /// subject serves one.
+    fn workload(&self, _seed: u64) -> Option<Workload> {
+        None
+    }
+    /// Executes `case`; a violation message if it fails the audit.
+    fn judge(&mut self, case: &Case) -> Option<String>;
+    /// Executes `case` once more, recording, for the flight dump.
+    fn replay(&mut self, case: &Case) -> Trace;
+}
+
+/// Every site of a flat `n`-site cluster but its master, site 0.
+fn slaves(n: usize) -> Vec<SiteId> {
+    (1..n as u16).map(SiteId).collect()
+}
+
+/// The protocol cluster: one transaction through a flat [`Session`].
+struct Flat<F> {
+    session: Session,
+    audit: F,
+}
+
+impl<F: FnMut(&ScenarioResult) -> Option<String>> Subject for Flat<F> {
+    fn crashable(&self) -> Vec<SiteId> {
+        slaves(self.session.sites())
+    }
+
+    fn judge(&mut self, case: &Case) -> Option<String> {
+        (self.audit)(&self.session.run(&case.timeline.scenario()))
+    }
+
+    fn replay(&mut self, case: &Case) -> Trace {
+        self.session.run_with(&case.timeline.scenario(), &RunOptions::recording()).trace
+    }
+}
+
+/// The planned store: a [`Workload`] routed over `topology` and served by
+/// [`run_planned`] with leases and anti-entropy on.
+struct Planned {
+    topology: ShardTopology,
+    protocol: CommitProtocol,
+}
+
+impl Planned {
+    fn execute(&self, case: &Case) -> DbRun {
+        let (timeline, workload) = case.planned();
+        let (writes, reads) = (&workload.writes, &workload.reads);
+        let plans = PlanTable::route(
+            self.topology.clone(),
+            writes.iter().map(|(_, spec)| spec),
+            reads.iter().map(|(_, spec)| spec),
+        );
+        let submissions: Vec<(u64, TxnId)> = (writes.iter().map(|(at, spec)| (*at, spec.id)))
+            .chain(reads.iter().map(|(at, spec)| (*at, spec.id)))
+            .collect();
+        let seed = workload.seeds.iter().flat_map(|(key, value)| {
+            let replicas = self.topology.group(self.topology.shard_of(key));
+            replicas.iter().map(move |site| (site.0, key.clone(), value.clone()))
+        });
+        let config = NetConfig {
+            t_unit: timeline.t_unit,
+            max_time: SimTime(timeline.t_unit * timeline.horizon_t),
+            ..NetConfig::default()
+        };
+        let opts = ShardNodeOpts {
+            lease: Some(LeaseConfig::new(2 * timeline.t_unit, 13 * timeline.t_unit / 2)),
+            anti_entropy: Some(4 * timeline.t_unit),
+        };
+        let net = SimNet { config, faults: timeline.faults(), delay: workload.delay.clone() };
+        run_planned(Arc::new(plans), &submissions, seed, self.protocol, opts, net)
+    }
+
+    /// The oracles, cheapest first: atomicity, read history and — for the
+    /// termination protocol on a timeline that ends healed (2PC and Quorum
+    /// block by design) — replica convergence and nothing left held.
+    fn verdict(&self, case: &Case, run: &DbRun) -> Option<String> {
+        let (timeline, workload) = case.planned();
+        let split = run.metrics.atomicity_violations();
+        if !split.is_empty() {
+            return Some(format!("atomicity: sites decided {split:?} both ways"));
+        }
+        let specs = workload.writes.iter().map(|(_, spec)| spec);
+        let unread = check_read_history(&self.topology, &workload.seeds, specs, &run.metrics);
+        if let Some(violation) = unread.first() {
+            return Some(format!("read history: {violation:?}"));
+        }
+        let faults = timeline.faults();
+        let healed = faults.partition.episodes().iter().all(|e| e.heal_at.is_some())
+            && faults.failures.iter().all(|f| f.recover_at.is_some());
+        if self.protocol != CommitProtocol::HuangLi || !healed {
+            return None;
+        }
+        for (key, _) in &workload.seeds {
+            let group = self.topology.group(self.topology.shard_of(key));
+            let master = run.storages[group[0].index()].get(key);
+            if let Some(site) = group.iter().find(|s| run.storages[s.index()].get(key) != master) {
+                return Some(format!("convergence: {site} differs from its master on {key:?}"));
+            }
+        }
+        if let Some(hold) = run.metrics.lock_holds.iter().find(|h| h.to.is_none()) {
+            return Some(format!("leaked lock: {hold:?}"));
+        }
+        let blocked = run.blocked.iter().position(|txns| !txns.is_empty())?;
+        Some(format!("blocked at the horizon: site {blocked} holds {:?}", run.blocked[blocked]))
+    }
+}
+
+impl Subject for Planned {
+    fn crashable(&self) -> Vec<SiteId> {
+        let topology = &self.topology;
+        let masters = |site: &SiteId| (0..topology.shards()).any(|s| topology.master(s) == *site);
+        (0..topology.sites() as u16).map(SiteId).filter(|site| !masters(site)).collect()
+    }
+
+    fn workload(&self, seed: u64) -> Option<Workload> {
+        Some(Workload::sample(seed, &self.topology))
+    }
+
+    fn judge(&mut self, case: &Case) -> Option<String> {
+        self.verdict(case, &self.execute(case))
+    }
+
+    fn replay(&mut self, case: &Case) -> Trace {
+        self.execute(case).trace
+    }
+}
+
 /// A seeded chaos campaign. See the module docs.
 #[derive(Debug, Clone)]
 pub struct Campaign {
@@ -177,9 +431,16 @@ impl Campaign {
         self.config.seed.wrapping_add((index as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 
-    /// Samples timeline `index` (deterministic replay: the same campaign
-    /// always yields the same timeline at the same index).
+    /// Samples timeline `index` of a protocol campaign (deterministic
+    /// replay: the same campaign always yields the same timeline at the
+    /// same index). A planned campaign's timeline `index` differs only in
+    /// which sites its crash events name.
     pub fn timeline(&self, index: usize) -> Timeline {
+        self.sample(index, &slaves(self.config.n))
+    }
+
+    /// [`Campaign::timeline`] with the crash draw taken from `crashable`.
+    fn sample(&self, index: usize, crashable: &[SiteId]) -> Timeline {
         let cfg = &self.config;
         let mut rng = SmallRng::seed_from_u64(self.timeline_seed(index));
         let mut b = ScenarioBuilder::new(cfg.n);
@@ -209,8 +470,9 @@ impl Campaign {
                 1 if cfg.crashes => match crashed {
                     // Crash only in full connectivity (see the module docs)
                     // and recover before any later partition can overlap.
-                    None if !partition_open => {
-                        let site = SiteId(rng.gen_range(1..=(cfg.n - 1) as u64) as u16);
+                    None if !partition_open && !crashable.is_empty() => {
+                        let site =
+                            crashable[rng.gen_range(0..=crashable.len() as u64 - 1) as usize];
                         b = b.at(t).crash(site);
                         crashed = Some(site);
                     }
@@ -251,34 +513,63 @@ impl Campaign {
     /// message for a failing run, `None` for a clean one. Every failure is
     /// shrunk (event removal, envelope-fault removal, time halving) until
     /// no smaller timeline still trips the audit or the budget runs out.
-    pub fn run_with<F>(&self, mut audit: F) -> CampaignReport
+    pub fn run_with<F>(&self, audit: F) -> CampaignReport
     where
         F: FnMut(&ScenarioResult) -> Option<String>,
     {
-        let mut session = Session::new(self.config.kind, self.config.n);
+        self.drive(Flat { session: Session::new(self.config.kind, self.config.n), audit })
+    }
+
+    /// Runs the campaign's timelines against the **store that serves**:
+    /// each is lowered whole by [`Timeline::faults`] — partitions, crashes,
+    /// degrades and envelope faults — onto [`run_planned`] over `topology`
+    /// (`uniform(n, 1, n)` is the flat database), leases and anti-entropy
+    /// on, serving the [`Workload`] sampled from the timeline's seed. A run
+    /// fails on an atomicity violation, on a read no linearization of the
+    /// committed writes explains, and — `HuangLi` on a timeline that ends
+    /// healed — on a replica that differs from its shard master or a lock
+    /// or transaction still held at the horizon. Failures shrink over the
+    /// timeline *and* the workload's writes and reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `topology` spans the campaign's `n` sites.
+    pub fn run_planned(
+        &self,
+        topology: &ShardTopology,
+        protocol: CommitProtocol,
+    ) -> CampaignReport {
+        assert_eq!(topology.sites(), self.config.n, "the topology must span the campaign's sites");
+        self.drive(Planned { topology: topology.clone(), protocol })
+    }
+
+    /// The one campaign loop.
+    fn drive(&self, mut subject: impl Subject) -> CampaignReport {
+        let crashable = subject.crashable();
         let mut failures = Vec::new();
         for index in 0..self.config.timelines {
-            let timeline = self.timeline(index);
-            let result = session.run(&timeline.scenario());
-            if let Some(message) = audit(&result) {
-                let (minimal, shrink_steps, shrink_tested) =
-                    shrink(&mut session, &mut audit, timeline.clone());
-                let reason = format!(
-                    "campaign counterexample (timeline {index}, seed {:#x}): {message}",
-                    self.timeline_seed(index)
-                );
-                let flight = counterexample_flight(&mut session, &minimal, &reason);
-                failures.push(CampaignFailure {
-                    index,
-                    seed: self.timeline_seed(index),
-                    message,
-                    original: timeline,
-                    minimal,
-                    shrink_steps,
-                    shrink_tested,
-                    flight,
+            let seed = self.timeline_seed(index);
+            let case =
+                Case { timeline: self.sample(index, &crashable), workload: subject.workload(seed) };
+            let Some(message) = subject.judge(&case) else { continue };
+            let (minimal, shrink_steps, shrink_tested) =
+                shrink(case.clone(), SHRINK_BUDGET, Case::candidates, |candidate| {
+                    subject.judge(candidate).is_some()
                 });
-            }
+            let reason =
+                format!("campaign counterexample (timeline {index}, seed {seed:#x}): {message}");
+            let flight = flight_dump(&subject.replay(&minimal), &reason);
+            failures.push(CampaignFailure {
+                index,
+                seed,
+                message,
+                original: case.timeline,
+                minimal: minimal.timeline,
+                workload: minimal.workload,
+                shrink_steps,
+                shrink_tested,
+                flight,
+            });
         }
         CampaignReport { executed: self.config.timelines, failures }
     }
@@ -297,13 +588,12 @@ impl Campaign {
     }
 }
 
-/// Replays the minimal counterexample with a recording trace and renders
-/// the last [`FLIGHT_TAIL`] network/fault events as a flight-recorder
-/// dump — the same format the live stack prints on audit failure, so one
-/// set of eyes (and one set of parsing scripts) reads both.
-fn counterexample_flight(session: &mut Session, minimal: &Timeline, reason: &str) -> String {
-    let result = session.run_with(&minimal.scenario(), &RunOptions::recording());
-    let events: Vec<FlightEvent> = result.trace.events().iter().filter_map(flight_event).collect();
+/// Renders the last [`FLIGHT_TAIL`] network/fault events of the minimal
+/// counterexample's recorded replay as a flight-recorder dump — the same
+/// format the live stack prints on audit failure, so one set of eyes (and
+/// one set of parsing scripts) reads both.
+fn flight_dump(trace: &Trace, reason: &str) -> String {
+    let events: Vec<FlightEvent> = trace.events().iter().filter_map(flight_event).collect();
     let keep = events.len().min(FLIGHT_TAIL);
     let dropped = (events.len() - keep) as u64;
     FlightRecorder::render_dump(reason, dropped, &events[events.len() - keep..])
@@ -346,23 +636,37 @@ fn flight_event(e: &TraceEvent) -> Option<FlightEvent> {
 }
 
 /// Greedy restart-on-improvement shrinking, mirroring the loop in
-/// `crates/proptest`: try every candidate; the first one that still fails
-/// becomes the new minimum and the pass restarts.
-fn shrink<F>(session: &mut Session, audit: &mut F, original: Timeline) -> (Timeline, usize, usize)
-where
-    F: FnMut(&ScenarioResult) -> Option<String>,
-{
+/// `crates/proptest`: try every candidate of the current minimum; the first
+/// one that still fails becomes the new minimum and the pass restarts, until
+/// a pass finds none or `budget` candidates have been executed. Returns the
+/// minimum, the accepted steps and the candidates tested.
+///
+/// # Examples
+///
+/// ```
+/// use ptp_core::campaign::shrink;
+///
+/// // "Fails" while it still holds a 7: everything else can go.
+/// let smaller = |v: &Vec<u32>| (0..v.len()).map(|i| [&v[..i], &v[i + 1..]].concat()).collect();
+/// let (minimal, steps, _) = shrink(vec![3, 7, 9, 4], 64, smaller, |v| v.contains(&7));
+/// assert_eq!((minimal, steps), (vec![7], 3));
+/// ```
+pub fn shrink<T>(
+    original: T,
+    budget: usize,
+    mut candidates: impl FnMut(&T) -> Vec<T>,
+    mut still_fails: impl FnMut(&T) -> bool,
+) -> (T, usize, usize) {
     let mut minimal = original;
     let mut steps = 0usize;
     let mut tested = 0usize;
     'passes: loop {
         for candidate in candidates(&minimal) {
-            if tested >= SHRINK_BUDGET {
+            if tested >= budget {
                 break 'passes;
             }
             tested += 1;
-            let result = session.run(&candidate.scenario());
-            if audit(&result).is_some() {
+            if still_fails(&candidate) {
                 minimal = candidate;
                 steps += 1;
                 continue 'passes;
@@ -375,9 +679,8 @@ where
 
 /// Strictly-smaller mutations of `timeline`, invalid ones discarded via
 /// [`Timeline::try_new`]: drop one envelope fault, drop one event, halve
-/// every event instant. Shared with the database-backend read audit
-/// (`crate::read_audit`), which shrinks over the same candidate space.
-pub(crate) fn candidates(timeline: &Timeline) -> Vec<Timeline> {
+/// every event instant.
+fn candidates(timeline: &Timeline) -> Vec<Timeline> {
     let mut out = Vec::new();
     let mut push = |events: Vec<TimedEvent>, env_faults| {
         if let Ok(t) =
@@ -500,5 +803,188 @@ mod tests {
         let config = CampaignConfig::safe(ProtocolKind::HuangLi3pc, 4, 15, 0xBADC0DE);
         let report = Campaign::new(config).run();
         assert!(report.all_green(), "{:#?}", report.failures);
+    }
+    /// FNV-1a over the `{:?}` of timelines `0..64` of the benchmark's
+    /// campaign.
+    fn stream_digest(crashes: bool) -> u64 {
+        let mut config = CampaignConfig::safe(ProtocolKind::HuangLi3pc, 4, 64, 0xBE_2026);
+        config.crashes = crashes;
+        let campaign = Campaign::new(config);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for i in 0..64 {
+            for b in format!("{:?}", campaign.timeline(i)).bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn the_flat_stream_is_the_one_sampled_before_subjects_existed() {
+        // Digests computed at the commit before the crash draw went through
+        // the crashable set: the draw must consume the RNG as it did.
+        assert_eq!(stream_digest(false), 0xe8d3_ab23_5dac_f84e);
+        assert_eq!(stream_digest(true), 0xfa26_6544_8c1c_9ac5);
+    }
+
+    /// Partitions + crashes only, as the retired flat-database read audit
+    /// sampled.
+    fn db_config(timelines: usize, seed: u64) -> CampaignConfig {
+        let mut config = CampaignConfig::safe(ProtocolKind::HuangLi3pc, 4, timelines, seed);
+        config.crashes = true;
+        config.degrades = false;
+        config.duplicates = false;
+        config
+    }
+
+    fn planned(topology: ShardTopology, protocol: CommitProtocol) -> Planned {
+        Planned { topology, protocol }
+    }
+
+    #[test]
+    fn only_sites_that_master_no_shard_may_crash() {
+        let sites = |ids: &[u16]| ids.iter().copied().map(SiteId).collect::<Vec<_>>();
+        let sharded = planned(ShardTopology::uniform(6, 3, 2), CommitProtocol::HuangLi);
+        assert_eq!(sharded.crashable(), sites(&[1, 3, 5]));
+        let flat_db = planned(ShardTopology::uniform(4, 1, 4), CommitProtocol::HuangLi);
+        assert_eq!(flat_db.crashable(), sites(&[1, 2, 3]));
+        let flat = Flat { session: Session::new(ProtocolKind::HuangLi3pc, 4), audit: |_: &_| None };
+        assert_eq!(flat.crashable(), flat_db.crashable());
+    }
+
+    #[test]
+    fn workload_sampling_is_deterministic_and_mixes_routes() {
+        let topology = ShardTopology::uniform(6, 3, 2);
+        let (a, b) = (Workload::sample(42, &topology), Workload::sample(42, &topology));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_ne!(format!("{a:?}"), format!("{:?}", Workload::sample(43, &topology)));
+        let shards = |spec: &ShardTxnSpec| {
+            let mut shards: Vec<usize> =
+                spec.writes.iter().map(|w| topology.shard_of(&w.key)).collect();
+            shards.dedup();
+            shards.len()
+        };
+        let spans: Vec<usize> = (0..32)
+            .flat_map(|seed| Workload::sample(seed, &topology).writes)
+            .map(|(_, spec)| shards(&spec))
+            .collect();
+        assert!(spans.contains(&1) && spans.contains(&2), "single- and cross-shard: {spans:?}");
+    }
+
+    #[test]
+    fn the_flat_database_is_green_on_atomicity_and_read_history() {
+        let topology = ShardTopology::uniform(4, 1, 4);
+        for protocol in
+            [CommitProtocol::TwoPhase, CommitProtocol::HuangLi, CommitProtocol::QuorumMajority]
+        {
+            let campaign = Campaign::new(db_config(15, 0xDBA_0D17));
+            let report = campaign.run_planned(&topology, protocol);
+            assert_eq!(report.executed, 15);
+            assert!(report.all_green(), "{protocol:?}: {}", report.failures[0].render());
+            // The oracle must have had reads to judge.
+            let subject = planned(topology.clone(), protocol);
+            let served: usize = (0..15)
+                .map(|i| {
+                    let workload = subject.workload(campaign.timeline_seed(i));
+                    subject
+                        .execute(&Case { timeline: campaign.timeline(i), workload })
+                        .metrics
+                        .reads
+                        .len()
+                })
+                .sum();
+            assert!(served > 0, "{protocol:?}: the audit must see served reads");
+        }
+    }
+
+    /// The planned store judged on a history whose first served read was
+    /// overwritten with a value no write ever carried.
+    struct Doctored(Planned);
+
+    impl Subject for Doctored {
+        fn crashable(&self) -> Vec<SiteId> {
+            self.0.crashable()
+        }
+
+        fn workload(&self, seed: u64) -> Option<Workload> {
+            self.0.workload(seed)
+        }
+
+        fn judge(&mut self, case: &Case) -> Option<String> {
+            let mut run = self.0.execute(case);
+            for (_, observed) in
+                run.metrics.reads.first_mut().into_iter().flat_map(|r| &mut r.values)
+            {
+                *observed = Some(Value::from_u64(0xBAD_FACE));
+            }
+            self.0.verdict(case, &run)
+        }
+
+        fn replay(&mut self, case: &Case) -> Trace {
+            self.0.replay(case)
+        }
+    }
+
+    #[test]
+    fn a_doctored_history_fails_the_oracle_and_shrinks_to_one_read() {
+        // The checker must not be vacuous, and a planned failure must go
+        // through the same shrink → replay → flight path as a protocol one.
+        let topology = ShardTopology::uniform(4, 1, 4);
+        let campaign = Campaign::new(db_config(8, 7));
+        let report = campaign.drive(Doctored(planned(topology, CommitProtocol::HuangLi)));
+        assert!(!report.all_green(), "every run that serves a read must fail");
+        for f in &report.failures {
+            assert!(f.message.starts_with("read history:"), "{}", f.message);
+            let workload = f.workload.as_ref().expect("a planned failure carries its workload");
+            assert!(f.minimal.events.is_empty() && f.minimal.env_faults.is_empty(), "{f:?}");
+            assert_eq!((workload.writes.len(), workload.reads.len()), (0, 1), "{workload:?}");
+            assert!(f.shrink_steps > 0 && f.shrink_tested >= f.shrink_steps);
+            assert!(f.flight.contains("\"reason\": \"campaign counterexample (timeline"));
+            assert!(f.render().contains("reads: ["), "{}", f.render());
+        }
+    }
+
+    #[test]
+    fn a_healed_timeline_is_also_judged_on_convergence_and_leaked_locks() {
+        let topology = ShardTopology::uniform(4, 1, 4);
+        let key = topology.key_pool(1)[0][0].clone();
+        let write = WriteOp { key: key.clone(), value: Value::from_u64(7) };
+        let split = vec![vec![SiteId(0), SiteId(1), SiteId(2)], vec![SiteId(3)]];
+        let workload = Some(Workload {
+            seeds: vec![(key.clone(), Value::from_u64(0))],
+            writes: vec![(0, ShardTxnSpec { id: TxnId(1), writes: vec![write] })],
+            reads: Vec::new(),
+            delay: DelayModel::Fixed(700),
+        });
+        let healed = Case {
+            timeline: ScenarioBuilder::new(4)
+                .at(1500)
+                .partition(split.clone())
+                .at(9000)
+                .heal()
+                .build(),
+            workload: workload.clone(),
+        };
+        let subject = planned(topology.clone(), CommitProtocol::HuangLi);
+        let clean = subject.execute(&healed);
+        assert_eq!(subject.verdict(&healed, &clean), None);
+
+        // A replica that never caught up, and a lock nobody released.
+        let mut diverged = subject.execute(&healed);
+        diverged.storages[3].seed(key, Value::from_u64(0xBAD_FACE));
+        let message = subject.verdict(&healed, &diverged).expect("a stale replica must fail");
+        assert!(message.starts_with("convergence: site3"), "{message}");
+        let mut leaked = subject.execute(&healed);
+        leaked.metrics.lock_holds[0].to = None;
+        let message = subject.verdict(&healed, &leaked).expect("a held lock must fail");
+        assert!(message.starts_with("leaked lock"), "{message}");
+
+        // Neither is asked of a split that never heals, nor of a protocol
+        // that blocks by design.
+        let open =
+            Case { timeline: ScenarioBuilder::new(4).at(1500).partition(split).build(), workload };
+        assert_eq!(subject.verdict(&open, &leaked), None);
+        let two_phase = planned(topology, CommitProtocol::TwoPhase);
+        assert_eq!(two_phase.verdict(&healed, &leaked), None);
     }
 }

@@ -59,7 +59,6 @@
 
 pub mod campaign;
 pub mod cases;
-pub mod read_audit;
 pub mod report;
 pub mod run;
 pub mod scenario;
@@ -68,7 +67,6 @@ pub mod sweep;
 pub mod timeline;
 
 pub use campaign::{Campaign, CampaignConfig, CampaignFailure, CampaignReport};
-pub use read_audit::{ReadAuditFailure, ReadAuditReport, ReadWorkload};
 pub use run::{run_scenario, run_scenario_opts, ScenarioResult};
 pub use scenario::{PartitionShape, ProtocolKind, Scenario};
 pub use session::{build_cluster_any, Session, SessionPool};

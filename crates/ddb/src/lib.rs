@@ -22,6 +22,8 @@
 //!   involved shards, a 16-byte row per transaction over one write arena,
 //!   read through `Copy` views. [`PlanTable::flat`] is the paper's
 //!   one-group model; `PlanTable::compile` routes by key over shards.
+//! * [`lineariz`] — the read-history oracle beside the plans it judges:
+//!   every served read against the per-key commit points of the writes.
 //! * [`core`] — **the** site: a sans-IO [`SiteCore`] holding storage, WAL,
 //!   locks and one embedded commit-protocol participant per transaction,
 //!   routed by plan, version-stamping what it commits; with [`lease`],
@@ -55,6 +57,7 @@ pub mod bytes;
 pub mod cluster;
 pub mod core;
 pub mod lease;
+pub mod lineariz;
 pub mod locks;
 pub mod node;
 pub mod plan;

@@ -7,24 +7,31 @@
 //! facts of the sharded design:
 //!
 //! 1. **Per-key commit points are totally ordered.** Every write to a key
-//!    commits through the key's shard master under strict 2PL, so the
-//!    coordinator's commit instant is a valid linearization point and the
-//!    per-key write history is a sequence, not a partial order.
-//! 2. **Applies never run ahead of the commit point.** A participant
-//!    master applies a cross-shard write at its *own* decision instant,
-//!    which the protocols place at or after the coordinator's — so a read
-//!    can never observe a value whose write has not yet committed.
+//!    commits through the key's shard master under strict 2PL, and every
+//!    read of the key is served there, so that master's decision instants
+//!    are the key's linearization points and the per-key write history is
+//!    a sequence, not a partial order.
+//! 2. **A key becomes visible when *its own* master decides, not when the
+//!    coordinator does.** A master applies a write at its own decision
+//!    instant. Failure-free that is at or after the coordinator's, but
+//!    under the termination protocol the two sides of a partition boundary
+//!    terminate at different instants, and a participant shard's master
+//!    may commit first: the keys of one cross-shard write have one commit
+//!    point *each* (LARK's per-key argument; the per-group commit
+//!    visibility of partial replication). What never happens is a read
+//!    observing a value before the value's own master committed it.
 //!
 //! A read of key `k` served at instant `t` must therefore observe the
-//! value of the *last* write to `k` whose commit point is `< t` (or the
-//! seed value if none committed yet). Writes committing at exactly `t`
-//! are concurrent with the read — the checker accepts either side of the
-//! tie. Anything else is a [`ReadViolation`].
+//! value of the *last* write to `k` that `k`'s shard master committed at an
+//! instant `< t` (or the seed value if none committed yet). Writes
+//! committing there at exactly `t` are concurrent with the read — the
+//! checker accepts either side of the tie. Anything else is a
+//! [`ReadViolation`].
 
-use crate::plan::{PlanTable, ShardTxnSpec};
+use crate::plan::ShardTxnSpec;
+use crate::site::Metrics;
 use crate::topology::ShardTopology;
-use ptp_ddb::site::Metrics;
-use ptp_ddb::value::{Key, TxnId, Value};
+use crate::value::{Key, TxnId, Value};
 use ptp_model::Decision;
 use ptp_simnet::{SimTime, SiteId};
 use std::collections::BTreeMap;
@@ -47,35 +54,30 @@ pub struct ReadViolation {
     pub admissible: Vec<Option<Value>>,
 }
 
-/// Checks every [`ptp_ddb::site::ReadRecord`] in `metrics` against the
-/// committed-write history of `specs` (commit points judged at each write
-/// plan's top-level coordinator). Returns all violations, in read order —
-/// empty means the run's reads linearize.
-pub fn check_read_history(
+/// Checks every [`crate::site::ReadRecord`] in `metrics` against the
+/// committed-write history of `specs` (each written key's commit point
+/// judged at that key's shard master). Returns all violations, in read
+/// order — empty means the run's reads linearize.
+pub fn check_read_history<'s>(
     topology: &ShardTopology,
     seeds: &[(Key, Value)],
-    specs: &[ShardTxnSpec],
+    specs: impl IntoIterator<Item = &'s ShardTxnSpec>,
     metrics: &Metrics,
 ) -> Vec<ReadViolation> {
-    let plans = PlanTable::compile(topology.clone(), specs);
-
     // Per-key committed-write history: (commit instant, value), sorted by
     // instant. Later writes within one transaction's list win.
     let mut history: BTreeMap<Key, Vec<(SimTime, Option<Value>)>> = BTreeMap::new();
     for spec in specs {
-        let plan = plans.get(spec.id).expect("just compiled");
-        let coordinator = plan.master().0;
-        let Some(&(Decision::Commit, at)) =
-            metrics.decisions.get(&spec.id).and_then(|d| d.get(&coordinator))
-        else {
-            continue;
-        };
+        let Some(decisions) = metrics.decisions.get(&spec.id) else { continue };
         let mut last: BTreeMap<&Key, &Value> = BTreeMap::new();
         for w in &spec.writes {
             last.insert(&w.key, &w.value);
         }
         for (key, value) in last {
-            history.entry(key.clone()).or_default().push((at, Some(value.clone())));
+            let master = topology.master(topology.shard_of(key)).0;
+            if let Some(&(Decision::Commit, at)) = decisions.get(&master) {
+                history.entry(key.clone()).or_default().push((at, Some(value.clone())));
+            }
         }
     }
     for writes in history.values_mut() {
@@ -115,8 +117,8 @@ pub fn check_read_history(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptp_ddb::site::{ReadPath, ReadRecord};
-    use ptp_ddb::value::WriteOp;
+    use crate::site::{ReadPath, ReadRecord};
+    use crate::value::WriteOp;
 
     fn spec(id: u32, key: &Key, v: u64) -> ShardTxnSpec {
         ShardTxnSpec {
@@ -201,5 +203,39 @@ mod tests {
         observe(&mut metrics, 101, master, 6000, &k, Some(10));
         let violations = check_read_history(&topo, &seeds, &specs, &metrics);
         assert_eq!(violations.len(), 1, "uncommitted write observed");
+    }
+
+    #[test]
+    fn each_key_of_a_cross_shard_write_commits_at_its_own_master() {
+        // Termination on the two sides of a boundary: the participant
+        // master (shard 1) commits at 2000, the coordinator (shard 0, the
+        // lowest involved shard's master) only at 5000.
+        let topo = ShardTopology::uniform(6, 3, 2);
+        let (k0, k1) = (key_in(&topo, 0), key_in(&topo, 1));
+        let (coordinator, participant) = (topo.master(0).0, topo.master(1).0);
+        let write = |k: &Key, v| WriteOp { key: k.clone(), value: Value::from_u64(v) };
+        let specs =
+            vec![ShardTxnSpec { id: TxnId(1), writes: vec![write(&k0, 10), write(&k1, 11)] }];
+        let seeds = vec![(k0.clone(), Value::from_u64(0)), (k1.clone(), Value::from_u64(1))];
+        let mut metrics = Metrics::default();
+        commit(&mut metrics, 1, participant, 2000);
+        commit(&mut metrics, 1, coordinator, 5000);
+        // Between the two instants the participant's key is already new,
+        // the coordinator's key still old.
+        observe(&mut metrics, 100, participant, 3000, &k1, Some(11));
+        observe(&mut metrics, 101, coordinator, 3000, &k0, Some(0));
+        observe(&mut metrics, 102, coordinator, 6000, &k0, Some(10));
+        assert_eq!(check_read_history(&topo, &seeds, &specs, &metrics), vec![]);
+
+        // The coordinator's key read new inside the window: not yet
+        // committed at *its* master.
+        observe(&mut metrics, 103, coordinator, 3000, &k0, Some(10));
+        // The participant's key read new before its own master committed.
+        observe(&mut metrics, 104, participant, 1500, &k1, Some(11));
+        // ... and read old after it did.
+        observe(&mut metrics, 105, participant, 3000, &k1, Some(1));
+        let violations = check_read_history(&topo, &seeds, &specs, &metrics);
+        let reads: Vec<TxnId> = violations.iter().map(|v| v.read).collect();
+        assert_eq!(reads, vec![TxnId(103), TxnId(104), TxnId(105)], "{violations:#?}");
     }
 }

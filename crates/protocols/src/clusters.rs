@@ -3,10 +3,9 @@
 //!
 //! The `*_cluster_any` constructors return [`Vec<AnyParticipant>`] — one
 //! flat allocation, enum-dispatched — and are what
-//! [`crate::runner::ClusterRunner`] / `ptp_core::Session` consume. The
-//! historical `*_cluster` constructors return boxed trait objects for
-//! heterogeneous embeddings ([`crate::runner::run_protocol`],
-//! `ptp-livenet`).
+//! [`crate::runner::ClusterRunner`] / `ptp_core::Session` consume.
+//! [`huang_li_3pc_cluster`] is the one boxed form left, for embeddings that
+//! want trait objects (`ptp-livenet`'s protocol harness).
 
 use crate::api::{Participant, Vote};
 use crate::dispatch::AnyParticipant;
@@ -19,10 +18,6 @@ use ptp_model::rules::derive_rules_augmentation;
 use ptp_model::{Augmentation, ProtocolSpec};
 use ptp_simnet::SiteId;
 use std::sync::Arc;
-
-fn boxed(cluster: Vec<AnyParticipant>) -> Vec<Box<dyn Participant>> {
-    cluster.into_iter().map(AnyParticipant::boxed).collect()
-}
 
 /// A cluster interpreting `spec` with an optional augmentation.
 pub fn fsa_cluster_any(
@@ -41,24 +36,10 @@ pub fn fsa_cluster_any(
         .collect()
 }
 
-/// Boxed form of [`fsa_cluster_any`].
-pub fn fsa_cluster(
-    spec: ProtocolSpec,
-    votes: &[Vote],
-    augmentation: Option<Augmentation>,
-) -> Vec<Box<dyn Participant>> {
-    boxed(fsa_cluster_any(spec, votes, augmentation))
-}
-
 /// Fig. 1: plain 2PC with no timeout/UD transitions — blocks under
 /// partition and even under a silent master stop.
 pub fn plain_2pc_cluster_any(n: usize, votes: &[Vote]) -> Vec<AnyParticipant> {
     fsa_cluster_any(two_phase(n), votes, None)
-}
-
-/// Boxed form of [`plain_2pc_cluster_any`].
-pub fn plain_2pc_cluster(n: usize, votes: &[Vote]) -> Vec<Box<dyn Participant>> {
-    boxed(plain_2pc_cluster_any(n, votes))
 }
 
 /// Fig. 2: extended 2PC. The base protocol is 2PC with a decision-ack
@@ -71,11 +52,6 @@ pub fn extended_2pc_cluster_any(n: usize, votes: &[Vote]) -> Vec<AnyParticipant>
     fsa_cluster_any(extended_two_phase(n), votes, Some(augmentation))
 }
 
-/// Boxed form of [`extended_2pc_cluster_any`].
-pub fn extended_2pc_cluster(n: usize, votes: &[Vote]) -> Vec<Box<dyn Participant>> {
-    boxed(extended_2pc_cluster_any(n, votes))
-}
-
 /// The Sec. 3 "naive" baseline: 3PC augmented with Rule (a)/(b) timeout and
 /// UD transitions derived at the *actual* `n` — still not resilient
 /// (Lemma 3), as experiments E3/E5 demonstrate.
@@ -85,20 +61,10 @@ pub fn naive_augmented_3pc_cluster_any(n: usize, votes: &[Vote]) -> Vec<AnyParti
     fsa_cluster_any(spec, votes, Some(augmentation))
 }
 
-/// Boxed form of [`naive_augmented_3pc_cluster_any`].
-pub fn naive_augmented_3pc_cluster(n: usize, votes: &[Vote]) -> Vec<Box<dyn Participant>> {
-    boxed(naive_augmented_3pc_cluster_any(n, votes))
-}
-
 /// Fig. 3: plain 3PC (no termination protocol) — nonblocking for site
 /// failures but not partition-resilient.
 pub fn plain_3pc_cluster_any(n: usize, votes: &[Vote]) -> Vec<AnyParticipant> {
     fsa_cluster_any(three_phase(n), votes, None)
-}
-
-/// Boxed form of [`plain_3pc_cluster_any`].
-pub fn plain_3pc_cluster(n: usize, votes: &[Vote]) -> Vec<Box<dyn Participant>> {
-    boxed(plain_3pc_cluster_any(n, votes))
 }
 
 /// The paper's protocol: modified 3PC (Fig. 8) with the Huang–Li
@@ -117,7 +83,7 @@ pub fn huang_li_3pc_cluster(
     votes: &[Vote],
     variant: TerminationVariant,
 ) -> Vec<Box<dyn Participant>> {
-    boxed(huang_li_3pc_cluster_any(n, votes, variant))
+    huang_li_3pc_cluster_any(n, votes, variant).into_iter().map(AnyParticipant::boxed).collect()
 }
 
 /// Theorem 10 exercise: the four-phase protocol with its generated
@@ -128,15 +94,6 @@ pub fn huang_li_4pc_cluster_any(
     variant: TerminationVariant,
 ) -> Vec<AnyParticipant> {
     termination_cluster_any(&PhasePlan::four_phase(), n, votes, variant)
-}
-
-/// Boxed form of [`huang_li_4pc_cluster_any`].
-pub fn huang_li_4pc_cluster(
-    n: usize,
-    votes: &[Vote],
-    variant: TerminationVariant,
-) -> Vec<Box<dyn Participant>> {
-    boxed(huang_li_4pc_cluster_any(n, votes, variant))
 }
 
 /// Builds a full cluster (master + `n - 1` slaves) running the termination
@@ -181,16 +138,6 @@ pub fn huang_li_3pc_cluster_with_timing_any(
         );
     }
     parts
-}
-
-/// Boxed form of [`huang_li_3pc_cluster_with_timing_any`].
-pub fn huang_li_3pc_cluster_with_timing(
-    n: usize,
-    votes: &[Vote],
-    variant: TerminationVariant,
-    timing: ProtocolTiming,
-) -> Vec<Box<dyn Participant>> {
-    boxed(huang_li_3pc_cluster_with_timing_any(n, votes, variant, timing))
 }
 
 #[cfg(test)]

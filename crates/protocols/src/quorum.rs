@@ -588,11 +588,6 @@ pub fn quorum_cluster_any(cfg: QuorumConfig, votes: &[Vote]) -> Vec<crate::AnyPa
     parts
 }
 
-/// Boxed form of [`quorum_cluster_any`].
-pub fn quorum_cluster(cfg: QuorumConfig, votes: &[Vote]) -> Vec<Box<dyn Participant>> {
-    quorum_cluster_any(cfg, votes).into_iter().map(crate::AnyParticipant::boxed).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

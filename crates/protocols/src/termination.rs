@@ -631,23 +631,6 @@ impl Participant for TerminationSlave {
     }
 }
 
-/// Builds a full boxed cluster (master + `n - 1` slaves) running the
-/// termination protocol over `plan`. See
-/// [`crate::clusters::termination_cluster_any`] for the enum-dispatched
-/// form.
-pub fn termination_cluster(
-    plan: &PhasePlan,
-    n: usize,
-    votes: &[Vote],
-    variant: TerminationVariant,
-) -> Vec<Box<dyn Participant>> {
-    use crate::dispatch::AnyParticipant;
-    crate::clusters::termination_cluster_any(plan, n, votes, variant)
-        .into_iter()
-        .map(AnyParticipant::boxed)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -978,7 +961,7 @@ mod tests {
 
     #[test]
     fn cluster_builder_counts() {
-        let parts = termination_cluster(
+        let parts = crate::clusters::termination_cluster_any(
             &PhasePlan::three_phase(),
             4,
             &[Vote::Yes; 3],

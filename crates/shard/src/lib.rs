@@ -12,14 +12,13 @@
 //!   routing plans → `ptp_ddb::cluster::run_planned`, with aggregate and
 //!   per-shard [`Metrics`] (`committed`, cross-shard abort rate, lock-hold
 //!   time, per-shard availability) and the read-path report.
-//! * [`lineariz`] — the read-history linearizability oracle.
-//! * [`topology`], [`plan`], [`node`], [`lease`] — re-exported from
-//!   `ptp-ddb`, where the shard map, the router (single-shard: commit
-//!   protocol inside the replica group; cross-shard: a top-level instance
-//!   of the *same* protocol over the involved groups' masters, plus
-//!   outcome shipping to out-of-group replicas) and the one site core
-//!   (with its simulator host) live, so that the flat
-//!   [`ptp_ddb::DbCluster`] runs on them too.
+//! * [`topology`], [`plan`], [`node`], [`lease`], [`lineariz`] —
+//!   re-exported from `ptp-ddb`, where the shard map, the router
+//!   (single-shard: commit protocol inside the replica group; cross-shard:
+//!   a top-level instance of the *same* protocol over the involved groups'
+//!   masters, plus outcome shipping to out-of-group replicas), the one site
+//!   core (with its simulator host) and the read-history oracle live, so
+//!   that the flat [`ptp_ddb::DbCluster`] runs on them too.
 //!
 //! The sharded path cannot fork behaviour from the flat one: both are
 //! front ends over the same driver and the same core, and a 1-shard
@@ -48,9 +47,8 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod lineariz;
 
-pub use ptp_ddb::{lease, node, plan, topology};
+pub use ptp_ddb::{lease, lineariz, node, plan, topology};
 
 pub use cluster::{CrossShardReport, ReadReport, ShardCluster, ShardMetrics, ShardRun};
 pub use lease::{LeaseConfig, LeaseTable};

@@ -5,7 +5,15 @@
 //! impossibility territory) — and requires every timeline to leave the
 //! paper's protocol atomic. The seed is pinned, so a red run here names a
 //! timeline index that `Campaign::timeline(index)` reproduces exactly.
+//!
+//! The same loop then points the same timelines at the store that serves —
+//! `run_planned` under a sharded and a flat topology, leases and
+//! anti-entropy on — where a timeline must also leave every served read
+//! linearizable and, once healed, every replica converged and no lock held.
+//! A release build raises those two campaigns to 20 000 timelines each.
 
+use ptp_core::ddb::cluster::CommitProtocol;
+use ptp_core::ddb::topology::ShardTopology;
 use ptp_core::scenario::ScenarioBuilder;
 use ptp_core::{run_scenario_opts, Campaign, CampaignConfig, ProtocolKind, RunOptions};
 use ptp_simnet::{EnvelopeMatch, SiteId, TraceEvent};
@@ -59,4 +67,33 @@ fn fifty_timeline_safe_campaign_is_green_for_the_quorum_protocol() {
         report.failures.len(),
         report.failures.first()
     );
+}
+
+/// HL-3PC on the planned store over `topology`: 400 timelines in a debug
+/// build, 20 000 in a release one.
+fn assert_planned_campaign_green(topology: ShardTopology, crashes: bool) {
+    let timelines = if cfg!(debug_assertions) { 400 } else { 20_000 };
+    let mut config =
+        CampaignConfig::safe(ProtocolKind::HuangLi3pc, topology.sites(), timelines, 0xC1_2026);
+    config.crashes = crashes;
+    let report = Campaign::new(config).run_planned(&topology, CommitProtocol::HuangLi);
+    assert_eq!(report.executed, timelines);
+    assert!(report.all_green(), "{}", report.failures[0].render());
+}
+
+/// Every fault class armed: on 3 × 2 the crashable sites — those that
+/// master no shard — are the three replicas, each a slave of a two-site
+/// group, so no crash can silence a probe the termination protocol counts.
+#[test]
+fn planned_campaign_is_green_for_huang_li_on_the_sharded_store() {
+    assert_planned_campaign_green(ShardTopology::uniform(6, 3, 2), true);
+}
+
+/// The flat database is the planned store at `uniform(n, 1, n)`. Crashes
+/// stay off here: in a four-site group a slave that crashes within a few
+/// `T` of a heal is Sec. 7's "G1 slave crashes before probing" (ROADMAP
+/// item 1 files the one such timeline in 20 000).
+#[test]
+fn planned_campaign_is_green_for_huang_li_on_the_flat_database() {
+    assert_planned_campaign_green(ShardTopology::uniform(4, 1, 4), false);
 }

@@ -14,7 +14,7 @@ use ptp_core::model::protocols::three_phase;
 use ptp_core::model::{GlobalGraph, StateRef};
 use ptp_core::{run_scenario, ProtocolKind, Scenario};
 use ptp_protocols::api::Vote;
-use ptp_protocols::clusters::plain_3pc_cluster;
+use ptp_protocols::clusters::plain_3pc_cluster_any;
 use ptp_protocols::runner::run_protocol;
 use ptp_protocols::Verdict;
 use ptp_simnet::{DelayModel, NetConfig, PartitionEngine, TraceEvent};
@@ -24,7 +24,7 @@ fn interpreted_and_engine_3pc_agree_failure_free() {
     for seed in 0..10u64 {
         let delay = DelayModel::Uniform { seed, min: 1, max: 1000 };
         let interpreted = run_protocol(
-            plain_3pc_cluster(4, &[Vote::Yes; 3]),
+            plain_3pc_cluster_any(4, &[Vote::Yes; 3]),
             NetConfig::default(),
             PartitionEngine::always_connected(),
             &delay,
@@ -42,7 +42,7 @@ fn interpreted_and_engine_agree_on_no_votes() {
         [Vote::Yes, Vote::Yes, Vote::No],
     ] {
         let interpreted = run_protocol(
-            plain_3pc_cluster(4, &votes),
+            plain_3pc_cluster_any(4, &votes),
             NetConfig::default(),
             PartitionEngine::always_connected(),
             &DelayModel::Fixed(700),
@@ -67,7 +67,7 @@ fn simulated_concurrency_is_within_model_concurrency_sets() {
 
     for seed in 0..20u64 {
         let run = run_protocol(
-            plain_3pc_cluster(3, &[Vote::Yes; 2]),
+            plain_3pc_cluster_any(3, &[Vote::Yes; 2]),
             NetConfig::default(),
             PartitionEngine::always_connected(),
             &DelayModel::Uniform { seed, min: 1, max: 1000 },
@@ -114,7 +114,7 @@ fn every_simulated_state_is_reachable_in_the_model() {
     }
     for seed in 0..10u64 {
         let run = run_protocol(
-            plain_3pc_cluster(3, &[Vote::Yes; 2]),
+            plain_3pc_cluster_any(3, &[Vote::Yes; 2]),
             NetConfig::default(),
             PartitionEngine::always_connected(),
             &DelayModel::Uniform { seed, min: 1, max: 1000 },

@@ -11,6 +11,8 @@
 //! not the run. (Before the checkpoint: ≈ 140–230 bytes per finished
 //! transaction per site, the log alone three quarters of it.)
 
+mod common;
+
 use ptp_core::ddb::cluster::{run_sites, CommitProtocol, SimNet};
 use ptp_core::ddb::plan::{PlanTable, ShardTxnSpec};
 use ptp_core::ddb::topology::ShardTopology;
@@ -18,8 +20,6 @@ use ptp_core::ddb::value::{Key, TxnId, Value, WriteOp};
 use ptp_core::ddb::wal::RecoveryAction;
 use ptp_model::Decision;
 use ptp_simnet::{DelayModel, FaultPlan, NetConfig, SimTime};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 const TXNS: usize = 10_000;
@@ -27,55 +27,10 @@ const TXNS: usize = 10_000;
 const SPACING: u64 = 400;
 const LIVE_BYTES_PER_FINISHED: usize = 48;
 
-thread_local! {
-    /// Net heap bytes this thread allocated while it measures (`None`: not
-    /// measuring — the harness's other threads never are).
-    static LIVE: Cell<Option<isize>> = const { Cell::new(None) };
-}
-
-fn tally(bytes: isize) {
-    LIVE.with(|live| {
-        if let Some(so_far) = live.get() {
-            live.set(Some(so_far + bytes));
-        }
-    });
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the tally touches only a const-initialised
-// thread-local `Cell`, which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tally(layout.size() as isize);
-        // SAFETY: the caller's obligations are `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        tally(-(layout.size() as isize));
-        // SAFETY: `ptr` came from `System` under this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        tally(new_size as isize - layout.size() as isize);
-        // SAFETY: `ptr` came from `System` under this `layout`; the caller
-        // vouches for `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
 /// Runs `release` and returns what it gave back: its result, and the heap
 /// bytes it freed on balance.
 fn freed_by<T>(release: impl FnOnce() -> T) -> (T, usize) {
-    LIVE.with(|live| live.set(Some(0)));
-    let result = release();
-    let live = LIVE.with(|live| live.take()).expect("measuring");
+    let (result, _, live) = common::measure(release);
     (result, usize::try_from(-live).expect("releasing frees more than it allocates"))
 }
 

@@ -9,65 +9,20 @@
 //! interned a plan was four maps and two vectors of its own: ≈ 1.5 KB and
 //! ≈ 9 allocations each.)
 
+mod common;
+
 use ptp_core::ddb::plan::{PlanTable, ShardReadSpec, ShardTxnSpec};
 use ptp_core::ddb::topology::ShardTopology;
 use ptp_core::ddb::value::{Key, TxnId, Value, WriteOp};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
 const PLANS: usize = 10_000;
 const LIVE_BYTES_PER_PLAN: usize = 128;
 const ALLOCATIONS: usize = 100;
 
-thread_local! {
-    /// `(allocations, live bytes)` of this thread while it measures
-    /// (`None`: not measuring — the harness's other threads never are).
-    static TALLY: Cell<Option<(usize, isize)>> = const { Cell::new(None) };
-}
-
-fn tally(allocations: usize, bytes: isize) {
-    TALLY.with(|tally| {
-        if let Some((count, live)) = tally.get() {
-            tally.set(Some((count + allocations, live + bytes)));
-        }
-    });
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the tally touches only a const-initialised
-// thread-local `Cell`, which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tally(1, layout.size() as isize);
-        // SAFETY: the caller's obligations are `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        tally(0, -(layout.size() as isize));
-        // SAFETY: `ptr` came from `System` under this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        tally(1, new_size as isize - layout.size() as isize);
-        // SAFETY: `ptr` came from `System` under this `layout`; the caller
-        // vouches for `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
 /// Runs `build` and returns what it allocated: the number of allocations
 /// (growth included) and the heap bytes its result keeps alive.
 fn measure<T>(build: impl FnOnce() -> T) -> (T, usize, usize) {
-    TALLY.with(|tally| tally.set(Some((0, 0))));
-    let built = build();
-    let (allocations, live) = TALLY.with(|tally| tally.take()).expect("measuring");
+    let (built, allocations, live) = common::measure(build);
     (built, allocations, usize::try_from(live).expect("a build frees no more than it allocates"))
 }
 

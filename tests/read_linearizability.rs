@@ -6,10 +6,15 @@
 //! runs, transient partitions, crash/recover cycles, leases on or off,
 //! anti-entropy on or off. The oracle is
 //! [`ptp_shard::check_read_history`]; on a violation the failing workload
-//! is shrunk (writes and reads removed one at a time while the violation
-//! reproduces) before the panic reports it, so the minimized
-//! counterexample lands in the assertion message.
+//! is shrunk by the campaign's [`shrink`] (writes and reads removed one at
+//! a time while the violation reproduces) before the panic reports it, so
+//! the minimized counterexample lands in the assertion message.
+//!
+//! The sampler here is deliberately not the campaign's: it crashes shard
+//! masters and crashes sites inside an open partition, which the
+//! campaign's model-respecting family never does.
 
+use ptp_core::campaign::shrink;
 use ptp_core::ddb::cluster::CommitProtocol;
 use ptp_core::ddb::value::{Key, TxnId, Value, WriteOp};
 use ptp_shard::{
@@ -154,36 +159,19 @@ impl Scenario {
         check_read_history(&self.topology, &self.seeds, &specs, &run.metrics)
     }
 
-    /// Greedy delta-debugging: drop writes and reads one at a time while
-    /// the violation keeps reproducing.
-    fn shrink(&self) -> Scenario {
-        let mut best = self.clone();
-        let mut progress = true;
-        while progress {
-            progress = false;
-            for i in 0..best.txns.len() {
-                let mut candidate = best.clone();
-                candidate.txns.remove(i);
-                if !candidate.run().is_empty() {
-                    best = candidate;
-                    progress = true;
-                    break;
-                }
-            }
-            if progress {
-                continue;
-            }
-            for i in 0..best.reads.len() {
-                let mut candidate = best.clone();
-                candidate.reads.remove(i);
-                if !candidate.run().is_empty() {
-                    best = candidate;
-                    progress = true;
-                    break;
-                }
-            }
-        }
-        best
+    /// Strictly smaller scenarios: one write, then one read, dropped.
+    fn candidates(&self) -> Vec<Scenario> {
+        let less_txns = (0..self.txns.len()).map(|i| {
+            let mut candidate = self.clone();
+            candidate.txns.remove(i);
+            candidate
+        });
+        let less_reads = (0..self.reads.len()).map(|i| {
+            let mut candidate = self.clone();
+            candidate.reads.remove(i);
+            candidate
+        });
+        less_txns.chain(less_reads).collect()
     }
 
     fn describe(&self) -> String {
@@ -208,7 +196,8 @@ fn every_served_read_linearizes_under_safe_family_timelines() {
         let scenario = Scenario::random(&mut rng);
         let violations = scenario.run();
         if !violations.is_empty() {
-            let minimal = scenario.shrink();
+            let (minimal, ..) =
+                shrink(scenario, 256, Scenario::candidates, |s| !s.run().is_empty());
             let remaining = minimal.run();
             panic!(
                 "scenario #{i}: {} read(s) fail to linearize; minimized counterexample:\n{}\nviolations: {:#?}",
