@@ -35,7 +35,10 @@
 //! stamps. Everyone else adopts them, and a ship older than what is
 //! installed is skipped: ships to one key ride independent delays and can
 //! overtake each other. Stamps exist only where something reads them (a
-//! plan ships, or anti-entropy is on).
+//! plan ships, or anti-entropy is on). A site keeps them per shard, ordered
+//! by key: an anti-entropy round is one merge of the replica's range of a
+//! shard against the master's, and costs storage and lock-table probes
+//! only for the keys the replica is behind on.
 //!
 //! **Durability.** Every force point goes through [`Host::flush`]. While a
 //! host defers it (group commit), nothing the core sends leaves and no
@@ -334,9 +337,11 @@ struct Site {
     /// Whether anything can read version stamps: a plan ships (the
     /// stale-ship filter) or anti-entropy is on (the delta comparison).
     stamping: bool,
-    /// Per-key versions: assigned here for the keys this site masters,
-    /// adopted for the rest (see the module docs).
-    versions: BTreeMap<Key, u64>,
+    /// Per-key versions, one key-ordered index per shard: assigned here for
+    /// the keys this site masters, adopted for the rest (see the module
+    /// docs). A shard's index is what a sync request sends and what the
+    /// master merges it against, as it stands.
+    versions: Vec<BTreeMap<Key, u64>>,
     /// The stamps this site assigned, as authority, per transaction.
     out_stamps: HashMap<TxnId, Stamps>,
     /// Synthetic ids handed to anti-entropy install batches (a plain
@@ -385,7 +390,7 @@ impl SiteCore {
             opts,
             lease: LeaseTable::new(),
             stamping: opts.anti_entropy.is_some() || plans.ships(),
-            versions: BTreeMap::new(),
+            versions: vec![BTreeMap::new(); topology.shards()],
             out_stamps: HashMap::new(),
             sync_installs: 0,
             unreported: replicated.map(|s| (s, Vec::new())).collect(),
@@ -583,8 +588,9 @@ impl<H: Host> Hosted<'_, H> {
         let topology = &self.plans.topology;
         let mut assigned = Vec::new();
         for w in self.site.storage.staged_writes(txn).unwrap_or_default() {
-            let held = self.site.versions.entry(w.key.clone()).or_insert(0);
-            if topology.master(topology.shard_of(&w.key)) == self.site.me {
+            let shard = topology.shard_of(&w.key);
+            let held = self.site.versions[shard].entry(w.key.clone()).or_insert(0);
+            if topology.master(shard) == self.site.me {
                 *held += 1;
                 assigned.push((w.key.clone(), *held));
             } else {
@@ -858,11 +864,13 @@ impl<H: Host> Hosted<'_, H> {
     /// value).
     fn do_apply(&mut self, txn: TxnId, mut writes: Vec<WriteOp>, stamps: Option<Stamps>, via: Via) {
         if self.site.stamping {
+            let (topology, versions) = (&self.plans.topology, &mut self.site.versions);
             writes.retain(|w| {
-                let held = self.site.versions.get(&w.key).copied().unwrap_or(0);
+                let index = &mut versions[topology.shard_of(&w.key)];
+                let held = index.get(&w.key).copied().unwrap_or(0);
                 let version = stamp_of(&stamps, &w.key).unwrap_or(held + 1);
                 if version > held {
-                    self.site.versions.insert(w.key.clone(), version);
+                    index.insert(w.key.clone(), version);
                 }
                 version > held
             });
@@ -993,26 +1001,28 @@ impl<H: Host> Hosted<'_, H> {
     /// and newly finished ids to the shard master, and re-arm the chain.
     fn sync_tick(&mut self, shard: usize) {
         let Some(period) = self.site.opts.anti_entropy else { return };
-        let topology = &self.plans.topology;
-        let versions: Stamps = (self.site.versions.iter())
-            .filter(|(k, _)| topology.shard_of(k) == shard)
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
+        let versions: Stamps =
+            self.site.versions[shard].iter().map(|(k, v)| (k.clone(), *v)).collect();
         let pending: Vec<TxnId> =
             self.site.slots.keys().chain(self.site.parked.keys()).copied().collect();
         let known = self.site.unreported.get_mut(&shard).map(std::mem::take).unwrap_or_default();
         let payload = SyncPayload { versions, pending, known, decisions: Vec::new() };
         let msg = DbMsg { sync: Some(Box::new(payload)), ..ctrl_msg(SYNC_REQ, shard, 0) };
-        self.send(topology.master(shard), msg);
+        self.send(self.plans.topology.master(shard), msg);
         self.host.set_timer(TimerKey::Sync(shard), period);
     }
 
     /// Master side of anti-entropy: answer a replica's request with the
     /// decisions it is missing and a version-stamped delta of `shard`'s
-    /// keys. Nothing is sent when the replica is already converged.
+    /// keys. Nothing is sent when the replica is already converged, nor to
+    /// anyone but a replica of `shard`.
+    ///
+    /// The delta is one ordered merge of the request's ascending stamps
+    /// against this shard's version index: storage and the lock table are
+    /// consulted only for the keys the replica is behind on.
     fn handle_sync_req(&mut self, shard: usize, from: SiteId, req: &SyncPayload) {
-        let topology = &self.plans.topology;
-        if topology.master(shard) != self.site.me {
+        let group = self.plans.topology.group(shard);
+        if group[0] != self.site.me || !group[1..].contains(&from) {
             return;
         }
         let owed = self.site.owed.entry((shard, from.0)).or_default();
@@ -1030,19 +1040,26 @@ impl<H: Host> Hosted<'_, H> {
                 Some((*t, *self.site.finished.get(t)?, self.site.out_stamps.get(t).cloned()))
             })
             .collect();
-        let replica_versions: BTreeMap<&Key, u64> =
-            req.versions.iter().map(|(k, v)| (k, *v)).collect();
         let mut delta = Vec::new();
         let mut stamps = Vec::new();
-        for (k, v) in self.site.storage.iter() {
-            let mine = self.site.versions.get(k).copied().unwrap_or(0);
+        let mut theirs = req.versions.iter().peekable();
+        for (k, &mine) in &self.site.versions[shard] {
+            // The replica's stamp for `k` (0 if it sent none); a key it
+            // repeats counts at its last stamp. Stamps out of order are
+            // passed over as 0: the delta can only grow, never miss a key.
+            let mut held = 0;
+            while let Some((key, v)) = theirs.next_if(|(key, _)| key <= k) {
+                if key == k {
+                    held = *v;
+                }
+            }
             // A locked key's version may be assigned with its commit not
             // applied yet — value and stamp would disagree; next round.
-            if mine > replica_versions.get(k).copied().unwrap_or(0)
-                && topology.shard_of(k) == shard
-                && !self.site.locks.is_locked(k)
-            {
-                delta.push(WriteOp { key: k.clone(), value: v.clone() });
+            if mine <= held || self.site.locks.is_locked(k) {
+                continue;
+            }
+            if let Some(value) = self.site.storage.get(k) {
+                delta.push(WriteOp { key: k.clone(), value: value.clone() });
                 stamps.push((k.clone(), mine));
             }
         }
@@ -1061,20 +1078,30 @@ impl<H: Host> Hosted<'_, H> {
     /// Replica side of a sync response: replay missed decisions first (they
     /// unblock parked state and credit availability), then install the
     /// still-newer delta under a synthetic transaction with full WAL
-    /// discipline, adopting the master's stamps.
-    fn handle_sync_resp(&mut self, shard: usize, delta: Vec<WriteOp>, payload: SyncPayload) {
+    /// discipline, adopting the master's stamps. Only `shard`'s master is
+    /// heard, and only at a replica of `shard`.
+    fn handle_sync_resp(
+        &mut self,
+        shard: usize,
+        from: SiteId,
+        delta: Vec<WriteOp>,
+        payload: SyncPayload,
+    ) {
+        let group = self.plans.topology.group(shard);
+        if group[0] != from || !group[1..].contains(&self.site.me) {
+            return;
+        }
         for (txn, decision, stamps) in payload.decisions {
             self.apply_sync_decision(shard, txn, decision, stamps);
         }
+        let (index, locks) = (&mut self.site.versions[shard], &self.site.locks);
         let mut install = Vec::new();
         for (w, (k, v)) in delta.into_iter().zip(payload.versions.iter().cloned()) {
             debug_assert_eq!(w.key, k, "delta and stamps are index-aligned");
             // Skip what a decision replay or racing ship already caught up,
             // and what an in-flight transaction owns (next round).
-            if self.site.versions.get(&k).copied().unwrap_or(0) < v
-                && !self.site.locks.is_locked(&k)
-            {
-                self.site.versions.insert(k, v);
+            if index.get(&k).copied().unwrap_or(0) < v && !locks.is_locked(&k) {
+                index.insert(k, v);
                 install.push(w);
             }
         }
@@ -1182,7 +1209,7 @@ impl<H: Host> Hosted<'_, H> {
             }
             CommitMsg::Kind(SYNC_RESP) => {
                 if let (Some(payload), Some((shard, _))) = (sync, ctrl_target(self.plans, txn)) {
-                    self.handle_sync_resp(shard, writes.unwrap_or_default(), *payload);
+                    self.handle_sync_resp(shard, src, writes.unwrap_or_default(), *payload);
                 }
             }
             _ => match (self.site.slots.get_mut(&txn), route) {
@@ -1284,7 +1311,11 @@ impl<H: Host> Hosted<'_, H> {
             // log (committed transactions' Begin keys — exact for the keys
             // this site masters). A post-crash under-count elsewhere only
             // costs a redundant — idempotent — anti-entropy transfer.
-            self.site.versions = self.site.wal.committed_writes();
+            let (topology, versions) = (&self.plans.topology, &mut self.site.versions);
+            versions.iter_mut().for_each(BTreeMap::clear);
+            for (key, version) in self.site.wal.committed_writes() {
+                versions[topology.shard_of(&key)].insert(key, version);
+            }
         }
         // Maintenance chains may have died while the site was down.
         self.start();
@@ -1393,6 +1424,12 @@ mod tests {
         SiteCore::new(SiteId(me), Arc::new(plans), factory, Storage::new(), opts)
     }
 
+    /// The first `key-{i}` that `topology` routes to `shard`.
+    fn key_in(topology: &ShardTopology, shard: usize) -> Key {
+        let mut keys = (0..512).map(|i| Key::from(format!("key-{i}")));
+        keys.find(|k| topology.shard_of(k) == shard).expect("probe key")
+    }
+
     /// Slave 1 of a flat two-site cluster planning transactions 1..=3,
     /// under a master that sends what the test says and nothing else.
     fn flat_slave() -> SiteCore {
@@ -1451,11 +1488,7 @@ mod tests {
     /// received the xact, flushed, and received 2PC's `commit`.
     fn decided_but_unflushed() -> (SiteCore, Script, Key) {
         let topology = ShardTopology::uniform(4, 2, 2);
-        let key_in = |shard| {
-            let mut keys = (0..512).map(|i| Key::from(format!("key-{i}")));
-            keys.find(|k| topology.shard_of(k) == shard).expect("probe key")
-        };
-        let (k0, k1) = (key_in(0), key_in(1));
+        let (k0, k1) = (key_in(&topology, 0), key_in(&topology, 1));
         let writes = [&k0, &k1].map(|k| WriteOp { key: k.clone(), value: Value::from_u64(9) });
         let spec = ShardTxnSpec { id: TxnId(1), writes: writes.to_vec() };
         let plans = PlanTable::compile(topology, &[spec]);
@@ -1607,6 +1640,216 @@ mod tests {
         assert!(third.sync.expect("a sync body").known.is_empty(), "reported once it got through");
     }
 
+    /// Site `me` of `uniform(3, 3, 2)` — groups `[0, 1]`, `[2, 0]`, `[1, 2]`:
+    /// every site masters one shard and replicates another — anti-entropy on.
+    fn overlapping(me: u16) -> SiteCore {
+        let plans = PlanTable::compile(ShardTopology::uniform(3, 3, 2), &[]);
+        let opts = ShardNodeOpts { lease: None, anti_entropy: Some(50) };
+        site(me, plans, CommitProtocol::HuangLi, opts)
+    }
+
+    #[test]
+    fn a_sync_request_from_anyone_but_a_replica_of_the_shard_gets_no_answer() {
+        // Master 0 of shard 0 holds a version replica 1 has not seen.
+        let mut core = overlapping(0);
+        let k = key_in(&core.plans().topology, 0);
+        core.site.storage.seed(k.clone(), Value::from_u64(5));
+        core.site.versions[0].insert(k, 1);
+        let request = |shard| DbMsg { sync: Some(Box::default()), ..ctrl_msg(SYNC_REQ, shard, 0) };
+        let mut host = Script::durable();
+        // Site 2 replicates no shard site 0 masters; site 0 masters shard 0.
+        for (from, shard) in [(2, 0), (0, 0)] {
+            core.with(&mut host).on_message(SiteId(from), request(shard));
+        }
+        assert!(host.sent.is_empty(), "a stray request was answered: {:?}", host.sent);
+        assert!(core.site.owed.is_empty(), "a stray requester is owed decisions");
+        core.with(&mut host).on_message(SiteId(1), request(0));
+        let answered: Vec<_> = host.sent.iter().map(|(to, msg)| (*to, msg.kind())).collect();
+        assert_eq!(answered, [(SiteId(1), SYNC_RESP)], "the shard's replica is answered");
+    }
+
+    #[test]
+    fn a_sync_response_from_anyone_but_the_shards_master_installs_nothing() {
+        // Site 1 replicates shard 0 (master 0) and masters shard 2.
+        let mut core = overlapping(1);
+        let topology = core.plans().topology.clone();
+        let response = |shard| {
+            let k = key_in(&topology, shard);
+            let payload = SyncPayload { versions: [(k.clone(), 1)].into(), ..Default::default() };
+            let delta = vec![WriteOp { key: k, value: Value::from_u64(7) }];
+            let sync = Some(Box::new(payload));
+            DbMsg { writes: Some(delta), sync, ..ctrl_msg(SYNC_RESP, shard, 0) }
+        };
+        let mut host = Script::durable();
+        // Not shard 0's master; shard 1's master, but site 1 is no replica
+        // of it; a replica of shard 2, which site 1 masters.
+        for (from, shard) in [(2, 0), (2, 1), (2, 2)] {
+            core.with(&mut host).on_message(SiteId(from), response(shard));
+        }
+        assert!(core.storage().is_empty() && core.wal().is_empty(), "a stray delta was installed");
+        assert!(host.events.is_empty(), "{:?}", host.events);
+        core.with(&mut host).on_message(SiteId(0), response(0));
+        assert_eq!(host.completed(SYNC_BASE), Some((Decision::Commit, Via::Sync)));
+        assert_eq!(core.storage().get(&key_in(&topology, 0)), Some(&Value::from_u64(7)));
+    }
+
+    /// The master's answer to `req` as `handle_sync_req` computed it before
+    /// the per-shard version index — a scan of the whole store against a map
+    /// of the request, `versions` being the master's one flat version map —
+    /// kept as the oracle of the merge that replaced it.
+    fn scanned_answer(
+        core: &SiteCore,
+        versions: &BTreeMap<Key, u64>,
+        shard: usize,
+        from: SiteId,
+        req: &SyncPayload,
+    ) -> Option<DbMsg> {
+        let (site, topology) = (&core.site, &core.plans.topology);
+        let mut owed = site.owed.get(&(shard, from.0)).cloned().unwrap_or_default();
+        for t in &req.known {
+            owed.remove(t);
+        }
+        let missing = owed.iter().filter(|t| !req.pending.contains(t));
+        let decisions: Vec<(TxnId, Decision, Option<Stamps>)> = req
+            .pending
+            .iter()
+            .chain(missing)
+            .filter_map(|t| Some((*t, *site.finished.get(t)?, site.out_stamps.get(t).cloned())))
+            .collect();
+        let replica_versions: BTreeMap<&Key, u64> =
+            req.versions.iter().map(|(k, v)| (k, *v)).collect();
+        let mut delta = Vec::new();
+        let mut stamps = Vec::new();
+        for (k, v) in site.storage.iter() {
+            let mine = versions.get(k).copied().unwrap_or(0);
+            if mine > replica_versions.get(k).copied().unwrap_or(0)
+                && topology.shard_of(k) == shard
+                && !site.locks.is_locked(k)
+            {
+                delta.push(WriteOp { key: k.clone(), value: v.clone() });
+                stamps.push((k.clone(), mine));
+            }
+        }
+        if delta.is_empty() && decisions.is_empty() {
+            return None;
+        }
+        let payload = SyncPayload { versions: stamps.into(), decisions, ..SyncPayload::default() };
+        let sync = Some(Box::new(payload));
+        Some(DbMsg { writes: Some(delta), sync, ..ctrl_msg(SYNC_RESP, shard, 0) })
+    }
+
+    #[test]
+    fn the_sync_merge_answers_exactly_what_the_store_scan_did() {
+        use ptp_simnet::rng::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(0x5C4A_2026);
+        let mut draw = |n: u64| rng.gen_range(0..=n - 1);
+        let topologies = [(3, 3, 2), (6, 3, 2), (2, 1, 2), (4, 2, 3)];
+        // How often each case the merge must get right came up.
+        let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
+        for _ in 0..400 {
+            let (n, shards, r) = topologies[draw(4) as usize];
+            let topology = ShardTopology::uniform(n, shards, r);
+            let shard = draw(shards as u64) as usize;
+            let group = topology.group(shard).to_vec();
+            let from = group[1 + draw(r as u64 - 1) as usize];
+            let mut core = site(
+                group[0].0,
+                PlanTable::compile(topology.clone(), &[]),
+                CommitProtocol::HuangLi,
+                ShardNodeOpts { lease: None, anti_entropy: Some(50) },
+            );
+            if topology.shards_of_site(group[0]).len() > 1 {
+                *seen.entry("master replicates another shard").or_default() += 1;
+            }
+
+            // The master's versions, store and locks over every shard's keys.
+            let keys: Vec<Key> = topology.key_pool(5).concat();
+            let mut flat = BTreeMap::new();
+            for (i, k) in keys.iter().enumerate() {
+                if draw(4) != 0 {
+                    flat.insert(k.clone(), [0, 1, 2, 4][draw(4) as usize]);
+                }
+                if draw(4) != 0 {
+                    core.site.storage.seed(k.clone(), Value::from_u64(i as u64));
+                }
+                if draw(5) == 0 {
+                    let mode = [LockMode::Shared, LockMode::Exclusive][draw(2) as usize];
+                    core.site.locks.acquire(TxnId(500 + i as u32), k.clone(), mode);
+                }
+            }
+            for (k, v) in &flat {
+                core.site.versions[topology.shard_of(k)].insert(k.clone(), *v);
+            }
+            // The decisions it has, owes, and stamped.
+            for t in (1..=6).map(TxnId) {
+                if let Some(d) =
+                    [None, Some(Decision::Commit), Some(Decision::Abort)][draw(3) as usize]
+                {
+                    core.site.finished.insert(t, d);
+                }
+                if draw(2) == 0 {
+                    core.site.owed.entry((shard, from.0)).or_default().insert(t);
+                }
+                if draw(3) == 0 {
+                    core.site.out_stamps.insert(t, [(keys[0].clone(), t.0 as u64)].into());
+                }
+            }
+
+            // The replica's request: stamps ascending over keys of its shard,
+            // now and then of another, and of keys the master never heard of.
+            let mut theirs = Vec::new();
+            for k in &keys {
+                if (topology.shard_of(k) == shard || draw(8) == 0) && draw(3) != 0 {
+                    theirs.push((k.clone(), draw(6)));
+                }
+            }
+            for i in 0..draw(3) {
+                theirs.push((Key::from(format!("stray-{i}")), 1 + draw(4)));
+            }
+            theirs.sort();
+            theirs.dedup_by(|a, b| a.0 == b.0);
+            let pending = (1..=8).map(TxnId).filter(|_| draw(3) == 0).collect();
+            let known = (1..=8).map(TxnId).filter(|_| draw(3) == 0).collect();
+            let req =
+                SyncPayload { versions: theirs.into(), pending, known, decisions: Vec::new() };
+
+            for (k, &mine) in flat.iter().filter(|(k, _)| topology.shard_of(k) == shard) {
+                let held = req.versions.iter().find(|(key, _)| key == k).map(|(_, v)| *v);
+                *seen.entry("both sides").or_default() += usize::from(held.is_some());
+                *seen.entry("master only").or_default() += usize::from(held.is_none());
+                *seen.entry("version 0").or_default() += usize::from(mine == 0);
+                if mine > held.unwrap_or(0) {
+                    let case = match (core.site.locks.is_locked(k), core.storage().get(k)) {
+                        (true, _) => "behind but locked",
+                        (false, None) => "behind but never stored",
+                        (false, Some(_)) => "behind and sent",
+                    };
+                    *seen.entry(case).or_default() += 1;
+                }
+            }
+            let replica_only = req.versions.iter().filter(|(k, _)| !flat.contains_key(k)).count();
+            *seen.entry("replica only").or_default() += replica_only;
+
+            let expected = scanned_answer(&core, &flat, shard, from, &req);
+            let mut host = Script::durable();
+            let msg = DbMsg { sync: Some(Box::new(req)), ..ctrl_msg(SYNC_REQ, shard, 0) };
+            core.with(&mut host).on_message(from, msg);
+            assert_eq!(host.sent, expected.into_iter().map(|m| (from, m)).collect::<Vec<_>>());
+        }
+        for case in [
+            "master replicates another shard",
+            "both sides",
+            "master only",
+            "replica only",
+            "version 0",
+            "behind but locked",
+            "behind but never stored",
+            "behind and sent",
+        ] {
+            assert!(seen.get(case).copied().unwrap_or(0) > 20, "{case} too rare: {seen:?}");
+        }
+    }
+
     #[test]
     fn the_core_checkpoints_its_own_log_and_recovers_the_same_versions() {
         // One site, one shard, no one to poll: every submission commits on
@@ -1629,7 +1872,7 @@ mod tests {
         assert!(wal.held() <= CHECKPOINT_FLOOR + 3, "{} records held", wal.held());
         assert_eq!(wal.durable_commits().count(), txns as usize);
         let versions = core.site.versions.clone();
-        assert_eq!(versions.values().sum::<u64>(), txns as u64);
+        assert_eq!(versions.iter().flat_map(BTreeMap::values).sum::<u64>(), txns as u64);
         core.with(&mut host).recover();
         assert_eq!(core.site.versions, versions, "recounted across the checkpoints");
         assert_eq!(host.events.last(), Some(&SiteEvent::Recovered(0)));
