@@ -17,7 +17,7 @@ use ptp_core::report::Table;
 use ptp_protocols::api::Vote;
 use ptp_protocols::clusters::fsa_cluster_any;
 use ptp_protocols::runner::ClusterRunner;
-use ptp_protocols::{TraceMode, Verdict};
+use ptp_protocols::Verdict;
 use ptp_simnet::{DelayModel, NetConfig, SimTime, SiteId};
 
 /// The scenario grid each augmentation must survive: every boundary, T/2
@@ -63,8 +63,7 @@ fn find_violation(aug: &Augmentation, grid: &Grid) -> Option<(Vec<SiteId>, u64, 
                     let groups = runner.faults_mut().partition.reset_single(SimTime(at), None, 2);
                     groups[0].extend((0..3u16).map(SiteId).filter(|s| !g2.contains(s)));
                     groups[1].extend_from_slice(g2);
-                    let (outcomes, _, _) =
-                        runner.run_borrowed(NetConfig::default(), delay, TraceMode::Counters);
+                    let (outcomes, _, _) = runner.run_borrowed(NetConfig::default(), delay, false);
                     if matches!(Verdict::judge(outcomes), Verdict::Inconsistent { .. }) {
                         return Some((g2.clone(), at, di));
                     }

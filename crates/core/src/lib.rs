@@ -78,7 +78,7 @@ pub use timeline::{ScenarioBuilder, TimedEvent, Timeline, TimelineEvent};
 
 // The typed execution options, re-exported from `ptp-protocols` so most
 // callers need only this crate.
-pub use ptp_protocols::{RunOptions, TraceMode};
+pub use ptp_protocols::RunOptions;
 
 // Re-export the lower layers so examples and downstream users need only one
 // dependency.

@@ -19,7 +19,7 @@ pub struct ScenarioResult {
     /// Per-site outcomes.
     pub outcomes: Vec<SiteOutcome>,
     /// Full network trace (for timing measurements and debugging). Empty
-    /// unless the run used [`ptp_protocols::TraceMode::Record`].
+    /// unless the run set [`RunOptions::record`].
     pub trace: Trace,
     /// Simulator report.
     pub report: RunReport,
@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn counters_mode_matches_recording_mode_on_transient_partition() {
-        // The TraceMode choice must never feed back into protocol
+        // Recording a trace must never feed back into protocol
         // behaviour: verdict, per-site outcomes and event counters all
         // match; only the trace itself is withheld.
         let s = Scenario::new(4)

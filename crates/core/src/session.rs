@@ -108,8 +108,8 @@ impl Session {
         &mut self.runner
     }
 
-    /// Switches event-attribution profiling on or off for subsequent runs
-    /// (see [`ptp_simnet::ProfSink`]). Off by default; while on, samples
+    /// Switches handler-time profiling on or off for subsequent runs (see
+    /// [`ptp_simnet::Profile`]). Off by default; while on, samples
     /// accumulate across runs until [`Session::take_profile`].
     pub fn set_profiling(&mut self, on: bool) {
         self.runner.set_profiling(on);
@@ -121,7 +121,7 @@ impl Session {
         self.runner.take_profile()
     }
 
-    /// Runs `scenario` with default options (counters-only tracing — the
+    /// Runs `scenario` with default options (no trace, counters only — the
     /// fast path; [`ScenarioResult::trace`] comes back empty). Use
     /// [`Session::run_with`] and [`RunOptions::recording`] when the trace
     /// itself is needed.
@@ -172,7 +172,7 @@ impl Session {
         self.runner.reset(&scenario.votes);
         scenario.write_faults(self.runner.faults_mut());
         let config = options.apply_horizon(scenario.net_config());
-        let (_, trace, report) = self.runner.run_borrowed(config, &scenario.delay, options.trace);
+        let (_, trace, report) = self.runner.run_borrowed(config, &scenario.delay, options.record);
         (trace, report)
     }
 }
@@ -229,7 +229,6 @@ impl SessionPool {
 mod tests {
     use super::*;
     use crate::run::run_scenario;
-    use ptp_protocols::TraceMode;
     use ptp_simnet::{DelayModel, SiteId};
 
     #[test]
@@ -285,8 +284,7 @@ mod tests {
         let mut session = Session::new(ProtocolKind::HuangLi3pc, 3);
         let quiet = session.run(&Scenario::new(3));
         assert!(quiet.trace.is_empty());
-        let recorded =
-            session.run_with(&Scenario::new(3), &RunOptions::new().trace(TraceMode::Record));
+        let recorded = session.run_with(&Scenario::new(3), &RunOptions::recording());
         assert!(!recorded.trace.is_empty());
         assert_eq!(quiet.report.counters, recorded.report.counters);
     }

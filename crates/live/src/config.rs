@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn obs_defaults_to_the_null_path() {
         let o = LiveOptions::small(100.0, Duration::from_millis(500));
-        assert!(!o.obs.enabled(), "observability must be off unless asked for");
+        assert_eq!(o.obs, ptp_obs::ObsConfig::off(), "observability must be off unless asked for");
     }
 
     #[test]

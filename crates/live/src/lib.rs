@@ -232,9 +232,8 @@ pub struct LiveReport {
     pub lock_reads: u64,
     /// Anti-entropy deltas installed across all sites.
     pub sync_installs: u64,
-    /// The merged cluster-wide metrics registry (always built — counters
-    /// fold from the per-node reports either way; latency histograms ride
-    /// along under `write_latency_us` / `read_latency_us`).
+    /// The run's latency histograms, in microseconds, under
+    /// `write_latency_us` and `read_latency_us` (always built).
     pub metrics: Registry,
     /// Stage attribution per (path, fault-phase, stage). Empty unless
     /// [`ObsConfig::spans`] was on.
@@ -401,21 +400,7 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
         && faults.env_faults.is_empty();
     let audit = audit(&ops, &plans, &pools, &ledger, &reports, strict);
 
-    // The cluster-wide metrics snapshot: per-node counters folded together,
-    // the two latency populations riding along as histograms.
     let mut metrics = Registry::new();
-    for r in &reports {
-        metrics.add("flushes", r.counters.flushes);
-        metrics.add("channel_sends", r.counters.channel_sends);
-        metrics.add("protocol_messages", r.counters.protocol_messages);
-        metrics.add("reads_lease", r.counters.reads_lease);
-        metrics.add("reads_local", r.counters.reads_local);
-        metrics.add("sync_installs", r.counters.sync_installs);
-    }
-    metrics.add("committed", committed as u64);
-    metrics.add("aborted", aborted as u64);
-    metrics.add("completed_reads", completed_reads as u64);
-    metrics.set_gauge("sites", n as i64);
     metrics.merge_hist("write_latency_us", &write_hist);
     metrics.merge_hist("read_latency_us", &read_hist);
 
@@ -880,10 +865,6 @@ mod tests {
         let binned: u64 = series.bins().iter().map(|b| b.count).sum();
         assert_eq!(binned as usize, report.completed_writes + report.completed_reads);
 
-        // The registry mirrors the report's flat counters.
-        assert_eq!(report.metrics.counter("flushes"), report.flushes);
-        assert_eq!(report.metrics.counter("committed"), report.committed as u64);
-
         // A clean run dumps nothing.
         assert!(report.flight_dump.is_none());
     }
@@ -897,8 +878,9 @@ mod tests {
         assert!(report.stages.is_empty());
         assert!(report.series.is_none());
         assert!(report.flight_dump.is_none());
-        // The metrics registry still folds the per-node counters.
-        assert_eq!(report.metrics.counter("protocol_messages"), report.protocol_messages);
+        // The latency histograms are built either way.
+        let writes = report.metrics.hist("write_latency_us").expect("write histogram");
+        assert_eq!(writes.count() as usize, report.completed_writes);
     }
 
     #[test]

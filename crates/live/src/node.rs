@@ -27,7 +27,7 @@ use ptp_ddb::site::{DbMsg, ParticipantFactory, ReadPath};
 use ptp_ddb::value::{TxnId, Value};
 use ptp_ddb::wal::Wal;
 use ptp_ddb::{ShardNodeOpts, Storage};
-use ptp_livenet::{Inbound, Outbound};
+use ptp_livenet::{Inbound, Outbound, Timers};
 use ptp_model::Decision;
 use ptp_obs::{FlightRecorder, ObsConfig, TxnSpan};
 use ptp_shard::plan::{PlanTable, TxnView};
@@ -112,59 +112,14 @@ fn nanos(d: Duration) -> u64 {
     d.as_nanos() as u64
 }
 
-/// The wall-clock timer table: about one armed timer per transaction in
-/// flight, consulted on every pass of the mailbox loop — so it is kept in
-/// deadline order, and the next timer due is the first.
-#[derive(Default)]
-struct Timers {
-    /// `(deadline, arming order)` → key: ties fire in the order armed.
-    by_deadline: BTreeMap<(u64, u64), TimerKey>,
-    /// Where each armed key sits in `by_deadline`.
-    armed: HashMap<TimerKey, (u64, u64)>,
-    /// Timers armed so far.
-    order: u64,
-}
-
-impl Timers {
-    /// Arms `key` for `deadline`, replacing the timer armed under it.
-    fn set(&mut self, key: TimerKey, deadline: u64) {
-        self.cancel(key);
-        self.order += 1;
-        self.by_deadline.insert((deadline, self.order), key);
-        self.armed.insert(key, (deadline, self.order));
-    }
-
-    fn cancel(&mut self, key: TimerKey) {
-        if let Some(at) = self.armed.remove(&key) {
-            self.by_deadline.remove(&at);
-        }
-    }
-
-    /// Disarms and returns the earliest timer due at `now`, if one is.
-    fn pop_due(&mut self, now: u64) -> Option<TimerKey> {
-        let entry = self.by_deadline.first_entry().filter(|entry| entry.key().0 <= now)?;
-        let key = entry.remove();
-        self.armed.remove(&key);
-        Some(key)
-    }
-
-    /// The earliest deadline armed.
-    fn next_deadline(&self) -> Option<u64> {
-        self.by_deadline.first_key_value().map(|(&(deadline, _), _)| deadline)
-    }
-
-    fn clear(&mut self) {
-        self.by_deadline.clear();
-        self.armed.clear();
-    }
-}
-
 /// The core's environment on a site thread (host time = nanoseconds since
 /// the run's `start`).
 struct ThreadHost {
     me: SiteId,
     plans: Arc<PlanTable>,
-    timers: Timers,
+    /// The wall-clock timer table: about one armed timer per transaction
+    /// in flight, consulted on every pass of the mailbox loop.
+    timers: Timers<TimerKey>,
     /// `T`, in host time.
     t: u64,
     batch: BatchConfig,
@@ -474,37 +429,6 @@ mod tests {
 
     const LEASE: TimerKey = TimerKey::Lease(0);
     const SYNC: TimerKey = TimerKey::Sync(0);
-
-    #[test]
-    fn timers_fire_in_deadline_order_and_a_rearm_replaces() {
-        let mut timers = Timers::default();
-        timers.set(LEASE, 30);
-        timers.set(SYNC, 20);
-        timers.set(TimerKey::Sync(1), 20);
-        assert_eq!(timers.next_deadline(), Some(20));
-        assert_eq!(timers.pop_due(19), None);
-        // Re-arming moves the timer: its old deadline is gone, not doubled.
-        timers.set(SYNC, 40);
-        assert_eq!(timers.pop_due(35), Some(TimerKey::Sync(1)));
-        assert_eq!(timers.pop_due(35), Some(LEASE));
-        assert_eq!((timers.pop_due(35), timers.next_deadline()), (None, Some(40)));
-        // Equal deadlines fire in the order armed.
-        timers.set(LEASE, 40);
-        assert_eq!([timers.pop_due(40), timers.pop_due(40)], [Some(SYNC), Some(LEASE)]);
-        assert_eq!((timers.pop_due(u64::MAX), timers.next_deadline()), (None, None));
-        assert!(timers.armed.is_empty());
-    }
-
-    #[test]
-    fn a_cancelled_timer_never_fires() {
-        let mut timers = Timers::default();
-        timers.set(LEASE, 10);
-        timers.set(SYNC, 20);
-        timers.cancel(LEASE);
-        timers.cancel(LEASE);
-        assert_eq!(timers.next_deadline(), Some(20));
-        assert_eq!([timers.pop_due(100), timers.pop_due(100)], [Some(SYNC), None]);
-    }
 
     #[test]
     fn timers_due_while_the_site_is_down_are_discarded_unfired() {

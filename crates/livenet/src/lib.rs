@@ -47,8 +47,10 @@
 
 mod router;
 mod site;
+mod timers;
 
 pub use router::{host_time, Inbound, LiveConfig, LivePartition, Outbound, Router, Tagged};
+pub use timers::Timers;
 
 use ptp_model::Decision;
 use ptp_protocols::api::{CommitMsg, Participant};

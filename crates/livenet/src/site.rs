@@ -2,10 +2,10 @@
 //! real timers.
 
 use crate::router::{Inbound, LiveConfig, Outbound};
+use crate::timers::Timers;
 use ptp_model::Decision;
 use ptp_protocols::api::{Action, CommitMsg, Participant, TimerTag};
 use ptp_simnet::SiteId;
-use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
@@ -17,11 +17,9 @@ pub(crate) struct SiteRunner<P: Participant> {
     router: Sender<Outbound<CommitMsg>>,
     done: Sender<(SiteId, Decision)>,
     config: LiveConfig,
-    /// Armed timers: tag -> (deadline, generation). Re-arming bumps the
-    /// generation so a stale deadline that already slipped past `recv`'s
-    /// timeout cannot fire.
-    timers: HashMap<TimerTag, (Instant, u64)>,
-    generation: u64,
+    /// The zero point of the timer deadlines: when the runner was built.
+    started: Instant,
+    timers: Timers<TimerTag>,
     decided: Option<Decision>,
     /// Down right now: ignore traffic, discard due timers (the router
     /// drops this site's messages too — see `Router::run`).
@@ -46,11 +44,16 @@ impl<P: Participant> SiteRunner<P> {
             router,
             done,
             config,
-            timers: HashMap::new(),
-            generation: 0,
+            started: Instant::now(),
+            timers: Timers::default(),
             decided: None,
             crashed: false,
         }
+    }
+
+    /// Nanoseconds since the runner was built.
+    fn now(&self) -> u64 {
+        self.started.elapsed().as_nanos() as u64
     }
 
     fn apply(&mut self, actions: Vec<Action>) {
@@ -67,13 +70,10 @@ impl<P: Participant> SiteRunner<P> {
                     }
                 }
                 Action::SetTimer { t_units, tag } => {
-                    self.generation += 1;
-                    let deadline = Instant::now() + self.config.t * t_units as u32;
-                    self.timers.insert(tag, (deadline, self.generation));
+                    let after = self.config.t.as_nanos() as u64 * t_units;
+                    self.timers.set(tag, self.now() + after);
                 }
-                Action::CancelTimer { tag } => {
-                    self.timers.remove(&tag);
-                }
+                Action::CancelTimer { tag } => self.timers.cancel(tag),
                 Action::Decide(decision) => {
                     if self.decided.is_none() {
                         self.decided = Some(decision);
@@ -85,12 +85,16 @@ impl<P: Participant> SiteRunner<P> {
         }
     }
 
-    /// The earliest armed timer, if any.
-    fn next_timer(&self) -> Option<(TimerTag, Instant, u64)> {
-        self.timers
-            .iter()
-            .min_by_key(|(_, (deadline, _))| *deadline)
-            .map(|(tag, (deadline, generation))| (*tag, *deadline, *generation))
+    /// Fires the timers due at `now`, earliest first. While crashed, due
+    /// timers are discarded unfired — the simulator's suppression.
+    fn fire_due_timers(&mut self, now: u64) {
+        while let Some(tag) = self.timers.pop_due(now) {
+            if !self.crashed {
+                let mut actions = Vec::new();
+                self.participant.on_timer(tag, &mut actions);
+                self.apply(actions);
+            }
+        }
     }
 
     /// Runs until the inbox closes. Continues after deciding so peers can
@@ -98,58 +102,27 @@ impl<P: Participant> SiteRunner<P> {
     pub(crate) fn run(mut self) {
         let mut out = Vec::new();
         self.participant.start(&mut out);
-        self.apply(std::mem::take(&mut out));
+        self.apply(out);
 
         loop {
-            let wait = match self.next_timer() {
-                Some((_, deadline, _)) => deadline.saturating_duration_since(Instant::now()),
-                None => Duration::from_millis(50),
-            };
-            match self.inbox.recv_timeout(wait) {
-                Ok(Inbound::Deliver { src, msg }) => {
-                    if self.crashed {
-                        continue;
-                    }
+            let now = self.now();
+            self.fire_due_timers(now);
+            let wake = self.timers.next_deadline().unwrap_or(now + 50_000_000);
+            match self.inbox.recv_timeout(Duration::from_nanos(wake.saturating_sub(now))) {
+                Ok(Inbound::Deliver { src, msg }) if !self.crashed => {
                     let mut actions = Vec::new();
                     self.participant.on_msg(src, &msg, &mut actions);
                     self.apply(actions);
                 }
-                Ok(Inbound::Undeliverable { original_dst, msg }) => {
-                    if self.crashed {
-                        continue;
-                    }
+                Ok(Inbound::Undeliverable { original_dst, msg }) if !self.crashed => {
                     let mut actions = Vec::new();
                     self.participant.on_ud(original_dst, &msg, &mut actions);
                     self.apply(actions);
                 }
                 Ok(Inbound::Crash) => self.crashed = true,
                 Ok(Inbound::Recover) => self.crashed = false,
-                Ok(Inbound::Shutdown) => return,
-                Err(RecvTimeoutError::Timeout) => {
-                    // Fire every timer whose deadline has passed (check the
-                    // generation so a re-armed tag does not double-fire).
-                    // While crashed, due timers are discarded unfired —
-                    // the simulator's suppression semantics.
-                    let now = Instant::now();
-                    let due: Vec<(TimerTag, u64)> = self
-                        .timers
-                        .iter()
-                        .filter(|(_, (deadline, _))| *deadline <= now)
-                        .map(|(tag, (_, generation))| (*tag, *generation))
-                        .collect();
-                    for (tag, generation) in due {
-                        if self.timers.get(&tag).is_some_and(|(_, g)| *g == generation) {
-                            self.timers.remove(&tag);
-                            if self.crashed {
-                                continue;
-                            }
-                            let mut actions = Vec::new();
-                            self.participant.on_timer(tag, &mut actions);
-                            self.apply(actions);
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return,
+                Ok(Inbound::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
+                Ok(_) | Err(RecvTimeoutError::Timeout) => {}
             }
         }
     }

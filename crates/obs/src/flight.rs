@@ -113,15 +113,10 @@ impl FlightRecorder {
         self.capacity
     }
 
-    /// Renders the tail as a JSON object: `{"reason": ..., "dropped": N,
-    /// "events": [{at_us, site, kind, tag, a, b}, ...]}` with events oldest
-    /// first.
-    pub fn dump_json(&self, reason: &str) -> String {
-        Self::render_dump(reason, self.dropped, &self.tail())
-    }
-
-    /// Renders an arbitrary event list in the dump format — used when
-    /// several per-node recorders are merged into one timeline first.
+    /// Renders an event list as one JSON object: `{"reason": ..., "dropped":
+    /// N, "events": [{at_us, site, kind, tag, a, b}, ...]}` — the one dump
+    /// format, for the live stack's per-node recorders merged into one
+    /// timeline and for a campaign's counterexample alike.
     pub fn render_dump(reason: &str, dropped: u64, events: &[FlightEvent]) -> String {
         let mut out = String::new();
         let _ = write!(
@@ -207,7 +202,7 @@ mod tests {
         for t in 0..5 {
             r.record(ev(t));
         }
-        let dump = r.dump_json("audit failed: lost write");
+        let dump = FlightRecorder::render_dump("audit failed: lost write", r.dropped(), &r.tail());
         assert!(dump.contains("\"reason\": \"audit failed: lost write\""));
         assert!(dump.contains("\"dropped\": 3"));
         assert!(dump.contains("\"at_us\": 3") && dump.contains("\"at_us\": 4"));
@@ -220,8 +215,7 @@ mod tests {
 
     #[test]
     fn dump_escapes_reason() {
-        let r = FlightRecorder::new(2);
-        let dump = r.dump_json("line1\n\"quoted\"");
+        let dump = FlightRecorder::render_dump("line1\n\"quoted\"", 0, &[]);
         assert!(dump.contains("line1\\n\\\"quoted\\\""));
         assert!(dump.contains("\"events\": [\n]}"));
     }

@@ -1,20 +1,20 @@
 //! `ptp-obs` — observability for the live serving stack.
 //!
-//! PR 6 gave the *simulator* a profiling layer (`ProfSink`); this crate is
-//! the live-stack counterpart, built from three pieces that share one
-//! policy — a Null/Recording split so the disabled path costs (almost)
-//! nothing:
+//! The simulator records a run as a trace (`Option<ptp_simnet::Trace>`)
+//! and its handler time as a profile (`Option<ptp_simnet::Profile>`); this
+//! crate is the live-stack counterpart, switched by one [`ObsConfig`] so
+//! the disabled path costs (almost) nothing:
 //!
-//! - [`registry`] — named counters/gauges/log-histograms with `merge` for
-//!   per-node → cluster aggregation, plus a fixed-bin [`Series`] sampler
-//!   so runs report per-second goodput/latency curves;
+//! - [`registry`] — a run's latency histograms by name, plus a fixed-bin
+//!   [`Series`] sampler so runs report per-second goodput/latency curves;
 //! - [`span`] — per-transaction stage boundaries (queue → lock wait →
 //!   protocol rounds → commit wait) aggregated into a
 //!   (path, fault-phase, stage) attribution table, the instrument that
 //!   says *where* a partition's tail latency went;
 //! - [`flight`] — a fixed-size ring of recent structured events per node,
-//!   dumped as JSON only when an audit fails, a run fails to drain, or a
-//!   campaign shrink lands on a counterexample.
+//!   dumped as JSON ([`FlightRecorder::render_dump`]) only when an audit
+//!   fails, a run fails to drain, or a campaign shrink lands on a
+//!   counterexample.
 //!
 //! [`hist`] holds the shared [`LogHistogram`]/[`LatencySummary`] moved out
 //! of `ptp-live`, and [`json`] the hand-rolled JSON / host-fingerprint
@@ -44,7 +44,7 @@ use std::time::Duration;
 
 /// What the live stack should record. The default ([`ObsConfig::off`]) is
 /// the Null path: no spans, no flight recorder, no series — the same
-/// policy as `TraceSink::Null`/`ProfSink::Null` in the simulator.
+/// policy as a simulator run that keeps no trace and no profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Stamp per-transaction stage spans and build the stage table.
@@ -66,11 +66,6 @@ impl ObsConfig {
     pub fn recording() -> ObsConfig {
         ObsConfig { spans: true, flight_capacity: 512, series_bin: Some(Duration::from_secs(1)) }
     }
-
-    /// True when any instrument is enabled.
-    pub fn enabled(&self) -> bool {
-        self.spans || self.flight_capacity > 0 || self.series_bin.is_some()
-    }
 }
 
 impl Default for ObsConfig {
@@ -86,14 +81,13 @@ mod tests {
     #[test]
     fn off_is_the_null_path() {
         let c = ObsConfig::off();
-        assert!(!c.enabled());
         assert_eq!(c, ObsConfig::default());
+        assert!(!c.spans && c.flight_capacity == 0 && c.series_bin.is_none());
     }
 
     #[test]
     fn recording_turns_everything_on() {
         let c = ObsConfig::recording();
-        assert!(c.enabled());
         assert!(c.spans);
         assert!(c.flight_capacity > 0);
         assert!(c.series_bin.is_some());

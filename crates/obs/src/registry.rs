@@ -1,10 +1,8 @@
-//! A named-metrics registry and a fixed-bin time-series sampler.
+//! Named latency histograms and a fixed-bin time-series sampler.
 //!
-//! The registry is deliberately boring: counters, gauges, and
-//! [`LogHistogram`]s keyed by `&'static str` names, with `merge` so
-//! per-thread (per-node) registries fold into one cluster-wide snapshot at
-//! shutdown — the same aggregation discipline the live stack already uses
-//! for its ad-hoc counters, given one shared shape and a JSON renderer.
+//! The registry is deliberately boring: [`LogHistogram`]s keyed by
+//! `&'static str` names, so a run's latency populations travel in one
+//! value and are read back by name.
 //!
 //! [`Series`] buckets timestamped samples into fixed-width bins so a run
 //! reports *curves* (per-second goodput, per-second p99) instead of run
@@ -12,16 +10,12 @@
 //! the four seconds the partition was open".
 
 use crate::hist::LogHistogram;
-use crate::json::json_escape;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::time::Duration;
 
-/// Named counters, gauges, and log-histograms.
+/// Named log-histograms.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, i64>,
     hists: BTreeMap<&'static str, LogHistogram>,
 }
 
@@ -31,102 +25,14 @@ impl Registry {
         Registry::default()
     }
 
-    /// Adds `n` to counter `name` (creating it at zero).
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_default() += n;
-    }
-
-    /// Increments counter `name`.
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Sets gauge `name` to `v` (last write wins; merge keeps the max).
-    pub fn set_gauge(&mut self, name: &'static str, v: i64) {
-        self.gauges.insert(name, v);
-    }
-
-    /// Records `v` into histogram `name`.
-    pub fn observe(&mut self, name: &'static str, v: u64) {
-        self.hists.entry(name).or_default().record(v);
-    }
-
     /// Folds an already-built histogram into histogram `name`.
     pub fn merge_hist(&mut self, name: &'static str, h: &LogHistogram) {
         self.hists.entry(name).or_default().merge(h);
     }
 
-    /// Counter value (0 if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Gauge value, if set.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Histogram by name, if any sample was recorded.
+    /// Histogram by name, if any was folded in.
     pub fn hist(&self, name: &str) -> Option<&LogHistogram> {
         self.hists.get(name)
-    }
-
-    /// All counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Folds `other` into this registry: counters add, gauges keep the
-    /// max, histograms merge.
-    pub fn merge(&mut self, other: &Registry) {
-        for (name, v) in &other.counters {
-            *self.counters.entry(name).or_default() += v;
-        }
-        for (name, v) in &other.gauges {
-            let slot = self.gauges.entry(name).or_insert(*v);
-            *slot = (*slot).max(*v);
-        }
-        for (name, h) in &other.hists {
-            self.hists.entry(name).or_default().merge(h);
-        }
-    }
-
-    /// Renders the registry as one JSON object: counters and gauges as
-    /// numbers, histograms as `{count, p50, p90, p99, max, mean}` objects.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        let sep = |out: &mut String, first: &mut bool| {
-            if !*first {
-                out.push_str(", ");
-            }
-            *first = false;
-        };
-        for (name, v) in &self.counters {
-            sep(&mut out, &mut first);
-            let _ = write!(out, "\"{}\": {v}", json_escape(name));
-        }
-        for (name, v) in &self.gauges {
-            sep(&mut out, &mut first);
-            let _ = write!(out, "\"{}\": {v}", json_escape(name));
-        }
-        for (name, h) in &self.hists {
-            sep(&mut out, &mut first);
-            let _ = write!(
-                out,
-                "\"{}\": {{\"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \
-                 \"max\": {}, \"mean\": {:.1}}}",
-                json_escape(name),
-                h.count(),
-                h.quantile(0.5),
-                h.quantile(0.9),
-                h.quantile(0.99),
-                h.max(),
-                h.mean(),
-            );
-        }
-        out.push('}');
-        out
     }
 }
 
@@ -159,11 +65,6 @@ impl Series {
         Series { bin, bins: Vec::new() }
     }
 
-    /// The bin width.
-    pub fn bin_width(&self) -> Duration {
-        self.bin
-    }
-
     /// Records one event at offset `at` from run start, carrying latency
     /// `latency_us`.
     pub fn record(&mut self, at: Duration, latency_us: u64) {
@@ -179,28 +80,6 @@ impl Series {
     pub fn bins(&self) -> &[SeriesBin] {
         &self.bins
     }
-
-    /// Renders `[{bin, count, rate_per_sec, p50_us, p99_us}, ...]`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        let per_sec = 1.0 / self.bin.as_secs_f64();
-        for (i, b) in self.bins.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"bin\": {i}, \"count\": {}, \"rate_per_sec\": {:.1}, \
-                 \"p50_us\": {}, \"p99_us\": {}}}",
-                b.count,
-                b.count as f64 * per_sec,
-                b.latency.quantile(0.5),
-                b.latency.quantile(0.99),
-            );
-        }
-        out.push(']');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -208,35 +87,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_merge_adds() {
-        let mut a = Registry::new();
-        a.inc("flushes");
-        a.add("flushes", 4);
-        a.set_gauge("in_flight", 3);
-        a.observe("lat", 100);
-        let mut b = Registry::new();
-        b.add("flushes", 10);
-        b.set_gauge("in_flight", 1);
-        b.observe("lat", 300);
-        a.merge(&b);
-        assert_eq!(a.counter("flushes"), 15);
-        assert_eq!(a.gauge("in_flight"), Some(3), "merge keeps the max gauge");
-        assert_eq!(a.hist("lat").unwrap().count(), 2);
-        assert_eq!(a.counter("missing"), 0);
-        assert_eq!(a.gauge("missing"), None);
-    }
-
-    #[test]
-    fn json_snapshot_names_every_metric() {
+    fn histograms_fold_by_name() {
         let mut r = Registry::new();
-        r.add("commits", 7);
-        r.set_gauge("nodes", 6);
-        r.observe("write_us", 250);
-        let json = r.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        for needle in ["\"commits\": 7", "\"nodes\": 6", "\"write_us\"", "\"count\": 1"] {
-            assert!(json.contains(needle), "{json} missing {needle}");
-        }
+        let mut h = LogHistogram::new();
+        h.record(100);
+        r.merge_hist("lat", &h);
+        h.record(300);
+        r.merge_hist("lat", &h);
+        assert_eq!(r.hist("lat").unwrap().count(), 3);
+        assert_eq!(r.hist("lat").unwrap().max(), 300);
+        assert!(r.hist("missing").is_none());
     }
 
     #[test]
@@ -250,8 +110,6 @@ mod tests {
         assert_eq!(s.bins()[1].count, 0, "empty middle bin is materialized");
         assert_eq!(s.bins()[2].count, 1);
         assert_eq!(s.bins()[2].latency.max(), 30);
-        let json = s.to_json();
-        assert!(json.contains("\"rate_per_sec\": 2.0"), "{json}");
     }
 
     #[test]

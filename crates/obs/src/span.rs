@@ -16,9 +16,7 @@
 //! add them).
 
 use crate::hist::LogHistogram;
-use crate::json::json_escape;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Stage name: time between the operation's scheduled arrival and the
@@ -117,14 +115,6 @@ impl StageTable {
             .map(|(_, c)| c)
     }
 
-    /// Total microseconds attributed to `stage` across paths and phases.
-    pub fn stage_total_us(&self, stage: &str) -> u64 {
-        self.cells
-            .iter()
-            .filter(|((_, _, s), _)| *s == stage)
-            .fold(0u64, |acc, (_, c)| acc.saturating_add(c.total_us))
-    }
-
     /// Total microseconds attributed to duration stages (everything except
     /// the [`STAGE_ROUNDS`] count pseudo-stage).
     pub fn attributed_us(&self) -> u64 {
@@ -137,42 +127,6 @@ impl StageTable {
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()
-    }
-
-    /// Folds `other` into this table.
-    pub fn merge(&mut self, other: &StageTable) {
-        for (key, cell) in &other.cells {
-            let mine = self.cells.entry(*key).or_default();
-            mine.count += cell.count;
-            mine.total_us = mine.total_us.saturating_add(cell.total_us);
-            mine.hist.merge(&cell.hist);
-        }
-    }
-
-    /// Renders `[{path, phase, stage, count, total_us, p50_us, p99_us,
-    /// max_us}, ...]`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, ((path, phase, stage), c)) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n      {{\"path\": \"{}\", \"phase\": \"{}\", \"stage\": \"{}\", \
-                 \"count\": {}, \"total_us\": {}, \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
-                json_escape(path),
-                json_escape(phase),
-                json_escape(stage),
-                c.count,
-                c.total_us,
-                c.hist.quantile(0.5),
-                c.hist.quantile(0.99),
-                c.hist.max(),
-            );
-        }
-        out.push_str("\n    ]");
-        out
     }
 }
 
@@ -190,35 +144,8 @@ mod tests {
         let cell = t.cell("write-single", "none", STAGE_PROTOCOL).unwrap();
         assert_eq!(cell.count, 2);
         assert_eq!(cell.total_us, 400);
-        assert_eq!(t.stage_total_us(STAGE_PROTOCOL), 1300);
+        assert_eq!(t.cell("write-cross", "fault", STAGE_PROTOCOL).unwrap().hist.max(), 900);
         assert_eq!(t.attributed_us(), 1300, "rounds pseudo-stage is excluded");
-    }
-
-    #[test]
-    fn merge_folds_tables() {
-        let mut a = StageTable::new();
-        a.add("p", "none", STAGE_QUEUE, 10);
-        let mut b = StageTable::new();
-        b.add("p", "none", STAGE_QUEUE, 30);
-        b.add("q", "fault", STAGE_SERVE, 5);
-        a.merge(&b);
-        assert_eq!(a.cell("p", "none", STAGE_QUEUE).unwrap().count, 2);
-        assert_eq!(a.cell("q", "fault", STAGE_SERVE).unwrap().total_us, 5);
-    }
-
-    #[test]
-    fn json_rows_name_every_cell() {
-        let mut t = StageTable::new();
-        t.add("write-single", "before", STAGE_LOCK_WAIT, 42);
-        let json = t.to_json();
-        for needle in [
-            "\"path\": \"write-single\"",
-            "\"phase\": \"before\"",
-            "\"stage\": \"lock-wait\"",
-            "\"total_us\": 42",
-        ] {
-            assert!(json.contains(needle), "{json} missing {needle}");
-        }
     }
 
     #[test]

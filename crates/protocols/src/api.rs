@@ -89,17 +89,6 @@ impl TimerTag {
         }
     }
 
-    /// Stable human-readable name — profiling attribution for timer events.
-    pub fn name(self) -> &'static str {
-        match self {
-            TimerTag::Proto => "proto",
-            TimerTag::WWait => "w-wait",
-            TimerTag::Collect => "collect",
-            TimerTag::PWait => "p-wait",
-            TimerTag::QuorumCollect => "quorum-collect",
-        }
-    }
-
     /// Inverse of [`TimerTag::encode`].
     pub fn decode(raw: u64) -> Option<TimerTag> {
         Some(match raw {
@@ -244,7 +233,6 @@ mod tests {
             TimerTag::QuorumCollect,
         ] {
             assert_eq!(TimerTag::decode(tag.encode()), Some(tag));
-            assert!(!tag.name().is_empty());
             // COUNT sizes the runner's dense timer table; a tag whose
             // index falls outside it would panic at runtime.
             assert!(tag.index() < TimerTag::COUNT, "{tag:?} index out of table");

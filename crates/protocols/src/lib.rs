@@ -66,7 +66,7 @@ pub mod timing;
 
 pub use api::{Action, CommitMsg, Participant, TimerTag, Vote};
 pub use dispatch::AnyParticipant;
-pub use options::{RunOptions, TraceMode};
+pub use options::RunOptions;
 pub use outcome::{SiteOutcome, Verdict};
 pub use quorum::{QuorumConfig, QuorumTuning};
 pub use runner::{run_protocol, run_protocol_opts, ClusterRunner, ProtocolRun};

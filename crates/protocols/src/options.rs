@@ -1,79 +1,49 @@
 //! Typed execution options.
 //!
-//! [`RunOptions`] says how a run is *observed and bounded* — trace
-//! retention, horizon — in a self-describing builder that the whole stack
-//! ([`crate::runner::ClusterRunner`], `ptp_core::Session`, `run_scenario`,
-//! `sweep`) shares. What is *injected* into a run is not an option: it is
+//! [`RunOptions`] says how a run is *observed and bounded* — whether it
+//! records a trace, its horizon — in a self-describing builder that the
+//! whole stack ([`crate::runner::ClusterRunner`], `ptp_core::Session`,
+//! `run_scenario`, `sweep`) shares. What is *injected* into a run is not an option: it is
 //! the run's [`ptp_simnet::FaultPlan`].
 
-use ptp_simnet::{NetConfig, SimTime, TraceSink};
-
-/// What the simulator should retain about a run's events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceMode {
-    /// Record the full [`ptp_simnet::Trace`] — required by the timing
-    /// experiments (Figs. 5–7, 9) and the Sec. 6 case classifier.
-    Record,
-    /// Keep only the per-category [`ptp_simnet::TraceCounters`] (always
-    /// maintained): the verdict, outcomes and report are identical to a
-    /// recorded run, but no per-event allocation happens. This is the sweep
-    /// hot path and the default.
-    #[default]
-    Counters,
-}
-
-impl TraceMode {
-    /// True when a full trace will be recorded.
-    pub fn records(self) -> bool {
-        matches!(self, TraceMode::Record)
-    }
-
-    /// The corresponding simulator sink.
-    pub(crate) fn sink(self) -> TraceSink {
-        match self {
-            TraceMode::Record => TraceSink::recording(),
-            TraceMode::Counters => TraceSink::Null,
-        }
-    }
-}
+use ptp_simnet::{NetConfig, SimTime};
 
 /// Typed options for one protocol run.
 ///
-/// The default is the verdict-oriented fast path: counters-only tracing,
-/// the caller's horizon. Build variations fluently:
+/// The default is the verdict-oriented fast path: no trace, the caller's
+/// horizon. Build variations fluently:
 ///
 /// ```
-/// use ptp_protocols::options::{RunOptions, TraceMode};
+/// use ptp_protocols::options::RunOptions;
 ///
 /// let opts = RunOptions::recording().horizon_t(50);
-/// assert!(opts.trace.records());
+/// assert!(opts.record);
 /// assert_eq!(opts.horizon_t, Some(50));
-/// assert!(RunOptions::default().trace == TraceMode::Counters);
+/// assert!(!RunOptions::default().record);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Trace retention mode.
-    pub trace: TraceMode,
+    /// Record the full [`ptp_simnet::Trace`] — required by the timing
+    /// experiments (Figs. 5–7, 9) and the Sec. 6 case classifier. Off, the
+    /// run keeps only the per-category [`ptp_simnet::TraceCounters`]
+    /// (always maintained): the verdict, outcomes and report are identical
+    /// to a recorded run, but no per-event allocation happens. Off is the
+    /// sweep hot path and the default.
+    pub record: bool,
     /// Horizon override in units of `T`; `None` keeps the configured
     /// horizon.
     pub horizon_t: Option<u64>,
 }
 
 impl RunOptions {
-    /// The default options: counters-only tracing.
+    /// The default options: no trace, counters only.
     pub fn new() -> RunOptions {
         RunOptions::default()
     }
 
     /// Options with full trace recording.
     pub fn recording() -> RunOptions {
-        RunOptions::default().trace(TraceMode::Record)
-    }
-
-    /// Sets the trace mode.
-    pub fn trace(mut self, trace: TraceMode) -> RunOptions {
-        self.trace = trace;
-        self
+        RunOptions { record: true, ..RunOptions::default() }
     }
 
     /// Overrides the simulation horizon to `horizon_t * T`.
@@ -97,15 +67,14 @@ mod tests {
     #[test]
     fn default_is_counters_only() {
         let o = RunOptions::default();
-        assert_eq!(o.trace, TraceMode::Counters);
-        assert!(!o.trace.records());
+        assert!(!o.record);
         assert_eq!(o.horizon_t, None);
     }
 
     #[test]
     fn builder_composes() {
-        let o = RunOptions::new().trace(TraceMode::Record).horizon_t(7);
-        assert!(o.trace.records());
+        let o = RunOptions::recording().horizon_t(7);
+        assert!(o.record);
         assert_eq!(o.horizon_t, Some(7));
     }
 

@@ -4,14 +4,15 @@ use ptp_model::Decision;
 use ptp_simnet::{SimTime, SiteId};
 
 /// What one site did during a run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The site's notes (state transitions and the like) are in the run's
+/// trace, not here.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SiteOutcome {
     /// Final decision, if the site terminated.
     pub decision: Option<Decision>,
     /// When the decision was recorded.
     pub decided_at: Option<SimTime>,
-    /// State-name history with timestamps (from participants' notes).
-    pub history: Vec<(SimTime, &'static str)>,
 }
 
 impl SiteOutcome {
@@ -94,12 +95,12 @@ mod tests {
     use super::*;
 
     fn outcome(d: Option<Decision>) -> SiteOutcome {
-        SiteOutcome { decision: d, decided_at: d.map(|_| SimTime(1)), history: vec![] }
+        SiteOutcome { decision: d, decided_at: d.map(|_| SimTime(1)) }
     }
 
     #[test]
     fn all_commit() {
-        let v = Verdict::judge(&vec![outcome(Some(Decision::Commit)); 3]);
+        let v = Verdict::judge(&[outcome(Some(Decision::Commit)); 3]);
         assert_eq!(v, Verdict::AllCommit);
         assert!(v.is_resilient());
         assert!(v.is_atomic());
@@ -107,7 +108,7 @@ mod tests {
 
     #[test]
     fn all_abort() {
-        let v = Verdict::judge(&vec![outcome(Some(Decision::Abort)); 2]);
+        let v = Verdict::judge(&[outcome(Some(Decision::Abort)); 2]);
         assert_eq!(v, Verdict::AllAbort);
         assert!(v.is_resilient());
     }

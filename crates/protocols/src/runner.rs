@@ -13,12 +13,12 @@
 //! and [`run_protocol_opts`] (typed [`RunOptions`]).
 
 use crate::api::{Action, CommitMsg, Participant, TimerTag, Vote};
-use crate::options::{RunOptions, TraceMode};
+use crate::options::RunOptions;
 use crate::outcome::SiteOutcome;
 use ptp_model::Decision;
 use ptp_simnet::{
-    Actor, Ctx, DelayModel, Envelope, FaultPlan, NetConfig, ProfKey, ProfSink, Profile, RunReport,
-    SimScratch, Simulation, SiteId, TimerHandle, Trace,
+    Actor, Ctx, DelayModel, Envelope, FaultPlan, NetConfig, Profile, RunReport, SimScratch,
+    Simulation, SiteId, TimerHandle, Trace,
 };
 use std::sync::Arc;
 
@@ -34,11 +34,11 @@ struct ProtocolActor<P> {
     outcome: SiteOutcome,
     timers: [Option<TimerHandle>; TimerTag::COUNT],
     pending: Vec<Action>,
-    /// Event-attribution sink. [`ProfSink::Null`] by default; *not* cleared
-    /// by [`ProtocolActor::begin_run`], so a recording sink accumulates
-    /// attribution across every run until [`ClusterRunner::take_profile`]
-    /// drains it — sweep-wide breakdowns come from exactly this.
-    prof: ProfSink,
+    /// Handler time, while profiling is on (`None` by default); *not*
+    /// cleared by [`ProtocolActor::begin_run`], so it accumulates across
+    /// every run until [`ClusterRunner::take_profile`] drains it — sweep-wide
+    /// totals come from exactly this.
+    prof: Option<Profile>,
 }
 
 impl<P: Participant> ProtocolActor<P> {
@@ -49,41 +49,28 @@ impl<P: Participant> ProtocolActor<P> {
             outcome: SiteOutcome::default(),
             timers: [None; TimerTag::COUNT],
             pending: Vec::new(),
-            prof: ProfSink::Null,
+            prof: None,
         }
     }
 
     /// Clears the per-run adapter state (the participant itself is reset by
     /// the caller, which knows the votes). Buffers keep their capacity.
     fn begin_run(&mut self) {
-        self.outcome.decision = None;
-        self.outcome.decided_at = None;
-        self.outcome.history.clear();
+        self.outcome = SiteOutcome::default();
         self.timers = [None; TimerTag::COUNT];
     }
 
     /// Runs one participant handler through the reusable action buffer and
     /// applies the resulting effects.
     ///
-    /// `event`/`kind` attribute the handler for profiling; with the null
-    /// sink (the sweep default) the only overhead is one branch — no clock
-    /// reads, no allocation.
-    fn dispatch(
-        &mut self,
-        ctx: &mut Ctx<'_, CommitMsg>,
-        event: &'static str,
-        kind: &'static str,
-        f: impl FnOnce(&mut P, &mut Vec<Action>),
-    ) {
+    /// With profiling off (the sweep default) the only overhead is one
+    /// branch — no clock reads.
+    fn dispatch(&mut self, ctx: &mut Ctx<'_, CommitMsg>, f: impl FnOnce(&mut P, &mut Vec<Action>)) {
         let mut out = std::mem::take(&mut self.pending);
-        if self.prof.is_recording() {
-            // Phase is sampled *before* the handler runs: the cost of an
-            // event belongs to the state that had to process it.
-            let phase = self.inner.state_name();
+        if let Some(profile) = &mut self.prof {
             let begun = std::time::Instant::now();
             f(&mut self.inner, &mut out);
-            let nanos = begun.elapsed().as_nanos() as u64;
-            self.prof.record(ProfKey { event, kind, phase, site: ctx.me() }, nanos);
+            profile.record(begun.elapsed().as_nanos() as u64);
         } else {
             f(&mut self.inner, &mut out);
         }
@@ -128,10 +115,7 @@ impl<P: Participant> ProtocolActor<P> {
                         );
                     }
                 }
-                Action::Note(label, detail) => {
-                    self.outcome.history.push((ctx.now(), label));
-                    ctx.note(label, detail);
-                }
+                Action::Note(label, detail) => ctx.note(label, detail),
             }
         }
     }
@@ -139,23 +123,21 @@ impl<P: Participant> ProtocolActor<P> {
 
 impl<P: Participant> Actor<CommitMsg> for ProtocolActor<P> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, CommitMsg>) {
-        self.dispatch(ctx, "start", "-", |p, out| p.start(out));
+        self.dispatch(ctx, |p, out| p.start(out));
     }
 
     fn on_message(&mut self, env: Envelope<CommitMsg>, ctx: &mut Ctx<'_, CommitMsg>) {
-        let kind = ptp_simnet::Payload::kind(&env.payload);
-        self.dispatch(ctx, "deliver", kind, |p, out| p.on_msg(env.src, &env.payload, out));
+        self.dispatch(ctx, |p, out| p.on_msg(env.src, &env.payload, out));
     }
 
     fn on_undeliverable(&mut self, env: Envelope<CommitMsg>, ctx: &mut Ctx<'_, CommitMsg>) {
-        let kind = ptp_simnet::Payload::kind(&env.payload);
-        self.dispatch(ctx, "ud", kind, |p, out| p.on_ud(env.dst, &env.payload, out));
+        self.dispatch(ctx, |p, out| p.on_ud(env.dst, &env.payload, out));
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, CommitMsg>) {
         let Some(tag) = TimerTag::decode(tag) else { return };
         self.timers[tag.index()] = None;
-        self.dispatch(ctx, "timer", tag.name(), |p, out| p.on_timer(tag, out));
+        self.dispatch(ctx, |p, out| p.on_timer(tag, out));
     }
 }
 
@@ -197,8 +179,7 @@ pub struct ClusterRunner<P: Participant> {
     /// Recycled simulator buffers; `None` only transiently while a run is in
     /// flight.
     scratch: Option<SimScratch<CommitMsg>>,
-    /// The previous run's outcomes, swapped out of the actors so both
-    /// buffers (and their history capacity) ping-pong between runs.
+    /// The previous run's outcomes, copied out of the actors.
     outcomes: Vec<SiteOutcome>,
 }
 
@@ -259,28 +240,23 @@ impl<P: Participant> ClusterRunner<P> {
         &self.outcomes
     }
 
-    /// Switches event-attribution profiling on or off for subsequent runs.
+    /// Switches handler-time profiling on or off for subsequent runs.
     ///
-    /// While on, every actor's [`ProfSink`] records across runs (profiles
-    /// are *not* cleared between scenarios) until drained by
+    /// While on, every actor's [`Profile`] accumulates across runs (it is
+    /// *not* cleared between scenarios) until drained by
     /// [`ClusterRunner::take_profile`].
     pub fn set_profiling(&mut self, on: bool) {
         for actor in &mut self.actors {
-            actor.prof = if on { ProfSink::recording() } else { ProfSink::Null };
+            actor.prof = on.then(Profile::default);
         }
     }
 
     /// Drains and merges every actor's accumulated profile. Profiling stays
-    /// on (with fresh, empty sinks) if it was on.
+    /// on (with empty profiles) if it was on.
     pub fn take_profile(&mut self) -> Profile {
         let mut merged = Profile::default();
-        for actor in &mut self.actors {
-            let was_recording = actor.prof.is_recording();
-            let sink = std::mem::take(&mut actor.prof);
-            merged.merge(&sink.into_profile());
-            if was_recording {
-                actor.prof = ProfSink::recording();
-            }
+        for profile in self.actors.iter_mut().filter_map(|actor| actor.prof.as_mut()) {
+            merged.merge(&std::mem::take(profile));
         }
         merged
     }
@@ -296,19 +272,19 @@ impl<P: Participant> ClusterRunner<P> {
         &mut self,
         config: NetConfig,
         delay: &DelayModel,
-        trace: TraceMode,
+        record: bool,
     ) -> (&[SiteOutcome], Trace, RunReport) {
         for actor in &mut self.actors {
             actor.begin_run();
         }
         let actors = std::mem::take(&mut self.actors);
         let scratch = self.scratch.take().expect("scratch present between runs");
-        let sim = Simulation::with_scratch(config, actors, delay, trace.sink(), scratch);
+        let sim = Simulation::with_scratch(config, actors, delay, record, scratch);
         let (actors, trace, report, scratch) = sim.run_recycling();
         self.actors = actors;
         self.scratch = Some(scratch);
-        for (slot, actor) in self.outcomes.iter_mut().zip(&mut self.actors) {
-            std::mem::swap(slot, &mut actor.outcome);
+        for (slot, actor) in self.outcomes.iter_mut().zip(&self.actors) {
+            *slot = actor.outcome;
         }
         (&self.outcomes, trace, report)
     }
@@ -322,7 +298,7 @@ impl<P: Participant> ClusterRunner<P> {
         options: &RunOptions,
     ) -> ProtocolRun {
         let config = options.apply_horizon(config);
-        let (outcomes, trace, report) = self.run_borrowed(config, delay, options.trace);
+        let (outcomes, trace, report) = self.run_borrowed(config, delay, options.record);
         ProtocolRun { outcomes: outcomes.to_vec(), trace, report }
     }
 }
@@ -507,29 +483,67 @@ mod tests {
         }
     }
 
+    /// The cluster of every protocol kind the suite runs (`ptp_core`'s
+    /// `ProtocolKind::ALL`), all voting yes.
+    fn every_kind(n: usize) -> Vec<(&'static str, Vec<crate::AnyParticipant>)> {
+        use crate::clusters::*;
+        use crate::quorum::{quorum_cluster_any, QuorumConfig};
+        use crate::termination::TerminationVariant::{Static, Transient};
+        let yes = vec![Vote::Yes; n - 1];
+        vec![
+            ("2PC", plain_2pc_cluster_any(n, &yes)),
+            ("E2PC", extended_2pc_cluster_any(n, &yes)),
+            ("3PC", plain_3pc_cluster_any(n, &yes)),
+            ("naive-3PC", naive_augmented_3pc_cluster_any(n, &yes)),
+            ("HL-3PC", huang_li_3pc_cluster_any(n, &yes, Transient)),
+            ("HL-3PC-static", huang_li_3pc_cluster_any(n, &yes, Static)),
+            ("HL-4PC", huang_li_4pc_cluster_any(n, &yes, Transient)),
+            ("quorum", quorum_cluster_any(QuorumConfig::majority(n), &yes)),
+        ]
+    }
+
     #[test]
-    fn profiling_attributes_events_and_leaves_outcomes_alone() {
-        let mut base = ClusterRunner::new(two_pc_parts(&[Vote::Yes, Vote::Yes]));
-        base.reset(&[Vote::Yes, Vote::Yes]);
-        base.faults_mut().partition.clear();
-        let plain = base.run(NetConfig::default(), &DelayModel::Fixed(300), &RunOptions::new());
+    fn profile_total_counts_every_dispatch_and_leaves_the_run_alone() {
+        const N: usize = 4;
+        let delay = DelayModel::Uniform { seed: 7, min: 1, max: 1000 };
+        let run = |runner: &mut ClusterRunner<crate::AnyParticipant>, split: Option<SimTime>| {
+            runner.reset(&[Vote::Yes; N - 1]);
+            let partition = &mut runner.faults_mut().partition;
+            match split {
+                None => partition.clear(),
+                Some(at) => {
+                    let groups = partition.reset_single(at, None, 2);
+                    groups[0].extend([SiteId(0), SiteId(1)]);
+                    groups[1].extend([SiteId(2), SiteId(3)]);
+                }
+            }
+            runner.run(NetConfig::default(), &delay, &RunOptions::recording())
+        };
+        for ((name, cluster), (_, twin)) in every_kind(N).into_iter().zip(every_kind(N)) {
+            let mut plain = ClusterRunner::new(cluster);
+            let mut profiled = ClusterRunner::new(twin);
+            profiled.set_profiling(true);
+            // A clean run, and one whose split at T / 2 bounces messages.
+            for split in [None, Some(SimTime(500))] {
+                let (quiet, timed) = (run(&mut plain, split), run(&mut profiled, split));
+                assert_eq!(quiet.outcomes, timed.outcomes, "{name} {split:?}");
+                assert_eq!(quiet.report.counters, timed.report.counters, "{name} {split:?}");
+                assert_eq!(quiet.trace.events(), timed.trace.events(), "{name} {split:?}");
+                let c = timed.report.counters;
+                assert_eq!(c.crashes, 0);
+                assert_eq!(c.returned > 0, split.is_some(), "{name} {split:?}: {c:?}");
+                // One handler call per start, delivery, return and fired timer.
+                let dispatched = N as u64 + c.delivered + c.returned + c.timers_fired;
+                let total = profiled.take_profile().total();
+                assert_eq!(total.count, dispatched, "{name} {split:?}: {c:?}");
+            }
+        }
 
         let mut prof = ClusterRunner::new(two_pc_parts(&[Vote::Yes, Vote::Yes]));
         prof.set_profiling(true);
         prof.reset(&[Vote::Yes, Vote::Yes]);
-        prof.faults_mut().partition.clear();
-        let profiled = prof.run(NetConfig::default(), &DelayModel::Fixed(300), &RunOptions::new());
-        assert_eq!(plain.outcomes, profiled.outcomes, "profiling must not perturb the run");
-
-        let profile = prof.take_profile();
-        assert!(!profile.is_empty());
-        // Every network delivery the report counted is attributed.
-        let delivers: u64 =
-            profile.entries().filter(|(k, _)| k.event == "deliver").map(|(_, e)| e.count).sum();
-        assert_eq!(delivers, profiled.report.counters.delivered);
-        // Kinds come from the payload tags; phases from state names.
-        assert!(profile.by_kind().iter().any(|(k, _)| *k == "yes"));
-        assert!(profile.entries().all(|(k, _)| !k.phase.is_empty()));
+        prof.run(NetConfig::default(), &DelayModel::Fixed(300), &RunOptions::new());
+        assert!(!prof.take_profile().is_empty());
 
         // take_profile drains but keeps recording; a second run refills it.
         assert!(prof.take_profile().is_empty());
@@ -537,7 +551,7 @@ mod tests {
         prof.run(NetConfig::default(), &DelayModel::Fixed(300), &RunOptions::new());
         assert!(!prof.take_profile().is_empty());
 
-        // Turning profiling off leaves the null sink in place.
+        // Turning profiling off stops the recording.
         prof.set_profiling(false);
         prof.reset(&[Vote::Yes, Vote::Yes]);
         prof.run(NetConfig::default(), &DelayModel::Fixed(300), &RunOptions::new());

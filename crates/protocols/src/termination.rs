@@ -467,16 +467,6 @@ impl TerminationSlave {
         }
         out.push(Action::Decide(d));
     }
-
-    /// Received `m` (or later): this slave is committable. Exposed for
-    /// tests and the ddb integration's lock-release policy.
-    pub fn holds_decisive(&self) -> bool {
-        match self.state {
-            SState::Await(k) => k > self.plan.decisive,
-            SState::Probing => true,
-            _ => false,
-        }
-    }
 }
 
 impl Participant for TerminationSlave {

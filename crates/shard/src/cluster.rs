@@ -135,17 +135,6 @@ pub struct CrossShardReport {
     pub blocked: usize,
 }
 
-impl CrossShardReport {
-    /// Abort rate among decided cross-shard transactions.
-    pub fn abort_rate(&self) -> f64 {
-        let decided = self.committed + self.aborted;
-        if decided == 0 {
-            return 0.0;
-        }
-        self.aborted as f64 / decided as f64
-    }
-}
-
 /// Read-path accounting, judged at each read plan's serving master.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReadReport {
@@ -169,15 +158,6 @@ impl ReadReport {
     /// Total reads served, on any path.
     pub fn served(&self) -> usize {
         self.lease + self.lock_local + self.protocol
-    }
-
-    /// Fraction of served reads that skipped the commit protocol entirely.
-    pub fn fast_fraction(&self) -> f64 {
-        let served = self.served();
-        if served == 0 {
-            return 0.0;
-        }
-        (self.lease + self.lock_local) as f64 / served as f64
     }
 }
 

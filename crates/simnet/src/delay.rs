@@ -62,11 +62,6 @@ pub enum DelayModel {
 }
 
 impl DelayModel {
-    /// Convenience: uniform delays over the full `(0, T]` range.
-    pub fn uniform_full(seed: u64, t_unit: u64) -> DelayModel {
-        DelayModel::Uniform { seed, min: 1, max: t_unit }
-    }
-
     /// Builds the stateful sampler for one simulation run.
     pub(crate) fn sampler(&self) -> DelaySampler {
         match self {

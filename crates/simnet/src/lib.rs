@@ -25,7 +25,7 @@
 //! * [`event`] — the deterministic event queue.
 //! * [`net`] — the [`Simulation`] engine, [`Actor`] trait and [`Ctx`] handle.
 //! * [`trace`] — complete execution logs and measurement helpers.
-//! * [`prof`] — event-attribution profiling ([`ProfSink`], [`Profile`]).
+//! * [`prof`] — handler-time profiling ([`Profile`]).
 //!
 //! ## Example
 //!
@@ -83,6 +83,6 @@ pub use net::{
     Actor, Ctx, NetConfig, Payload, RunReport, SimScratch, Simulation, StopReason, TimerHandle,
 };
 pub use partition::{PartitionEngine, PartitionMode, PartitionSpec};
-pub use prof::{ProfEntry, ProfKey, ProfSink, Profile};
+pub use prof::{ProfEntry, Profile};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceCounters, TraceEvent, TraceSink};
+pub use trace::{Trace, TraceCounters, TraceEvent};

@@ -8,7 +8,7 @@ use crate::message::{Envelope, MsgId, SiteId};
 use crate::partition::PartitionMode;
 use crate::time::{SimDuration, SimTime};
 use crate::timers::TimerSlab;
-use crate::trace::{Trace, TraceCounters, TraceEvent, TraceSink};
+use crate::trace::{Trace, TraceCounters, TraceEvent};
 
 /// A message payload the network can carry.
 ///
@@ -218,7 +218,8 @@ struct Core<P: Payload> {
     /// degrade windows and envelope faults (usually none) apply at send time.
     faults: FaultPlan,
     sampler: DelaySampler,
-    sink: TraceSink,
+    /// The run's event log; `None` when only the counters are kept.
+    trace: Option<Trace>,
     counters: TraceCounters,
     /// Per-fault count of sends matching the fault's field filters, for
     /// `nth` ordinals. Parallel to `faults.env_faults`.
@@ -228,17 +229,17 @@ struct Core<P: Payload> {
 }
 
 impl<P: Payload> Core<P> {
-    /// Routes one event to the counters and the configured sink.
+    /// Routes one event to the counters and, when the run records one, the
+    /// trace.
     ///
     /// The counter bump and the trace record are split so the event struct
-    /// is only *built* when a recording sink will keep it: the sweep hot
-    /// path runs under [`TraceSink::Null`], where assembling a
-    /// [`TraceEvent`] per send/delivery/timer just to discard it was
-    /// measurable in the event-dispatch profile.
+    /// is only *built* when a trace will keep it: the sweep hot path records
+    /// none, and assembling a [`TraceEvent`] per send/delivery/timer just to
+    /// discard it was measurable in the event-dispatch profile.
     #[inline]
     fn trace(&mut self, bump: impl FnOnce(&mut TraceCounters), ev: impl FnOnce() -> TraceEvent) {
         bump(&mut self.counters);
-        if let TraceSink::Recording(trace) = &mut self.sink {
+        if let Some(trace) = &mut self.trace {
             trace.push(ev());
         }
     }
@@ -428,7 +429,8 @@ pub struct RunReport {
     pub ended_at: SimTime,
     /// Number of dispatched events.
     pub events: u64,
-    /// Per-category trace tallies, kept even under [`TraceSink::Null`].
+    /// Per-category trace tallies, kept whether or not the run records a
+    /// trace.
     pub counters: TraceCounters,
     /// The latest instant any routed message was *scheduled* to land at its
     /// destination — forward legs only, delayed and duplicated copies
@@ -458,7 +460,7 @@ pub struct Simulation<P: Payload, A: Actor<P> = Box<dyn Actor<P>>> {
 impl<P: Payload, A: Actor<P>> Simulation<P, A> {
     /// Creates a simulation over `actors` (site `i` is `actors[i]`) under
     /// `faults` (a whole [`FaultPlan`] in ticks, or just a
-    /// [`crate::PartitionEngine`]), with a full-recording trace sink.
+    /// [`crate::PartitionEngine`]) that records the full [`Trace`].
     ///
     /// ```
     /// use ptp_simnet::{
@@ -490,39 +492,25 @@ impl<P: Payload, A: Actor<P>> Simulation<P, A> {
         faults: impl Into<FaultPlan>,
         delay: &DelayModel,
     ) -> Self {
-        Simulation::with_sink(config, actors, faults, delay, TraceSink::recording())
-    }
-
-    /// Creates a simulation with an explicit [`TraceSink`].
-    ///
-    /// Use [`TraceSink::Null`] for verdict-only workloads (resilience
-    /// sweeps): no trace events are stored, and [`Simulation::run`] returns
-    /// an empty [`Trace`]. Event tallies are still available via
-    /// [`RunReport::counters`].
-    pub fn with_sink(
-        config: NetConfig,
-        actors: Vec<A>,
-        faults: impl Into<FaultPlan>,
-        delay: &DelayModel,
-        sink: TraceSink,
-    ) -> Self {
         let mut scratch = SimScratch::new();
         scratch.faults = faults.into();
-        Simulation::with_scratch(config, actors, delay, sink, scratch)
+        Simulation::with_scratch(config, actors, delay, true, scratch)
     }
 
     /// Creates a simulation that reuses the buffers of a previous run.
     ///
     /// The faults are taken from `scratch.faults` (configure the plan
     /// before calling); every other buffer is reset to a fresh state, so
-    /// the run is indistinguishable from one built by
-    /// [`Simulation::with_sink`]. Finish with [`Simulation::run_recycling`]
-    /// to get the scratch back.
+    /// the run is indistinguishable from one built by [`Simulation::new`].
+    /// With `record` off — verdict-only workloads such as the resilience
+    /// sweeps — no trace events are stored and the run returns an empty
+    /// [`Trace`]; event tallies are still in [`RunReport::counters`].
+    /// Finish with [`Simulation::run_recycling`] to get the scratch back.
     pub fn with_scratch(
         config: NetConfig,
         actors: Vec<A>,
         delay: &DelayModel,
-        sink: TraceSink,
+        record: bool,
         scratch: SimScratch<P>,
     ) -> Self {
         let n = actors.len();
@@ -551,7 +539,7 @@ impl<P: Payload, A: Actor<P>> Simulation<P, A> {
                 env_hits: vec![0; faults.env_faults.len()],
                 faults,
                 sampler: delay.sampler(),
-                sink,
+                trace: record.then(Trace::default),
                 counters: TraceCounters::default(),
                 last_landing: SimTime::ZERO,
             },
@@ -676,8 +664,8 @@ impl<P: Payload, A: Actor<P>> Simulation<P, A> {
             last_landing: self.core.last_landing,
         };
         let Simulation { mut core, actors } = self;
-        let sink = std::mem::replace(&mut core.sink, TraceSink::Null);
-        (actors, sink.into_trace(), report, core)
+        let trace = core.trace.take().unwrap_or_default();
+        (actors, trace, report, core)
     }
 
     /// Dispatch through disjoint borrows: the handler gets the actor and a
@@ -963,7 +951,7 @@ mod tests {
     fn recycled_scratch_replays_identically() {
         // Two ping-pong runs through the same scratch (the second reusing
         // the first's warm buffers) must produce identical traces and
-        // reports — and match a cold with_sink run.
+        // reports — and match a cold run.
         let part = || {
             PartitionEngine::new(vec![PartitionSpec::transient(
                 SimTime(150),
@@ -981,7 +969,7 @@ mod tests {
                 NetConfig::default(),
                 actors,
                 &DelayModel::Fixed(100),
-                TraceSink::recording(),
+                true,
                 scratch,
             );
             let (_, trace, report, scratch) = sim.run_recycling();
@@ -1138,7 +1126,7 @@ mod tests {
                 NetConfig::default(),
                 actors,
                 &DelayModel::Fixed(100),
-                TraceSink::Null,
+                false,
                 scratch,
             );
             let (_, _, report, scratch) = sim.run_recycling();

@@ -62,10 +62,10 @@ impl TraceEvent {
     }
 }
 
-/// Per-category event tallies, maintained by every run regardless of the
-/// [`TraceSink`] in use.
+/// Per-category event tallies, maintained by every run whether or not it
+/// records a [`Trace`].
 ///
-/// Sweeps that judge verdicts with the null sink still get these for free
+/// Sweeps that judge verdicts without a trace still get these for free
 /// (they are a handful of integer bumps), so experiment reports can cite
 /// message counts without paying for full traces.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -108,43 +108,6 @@ impl TraceCounters {
             + self.crashes
             + self.recoveries
             + self.notes
-    }
-}
-
-/// Where a simulation's trace events go.
-///
-/// The timing experiments (Figs. 5–7, 9) need the complete log; the
-/// resilience sweeps only consult verdicts and run millions of scenarios,
-/// where the per-event `Vec` growth dominated the profile. The null sink
-/// drops events on the floor (counters are still kept in the
-/// [`crate::RunReport`]), making the sweep hot path allocation-free on the
-/// tracing side.
-#[derive(Debug)]
-pub enum TraceSink {
-    /// Record every event into a [`Trace`].
-    Recording(Trace),
-    /// Discard events; only [`TraceCounters`] are maintained.
-    Null,
-}
-
-impl TraceSink {
-    /// A recording sink over an empty trace.
-    pub fn recording() -> TraceSink {
-        TraceSink::Recording(Trace::default())
-    }
-
-    /// True when events are being kept.
-    pub fn is_recording(&self) -> bool {
-        matches!(self, TraceSink::Recording(_))
-    }
-
-    /// Consumes the sink, yielding the recorded trace (empty for
-    /// [`TraceSink::Null`]).
-    pub fn into_trace(self) -> Trace {
-        match self {
-            TraceSink::Recording(trace) => trace,
-            TraceSink::Null => Trace::default(),
-        }
     }
 }
 

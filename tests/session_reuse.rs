@@ -14,7 +14,6 @@
 use proptest::prelude::*;
 use ptp_core::{
     run_scenario_opts, PartitionShape, ProtocolKind, RunOptions, Scenario, ScenarioResult, Session,
-    TraceMode,
 };
 use ptp_simnet::rng::SmallRng;
 use ptp_simnet::{DelayModel, PartitionEngine, PartitionSpec, SimTime, SiteId};
@@ -101,7 +100,7 @@ fn session_reused_100_times_matches_one_shot_for_every_kind() {
             let warm = session.run_with(&scenario, &options);
             let fresh = run_scenario_opts(kind, &scenario, &options);
             assert_identical(kind, i, &warm, &fresh);
-            if options.trace == TraceMode::Counters {
+            if !options.record {
                 assert!(warm.trace.is_empty(), "{} #{i}: counters mode traced", kind.name());
             }
         }
