@@ -20,8 +20,9 @@
 //!   of scenarios through it, reusing every buffer across runs;
 //! * [`SessionPool`] keys sessions by `(kind, n)` so flows that interleave
 //!   several protocols or cluster sizes share clusters the same way;
-//! * [`RunOptions`] types the per-run choices (trace retention, horizon)
-//!   that used to be positional parameters;
+//! * [`RunOptions`] says whether a run records its trace;
+//! * [`ProtocolKind`] is the protocol roster, re-exported from
+//!   `ptp-protocols`: the one place any protocol's sites are built;
 //! * [`run_scenario`] / [`run_scenario_opts`] are the one-shot conveniences;
 //! * [`sweep()`] grids over schedule shapes × boundaries × partition
 //!   instants × heal instants × delay schedules and reports every atomicity
@@ -69,7 +70,7 @@ pub mod timeline;
 pub use campaign::{Campaign, CampaignConfig, CampaignFailure, CampaignReport};
 pub use run::{run_scenario, run_scenario_opts, ScenarioResult};
 pub use scenario::{PartitionShape, ProtocolKind, Scenario};
-pub use session::{build_cluster_any, Session, SessionPool};
+pub use session::{Session, SessionPool};
 pub use sweep::{
     all_simple_boundaries, sweep, sweep_parallel, sweep_serial, sweep_threads, sweep_with_session,
     sweep_with_threads, ScenarioDesc, ScenarioSpec, ScheduleShape, SweepGrid, SweepReport,

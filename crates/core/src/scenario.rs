@@ -4,74 +4,15 @@
 // `ptp_core::scenario::ScenarioBuilder` is the canonical path.
 pub use crate::timeline::{At, ScenarioBuilder, TimedEvent, Timeline, TimelineEvent};
 
+// The protocol roster lives with the protocols; re-exported here so
+// `ptp_core::scenario::ProtocolKind` keeps resolving.
+pub use ptp_protocols::kind::ProtocolKind;
+
 use ptp_protocols::api::Vote;
-use ptp_protocols::quorum::QuorumConfig;
 use ptp_simnet::{
     DegradeWindow, DelayModel, EnvelopeFault, FailureSpec, FaultPlan, NetConfig, PartitionEngine,
     PartitionMode, SimTime, SiteId,
 };
-
-/// Which commit protocol to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ProtocolKind {
-    /// Fig. 1: plain two-phase commit (no timeout/UD transitions).
-    Plain2pc,
-    /// Fig. 2: extended 2PC — ack phase plus the Rule (a)/(b) augmentation
-    /// derived at `n = 2`.
-    Extended2pc,
-    /// Fig. 3: plain three-phase commit.
-    Plain3pc,
-    /// Sec. 3 baseline: 3PC naively augmented by Rule (a)/(b) at the
-    /// actual `n`.
-    Naive3pc,
-    /// The paper's protocol: modified 3PC + termination protocol, Sec. 6
-    /// transient variant (the complete protocol).
-    HuangLi3pc,
-    /// The paper's protocol in the Sec. 5 static variant (assumes the
-    /// partition outlasts all affected transactions).
-    HuangLi3pcStatic,
-    /// Theorem 10: the four-phase protocol with its generated termination
-    /// protocol.
-    HuangLi4pc,
-    /// Skeen 1982 quorum commit with majority quorums.
-    QuorumMajority,
-}
-
-impl ProtocolKind {
-    /// All kinds, for table-driven experiments.
-    pub const ALL: [ProtocolKind; 8] = [
-        ProtocolKind::Plain2pc,
-        ProtocolKind::Extended2pc,
-        ProtocolKind::Plain3pc,
-        ProtocolKind::Naive3pc,
-        ProtocolKind::HuangLi3pc,
-        ProtocolKind::HuangLi3pcStatic,
-        ProtocolKind::HuangLi4pc,
-        ProtocolKind::QuorumMajority,
-    ];
-
-    /// Display name used in experiment tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            ProtocolKind::Plain2pc => "2PC",
-            ProtocolKind::Extended2pc => "E2PC",
-            ProtocolKind::Plain3pc => "3PC",
-            ProtocolKind::Naive3pc => "3PC+rules",
-            ProtocolKind::HuangLi3pc => "HL-3PC",
-            ProtocolKind::HuangLi3pcStatic => "HL-3PC(static)",
-            ProtocolKind::HuangLi4pc => "HL-4PC",
-            ProtocolKind::QuorumMajority => "Quorum",
-        }
-    }
-
-    /// The quorum configuration a kind implies, if it is quorum-based.
-    pub fn quorum_config(self, n: usize) -> Option<QuorumConfig> {
-        match self {
-            ProtocolKind::QuorumMajority => Some(QuorumConfig::majority(n)),
-            _ => None,
-        }
-    }
-}
 
 /// The paper's partition shapes, as a shortcut over the scenario's
 /// [`FaultPlan`]: the sweep hot path rewrites one of these per grid cell
@@ -366,19 +307,5 @@ mod tests {
         let eng = s.fault_plan().partition;
         assert!(eng.connected(SiteId(0), SiteId(2), SimTime(2000)));
         assert!(eng.connected(SiteId(0), SiteId(2), SimTime(3000)));
-    }
-
-    #[test]
-    fn protocol_names_unique() {
-        let mut names: Vec<&str> = ProtocolKind::ALL.iter().map(|k| k.name()).collect();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), ProtocolKind::ALL.len());
-    }
-
-    #[test]
-    fn quorum_config_only_for_quorum() {
-        assert!(ProtocolKind::QuorumMajority.quorum_config(5).is_some());
-        assert!(ProtocolKind::HuangLi3pc.quorum_config(5).is_none());
     }
 }

@@ -15,36 +15,8 @@
 
 use crate::run::ScenarioResult;
 use crate::scenario::{ProtocolKind, Scenario};
-use ptp_protocols::clusters::{
-    extended_2pc_cluster_any, huang_li_3pc_cluster_any, huang_li_4pc_cluster_any,
-    naive_augmented_3pc_cluster_any, plain_2pc_cluster_any, plain_3pc_cluster_any,
-};
-use ptp_protocols::quorum::quorum_cluster_any;
 use ptp_protocols::runner::ClusterRunner;
-use ptp_protocols::termination::TerminationVariant;
 use ptp_protocols::{AnyParticipant, RunOptions, Verdict, Vote};
-
-/// Builds the enum-dispatched participant vector for a protocol kind.
-pub fn build_cluster_any(kind: ProtocolKind, n: usize, votes: &[Vote]) -> Vec<AnyParticipant> {
-    match kind {
-        ProtocolKind::Plain2pc => plain_2pc_cluster_any(n, votes),
-        ProtocolKind::Extended2pc => extended_2pc_cluster_any(n, votes),
-        ProtocolKind::Plain3pc => plain_3pc_cluster_any(n, votes),
-        ProtocolKind::Naive3pc => naive_augmented_3pc_cluster_any(n, votes),
-        ProtocolKind::HuangLi3pc => {
-            huang_li_3pc_cluster_any(n, votes, TerminationVariant::Transient)
-        }
-        ProtocolKind::HuangLi3pcStatic => {
-            huang_li_3pc_cluster_any(n, votes, TerminationVariant::Static)
-        }
-        ProtocolKind::HuangLi4pc => {
-            huang_li_4pc_cluster_any(n, votes, TerminationVariant::Transient)
-        }
-        ProtocolKind::QuorumMajority => {
-            quorum_cluster_any(kind.quorum_config(n).expect("quorum kind"), votes)
-        }
-    }
-}
 
 /// A reusable execution session: one protocol kind, one cluster size, many
 /// scenarios.
@@ -79,7 +51,7 @@ impl Session {
     pub fn new(kind: ProtocolKind, n: usize) -> Session {
         assert!(n >= 2);
         let votes = vec![Vote::Yes; n - 1];
-        let runner = ClusterRunner::new(build_cluster_any(kind, n, &votes));
+        let runner = ClusterRunner::new(kind.cluster(n, &votes));
         Session { kind, n, runner, executed: 0 }
     }
 
@@ -129,8 +101,8 @@ impl Session {
         self.run_with(scenario, &RunOptions::new())
     }
 
-    /// Runs `scenario` under typed [`RunOptions`]; `options.horizon_t`
-    /// overrides the scenario's horizon.
+    /// Runs `scenario` under typed [`RunOptions`], to the scenario's own
+    /// horizon.
     ///
     /// # Panics
     ///
@@ -171,8 +143,8 @@ impl Session {
         self.executed += 1;
         self.runner.reset(&scenario.votes);
         scenario.write_faults(self.runner.faults_mut());
-        let config = options.apply_horizon(scenario.net_config());
-        let (_, trace, report) = self.runner.run_borrowed(config, &scenario.delay, options.record);
+        let (_, trace, report) =
+            self.runner.run_borrowed(scenario.net_config(), &scenario.delay, options.record);
         (trace, report)
     }
 }

@@ -14,17 +14,11 @@ use crate::plan::PlanTable;
 use crate::site::{Metrics, ParticipantBuilder, ParticipantFactory, ReadSpec, TxnSpec};
 use crate::storage::Storage;
 use crate::value::{Key, TxnId, Value};
-use ptp_protocols::api::Vote;
-use ptp_protocols::interp::FsaParticipant;
-use ptp_protocols::quorum::{QuorumConfig, QuorumSite};
-use ptp_protocols::termination::{
-    PhasePlan, TerminationMaster, TerminationSlave, TerminationVariant,
-};
+use ptp_protocols::ProtocolKind;
 use ptp_simnet::{
     DelayModel, FaultPlan, NetConfig, PartitionEngine, RunReport, Simulation, SiteId, Trace,
 };
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -34,6 +28,7 @@ use std::sync::Arc;
 ///
 /// ```
 /// use ptp_ddb::cluster::CommitProtocol;
+/// use ptp_protocols::api::Vote;
 /// use ptp_simnet::SiteId;
 ///
 /// assert_eq!(CommitProtocol::HuangLi.name(), "HL-3PC");
@@ -42,8 +37,8 @@ use std::sync::Arc;
 /// // (index 0) for a 3-site group and a slave for a 5-site one, which is
 /// // how `ptp-shard` runs one protocol at several replica-group sizes.
 /// let builder = CommitProtocol::HuangLi.participant_builder();
-/// let _master = builder(SiteId(0), 3);
-/// let _slave = builder(SiteId(2), 5);
+/// let _master = builder(SiteId(0), 3, Vote::Yes);
+/// let _slave = builder(SiteId(2), 5, Vote::Yes);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitProtocol {
@@ -57,57 +52,34 @@ pub enum CommitProtocol {
     QuorumMajority,
 }
 
-impl CommitProtocol {
-    /// Display name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            CommitProtocol::TwoPhase => "2PC",
-            CommitProtocol::HuangLi => "HL-3PC",
-            CommitProtocol::QuorumMajority => "Quorum",
+impl From<CommitProtocol> for ProtocolKind {
+    /// The roster's kind for a store protocol: 2PC is Fig. 1's plain 2PC,
+    /// HL-3PC the transient variant of the paper's protocol.
+    fn from(protocol: CommitProtocol) -> ProtocolKind {
+        match protocol {
+            CommitProtocol::TwoPhase => ProtocolKind::Plain2pc,
+            CommitProtocol::HuangLi => ProtocolKind::HuangLi3pc,
+            CommitProtocol::QuorumMajority => ProtocolKind::QuorumMajority,
         }
     }
+}
 
-    /// The [`ParticipantBuilder`] for this protocol: `(site, n)` yields the
-    /// participant for virtual site `site` of an `n`-site protocol group
-    /// (`site == SiteId(0)` is the group's master). The builder is fully
-    /// group-size generic — one handle serves every replica-group size a
-    /// sharded cluster runs, caching derived per-size protocol specs — which
-    /// is what lets `ptp-shard` pool participants per `(site, group size)`
-    /// through the same [`ParticipantFactory`] machinery as [`DbCluster`].
+impl CommitProtocol {
+    /// Display name for reports: the roster's.
+    pub fn name(self) -> &'static str {
+        ProtocolKind::from(self).name()
+    }
+
+    /// The [`ParticipantBuilder`] for this protocol — the roster's
+    /// [`ProtocolKind::builder`]: `(site, n, vote)` yields the participant
+    /// for virtual site `site` of an `n`-site protocol group (`site ==
+    /// SiteId(0)` is the group's master). The builder is fully group-size
+    /// generic — one handle serves every replica-group size a sharded
+    /// cluster runs, deriving a per-size protocol spec once — which is what
+    /// lets `ptp-shard` pool participants per `(site, group size)` through
+    /// the same [`ParticipantFactory`] machinery as [`DbCluster`].
     pub fn participant_builder(self) -> ParticipantBuilder {
-        match self {
-            CommitProtocol::TwoPhase => {
-                // One FSA spec per distinct group size, built on first use:
-                // a flat cluster only ever asks for its own n, so this is
-                // exactly the old one-spec-per-cluster behaviour there.
-                let specs: RefCell<BTreeMap<usize, Arc<ptp_model::ProtocolSpec>>> =
-                    RefCell::new(BTreeMap::new());
-                Rc::new(move |site: SiteId, n: usize| {
-                    let spec = specs
-                        .borrow_mut()
-                        .entry(n)
-                        .or_insert_with(|| Arc::new(ptp_model::protocols::two_phase(n)))
-                        .clone();
-                    FsaParticipant::new(spec, site.index(), Vote::Yes, None).into()
-                })
-            }
-            CommitProtocol::HuangLi => Rc::new(move |site: SiteId, n: usize| {
-                if site == SiteId(0) {
-                    TerminationMaster::new(PhasePlan::three_phase(), n).into()
-                } else {
-                    TerminationSlave::new(
-                        PhasePlan::three_phase(),
-                        site,
-                        Vote::Yes,
-                        TerminationVariant::Transient,
-                    )
-                    .into()
-                }
-            }),
-            CommitProtocol::QuorumMajority => Rc::new(move |site: SiteId, n: usize| {
-                QuorumSite::new(QuorumConfig::majority(n), site, Vote::Yes).into()
-            }),
-        }
+        ProtocolKind::from(self).builder()
     }
 }
 
@@ -375,6 +347,7 @@ mod tests {
     use super::*;
     use crate::value::WriteOp;
     use ptp_simnet::{PartitionSpec, SimTime};
+    use std::collections::BTreeMap;
 
     fn transfer_spec(id: u32, amount: u64) -> TxnSpec {
         let mut writes = BTreeMap::new();

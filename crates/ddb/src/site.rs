@@ -33,7 +33,6 @@ use ptp_protocols::api::{CommitMsg, Participant, Vote};
 use ptp_protocols::AnyParticipant;
 use ptp_simnet::{Payload, SimTime, SiteId};
 use std::collections::BTreeMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Per-key version stamps, each assigned by its key's shard master at
@@ -142,13 +141,14 @@ pub struct ReadRecord {
     pub values: Vec<(Key, Option<Value>)>,
 }
 
-/// Builder producing a fresh protocol participant for a site.
-/// (`site == SiteId(0)` must yield a master, anything else a slave.)
+/// Builder producing a fresh protocol participant for a site: the
+/// protocol roster's [`ptp_protocols::SiteBuilder`] (`site == SiteId(0)`
+/// yields a master, anything else a slave voting as told).
 ///
 /// Participants are produced as enum-dispatched [`AnyParticipant`]s, so the
 /// per-transaction slot stores the state machine inline — no boxing per
 /// in-flight transaction.
-pub type ParticipantBuilder = Rc<dyn Fn(SiteId, usize) -> AnyParticipant>;
+pub type ParticipantBuilder = ptp_protocols::SiteBuilder;
 
 /// A shared pool handle: the participant builder, cloned to every
 /// site of a cluster. Each site derives its own [`ParticipantPool`] from it
@@ -203,25 +203,22 @@ pub struct ParticipantPool {
 }
 
 impl ParticipantPool {
-    /// The slot of a participant ready to run one transaction: a freed slot
-    /// recycled in place when one is available, a freshly built arena entry
-    /// otherwise. Whatever the path, the participant ends up in its
-    /// freshly-reset state voting `vote` — never the vote the builder baked
-    /// in.
+    /// The slot of a participant ready to run one transaction voting
+    /// `vote`: a freed slot reset in place when one is available, a freshly
+    /// built arena entry otherwise.
     pub fn acquire(&mut self, vote: Vote) -> usize {
-        let idx = match self.free.pop() {
+        match self.free.pop() {
             Some(idx) => {
                 self.reused += 1;
+                self.arena[idx as usize].reset(vote);
                 idx as usize
             }
             None => {
                 self.constructed += 1;
-                self.arena.push((self.builder)(self.me, self.n));
+                self.arena.push((self.builder)(self.me, self.n, vote));
                 self.arena.len() - 1
             }
-        };
-        self.arena[idx].reset(vote);
-        idx
+        }
     }
 
     /// Parks a finished (or crash-wiped) slot for the next transaction.
@@ -322,29 +319,41 @@ impl Metrics {
 mod tests {
     use super::*;
     use crate::value::{Key, Value};
-    use ptp_protocols::termination::{PhasePlan, TerminationSlave, TerminationVariant};
-
-    fn slave_factory() -> ParticipantFactory {
-        ParticipantFactory::pooled(Rc::new(|site, _n| {
-            TerminationSlave::new(
-                PhasePlan::three_phase(),
-                site,
-                Vote::Yes,
-                TerminationVariant::Transient,
-            )
-            .into()
-        }))
-    }
+    use ptp_protocols::api::Action;
+    use ptp_protocols::ProtocolKind;
 
     #[test]
     fn pool_resets_released_slots_in_place() {
-        let mut pool = slave_factory().pool(SiteId(1), 2);
+        let factory = ParticipantFactory::pooled(ProtocolKind::HuangLi3pc.builder());
+        let mut pool = factory.pool(SiteId(1), 2);
         let slot = pool.acquire(Vote::Yes);
         assert_eq!((pool.constructed(), pool.reused(), pool.idle()), (1, 0, 0));
         pool.release(slot);
         assert_eq!(pool.idle(), 1);
         assert_eq!(pool.acquire(Vote::Yes), slot, "freed slot is recycled");
         assert_eq!((pool.constructed(), pool.reused(), pool.idle()), (1, 1, 0));
+    }
+
+    #[test]
+    fn a_built_and_a_recycled_slot_vote_alike() {
+        // The builder takes the vote a fresh slot runs with; a recycled slot
+        // gets it through `reset`. Either way a no-voting slave says no.
+        let factory = ParticipantFactory::pooled(ProtocolKind::HuangLi3pc.builder());
+        let mut pool = factory.pool(SiteId(1), 3);
+        let votes = |pool: &mut ParticipantPool, slot: usize| {
+            let mut out = Vec::new();
+            pool.get_mut(slot).start(&mut out);
+            pool.get_mut(slot).on_msg(SiteId(0), &CommitMsg::Kind("xact"), &mut out);
+            out
+        };
+        let fresh = pool.acquire(Vote::No);
+        let said = votes(&mut pool, fresh);
+        pool.release(fresh);
+        let recycled = pool.acquire(Vote::No);
+        assert_eq!(recycled, fresh);
+        assert_eq!(votes(&mut pool, recycled), said);
+        let no = Action::Send { to: SiteId(0), msg: CommitMsg::Kind("no") };
+        assert!(said.contains(&no), "{said:?}");
     }
 
     #[test]

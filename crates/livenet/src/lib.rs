@@ -12,10 +12,17 @@
 //! takes one whole (partition episodes, crashes, degraded-delay windows,
 //! envelope faults — e.g. a `ptp_core` timeline's
 //! `faults().scaled(T_ns, t_unit)`), and [`LivePartition`] builds the
-//! partition part from `Duration`s for the same families as the simulator's
-//! `ScheduleShape` (simple, split→heal→re-split, multi-way, nested
-//! secession). The delivery core ([`Router`]) is generic over the payload,
-//! so `ptp-live`'s long-running shard server reuses it unchanged.
+//! partition part from `Duration`s for the two families a live run names by
+//! hand (a simple split, split→heal→re-split); any other schedule is stated
+//! as a [`FaultPlan`]. The router routes a send by the simulator's rules: it
+//! matches envelope faults with [`FaultPlan::match_send`] and decides
+//! delivery or bounce once, at send time, with
+//! [`ptp_simnet::PartitionEngine::bounce_instant`] — so a message sent into
+//! an open partition comes back even if the partition heals before it would
+//! have landed, one cut mid-flight bounces at the cut, and a message is lost
+//! only if its receiver is down when it lands. The delivery core
+//! ([`Router`]) is generic over the payload, so `ptp-live`'s long-running
+//! shard server reuses it unchanged.
 //!
 //! Nothing in the protocol code changes between the two runtimes — which is
 //! itself a useful validation: the termination protocol's guarantees follow
@@ -102,7 +109,7 @@ impl LiveOutcome {
 ///
 /// Generic over the participant type: boxed `Vec<Box<dyn Participant>>`
 /// clusters and enum-dispatched `Vec<ptp_protocols::AnyParticipant>` ones
-/// (from the `*_cluster_any` constructors) both work.
+/// (from [`ptp_protocols::ProtocolKind::cluster`]) both work.
 pub fn run_live<P: Participant + 'static>(
     participants: Vec<P>,
     config: LiveConfig,
@@ -197,9 +204,7 @@ pub fn run_live_plan<P: Participant + 'static>(
 mod tests {
     use super::*;
     use ptp_protocols::api::Vote;
-    use ptp_protocols::clusters::huang_li_3pc_cluster_any;
-    use ptp_protocols::termination::TerminationVariant;
-    use ptp_protocols::AnyParticipant;
+    use ptp_protocols::{AnyParticipant, ProtocolKind};
     use ptp_simnet::FailureSpec;
 
     fn cfg() -> LiveConfig {
@@ -208,7 +213,7 @@ mod tests {
 
     // Enum-dispatched cluster: the live threads run without a single box.
     fn hl_cluster(n: usize) -> Vec<AnyParticipant> {
-        huang_li_3pc_cluster_any(n, &vec![Vote::Yes; n - 1], TerminationVariant::Transient)
+        ProtocolKind::HuangLi3pc.cluster(n, &vec![Vote::Yes; n - 1])
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! The router thread: wall-clock message delays, partition episodes, site
-//! crashes, and the optimistic undeliverable-message return.
+//! crashes, and the optimistic undeliverable-message return — routed by the
+//! simulator's rules, read off the same [`FaultPlan`]: envelope faults
+//! through [`FaultPlan::match_send`], the partition through
+//! [`PartitionEngine::bounce_instant`] at send time.
 //!
 //! The delivery core is generic over the payload type `M`: the protocol
 //! harness in this crate routes bare [`ptp_protocols::api::CommitMsg`]s,
@@ -8,7 +11,7 @@
 
 use ptp_simnet::rng::SmallRng;
 use ptp_simnet::{
-    EnvelopeAction, FailureSpec, FaultPlan, PartitionEngine, PartitionSpec, SimTime, SiteId,
+    FailureSpec, FaultPlan, PartitionEngine, PartitionSpec, SimDuration, SimTime, SiteId,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -43,9 +46,10 @@ pub fn host_time(offset: Duration) -> SimTime {
 }
 
 /// A partition schedule stated in wall-clock [`Duration`]s since the run
-/// started: thin constructors over nanosecond [`PartitionSpec`]s, covering
-/// the same families as the simulator's `ScheduleShape` (simple split,
-/// split→heal→re-split, multi-way, nested secession).
+/// started: thin constructors over nanosecond [`PartitionSpec`]s for a
+/// simple split and split→heal→re-split. Any other schedule (multi-way,
+/// nested, anything a simulator `ScheduleShape` or timeline names) is
+/// stated as a [`FaultPlan`] — a timeline's `live_faults`.
 ///
 /// The constructors list only the *seceding* groups, because they do not
 /// know the cluster size; [`LivePartition::complete`] adds every episode's
@@ -86,27 +90,6 @@ impl LivePartition {
         Self::of(vec![
             Self::episode(split_at, Some(heal_at), vec![first]),
             Self::episode(resplit_at, None, vec![second]),
-        ])
-    }
-
-    /// A single multi-way split: from `at` on, each listed group (plus the
-    /// rest, together) can only talk within itself.
-    pub fn multi_way(at: Duration, groups: Vec<Vec<SiteId>>) -> LivePartition {
-        Self::of(vec![Self::episode(at, None, groups)])
-    }
-
-    /// Nested secession: `g2` secedes at `at`; at `then_at` a `splinter`
-    /// (a subset of `g2`) secedes *again*, leaving three groups.
-    pub fn nested_secession(
-        at: Duration,
-        g2: Vec<SiteId>,
-        then_at: Duration,
-        splinter: Vec<SiteId>,
-    ) -> LivePartition {
-        let remainder: Vec<SiteId> = g2.iter().copied().filter(|s| !splinter.contains(s)).collect();
-        Self::of(vec![
-            Self::episode(at, Some(then_at), vec![g2]),
-            Self::episode(then_at, None, vec![remainder, splinter]),
         ])
     }
 
@@ -178,13 +161,9 @@ pub enum Inbound<M> {
 
 #[derive(Debug)]
 enum Sched<M> {
-    /// The forward leg of a message. The flag marks a network-fabricated
-    /// duplicate: a ghost copy that hits the partition boundary vanishes
-    /// instead of bouncing, because the return-undeliverable service is
-    /// per *send* — a fabricated bounce would tell the sender its message
-    /// never arrived when the original was in fact delivered.
-    Deliver(Outbound<M>, bool),
-    /// The bounced return leg of an undeliverable message.
+    /// A message lands at its destination.
+    Deliver(Outbound<M>),
+    /// A message that hit the partition boundary is back at its sender.
     Bounce(Outbound<M>),
     /// Tell a site it crashed.
     Crash(SiteId),
@@ -213,6 +192,22 @@ impl<M> Ord for Scheduled<M> {
 impl<M> PartialOrd for Scheduled<M> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// The router's delay queue: entries due at a host-time instant, ties in
+/// scheduling order.
+struct Agenda<M> {
+    heap: BinaryHeap<Reverse<Scheduled<M>>>,
+    seq: u64,
+    started: Instant,
+}
+
+impl<M> Agenda<M> {
+    fn push(&mut self, at: SimTime, what: Sched<M>) {
+        self.seq += 1;
+        let due = self.started + Duration::from_nanos(at.0);
+        self.heap.push(Reverse(Scheduled { due, seq: self.seq, what }));
     }
 }
 
@@ -257,19 +252,48 @@ impl<M: Send + Clone + Tagged> Router<M> {
         host_time(now.duration_since(self.started))
     }
 
-    fn sample_delay(&self, rng: &mut SmallRng, at: SimTime) -> Duration {
+    /// One leg's delay for a send at `at`: uniform in `(T/10, T]`, or in
+    /// the degrade window covering `at`.
+    fn sample_delay(&self, rng: &mut SmallRng, at: SimTime) -> SimDuration {
         if let Some(w) = self.faults.degraded(at) {
-            return Duration::from_nanos(rng.gen_range(w.min..=w.max).max(1));
+            return SimDuration(rng.gen_range(w.min..=w.max).max(1));
         }
         let t = self.config.t.as_micros() as u64;
-        Duration::from_micros(rng.gen_range(t / 10..=t).max(1))
+        SimDuration(rng.gen_range(t / 10..=t).max(1) * 1000)
+    }
+
+    /// Schedules one copy of a message sent at `sent` and due to land at
+    /// `arrival`: its delivery, or — if the partition severs it on the way
+    /// ([`PartitionEngine::bounce_instant`]: at the wall if it was sent into
+    /// an open partition, at the cut if one opened mid-flight) — its return
+    /// to the sender one sampled leg after the bounce. A `ghost` (the
+    /// network's duplicate) that hits the wall vanishes instead: the
+    /// return-undeliverable service is per *send*, and a fabricated bounce
+    /// would tell the sender its message never arrived when the original
+    /// was in fact delivered.
+    fn route(
+        &self,
+        agenda: &mut Agenda<M>,
+        rng: &mut SmallRng,
+        out: Outbound<M>,
+        sent: SimTime,
+        arrival: SimTime,
+        ghost: bool,
+    ) {
+        match self.faults.partition.bounce_instant(out.src, out.dst, sent, arrival) {
+            None => agenda.push(arrival, Sched::Deliver(out)),
+            Some(_) if ghost => {}
+            Some(bounce_at) => {
+                let back = bounce_at + self.sample_delay(rng, sent);
+                agenda.push(back, Sched::Bounce(out));
+            }
+        }
     }
 
     /// Runs until every sender hangs up and the queue drains.
     pub fn run(self, inbox: Receiver<Outbound<M>>) {
         let mut rng = SmallRng::seed_from_u64(self.config.seed);
-        let mut queue: BinaryHeap<Reverse<Scheduled<M>>> = BinaryHeap::new();
-        let mut seq = 0u64;
+        let mut agenda = Agenda { heap: BinaryHeap::new(), seq: 0, started: self.started };
         let mut open = true;
         // Per-fault match ordinals for `EnvelopeMatch::nth`.
         let mut env_hits = vec![0u32; self.faults.env_faults.len()];
@@ -277,48 +301,23 @@ impl<M: Send + Clone + Tagged> Router<M> {
         // Crash/recover control messages are ordinary queue entries with
         // exact (unsampled) due instants.
         for f in &self.faults.failures {
-            seq += 1;
-            queue.push(Reverse(Scheduled {
-                due: self.started + Duration::from_nanos(f.at.0),
-                seq,
-                what: Sched::Crash(f.site),
-            }));
+            agenda.push(f.at, Sched::Crash(f.site));
             if let Some(r) = f.recover_at {
-                seq += 1;
-                queue.push(Reverse(Scheduled {
-                    due: self.started + Duration::from_nanos(r.0),
-                    seq,
-                    what: Sched::Recover(f.site),
-                }));
+                agenda.push(r, Sched::Recover(f.site));
             }
         }
 
         loop {
             // Drain whatever is due.
             let now = Instant::now();
-            while queue.peek().is_some_and(|Reverse(s)| s.due <= now) {
-                let Reverse(s) = queue.pop().expect("peeked");
+            while agenda.heap.peek().is_some_and(|Reverse(s)| s.due <= now) {
+                let Reverse(s) = agenda.heap.pop().expect("peeked");
                 let at = self.host_time(s.due);
                 match s.what {
-                    Sched::Deliver(out, ghost) => {
-                        if self.faults.down(out.src, at) || self.faults.down(out.dst, at) {
-                            // Message loss: a crashed endpoint neither sends
-                            // nor receives (mirrors the simulator).
-                        } else if !self.faults.partition.connected(out.src, out.dst, at) {
-                            // Hit the partition boundary: schedule the
-                            // optimistic return leg — unless this copy is a
-                            // ghost duplicate, which the network silently
-                            // loses (mirrors the simulator).
-                            if !ghost {
-                                let due = s.due + self.sample_delay(&mut rng, at);
-                                seq += 1;
-                                queue.push(Reverse(Scheduled {
-                                    due,
-                                    seq,
-                                    what: Sched::Bounce(out),
-                                }));
-                            }
-                        } else {
+                    // A crashed site receives nothing; what it sent before
+                    // crashing still lands (mirrors the simulator).
+                    Sched::Deliver(out) => {
+                        if !self.faults.down(out.dst, at) {
                             let _ = self.site_txs[out.dst.index()]
                                 .send(Inbound::Deliver { src: out.src, msg: out.msg });
                         }
@@ -340,54 +339,36 @@ impl<M: Send + Clone + Tagged> Router<M> {
                 }
             }
 
-            if !open && queue.is_empty() {
+            if !open && agenda.heap.is_empty() {
                 return;
             }
 
             // Wait for new traffic or the next due entry.
-            let timeout = queue
+            let timeout = agenda
+                .heap
                 .peek()
                 .map(|Reverse(s)| s.due.saturating_duration_since(Instant::now()))
                 .unwrap_or(Duration::from_millis(50));
             match inbox.recv_timeout(timeout) {
                 Ok(out) => {
-                    let now = Instant::now();
-                    let mut due = now + self.sample_delay(&mut rng, self.host_time(now));
-                    // Envelope faults are matched at send time, like the
-                    // simulator's `Core::send` hook.
-                    let mut dropped = false;
-                    let mut duplicate_at: Option<Instant> = None;
-                    for (i, fault) in self.faults.env_faults.iter().enumerate() {
-                        if !fault.matches.covers(out.msg.tag(), out.src, out.dst) {
-                            continue;
-                        }
-                        let ordinal = env_hits[i];
-                        env_hits[i] += 1;
-                        if fault.matches.nth.is_some_and(|n| n != ordinal) {
-                            continue;
-                        }
-                        match fault.action {
-                            EnvelopeAction::Drop => dropped = true,
-                            EnvelopeAction::Duplicate { after } => {
-                                duplicate_at = Some(due + Duration::from_nanos(after.0));
-                            }
-                            EnvelopeAction::Delay { by } => due += Duration::from_nanos(by.0),
-                        }
-                    }
-                    if dropped {
+                    // Everything about a send is decided now, as in the
+                    // simulator's `Core::send`: its delay, its envelope
+                    // faults, and whether the partition delivers or bounces
+                    // each copy.
+                    let sent = self.host_time(Instant::now());
+                    let arrival = sent + self.sample_delay(&mut rng, sent);
+                    let Some((extra, duplicate_after)) =
+                        self.faults.match_send(&mut env_hits, out.msg.tag(), out.src, out.dst)
+                    else {
                         continue;
+                    };
+                    let arrival = arrival + extra;
+                    let copy = duplicate_after
+                        .map(|after| (Outbound { msg: out.msg.clone(), ..out }, arrival + after));
+                    self.route(&mut agenda, &mut rng, out, sent, arrival, false);
+                    if let Some((copy, at)) = copy {
+                        self.route(&mut agenda, &mut rng, copy, sent, at, true);
                     }
-                    if let Some(dup_due) = duplicate_at {
-                        let clone = Outbound { src: out.src, dst: out.dst, msg: out.msg.clone() };
-                        seq += 1;
-                        queue.push(Reverse(Scheduled {
-                            due: dup_due,
-                            seq,
-                            what: Sched::Deliver(clone, true),
-                        }));
-                    }
-                    seq += 1;
-                    queue.push(Reverse(Scheduled { due, seq, what: Sched::Deliver(out, false) }));
                 }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => open = false,
@@ -460,32 +441,101 @@ mod tests {
     }
 
     #[test]
-    fn multi_way_keeps_the_unlisted_sites_together() {
-        let p = LivePartition::multi_way(ms(10), vec![vec![s(1)], vec![s(2)]]).complete(4);
-        let now = host_time(ms(20));
-        assert!(!p.connected(s(1), s(2), now));
-        assert!(!p.connected(s(0), s(1), now));
-        // Unlisted sites share the rest group.
-        assert!(p.connected(s(0), s(3), now));
-    }
-
-    #[test]
-    fn nested_secession_splits_the_splinter() {
-        let p = LivePartition::nested_secession(ms(10), vec![s(2), s(3)], ms(30), vec![s(3)])
-            .complete(5);
-        let at = |v| host_time(ms(v));
-        assert!(p.connected(s(2), s(3), at(20)), "still one seceded group");
-        assert!(!p.connected(s(2), s(3), at(30)), "splinter seceded again, at the boundary");
-        assert!(!p.connected(s(0), s(2), at(40)));
-        // The rest group is whoever neither episode lists, both times.
-        assert!(p.connected(s(0), s(4), at(20)));
-        assert!(p.connected(s(1), s(4), at(40)));
-    }
-
-    #[test]
     #[should_panic(expected = "overlap")]
     fn overlapping_episodes_rejected() {
         let _ = LivePartition::split_heal_resplit(vec![s(1)], ms(10), ms(40), vec![s(2)], ms(30));
+    }
+
+    /// A payload for router tests: a numbered ping.
+    #[derive(Debug, Clone)]
+    struct Ping(u32);
+
+    impl Tagged for Ping {
+        fn tag(&self) -> &'static str {
+            "ping"
+        }
+    }
+
+    /// Routes `pings` numbered pings from site 0 to site 1 under `faults` at
+    /// T = 1 ms, lets the router drain, and returns what each site received.
+    fn exchange(faults: FaultPlan, pings: u32) -> [Vec<(&'static str, u32)>; 2] {
+        use std::sync::mpsc;
+        let (tx0, rx0) = mpsc::channel();
+        let (tx1, rx1) = mpsc::channel();
+        let router =
+            Router::with_plan(LiveConfig::with_t(ms(1)), faults, vec![tx0, tx1], Instant::now());
+        let (inbox_tx, inbox) = mpsc::channel();
+        let handle = std::thread::spawn(move || router.run(inbox));
+        for i in 0..pings {
+            inbox_tx.send(Outbound { src: s(0), dst: s(1), msg: Ping(i) }).expect("router alive");
+        }
+        drop(inbox_tx);
+        handle.join().expect("router thread");
+        let log = |rx: Receiver<Inbound<Ping>>| {
+            rx.try_iter()
+                .map(|got| match got {
+                    Inbound::Deliver { msg, .. } => ("delivered", msg.0),
+                    Inbound::Undeliverable { msg, .. } => ("returned", msg.0),
+                    Inbound::Crash => ("crash", 0),
+                    Inbound::Recover => ("recover", 0),
+                    Inbound::Shutdown => ("shutdown", 0),
+                })
+                .collect()
+        };
+        [log(rx0), log(rx1)]
+    }
+
+    fn env_faults(env_faults: Vec<ptp_simnet::EnvelopeFault>) -> FaultPlan {
+        FaultPlan { env_faults, ..FaultPlan::default() }
+    }
+
+    #[test]
+    fn a_send_into_an_open_partition_comes_back_though_it_heals_first() {
+        // The ping leaves while {0} | {1} is open and is delayed to land 50 ms
+        // after the heal: it hit the wall at send time, so it bounces (the
+        // simulator's rule), rather than being judged at its arrival.
+        use ptp_simnet::{EnvelopeFault, EnvelopeMatch};
+        let split = PartitionSpec::transient(SimTime(0), vec![s(0)], vec![s(1)], host_time(ms(50)));
+        let mut faults = env_faults(vec![EnvelopeFault::delay(
+            EnvelopeMatch::kind("ping"),
+            SimDuration(ms(100).as_nanos() as u64),
+        )]);
+        faults.partition = PartitionEngine::new(vec![split]);
+        let [master, slave] = exchange(faults, 1);
+        assert_eq!(master, [("returned", 0)]);
+        assert!(slave.is_empty(), "{slave:?}");
+    }
+
+    #[test]
+    fn a_dropped_send_is_not_counted_by_later_faults() {
+        // [drop nth 0, duplicate nth 0]: the first ping is dropped before the
+        // duplicate sees it, so the second ping is the duplicate's 0th and
+        // lands twice.
+        use ptp_simnet::{EnvelopeFault, EnvelopeMatch};
+        let ping = || EnvelopeMatch::kind("ping");
+        let faults = env_faults(vec![
+            EnvelopeFault::drop(ping().nth(0)),
+            EnvelopeFault::duplicate(ping().nth(0), SimDuration(ms(20).as_nanos() as u64)),
+        ]);
+        let [master, slave] = exchange(faults, 2);
+        assert!(master.is_empty(), "{master:?}");
+        assert_eq!(slave, [("delivered", 1), ("delivered", 1)]);
+    }
+
+    #[test]
+    fn a_send_made_before_its_sender_crashes_still_lands() {
+        // Site 0 crashes 20 ms in; its ping, sent at once and delayed to land
+        // 60 ms in, is on the wire and arrives (the simulator drops only at a
+        // down receiver).
+        use ptp_simnet::{EnvelopeFault, EnvelopeMatch};
+        let mut faults = env_faults(vec![EnvelopeFault::delay(
+            EnvelopeMatch::kind("ping"),
+            SimDuration(ms(60).as_nanos() as u64),
+        )]);
+        faults.failures.push(FailureSpec::crash(s(0), host_time(ms(20))));
+        let [master, slave] = exchange(faults, 1);
+        assert_eq!(master, [("crash", 0)]);
+        assert_eq!(slave, [("delivered", 0)]);
     }
 
     #[test]

@@ -1,20 +1,19 @@
-//! Convenience constructors: full clusters (master + slaves) for every
-//! protocol in the suite.
+//! The clusters the roster ([`crate::kind::ProtocolKind`]) does not name.
 //!
-//! The `*_cluster_any` constructors return [`Vec<AnyParticipant>`] — one
-//! flat allocation, enum-dispatched — and are what
-//! [`crate::runner::ClusterRunner`] / `ptp_core::Session` consume.
-//! [`huang_li_3pc_cluster`] is the one boxed form left, for embeddings that
-//! want trait objects (`ptp-livenet`'s protocol harness).
+//! Every protocol kind's sites come from [`ProtocolKind::builder`] /
+//! [`ProtocolKind::cluster`]. What is left here is what no kind describes:
+//! [`fsa_cluster_any`] interprets any spec under any augmentation (Lemma 3's
+//! 4096 of them), [`huang_li_3pc_cluster_with_timing_any`] stretches the
+//! paper's timer constants (Fig. 5), and [`huang_li_3pc_cluster`] boxes the
+//! paper's protocol for embeddings that want trait objects.
 
 use crate::api::{Participant, Vote};
 use crate::dispatch::AnyParticipant;
 use crate::interp::FsaParticipant;
+use crate::kind::ProtocolKind;
 use crate::termination::{
     PhasePlan, ProtocolTiming, TerminationMaster, TerminationSlave, TerminationVariant,
 };
-use ptp_model::protocols::{extended_two_phase, three_phase, two_phase};
-use ptp_model::rules::derive_rules_augmentation;
 use ptp_model::{Augmentation, ProtocolSpec};
 use ptp_simnet::SiteId;
 use std::sync::Arc;
@@ -36,80 +35,18 @@ pub fn fsa_cluster_any(
         .collect()
 }
 
-/// Fig. 1: plain 2PC with no timeout/UD transitions — blocks under
-/// partition and even under a silent master stop.
-pub fn plain_2pc_cluster_any(n: usize, votes: &[Vote]) -> Vec<AnyParticipant> {
-    fsa_cluster_any(two_phase(n), votes, None)
-}
-
-/// Fig. 2: extended 2PC. The base protocol is 2PC with a decision-ack
-/// phase; the timeout/UD augmentation is derived by Rule (a)/(b) **at
-/// `n = 2`** (where Skeen & Stonebraker proved the rules sufficient) and
-/// applied per state name at any `n` — exactly the protocol the paper's
-/// Sec. 3 observation breaks at `n = 3`.
-pub fn extended_2pc_cluster_any(n: usize, votes: &[Vote]) -> Vec<AnyParticipant> {
-    let augmentation = derive_rules_augmentation(&extended_two_phase(2)).augmentation;
-    fsa_cluster_any(extended_two_phase(n), votes, Some(augmentation))
-}
-
-/// The Sec. 3 "naive" baseline: 3PC augmented with Rule (a)/(b) timeout and
-/// UD transitions derived at the *actual* `n` — still not resilient
-/// (Lemma 3), as experiments E3/E5 demonstrate.
-pub fn naive_augmented_3pc_cluster_any(n: usize, votes: &[Vote]) -> Vec<AnyParticipant> {
-    let spec = three_phase(n);
-    let augmentation = derive_rules_augmentation(&spec).augmentation;
-    fsa_cluster_any(spec, votes, Some(augmentation))
-}
-
-/// Fig. 3: plain 3PC (no termination protocol) — nonblocking for site
-/// failures but not partition-resilient.
-pub fn plain_3pc_cluster_any(n: usize, votes: &[Vote]) -> Vec<AnyParticipant> {
-    fsa_cluster_any(three_phase(n), votes, None)
-}
-
-/// The paper's protocol: modified 3PC (Fig. 8) with the Huang–Li
-/// termination protocol (Sec. 5.3), in the chosen variant.
-pub fn huang_li_3pc_cluster_any(
-    n: usize,
-    votes: &[Vote],
-    variant: TerminationVariant,
-) -> Vec<AnyParticipant> {
-    termination_cluster_any(&PhasePlan::three_phase(), n, votes, variant)
-}
-
-/// Boxed form of [`huang_li_3pc_cluster_any`].
+/// The paper's protocol (modified 3PC with the termination protocol, in
+/// `variant`) as boxed trait objects: [`ProtocolKind::cluster`], boxed.
 pub fn huang_li_3pc_cluster(
     n: usize,
     votes: &[Vote],
     variant: TerminationVariant,
 ) -> Vec<Box<dyn Participant>> {
-    huang_li_3pc_cluster_any(n, votes, variant).into_iter().map(AnyParticipant::boxed).collect()
-}
-
-/// Theorem 10 exercise: the four-phase protocol with its generated
-/// termination protocol.
-pub fn huang_li_4pc_cluster_any(
-    n: usize,
-    votes: &[Vote],
-    variant: TerminationVariant,
-) -> Vec<AnyParticipant> {
-    termination_cluster_any(&PhasePlan::four_phase(), n, votes, variant)
-}
-
-/// Builds a full cluster (master + `n - 1` slaves) running the termination
-/// protocol over `plan`.
-pub fn termination_cluster_any(
-    plan: &PhasePlan,
-    n: usize,
-    votes: &[Vote],
-    variant: TerminationVariant,
-) -> Vec<AnyParticipant> {
-    assert_eq!(votes.len(), n - 1, "one vote per slave");
-    let mut parts: Vec<AnyParticipant> = vec![TerminationMaster::new(plan.clone(), n).into()];
-    for (i, &vote) in votes.iter().enumerate() {
-        parts.push(TerminationSlave::new(plan.clone(), SiteId(i as u16 + 1), vote, variant).into());
-    }
-    parts
+    let kind = match variant {
+        TerminationVariant::Transient => ProtocolKind::HuangLi3pc,
+        TerminationVariant::Static => ProtocolKind::HuangLi3pcStatic,
+    };
+    kind.cluster(n, votes).into_iter().map(AnyParticipant::boxed).collect()
 }
 
 /// The paper's protocol with non-default timer constants — used by the
@@ -147,57 +84,8 @@ mod tests {
     use crate::runner::run_protocol;
     use ptp_simnet::{DelayModel, NetConfig, PartitionEngine};
 
-    fn run_failure_free(parts: Vec<AnyParticipant>) -> Verdict {
-        let run = run_protocol(
-            parts,
-            NetConfig::default(),
-            PartitionEngine::always_connected(),
-            &DelayModel::Fixed(400),
-        );
-        Verdict::judge(&run.outcomes)
-    }
-
-    #[test]
-    fn every_cluster_commits_failure_free() {
-        let n = 4;
-        let votes = [Vote::Yes; 3];
-        assert_eq!(run_failure_free(plain_2pc_cluster_any(n, &votes)), Verdict::AllCommit);
-        assert_eq!(run_failure_free(extended_2pc_cluster_any(n, &votes)), Verdict::AllCommit);
-        assert_eq!(
-            run_failure_free(naive_augmented_3pc_cluster_any(n, &votes)),
-            Verdict::AllCommit
-        );
-        assert_eq!(run_failure_free(plain_3pc_cluster_any(n, &votes)), Verdict::AllCommit);
-        assert_eq!(
-            run_failure_free(huang_li_3pc_cluster_any(n, &votes, TerminationVariant::Transient)),
-            Verdict::AllCommit
-        );
-        assert_eq!(
-            run_failure_free(huang_li_4pc_cluster_any(n, &votes, TerminationVariant::Transient)),
-            Verdict::AllCommit
-        );
-    }
-
-    #[test]
-    fn every_cluster_aborts_on_a_no_vote() {
-        let n = 3;
-        let votes = [Vote::Yes, Vote::No];
-        assert_eq!(run_failure_free(plain_2pc_cluster_any(n, &votes)), Verdict::AllAbort);
-        assert_eq!(run_failure_free(extended_2pc_cluster_any(n, &votes)), Verdict::AllAbort);
-        assert_eq!(run_failure_free(plain_3pc_cluster_any(n, &votes)), Verdict::AllAbort);
-        assert_eq!(
-            run_failure_free(huang_li_3pc_cluster_any(n, &votes, TerminationVariant::Transient)),
-            Verdict::AllAbort
-        );
-        assert_eq!(
-            run_failure_free(huang_li_4pc_cluster_any(n, &votes, TerminationVariant::Transient)),
-            Verdict::AllAbort
-        );
-    }
-
     #[test]
     fn stretched_timers_and_skewed_links_stay_atomic_under_partition() {
-        use crate::termination::ProtocolTiming;
         use ptp_simnet::{PartitionSpec, SimTime};
         let generous =
             ProtocolTiming { master_proto: 4, slave_proto: 6, collect: 10, w_wait: 12, p_wait: 10 };
@@ -229,10 +117,52 @@ mod tests {
     }
 
     #[test]
-    fn boxed_constructors_delegate() {
+    fn default_timing_is_the_rosters_cluster() {
+        // With the paper's constants the stretched-timer cluster is the
+        // roster's HL-3PC, run for run.
+        let split = ptp_simnet::PartitionSpec::simple(
+            ptp_simnet::SimTime(2500),
+            vec![SiteId(0), SiteId(1)],
+            vec![SiteId(2), SiteId(3)],
+        );
+        let run = |parts: Vec<AnyParticipant>| {
+            let faults = PartitionEngine::new(vec![split.clone()]);
+            run_protocol(parts, NetConfig::default(), faults, &DelayModel::Fixed(900))
+        };
+        let votes = [Vote::Yes; 3];
+        let timed = run(huang_li_3pc_cluster_with_timing_any(
+            4,
+            &votes,
+            TerminationVariant::Transient,
+            ProtocolTiming::default(),
+        ));
+        let roster = run(ProtocolKind::HuangLi3pc.cluster(4, &votes));
+        assert_eq!(timed.outcomes, roster.outcomes);
+        assert_eq!(timed.trace.events(), roster.trace.events());
+    }
+
+    #[test]
+    fn boxed_cluster_is_the_rosters_in_either_variant() {
         let parts = huang_li_3pc_cluster(4, &[Vote::Yes; 3], TerminationVariant::Transient);
         assert_eq!(parts.len(), 4);
         assert_eq!(parts[0].state_name(), "w1");
         assert_eq!(parts[1].state_name(), "q");
+        let run = |parts: Vec<Box<dyn Participant>>| {
+            let split = ptp_simnet::PartitionSpec::simple(
+                ptp_simnet::SimTime(2500),
+                vec![SiteId(0), SiteId(1)],
+                vec![SiteId(2)],
+            );
+            let faults = PartitionEngine::new(vec![split]);
+            run_protocol(parts, NetConfig::default(), faults, &DelayModel::Fixed(900)).outcomes
+        };
+        for (variant, kind) in [
+            (TerminationVariant::Transient, ProtocolKind::HuangLi3pc),
+            (TerminationVariant::Static, ProtocolKind::HuangLi3pcStatic),
+        ] {
+            let boxed = huang_li_3pc_cluster(3, &[Vote::Yes; 2], variant);
+            let roster = kind.cluster(3, &[Vote::Yes; 2]).into_iter().map(AnyParticipant::boxed);
+            assert_eq!(run(boxed), run(roster.collect()), "{variant:?}");
+        }
     }
 }

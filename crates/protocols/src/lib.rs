@@ -16,27 +16,28 @@
 //! * **Quorum commit** ([`quorum`]): the Skeen 1982 baseline that blocks in
 //!   minority partitions.
 //!
-//! [`clusters`] builds ready-to-run site vectors — the `*_cluster_any`
-//! constructors return flat, enum-dispatched [`AnyParticipant`] vectors
-//! (see [`dispatch`]); [`runner::ClusterRunner`] is the reusable execution
-//! harness (`ptp_core::Session` wraps it); [`options::RunOptions`] types
-//! the per-run choices (trace retention, horizon);
-//! [`runner::run_protocol`] / [`runner::run_protocol_opts`] are the
-//! one-shot conveniences; [`outcome::Verdict`] judges atomicity and
-//! blocking.
+//! [`kind::ProtocolKind`] is the protocol roster: the one place that builds
+//! a protocol's sites ([`ProtocolKind::builder`] for one site of any group
+//! size, [`ProtocolKind::cluster`] for a whole flat, enum-dispatched
+//! [`AnyParticipant`] vector — see [`dispatch`]), for the simulator, the
+//! database and the tests alike; [`clusters`] keeps the few clusters no
+//! kind names (any FSA augmentation, stretched timers, a boxed form).
+//! [`runner::ClusterRunner`] is the reusable execution harness
+//! (`ptp_core::Session` wraps it); [`options::RunOptions`] says whether a
+//! run records its trace; [`runner::run_protocol`] /
+//! [`runner::run_protocol_opts`] are the one-shot conveniences;
+//! [`outcome::Verdict`] judges atomicity and blocking.
 //!
 //! ```
-//! use ptp_protocols::clusters::huang_li_3pc_cluster_any;
-//! use ptp_protocols::termination::TerminationVariant;
 //! use ptp_protocols::api::Vote;
 //! use ptp_protocols::outcome::Verdict;
 //! use ptp_protocols::runner::ClusterRunner;
-//! use ptp_protocols::RunOptions;
+//! use ptp_protocols::{ProtocolKind, RunOptions};
 //! use ptp_simnet::{DelayModel, NetConfig, SimTime, SiteId};
 //!
 //! // Three sites, built once; the runner replays them through any number
 //! // of partition scenarios, reusing every buffer.
-//! let cluster = huang_li_3pc_cluster_any(3, &[Vote::Yes; 2], TerminationVariant::Transient);
+//! let cluster = ProtocolKind::HuangLi3pc.cluster(3, &[Vote::Yes; 2]);
 //! let mut runner = ClusterRunner::new(cluster);
 //! for at in [1500u64, 2500, 3500] {
 //!     runner.reset(&[Vote::Yes; 2]);
@@ -57,6 +58,7 @@ pub mod api;
 pub mod clusters;
 pub mod dispatch;
 pub mod interp;
+pub mod kind;
 pub mod options;
 pub mod outcome;
 pub mod quorum;
@@ -66,6 +68,7 @@ pub mod timing;
 
 pub use api::{Action, CommitMsg, Participant, TimerTag, Vote};
 pub use dispatch::AnyParticipant;
+pub use kind::{ProtocolKind, SiteBuilder};
 pub use options::RunOptions;
 pub use outcome::{SiteOutcome, Verdict};
 pub use quorum::{QuorumConfig, QuorumTuning};

@@ -1,24 +1,20 @@
 //! Typed execution options.
 //!
-//! [`RunOptions`] says how a run is *observed and bounded* — whether it
-//! records a trace, its horizon — in a self-describing builder that the
-//! whole stack ([`crate::runner::ClusterRunner`], `ptp_core::Session`,
-//! `run_scenario`, `sweep`) shares. What is *injected* into a run is not an option: it is
-//! the run's [`ptp_simnet::FaultPlan`].
-
-use ptp_simnet::{NetConfig, SimTime};
+//! [`RunOptions`] says how a run is *observed* — whether it records a trace
+//! — in a self-describing value that the whole stack
+//! ([`crate::runner::ClusterRunner`], `ptp_core::Session`, `run_scenario`,
+//! `sweep`) shares. What bounds a run is its `NetConfig::max_time` (a
+//! scenario's `horizon_t`), and what is *injected* into it is not an option
+//! either: it is the run's [`ptp_simnet::FaultPlan`].
 
 /// Typed options for one protocol run.
 ///
-/// The default is the verdict-oriented fast path: no trace, the caller's
-/// horizon. Build variations fluently:
+/// The default is the verdict-oriented fast path: no trace.
 ///
 /// ```
 /// use ptp_protocols::options::RunOptions;
 ///
-/// let opts = RunOptions::recording().horizon_t(50);
-/// assert!(opts.record);
-/// assert_eq!(opts.horizon_t, Some(50));
+/// assert!(RunOptions::recording().record);
 /// assert!(!RunOptions::default().record);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -30,9 +26,6 @@ pub struct RunOptions {
     /// to a recorded run, but no per-event allocation happens. Off is the
     /// sweep hot path and the default.
     pub record: bool,
-    /// Horizon override in units of `T`; `None` keeps the configured
-    /// horizon.
-    pub horizon_t: Option<u64>,
 }
 
 impl RunOptions {
@@ -43,47 +36,6 @@ impl RunOptions {
 
     /// Options with full trace recording.
     pub fn recording() -> RunOptions {
-        RunOptions { record: true, ..RunOptions::default() }
-    }
-
-    /// Overrides the simulation horizon to `horizon_t * T`.
-    pub fn horizon_t(mut self, horizon_t: u64) -> RunOptions {
-        self.horizon_t = Some(horizon_t);
-        self
-    }
-
-    /// Applies the horizon override to a network configuration.
-    pub fn apply_horizon(&self, mut config: NetConfig) -> NetConfig {
-        if let Some(h) = self.horizon_t {
-            config.max_time = SimTime(config.t_unit.saturating_mul(h));
-        }
-        config
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    #[test]
-    fn default_is_counters_only() {
-        let o = RunOptions::default();
-        assert!(!o.record);
-        assert_eq!(o.horizon_t, None);
-    }
-
-    #[test]
-    fn builder_composes() {
-        let o = RunOptions::recording().horizon_t(7);
-        assert!(o.record);
-        assert_eq!(o.horizon_t, Some(7));
-    }
-
-    #[test]
-    fn horizon_override_rewrites_max_time() {
-        let cfg = NetConfig { t_unit: 1000, ..NetConfig::default() };
-        let out = RunOptions::new().horizon_t(3).apply_horizon(cfg);
-        assert_eq!(out.max_time, SimTime(3000));
-        let unchanged = RunOptions::new().apply_horizon(cfg);
-        assert_eq!(unchanged.max_time, cfg.max_time);
+        RunOptions { record: true }
     }
 }

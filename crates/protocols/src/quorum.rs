@@ -140,7 +140,7 @@ impl QuorumTuning {
         QuorumTuning { piggyback: false, early_resolve: false, backoff: false }
     }
 
-    /// All rewrites on — what [`quorum_cluster_any`] builds.
+    /// All rewrites on — what [`crate::ProtocolKind::QuorumMajority`] builds.
     pub fn optimized() -> QuorumTuning {
         QuorumTuning { piggyback: true, early_resolve: true, backoff: true }
     }
@@ -575,17 +575,6 @@ impl Participant for QuorumSite {
         self.decided = None;
         self.blocked_noted = false;
     }
-}
-
-/// Builds an enum-dispatched quorum-commit cluster of `n` sites.
-pub fn quorum_cluster_any(cfg: QuorumConfig, votes: &[Vote]) -> Vec<crate::AnyParticipant> {
-    assert_eq!(votes.len(), cfg.n - 1);
-    let mut parts: Vec<crate::AnyParticipant> =
-        vec![QuorumSite::new(cfg, SiteId(0), Vote::Yes).into()];
-    for (i, &v) in votes.iter().enumerate() {
-        parts.push(QuorumSite::new(cfg, SiteId(i as u16 + 1), v).into());
-    }
-    parts
 }
 
 #[cfg(test)]

@@ -155,15 +155,13 @@ pub struct ProtocolRun {
 /// A reusable protocol-execution harness: build once, run many scenarios.
 ///
 /// ```
-/// use ptp_protocols::clusters::huang_li_3pc_cluster_any;
+/// use ptp_protocols::api::Vote;
 /// use ptp_protocols::options::RunOptions;
 /// use ptp_protocols::runner::ClusterRunner;
-/// use ptp_protocols::termination::TerminationVariant;
-/// use ptp_protocols::api::Vote;
-/// use ptp_protocols::Verdict;
+/// use ptp_protocols::{ProtocolKind, Verdict};
 /// use ptp_simnet::{DelayModel, NetConfig, SimTime, SiteId};
 ///
-/// let cluster = huang_li_3pc_cluster_any(3, &[Vote::Yes; 2], TerminationVariant::Transient);
+/// let cluster = ProtocolKind::HuangLi3pc.cluster(3, &[Vote::Yes; 2]);
 /// let mut runner = ClusterRunner::new(cluster);
 /// for at in [0u64, 1500, 2500, 4500] {
 ///     runner.reset(&[Vote::Yes; 2]);
@@ -266,8 +264,8 @@ impl<P: Participant> ClusterRunner<P> {
     /// engine uses.
     ///
     /// The caller is responsible for having [`ClusterRunner::reset`] the
-    /// participants and written the fault plan; any horizon override must
-    /// already be folded into `config` (see [`RunOptions::apply_horizon`]).
+    /// participants and written the fault plan; `config.max_time` is the
+    /// horizon.
     pub fn run_borrowed(
         &mut self,
         config: NetConfig,
@@ -297,7 +295,6 @@ impl<P: Participant> ClusterRunner<P> {
         delay: &DelayModel,
         options: &RunOptions,
     ) -> ProtocolRun {
-        let config = options.apply_horizon(config);
         let (outcomes, trace, report) = self.run_borrowed(config, delay, options.record);
         ProtocolRun { outcomes: outcomes.to_vec(), trace, report }
     }
@@ -483,25 +480,6 @@ mod tests {
         }
     }
 
-    /// The cluster of every protocol kind the suite runs (`ptp_core`'s
-    /// `ProtocolKind::ALL`), all voting yes.
-    fn every_kind(n: usize) -> Vec<(&'static str, Vec<crate::AnyParticipant>)> {
-        use crate::clusters::*;
-        use crate::quorum::{quorum_cluster_any, QuorumConfig};
-        use crate::termination::TerminationVariant::{Static, Transient};
-        let yes = vec![Vote::Yes; n - 1];
-        vec![
-            ("2PC", plain_2pc_cluster_any(n, &yes)),
-            ("E2PC", extended_2pc_cluster_any(n, &yes)),
-            ("3PC", plain_3pc_cluster_any(n, &yes)),
-            ("naive-3PC", naive_augmented_3pc_cluster_any(n, &yes)),
-            ("HL-3PC", huang_li_3pc_cluster_any(n, &yes, Transient)),
-            ("HL-3PC-static", huang_li_3pc_cluster_any(n, &yes, Static)),
-            ("HL-4PC", huang_li_4pc_cluster_any(n, &yes, Transient)),
-            ("quorum", quorum_cluster_any(QuorumConfig::majority(n), &yes)),
-        ]
-    }
-
     #[test]
     fn profile_total_counts_every_dispatch_and_leaves_the_run_alone() {
         const N: usize = 4;
@@ -519,9 +497,10 @@ mod tests {
             }
             runner.run(NetConfig::default(), &delay, &RunOptions::recording())
         };
-        for ((name, cluster), (_, twin)) in every_kind(N).into_iter().zip(every_kind(N)) {
-            let mut plain = ClusterRunner::new(cluster);
-            let mut profiled = ClusterRunner::new(twin);
+        for kind in crate::ProtocolKind::ALL {
+            let name = kind.name();
+            let mut plain = ClusterRunner::new(kind.cluster(N, &[Vote::Yes; N - 1]));
+            let mut profiled = ClusterRunner::new(kind.cluster(N, &[Vote::Yes; N - 1]));
             profiled.set_profiling(true);
             // A clean run, and one whose split at T / 2 bounces messages.
             for split in [None, Some(SimTime(500))] {
@@ -556,24 +535,5 @@ mod tests {
         prof.reset(&[Vote::Yes, Vote::Yes]);
         prof.run(NetConfig::default(), &DelayModel::Fixed(300), &RunOptions::new());
         assert!(prof.take_profile().is_empty());
-    }
-
-    #[test]
-    fn options_horizon_cuts_the_run_short() {
-        // A partitioned bare 2PC quiesces late; a 1T horizon must stop it.
-        let parts = two_pc_parts(&[Vote::Yes, Vote::Yes]);
-        let partition = PartitionEngine::new(vec![PartitionSpec::simple(
-            SimTime(0),
-            vec![SiteId(0), SiteId(1)],
-            vec![SiteId(2)],
-        )]);
-        let run = run_protocol_opts(
-            parts,
-            NetConfig::default(),
-            partition,
-            &DelayModel::Fixed(1000),
-            &RunOptions::new().horizon_t(1),
-        );
-        assert!(run.report.ended_at <= SimTime(1000));
     }
 }

@@ -950,17 +950,6 @@ mod tests {
     }
 
     #[test]
-    fn cluster_builder_counts() {
-        let parts = crate::clusters::termination_cluster_any(
-            &PhasePlan::three_phase(),
-            4,
-            &[Vote::Yes; 3],
-            TerminationVariant::Transient,
-        );
-        assert_eq!(parts.len(), 4);
-    }
-
-    #[test]
     #[should_panic(expected = "decisive round")]
     fn decisive_zero_rejected() {
         let plan = PhasePlan {

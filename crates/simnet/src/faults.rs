@@ -80,6 +80,43 @@ impl FaultPlan {
         self.degrades.iter().find(|w| w.covers(now))
     }
 
+    /// What the envelope faults do to one send of `kind` from `src` to
+    /// `dst`: `None` if a `Drop` took it, else the extra delay every
+    /// matched `Delay` adds and, if a `Duplicate` matched (the last one
+    /// wins), how long after the fully delayed arrival the network's copy
+    /// lands. `hits` counts, per fault, the sends its field filters matched
+    /// so far — the ordinals [`crate::EnvelopeMatch::nth`] selects — and
+    /// must be as long as `env_faults`. A drop ends the scan: later faults
+    /// never see a send that never left. The simulator and the live router
+    /// both call this, so a plan's envelope faults mean one thing on both.
+    #[inline]
+    pub fn match_send(
+        &self,
+        hits: &mut [u32],
+        kind: &'static str,
+        src: SiteId,
+        dst: SiteId,
+    ) -> Option<(SimDuration, Option<SimDuration>)> {
+        let mut delay = SimDuration::ZERO;
+        let mut duplicate_after = None;
+        for (fault, hit) in self.env_faults.iter().zip(hits) {
+            if !fault.matches.covers(kind, src, dst) {
+                continue;
+            }
+            let ordinal = *hit;
+            *hit += 1;
+            if fault.matches.nth.is_some_and(|n| n != ordinal) {
+                continue;
+            }
+            match fault.action {
+                EnvelopeAction::Drop => return None,
+                EnvelopeAction::Duplicate { after } => duplicate_after = Some(after),
+                EnvelopeAction::Delay { by } => delay = delay + by,
+            }
+        }
+        Some((delay, duplicate_after))
+    }
+
     /// The same plan with every instant and duration mapped `x ↦ x · num /
     /// den` (rounding down) — the one rule that moves a plan between host
     /// clocks. A timeline in ticks at `t_unit` ticks per `T` becomes a
@@ -173,6 +210,57 @@ mod tests {
         assert!(p.degraded(SimTime(99)).is_none());
         assert!(p.degraded(SimTime(100)).is_some());
         assert!(p.degraded(SimTime(300)).is_none());
+    }
+
+    #[test]
+    fn match_send_stops_at_a_drop_and_times_a_duplicate_after_every_delay() {
+        let ping = || EnvelopeMatch::kind("ping");
+        let (a, b) = (s(0), s(1));
+        // [drop nth 0, duplicate nth 0]: the dropped first ping never
+        // reaches the duplicate's ordinal count, so the second ping is the
+        // duplicate's 0th and goes out twice.
+        let plan = FaultPlan {
+            env_faults: vec![
+                EnvelopeFault::drop(ping().nth(0)),
+                EnvelopeFault::duplicate(ping().nth(0), SimDuration(7)),
+            ],
+            ..FaultPlan::default()
+        };
+        let mut hits = vec![0; plan.env_faults.len()];
+        assert_eq!(plan.match_send(&mut hits, "ping", a, b), None);
+        assert_eq!(hits, [1, 0], "the drop ended the scan");
+        assert_eq!(
+            plan.match_send(&mut hits, "ping", a, b),
+            Some((SimDuration::ZERO, Some(SimDuration(7))))
+        );
+        assert_eq!(plan.match_send(&mut hits, "pong", b, a), Some((SimDuration::ZERO, None)));
+        assert_eq!(hits, [2, 1]);
+
+        // A duplicate and two delays, in either declaration order: every
+        // delay adds up, and the copy's offset is reported apart from them,
+        // so it lands `after` the fully delayed arrival.
+        let dup = EnvelopeFault::duplicate(ping(), SimDuration(40));
+        let delays = [
+            EnvelopeFault::delay(ping(), SimDuration(500)),
+            EnvelopeFault::delay(ping(), SimDuration(5)),
+        ];
+        for env_faults in [
+            vec![dup, delays[0], delays[1]],
+            vec![delays[0], dup, delays[1]],
+            vec![delays[0], delays[1], dup],
+        ] {
+            let plan = FaultPlan { env_faults, ..FaultPlan::default() };
+            let mut hits = vec![0; 3];
+            assert_eq!(
+                plan.match_send(&mut hits, "ping", a, b),
+                Some((SimDuration(505), Some(SimDuration(40))))
+            );
+        }
+        // No faults: nothing to do and nothing counted.
+        assert_eq!(
+            FaultPlan::default().match_send(&mut [], "ping", a, b),
+            Some((SimDuration::ZERO, None))
+        );
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //!
 //! let sim = Simulation::new(
 //!     NetConfig::default(),
-//!     vec![Box::new(Greeter), Box::new(Greeter)],
+//!     vec![Greeter, Greeter],
 //!     PartitionEngine::always_connected(),
 //!     &DelayModel::Fixed(500),
 //! );

@@ -1,7 +1,6 @@
 //! The simulation engine: actors, contexts, and the event loop.
 
 use crate::delay::{DelayModel, DelaySampler, Leg};
-use crate::envfault::EnvelopeAction;
 use crate::event::{EventKind, EventQueue};
 use crate::faults::FaultPlan;
 use crate::message::{Envelope, MsgId, SiteId};
@@ -88,40 +87,6 @@ pub trait Actor<P: Payload> {
 
     /// The site recovered from a crash.
     fn on_recover(&mut self, _ctx: &mut Ctx<'_, P>) {}
-
-    /// Optional downcasting hook so callers can inspect concrete actor
-    /// state after [`Simulation::run`] returns the actors. Implementations
-    /// that want to be inspected return `Some(self)`.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
-    }
-}
-
-/// Boxed actors act by delegation, so `Simulation` can be used both with
-/// heterogeneous `Vec<Box<dyn Actor<P>>>` clusters (the historical API) and
-/// with statically dispatched actor vectors.
-impl<P: Payload, A: Actor<P> + ?Sized> Actor<P> for Box<A> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, P>) {
-        (**self).on_start(ctx);
-    }
-    fn on_message(&mut self, env: Envelope<P>, ctx: &mut Ctx<'_, P>) {
-        (**self).on_message(env, ctx);
-    }
-    fn on_undeliverable(&mut self, env: Envelope<P>, ctx: &mut Ctx<'_, P>) {
-        (**self).on_undeliverable(env, ctx);
-    }
-    fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, P>) {
-        (**self).on_timer(tag, ctx);
-    }
-    fn on_crash(&mut self, ctx: &mut Ctx<'_, P>) {
-        (**self).on_crash(ctx);
-    }
-    fn on_recover(&mut self, ctx: &mut Ctx<'_, P>) {
-        (**self).on_recover(ctx);
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        (**self).as_any()
-    }
 }
 
 /// Handle to an armed timer, used for cancellation.
@@ -264,34 +229,18 @@ impl<P: Payload> Core<P> {
         let out = self.degraded(id, raw).clamp(1, self.config.t_unit);
         let mut delivery_at = self.now + SimDuration(out);
 
-        // Envelope faults, matched at send time. A `Drop` wins outright;
-        // `Delay` pushes the delivery instant; `Duplicate` schedules a
-        // second copy (same message id — the *network* duplicated it).
-        let mut duplicate_after = None;
-        if !self.faults.env_faults.is_empty() {
-            for i in 0..self.faults.env_faults.len() {
-                let fault = self.faults.env_faults[i];
-                if !fault.matches.covers(kind, src, dst) {
-                    continue;
-                }
-                let ordinal = self.env_hits[i];
-                self.env_hits[i] += 1;
-                if fault.matches.nth.is_some_and(|n| n != ordinal) {
-                    continue;
-                }
-                match fault.action {
-                    EnvelopeAction::Drop => {
-                        self.trace(
-                            |c| c.dropped += 1,
-                            || TraceEvent::Dropped { at, id, src, dst, kind },
-                        );
-                        return;
-                    }
-                    EnvelopeAction::Duplicate { after } => duplicate_after = Some(after),
-                    EnvelopeAction::Delay { by } => delivery_at += by,
-                }
-            }
-        }
+        // Envelope faults, matched at send time (the one matcher the live
+        // router calls too). A `Drop` wins outright; `Delay` pushes the
+        // delivery instant; `Duplicate` schedules a second copy (same
+        // message id — the *network* duplicated it) after the fully delayed
+        // arrival.
+        let Some((extra, duplicate_after)) =
+            self.faults.match_send(&mut self.env_hits, kind, src, dst)
+        else {
+            self.trace(|c| c.dropped += 1, || TraceEvent::Dropped { at, id, src, dst, kind });
+            return;
+        };
+        delivery_at += extra;
 
         match duplicate_after {
             None => self.route(env, delivery_at, false),
@@ -446,13 +395,11 @@ pub struct RunReport {
 ///
 /// Build with [`Simulation::new`], then [`Simulation::run`]. The actors are
 /// returned to the caller afterwards so protocol outcomes can be read off
-/// their final state.
-///
-/// The actor type defaults to `Box<dyn Actor<P>>` (heterogeneous clusters,
-/// the historical API) but any `A: Actor<P>` works; a homogeneous actor
-/// vector dispatches statically, which is what the protocol session runner
-/// uses on the sweep hot path.
-pub struct Simulation<P: Payload, A: Actor<P> = Box<dyn Actor<P>>> {
+/// their final state. The actor vector is one concrete type and dispatches
+/// statically (the protocol session runner's `ProtocolActor`, the
+/// database's `ShardNode`); a caller wanting several behaviours writes an
+/// enum over them.
+pub struct Simulation<P: Payload, A: Actor<P>> {
     core: Core<P>,
     actors: Vec<A>,
 }
@@ -479,7 +426,7 @@ impl<P: Payload, A: Actor<P>> Simulation<P, A> {
     /// faults.env_faults.push(EnvelopeFault::duplicate(EnvelopeMatch::kind("ping"), SimDuration(100)));
     /// let sim = Simulation::new(
     ///     NetConfig::default(),
-    ///     vec![Box::new(Pinger), Box::new(Pinger)],
+    ///     vec![Pinger, Pinger],
     ///     faults,
     ///     &DelayModel::Fixed(500),
     /// );
@@ -736,12 +683,7 @@ mod tests {
         let a = Echo { board: board.clone(), peer: Some(SiteId(1)), starts_ping: true };
         let b = Echo { board: board.clone(), peer: None, starts_ping: false };
         let config = NetConfig { mode, ..NetConfig::default() };
-        let sim = Simulation::new(
-            config,
-            vec![Box::new(a), Box::new(b)],
-            partition,
-            &DelayModel::Fixed(100),
-        );
+        let sim = Simulation::new(config, vec![a, b], partition, &DelayModel::Fixed(100));
         let (_, trace, report) = sim.run();
         (board, trace, report)
     }
@@ -835,7 +777,7 @@ mod tests {
         let board = Rc::new(RefCell::new(Board::default()));
         let sim = Simulation::new(
             NetConfig::default(),
-            vec![Box::new(TimerActor { board: board.clone(), cancel_second: false })],
+            vec![TimerActor { board: board.clone(), cancel_second: false }],
             PartitionEngine::always_connected(),
             &DelayModel::Fixed(1),
         );
@@ -848,7 +790,7 @@ mod tests {
         let board = Rc::new(RefCell::new(Board::default()));
         let sim = Simulation::new(
             NetConfig::default(),
-            vec![Box::new(TimerActor { board: board.clone(), cancel_second: true })],
+            vec![TimerActor { board: board.clone(), cancel_second: true }],
             PartitionEngine::always_connected(),
             &DelayModel::Fixed(1),
         );
@@ -864,7 +806,7 @@ mod tests {
         let b = Echo { board: board.clone(), peer: None, starts_ping: false };
         let sim = Simulation::new(
             NetConfig::default(),
-            vec![Box::new(a), Box::new(b)],
+            vec![a, b],
             FaultPlan {
                 failures: vec![FailureSpec::crash(SiteId(1), SimTime(50))],
                 ..FaultPlan::default()
@@ -896,7 +838,7 @@ mod tests {
         let board = Rc::new(RefCell::new(Vec::new()));
         let sim = Simulation::new(
             NetConfig::default(),
-            vec![Box::new(CrashWatcher { board: board.clone() })],
+            vec![CrashWatcher { board: board.clone() }],
             FaultPlan {
                 failures: vec![FailureSpec::crash_recover(SiteId(0), SimTime(40), SimTime(90))],
                 ..FaultPlan::default()
@@ -922,7 +864,7 @@ mod tests {
         let config = NetConfig { max_time: SimTime(1000), ..NetConfig::default() };
         let sim = Simulation::new(
             config,
-            vec![Box::new(Looper)],
+            vec![Looper],
             PartitionEngine::always_connected(),
             &DelayModel::Fixed(1),
         );
@@ -939,7 +881,7 @@ mod tests {
         let b = Echo { board: board.clone(), peer: None, starts_ping: false };
         let sim = Simulation::new(
             NetConfig::default(),
-            vec![Box::new(a), Box::new(b)],
+            vec![a, b],
             PartitionEngine::always_connected(),
             &DelayModel::Fixed(10_000),
         );
@@ -964,7 +906,7 @@ mod tests {
             let board = Rc::new(RefCell::new(Board::default()));
             let a = Echo { board: board.clone(), peer: Some(SiteId(1)), starts_ping: true };
             let b = Echo { board: board.clone(), peer: None, starts_ping: false };
-            let actors: Vec<Box<dyn Actor<&'static str>>> = vec![Box::new(a), Box::new(b)];
+            let actors = vec![a, b];
             let sim = Simulation::with_scratch(
                 NetConfig::default(),
                 actors,
@@ -996,12 +938,7 @@ mod tests {
             degrades: degrades.to_vec(),
             ..FaultPlan::default()
         };
-        let sim = Simulation::new(
-            NetConfig::default(),
-            vec![Box::new(a), Box::new(b)],
-            plan,
-            &DelayModel::Fixed(100),
-        );
+        let sim = Simulation::new(NetConfig::default(), vec![a, b], plan, &DelayModel::Fixed(100));
         let (_, trace, report) = sim.run();
         (board, trace, report)
     }
@@ -1121,7 +1058,7 @@ mod tests {
             let board = Rc::new(RefCell::new(Board::default()));
             let a = Echo { board: board.clone(), peer: Some(SiteId(1)), starts_ping };
             let b = Echo { board, peer: None, starts_ping: false };
-            let actors: Vec<Box<dyn Actor<&'static str>>> = vec![Box::new(a), Box::new(b)];
+            let actors = vec![a, b];
             let sim = Simulation::with_scratch(
                 NetConfig::default(),
                 actors,
@@ -1160,7 +1097,7 @@ mod tests {
         }
         let sim = Simulation::new(
             NetConfig::default(),
-            vec![Box::new(Noter)],
+            vec![Noter],
             PartitionEngine::always_connected(),
             &DelayModel::Fixed(1),
         );

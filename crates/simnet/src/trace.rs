@@ -5,7 +5,7 @@
 //! these traces, and failed invariant checks print them for replay debugging.
 
 use crate::message::{MsgId, SiteId};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// One record in the execution trace.
 ///
@@ -188,21 +188,6 @@ impl Trace {
         })
     }
 
-    /// Time between two notes at one site (e.g. "timed out in w" to
-    /// "received commit"), if both occurred in that order.
-    pub fn note_gap(&self, site: SiteId, from_label: &str, to_label: &str) -> Option<SimDuration> {
-        let (from, _) = self.first_note(site, from_label)?;
-        let to = self.events.iter().find_map(|e| match *e {
-            TraceEvent::Note { at, site: s, label: l, .. }
-                if s == site && l == to_label && at >= from =>
-            {
-                Some(at)
-            }
-            _ => None,
-        })?;
-        Some(to - from)
-    }
-
     /// Renders the trace as one event per line — used in failure messages.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
@@ -253,13 +238,6 @@ mod tests {
         let t = sample_trace();
         assert_eq!(t.first_note(SiteId(1), "voted"), Some((SimTime(12), 1)));
         assert_eq!(t.first_note(SiteId(1), "missing"), None);
-    }
-
-    #[test]
-    fn note_gap_measures_interval() {
-        let t = sample_trace();
-        assert_eq!(t.note_gap(SiteId(1), "voted", "decided"), Some(SimDuration(18)));
-        assert_eq!(t.note_gap(SiteId(1), "decided", "voted"), None);
     }
 
     #[test]

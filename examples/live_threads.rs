@@ -1,7 +1,7 @@
 //! The termination protocol on real threads and wall-clock timers.
 //!
 //! Same state machines as every other example — but here each site is an OS
-//! thread, messages travel through crossbeam channels with real delays
+//! thread, messages travel through mpsc channels with real delays
 //! bounded by `T = 10ms`, and the partition is enforced against the system
 //! clock. Runs a batch of live executions with partitions landing at
 //! different moments and reports the outcomes.
@@ -12,8 +12,7 @@
 
 use ptp_core::livenet::{run_live, LiveConfig, LivePartition};
 use ptp_core::protocols::api::Vote;
-use ptp_core::protocols::clusters::huang_li_3pc_cluster_any;
-use ptp_core::protocols::termination::TerminationVariant;
+use ptp_core::ProtocolKind;
 use ptp_simnet::SiteId;
 use std::time::Duration;
 
@@ -53,7 +52,7 @@ fn main() {
             )),
         ),
     ] {
-        let parts = huang_li_3pc_cluster_any(4, &[Vote::Yes; 3], TerminationVariant::Transient);
+        let parts = ProtocolKind::HuangLi3pc.cluster(4, &[Vote::Yes; 3]);
         let outcome = run_live(parts, LiveConfig::with_t(t), partition);
         println!("{label}:");
         for (i, d) in outcome.decisions.iter().enumerate() {

@@ -16,10 +16,6 @@
 
 use ptp_core::livenet::run_live_plan;
 use ptp_core::protocols::api::Vote;
-use ptp_core::protocols::clusters::{huang_li_3pc_cluster_any, huang_li_4pc_cluster_any};
-use ptp_core::protocols::quorum::{quorum_cluster_any, QuorumConfig};
-use ptp_core::protocols::termination::TerminationVariant;
-use ptp_core::protocols::AnyParticipant;
 use ptp_core::scenario::ScenarioBuilder;
 use ptp_core::{run_scenario, run_scenario_opts, ProtocolKind, RunOptions, Scenario, Timeline};
 use ptp_simnet::SiteId;
@@ -69,33 +65,13 @@ fn permanent_partition_timeline_matches_legacy_simple_cell_for_cell() {
     }
 }
 
-/// A named, repeatable live-cluster recipe (as in `livenet_invariants`).
-type ClusterRecipe = (&'static str, Box<dyn Fn() -> Vec<AnyParticipant>>);
-
-/// The four thread-backed protocol kinds, as live clusters.
-fn live_clusters(n: usize) -> Vec<ClusterRecipe> {
-    let votes = vec![Vote::Yes; n - 1];
-    let v1 = votes.clone();
-    let v2 = votes.clone();
-    let v3 = votes.clone();
-    let v4 = votes;
-    vec![
-        (
-            "hl-3pc-transient",
-            Box::new(move || huang_li_3pc_cluster_any(n, &v1, TerminationVariant::Transient))
-                as Box<dyn Fn() -> Vec<AnyParticipant>>,
-        ),
-        (
-            "hl-3pc-static",
-            Box::new(move || huang_li_3pc_cluster_any(n, &v2, TerminationVariant::Static)),
-        ),
-        (
-            "hl-4pc",
-            Box::new(move || huang_li_4pc_cluster_any(n, &v3, TerminationVariant::Transient)),
-        ),
-        ("quorum-majority", Box::new(move || quorum_cluster_any(QuorumConfig::majority(n), &v4))),
-    ]
-}
+/// The four thread-backed protocol kinds (as in `livenet_invariants`).
+const THREADED: [ProtocolKind; 4] = [
+    ProtocolKind::HuangLi3pc,
+    ProtocolKind::HuangLi3pcStatic,
+    ProtocolKind::HuangLi4pc,
+    ProtocolKind::QuorumMajority,
+];
 
 #[test]
 fn the_same_timeline_survives_the_livenet_lowering() {
@@ -107,10 +83,12 @@ fn the_same_timeline_survives_the_livenet_lowering() {
     let t = Duration::from_millis(8);
     let timeline = transient_timeline(n);
     let faults = timeline.live_faults(t);
-    for (name, cluster) in live_clusters(n) {
+    for kind in THREADED {
+        let name = kind.name();
         for rep in 0..2 {
             let config = ptp_core::livenet::LiveConfig::with_t(t);
-            let outcome = run_live_plan(cluster(), config, faults.clone());
+            let cluster = kind.cluster(n, &vec![Vote::Yes; n - 1]);
+            let outcome = run_live_plan(cluster, config, faults.clone());
             assert!(outcome.consistent(), "{name} rep {rep}: {outcome:?}");
             assert!(outcome.all_decided(), "{name} rep {rep}: {outcome:?}");
         }
@@ -168,7 +146,7 @@ fn degrade_and_duplicate_timeline_is_clean_on_sim_and_livenet() {
     let faults = timeline.live_faults(t);
     assert_eq!(faults.degrades.len(), 1);
     assert_eq!(faults.env_faults.len(), 1);
-    let cluster = huang_li_3pc_cluster_any(n, &[Vote::Yes; 2], TerminationVariant::Transient);
+    let cluster = ProtocolKind::HuangLi3pc.cluster(n, &[Vote::Yes; 2]);
     let outcome = run_live_plan(cluster, ptp_core::livenet::LiveConfig::with_t(t), faults);
     assert!(outcome.consistent(), "{outcome:?}");
     assert!(outcome.all_decided(), "{outcome:?}");
