@@ -2,7 +2,7 @@
 //!
 //! Runs seeded campaigns of scenario timelines against the Huang–Li
 //! protocol — every one must audit green, first on the flat protocol
-//! cluster, then on the sharded store `run_planned` serves (3 × 2, crashes
+//! cluster, then on the sharded store `Campaign::run_planned` serves (3 × 2, crashes
 //! armed too; atomicity, read history, convergence, leaked locks) — and
 //! then plain 2PC under the resilience audit, the paper's own motivating
 //! failure, whose first counterexample must shrink. It prints a table and

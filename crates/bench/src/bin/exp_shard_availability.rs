@@ -229,9 +229,17 @@ fn main() {
     ]);
 
     for shape in ScheduleShape::FAMILIES {
+        // A replica group is severed when some episode leaves two of its
+        // members unable to talk.
         let engine = engine_for(shape);
-        let severed: Vec<usize> =
-            (0..SHARDS).filter(|&s| engine.severed_episodes(topo.group(s)) > 0).collect();
+        let severed: Vec<usize> = (0..SHARDS)
+            .filter(|&s| {
+                let group = topo.group(s);
+                engine.episodes().iter().any(|e| {
+                    group.iter().any(|&a| group.iter().any(|&b| !engine.connected(a, b, e.at)))
+                })
+            })
+            .collect();
         // One run per (family, protocol) cell; the sanity anchors below
         // reuse these instead of re-simulating.
         let runs: Vec<(CommitProtocol, ShardRun)> =

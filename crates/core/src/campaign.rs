@@ -5,9 +5,9 @@
 //! over one of two subjects: the **protocol cluster** ([`Campaign::run`] /
 //! [`Campaign::run_with`]: one transaction through a flat [`Session`],
 //! audited for atomicity by default) or the **planned store**
-//! ([`Campaign::run_planned`]: a seeded [`Workload`] served by
-//! [`ptp_ddb::cluster::run_planned`], the driver under `DbCluster` and
-//! `ShardCluster` alike, under the whole lowered [`Timeline::faults`]).
+//! ([`Campaign::run_planned`]: a seeded [`Workload`] served by a
+//! [`ShardCluster`] — the one store builder, whose one-group case is the
+//! flat database — under the whole lowered [`Timeline::faults`]).
 //!
 //! Everything is deterministic from the campaign seed: timeline `i` of a
 //! campaign is always the same [`Timeline`] (see [`Campaign::timeline`]),
@@ -37,18 +37,15 @@ use crate::run::ScenarioResult;
 use crate::scenario::ProtocolKind;
 use crate::session::Session;
 use crate::timeline::{ScenarioBuilder, TimedEvent, Timeline};
-use ptp_ddb::cluster::{run_planned, CommitProtocol, DbRun, SimNet};
-use ptp_ddb::lease::LeaseConfig;
+use ptp_ddb::cluster::{CommitProtocol, DbRun, ShardCluster};
 use ptp_ddb::lineariz::check_read_history;
-use ptp_ddb::plan::{PlanTable, ShardReadSpec, ShardTxnSpec};
+use ptp_ddb::plan::{ShardReadSpec, ShardTxnSpec};
 use ptp_ddb::topology::ShardTopology;
 use ptp_ddb::value::{Key, TxnId, Value, WriteOp};
-use ptp_ddb::ShardNodeOpts;
 use ptp_obs::{FlightEvent, FlightRecorder};
 use ptp_protocols::RunOptions;
 use ptp_simnet::rng::SmallRng;
 use ptp_simnet::{DelayModel, EnvelopeMatch, NetConfig, SimTime, SiteId, Trace, TraceEvent};
-use std::sync::Arc;
 
 /// What a [`Campaign`] samples and how much of it.
 #[derive(Debug, Clone)]
@@ -316,8 +313,8 @@ impl<F: FnMut(&ScenarioResult) -> Option<String>> Subject for Flat<F> {
     }
 }
 
-/// The planned store: a [`Workload`] routed over `topology` and served by
-/// [`run_planned`] with leases and anti-entropy on.
+/// The planned store: a [`Workload`] routed over `topology` and served by a
+/// [`ShardCluster`] with leases and anti-entropy on.
 struct Planned {
     topology: ShardTopology,
     protocol: CommitProtocol,
@@ -326,30 +323,27 @@ struct Planned {
 impl Planned {
     fn execute(&self, case: &Case) -> DbRun {
         let (timeline, workload) = case.planned();
-        let (writes, reads) = (&workload.writes, &workload.reads);
-        let plans = PlanTable::route(
-            self.topology.clone(),
-            writes.iter().map(|(_, spec)| spec),
-            reads.iter().map(|(_, spec)| spec),
-        );
-        let submissions: Vec<(u64, TxnId)> = (writes.iter().map(|(at, spec)| (*at, spec.id)))
-            .chain(reads.iter().map(|(at, spec)| (*at, spec.id)))
-            .collect();
-        let seed = workload.seeds.iter().flat_map(|(key, value)| {
-            let replicas = self.topology.group(self.topology.shard_of(key));
-            replicas.iter().map(move |site| (site.0, key.clone(), value.clone()))
-        });
-        let config = NetConfig {
-            t_unit: timeline.t_unit,
-            max_time: SimTime(timeline.t_unit * timeline.horizon_t),
+        let t = timeline.t_unit;
+        let mut store = ShardCluster::new(self.topology.clone(), self.protocol)
+            .leases(2 * t, 13 * t / 2)
+            .anti_entropy(4 * t)
+            .delay(workload.delay.clone());
+        store.faults = timeline.faults();
+        store.config = NetConfig {
+            t_unit: t,
+            max_time: SimTime(t * timeline.horizon_t),
             ..NetConfig::default()
         };
-        let opts = ShardNodeOpts {
-            lease: Some(LeaseConfig::new(2 * timeline.t_unit, 13 * timeline.t_unit / 2)),
-            anti_entropy: Some(4 * timeline.t_unit),
-        };
-        let net = SimNet { config, faults: timeline.faults(), delay: workload.delay.clone() };
-        run_planned(Arc::new(plans), &submissions, seed, self.protocol, opts, net)
+        for (key, value) in &workload.seeds {
+            store = store.seed(key.clone(), value.clone());
+        }
+        for (at, spec) in &workload.writes {
+            store = store.submit(*at, spec.clone());
+        }
+        for (at, spec) in &workload.reads {
+            store = store.submit_read(*at, spec.clone());
+        }
+        store.run()
     }
 
     /// The oracles, cheapest first: atomicity, read history and — for the
@@ -522,7 +516,7 @@ impl Campaign {
 
     /// Runs the campaign's timelines against the **store that serves**:
     /// each is lowered whole by [`Timeline::faults`] — partitions, crashes,
-    /// degrades and envelope faults — onto [`run_planned`] over `topology`
+    /// degrades and envelope faults — onto a [`ShardCluster`] over `topology`
     /// (`uniform(n, 1, n)` is the flat database), leases and anti-entropy
     /// on, serving the [`Workload`] sampled from the timeline's seed. A run
     /// fails on an atomicity violation, on a read no linearization of the

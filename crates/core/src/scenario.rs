@@ -10,8 +10,7 @@ pub use ptp_protocols::kind::ProtocolKind;
 
 use ptp_protocols::api::Vote;
 use ptp_simnet::{
-    DegradeWindow, DelayModel, EnvelopeFault, FailureSpec, FaultPlan, NetConfig, PartitionEngine,
-    PartitionMode, SimTime, SiteId,
+    DelayModel, FailureSpec, FaultPlan, NetConfig, PartitionEngine, PartitionMode, SimTime, SiteId,
 };
 
 /// The paper's partition shapes, as a shortcut over the scenario's
@@ -137,18 +136,6 @@ impl Scenario {
         self
     }
 
-    /// Arms an envelope-level fault (duplicate / reorder / drop).
-    pub fn env_fault(mut self, fault: EnvelopeFault) -> Scenario {
-        self.faults.env_faults.push(fault);
-        self
-    }
-
-    /// Arms a degraded-network delay window.
-    pub fn degrade(mut self, window: DegradeWindow) -> Scenario {
-        self.faults.degrades.push(window);
-        self
-    }
-
     /// The derived network configuration.
     pub fn net_config(&self) -> NetConfig {
         NetConfig {
@@ -202,7 +189,7 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptp_simnet::PartitionSpec;
+    use ptp_simnet::{DegradeWindow, PartitionSpec};
 
     fn episode(groups: Vec<Vec<SiteId>>, at: u64, heal_at: Option<u64>) -> PartitionSpec {
         PartitionSpec { at: SimTime(at), groups, heal_at: heal_at.map(SimTime) }
@@ -267,13 +254,13 @@ mod tests {
     fn write_faults_replaces_everything_a_reused_plan_held() {
         // A session's plan goes from a faulty schedule scenario to a simple
         // one and on to a clean one without leaking any list between them.
-        let faulty = Scenario::new(3)
+        let mut faulty = Scenario::new(3)
             .partition_schedule(PartitionEngine::new(vec![
                 episode(vec![vec![SiteId(0)], vec![SiteId(1), SiteId(2)]], 100, Some(200)),
                 episode(vec![vec![SiteId(0), SiteId(1)], vec![SiteId(2)]], 300, None),
             ]))
-            .fail(FailureSpec::crash(SiteId(1), SimTime(50)))
-            .degrade(DegradeWindow::new(SimTime(10), None, 800, 1000));
+            .fail(FailureSpec::crash(SiteId(1), SimTime(50)));
+        faulty.faults.degrades.push(DegradeWindow::new(SimTime(10), None, 800, 1000));
         let mut plan = faulty.fault_plan();
         assert_eq!((plan.partition.episodes().len(), plan.failures.len()), (2, 1));
         let simple = Scenario::new(3).partition_g2(vec![SiteId(2)], 1500);

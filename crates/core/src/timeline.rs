@@ -9,8 +9,8 @@
 //!
 //! * In ticks, the plan is what the simulator takes: [`Timeline::scenario`]
 //!   wraps it in a [`Scenario`] for [`crate::Session`] and the sweep
-//!   machinery, and the database clusters (`ptp_ddb::DbCluster`,
-//!   `ptp_shard::ShardCluster`) hold it as their `faults` field.
+//!   machinery, and the one store builder (`ptp_ddb::cluster::Cluster`,
+//!   flat or sharded) holds it as its `faults` field.
 //! * Scaled onto the wall clock — [`Timeline::live_faults`], which is
 //!   `faults().scaled(T_ns, t_unit)` — it is what the thread-backed router
 //!   reads, under both `ptp-livenet`'s protocol harness (`run_live_plan`)

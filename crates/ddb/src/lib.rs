@@ -31,9 +31,12 @@
 //!   environment only through the [`Host`] trait.
 //! * [`node`] — the core's simulator host, the only `ptp-simnet` actor that
 //!   speaks `DbMsg` (the other host is `ptp-live`'s site thread).
-//! * [`cluster`] — the cluster driver: [`DbCluster`] seeds data, submits a
-//!   workload at the master, and runs it through `run_planned` — the one
-//!   simulate-and-harvest loop `ptp-shard`'s `ShardCluster` shares.
+//! * [`cluster`] — the one simulated store builder: protocol, fault plan,
+//!   delays and network held once, the workload addressed by site
+//!   ([`DbCluster`], the paper's one-group model) or by key
+//!   ([`ShardCluster`], the sharded store), one simulation and one
+//!   [`DbRun`] either way. (`ptp-shard` re-exports the sharded half under
+//!   its old paths.)
 //!
 //! ```
 //! use ptp_ddb::cluster::{CommitProtocol, DbCluster};
@@ -68,7 +71,7 @@ pub mod topology;
 pub mod value;
 pub mod wal;
 
-pub use cluster::{CommitProtocol, DbCluster, DbRun};
+pub use cluster::{CommitProtocol, DbCluster, DbRun, ShardCluster};
 pub use core::{Host, Hosted, ShardNodeOpts, SiteCore, SiteEvent, TimerKey, Via};
 pub use node::ShardNode;
 pub use plan::{PlanTable, PlanView, ReadView, TxnPlan, TxnView};

@@ -1,6 +1,6 @@
 //! The simulated site: [`crate::core::SiteCore`] hosted as a `ptp-simnet`
 //! actor — the only `impl Actor<DbMsg>` in the workspace, under the flat
-//! [`crate::DbCluster`] and the sharded `ShardCluster` alike.
+//! [`crate::DbCluster`] and the sharded [`crate::ShardCluster`] alike.
 //!
 //! The host is thin. It lends the core the simulator's clock, network and
 //! timers (a [`TimerKey`] becomes the `u64` tag the trace shows), flushes
@@ -170,7 +170,7 @@ pub struct ShardNode {
 impl ShardNode {
     /// Creates a site. `workload` holds the submissions whose plans name
     /// this site as master/coordinator (reads included); the caller routes
-    /// them ([`crate::cluster::run_planned`] resolves each master once).
+    /// them ([`crate::cluster::run_sites`] resolves each master once).
     pub fn new(
         me: SiteId,
         plans: Arc<PlanTable>,

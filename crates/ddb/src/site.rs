@@ -231,11 +231,6 @@ impl ParticipantPool {
         &mut self.arena[slot]
     }
 
-    /// Slots currently parked on the free-list.
-    pub fn idle(&self) -> usize {
-        self.free.len()
-    }
-
     /// Total participants constructed since the pool was built.
     pub fn constructed(&self) -> usize {
         self.constructed
@@ -327,11 +322,10 @@ mod tests {
         let factory = ParticipantFactory::pooled(ProtocolKind::HuangLi3pc.builder());
         let mut pool = factory.pool(SiteId(1), 2);
         let slot = pool.acquire(Vote::Yes);
-        assert_eq!((pool.constructed(), pool.reused(), pool.idle()), (1, 0, 0));
+        assert_eq!((pool.constructed(), pool.reused()), (1, 0));
         pool.release(slot);
-        assert_eq!(pool.idle(), 1);
         assert_eq!(pool.acquire(Vote::Yes), slot, "freed slot is recycled");
-        assert_eq!((pool.constructed(), pool.reused(), pool.idle()), (1, 1, 0));
+        assert_eq!((pool.constructed(), pool.reused()), (1, 1));
     }
 
     #[test]

@@ -12,11 +12,11 @@
 
 use crate::config::{KeySkew, LiveOptions};
 use crate::node::{Packet, CLIENT_READ, CLIENT_XACT};
+use ptp_ddb::plan::ShardTxnSpec;
 use ptp_ddb::site::DbMsg;
 use ptp_ddb::value::{Key, TxnId, Value, WriteOp};
+use ptp_ddb::ShardTopology;
 use ptp_livenet::Inbound;
-use ptp_shard::plan::ShardTxnSpec;
-use ptp_shard::ShardTopology;
 use ptp_simnet::rng::SmallRng;
 use ptp_simnet::SiteId;
 use std::sync::mpsc::Sender;
@@ -89,7 +89,7 @@ fn pick_key(rng: &mut SmallRng, skew: KeySkew, pool: &[Key]) -> Key {
 /// each site's lock acquisition single-key, so a parked transaction never
 /// holds locks while waiting — local waits-for graphs cannot cycle, and
 /// cross-site waits are broken by the master's protocol timeout (the same
-/// discipline `ptp-shard` relies on).
+/// discipline the simulated sharded store relies on).
 pub fn generate(opts: &LiveOptions, topo: &ShardTopology, pools: &[Vec<Key>]) -> Schedule {
     let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x9e37_79b9_7f4a_7c15);
     let mut ops = Vec::new();

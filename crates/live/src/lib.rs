@@ -55,16 +55,16 @@ pub use node::{Completion, LiveNode, NodeCounters, NodeReport, Packet};
 pub use ptp_obs::{LatencySummary, ObsConfig, Registry, Series, StageTable};
 
 use driver::{OpKind, Schedule, ScheduledOp, READ_BASE};
+use ptp_ddb::plan::PlanTable;
 use ptp_ddb::site::ParticipantFactory;
 use ptp_ddb::value::{Key, TxnId, Value};
+use ptp_ddb::ShardTopology;
 use ptp_livenet::{host_time, Inbound, LiveConfig, Outbound, Router};
 use ptp_model::Decision;
 use ptp_obs::{
     FlightEvent, FlightRecorder, LogHistogram, TxnSpan, STAGE_COMMIT_WAIT, STAGE_LOCK_WAIT,
     STAGE_PROTOCOL, STAGE_QUEUE, STAGE_ROUNDS, STAGE_SERVE,
 };
-use ptp_shard::plan::PlanTable;
-use ptp_shard::ShardTopology;
 use ptp_simnet::{FaultPlan, SimTime, SiteId};
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -888,7 +888,7 @@ mod tests {
         // Permanently crash shard 0's master at t = 0: every operation
         // routed to it is lost, the drain deadline passes unfinished, and
         // the merged flight-recorder tail explains what was in flight.
-        let topo = ptp_shard::ShardTopology::uniform(6, 3, 2);
+        let topo = ptp_ddb::ShardTopology::uniform(6, 3, 2);
         let master = topo.master(0);
         let mut opts = LiveOptions::small(200.0, Duration::from_millis(250));
         opts.flush_cost = Duration::ZERO;
@@ -920,7 +920,7 @@ mod tests {
         // With the sync chain on, the replica polls its master and installs
         // the missed versions; every replica pair agrees at shutdown even
         // though the run had a partition.
-        let topo = ptp_shard::ShardTopology::uniform(6, 3, 2);
+        let topo = ptp_ddb::ShardTopology::uniform(6, 3, 2);
         let replica = topo.group(0)[1];
         let mut opts = LiveOptions::small(400.0, Duration::from_millis(500));
         opts.read_fraction = 0.0;

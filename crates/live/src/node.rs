@@ -23,6 +23,7 @@
 
 use crate::config::{BatchConfig, LiveOptions};
 use ptp_ddb::core::{Host, SiteCore, SiteEvent, TimerKey, Via};
+use ptp_ddb::plan::{PlanTable, TxnView};
 use ptp_ddb::site::{DbMsg, ParticipantFactory, ReadPath};
 use ptp_ddb::value::{TxnId, Value};
 use ptp_ddb::wal::Wal;
@@ -30,7 +31,6 @@ use ptp_ddb::{ShardNodeOpts, Storage};
 use ptp_livenet::{Inbound, Outbound, Timers};
 use ptp_model::Decision;
 use ptp_obs::{FlightRecorder, ObsConfig, TxnSpan};
-use ptp_shard::plan::{PlanTable, TxnView};
 use ptp_simnet::{Payload, SiteId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -424,7 +424,7 @@ impl LiveNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptp_shard::ShardTopology;
+    use ptp_ddb::ShardTopology;
     use std::sync::mpsc;
 
     const LEASE: TimerKey = TimerKey::Lease(0);

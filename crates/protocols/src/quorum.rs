@@ -22,7 +22,8 @@
 //! re-armed its collection round every 2T until the horizon, and every round
 //! allocated a fresh report map. Event-attribution profiling attributed the
 //! bulk of Quorum's wall time to exactly those state-request/report rounds,
-//! so the collection machinery is rewritten behind a [`QuorumTuning`] knob:
+//! so the collection machinery is rewritten, all of it behind one
+//! [`QuorumTuning`] choice:
 //!
 //! * **piggyback** — a `state-req` carries the requester's own state class,
 //!   and a collecting responder adopts it as a free report when it is
@@ -55,7 +56,7 @@
 //!   the sparse tail only ever re-confirms an unchanged partition and no
 //!   verdict moves.
 //!
-//! [`QuorumTuning::baseline`] reproduces the naive behaviour exactly —
+//! [`QuorumTuning::Baseline`] reproduces the naive behaviour exactly —
 //! `tests/quorum_rewrite_equivalence.rs` sweeps both tunings across all
 //! four schedule families and pins identical verdict counts.
 //!
@@ -115,41 +116,21 @@ const RETRY_START_T: u64 = 16;
 /// minority confirms that nothing has changed before the horizon.
 pub const RETRY_CAP_T: u64 = 64;
 
-/// Which collection-machinery rewrites are active.
-///
-/// Every flag is individually verdict-preserving; the equivalence suite
-/// checks the full optimized set against [`QuorumTuning::baseline`], which
-/// reproduces the pre-rewrite behaviour exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuorumTuning {
-    /// Adopt *decisive* state classes piggybacked on incoming
-    /// `state-req`s. Undecided classes are deliberately ignored — counting
-    /// them changes which quorum fires first (see the module docs).
-    pub piggyback: bool,
-    /// Resolve a round the moment a report shows a *decided* peer.
-    pub early_resolve: bool,
-    /// Exponential spacing between blocked retries after a dense
-    /// naive-cadence prefix of [`DENSE_RETRIES`] rounds.
-    pub backoff: bool,
-}
-
-impl QuorumTuning {
+/// Which collection machinery runs: the naive rendition, or every rewrite
+/// of the module docs at once. The equivalence suite checks the two reach
+/// identical verdicts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum QuorumTuning {
     /// The naive protocol: fixed 2T rounds, timer-only resolution,
     /// immediate re-collection while blocked.
-    pub fn baseline() -> QuorumTuning {
-        QuorumTuning { piggyback: false, early_resolve: false, backoff: false }
-    }
-
-    /// All rewrites on — what [`crate::ProtocolKind::QuorumMajority`] builds.
-    pub fn optimized() -> QuorumTuning {
-        QuorumTuning { piggyback: true, early_resolve: true, backoff: true }
-    }
-}
-
-impl Default for QuorumTuning {
-    fn default() -> Self {
-        QuorumTuning::optimized()
-    }
+    Baseline,
+    /// Every rewrite on — what [`crate::ProtocolKind::QuorumMajority`]
+    /// builds: decisive piggybacked classes adopted, a round resolved the
+    /// moment a report shows a decided peer, exponential spacing between
+    /// blocked retries after a dense naive-cadence prefix of
+    /// [`DENSE_RETRIES`] rounds.
+    #[default]
+    Optimized,
 }
 
 /// State classes exchanged in quorum termination reports.
@@ -315,7 +296,7 @@ impl QuorumSite {
 
     /// Selects the collection-machinery tuning. Configuration, not run
     /// state: it survives [`Participant::reset`]. The equivalence suite
-    /// uses this to pit [`QuorumTuning::baseline`] against the default.
+    /// uses this to pit [`QuorumTuning::Baseline`] against the default.
     pub fn set_tuning(&mut self, tuning: QuorumTuning) {
         self.tuning = tuning;
     }
@@ -398,7 +379,7 @@ impl QuorumSite {
             }
             let round = self.retry_round;
             self.retry_round = self.retry_round.saturating_add(1);
-            if self.tuning.backoff && round >= DENSE_RETRIES {
+            if self.tuning == QuorumTuning::Optimized && round >= DENSE_RETRIES {
                 // The partition has outlived the dense prefix: sleep out an
                 // exponentially growing interval before the next poll
                 // instead of hammering the (unchanged) partition.
@@ -420,8 +401,8 @@ impl QuorumSite {
             return;
         }
         self.reports.insert(site, class);
-        if self.tuning.early_resolve && matches!(class, StateClass::Committed | StateClass::Aborted)
-        {
+        let decisive = matches!(class, StateClass::Committed | StateClass::Aborted);
+        if self.tuning == QuorumTuning::Optimized && decisive {
             // A decided peer settles the round outright — the quorum rule
             // adopts a seen decision before anything else, so resolving now
             // reaches the same verdict the collection timer would, just
@@ -455,7 +436,7 @@ impl Participant for QuorumSite {
                     to: from,
                     msg: CommitMsg::StateRep { state: self.class().encode() },
                 });
-                if self.tuning.piggyback {
+                if self.tuning == QuorumTuning::Optimized {
                     // Only a *decisive* class may join the tally from
                     // request traffic: adopting a peer's decision is
                     // monotone, but counting undecided classes shifts which
@@ -693,7 +674,7 @@ mod tests {
     fn baseline_minority_blocks_and_retries_immediately() {
         let cfg = QuorumConfig::majority(5);
         let mut s = QuorumSite::new(cfg, SiteId(4), Vote::Yes);
-        s.set_tuning(QuorumTuning::baseline());
+        s.set_tuning(QuorumTuning::Baseline);
         let mut out = Vec::new();
         s.start(&mut out);
         s.on_msg(SiteId(0), &CommitMsg::Kind("xact"), &mut out);
@@ -820,9 +801,9 @@ mod tests {
     fn tuning_survives_reset() {
         let cfg = QuorumConfig::majority(3);
         let mut s = QuorumSite::new(cfg, SiteId(1), Vote::Yes);
-        s.set_tuning(QuorumTuning::baseline());
+        s.set_tuning(QuorumTuning::Baseline);
         s.reset(Vote::No);
-        assert_eq!(s.tuning(), QuorumTuning::baseline());
+        assert_eq!(s.tuning(), QuorumTuning::Baseline);
     }
 
     #[test]

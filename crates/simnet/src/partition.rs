@@ -88,39 +88,6 @@ impl PartitionSpec {
     fn group_of(&self, site: SiteId) -> Option<usize> {
         self.groups.iter().position(|g| g.contains(&site))
     }
-
-    /// Does this episode cut `members` apart — i.e. leave some pair of them
-    /// unable to communicate while it is active? The multi-group
-    /// bookkeeping query behind `ptp-shard`'s per-replica-group analysis:
-    /// a replica group whose members straddle the episode's fragments (or
-    /// include an isolated, unlisted site) cannot run its commit protocol
-    /// wholly inside one fragment.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ptp_simnet::{PartitionSpec, SimTime, SiteId};
-    ///
-    /// let spec = PartitionSpec::simple(
-    ///     SimTime(1000),
-    ///     vec![SiteId(0), SiteId(1)],
-    ///     vec![SiteId(2), SiteId(3)],
-    /// );
-    /// assert!(!spec.severs(&[SiteId(2), SiteId(3)])); // same fragment
-    /// assert!(spec.severs(&[SiteId(1), SiteId(2)])); // straddles the cut
-    /// assert!(spec.severs(&[SiteId(0), SiteId(9)])); // 9 is isolated
-    /// ```
-    pub fn severs(&self, members: &[SiteId]) -> bool {
-        if members.len() < 2 {
-            return false;
-        }
-        match self.group_of(members[0]) {
-            // An unlisted site is isolated from everyone, its own group
-            // peers included.
-            None => true,
-            Some(first) => members[1..].iter().any(|&s| self.group_of(s) != Some(first)),
-        }
-    }
 }
 
 /// Evaluates connectivity questions against an ordered **schedule** of
@@ -311,40 +278,14 @@ impl PartitionEngine {
         }
     }
 
-    /// The first instant in `(from, to]` at which `a` and `b` become
-    /// disconnected, if any. Used to schedule undeliverable-message bounces
-    /// for messages that were in flight when the partition started.
-    pub fn disconnect_time(
-        &self,
-        a: SiteId,
-        b: SiteId,
-        from: SimTime,
-        to: SimTime,
-    ) -> Option<SimTime> {
-        if a == b {
-            return None;
-        }
-        self.episodes
-            .iter()
-            .filter(|e| e.at > from && e.at <= to)
-            .find(|e| match (e.group_of(a), e.group_of(b)) {
-                (Some(ga), Some(gb)) => ga != gb,
-                _ => true,
-            })
-            .map(|e| e.at)
-    }
-
-    /// One-pass fate check for a message sent at `sent_at` with scheduled
-    /// delivery at `delivery_at`: `None` if it gets through, `Some(instant)`
-    /// when and where it bounces.
-    ///
-    /// Semantically exactly [`PartitionEngine::connected`] at `sent_at`
-    /// (disconnected ⇒ bounce at `delivery_at`, the scheduled arrival at the
-    /// wall) followed by [`PartitionEngine::disconnect_time`] over
-    /// `(sent_at, delivery_at]` (cut mid-flight ⇒ bounce at the partition
-    /// instant) — but in a single scan of the episode schedule. The network
-    /// asks this for every message sent, so on the sweep hot path the fused
-    /// form halves the episode walks of the old two-query sequence.
+    /// The fate of a message from `a` to `b` sent at `sent_at` with
+    /// scheduled delivery at `delivery_at`: `None` if it gets through,
+    /// `Some(instant)` when it bounces. If an episode that severs the pair
+    /// is active at `sent_at` ([`PartitionEngine::connected`] says no), it
+    /// bounces at `delivery_at`, its scheduled arrival at the wall; else if
+    /// an episode that severs the pair starts in `(sent_at, delivery_at]`,
+    /// it bounces at that episode's start. One scan of the episode schedule
+    /// answers both: the network asks this for every message sent.
     pub fn bounce_instant(
         &self,
         a: SiteId,
@@ -378,26 +319,6 @@ impl PartitionEngine {
             }
         }
         None
-    }
-
-    /// How many of the scheduled episodes sever `members` (see
-    /// [`PartitionSpec::severs`]) — per-group exposure bookkeeping for
-    /// sharded clusters, where one schedule hits every replica group
-    /// differently.
-    pub fn severed_episodes(&self, members: &[SiteId]) -> usize {
-        self.episodes.iter().filter(|e| e.severs(members)).count()
-    }
-
-    /// All episode boundaries (start and heal instants), for trace annotation.
-    pub fn boundaries(&self) -> Vec<(SimTime, bool)> {
-        let mut out = Vec::new();
-        for e in &self.episodes {
-            out.push((e.at, true));
-            if let Some(h) = e.heal_at {
-                out.push((h, false));
-            }
-        }
-        out
     }
 }
 
@@ -445,16 +366,6 @@ mod tests {
             PartitionEngine::new(vec![PartitionSpec::simple(SimTime(0), vec![s(1)], vec![s(2)])]);
         assert!(!eng.connected(s(1), s(9), SimTime(5)));
         assert!(!eng.connected(s(9), s(2), SimTime(5)));
-    }
-
-    #[test]
-    fn disconnect_time_finds_partition_start() {
-        let eng = PartitionEngine::new(vec![simple_at(100)]);
-        assert_eq!(eng.disconnect_time(s(1), s(3), SimTime(50), SimTime(150)), Some(SimTime(100)));
-        // Same-group pairs never disconnect.
-        assert_eq!(eng.disconnect_time(s(1), s(2), SimTime(50), SimTime(150)), None);
-        // Window entirely before the partition.
-        assert_eq!(eng.disconnect_time(s(1), s(3), SimTime(0), SimTime(99)), None);
     }
 
     #[test]
@@ -619,33 +530,6 @@ mod tests {
         assert!(eng.connected(s(2), s(3), SimTime(20)), "same fragment during ep1");
         assert!(!eng.connected(s(2), s(3), SimTime(30)), "seceded at the boundary instant");
         assert!(!eng.connected(s(1), s(2), SimTime(30)), "still cut from G1");
-    }
-
-    #[test]
-    fn severs_classifies_replica_groups() {
-        let spec = PartitionSpec {
-            at: SimTime(0),
-            groups: vec![vec![s(0), s(1)], vec![s(2)], vec![s(3), s(4)]],
-            heal_at: None,
-        };
-        assert!(!spec.severs(&[s(0), s(1)]), "intact in fragment 0");
-        assert!(!spec.severs(&[s(3), s(4)]), "intact in fragment 2");
-        assert!(spec.severs(&[s(1), s(2)]), "straddles fragments");
-        assert!(spec.severs(&[s(2), s(9)]), "unlisted member is isolated");
-        assert!(spec.severs(&[s(8), s(9)]), "two isolated members");
-        assert!(!spec.severs(&[s(2)]), "singleton groups cannot be severed");
-    }
-
-    #[test]
-    fn severed_episodes_counts_per_group_exposure() {
-        let eng = PartitionEngine::new(vec![
-            PartitionSpec::transient(SimTime(0), vec![s(0), s(1)], vec![s(2), s(3)], SimTime(10)),
-            PartitionSpec::simple(SimTime(20), vec![s(0), s(2)], vec![s(1), s(3)]),
-        ]);
-        assert_eq!(eng.severed_episodes(&[s(0), s(1)]), 1, "cut by the second episode only");
-        assert_eq!(eng.severed_episodes(&[s(2), s(3)]), 1, "cut by the second episode only");
-        assert_eq!(eng.severed_episodes(&[s(1), s(2)]), 2, "cut by both");
-        assert_eq!(eng.severed_episodes(&[s(0), s(2)]), 1, "cut by the first");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The Quorum collection machinery was rewritten for speed (piggybacked
 //! state reports, early round resolution, incremental tallies, exponential
 //! blocked-retry backoff — see `crates/protocols/src/quorum.rs`). The
-//! rewrites are tunable: [`QuorumTuning::baseline`] reproduces the naive
-//! pre-rewrite protocol exactly, [`QuorumTuning::optimized`] (the default)
+//! rewrites are one choice: [`QuorumTuning::Baseline`] reproduces the naive
+//! pre-rewrite protocol exactly, [`QuorumTuning::Optimized`] (the default)
 //! enables everything. This suite pins the equivalence the paper's
 //! semantics require:
 //!
@@ -67,8 +67,8 @@ fn optimized_tuning_is_verdict_identical_to_baseline_on_every_family() {
     ];
     for (shape, seed) in ScheduleShape::FAMILIES.iter().zip(seed_counts) {
         let grid = family_grid(*shape);
-        let baseline = sweep_quorum(&grid, QuorumTuning::baseline());
-        let optimized = sweep_quorum(&grid, QuorumTuning::optimized());
+        let baseline = sweep_quorum(&grid, QuorumTuning::Baseline);
+        let optimized = sweep_quorum(&grid, QuorumTuning::Optimized);
         assert_eq!(baseline.total, grid.size(), "{}", shape.name());
         assert_eq!(optimized.total, grid.size(), "{}", shape.name());
         assert_eq!(
@@ -116,7 +116,7 @@ fn blocked_minority_reaches_blocked_in_a_bounded_number_of_rounds() {
     // than the scenario being easy.
     let mut naive = Session::new(ProtocolKind::QuorumMajority, N);
     for p in naive.runner_mut().participants_mut() {
-        p.quorum_mut().expect("quorum cluster").set_tuning(QuorumTuning::baseline());
+        p.quorum_mut().expect("quorum cluster").set_tuning(QuorumTuning::Baseline);
     }
     let naive_result = naive.run_with(&scenario, &RunOptions::recording());
     assert_eq!(naive_result.verdict, result.verdict);

@@ -14,9 +14,16 @@
 //! HL-3PC slave of the session aborts on its own 3T timeout in `q` where the
 //! store's slave never started. With `xact`s landing by tick 1000, the cuts
 //! at 1500, 2500 and 3500 ticks all come after it.
+//!
+//! The flat store is in turn the one-shard store: a `DbCluster` whose every
+//! site stages every key runs, event for event, what a `ShardCluster` over
+//! one shard replicated at every site runs for the same key-addressed
+//! transactions.
 
-use ptp_core::ddb::cluster::{CommitProtocol, DbCluster};
+use ptp_core::ddb::cluster::{CommitProtocol, DbCluster, ShardCluster};
+use ptp_core::ddb::plan::ShardTxnSpec;
 use ptp_core::ddb::site::TxnSpec;
+use ptp_core::ddb::topology::ShardTopology;
 use ptp_core::ddb::value::{Key, TxnId, Value, WriteOp};
 use ptp_core::{ProtocolKind, Scenario, Session};
 use ptp_simnet::{DelayModel, PartitionEngine, PartitionSpec, SimTime, SiteId};
@@ -76,4 +83,55 @@ fn a_store_transaction_decides_like_its_protocol_session() {
     // 96 cells, 336 site runs; the 29 undecided ones are blocked 2PC and
     // quorum sites, undecided alike in the store and in the session.
     assert_eq!((cells, decided), (96, 307));
+}
+
+#[test]
+fn the_flat_store_is_the_one_shard_store_bit_for_bit() {
+    let delays = [DelayModel::Fixed(700), DelayModel::Uniform { seed: 11, min: 1, max: 1000 }];
+    let mut cells = 0;
+    for protocol in
+        [CommitProtocol::TwoPhase, CommitProtocol::HuangLi, CommitProtocol::QuorumMajority]
+    {
+        for n in 2..=5usize {
+            let last = SiteId(n as u16 - 1);
+            for delay in &delays {
+                for cut in [None, Some(500u64), Some(1500), Some(2500), Some(3500)] {
+                    let mut flat = DbCluster::new(n, protocol).delay(delay.clone());
+                    let mut sharded = ShardCluster::new(ShardTopology::uniform(n, 1, n), protocol)
+                        .delay(delay.clone());
+                    if let Some(at) = cut {
+                        let rest = (0..n as u16 - 1).map(SiteId).collect();
+                        let split = PartitionSpec::simple(SimTime(at), rest, vec![last]);
+                        flat = flat.partition(PartitionEngine::new(vec![split.clone()]));
+                        sharded = sharded.partition(PartitionEngine::new(vec![split]));
+                    }
+                    // Three conflicting transactions, 300 ticks apart, each
+                    // writing every key.
+                    for i in 1..=3u32 {
+                        let writes: Vec<WriteOp> = (0..n)
+                            .map(|k| WriteOp {
+                                key: Key::from(format!("k{k}").as_str()),
+                                value: Value::from_u64(i as u64),
+                            })
+                            .collect();
+                        let at = (i as u64 - 1) * 300;
+                        let per_site = (0..n as u16).map(|site| (site, writes.clone())).collect();
+                        flat = flat.submit(at, TxnSpec { id: TxnId(i), writes: per_site });
+                        sharded = sharded.submit(at, ShardTxnSpec { id: TxnId(i), writes });
+                    }
+                    let (flat, sharded) = (flat.run(), sharded.run());
+
+                    let tag = format!("{} n={n} {delay:?} cut={cut:?}", protocol.name());
+                    assert!(flat.metrics == sharded.metrics, "{tag}: metrics");
+                    assert!(flat.storages == sharded.storages, "{tag}: storages");
+                    assert!(flat.wals == sharded.wals, "{tag}: wals");
+                    assert_eq!(flat.blocked, sharded.blocked, "{tag}: blocked");
+                    assert_eq!(flat.report.events, sharded.report.events, "{tag}: events");
+                    assert!(flat.trace.events() == sharded.trace.events(), "{tag}: trace");
+                    cells += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cells, 120);
 }
