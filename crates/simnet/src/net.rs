@@ -321,9 +321,9 @@ impl<P: Payload> Core<P> {
     }
 }
 
-/// The simulator's reusable buffers: event heap, timer slab, crash flags,
-/// and the fault plan (whose partition-group vectors and fault lists a
-/// session rewrites between runs).
+/// The simulator's reusable buffers: event queue (message heap and timer
+/// lane), timer slab, crash flags, and the fault plan (whose partition-group
+/// vectors and fault lists a session rewrites between runs).
 ///
 /// A simulation built with [`Simulation::with_scratch`] and finished with
 /// [`Simulation::run_recycling`] hands these back so the next run starts
@@ -346,7 +346,7 @@ impl<P: Payload> SimScratch<P> {
     /// Fresh, empty scratch with no faults armed.
     pub fn new() -> SimScratch<P> {
         SimScratch {
-            queue: EventQueue::with_capacity(0),
+            queue: EventQueue::new(),
             timers: TimerSlab::with_capacity(0),
             crashed: Vec::new(),
             faults: FaultPlan::default(),
@@ -463,8 +463,9 @@ impl<P: Payload, A: Actor<P>> Simulation<P, A> {
         let n = actors.len();
         let SimScratch { mut queue, mut timers, mut crashed, faults } = scratch;
         // Broadcast peaks put O(n²) deliveries plus O(n) timers in flight;
-        // reserving once here keeps the heap from reallocating mid-run.
-        queue.reset(n * n + 4 * n + 2 * faults.failures.len() + 8);
+        // reserving once here keeps the message heap and the timer lane from
+        // reallocating mid-run.
+        queue.reset(n * n + 2 * faults.failures.len() + 8, 4 * n);
         timers.reset();
         crashed.clear();
         crashed.resize(n, false);
@@ -797,6 +798,54 @@ mod tests {
         let (_, trace, _) = sim.run();
         assert_eq!(board.borrow().timers, vec![(0, 1, 10)]);
         assert!(trace.events().iter().any(|e| matches!(e, TraceEvent::TimerSuppressed { .. })));
+    }
+
+    /// Arms a timer for t = 5000 and one for t = 10 that cancels it.
+    struct CancelsAtTen {
+        late: Option<TimerHandle>,
+    }
+    impl Actor<&'static str> for CancelsAtTen {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, &'static str>) {
+            self.late = Some(ctx.set_timer(SimDuration(5000), 2));
+            ctx.set_timer(SimDuration(10), 1);
+        }
+        fn on_message(&mut self, _: Envelope<&'static str>, _: &mut Ctx<'_, &'static str>) {}
+        fn on_timer(&mut self, _: u64, ctx: &mut Ctx<'_, &'static str>) {
+            if let Some(late) = self.late.take() {
+                ctx.cancel_timer(late);
+            }
+        }
+    }
+
+    fn cancels_at_ten(max_time: SimTime) -> RunReport {
+        let sim = Simulation::new(
+            NetConfig { max_time, ..NetConfig::default() },
+            vec![CancelsAtTen { late: None }],
+            PartitionEngine::always_connected(),
+            &DelayModel::Fixed(1),
+        );
+        sim.run().2
+    }
+
+    #[test]
+    fn a_cancelled_timer_is_still_dispatched_at_its_expiry() {
+        // Cancellation is lazy: the dead timer stays queued, pops at 5000 and
+        // is suppressed there — an event, a suppression and the run's end.
+        let report = cancels_at_ten(SimTime(10_000));
+        assert_eq!(report.stop, StopReason::Quiescent);
+        assert_eq!(report.events, 2);
+        assert_eq!(report.counters.timers_fired, 1);
+        assert_eq!(report.counters.timers_cancelled, 1);
+        assert_eq!(report.counters.timers_suppressed, 1);
+        assert_eq!(report.ended_at, SimTime(5000));
+    }
+
+    #[test]
+    fn a_cancelled_timer_past_the_horizon_still_stops_the_run_there() {
+        let report = cancels_at_ten(SimTime(4000));
+        assert_eq!(report.stop, StopReason::Horizon);
+        assert_eq!((report.events, report.counters.timers_suppressed), (1, 0));
+        assert_eq!(report.ended_at, SimTime(10));
     }
 
     #[test]
