@@ -45,6 +45,16 @@
 //! commit becomes visible: messages wait in the outbox, decided commits
 //! wait with their locks held, until [`Hosted::flushed`].
 //!
+//! **Maps.** A handler finds its transaction by id, so every map keyed by
+//! id that is only probed — participant slots, parked work, the stamps
+//! this site assigned, the lock table's keys per transaction, staged
+//! writes — is an [`IdMap`], and where one is listed (`active_txns`, a
+//! sync request's pending ids, recovery freeing participants, the
+//! storage's `Debug`) it is sorted first. A map stays ordered only where
+//! its order is read: committed storage (digests), the per-shard version
+//! index (the sync merge), `owed` (replay order). `finished` is ordered
+//! too: a hashed one costs a long run more memory than its probes save.
+//!
 //! **Log reclaim.** The core checkpoints its own WAL
 //! ([`Wal::checkpoint`]) as transactions complete, whenever the log has
 //! grown by more than a fixed floor and more than the last checkpoint left
@@ -56,13 +66,13 @@ use crate::locks::{LockGrant, LockMode, LockTable};
 use crate::plan::{PlanTable, ReadView, Staged, TxnView};
 use crate::site::{DbMsg, ParticipantFactory, ParticipantPool, ReadPath, Stamps, SyncPayload};
 use crate::storage::Storage;
-use crate::value::{Key, TxnId, Value, WriteOp};
+use crate::value::{IdMap, Key, TxnId, Value, WriteOp};
 use crate::wal::{Record, Wal};
 use ptp_model::Decision;
 use ptp_protocols::api::{Action, CommitMsg, Participant, TimerTag, Vote};
 use ptp_protocols::AnyParticipant;
 use ptp_simnet::SiteId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Message kind a client injects at a plan's master to submit it.
@@ -319,8 +329,10 @@ struct Site {
     /// transactions then in play).
     wal_tail: usize,
     locks: LockTable,
-    slots: BTreeMap<TxnId, TxnSlot>,
-    parked: BTreeMap<TxnId, Work>,
+    slots: IdMap<TxnId, TxnSlot>,
+    parked: IdMap<TxnId, Work>,
+    /// Ordered, though only probed on the event path: a hashed map would
+    /// cost a long run's memory more than its lookups save.
     finished: BTreeMap<TxnId, Decision>,
     /// Commits decided but not durable yet (the host deferred the flush):
     /// applied, acknowledged and shipped — and their locks released — by
@@ -343,7 +355,7 @@ struct Site {
     /// master merges it against, as it stands.
     versions: Vec<BTreeMap<Key, u64>>,
     /// The stamps this site assigned, as authority, per transaction.
-    out_stamps: HashMap<TxnId, Stamps>,
+    out_stamps: IdMap<TxnId, Stamps>,
     /// Synthetic ids handed to anti-entropy install batches (a plain
     /// counter: it survives a crash so the ids in the log stay unique).
     sync_installs: u32,
@@ -381,8 +393,8 @@ impl SiteCore {
             wal: Wal::new(),
             wal_tail: 0,
             locks: LockTable::new(),
-            slots: BTreeMap::new(),
-            parked: BTreeMap::new(),
+            slots: IdMap::default(),
+            parked: IdMap::default(),
             finished: BTreeMap::new(),
             pending: Vec::new(),
             held: false,
@@ -391,7 +403,7 @@ impl SiteCore {
             lease: LeaseTable::new(),
             stamping: opts.anti_entropy.is_some() || plans.ships(),
             versions: vec![BTreeMap::new(); topology.shards()],
-            out_stamps: HashMap::new(),
+            out_stamps: IdMap::default(),
             sync_installs: 0,
             unreported: replicated.map(|s| (s, Vec::new())).collect(),
             owed: BTreeMap::new(),
@@ -414,9 +426,11 @@ impl SiteCore {
         &self.site.wal
     }
 
-    /// Transactions with a commit protocol still in flight here.
+    /// Transactions with a commit protocol still in flight here, ascending.
     pub fn active_txns(&self) -> Vec<TxnId> {
-        self.site.slots.keys().copied().collect()
+        let mut txns: Vec<TxnId> = self.site.slots.keys().copied().collect();
+        txns.sort_unstable();
+        txns
     }
 
     /// Transactions in flight, waiting for locks, or waiting for a flush.
@@ -1003,8 +1017,12 @@ impl<H: Host> Hosted<'_, H> {
         let Some(period) = self.site.opts.anti_entropy else { return };
         let versions: Stamps =
             self.site.versions[shard].iter().map(|(k, v)| (k.clone(), *v)).collect();
-        let pending: Vec<TxnId> =
-            self.site.slots.keys().chain(self.site.parked.keys()).copied().collect();
+        // In flight, then parked, each ascending.
+        let mut pending: Vec<TxnId> = self.site.slots.keys().copied().collect();
+        pending.sort_unstable();
+        let in_flight = pending.len();
+        pending.extend(self.site.parked.keys());
+        pending[in_flight..].sort_unstable();
         let known = self.site.unreported.get_mut(&shard).map(std::mem::take).unwrap_or_default();
         let payload = SyncPayload { versions, pending, known, decisions: Vec::new() };
         let msg = DbMsg { sync: Some(Box::new(payload)), ..ctrl_msg(SYNC_REQ, shard, 0) };
@@ -1291,7 +1309,11 @@ impl<H: Host> Hosted<'_, H> {
     /// shipped applies are lost with the rest: the replica stays stale
     /// until anti-entropy (or a later ship) catches it up.
     pub fn recover(&mut self) {
-        for (_, slot) in std::mem::take(&mut self.site.slots) {
+        // In id order: the free-lists decide which machine a later
+        // transaction gets.
+        let mut slots: Vec<(TxnId, TxnSlot)> = self.site.slots.drain().collect();
+        slots.sort_unstable_by_key(|(txn, _)| *txn);
+        for (_, slot) in slots {
             self.site.pools[slot.pool].1.release(slot.participant);
         }
         self.site.parked.clear();
@@ -1882,5 +1904,66 @@ mod tests {
     #[should_panic(expected = "65536 shards")]
     fn control_ids_reject_a_shard_they_cannot_address() {
         let _ = ctrl_msg(LEASE_RENEW, 0x1_0000, 0);
+    }
+
+    // ---- hashed maps leak no order ----
+
+    /// Slave 1 of a flat two-site cluster planning transactions 1..=13, anti-
+    /// entropy on, with 9, 3 and 7 in flight (one key each) and 10 and 8
+    /// parked behind 9 and 3 — ids whose hash order is not ascending.
+    fn slave_with_hashed_ids() -> (SiteCore, Script) {
+        let specs = (1..=13).map(|id| TxnSpec { id: TxnId(id), writes: BTreeMap::new() });
+        let opts = ShardNodeOpts { lease: None, anti_entropy: Some(50) };
+        let mut core = site(1, PlanTable::flat(2, specs, []), CommitProtocol::HuangLi, opts);
+        let mut host = Script::durable();
+        for (txn, key) in [(9, "k9"), (3, "k3"), (7, "k7"), (10, "k9"), (8, "k3")] {
+            core.with(&mut host).on_message(SiteId(0), xact(txn, &[key]));
+        }
+        let ids = |keys: Vec<&TxnId>| keys.into_iter().map(|t| t.0).collect::<Vec<_>>();
+        let hashed =
+            [ids(core.site.slots.keys().collect()), ids(core.site.parked.keys().collect())];
+        assert!(hashed.iter().all(|ids| !ids.is_sorted()), "pick ids the hasher does not sort");
+        (core, host)
+    }
+
+    #[test]
+    fn no_hash_order_in_active_txns() {
+        let (core, _) = slave_with_hashed_ids();
+        assert_eq!(core.active_txns(), [TxnId(3), TxnId(7), TxnId(9)]);
+    }
+
+    #[test]
+    fn no_hash_order_in_a_sync_requests_pending_ids() {
+        let (mut core, mut host) = slave_with_hashed_ids();
+        core.with(&mut host).on_timer(TimerKey::Sync(0));
+        let (_, req) = host.sent.pop().expect("a sync request");
+        let pending: Vec<u32> =
+            req.sync.expect("a sync body").pending.iter().map(|t| t.0).collect();
+        assert_eq!(pending, [3, 7, 9, 8, 10], "in flight ascending, then parked ascending");
+    }
+
+    #[test]
+    fn no_hash_order_in_recovery_freeing_participants() {
+        let (mut core, mut host) = slave_with_hashed_ids();
+        let participant = |core: &SiteCore, txn| core.site.slots[&TxnId(txn)].participant;
+        let [nine, seven, three] = [9, 7, 3].map(|txn| participant(&core, txn));
+        core.with(&mut host).recover();
+        // Freed in id order, so the free-list hands back the highest first.
+        for (txn, key) in [(11, "a"), (12, "b"), (13, "c")] {
+            core.with(&mut host).on_message(SiteId(0), xact(txn, &[key]));
+        }
+        assert_eq!([11, 12, 13].map(|txn| participant(&core, txn)), [nine, seven, three]);
+    }
+
+    #[test]
+    fn no_hash_order_in_storage_debug() {
+        let mut storage = Storage::new();
+        let mut ordered = BTreeMap::new();
+        for txn in [9, 3, 7, 8, 2, 12, 1] {
+            storage.stage(TxnId(txn), vec![w("k", txn as u64)]);
+            ordered.insert(TxnId(txn), vec![w("k", txn as u64)]);
+        }
+        let derived = format!("Storage {{ committed: {{}}, staged: {ordered:?} }}");
+        assert_eq!(format!("{storage:?}"), derived);
     }
 }

@@ -12,7 +12,7 @@
 //! never votes, the commit protocol times out, and the abort releases
 //! everything).
 
-use crate::value::{Key, TxnId};
+use crate::value::{IdMap, Key, TxnId};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -46,7 +46,7 @@ pub struct LockTable {
     locks: BTreeMap<Key, LockEntry>,
     /// The keys each transaction holds or waits for — all a release has to
     /// visit (a blocked protocol's locks stay in the table for good).
-    keys_of: BTreeMap<TxnId, Vec<Key>>,
+    keys_of: IdMap<TxnId, Vec<Key>>,
 }
 
 impl LockTable {

@@ -12,13 +12,12 @@ use crate::core::{Host, Hosted, SiteCore, SiteEvent, TimerKey, Via};
 use crate::plan::PlanTable;
 use crate::site::{DbMsg, LockHold, Metrics, ParticipantFactory, ReadRecord};
 use crate::storage::Storage;
-use crate::value::TxnId;
+use crate::value::{IdMap, TxnId};
 use crate::wal::Wal;
 use ptp_model::Decision;
 use ptp_protocols::api::TimerTag;
 use ptp_simnet::{Actor, Ctx, Envelope, SimDuration, SiteId, TimerHandle};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -57,8 +56,8 @@ fn encode(key: TimerKey) -> u64 {
 struct SimHost<'a, 'c> {
     ctx: &'a mut Ctx<'c, DbMsg>,
     metrics: &'a RefCell<Metrics>,
-    timers: &'a mut BTreeMap<u64, TimerHandle>,
-    holds: &'a mut BTreeMap<TxnId, usize>,
+    timers: &'a mut IdMap<u64, TimerHandle>,
+    holds: &'a mut IdMap<TxnId, usize>,
 }
 
 impl Host for SimHost<'_, '_> {
@@ -162,9 +161,9 @@ pub struct ShardNode {
     /// The simulator handle of each armed timer, by tag. (An entry whose
     /// timer died with a crash is stale, not wrong: handles are
     /// generation-stamped, cancelling one is a no-op.)
-    timers: BTreeMap<u64, TimerHandle>,
+    timers: IdMap<u64, TimerHandle>,
     /// Index into [`Metrics::lock_holds`] of each open hold interval.
-    holds: BTreeMap<TxnId, usize>,
+    holds: IdMap<TxnId, usize>,
 }
 
 impl ShardNode {
@@ -185,7 +184,7 @@ impl ShardNode {
             "a transaction is submitted away from its master"
         );
         let core = SiteCore::new(me, plans, factory, storage, opts);
-        ShardNode { core, metrics, workload, timers: BTreeMap::new(), holds: BTreeMap::new() }
+        ShardNode { core, metrics, workload, timers: IdMap::default(), holds: IdMap::default() }
     }
 
     /// The hosted core, to inspect and take apart after the run.
@@ -239,6 +238,7 @@ impl Actor<DbMsg> for ShardNode {
     /// is torn down in [`Hosted::recover`].
     fn on_crash(&mut self, ctx: &mut Ctx<'_, DbMsg>) {
         let mut m = self.metrics.borrow_mut();
+        // Every hold ends at the same instant: the map's order is not read.
         for (_, hold) in std::mem::take(&mut self.holds) {
             m.lock_holds[hold].to = Some(ctx.now());
         }

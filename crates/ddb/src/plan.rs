@@ -37,6 +37,7 @@ use crate::site::{ReadSpec, TxnSpec};
 use crate::topology::ShardTopology;
 use crate::value::{Key, TxnId, WriteOp};
 use ptp_simnet::SiteId;
+use std::cmp::Ordering;
 
 /// A transaction addressed by key, before routing: the shard map decides
 /// which sites it touches.
@@ -300,8 +301,30 @@ impl<T> Routed<T> {
     }
 
     fn get(&self, id: TxnId) -> Option<PlanView<'_, T>> {
-        let at = self.rows.binary_search_by_key(&id, |row| row.id).ok()?;
-        Some(self.view(&self.rows[at]))
+        Some(self.view(&self.rows[self.find(id)?]))
+    }
+
+    /// The row of `id`. An id outside `[first, last]` misses at once (the
+    /// core asks the write side about every read id first); inside, the row
+    /// is guessed as if ids were evenly spread — workloads number their
+    /// transactions densely — and a wrong guess binary-searches the side of
+    /// it that can still hold `id`.
+    fn find(&self, id: TxnId) -> Option<usize> {
+        let (first, last) = (self.rows.first()?.id.0, self.rows.last()?.id.0);
+        if id.0 < first || id.0 > last {
+            return None;
+        }
+        let span = u64::from(last - first).max(1);
+        let guess = (u64::from(id.0 - first) * (self.rows.len() - 1) as u64 / span) as usize;
+        let by_id = |row: &Row| row.id;
+        match self.rows[guess].id.cmp(&id) {
+            Ordering::Equal => Some(guess),
+            Ordering::Less => {
+                let above = guess + 1;
+                self.rows[above..].binary_search_by_key(&id, by_id).ok().map(|at| above + at)
+            }
+            Ordering::Greater => self.rows[..guess].binary_search_by_key(&id, by_id).ok(),
+        }
     }
 
     fn iter(&self) -> impl Iterator<Item = (TxnId, PlanView<'_, T>)> {
@@ -609,6 +632,7 @@ impl PlanTable {
     }
 
     /// The plan of `txn`, if the workload contains it.
+    #[inline]
     pub fn get(&self, txn: TxnId) -> Option<TxnView<'_>> {
         self.writes.get(txn)
     }
@@ -624,6 +648,7 @@ impl PlanTable {
     }
 
     /// The read plan of `txn`, if the read workload contains it.
+    #[inline]
     pub fn get_read(&self, txn: TxnId) -> Option<ReadView<'_>> {
         self.reads.get(txn)
     }
@@ -644,6 +669,7 @@ impl PlanTable {
 mod tests {
     use super::*;
     use crate::value::{Key, Value};
+    use proptest::prelude::*;
 
     fn w(key: &str) -> WriteOp {
         WriteOp { key: Key::from(key), value: Value::from_u64(1) }
@@ -913,5 +939,89 @@ mod tests {
             ShardTxnSpec { id: TxnId(1), writes: vec![w("b")] },
         ];
         let _ = PlanTable::compile(topo, &specs);
+    }
+
+    /// The lookup [`Routed::get`] made before it guessed rows, kept
+    /// verbatim as the oracle of its replacement.
+    fn searched<T>(routed: &Routed<T>, id: TxnId) -> Option<PlanView<'_, T>> {
+        let at = routed.rows.binary_search_by_key(&id, |row| row.id).ok()?;
+        Some(routed.view(&routed.rows[at]))
+    }
+
+    /// Which plan a lookup found: its place in the arena, its length, its
+    /// master.
+    fn found<T>(view: Option<PlanView<'_, T>>) -> Option<(*const T, usize, SiteId)> {
+        view.map(|view| (view.items().as_ptr(), view.items().len(), view.master()))
+    }
+
+    /// The ids of one property case, ascending: `shape` 0 dense, 1 gapped,
+    /// 2 dense plus one far outlier, 3 gapped up to `u32::MAX`, 4 a single
+    /// id.
+    fn case_ids(shape: u8, start: u32, gaps: &[u32], far: u32) -> Vec<u32> {
+        let mut ids: Vec<u32> = match shape {
+            0 => (0..gaps.len() as u32).map(|i| start + i).collect(),
+            1 => {
+                gaps.iter().scan(start, |at, gap| Some(std::mem::replace(at, *at + gap))).collect()
+            }
+            2 => {
+                let mut ids: Vec<u32> = (0..gaps.len() as u32).map(|i| start + i).collect();
+                ids.push(start + gaps.len() as u32 + 1_000_000 + far % 1_000_000_000);
+                ids
+            }
+            3 => gaps
+                .iter()
+                .scan(u32::MAX, |at, gap| Some(std::mem::replace(at, *at - gap)))
+                .collect(),
+            _ => vec![start],
+        };
+        ids.sort_unstable();
+        ids
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: if cfg!(debug_assertions) { 256 } else { 10_000 },
+            ..ProptestConfig::default()
+        })]
+
+        /// `split` deals the ids out: 0 all writes, 1 all reads, 2 reads
+        /// wherever a gap is odd (read ids inside the write range), 3 reads
+        /// above the writes. Every id, its neighbours and both ends of the
+        /// id space are looked up.
+        #[test]
+        fn plan_lookup_finds_what_the_binary_search_found(
+            shape in 0u8..5,
+            start in 0u32..5000,
+            gaps in prop::collection::vec(1u32..40, 0..160),
+            far in any::<u32>(),
+            split in 0u8..4,
+        ) {
+            let topo = ShardTopology::uniform(4, 2, 2);
+            let keys = [key_in(&topo, 0), key_in(&topo, 1)];
+            let ids = case_ids(shape, start, &gaps, far);
+            let read = |i: usize, id: u32| match split {
+                0 => false,
+                1 => true,
+                2 => gaps.get(i).is_some_and(|gap| gap % 2 == 1) || id.is_multiple_of(3),
+                _ => i >= ids.len() / 2,
+            };
+            let (mut txns, mut reads) = (Vec::new(), Vec::new());
+            for (i, &id) in ids.iter().enumerate() {
+                let key = keys[id as usize % 2].clone();
+                match read(i, id) {
+                    false => txns.push(ShardTxnSpec { id: TxnId(id), writes: vec![key] }),
+                    true => reads.push(ShardReadSpec { id: TxnId(id), keys: vec![key.key] }),
+                }
+            }
+            let table = PlanTable::route(topo, &txns, &reads);
+            let around = ids.iter().flat_map(|&id| [id.checked_sub(1), Some(id), id.checked_add(1)]);
+            for id in around.flatten().chain([0, u32::MAX]).map(TxnId) {
+                let (write, read) = (searched(&table.writes, id), searched(&table.reads, id));
+                prop_assert_eq!(found(table.get(id)), found(write));
+                prop_assert_eq!(found(table.get_read(id)), found(read));
+                let master = write.map(PlanView::master).or_else(|| read.map(PlanView::master));
+                prop_assert_eq!(table.master_of(id), master);
+            }
+        }
     }
 }

@@ -2,14 +2,28 @@
 //! staging, with idempotent apply (the property the paper's Sec. 2 recovery
 //! argument leans on).
 
-use crate::value::{Key, TxnId, Value, WriteOp};
+use crate::value::{IdMap, Key, TxnId, Value, WriteOp};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// One site's key-value store.
-#[derive(Debug, Default, Clone, PartialEq)]
+#[derive(Default, Clone, PartialEq)]
 pub struct Storage {
+    /// Ordered: digests and `iter` read it in key order.
     committed: BTreeMap<Key, Value>,
-    staged: BTreeMap<TxnId, Vec<WriteOp>>,
+    staged: IdMap<TxnId, Vec<WriteOp>>,
+}
+
+/// Renders as the derive did over an id-ordered `staged`: golden digests
+/// hash this text.
+impl fmt::Debug for Storage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let staged: BTreeMap<_, _> = self.staged.iter().collect();
+        f.debug_struct("Storage")
+            .field("committed", &self.committed)
+            .field("staged", &staged)
+            .finish()
+    }
 }
 
 impl Storage {

@@ -2,6 +2,8 @@
 
 use crate::bytes::Bytes;
 use core::fmt;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A database key. Cheap to clone (refcounted bytes).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -68,6 +70,51 @@ impl fmt::Display for TxnId {
     }
 }
 
+/// A map keyed by a transaction id (or another id the program mints
+/// itself) that is only ever probed: hashed with [`IdHasher`]. Iterating
+/// one yields an order no reader may see — sort first (the ordered maps
+/// of the store are listed in ARCHITECTURE.md, each with the reader of its
+/// order).
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A deterministic multiplicative hasher for small integer ids: the same
+/// keys hash alike in every process, so a run never depends on a seed.
+/// Not for keys from outside the program — it does not resist crafted
+/// collisions.
+#[derive(Debug, Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    /// An odd constant whose bits are well spread (2^64 / φ).
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(b as u64));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n as u64);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    /// A product's low bits depend only on the factors' low bits, and the
+    /// table picks a bucket from the low bits: fold the high half in, or
+    /// ids differing only above the bucket mask (timer tags `(id + 1) << 8
+    /// | kind`) share one bucket.
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
 /// One write of a distributed transaction, targeted at a specific site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteOp {
@@ -99,5 +146,15 @@ mod tests {
     #[test]
     fn keys_order() {
         assert!(Key::from("a") < Key::from("b"));
+    }
+
+    #[test]
+    fn ids_apart_only_above_the_bucket_mask_spread_over_buckets() {
+        use std::hash::BuildHasher;
+        let hasher = BuildHasherDefault::<IdHasher>::default();
+        // Timer tags of one kind: `(id + 1) << 8 | kind`.
+        let buckets: std::collections::BTreeSet<u64> =
+            (0..64u64).map(|id| hasher.hash_one(((id + 1) << 8) | 0xfe) & 63).collect();
+        assert!(buckets.len() > 32, "{} of 64 buckets used", buckets.len());
     }
 }
