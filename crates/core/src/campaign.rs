@@ -9,6 +9,10 @@
 //! [`ShardCluster`] — the one store builder, whose one-group case is the
 //! flat database — under the whole lowered [`Timeline::faults`]).
 //!
+//! A planned run gets the live run's store audit, [`ptp_ddb::audit`]
+//! (atomicity, WAL discipline, provenance), then what only the simulator
+//! tells: read history, leaked locks and blocked transactions.
+//!
 //! Everything is deterministic from the campaign seed: timeline `i` of a
 //! campaign is always the same [`Timeline`] (see [`Campaign::timeline`]),
 //! so a failure report's `(seed, index)` pair replays bit-for-bit.
@@ -37,6 +41,7 @@ use crate::run::ScenarioResult;
 use crate::scenario::ProtocolKind;
 use crate::session::Session;
 use crate::timeline::{ScenarioBuilder, TimedEvent, Timeline};
+use ptp_ddb::audit::audit;
 use ptp_ddb::cluster::{CommitProtocol, DbRun, ShardCluster};
 use ptp_ddb::lineariz::check_read_history;
 use ptp_ddb::plan::{ShardReadSpec, ShardTxnSpec};
@@ -346,32 +351,29 @@ impl Planned {
         store.run()
     }
 
-    /// The oracles, cheapest first: atomicity, read history and — for the
+    /// The oracles: the store [`audit`], read history and — for the
     /// termination protocol on a timeline that ends healed (2PC and Quorum
-    /// block by design) — replica convergence and nothing left held.
+    /// block by design) — converged replicas and nothing left held.
     fn verdict(&self, case: &Case, run: &DbRun) -> Option<String> {
         let (timeline, workload) = case.planned();
-        let split = run.metrics.atomicity_violations();
-        if !split.is_empty() {
-            return Some(format!("atomicity: sites decided {split:?} both ways"));
+        let faults = timeline.faults();
+        let seeds = workload.seeds.iter().map(|(key, value)| (key, Some(value)));
+        let store = audit(&run.plans, &run.remains(), seeds, &faults, None);
+        if let Some(violation) = store.violations.first() {
+            return Some(format!("audit: {violation}"));
         }
         let specs = workload.writes.iter().map(|(_, spec)| spec);
         let unread = check_read_history(&self.topology, &workload.seeds, specs, &run.metrics);
         if let Some(violation) = unread.first() {
             return Some(format!("read history: {violation:?}"));
         }
-        let faults = timeline.faults();
         let healed = faults.partition.episodes().iter().all(|e| e.heal_at.is_some())
             && faults.failures.iter().all(|f| f.recover_at.is_some());
         if self.protocol != CommitProtocol::HuangLi || !healed {
             return None;
         }
-        for (key, _) in &workload.seeds {
-            let group = self.topology.group(self.topology.shard_of(key));
-            let master = run.storages[group[0].index()].get(key);
-            if let Some(site) = group.iter().find(|s| run.storages[s.index()].get(key) != master) {
-                return Some(format!("convergence: {site} differs from its master on {key:?}"));
-            }
+        if let Some((key, site)) = store.diverged {
+            return Some(format!("convergence: {site} differs from its master on {key:?}"));
         }
         if let Some(hold) = run.metrics.lock_holds.iter().find(|h| h.to.is_none()) {
             return Some(format!("leaked lock: {hold:?}"));
@@ -519,11 +521,12 @@ impl Campaign {
     /// degrades and envelope faults — onto a [`ShardCluster`] over `topology`
     /// (`uniform(n, 1, n)` is the flat database), leases and anti-entropy
     /// on, serving the [`Workload`] sampled from the timeline's seed. A run
-    /// fails on an atomicity violation, on a read no linearization of the
-    /// committed writes explains, and — `HuangLi` on a timeline that ends
-    /// healed — on a replica that differs from its shard master or a lock
-    /// or transaction still held at the horizon. Failures shrink over the
-    /// timeline *and* the workload's writes and reads.
+    /// fails on the store [`audit`]'s first violation (atomicity, WAL
+    /// discipline, provenance), on a read no linearization of the committed
+    /// writes explains, and — `HuangLi` on a timeline that ends healed — on
+    /// unconverged replicas or a lock or transaction still held at the
+    /// horizon. Failures shrink over the timeline *and* the workload's
+    /// writes and reads.
     ///
     /// # Panics
     ///
@@ -942,11 +945,15 @@ mod tests {
     fn a_healed_timeline_is_also_judged_on_convergence_and_leaked_locks() {
         let topology = ShardTopology::uniform(4, 1, 4);
         let key = topology.key_pool(1)[0][0].clone();
-        let write = WriteOp { key: key.clone(), value: Value::from_u64(7) };
+        let write = |id: u32, value| ShardTxnSpec {
+            id: TxnId(id),
+            writes: vec![WriteOp { key: key.clone(), value: Value::from_u64(value) }],
+        };
         let split = vec![vec![SiteId(0), SiteId(1), SiteId(2)], vec![SiteId(3)]];
+        // The split aborts the first write; the second commits after the heal.
         let workload = Some(Workload {
             seeds: vec![(key.clone(), Value::from_u64(0))],
-            writes: vec![(0, ShardTxnSpec { id: TxnId(1), writes: vec![write] })],
+            writes: vec![(0, write(1, 7)), (20_000, write(2, 8))],
             reads: Vec::new(),
             delay: DelayModel::Fixed(700),
         });
@@ -963,10 +970,16 @@ mod tests {
         let clean = subject.execute(&healed);
         assert_eq!(subject.verdict(&healed, &clean), None);
 
-        // A replica that never caught up, and a lock nobody released.
-        let mut diverged = subject.execute(&healed);
-        diverged.storages[3].seed(key, Value::from_u64(0xBAD_FACE));
-        let message = subject.verdict(&healed, &diverged).expect("a stale replica must fail");
+        // A replica holding a value nobody wrote, one that never caught up,
+        // and a lock nobody released.
+        let mut foreign = subject.execute(&healed);
+        foreign.storages[3].seed(key.clone(), Value::from_u64(0xBAD_FACE));
+        let message = subject.verdict(&healed, &foreign).expect("a foreign value must fail");
+        let expected = format!("audit: key {key} at site site3 holds a value from no committed");
+        assert!(message.starts_with(&expected), "{message}");
+        let mut stale = subject.execute(&healed);
+        stale.storages[3].seed(key, Value::from_u64(0));
+        let message = subject.verdict(&healed, &stale).expect("a stale replica must fail");
         assert!(message.starts_with("convergence: site3"), "{message}");
         let mut leaked = subject.execute(&healed);
         leaked.metrics.lock_holds[0].to = None;

@@ -14,9 +14,9 @@
 //! Either way [`Cluster::run`] hands the plans to [`run_sites`] — a
 //! [`ShardNode`] per site, all in **one** simulation, so a single partition
 //! schedule or failure spec cuts across every replica group at once — and
-//! harvests one [`DbRun`]: the metrics, every site's final storage and WAL,
-//! and the per-shard, cross-shard and read reports. A flat run's one shard
-//! is its whole group.
+//! harvests one [`DbRun`]: the plans, the metrics, every site's final
+//! storage, WAL and decisions, and the per-shard, cross-shard and read
+//! reports. A flat run's one shard is its whole group.
 //!
 //! ```
 //! use ptp_ddb::cluster::{CommitProtocol, ShardCluster};
@@ -36,6 +36,7 @@
 //! assert_eq!(run.cross_shard.submitted, 0); // one key = single-shard
 //! ```
 
+use crate::audit::SiteRemains;
 use crate::core::SiteCore;
 use crate::lease::LeaseConfig;
 use crate::node::{ShardNode, ShardNodeOpts};
@@ -392,6 +393,7 @@ impl<W: Workload> Cluster<W> {
         let (shards, cross_shard) = aggregate(&plans, &metrics, horizon);
         let mut run = DbRun {
             reads: aggregate_reads(&plans, &metrics),
+            plans,
             metrics,
             shards,
             cross_shard,
@@ -399,6 +401,7 @@ impl<W: Workload> Cluster<W> {
             report,
             storages: Vec::with_capacity(sites.len()),
             wals: Vec::with_capacity(sites.len()),
+            finished: Vec::with_capacity(sites.len()),
             blocked: Vec::with_capacity(sites.len()),
             participants_constructed: 0,
             participants_reused: 0,
@@ -408,9 +411,10 @@ impl<W: Workload> Cluster<W> {
             let (constructed, reused) = site.participants();
             run.participants_constructed += constructed;
             run.participants_reused += reused;
-            let (storage, wal, _) = site.into_parts();
+            let (storage, wal, finished) = site.into_parts();
             run.storages.push(storage);
             run.wals.push(wal);
+            run.finished.push(finished);
         }
         run
     }
@@ -428,6 +432,8 @@ pub struct DbRun {
     pub cross_shard: CrossShardReport,
     /// Read-path accounting.
     pub reads: ReadReport,
+    /// The compiled plans the sites ran.
+    pub plans: Arc<PlanTable>,
     /// Full network trace.
     pub trace: Trace,
     /// Simulator report.
@@ -436,6 +442,8 @@ pub struct DbRun {
     pub storages: Vec<Storage>,
     /// Final write-ahead log per site (durable + volatile records).
     pub wals: Vec<Wal>,
+    /// Every decision each site recorded.
+    pub finished: Vec<BTreeMap<TxnId, Decision>>,
     /// Transactions with a commit protocol still in flight per site
     /// (blocked) at the end.
     pub blocked: Vec<Vec<TxnId>>,
@@ -443,6 +451,14 @@ pub struct DbRun {
     pub participants_constructed: usize,
     /// Pool acquisitions served off the free-lists across all sites.
     pub participants_reused: usize,
+}
+
+impl DbRun {
+    /// What each site left behind, for the store [`audit`](crate::audit).
+    pub fn remains(&self) -> Vec<SiteRemains<'_>> {
+        let sites = self.storages.iter().zip(&self.wals).zip(&self.finished);
+        sites.map(|((storage, wal), finished)| SiteRemains { storage, wal, finished }).collect()
+    }
 }
 
 /// What a sharded run produces: the one run type.

@@ -334,6 +334,11 @@ struct Site {
     /// Ordered, though only probed on the event path: a hashed map would
     /// cost a long run's memory more than its lookups save.
     finished: BTreeMap<TxnId, Decision>,
+    /// Transactions a crash left undecided at this participant: their
+    /// outcome is the coordinator's, so none is presumed; known (a
+    /// duplicate xact starts nothing) until a replayed decision settles
+    /// them. Kept across crashes.
+    in_doubt: BTreeSet<TxnId>,
     /// Commits decided but not durable yet (the host deferred the flush):
     /// applied, acknowledged and shipped — and their locks released — by
     /// [`Hosted::flushed`], in decision order.
@@ -396,6 +401,7 @@ impl SiteCore {
             slots: IdMap::default(),
             parked: IdMap::default(),
             finished: BTreeMap::new(),
+            in_doubt: BTreeSet::new(),
             pending: Vec::new(),
             held: false,
             outbox: Vec::new(),
@@ -459,13 +465,14 @@ impl SiteCore {
 impl<H: Host> Hosted<'_, H> {
     // ---- steps every path shares ----
 
-    /// True if this site already knows `txn` (decided, in flight, parked,
-    /// or awaiting its flush): a duplicate delivery. The `parked` arm is
+    /// True if this site already knows `txn` (decided, in doubt, in
+    /// flight, parked, or awaiting its flush): a duplicate delivery. The `parked` arm is
     /// load-bearing — re-admitting a parked transaction would enqueue
     /// duplicate wait-queue entries in the lock table and overwrite its
     /// [`Work`] entry.
     fn known(&self, txn: TxnId) -> bool {
         self.site.finished.contains_key(&txn)
+            || self.site.in_doubt.contains(&txn)
             || self.site.slots.contains_key(&txn)
             || self.site.parked.contains_key(&txn)
             || self.site.pending.iter().any(|(t, _)| *t == txn)
@@ -1151,6 +1158,7 @@ impl<H: Host> Hosted<'_, H> {
             }
             return;
         }
+        self.site.in_doubt.remove(&txn);
         let route = Route::of(self.plans, txn);
         if let (Some(slot), Some(route)) = (self.site.slots.get_mut(&txn), route) {
             // The master's durable outcome is authoritative; finish the
@@ -1305,9 +1313,12 @@ impl<H: Host> Hosted<'_, H> {
     /// Crash recovery (Sec. 2's single-site discipline): volatile state —
     /// staged writes, unflushed log records, in-flight participants, parked
     /// work, held messages, lock table, leases, stamps — is gone; the
-    /// durable log decides what to redo and what to presume aborted. Parked
-    /// shipped applies are lost with the rest: the replica stays stale
-    /// until anti-entropy (or a later ship) catches it up.
+    /// durable log decides what to redo and what to presume aborted — the
+    /// latter only where this site coordinates. A participant may have
+    /// acked a commit, so it holds the transaction in doubt until
+    /// anti-entropy replays the decision (with anti-entropy off, for good).
+    /// Parked shipped applies are lost with the rest: the replica stays
+    /// stale until anti-entropy (or a later ship) catches it up.
     pub fn recover(&mut self) {
         // In id order: the free-lists decide which machine a later
         // transaction gets.
@@ -1352,7 +1363,12 @@ impl<H: Host> Hosted<'_, H> {
             self.host.event(SiteEvent::Completed { txn, decision, via, master: false });
         }
         for &txn in &summary.discarded {
-            self.conclude(txn, Decision::Abort, self.plans.get(txn));
+            let plan = self.plans.get(txn);
+            if plan.is_none_or(|plan| plan.master() == self.site.me) {
+                self.conclude(txn, Decision::Abort, plan);
+            } else {
+                self.site.in_doubt.insert(txn);
+            }
         }
         self.host.event(SiteEvent::Recovered(summary.redone.len() + summary.discarded.len()));
     }
@@ -1581,13 +1597,71 @@ mod tests {
         let (mut core, mut host, k1) = decided_but_unflushed();
         core.with(&mut host).recover();
         core.with(&mut host).flushed();
-        // The commit record was never flushed: recovery presumes abort.
-        assert_eq!(core.site.finished.get(&TxnId(1)), Some(&Decision::Abort));
+        // The commit record was never flushed, and the outcome is the
+        // coordinator's (site 0): recovery records no decision.
+        assert_eq!(core.site.finished.get(&TxnId(1)), None);
         assert_eq!(core.storage().get(&k1), None);
         assert!(!core.site.locks.is_locked(&k1));
         assert_eq!(core.in_flight(), 0);
         assert_eq!(host.sent.len(), 1, "nothing of the lost commit ever left");
         assert_eq!(host.completed(1), None);
+    }
+
+    #[test]
+    fn a_participant_recovered_without_anti_entropy_stays_in_doubt() {
+        // Nothing will replay the outcome here (anti-entropy is off). A
+        // duplicated xact after the recovery must still start nothing: a
+        // fresh participant would take the locks, vote, and could decide
+        // against the coordinator.
+        let (mut core, mut host, k1) = decided_but_unflushed();
+        core.with(&mut host).recover();
+        let write = WriteOp { key: k1.clone(), value: Value::from_u64(9) };
+        let xact = DbMsg { writes: Some(vec![write]), ..DbMsg::bare(TxnId(1), "xact") };
+        core.with(&mut host).on_message(SiteId(0), xact);
+        core.with(&mut host).flushed();
+        host.run_timers(&mut core);
+        assert!(core.site.in_doubt.contains(&TxnId(1)));
+        assert_eq!(core.site.finished.get(&TxnId(1)), None);
+        assert_eq!(core.in_flight(), 0);
+        assert!(!core.site.locks.is_locked(&k1));
+        assert_eq!(host.sent.len(), 1, "the duplicated xact drew a vote");
+    }
+
+    #[test]
+    fn a_participant_in_doubt_takes_the_replayed_decision() {
+        // Replica 1 of the one group [0, 1, 2], anti-entropy on, crashes
+        // after 2PC's `commit` arrived but before its commit record was
+        // durable.
+        let topology = ShardTopology::uniform(3, 1, 3);
+        let k = key_in(&topology, 0);
+        let write = WriteOp { key: k.clone(), value: Value::from_u64(9) };
+        let spec = ShardTxnSpec { id: TxnId(1), writes: vec![write.clone()] };
+        let plans = PlanTable::compile(topology, &[spec]);
+        let opts = ShardNodeOpts { lease: None, anti_entropy: Some(50) };
+        let mut core = site(1, plans, CommitProtocol::TwoPhase, opts);
+        let mut host = Script::default();
+        let xact = || DbMsg { writes: Some(vec![write.clone()]), ..DbMsg::bare(TxnId(1), "xact") };
+        core.with(&mut host).on_message(SiteId(0), xact());
+        core.with(&mut host).flushed();
+        core.with(&mut host).on_message(SiteId(0), DbMsg::bare(TxnId(1), "commit"));
+        core.with(&mut host).recover();
+        host.durable = true;
+
+        // No decision is presumed, and a duplicated xact starts nothing.
+        let sent = host.sent.len();
+        core.with(&mut host).on_message(SiteId(0), xact());
+        assert_eq!((host.sent.len(), core.in_flight()), (sent, 0), "txn 1 started again");
+        assert_eq!(core.site.finished.get(&TxnId(1)), None);
+
+        // The master's decision, replayed by anti-entropy, settles it.
+        let decisions = vec![(TxnId(1), Decision::Commit, None)];
+        let payload = SyncPayload { decisions, ..SyncPayload::default() };
+        let resp = DbMsg { sync: Some(Box::new(payload)), ..ctrl_msg(SYNC_RESP, 0, 0) };
+        core.with(&mut host).on_message(SiteId(0), resp);
+        assert_eq!(host.completed(1), Some((Decision::Commit, Via::Replay)));
+        assert_eq!(core.site.finished.get(&TxnId(1)), Some(&Decision::Commit));
+        assert_eq!(core.storage().get(&k), Some(&Value::from_u64(9)));
+        assert!(core.site.in_doubt.is_empty());
     }
 
     /// Master 0 of one shard replicated at `[0, 1]`, leases on, started at

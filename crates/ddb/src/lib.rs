@@ -24,6 +24,8 @@
 //!   one-group model; `PlanTable::compile` routes by key over shards.
 //! * [`lineariz`] — the read-history oracle beside the plans it judges:
 //!   every served read against the per-key commit points of the writes.
+//! * [`audit`] — the one audit of a finished store, for both hosts:
+//!   atomicity, WAL discipline, provenance, replica convergence.
 //! * [`core`] — **the** site: a sans-IO [`SiteCore`] holding storage, WAL,
 //!   locks and one embedded commit-protocol participant per transaction,
 //!   routed by plan, version-stamping what it commits; with [`lease`],
@@ -56,6 +58,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod audit;
 pub mod bytes;
 pub mod cluster;
 pub mod core;

@@ -35,7 +35,7 @@
 
 use crate::site::{ReadSpec, TxnSpec};
 use crate::topology::ShardTopology;
-use crate::value::{Key, TxnId, WriteOp};
+use crate::value::{Key, TxnId, Value, WriteOp};
 use ptp_simnet::SiteId;
 use std::cmp::Ordering;
 
@@ -489,6 +489,11 @@ impl<'a> PlanView<'a, WriteOp> {
         let ships = self.shape.ships.iter().find(|(master, _)| *master == site);
         ships.map_or(&[], |(_, targets)| targets)
     }
+
+    /// True if the plan writes `value` to `key` (at any site).
+    pub fn wrote(self, key: &Key, value: &Value) -> bool {
+        self.items.iter().any(|w| w.key == *key && w.value == *value)
+    }
 }
 
 impl<'a> PlanView<'a, Key> {
@@ -635,6 +640,12 @@ impl PlanTable {
     #[inline]
     pub fn get(&self, txn: TxnId) -> Option<TxnView<'_>> {
         self.writes.get(txn)
+    }
+
+    /// The position of `txn`'s plan in [`PlanTable::iter`], if the workload
+    /// contains it: an index for tables dense over the plans.
+    pub(crate) fn row(&self, txn: TxnId) -> Option<usize> {
+        self.writes.find(txn)
     }
 
     /// True if any plan ships its outcome to out-of-group replicas.

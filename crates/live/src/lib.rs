@@ -25,11 +25,14 @@
 //!
 //! Live runs are nondeterministic (real threads, real clocks), so
 //! correctness is asserted as **invariants**, not replay equality: the
-//! post-run [`audit`](LiveReport::audit) checks atomicity (all sites agree
-//! on every decision), durability (exactly one durable commit record per
-//! committed transaction per involved replica), no lost or phantom writes
-//! (every surviving value traces to a committed writer; committed writers'
-//! effects survive), read legitimacy, and a clean drain on shutdown.
+//! post-run [`audit`](LiveReport::audit) is the store's one audit,
+//! [`ptp_ddb::audit`] — atomicity (every site and the client ack agree on
+//! every decision), WAL discipline (at most one durable commit record per
+//! site and transaction, none under an abort; in a fault-free run exactly
+//! one per involved replica), no lost or phantom writes (every surviving
+//! value traces to a committed writer), replica convergence — around the
+//! client ledger's own checks (duplicate and stray acks, read legitimacy);
+//! and the run must drain cleanly on shutdown.
 //!
 //! ```
 //! use ptp_live::{run_server, LiveOptions};
@@ -50,11 +53,13 @@ pub mod node;
 
 pub use config::{BatchConfig, KeySkew, LeaseConfig, LiveOptions};
 pub use node::{Completion, LiveNode, NodeCounters, NodeReport, Packet};
+pub use ptp_ddb::audit::AuditReport;
 // The `ptp-obs` types that `LiveOptions` / `LiveReport` carry in public
 // fields.
 pub use ptp_obs::{LatencySummary, ObsConfig, Registry, Series, StageTable};
 
 use driver::{OpKind, Schedule, ScheduledOp, READ_BASE};
+use ptp_ddb::audit::{audit, SiteRemains, MAX_VIOLATIONS};
 use ptp_ddb::plan::PlanTable;
 use ptp_ddb::site::ParticipantFactory;
 use ptp_ddb::value::{Key, TxnId, Value};
@@ -157,32 +162,51 @@ impl Ledger {
     fn value_read(&self, id: TxnId) -> Option<&Value> {
         self.reads[self.read_slot(id.0)?].as_ref().and_then(|(_, value)| value.as_ref())
     }
-}
 
-/// The audit keeps this many violation lines.
-const MAX_VIOLATIONS: usize = 20;
+    /// The run's audit: the store's one [`audit`] of every node's remains
+    /// under this ledger's acks, inside the ledger's own checks — duplicate
+    /// and stray acks first, read legitimacy last.
+    fn judge(
+        &self,
+        ops: &[ScheduledOp],
+        plans: &PlanTable,
+        pools: &[Vec<Key>],
+        reports: &[NodeReport],
+        faults: &FaultPlan,
+    ) -> AuditReport {
+        let sites: Vec<_> = (reports.iter())
+            .map(|r| SiteRemains { storage: &r.storage, wal: &r.wal, finished: &r.finished })
+            .collect();
+        let keys = pools.iter().flatten().map(|key| (key, None));
+        let acks = |txn| self.ack(txn).map(|ack| ack.decision);
+        let store = audit(plans, &sites, keys, faults, Some(&acks));
 
-/// The post-run storage audit: the driver's issue log checked against every
-/// node's storage, WAL, and decision record.
-#[derive(Debug, Clone)]
-pub struct AuditReport {
-    /// No invariant violated.
-    pub ok: bool,
-    /// `true` when the run had no partition (every invariant checked);
-    /// partition runs skip replica-convergence checks (a ship bounced at a
-    /// partition boundary legitimately leaves a replica stale).
-    pub strict: bool,
-    /// Write transactions checked.
-    pub checked_writes: usize,
-    /// Reads checked.
-    pub checked_reads: usize,
-    /// Whether every replica of every shard agreed on every pool key at
-    /// shutdown. Always computed; only a *violation* in strict mode (a
-    /// partition legitimately strands a replica — unless anti-entropy is
-    /// on, which is exactly what the heal-convergence tests pin).
-    pub converged: bool,
-    /// Human-readable violations (capped at 20).
-    pub violations: Vec<String>,
+        let duplicates = (self.duplicates > 0)
+            .then(|| format!("{} operations were acknowledged more than once", self.duplicates));
+        let strays = self.strays.iter().map(|id| format!("txn{id} was acked but never issued"));
+        let mut violations: Vec<String> =
+            duplicates.into_iter().chain(strays).chain(store.violations).collect();
+
+        // Read legitimacy: a returned value must be one an issued write gave
+        // that key — the driver writes each writer's id, so the value names
+        // the plan to look in (reads of never-written keys return nothing).
+        let mut checked_reads = 0usize;
+        for op in ops {
+            let OpKind::Read(key) = &op.kind else { continue };
+            if self.ack(op.txn).is_none() {
+                continue;
+            }
+            checked_reads += 1;
+            let Some(v) = self.value_read(op.txn) else { continue };
+            let writer = v.as_u64().and_then(|id| plans.get(TxnId(u32::try_from(id).ok()?)));
+            if !writer.is_some_and(|plan| plan.wrote(key, v)) && violations.len() < MAX_VIOLATIONS {
+                violations
+                    .push(format!("read of key {key} returned a value from no issued writer"));
+            }
+        }
+        violations.truncate(MAX_VIOLATIONS);
+        AuditReport { ok: violations.is_empty(), checked_reads, violations, ..store }
+    }
 }
 
 /// Everything a live serving run produced.
@@ -392,13 +416,7 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
 
     let clean_drain =
         ledger.acked == expected && reports.iter().all(|r| r.in_flight_at_shutdown == 0);
-    // Partitions, crashes, and envelope faults all legitimately leave
-    // replicas stale; only degrades (which merely slow delivery) keep the
-    // full replica-convergence checks on.
-    let strict = faults.partition.episodes().is_empty()
-        && faults.failures.is_empty()
-        && faults.env_faults.is_empty();
-    let audit = audit(&ops, &plans, &pools, &ledger, &reports, strict);
+    let audit = ledger.judge(&ops, &plans, &pools, &reports, &faults);
 
     let mut metrics = Registry::new();
     metrics.merge_hist("write_latency_us", &write_hist);
@@ -518,199 +536,11 @@ fn attribute_span(
     }
 }
 
-/// The storage audit: checks the invariants listed in the crate docs
-/// against the driver's issue log. Strict mode (no partition) additionally
-/// requires full replica convergence.
-fn audit(
-    ops: &[ScheduledOp],
-    plans: &PlanTable,
-    pools: &[Vec<Key>],
-    ledger: &Ledger,
-    reports: &[NodeReport],
-    strict: bool,
-) -> AuditReport {
-    let mut violations: Vec<String> = Vec::new();
-    let mut violate = |msg: String| {
-        if violations.len() < MAX_VIOLATIONS {
-            violations.push(msg);
-        }
-    };
-    let topo = &plans.topology;
-
-    if ledger.duplicates > 0 {
-        violate(format!("{} operations were acknowledged more than once", ledger.duplicates));
-    }
-    for id in &ledger.strays {
-        violate(format!("txn{id} was acked but never issued"));
-    }
-
-    // Durable commit records per (site, write id), dropped by a checkpoint
-    // or not: one byte each in the ledger's shape (255 stands for more).
-    let durable_commits: Vec<Vec<u8>> = (reports.iter())
-        .map(|r| {
-            let mut per = vec![0u8; ledger.writes.len()];
-            for txn in r.wal.durable_commits() {
-                // (Anti-entropy's synthetic installs have ids of their own.)
-                if let Some(slot) = ledger.write_slot(txn.0) {
-                    per[slot] = per[slot].saturating_add(1);
-                }
-            }
-            per
-        })
-        .collect();
-
-    // Per-write-transaction checks.
-    let mut checked_writes = 0usize;
-    let mut committed_writers_of: HashMap<Key, Vec<TxnId>> = HashMap::new();
-    for (txn, plan) in plans.iter() {
-        checked_writes += 1;
-        let ack = ledger.ack(txn).map(|ack| ack.decision);
-
-        // Atomicity: every decision recorded anywhere (including the ack)
-        // agrees.
-        let mut seen: Option<(Decision, String)> = None;
-        let mut check = |d: Decision, whom: String, violate: &mut dyn FnMut(String)| {
-            match &seen {
-                Some((prev, prev_whom)) if *prev != d => {
-                    violate(format!("{txn}: {whom} decided {d:?} but {prev_whom} decided {prev:?}"))
-                }
-                _ => {}
-            }
-            if seen.is_none() {
-                seen = Some((d, whom));
-            }
-        };
-        if let Some(d) = ack {
-            check(d, "client ack".to_string(), &mut violate);
-        }
-        for r in reports {
-            if let Some(d) = r.finished.get(&txn) {
-                check(*d, format!("site {}", r.site), &mut violate);
-            }
-        }
-
-        // Duplicated commit records are a violation everywhere; commit
-        // records for an aborted transaction too.
-        let slot = ledger.write_slot(txn.0).expect("planned writes are scheduled");
-        let commits_at = |site: usize| durable_commits[site][slot];
-        for (site, r) in reports.iter().enumerate() {
-            let count = commits_at(site);
-            if count > 1 {
-                violate(format!("{txn}: {count} durable commit records at site {}", r.site));
-            }
-            if count > 0 && ack == Some(Decision::Abort) {
-                violate(format!(
-                    "{txn}: durable commit record at site {} despite abort ack",
-                    r.site
-                ));
-            }
-        }
-
-        if ack == Some(Decision::Commit) {
-            for w in plan.items() {
-                committed_writers_of.entry(w.key.clone()).or_default().push(txn);
-            }
-            if strict {
-                // Durability: every replica of every involved shard holds
-                // exactly one durable commit record and recorded the commit.
-                for &shard in plan.shards() {
-                    for &site in topo.group(shard) {
-                        let r = &reports[site.index()];
-                        let count = commits_at(site.index());
-                        if count != 1 {
-                            violate(format!(
-                                "{txn}: committed but site {site} holds {count} durable commit records"
-                            ));
-                        }
-                        if r.finished.get(&txn) != Some(&Decision::Commit) {
-                            violate(format!("{txn}: committed but site {site} never recorded it"));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Per-key value checks: every surviving value traces to a committed
-    // writer (no phantom/lost writes); replica agreement is computed for
-    // every run (the `converged` flag) but only violates in strict mode.
-    let mut converged = true;
-    for (shard, pool) in pools.iter().enumerate() {
-        for key in pool {
-            let group = topo.group(shard);
-            let legitimate = committed_writers_of.get(key);
-            let mut first: Option<(SiteId, Option<Value>)> = None;
-            for &site in group {
-                let value = reports[site.index()].storage.get(key).cloned();
-                if let Some(v) = &value {
-                    let writer = v.as_u64().map(|id| TxnId(id as u32));
-                    let ok = writer.is_some_and(|w| legitimate.is_some_and(|ws| ws.contains(&w)));
-                    if !ok {
-                        violate(format!(
-                            "key {key} at site {site} holds a value from no committed writer"
-                        ));
-                    }
-                }
-                match &first {
-                    None => first = Some((site, value)),
-                    Some((first_site, fv)) if *fv != value => {
-                        converged = false;
-                        if strict {
-                            violate(format!(
-                                "key {key}: site {site} and site {first_site} disagree on the value"
-                            ));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            if strict && legitimate.is_some_and(|ws| !ws.is_empty()) {
-                if let Some((_, None)) = &first {
-                    violate(format!("key {key}: committed writes were lost (no value survives)"));
-                }
-            }
-        }
-    }
-
-    // Read legitimacy: a returned value must come from an issued write to
-    // that key (reads of never-written keys legitimately return nothing).
-    let mut checked_reads = 0usize;
-    let mut writers_of: HashMap<Key, Vec<TxnId>> = HashMap::new();
-    for (txn, plan) in plans.iter() {
-        for w in plan.items() {
-            writers_of.entry(w.key.clone()).or_default().push(txn);
-        }
-    }
-    for op in ops {
-        let OpKind::Read(key) = &op.kind else { continue };
-        if ledger.ack(op.txn).is_none() {
-            continue;
-        }
-        checked_reads += 1;
-        if let Some(v) = ledger.value_read(op.txn) {
-            let ok = v
-                .as_u64()
-                .map(|id| TxnId(id as u32))
-                .is_some_and(|w| writers_of.get(key).is_some_and(|ws| ws.contains(&w)));
-            if !ok {
-                violate(format!("read of key {key} returned a value from no issued writer"));
-            }
-        }
-    }
-
-    AuditReport {
-        ok: violations.is_empty(),
-        strict,
-        checked_writes,
-        checked_reads,
-        converged,
-        violations,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptp_simnet::rng::SmallRng;
+    use ptp_simnet::FailureSpec;
 
     #[test]
     fn fault_phase_classifies_against_episodes_and_crash_windows() {
@@ -943,7 +773,208 @@ mod tests {
         );
     }
 
-    /// What [`audit`] reads of a run.
+    /// The audit `run_server` ran before the store's checks moved into
+    /// `ptp_ddb::audit`, kept verbatim but for its name and `diverged`
+    /// (it predates the field): the oracle [`Ledger::judge`] must match
+    /// line for line.
+    ///
+    /// The storage audit: checks the invariants listed in the crate docs
+    /// against the driver's issue log. Strict mode (no partition) additionally
+    /// requires full replica convergence.
+    fn retired_audit(
+        ops: &[ScheduledOp],
+        plans: &PlanTable,
+        pools: &[Vec<Key>],
+        ledger: &Ledger,
+        reports: &[NodeReport],
+        strict: bool,
+    ) -> AuditReport {
+        let mut violations: Vec<String> = Vec::new();
+        let mut violate = |msg: String| {
+            if violations.len() < MAX_VIOLATIONS {
+                violations.push(msg);
+            }
+        };
+        let topo = &plans.topology;
+
+        if ledger.duplicates > 0 {
+            violate(format!("{} operations were acknowledged more than once", ledger.duplicates));
+        }
+        for id in &ledger.strays {
+            violate(format!("txn{id} was acked but never issued"));
+        }
+
+        // Durable commit records per (site, write id), dropped by a checkpoint
+        // or not: one byte each in the ledger's shape (255 stands for more).
+        let durable_commits: Vec<Vec<u8>> = (reports.iter())
+            .map(|r| {
+                let mut per = vec![0u8; ledger.writes.len()];
+                for txn in r.wal.durable_commits() {
+                    // (Anti-entropy's synthetic installs have ids of their own.)
+                    if let Some(slot) = ledger.write_slot(txn.0) {
+                        per[slot] = per[slot].saturating_add(1);
+                    }
+                }
+                per
+            })
+            .collect();
+
+        // Per-write-transaction checks.
+        let mut checked_writes = 0usize;
+        let mut committed_writers_of: HashMap<Key, Vec<TxnId>> = HashMap::new();
+        for (txn, plan) in plans.iter() {
+            checked_writes += 1;
+            let ack = ledger.ack(txn).map(|ack| ack.decision);
+
+            // Atomicity: every decision recorded anywhere (including the ack)
+            // agrees.
+            let mut seen: Option<(Decision, String)> = None;
+            let mut check = |d: Decision, whom: String, violate: &mut dyn FnMut(String)| {
+                match &seen {
+                    Some((prev, prev_whom)) if *prev != d => violate(format!(
+                        "{txn}: {whom} decided {d:?} but {prev_whom} decided {prev:?}"
+                    )),
+                    _ => {}
+                }
+                if seen.is_none() {
+                    seen = Some((d, whom));
+                }
+            };
+            if let Some(d) = ack {
+                check(d, "client ack".to_string(), &mut violate);
+            }
+            for r in reports {
+                if let Some(d) = r.finished.get(&txn) {
+                    check(*d, format!("site {}", r.site), &mut violate);
+                }
+            }
+
+            // Duplicated commit records are a violation everywhere; commit
+            // records for an aborted transaction too.
+            let slot = ledger.write_slot(txn.0).expect("planned writes are scheduled");
+            let commits_at = |site: usize| durable_commits[site][slot];
+            for (site, r) in reports.iter().enumerate() {
+                let count = commits_at(site);
+                if count > 1 {
+                    violate(format!("{txn}: {count} durable commit records at site {}", r.site));
+                }
+                if count > 0 && ack == Some(Decision::Abort) {
+                    violate(format!(
+                        "{txn}: durable commit record at site {} despite abort ack",
+                        r.site
+                    ));
+                }
+            }
+
+            if ack == Some(Decision::Commit) {
+                for w in plan.items() {
+                    committed_writers_of.entry(w.key.clone()).or_default().push(txn);
+                }
+                if strict {
+                    // Durability: every replica of every involved shard holds
+                    // exactly one durable commit record and recorded the commit.
+                    for &shard in plan.shards() {
+                        for &site in topo.group(shard) {
+                            let r = &reports[site.index()];
+                            let count = commits_at(site.index());
+                            if count != 1 {
+                                violate(format!(
+                                    "{txn}: committed but site {site} holds {count} durable commit records"
+                                ));
+                            }
+                            if r.finished.get(&txn) != Some(&Decision::Commit) {
+                                violate(format!(
+                                    "{txn}: committed but site {site} never recorded it"
+                                ));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        // Per-key value checks: every surviving value traces to a committed
+        // writer (no phantom/lost writes); replica agreement is computed for
+        // every run (the `converged` flag) but only violates in strict mode.
+        let mut converged = true;
+        for (shard, pool) in pools.iter().enumerate() {
+            for key in pool {
+                let group = topo.group(shard);
+                let legitimate = committed_writers_of.get(key);
+                let mut first: Option<(SiteId, Option<Value>)> = None;
+                for &site in group {
+                    let value = reports[site.index()].storage.get(key).cloned();
+                    if let Some(v) = &value {
+                        let writer = v.as_u64().map(|id| TxnId(id as u32));
+                        let ok =
+                            writer.is_some_and(|w| legitimate.is_some_and(|ws| ws.contains(&w)));
+                        if !ok {
+                            violate(format!(
+                                "key {key} at site {site} holds a value from no committed writer"
+                            ));
+                        }
+                    }
+                    match &first {
+                        None => first = Some((site, value)),
+                        Some((first_site, fv)) if *fv != value => {
+                            converged = false;
+                            if strict {
+                                violate(format!(
+                                    "key {key}: site {site} and site {first_site} disagree on the value"
+                                ));
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                if strict && legitimate.is_some_and(|ws| !ws.is_empty()) {
+                    if let Some((_, None)) = &first {
+                        violate(format!(
+                            "key {key}: committed writes were lost (no value survives)"
+                        ));
+                    }
+                }
+            }
+        }
+
+        // Read legitimacy: a returned value must come from an issued write to
+        // that key (reads of never-written keys legitimately return nothing).
+        let mut checked_reads = 0usize;
+        let mut writers_of: HashMap<Key, Vec<TxnId>> = HashMap::new();
+        for (txn, plan) in plans.iter() {
+            for w in plan.items() {
+                writers_of.entry(w.key.clone()).or_default().push(txn);
+            }
+        }
+        for op in ops {
+            let OpKind::Read(key) = &op.kind else { continue };
+            if ledger.ack(op.txn).is_none() {
+                continue;
+            }
+            checked_reads += 1;
+            if let Some(v) = ledger.value_read(op.txn) {
+                let ok = v
+                    .as_u64()
+                    .map(|id| TxnId(id as u32))
+                    .is_some_and(|w| writers_of.get(key).is_some_and(|ws| ws.contains(&w)));
+                if !ok {
+                    violate(format!("read of key {key} returned a value from no issued writer"));
+                }
+            }
+        }
+
+        AuditReport {
+            ok: violations.is_empty(),
+            strict,
+            checked_writes,
+            checked_reads,
+            converged,
+            diverged: None,
+            violations,
+        }
+    }
+
+    /// What an audit reads of a run.
     struct ByHand {
         ops: Arc<[ScheduledOp]>,
         plans: PlanTable,
@@ -953,8 +984,20 @@ mod tests {
     }
 
     impl ByHand {
-        fn audit(&self) -> AuditReport {
-            audit(&self.ops, &self.plans, &self.pools, &self.ledger, &self.reports, true)
+        /// What `run_server` audits under `faults` — its `diverged` checked
+        /// against `converged`, then cleared — and what the retired audit
+        /// said.
+        fn audits(&self, faults: &FaultPlan) -> (AuditReport, AuditReport) {
+            let strict = faults.partition.episodes().is_empty()
+                && faults.failures.is_empty()
+                && faults.env_faults.is_empty();
+            let (ops, plans, pools) = (&self.ops, &self.plans, &self.pools);
+            let judged = self.ledger.judge(ops, plans, pools, &self.reports, faults);
+            assert_eq!(judged.converged, judged.diverged.is_none());
+            (
+                AuditReport { diverged: None, ..judged },
+                retired_audit(ops, plans, pools, &self.ledger, &self.reports, strict),
+            )
         }
     }
 
@@ -1009,49 +1052,100 @@ mod tests {
         ByHand { ops: schedule.ops, plans, pools, ledger, reports }
     }
 
-    #[test]
-    fn audit_counts_commit_records_a_checkpoint_dropped() {
-        let mut run = served_by_hand(|_, _| 1);
-        let clean = run.audit();
-        assert!(clean.ok, "{:?}", clean.violations);
-        assert!(clean.checked_writes > 100 && clean.converged);
+    /// Uniform in `0..n`.
+    fn pick(rng: &mut SmallRng, n: usize) -> usize {
+        rng.gen_range(0..=n as u64 - 1) as usize
+    }
 
-        // Checkpointed logs audit exactly the same.
+    /// How often to plant one kind of remains: none in two cases of three,
+    /// else up to `most`.
+    fn times(rng: &mut SmallRng, most: usize) -> usize {
+        if pick(rng, 3) == 0 {
+            1 + pick(rng, most)
+        } else {
+            0
+        }
+    }
+
+    /// Random remains planted into a run served by hand: duplicated and
+    /// missing commit records (below a checkpoint too), flipped `finished`
+    /// entries, foreign values, diverged replicas, missing and abort acks,
+    /// reads of legitimate and foreign values, duplicate and stray acks.
+    fn planted(rng: &mut SmallRng) -> ByHand {
+        let clean = served_by_hand(|_, _| 1);
+        let plans: Vec<(TxnId, Vec<SiteId>)> = (clean.plans.iter())
+            .map(|(txn, plan)| (txn, plan.group().iter().copied().chain(plan.replicas()).collect()))
+            .collect();
+        let member = |rng: &mut SmallRng| {
+            let (txn, sites) = &plans[pick(rng, plans.len())];
+            (sites[pick(rng, sites.len())], *txn)
+        };
+        let records: HashMap<(SiteId, TxnId), usize> =
+            (0..times(rng, 3)).map(|_| (member(rng), pick(rng, 3))).collect();
+        let mut run = served_by_hand(|site, txn| records.get(&(site, txn)).copied().unwrap_or(1));
         for r in &mut run.reports {
-            assert_eq!(r.wal.checkpoint(), 0, "every transaction is complete");
-        }
-        let clean = run.audit();
-        assert!(clean.ok, "{:?}", clean.violations);
-
-        // Plant a duplicated commit record at one master and leave one out
-        // at another, both below the checkpoint.
-        let master_of = |txn| run.plans.get(txn).expect("planned").master();
-        let twice = TxnId(3);
-        let elsewhere = run.plans.iter().find(|(_, plan)| plan.master() != master_of(twice));
-        let never = elsewhere.expect("another master").0;
-        let (a, b) = (master_of(twice), master_of(never));
-        let mut planted = served_by_hand(|site, txn| {
-            if (site, txn) == (a, twice) {
-                2
-            } else {
-                usize::from((site, txn) != (b, never))
+            if pick(rng, 2) == 1 {
+                r.wal.checkpoint();
             }
-        });
-        for r in &mut planted.reports {
-            assert_eq!(r.wal.checkpoint(), 0);
         }
-        let planted = planted.audit();
-        let said = |what: String| planted.violations.contains(&what);
-        assert!(said(format!("{twice}: 2 durable commit records at site {a}")), "{planted:?}");
-        assert!(
-            said(format!("{twice}: committed but site {a} holds 2 durable commit records")),
-            "{planted:?}"
-        );
-        assert!(
-            said(format!("{never}: committed but site {b} holds 0 durable commit records")),
-            "{planted:?}"
-        );
-        assert_eq!(planted.violations.len(), 3, "{planted:?}");
+        for _ in 0..times(rng, 12) {
+            let (site, txn) = member(rng);
+            run.reports[site.index()].finished.insert(txn, Decision::Abort);
+        }
+        let topo = &run.plans.topology;
+        for _ in 0..times(rng, 3) {
+            let pool = &run.pools[pick(rng, run.pools.len())];
+            let key = &pool[pick(rng, pool.len())];
+            let group = topo.group(topo.shard_of(key));
+            let site = group[pick(rng, group.len())];
+            let value = match pick(rng, 2) {
+                // A foreign value, or one some write carried: a replica that
+                // diverged without leaving the writers' values.
+                0 => Value::from_u64(0xBAD_FACE),
+                _ => Value::from_u64(plans[pick(rng, plans.len())].0 .0 as u64),
+            };
+            run.reports[site.index()].storage.seed(key.clone(), value);
+        }
+        let ledger = &mut run.ledger;
+        for _ in 0..times(rng, 3) {
+            let slot = pick(rng, ledger.writes.len());
+            match pick(rng, 2) {
+                0 => ledger.writes[slot] = None,
+                _ => ledger.writes[slot].iter_mut().for_each(|a| a.decision = Decision::Abort),
+            }
+        }
+        for _ in 0..times(rng, 4) {
+            let slot = pick(rng, ledger.reads.len());
+            let value = match pick(rng, 2) {
+                0 => Value::from_u64(0xBAD_FACE),
+                _ => Value::from_u64(pick(rng, ledger.writes.len()) as u64 + 1),
+            };
+            ledger.reads[slot].iter_mut().for_each(|(_, read)| *read = Some(value.clone()));
+        }
+        if times(rng, 1) > 0 {
+            ledger.duplicates += 1;
+            ledger.strays.push(READ_BASE - 1);
+        }
+        run
+    }
+
+    #[test]
+    fn the_ledger_audit_says_what_the_retired_audit_said() {
+        let mut crashed = FaultPlan::default();
+        crashed.failures.push(FailureSpec::crash(SiteId(5), SimTime(0)));
+        let cases = if cfg!(debug_assertions) { 48 } else { 400 };
+        let (mut failed, mut capped) = (0, 0);
+        for case in 0..cases {
+            let run = planted(&mut SmallRng::seed_from_u64(case));
+            for faults in [&FaultPlan::default(), &crashed] {
+                let (now, retired) = run.audits(faults);
+                assert_eq!(format!("{now:?}"), format!("{retired:?}"), "case {case}");
+                failed += usize::from(!now.ok);
+                capped += usize::from(now.violations.len() == MAX_VIOLATIONS);
+            }
+        }
+        assert!(failed > 0 && failed < 2 * cases as usize, "{failed} of {cases} failed");
+        assert!(capped > 0, "no case reached the line cap");
     }
 
     #[test]

@@ -67,6 +67,7 @@
 //! blocking minorities). See ARCHITECTURE.md.
 
 use crate::api::{Action, CommitMsg, Participant, TimerTag, Vote};
+use crate::termination::SlaveSet;
 use crate::timing::{MASTER_PROTO_T, SLAVE_PROTO_T};
 use ptp_model::Decision;
 use ptp_simnet::SiteId;
@@ -90,6 +91,7 @@ impl QuorumConfig {
 
     fn validate(&self) {
         assert!(self.n >= 2);
+        assert!(self.n <= 64, "the master's voter set is a 64-bit mask");
         assert!(self.vc >= 1 && self.va >= 1);
         assert!(self.vc + self.va > self.n, "quorums must intersect: vc + va > n");
     }
@@ -258,8 +260,8 @@ pub struct QuorumSite {
     me: u16,
     vote: Vote,
     phase: QPhase,
-    /// Master only: replies collected in the current round.
-    replies: usize,
+    /// Master only: who replied this round (a duplicate counts once).
+    replies: SlaveSet,
     /// Termination: state reports for the current collection round.
     reports: ReportTally,
     /// A collection round is in flight.
@@ -284,7 +286,7 @@ impl QuorumSite {
             me: me.0,
             vote,
             phase: if me.0 == 0 { QPhase::Wait } else { QPhase::Initial },
-            replies: 0,
+            replies: SlaveSet::default(),
             reports: ReportTally::new(cfg.n),
             collecting: false,
             retry_wait: false,
@@ -466,17 +468,17 @@ impl Participant for QuorumSite {
             ("abort", _, _) => self.decide(Decision::Abort, false, out),
             ("no", QPhase::Wait, true) => self.decide(Decision::Abort, true, out),
             ("yes", QPhase::Wait, true) => {
-                self.replies += 1;
-                if self.replies == self.cfg.n - 1 {
-                    self.replies = 0;
+                self.replies.insert(from.0);
+                if self.replies.len() == self.cfg.n - 1 {
+                    self.replies.clear();
                     self.phase = QPhase::Prepared;
                     out.push(Action::Broadcast { msg: CommitMsg::Kind("prepare") });
                     out.push(Action::SetTimer { t_units: MASTER_PROTO_T, tag: TimerTag::Proto });
                 }
             }
             ("ack", QPhase::Prepared, true) => {
-                self.replies += 1;
-                if self.replies == self.cfg.n - 1 {
+                self.replies.insert(from.0);
+                if self.replies.len() == self.cfg.n - 1 {
                     self.decide(Decision::Commit, true, out);
                 }
             }
@@ -548,7 +550,7 @@ impl Participant for QuorumSite {
     fn reset(&mut self, vote: Vote) {
         self.vote = if self.is_master() { Vote::Yes } else { vote };
         self.phase = if self.is_master() { QPhase::Wait } else { QPhase::Initial };
-        self.replies = 0;
+        self.replies.clear();
         self.reports.reset();
         self.collecting = false;
         self.retry_wait = false;

@@ -176,15 +176,15 @@ enum MState {
 /// per run. A bitmask makes all of that branch-free integer arithmetic;
 /// [`TerminationMaster::with_timing`] caps clusters at 64 sites to match.
 /// Set semantics are preserved exactly (duplicate inserts don't change the
-/// cardinality).
+/// cardinality). The quorum master counts its voters in one too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct SlaveSet {
+pub(crate) struct SlaveSet {
     bits: u64,
     len: u32,
 }
 
 impl SlaveSet {
-    fn insert(&mut self, site: u16) {
+    pub(crate) fn insert(&mut self, site: u16) {
         let bit = 1u64 << site;
         if self.bits & bit == 0 {
             self.bits |= bit;
@@ -192,11 +192,11 @@ impl SlaveSet {
         }
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len as usize
     }
 
-    fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.bits = 0;
         self.len = 0;
     }

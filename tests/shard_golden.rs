@@ -18,9 +18,11 @@
 //!
 //! The digests were generated before the anti-entropy exchange answered by
 //! an ordered merge over a per-shard version index instead of a scan of the
-//! master's whole store: a digest that moves means the sharded store's
-//! behaviour moved. Regenerate only for a deliberate behaviour change, and
-//! say so in CHANGES.md.
+//! master's whole store, and regenerated once since, when crash recovery
+//! stopped presuming abort at a participant (the outcome is the
+//! coordinator's; the participant now learns it by decision replay): a
+//! digest that moves means the sharded store's behaviour moved. Regenerate
+//! only for a deliberate behaviour change, and say so in CHANGES.md.
 
 use ptp_core::ddb::cluster::CommitProtocol;
 use ptp_core::ddb::site::ReadPath;
@@ -36,11 +38,12 @@ use std::fmt::Write as _;
 
 const RUNS_PER_TOPOLOGY: usize = 100;
 
-/// `(protocol, digest)`, generated before the merge replaced the scan.
+/// `(protocol, digest)`, regenerated when recovery stopped presuming abort
+/// at a participant.
 const GOLDEN: [(CommitProtocol, u64); 3] = [
-    (CommitProtocol::TwoPhase, 0x669b_2357_a0cb_3132),
-    (CommitProtocol::HuangLi, 0xba09_9108_ffe4_f3dd),
-    (CommitProtocol::QuorumMajority, 0x0841_b397_a2c9_7b2b),
+    (CommitProtocol::TwoPhase, 0x8fd5_42d4_54bc_5460),
+    (CommitProtocol::HuangLi, 0x5cc7_6a1d_c07d_a473),
+    (CommitProtocol::QuorumMajority, 0x7fea_732a_60a0_fd08),
 ];
 
 /// Read ids live above every write id.

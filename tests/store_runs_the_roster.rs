@@ -125,6 +125,7 @@ fn the_flat_store_is_the_one_shard_store_bit_for_bit() {
                     assert!(flat.metrics == sharded.metrics, "{tag}: metrics");
                     assert!(flat.storages == sharded.storages, "{tag}: storages");
                     assert!(flat.wals == sharded.wals, "{tag}: wals");
+                    assert_eq!(flat.finished, sharded.finished, "{tag}: finished");
                     assert_eq!(flat.blocked, sharded.blocked, "{tag}: blocked");
                     assert_eq!(flat.report.events, sharded.report.events, "{tag}: events");
                     assert!(flat.trace.events() == sharded.trace.events(), "{tag}: trace");
