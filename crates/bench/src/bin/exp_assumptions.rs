@@ -12,7 +12,7 @@
 //!    sending a probe message, then all slaves in G2 will abort while all
 //!    participating sites in G1 will commit."
 
-use ptp_core::{run_scenario_opts, ProtocolKind, RunOptions, Scenario};
+use ptp_core::{ProtocolKind, Scenario, Session};
 use ptp_model::Decision;
 use ptp_simnet::{FailureSpec, ScheduleBuilder, SimTime, SiteId};
 
@@ -44,7 +44,7 @@ fn main() {
         .partition_g2(vec![SiteId(2), SiteId(3)], 2500)
         .delay(schedule)
         .fail(FailureSpec::crash(SiteId(2), SimTime(3000)));
-    let result = run_scenario_opts(ProtocolKind::HuangLi3pc, &scenario, &RunOptions::new());
+    let result = Session::new(ProtocolKind::HuangLi3pc, scenario.n).run(&scenario);
     print_outcomes(
         "counterexample 1 (lone prepared G2 slave crashes before broadcasting)",
         &result,
@@ -64,7 +64,7 @@ fn main() {
     let scenario = Scenario::new(4)
         .partition_g2(vec![SiteId(3)], 2500)
         .fail(FailureSpec::crash(SiteId(1), SimTime(3500)));
-    let result = run_scenario_opts(ProtocolKind::HuangLi3pc, &scenario, &RunOptions::new());
+    let result = Session::new(ProtocolKind::HuangLi3pc, scenario.n).run(&scenario);
     print_outcomes(
         "counterexample 2 (G1 slave crashes between prepare receipt and probe)",
         &result,

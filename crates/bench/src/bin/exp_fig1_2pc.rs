@@ -10,7 +10,7 @@ use ptp_core::model::dot::to_dot;
 use ptp_core::model::protocols::two_phase;
 use ptp_core::model::GlobalGraph;
 use ptp_core::report::Table;
-use ptp_core::{run_scenario_opts, ProtocolKind, RunOptions, Scenario};
+use ptp_core::{ProtocolKind, Scenario, Session};
 use ptp_simnet::SiteId;
 
 fn main() {
@@ -37,7 +37,7 @@ fn main() {
 
     // Behavioural witness: partition the slaves away after they voted.
     let scenario = Scenario::new(3).partition_g2(vec![SiteId(1), SiteId(2)], 1500);
-    let result = run_scenario_opts(ProtocolKind::Plain2pc, &scenario, &RunOptions::new());
+    let result = Session::new(ProtocolKind::Plain2pc, scenario.n).run(&scenario);
     println!("partition {{0}} | {{1,2}} at 1.5T: verdict = {:?}", result.verdict);
     assert!(!result.verdict.is_resilient());
 

@@ -14,7 +14,7 @@ use ptp_core::model::dot::to_dot;
 use ptp_core::model::protocols::extended_two_phase;
 use ptp_core::model::rules::derive_rules_augmentation;
 use ptp_core::{
-    run_scenario_opts, sweep, PartitionShape, ProtocolKind, RunOptions, Scenario, SweepGrid,
+    sweep_threads, sweep_with_threads, PartitionShape, ProtocolKind, Scenario, Session, SweepGrid,
 };
 use ptp_protocols::api::Vote;
 use ptp_protocols::Verdict;
@@ -44,7 +44,7 @@ fn main() {
 
     // Part 2: three sites — the Sec. 3 counterexample.
     let grid3 = dense_grid(3);
-    let report = sweep(ProtocolKind::Extended2pc, &grid3);
+    let report = sweep_with_threads(ProtocolKind::Extended2pc, &grid3, sweep_threads());
     println!(
         "n = 3: {} scenarios, {} atomicity violations, {} blocked",
         report.total, report.inconsistent_count, report.blocked_count
@@ -62,7 +62,7 @@ fn main() {
         Scenario::new(3).votes(vec![Vote::Yes; 2]).delay(grid3.delays[witness.delay_index].clone());
     scenario.partition =
         PartitionShape::Simple { g2: witness.g2.clone(), at: witness.at, heal_at: None };
-    let result = run_scenario_opts(ProtocolKind::Extended2pc, &scenario, &RunOptions::new());
+    let result = Session::new(ProtocolKind::Extended2pc, scenario.n).run(&scenario);
     match &result.verdict {
         Verdict::Inconsistent { committed, aborted } => {
             println!("replayed: committed = {committed:?}, aborted = {aborted:?}");

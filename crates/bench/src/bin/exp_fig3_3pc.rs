@@ -12,7 +12,7 @@ use ptp_core::model::dot::to_dot;
 use ptp_core::model::protocols::three_phase;
 use ptp_core::model::rules::derive_rules_augmentation;
 use ptp_core::model::{GlobalGraph, Role};
-use ptp_core::{sweep, ProtocolKind};
+use ptp_core::{sweep_threads, sweep_with_threads, ProtocolKind};
 
 fn main() {
     let spec = three_phase(3);
@@ -44,7 +44,7 @@ fn main() {
     println!("  timeout master:p1 -> {:?}", aug.timeout_for(Role::Master, "p1").unwrap());
     println!();
 
-    let report = sweep(ProtocolKind::Naive3pc, &dense_grid(3));
+    let report = sweep_with_threads(ProtocolKind::Naive3pc, &dense_grid(3), sweep_threads());
     println!(
         "sweep: {} scenarios, {} atomicity violations (first: G2={:?} at {:.2}T)",
         report.total,

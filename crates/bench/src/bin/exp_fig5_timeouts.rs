@@ -13,10 +13,10 @@
 use ptp_core::report::Table;
 use ptp_protocols::api::Vote;
 use ptp_protocols::clusters::huang_li_3pc_cluster_with_timing_any;
-use ptp_protocols::runner::run_protocol;
+use ptp_protocols::runner::ClusterRunner;
 use ptp_protocols::termination::{ProtocolTiming, TerminationVariant};
 use ptp_protocols::Verdict;
-use ptp_simnet::{DelayModel, NetConfig, PartitionEngine, TraceEvent};
+use ptp_simnet::{DelayModel, NetConfig, TraceEvent};
 
 fn run_once(timing: ProtocolTiming, delay: &DelayModel) -> (Verdict, usize) {
     let parts = huang_li_3pc_cluster_with_timing_any(
@@ -25,9 +25,9 @@ fn run_once(timing: ProtocolTiming, delay: &DelayModel) -> (Verdict, usize) {
         TerminationVariant::Transient,
         timing,
     );
-    let run = run_protocol(parts, NetConfig::default(), PartitionEngine::always_connected(), delay);
-    let timeouts = run
-        .trace
+    let mut runner = ClusterRunner::new(parts);
+    let (outcomes, trace, _) = runner.run(NetConfig::default(), delay, true);
+    let timeouts = trace
         .events()
         .iter()
         .filter(|e| {
@@ -35,7 +35,7 @@ fn run_once(timing: ProtocolTiming, delay: &DelayModel) -> (Verdict, usize) {
                 if label.starts_with("master-timeout") || label.starts_with("slave-timeout"))
         })
         .count();
-    (Verdict::judge(&run.outcomes), timeouts)
+    (Verdict::judge(outcomes), timeouts)
 }
 
 fn main() {

@@ -11,7 +11,7 @@
 
 use ptp_bench::standard_delays;
 use ptp_core::{
-    run_scenario_opts, sweep, ProtocolKind, RunOptions, Scenario, SweepGrid, SweepReport,
+    sweep_threads, sweep_with_threads, ProtocolKind, Scenario, Session, SweepGrid, SweepReport,
 };
 use ptp_protocols::Verdict;
 use ptp_simnet::{PartitionEngine, PartitionSpec, SimTime, SiteId};
@@ -20,7 +20,7 @@ fn pessimistic_sweep() -> SweepReport {
     let mut grid = SweepGrid::standard(3).pessimistic();
     grid.partition_times = (0..=32).map(|i| i * 250).collect();
     grid.delays = standard_delays(1000);
-    sweep(ProtocolKind::HuangLi3pc, &grid)
+    sweep_with_threads(ProtocolKind::HuangLi3pc, &grid, sweep_threads())
 }
 
 fn main() {
@@ -68,7 +68,7 @@ fn main() {
     // replies, 6-8 the prepares).
     let crafted = ptp_simnet::ScheduleBuilder::with_default(1000).outbound(7, 400).build();
     let scenario = Scenario::new(4).delay(crafted).partition_schedule(three_way(2500));
-    let result = run_scenario_opts(ProtocolKind::HuangLi3pc, &scenario, &RunOptions::new());
+    let result = Session::new(ProtocolKind::HuangLi3pc, scenario.n).run(&scenario);
     total += 1;
     if let Verdict::Inconsistent { .. } = result.verdict {
         violations += 1;
@@ -80,7 +80,7 @@ fn main() {
             let scenario = Scenario::new(4)
                 .delay(ptp_simnet::DelayModel::Uniform { seed, min: 1, max: 1000 })
                 .partition_schedule(three_way(at));
-            let result = run_scenario_opts(ProtocolKind::HuangLi3pc, &scenario, &RunOptions::new());
+            let result = Session::new(ProtocolKind::HuangLi3pc, scenario.n).run(&scenario);
             total += 1;
             match result.verdict {
                 Verdict::Inconsistent { .. } => {

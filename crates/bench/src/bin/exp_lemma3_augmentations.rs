@@ -63,7 +63,7 @@ fn find_violation(aug: &Augmentation, grid: &Grid) -> Option<(Vec<SiteId>, u64, 
                     let groups = runner.faults_mut().partition.reset_single(SimTime(at), None, 2);
                     groups[0].extend((0..3u16).map(SiteId).filter(|s| !g2.contains(s)));
                     groups[1].extend_from_slice(g2);
-                    let (outcomes, _, _) = runner.run_borrowed(NetConfig::default(), delay, false);
+                    let (outcomes, _, _) = runner.run(NetConfig::default(), delay, false);
                     if matches!(Verdict::judge(outcomes), Verdict::Inconsistent { .. }) {
                         return Some((g2.clone(), at, di));
                     }

@@ -17,14 +17,30 @@
 //! campaign is always the same [`Timeline`] (see [`Campaign::timeline`]),
 //! so a failure report's `(seed, index)` pair replays bit-for-bit.
 //!
-//! The default fault family is chosen to stay inside the paper's model
-//! for the Huang–Li protocols: two-group partitions with heals and
-//! degraded-delay windows (delays still bounded by `T`). Site crashes are
-//! opt-in ([`CampaignConfig::crashes`]) and sampled only while no
-//! partition is open, because crash *during* partition is the paper's own
-//! Sec. 7 impossibility — a known atomicity violation, not a bug — and
-//! only at sites that master no shard: a crashed coordinator is outside
-//! the model too.
+//! The default fault family stays inside the paper's model for the
+//! Huang–Li protocols: two-group partitions with heals and degraded-delay
+//! windows (delays still bounded by `T`). Site crashes are opt-in
+//! ([`CampaignConfig::crashes`]), only at sites that master no shard (a
+//! crashed coordinator is outside the model). The family is one rule, which
+//! the sampler draws through and the shrinker filters its candidates by:
+//!
+//! > at most one two-group partition; a crash only in full connectivity;
+//! > and no crash from the partition's onset until 6·`T` after its heal.
+//!
+//! A crash during a partition is the paper's Sec. 7 impossibility, and so
+//! is one inside the termination protocol's window after a heal (a G1
+//! slave that crashes before its probe counts as prepared-in-G2); the
+//! window is Fig. 7's 6T bound (`exp_fig7_wait_w_bound`). So a shrunk
+//! minimum stays a timeline of the family sampled.
+//!
+//! The flat subject ([`Campaign::run`]) with crashes on stays ungated: the
+//! protocol-only simulator has no crash recovery, so a down participant
+//! silently loses what lands on it — message loss, outside the model. Over
+//! 200 000 timelines HL-3PC fails 155 times with no window and still 123
+//! at any window (even 100T); Quorum goes from 161 to 99. Some have no
+//! partition at all (HL-3PC's timeline 446: slave 1 down over 2241–3889
+//! and 4924–6578, and the cluster splits). The planned store recovers
+//! crashed sites from their logs; its campaigns are gated fully armed.
 //!
 //! # Examples
 //!
@@ -37,10 +53,9 @@
 //! assert!(report.all_green(), "{:?}", report.failures);
 //! ```
 
-use crate::run::ScenarioResult;
 use crate::scenario::ProtocolKind;
-use crate::session::Session;
-use crate::timeline::{ScenarioBuilder, TimedEvent, Timeline};
+use crate::session::{ScenarioResult, Session};
+use crate::timeline::{ScenarioBuilder, TimedEvent, Timeline, TimelineEvent};
 use ptp_ddb::audit::audit;
 use ptp_ddb::cluster::{CommitProtocol, DbRun, ShardCluster};
 use ptp_ddb::lineariz::check_read_history;
@@ -50,7 +65,10 @@ use ptp_ddb::value::{Key, TxnId, Value, WriteOp};
 use ptp_obs::{FlightEvent, FlightRecorder};
 use ptp_protocols::RunOptions;
 use ptp_simnet::rng::SmallRng;
-use ptp_simnet::{DelayModel, EnvelopeMatch, NetConfig, SimTime, SiteId, Trace, TraceEvent};
+use ptp_simnet::{
+    DelayModel, EnvelopeFault, EnvelopeMatch, NetConfig, SimDuration, SimTime, SiteId, Trace,
+    TraceEvent,
+};
 
 /// What a [`Campaign`] samples and how much of it.
 #[derive(Debug, Clone)]
@@ -64,13 +82,8 @@ pub struct CampaignConfig {
     pub timelines: usize,
     /// The campaign seed; every timeline derives deterministically from it.
     pub seed: u64,
-    /// Maximum timed events per sampled timeline.
-    pub max_events: usize,
-    /// Sample two-group partition/heal episodes.
-    pub partitions: bool,
-    /// Sample crash/recover pairs of sites that master nothing (only while
-    /// no partition is open — crash during partition is the paper's Sec. 7
-    /// impossibility).
+    /// Sample crash/recover pairs of sites that master nothing, under the
+    /// family's crash rule (see the module docs).
     pub crashes: bool,
     /// Sample degraded-delay windows (bands stay within `T`).
     pub degrades: bool,
@@ -88,12 +101,74 @@ impl CampaignConfig {
             n,
             timelines,
             seed,
-            max_events: 6,
-            partitions: true,
             crashes: false,
             degrades: true,
             duplicates: true,
         }
+    }
+}
+
+/// Most timed events a sampled timeline holds (envelope faults aside).
+const MAX_EVENTS: u64 = 6;
+
+/// The family's crash window: no crash from a partition's onset until this
+/// many `T` after its heal — Fig. 7's bound on how long after its `w`
+/// timeout a slave may still learn a commit (`exp_fig7_wait_w_bound`).
+const CRASH_WINDOW_T: u64 = 6;
+
+/// The safe family as one rule over a timeline's events in time order (see
+/// the module docs): the sampler asks it what it may draw next, and the
+/// shrinker drops every candidate it does not admit.
+struct Family {
+    t_unit: u64,
+    /// `None` before the partition, `Some(None)` while it is open and
+    /// `Some(Some(heal))` after.
+    partition: Option<Option<u64>>,
+    /// The sites down now.
+    down: Vec<SiteId>,
+}
+
+impl Family {
+    fn new(t_unit: u64) -> Family {
+        Family { t_unit, partition: None, down: Vec::new() }
+    }
+
+    /// Does every event of `timeline` stay inside the family?
+    fn admits_all(timeline: &Timeline) -> bool {
+        let mut family = Family::new(timeline.t_unit);
+        timeline.events.iter().all(|event| family.admits(event))
+    }
+
+    /// The one partition opens only in full connectivity.
+    fn may_partition(&self) -> bool {
+        self.partition.is_none() && self.down.is_empty()
+    }
+
+    /// No crash from the partition's onset until [`CRASH_WINDOW_T`] after
+    /// its heal.
+    fn may_crash(&self, at: u64) -> bool {
+        let window = CRASH_WINDOW_T * self.t_unit;
+        self.partition.is_none_or(|heal| heal.is_some_and(|heal| at >= heal + window))
+    }
+
+    /// Takes `event` as the timeline's next one; false if it leaves the
+    /// family.
+    fn admits(&mut self, event: &TimedEvent) -> bool {
+        let admitted = match &event.event {
+            TimelineEvent::Partition(groups) => groups.len() == 2 && self.may_partition(),
+            TimelineEvent::Crash(_) => self.may_crash(event.at),
+            _ => true,
+        };
+        match &event.event {
+            TimelineEvent::Partition(_) => self.partition = Some(None),
+            TimelineEvent::Heal if self.partition == Some(None) => {
+                self.partition = Some(Some(event.at));
+            }
+            TimelineEvent::Crash(site) => self.down.push(*site),
+            TimelineEvent::Recover(site) => self.down.retain(|down| down != site),
+            _ => {}
+        }
+        admitted
     }
 }
 
@@ -439,62 +514,48 @@ impl Campaign {
     fn sample(&self, index: usize, crashable: &[SiteId]) -> Timeline {
         let cfg = &self.config;
         let mut rng = SmallRng::seed_from_u64(self.timeline_seed(index));
-        let mut b = ScenarioBuilder::new(cfg.n);
+        let blank = ScenarioBuilder::new(cfg.n).build(); // the default T and horizon
+        let mut family = Family::new(blank.t_unit);
+        let (mut events, mut env_faults) = (Vec::new(), Vec::new());
         let mut t: u64 = 0;
-        let mut partition_open = false;
-        // Theorem 9 restricts itself to *simple* partitioning: one
-        // two-group episode. Re-splitting after a heal is the
-        // `multiple_partitioning_breaks_the_termination_protocol` territory
-        // of `exp_multi_partition`, a documented non-guarantee — the safe
-        // family samples at most one episode per timeline.
-        let mut partition_used = false;
-        let mut crashed: Option<SiteId> = None;
-        let slots = rng.gen_range(0..=cfg.max_events as u64);
-        for _ in 0..slots {
+        for _ in 0..rng.gen_range(0..=MAX_EVENTS) {
             t += rng.gen_range(400..=2600);
-            match rng.gen_range(0..=3) {
-                0 if cfg.partitions => {
-                    if partition_open {
-                        b = b.at(t).heal();
-                        partition_open = false;
-                    } else if crashed.is_none() && !partition_used {
-                        b = b.at(t).partition(self.sample_groups(&mut rng));
-                        partition_open = true;
-                        partition_used = true;
-                    }
+            let event = match rng.gen_range(0..=3) {
+                0 if family.partition == Some(None) => Some(TimelineEvent::Heal),
+                0 if family.may_partition() => {
+                    Some(TimelineEvent::Partition(self.sample_groups(&mut rng)))
                 }
-                1 if cfg.crashes => match crashed {
-                    // Crash only in full connectivity (see the module docs)
-                    // and recover before any later partition can overlap.
-                    None if !partition_open && !crashable.is_empty() => {
-                        let site =
-                            crashable[rng.gen_range(0..=crashable.len() as u64 - 1) as usize];
-                        b = b.at(t).crash(site);
-                        crashed = Some(site);
+                1 if cfg.crashes => match family.down.first() {
+                    Some(&site) => Some(TimelineEvent::Recover(site)),
+                    None if family.may_crash(t) && !crashable.is_empty() => {
+                        let site = rng.gen_range(0..=crashable.len() as u64 - 1) as usize;
+                        Some(TimelineEvent::Crash(crashable[site]))
                     }
-                    Some(site) if !partition_open => {
-                        b = b.at(t).recover(site);
-                        crashed = None;
-                    }
-                    _ => {}
+                    None => None,
                 },
                 2 if cfg.degrades => {
                     let min = rng.gen_range(1..=900);
                     let max = rng.gen_range(min..=1000);
-                    b = b.at(t).degrade(min..=max);
+                    Some(TimelineEvent::Degrade { min, max })
                 }
                 3 if cfg.duplicates => {
                     const KINDS: [&str; 5] = ["xact", "yes", "prepare", "ack", "commit"];
                     let kind = KINDS[rng.gen_range(0..=(KINDS.len() - 1) as u64) as usize];
-                    let after = rng.gen_range(100..=1500);
-                    b = b.duplicate(EnvelopeMatch::kind(kind), after);
+                    let after = SimDuration(rng.gen_range(100..=1500));
+                    env_faults.push(EnvelopeFault::duplicate(EnvelopeMatch::kind(kind), after));
+                    None
                 }
-                _ => {} // the sampled fault class is disabled: empty slot
+                _ => None, // the sampled fault class is disabled: empty slot
+            };
+            if let Some(event) = event.map(|event| TimedEvent { at: t, event }) {
+                assert!(family.admits(&event), "the sampler drew outside its family: {event:?}");
+                events.push(event);
             }
         }
         // A crashed site that never recovers and never partitions is fine;
         // an open partition is a permanent split — both valid timelines.
-        b.build()
+        Timeline::try_new(cfg.n, blank.t_unit, blank.horizon_t, events, env_faults)
+            .expect("a sampled timeline is well formed")
     }
 
     /// Runs the campaign with the default atomicity audit: any
@@ -674,16 +735,16 @@ pub fn shrink<T>(
     (minimal, steps, tested)
 }
 
-/// Strictly-smaller mutations of `timeline`, invalid ones discarded via
-/// [`Timeline::try_new`]: drop one envelope fault, drop one event, halve
-/// every event instant.
+/// Strictly-smaller mutations of `timeline` — drop one envelope fault, drop
+/// one event, halve every event instant — keeping those
+/// [`Timeline::try_new`] accepts and the family admits.
 fn candidates(timeline: &Timeline) -> Vec<Timeline> {
     let mut out = Vec::new();
     let mut push = |events: Vec<TimedEvent>, env_faults| {
-        if let Ok(t) =
-            Timeline::try_new(timeline.n, timeline.t_unit, timeline.horizon_t, events, env_faults)
-        {
-            out.push(t);
+        let (n, t_unit, horizon_t) = (timeline.n, timeline.t_unit, timeline.horizon_t);
+        match Timeline::try_new(n, t_unit, horizon_t, events, env_faults) {
+            Ok(t) if Family::admits_all(&t) => out.push(t),
+            _ => {}
         }
     };
     for i in 0..timeline.env_faults.len() {
@@ -762,7 +823,7 @@ mod tests {
         };
         assert!(weight(&f.minimal) < weight(&f.original), "shrinking must reduce the timeline");
         // The minimal counterexample still fails its own audit.
-        let result = crate::run::run_scenario(ProtocolKind::Plain2pc, &f.minimal.scenario());
+        let result = Session::new(ProtocolKind::Plain2pc, 4).run(&f.minimal.scenario());
         assert!(!result.verdict.is_resilient(), "{:?}", result.verdict);
     }
 
@@ -818,10 +879,112 @@ mod tests {
 
     #[test]
     fn the_flat_stream_is_the_one_sampled_before_subjects_existed() {
-        // Digests computed at the commit before the crash draw went through
-        // the crashable set: the draw must consume the RNG as it did.
+        // Without crashes: the digest computed at the commit before the
+        // crash draw went through the crashable set — the crash arm draws
+        // nothing when crashes are off. With crashes: re-pinned when the
+        // family's crash window began refusing draws after a heal.
         assert_eq!(stream_digest(false), 0xe8d3_ab23_5dac_f84e);
-        assert_eq!(stream_digest(true), 0xfa26_6544_8c1c_9ac5);
+        assert_eq!(stream_digest(true), 0x37f6_100e_4971_6859);
+    }
+
+    /// A four-site timeline: `groups` split at `at` and heal at `heal`,
+    /// then `crash` goes down at `down`.
+    fn post_heal_crash(
+        groups: Vec<Vec<SiteId>>,
+        (at, heal): (u64, u64),
+        (crash, down): (SiteId, u64),
+    ) -> Timeline {
+        ScenarioBuilder::new(4)
+            .at(at)
+            .partition(groups)
+            .at(heal)
+            .heal()
+            .at(down)
+            .crash(crash)
+            .build()
+    }
+
+    #[test]
+    fn the_family_refuses_the_crashes_first_filed_after_a_heal() {
+        let s = |ids: &[u16]| ids.iter().copied().map(SiteId).collect::<Vec<_>>();
+        // HL-3PC's timeline 3117 and Quorum's 447 on `uniform(4, 1, 4)`, as
+        // first filed: a slave crashes 725 and 1654 ticks after the heal.
+        let hl_3117 =
+            post_heal_crash(vec![s(&[0, 1, 2]), s(&[3])], (2861, 4337), (SiteId(1), 5062));
+        let quorum_447 =
+            post_heal_crash(vec![s(&[0, 2, 3]), s(&[1])], (1115, 2124), (SiteId(2), 3778));
+        for timeline in [&hl_3117, &quorum_447] {
+            assert!(!Family::admits_all(timeline), "{timeline:?}");
+        }
+        // The same crash 6 T after the heal is inside the family.
+        let late = post_heal_crash(vec![s(&[0, 1, 2]), s(&[3])], (2861, 4337), (SiteId(1), 10_337));
+        assert!(Family::admits_all(&late));
+    }
+
+    #[test]
+    fn the_shrinker_keeps_only_candidates_inside_the_family() {
+        let split = vec![vec![SiteId(0), SiteId(1), SiteId(2)], vec![SiteId(3)]];
+        let timeline = ScenarioBuilder::new(4)
+            .at(1000)
+            .partition(split)
+            .at(3000)
+            .heal()
+            .at(9000)
+            .crash(SiteId(1))
+            .at(12_000)
+            .recover(SiteId(1))
+            .build();
+        assert!(Family::admits_all(&timeline));
+        // Dropping the heal leaves a crash during a permanent partition, and
+        // halving every instant pulls the crash inside the window: the family
+        // refuses both. Dropping the partition or the crash leaves a heal or
+        // a recovery with nothing to end. What is left: no recovery.
+        let kept = candidates(&timeline);
+        let dropped = |i: usize| {
+            let mut events = timeline.events.clone();
+            events.remove(i);
+            events
+        };
+        let kept_events: Vec<_> = kept.iter().map(|t| t.events.clone()).collect();
+        assert_eq!(kept_events, vec![dropped(3)]);
+    }
+
+    /// Fails every case and remembers each timeline it was asked to judge.
+    struct Doomed(Vec<Timeline>);
+
+    impl Subject for Doomed {
+        fn crashable(&self) -> Vec<SiteId> {
+            slaves(4)
+        }
+
+        fn judge(&mut self, case: &Case) -> Option<String> {
+            self.0.push(case.timeline.clone());
+            Some("doctored".into())
+        }
+
+        fn replay(&mut self, _: &Case) -> Trace {
+            Trace::default()
+        }
+    }
+
+    #[test]
+    fn a_doctored_failure_shrinks_inside_the_family() {
+        let mut config = CampaignConfig::safe(ProtocolKind::HuangLi3pc, 4, 64, 0xC1_2026);
+        config.crashes = true;
+        let mut subject = Doomed(Vec::new());
+        let campaign = Campaign::new(config);
+        let crashable = subject.crashable();
+        for index in 0..64 {
+            let case = Case { timeline: campaign.sample(index, &crashable), workload: None };
+            let (minimal, _, _) =
+                shrink(case, SHRINK_BUDGET, Case::candidates, |c| subject.judge(c).is_some());
+            assert!(Family::admits_all(&minimal.timeline));
+        }
+        let judged = &subject.0;
+        assert!(judged
+            .iter()
+            .any(|t| t.events.iter().any(|e| { matches!(e.event, TimelineEvent::Crash(_)) })));
+        assert!(judged.iter().all(Family::admits_all), "the shrinker left the family");
     }
 
     /// Partitions + crashes only, as the retired flat-database read audit

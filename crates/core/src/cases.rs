@@ -217,8 +217,8 @@ pub fn max_wait_after_p_timeout(trace: &Trace, n: usize) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::ScenarioResult;
     use crate::scenario::{ProtocolKind, Scenario};
+    use crate::session::ScenarioResult;
     use crate::session::SessionPool;
     use ptp_protocols::RunOptions;
 

@@ -17,16 +17,18 @@
 //!   same value the database clusters and, scaled to nanoseconds, the live
 //!   router read), which a [`Timeline`] lowers to in one pass;
 //! * [`Session`] builds a protocol cluster **once** and executes any number
-//!   of scenarios through it, reusing every buffer across runs;
+//!   of scenarios through it, reusing every buffer across runs — the one
+//!   way a protocol scenario runs (one scenario is
+//!   `Session::new(kind, n).run(&scenario)`);
 //! * [`SessionPool`] keys sessions by `(kind, n)` so flows that interleave
 //!   several protocols or cluster sizes share clusters the same way;
 //! * [`RunOptions`] says whether a run records its trace;
 //! * [`ProtocolKind`] is the protocol roster, re-exported from
 //!   `ptp-protocols`: the one place any protocol's sites are built;
-//! * [`run_scenario`] / [`run_scenario_opts`] are the one-shot conveniences;
-//! * [`sweep()`] grids over schedule shapes × boundaries × partition
-//!   instants × heal instants × delay schedules and reports every atomicity
-//!   violation or blocked site;
+//! * [`sweep_serial`] / [`sweep_with_threads`] (with [`sweep_threads`]) /
+//!   [`sweep_with_session`] grid over schedule shapes × boundaries ×
+//!   partition instants × heal instants × delay schedules and report every
+//!   atomicity violation or blocked site, identically at any worker count;
 //! * [`Scenario::partition_schedule`] generalizes the paper's single
 //!   simple partition to ordered multi-episode, multi-group schedules, and
 //!   [`ScheduleShape`] enumerates whole families of them in sweeps;
@@ -61,19 +63,17 @@
 pub mod campaign;
 pub mod cases;
 pub mod report;
-pub mod run;
 pub mod scenario;
 pub mod session;
 pub mod sweep;
 pub mod timeline;
 
 pub use campaign::{Campaign, CampaignConfig, CampaignFailure, CampaignReport};
-pub use run::{run_scenario, run_scenario_opts, ScenarioResult};
 pub use scenario::{PartitionShape, ProtocolKind, Scenario};
-pub use session::{Session, SessionPool};
+pub use session::{ScenarioResult, Session, SessionPool};
 pub use sweep::{
-    all_simple_boundaries, sweep, sweep_parallel, sweep_serial, sweep_threads, sweep_with_session,
-    sweep_with_threads, ScenarioDesc, ScenarioSpec, ScheduleShape, SweepGrid, SweepReport,
+    all_simple_boundaries, sweep_serial, sweep_threads, sweep_with_session, sweep_with_threads,
+    ScenarioDesc, ScenarioSpec, ScheduleShape, SweepGrid, SweepReport,
 };
 pub use timeline::{ScenarioBuilder, TimedEvent, Timeline, TimelineEvent};
 

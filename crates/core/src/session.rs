@@ -1,6 +1,5 @@
-//! Reusable scenario-execution sessions.
+//! Scenario execution: the one way a protocol scenario runs.
 //!
-//! [`Session`] is the workhorse of the redesigned execution API:
 //! `Session::new(kind, n)` builds the protocol cluster **once** —
 //! enum-dispatched, one flat allocation — and `session.run(&scenario)`
 //! resets and reuses it, together with the simulator's event heap, timer
@@ -9,14 +8,31 @@
 //! the steady-state hot path performs no per-cell cluster construction, no
 //! `Box<dyn Participant>` allocation, and no G1/G2 vector rebuilds.
 //!
+//! A single scenario is `Session::new(kind, scenario.n).run(&scenario)`.
+//!
 //! Determinism is unaffected: a reused session produces field-identical
-//! [`ScenarioResult`]s (outcomes, verdict, trace, report) to fresh one-shot
-//! runs — the property suite checks this for every [`ProtocolKind`].
+//! [`ScenarioResult`]s (outcomes, verdict, trace, report) to a fresh
+//! session's first run — the property suite checks this for every
+//! [`ProtocolKind`].
 
-use crate::run::ScenarioResult;
 use crate::scenario::{ProtocolKind, Scenario};
 use ptp_protocols::runner::ClusterRunner;
-use ptp_protocols::{AnyParticipant, RunOptions, Verdict, Vote};
+use ptp_protocols::{AnyParticipant, RunOptions, SiteOutcome, Verdict, Vote};
+use ptp_simnet::{RunReport, Trace};
+
+/// The result of one scenario run.
+#[derive(Debug)]
+pub struct ScenarioResult {
+    /// Atomicity/blocking verdict.
+    pub verdict: Verdict,
+    /// Per-site outcomes.
+    pub outcomes: Vec<SiteOutcome>,
+    /// Full network trace (for timing measurements and debugging). Empty
+    /// unless the run set [`RunOptions::record`].
+    pub trace: Trace,
+    /// Simulator report.
+    pub report: RunReport,
+}
 
 /// A reusable execution session: one protocol kind, one cluster size, many
 /// scenarios.
@@ -74,12 +90,6 @@ impl Session {
         self.executed
     }
 
-    /// Direct access to the underlying cluster runner (custom participant
-    /// inspection or resets between runs).
-    pub fn runner_mut(&mut self) -> &mut ClusterRunner<AnyParticipant> {
-        &mut self.runner
-    }
-
     /// Switches handler-time profiling on or off for subsequent runs (see
     /// [`ptp_simnet::Profile`]). Off by default; while on, samples
     /// accumulate across runs until [`Session::take_profile`].
@@ -125,16 +135,12 @@ impl Session {
         &mut self,
         scenario: &Scenario,
         options: &RunOptions,
-    ) -> (Verdict, ptp_simnet::RunReport) {
+    ) -> (Verdict, RunReport) {
         let (_, report) = self.execute(scenario, options);
         (Verdict::judge(self.runner.last_outcomes()), report)
     }
 
-    fn execute(
-        &mut self,
-        scenario: &Scenario,
-        options: &RunOptions,
-    ) -> (ptp_simnet::Trace, ptp_simnet::RunReport) {
+    fn execute(&mut self, scenario: &Scenario, options: &RunOptions) -> (Trace, RunReport) {
         assert_eq!(
             scenario.n, self.n,
             "scenario has {} sites but the session was built for {}",
@@ -144,7 +150,7 @@ impl Session {
         self.runner.reset(&scenario.votes);
         scenario.write_faults(self.runner.faults_mut());
         let (_, trace, report) =
-            self.runner.run_borrowed(scenario.net_config(), &scenario.delay, options.record);
+            self.runner.run(scenario.net_config(), &scenario.delay, options.record);
         (trace, report)
     }
 }
@@ -200,21 +206,104 @@ impl SessionPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::run_scenario;
+    use ptp_model::Decision;
     use ptp_simnet::{DelayModel, SiteId};
 
+    /// A fresh session's one run of `scenario`, recorded.
+    fn fresh(kind: ProtocolKind, scenario: &Scenario) -> ScenarioResult {
+        Session::new(kind, scenario.n).run_with(scenario, &RunOptions::recording())
+    }
+
     #[test]
-    fn session_matches_one_shot_for_every_kind() {
+    fn every_protocol_commits_failure_free() {
+        let s = Scenario::new(3);
+        for kind in ProtocolKind::ALL {
+            assert_eq!(fresh(kind, &s).verdict, Verdict::AllCommit, "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn every_protocol_aborts_on_no_vote() {
+        let s = Scenario::new(3).votes(vec![Vote::Yes, Vote::No]);
+        for kind in ProtocolKind::ALL {
+            assert_eq!(fresh(kind, &s).verdict, Verdict::AllAbort, "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn plain_2pc_blocks_under_partition() {
+        // Partition strikes while the slaves wait for the decision: the cut
+        // slave can never learn it and blocks (the paper's Sec. 1 story).
+        let s = Scenario::new(3).partition_g2(vec![SiteId(2)], 2100);
+        let r = fresh(ProtocolKind::Plain2pc, &s);
+        assert!(
+            matches!(r.verdict, Verdict::Blocked { .. }),
+            "expected blocking, got {:?}",
+            r.verdict
+        );
+    }
+
+    #[test]
+    fn huang_li_survives_a_nasty_partition() {
+        // Split right as prepares are in flight.
+        let s = Scenario::new(4).partition_g2(vec![SiteId(2), SiteId(3)], 2500);
+        let r = fresh(ProtocolKind::HuangLi3pc, &s);
+        assert!(r.verdict.is_resilient(), "{:?}", r.verdict);
+    }
+
+    #[test]
+    fn huang_li_decides_commit_when_no_partition_interferes() {
+        let r = fresh(ProtocolKind::HuangLi3pc, &Scenario::new(5));
+        for o in &r.outcomes {
+            assert_eq!(o.decision, Some(Decision::Commit));
+        }
+    }
+
+    #[test]
+    fn counters_mode_matches_recording_mode_on_transient_partition() {
+        // Recording a trace must never feed back into protocol
+        // behaviour: verdict, per-site outcomes and event counters all
+        // match; only the trace itself is withheld.
+        let s = Scenario::new(4)
+            .transient_partition(vec![SiteId(2), SiteId(3)], 2500, 7500)
+            .delay(DelayModel::Uniform { seed: 42, min: 1, max: 1000 });
+        for kind in ProtocolKind::ALL {
+            let recorded = fresh(kind, &s);
+            let quiet = Session::new(kind, 4).run(&s);
+            assert_eq!(recorded.verdict, quiet.verdict, "{}", kind.name());
+            assert_eq!(recorded.outcomes, quiet.outcomes, "{}", kind.name());
+            assert_eq!(recorded.report.counters, quiet.report.counters, "{}", kind.name());
+            assert_eq!(recorded.report.events, quiet.report.events, "{}", kind.name());
+            assert!(!recorded.trace.is_empty(), "{}", kind.name());
+            assert!(quiet.trace.is_empty(), "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn quorum_minority_blocks() {
+        // n=3 majority quorums: the lone slave cut off mid-protocol cannot
+        // assemble any quorum and blocks.
+        let s = Scenario::new(3).partition_g2(vec![SiteId(2)], 2100);
+        match fresh(ProtocolKind::QuorumMajority, &s).verdict {
+            Verdict::Blocked { ref undecided, .. } => {
+                assert_eq!(undecided, &vec![SiteId(2)]);
+            }
+            ref other => panic!("expected minority blocking, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn warm_session_matches_a_fresh_one_for_every_kind() {
         let s = Scenario::new(4)
             .transient_partition(vec![SiteId(2), SiteId(3)], 2500, 7500)
             .delay(DelayModel::Uniform { seed: 42, min: 1, max: 1000 });
         for kind in ProtocolKind::ALL {
             let mut session = Session::new(kind, 4);
             // Run twice through the same session: the second (warm) run must
-            // match the fresh one-shot in every field.
+            // match a fresh session's first in every field.
             let _ = session.run_with(&s, &RunOptions::recording());
             let warm = session.run_with(&s, &RunOptions::recording());
-            let fresh = run_scenario(kind, &s);
+            let fresh = fresh(kind, &s);
             assert_eq!(warm.verdict, fresh.verdict, "{}", kind.name());
             assert_eq!(warm.outcomes, fresh.outcomes, "{}", kind.name());
             assert_eq!(warm.trace.events(), fresh.trace.events(), "{}", kind.name());
@@ -234,8 +323,7 @@ mod tests {
         for s in [&partitioned, &clean, &transient, &clean, &partitioned] {
             let r = session.run(s);
             assert!(r.verdict.is_resilient(), "{:?}", r.verdict);
-            let fresh =
-                crate::run::run_scenario_opts(ProtocolKind::HuangLi3pc, s, &RunOptions::new());
+            let fresh = Session::new(ProtocolKind::HuangLi3pc, 3).run(s);
             assert_eq!(r.verdict, fresh.verdict);
             assert_eq!(r.outcomes, fresh.outcomes);
         }
@@ -269,14 +357,14 @@ mod tests {
     }
 
     #[test]
-    fn session_pool_builds_each_cluster_once_and_matches_one_shot() {
+    fn session_pool_builds_each_cluster_once_and_matches_a_fresh_session() {
         let mut pool = SessionPool::new();
         assert!(pool.is_empty());
         let scenarios = [Scenario::new(3).partition_g2(vec![SiteId(2)], 2500), Scenario::new(3)];
         for kind in [ProtocolKind::HuangLi3pc, ProtocolKind::Plain2pc, ProtocolKind::HuangLi3pc] {
             for s in &scenarios {
                 let pooled = pool.session(kind, 3).run(s);
-                let fresh = run_scenario(kind, s);
+                let fresh = fresh(kind, s);
                 assert_eq!(pooled.verdict, fresh.verdict, "{}", kind.name());
                 assert_eq!(pooled.outcomes, fresh.outcomes, "{}", kind.name());
             }

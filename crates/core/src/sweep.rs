@@ -15,8 +15,11 @@
 //! ([`SweepGrid::scenario`]) and fans contiguous index blocks out across a
 //! scoped thread pool. Workers fold their blocks into partial
 //! [`SweepReport`]s which are reduced **in block order**, so
-//! [`sweep_parallel`] returns bit-identical reports — kept counterexamples
-//! included — to [`sweep_serial`] at any thread count. Each worker owns one
+//! [`sweep_with_threads`] returns bit-identical reports — kept
+//! counterexamples included — to [`sweep_serial`] at any thread count (pass
+//! [`sweep_threads`] for the machine's). There are three ways in and no
+//! others: [`sweep_serial`], [`sweep_with_session`] (a caller's session)
+//! and [`sweep_with_threads`]. Each worker owns one
 //! [`crate::Session`] (the cluster and simulator buffers are built once per
 //! worker, not once per cell) plus one [`Scenario`] scratch buffer (votes /
 //! G2 / delay are only rewritten when the decoded indices change), and runs
@@ -525,14 +528,14 @@ const KEEP: usize = 8;
 /// uneven cost of blocked-vs-clean scenarios.
 const BLOCK: usize = 64;
 
-/// Grids below this size run serially even when threads are available —
-/// thread spawn/teardown would dominate.
+/// Grids below this size run serially whatever the thread count — thread
+/// spawn/teardown would dominate.
 const PARALLEL_THRESHOLD: usize = 2 * BLOCK;
 
 /// Per-sweep scenario scratch: one [`Scenario`] reused across every cell,
 /// so votes/G2/delay buffers are recycled instead of reallocated
 /// ~`grid.size()` times. The session it drives is supplied per call —
-/// owned by a worker ([`CellRunner`]) or borrowed from a caller's
+/// owned by a worker ([`sweep_with_threads`]) or borrowed from a caller's
 /// [`crate::SessionPool`] ([`sweep_with_session`]).
 struct CellState {
     scenario: Scenario,
@@ -622,25 +625,7 @@ impl CellState {
     }
 }
 
-/// Worker-local scratch for the parallel path: an owned [`Session`]
-/// (cluster + simulator buffers built once per worker) plus the shared
-/// [`CellState`] scenario recycling.
-struct CellRunner {
-    session: Session,
-    cells: CellState,
-}
-
-impl CellRunner {
-    fn new(kind: ProtocolKind, grid: &SweepGrid) -> CellRunner {
-        CellRunner { session: Session::new(kind, grid.n), cells: CellState::new(grid) }
-    }
-
-    fn run(&mut self, grid: &SweepGrid, spec: &ScenarioSpec<'_>) -> Verdict {
-        self.cells.run(&mut self.session, grid, spec)
-    }
-}
-
-/// Number of worker threads a parallel sweep will use: the
+/// The worker count to hand [`sweep_with_threads`]: the
 /// `PTP_SWEEP_THREADS` environment variable if set, else the machine's
 /// available parallelism.
 pub fn sweep_threads() -> usize {
@@ -649,21 +634,6 @@ pub fn sweep_threads() -> usize {
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&t| t > 0)
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
-}
-
-/// Runs `kind` over every scenario in the grid.
-///
-/// Dispatches to [`sweep_parallel`] when the grid is large enough to
-/// amortise thread startup and more than one thread is available (see
-/// [`sweep_threads`]), else to [`sweep_serial`]. The two produce identical
-/// reports, so callers never need to care which ran.
-pub fn sweep(kind: ProtocolKind, grid: &SweepGrid) -> SweepReport {
-    let threads = sweep_threads();
-    if threads > 1 && grid.size() >= PARALLEL_THRESHOLD {
-        sweep_with_threads(kind, grid, threads)
-    } else {
-        sweep_serial(kind, grid)
-    }
 }
 
 /// Runs the grid on the calling thread, in flat-index order.
@@ -699,12 +669,8 @@ pub fn sweep_with_session(session: &mut Session, grid: &SweepGrid) -> SweepRepor
     report
 }
 
-/// Runs the grid across [`sweep_threads`] workers.
-pub fn sweep_parallel(kind: ProtocolKind, grid: &SweepGrid) -> SweepReport {
-    sweep_with_threads(kind, grid, sweep_threads())
-}
-
-/// Runs the grid across exactly `threads` workers (1 = serial).
+/// Runs the grid across `threads` workers (1 = serial), or serially when
+/// the grid is too small to amortise thread startup.
 ///
 /// Workers claim contiguous `BLOCK`-sized index ranges from a shared
 /// counter and fold each into a partial [`SweepReport`]; the partials are
@@ -716,7 +682,7 @@ pub fn sweep_with_threads(kind: ProtocolKind, grid: &SweepGrid, threads: usize) 
     assert!(total < usize::MAX, "sweep grid size overflows usize");
     let blocks = total.div_ceil(BLOCK.max(1));
     let threads = threads.clamp(1, blocks.max(1));
-    if threads <= 1 || total == 0 {
+    if threads <= 1 || total < PARALLEL_THRESHOLD {
         return sweep_serial(kind, grid);
     }
 
@@ -728,7 +694,8 @@ pub fn sweep_with_threads(kind: ProtocolKind, grid: &SweepGrid, threads: usize) 
             let tx = tx.clone();
             let next_block = &next_block;
             scope.spawn(move || {
-                let mut runner = CellRunner::new(kind, grid);
+                let mut session = Session::new(kind, grid.n);
+                let mut cells = CellState::new(grid);
                 loop {
                     let block = next_block.fetch_add(1, Ordering::Relaxed);
                     if block >= blocks {
@@ -739,7 +706,7 @@ pub fn sweep_with_threads(kind: ProtocolKind, grid: &SweepGrid, threads: usize) 
                     let mut partial = SweepReport::default();
                     for index in start..end {
                         let spec = grid.scenario(index);
-                        let verdict = runner.run(grid, &spec);
+                        let verdict = cells.run(&mut session, grid, &spec);
                         partial.record_cell(&spec, verdict);
                     }
                     if tx.send((block, partial)).is_err() {
@@ -806,7 +773,7 @@ mod tests {
         let mut grid = SweepGrid::standard(3);
         grid.partition_times = (0..=8).map(|i| i * 500).collect();
         grid.delays = vec![DelayModel::Fixed(1000)];
-        let report = sweep(ProtocolKind::HuangLi3pc, &grid);
+        let report = sweep_serial(ProtocolKind::HuangLi3pc, &grid);
         assert!(report.fully_resilient(), "{report:?}");
         assert_eq!(report.total, grid.size());
     }
@@ -818,7 +785,7 @@ mod tests {
         let mut grid = SweepGrid::standard(3);
         grid.partition_times = (0..=16).map(|i| i * 250).collect();
         grid.delays = vec![DelayModel::Fixed(1000)];
-        let report = sweep(ProtocolKind::Extended2pc, &grid);
+        let report = sweep_serial(ProtocolKind::Extended2pc, &grid);
         assert!(!report.fully_atomic(), "E2PC should violate atomicity at n=3");
     }
 
@@ -827,7 +794,7 @@ mod tests {
         let mut grid = SweepGrid::standard(3);
         grid.partition_times = (0..=16).map(|i| i * 250).collect();
         grid.delays = vec![DelayModel::Fixed(1000)];
-        let report = sweep(ProtocolKind::Naive3pc, &grid);
+        let report = sweep_serial(ProtocolKind::Naive3pc, &grid);
         assert!(!report.fully_atomic(), "naive 3PC should violate atomicity at n=3");
     }
 
@@ -836,7 +803,7 @@ mod tests {
         let mut grid = SweepGrid::standard(3);
         grid.partition_times = (0..=8).map(|i| i * 500).collect();
         grid.delays = vec![DelayModel::Fixed(1000)];
-        let report = sweep(ProtocolKind::Plain2pc, &grid);
+        let report = sweep_serial(ProtocolKind::Plain2pc, &grid);
         assert!(report.blocked_count > 0);
         assert!(report.fully_atomic(), "2PC blocks but never lies");
     }

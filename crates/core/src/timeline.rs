@@ -429,9 +429,9 @@ impl Timeline {
     }
 
     /// Compiles the timeline to the discrete-event simulator's [`Scenario`]
-    /// — the lowering behind [`crate::Session`], [`crate::run_scenario`]
-    /// and the sweep machinery: [`Timeline::faults`] plus the timeline's
-    /// clock (`T`-delays of `t_unit` ticks, the horizon).
+    /// — the lowering behind [`crate::Session`] and the sweep machinery:
+    /// [`Timeline::faults`] plus the timeline's clock (`T`-delays of
+    /// `t_unit` ticks, the horizon).
     pub fn scenario(&self) -> Scenario {
         let mut scenario = Scenario::new(self.n).delay(DelayModel::Fixed(self.t_unit));
         scenario.t_unit = self.t_unit;

@@ -27,8 +27,8 @@ pub enum CommitMsg {
     },
     /// Quorum-termination state request (Skeen 1982 baseline). Carries the
     /// requester's own state class so responders already collecting can
-    /// absorb it as a free report (piggybacking); the baseline tuning
-    /// ignores the field.
+    /// absorb it as a free report (piggybacking); the naive protocol, the
+    /// equivalence suite's oracle, ignores the field.
     StateReq {
         /// Encoded local state class of the *requester*.
         state: u8,

@@ -80,13 +80,25 @@ pub fn huang_li_3pc_cluster_with_timing_any(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outcome::Verdict;
-    use crate::runner::run_protocol;
-    use ptp_simnet::{DelayModel, NetConfig, PartitionEngine};
+    use crate::outcome::{SiteOutcome, Verdict};
+    use crate::runner::ClusterRunner;
+    use ptp_simnet::{DelayModel, NetConfig, PartitionEngine, PartitionSpec, SimTime, Trace};
+
+    /// One recorded run of `parts` split `{0, 1} | g2` at 2500.
+    fn run_split<P: Participant>(
+        parts: Vec<P>,
+        g2: Vec<SiteId>,
+        delay: &DelayModel,
+    ) -> (Vec<SiteOutcome>, Trace) {
+        let split = PartitionSpec::simple(SimTime(2500), vec![SiteId(0), SiteId(1)], g2);
+        let mut runner = ClusterRunner::new(parts);
+        runner.faults_mut().partition = PartitionEngine::new(vec![split]);
+        let (outcomes, trace, _) = runner.run(NetConfig::default(), delay, true);
+        (outcomes.to_vec(), trace)
+    }
 
     #[test]
     fn stretched_timers_and_skewed_links_stay_atomic_under_partition() {
-        use ptp_simnet::{PartitionSpec, SimTime};
         let generous =
             ProtocolTiming { master_proto: 4, slave_proto: 6, collect: 10, w_wait: 12, p_wait: 10 };
         let skewed = DelayModel::PerLink { links: [((0u16, 1u16), 300u64)].into(), default: 900 };
@@ -101,18 +113,8 @@ mod tests {
                 TerminationVariant::Transient,
                 timing,
             );
-            let split = PartitionSpec::simple(
-                SimTime(2500),
-                vec![SiteId(0), SiteId(1)],
-                vec![SiteId(2), SiteId(3)],
-            );
-            let run = run_protocol(
-                parts,
-                NetConfig::default(),
-                PartitionEngine::new(vec![split]),
-                &delay,
-            );
-            assert!(Verdict::judge(&run.outcomes).is_atomic(), "{timing:?} / {delay:?}");
+            let (outcomes, _) = run_split(parts, vec![SiteId(2), SiteId(3)], &delay);
+            assert!(Verdict::judge(&outcomes).is_atomic(), "{timing:?} / {delay:?}");
         }
     }
 
@@ -120,14 +122,8 @@ mod tests {
     fn default_timing_is_the_rosters_cluster() {
         // With the paper's constants the stretched-timer cluster is the
         // roster's HL-3PC, run for run.
-        let split = ptp_simnet::PartitionSpec::simple(
-            ptp_simnet::SimTime(2500),
-            vec![SiteId(0), SiteId(1)],
-            vec![SiteId(2), SiteId(3)],
-        );
         let run = |parts: Vec<AnyParticipant>| {
-            let faults = PartitionEngine::new(vec![split.clone()]);
-            run_protocol(parts, NetConfig::default(), faults, &DelayModel::Fixed(900))
+            run_split(parts, vec![SiteId(2), SiteId(3)], &DelayModel::Fixed(900))
         };
         let votes = [Vote::Yes; 3];
         let timed = run(huang_li_3pc_cluster_with_timing_any(
@@ -137,8 +133,8 @@ mod tests {
             ProtocolTiming::default(),
         ));
         let roster = run(ProtocolKind::HuangLi3pc.cluster(4, &votes));
-        assert_eq!(timed.outcomes, roster.outcomes);
-        assert_eq!(timed.trace.events(), roster.trace.events());
+        assert_eq!(timed.0, roster.0);
+        assert_eq!(timed.1.events(), roster.1.events());
     }
 
     #[test]
@@ -148,13 +144,7 @@ mod tests {
         assert_eq!(parts[0].state_name(), "w1");
         assert_eq!(parts[1].state_name(), "q");
         let run = |parts: Vec<Box<dyn Participant>>| {
-            let split = ptp_simnet::PartitionSpec::simple(
-                ptp_simnet::SimTime(2500),
-                vec![SiteId(0), SiteId(1)],
-                vec![SiteId(2)],
-            );
-            let faults = PartitionEngine::new(vec![split]);
-            run_protocol(parts, NetConfig::default(), faults, &DelayModel::Fixed(900)).outcomes
+            run_split(parts, vec![SiteId(2)], &DelayModel::Fixed(900)).0
         };
         for (variant, kind) in [
             (TerminationVariant::Transient, ProtocolKind::HuangLi3pc),

@@ -42,16 +42,6 @@ macro_rules! each {
 }
 
 impl AnyParticipant {
-    /// The inner [`QuorumSite`], if this is a quorum-commit site — lets
-    /// the quorum equivalence suite flip [`crate::quorum::QuorumTuning`]
-    /// on an assembled cluster.
-    pub fn quorum_mut(&mut self) -> Option<&mut QuorumSite> {
-        match self {
-            AnyParticipant::Quorum(p) => Some(p),
-            _ => None,
-        }
-    }
-
     /// Re-boxes into the historical trait-object form (for APIs that still
     /// take `Vec<Box<dyn Participant>>`).
     pub fn boxed(self) -> Box<dyn Participant> {

@@ -167,17 +167,13 @@ mod tests {
     use super::*;
     use crate::api::Participant;
     use crate::outcome::Verdict;
-    use crate::runner::run_protocol;
-    use ptp_simnet::{DelayModel, NetConfig, PartitionEngine};
+    use crate::runner::ClusterRunner;
+    use ptp_simnet::{DelayModel, NetConfig};
 
     fn run_failure_free(kind: ProtocolKind, n: usize, votes: &[Vote]) -> Verdict {
-        let run = run_protocol(
-            kind.cluster(n, votes),
-            NetConfig::default(),
-            PartitionEngine::always_connected(),
-            &DelayModel::Fixed(400),
-        );
-        Verdict::judge(&run.outcomes)
+        let mut runner = ClusterRunner::new(kind.cluster(n, votes));
+        let (outcomes, _, _) = runner.run(NetConfig::default(), &DelayModel::Fixed(400), false);
+        Verdict::judge(outcomes)
     }
 
     #[test]

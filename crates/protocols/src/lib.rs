@@ -22,17 +22,17 @@
 //! [`AnyParticipant`] vector — see [`dispatch`]), for the simulator, the
 //! database and the tests alike; [`clusters`] keeps the few clusters no
 //! kind names (any FSA augmentation, stretched timers, a boxed form).
-//! [`runner::ClusterRunner`] is the reusable execution harness
-//! (`ptp_core::Session` wraps it); [`options::RunOptions`] says whether a
-//! run records its trace; [`runner::run_protocol`] /
-//! [`runner::run_protocol_opts`] are the one-shot conveniences;
+//! [`runner::ClusterRunner`] is the one execution harness: build it once,
+//! then reset, write its fault plan and run, as often as needed
+//! (`ptp_core::Session` wraps it, and is how a scenario runs);
+//! [`options::RunOptions`] says whether a run records its trace;
 //! [`outcome::Verdict`] judges atomicity and blocking.
 //!
 //! ```
 //! use ptp_protocols::api::Vote;
 //! use ptp_protocols::outcome::Verdict;
 //! use ptp_protocols::runner::ClusterRunner;
-//! use ptp_protocols::{ProtocolKind, RunOptions};
+//! use ptp_protocols::ProtocolKind;
 //! use ptp_simnet::{DelayModel, NetConfig, SimTime, SiteId};
 //!
 //! // Three sites, built once; the runner replays them through any number
@@ -45,8 +45,8 @@
 //!     let groups = runner.faults_mut().partition.reset_single(SimTime(at), None, 2);
 //!     groups[0].extend([SiteId(0), SiteId(1)]);
 //!     groups[1].push(SiteId(2));
-//!     let run = runner.run(NetConfig::default(), &DelayModel::Fixed(900), &RunOptions::new());
-//!     let verdict = Verdict::judge(&run.outcomes);
+//!     let (outcomes, _, _) = runner.run(NetConfig::default(), &DelayModel::Fixed(900), false);
+//!     let verdict = Verdict::judge(outcomes);
 //!     assert!(verdict.is_resilient(), "{verdict:?}");
 //! }
 //! ```
@@ -71,6 +71,6 @@ pub use dispatch::AnyParticipant;
 pub use kind::{ProtocolKind, SiteBuilder};
 pub use options::RunOptions;
 pub use outcome::{SiteOutcome, Verdict};
-pub use quorum::{QuorumConfig, QuorumTuning};
-pub use runner::{run_protocol, run_protocol_opts, ClusterRunner, ProtocolRun};
+pub use quorum::QuorumConfig;
+pub use runner::ClusterRunner;
 pub use termination::{PhasePlan, TerminationMaster, TerminationSlave, TerminationVariant};

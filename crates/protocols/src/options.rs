@@ -1,11 +1,11 @@
 //! Typed execution options.
 //!
 //! [`RunOptions`] says how a run is *observed* — whether it records a trace
-//! — in a self-describing value that the whole stack
-//! ([`crate::runner::ClusterRunner`], `ptp_core::Session`, `run_scenario`,
-//! `sweep`) shares. What bounds a run is its `NetConfig::max_time` (a
-//! scenario's `horizon_t`), and what is *injected* into it is not an option
-//! either: it is the run's [`ptp_simnet::FaultPlan`].
+//! — in a self-describing value that `ptp_core::Session` and the sweeps
+//! share ([`crate::runner::ClusterRunner::run`] takes its one bool). What
+//! bounds a run is its `NetConfig::max_time` (a scenario's `horizon_t`),
+//! and what is *injected* into it is not an option either: it is the run's
+//! [`ptp_simnet::FaultPlan`].
 
 /// Typed options for one protocol run.
 ///

@@ -16,14 +16,13 @@
 //! until the partition heals. The contrast with the paper's protocol (both
 //! groups terminate, Theorem 9) is exactly what E15 measures.
 //!
-//! ## Hot-path tuning
+//! ## The hot path
 //!
 //! The naive rendition dominated the schedule benchmark: a blocked minority
 //! re-armed its collection round every 2T until the horizon, and every round
 //! allocated a fresh report map. Event-attribution profiling attributed the
 //! bulk of Quorum's wall time to exactly those state-request/report rounds,
-//! so the collection machinery is rewritten, all of it behind one
-//! [`QuorumTuning`] choice:
+//! so this one machine rewrites the collection:
 //!
 //! * **piggyback** — a `state-req` carries the requester's own state class,
 //!   and a collecting responder adopts it as a free report when it is
@@ -31,9 +30,9 @@
 //!   only accelerate the inevitable decision; counting *undecided*
 //!   piggybacked classes was tried and rejected — the extra `reachable`
 //!   entries let the abort quorum fire in rounds where the timer-resolved
-//!   baseline stayed blocked and later committed (the equivalence suite
-//!   caught three commit→abort flips, and outright atomicity violations in
-//!   combination with early resolution);
+//!   naive protocol stayed blocked and later committed (the equivalence
+//!   suite caught three commit→abort flips, and outright atomicity
+//!   violations in combination with early resolution);
 //! * **early resolve** — a round resolves the moment a report shows a
 //!   *decided* peer instead of sleeping out the 2T collection timer. The
 //!   quorum rule adopts a seen decision before anything else, so the early
@@ -56,9 +55,10 @@
 //!   the sparse tail only ever re-confirms an unchanged partition and no
 //!   verdict moves.
 //!
-//! [`QuorumTuning::Baseline`] reproduces the naive behaviour exactly —
-//! `tests/quorum_rewrite_equivalence.rs` sweeps both tunings across all
-//! four schedule families and pins identical verdict counts.
+//! The naive protocol — fixed 2T rounds, timer-only resolution, immediate
+//! re-collection while blocked — is not shipped. It lives beside its check,
+//! as the test oracle of `tests/quorum_rewrite_equivalence.rs`, which runs
+//! both over all four schedule families and compares them cell by cell.
 //!
 //! This is a deliberately simplified rendition: Skeen's full protocol has
 //! explicit prepare-to-commit/prepare-to-abort buffer states and weighted
@@ -105,7 +105,7 @@ impl QuorumConfig {
 /// top) has settled — changes delivered, in-flight bounces returned —
 /// within ~10T of it. Keeping the naive 2T cadence through that window
 /// means the backoff can only thin out polls of a permanently unchanged
-/// partition, which is what makes it verdict-identical to the baseline.
+/// partition, which is what makes it verdict-identical to the naive protocol.
 pub const DENSE_RETRIES: u32 = 4;
 
 /// First spaced blocked-retry wait, in units of `T`. The jump from the
@@ -117,23 +117,6 @@ const RETRY_START_T: u64 = 16;
 /// Blocked-retry wait cap, in units of `T`. Bounds how often a hopeless
 /// minority confirms that nothing has changed before the horizon.
 pub const RETRY_CAP_T: u64 = 64;
-
-/// Which collection machinery runs: the naive rendition, or every rewrite
-/// of the module docs at once. The equivalence suite checks the two reach
-/// identical verdicts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QuorumTuning {
-    /// The naive protocol: fixed 2T rounds, timer-only resolution,
-    /// immediate re-collection while blocked.
-    Baseline,
-    /// Every rewrite on — what [`crate::ProtocolKind::QuorumMajority`]
-    /// builds: decisive piggybacked classes adopted, a round resolved the
-    /// moment a report shows a decided peer, exponential spacing between
-    /// blocked retries after a dense naive-cadence prefix of
-    /// [`DENSE_RETRIES`] rounds.
-    #[default]
-    Optimized,
-}
 
 /// State classes exchanged in quorum termination reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,7 +239,6 @@ enum QPhase {
 /// One site of the quorum-commit protocol (master if `me == 0`).
 pub struct QuorumSite {
     cfg: QuorumConfig,
-    tuning: QuorumTuning,
     me: u16,
     vote: Vote,
     phase: QPhase,
@@ -269,20 +251,18 @@ pub struct QuorumSite {
     /// Blocked, waiting out a backoff interval before re-collecting.
     retry_wait: bool,
     /// Blocked resolutions so far (drives the dense→exponential ladder of
-    /// the backoff tuning).
+    /// the backoff).
     retry_round: u32,
     decided: Option<Decision>,
     blocked_noted: bool,
 }
 
 impl QuorumSite {
-    /// Creates site `me` of a quorum-commit cluster with the default
-    /// (optimized) tuning.
+    /// Creates site `me` of a quorum-commit cluster.
     pub fn new(cfg: QuorumConfig, me: SiteId, vote: Vote) -> Self {
         cfg.validate();
         QuorumSite {
             cfg,
-            tuning: QuorumTuning::default(),
             me: me.0,
             vote,
             phase: if me.0 == 0 { QPhase::Wait } else { QPhase::Initial },
@@ -294,18 +274,6 @@ impl QuorumSite {
             decided: None,
             blocked_noted: false,
         }
-    }
-
-    /// Selects the collection-machinery tuning. Configuration, not run
-    /// state: it survives [`Participant::reset`]. The equivalence suite
-    /// uses this to pit [`QuorumTuning::Baseline`] against the default.
-    pub fn set_tuning(&mut self, tuning: QuorumTuning) {
-        self.tuning = tuning;
-    }
-
-    /// The active tuning.
-    pub fn tuning(&self) -> QuorumTuning {
-        self.tuning
     }
 
     fn is_master(&self) -> bool {
@@ -381,7 +349,7 @@ impl QuorumSite {
             }
             let round = self.retry_round;
             self.retry_round = self.retry_round.saturating_add(1);
-            if self.tuning == QuorumTuning::Optimized && round >= DENSE_RETRIES {
+            if round >= DENSE_RETRIES {
                 // The partition has outlived the dense prefix: sleep out an
                 // exponentially growing interval before the next poll
                 // instead of hammering the (unchanged) partition.
@@ -403,17 +371,9 @@ impl QuorumSite {
             return;
         }
         self.reports.insert(site, class);
-        let decisive = matches!(class, StateClass::Committed | StateClass::Aborted);
-        if self.tuning == QuorumTuning::Optimized && decisive {
-            // A decided peer settles the round outright — the quorum rule
-            // adopts a seen decision before anything else, so resolving now
-            // reaches the same verdict the collection timer would, just
-            // without sleeping out the rest of the window. (Resolving early
-            // on mere *completeness* — every request answered or bounced —
-            // was tried and rejected: a blocked resolution then restarts
-            // the next round off the naive 2T grid, and the drifted polls
-            // sample multi-episode schedules differently, flipping
-            // verdicts.)
+        if matches!(class, StateClass::Committed | StateClass::Aborted) {
+            // A decided peer settles the round outright (module docs,
+            // "early resolve"; never on mere completeness).
             self.resolve(out);
         }
     }
@@ -438,18 +398,11 @@ impl Participant for QuorumSite {
                     to: from,
                     msg: CommitMsg::StateRep { state: self.class().encode() },
                 });
-                if self.tuning == QuorumTuning::Optimized {
-                    // Only a *decisive* class may join the tally from
-                    // request traffic: adopting a peer's decision is
-                    // monotone, but counting undecided classes shifts which
-                    // quorum fires first relative to the timer-resolved
-                    // baseline — the equivalence suite caught commit↔abort
-                    // flips (and, with early resolution, outright atomicity
-                    // violations) when every piggybacked class was counted.
-                    let class = StateClass::decode(*state);
-                    if matches!(class, StateClass::Committed | StateClass::Aborted) {
-                        self.absorb(from.0, class, out);
-                    }
+                // Only a *decisive* class joins the tally from request
+                // traffic (module docs, "piggyback").
+                let class = StateClass::decode(*state);
+                if matches!(class, StateClass::Committed | StateClass::Aborted) {
+                    self.absorb(from.0, class, out);
                 }
                 return;
             }
@@ -673,26 +626,6 @@ mod tests {
     }
 
     #[test]
-    fn baseline_minority_blocks_and_retries_immediately() {
-        let cfg = QuorumConfig::majority(5);
-        let mut s = QuorumSite::new(cfg, SiteId(4), Vote::Yes);
-        s.set_tuning(QuorumTuning::Baseline);
-        let mut out = Vec::new();
-        s.start(&mut out);
-        s.on_msg(SiteId(0), &CommitMsg::Kind("xact"), &mut out);
-        out.clear();
-        s.on_timer(TimerTag::Proto, &mut out);
-        out.clear();
-        // The naive protocol re-broadcasts back-to-back while blocked.
-        s.on_timer(TimerTag::QuorumCollect, &mut out);
-        assert_eq!(s.decision(), None);
-        assert!(out.iter().any(|a| matches!(a, Action::Note("quorum-blocked", _))));
-        assert!(out
-            .iter()
-            .any(|a| matches!(a, Action::Broadcast { msg: CommitMsg::StateReq { .. } })));
-    }
-
-    #[test]
     fn abort_quorum_aborts_unprepared_group() {
         let cfg = QuorumConfig::majority(3);
         let mut s = QuorumSite::new(cfg, SiteId(1), Vote::Yes);
@@ -775,7 +708,7 @@ mod tests {
     fn piggybacked_undecided_class_is_ignored() {
         // An *undecided* piggybacked class must not enter the tally: the
         // extra `reachable` entry would let the abort quorum fire in rounds
-        // where the timer-resolved baseline stayed blocked.
+        // where the timer-resolved naive protocol stayed blocked.
         let cfg = QuorumConfig::majority(3);
         let mut s = QuorumSite::new(cfg, SiteId(1), Vote::Yes);
         let mut out = Vec::new();
@@ -797,15 +730,6 @@ mod tests {
         s.on_timer(TimerTag::QuorumCollect, &mut out);
         assert_eq!(s.decision(), None);
         assert!(out.iter().any(|a| matches!(a, Action::Note("quorum-blocked", _))));
-    }
-
-    #[test]
-    fn tuning_survives_reset() {
-        let cfg = QuorumConfig::majority(3);
-        let mut s = QuorumSite::new(cfg, SiteId(1), Vote::Yes);
-        s.set_tuning(QuorumTuning::Baseline);
-        s.reset(Vote::No);
-        assert_eq!(s.tuning(), QuorumTuning::Baseline);
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! dispatches protocol events without any vtable; `ClusterRunner<Box<dyn
 //! Participant>>` keeps the historical heterogeneous clusters working.
 //!
-//! One-shot conveniences remain: [`run_protocol`] (records a full trace)
-//! and [`run_protocol_opts`] (typed [`RunOptions`]).
+//! It is the one way a protocol cluster runs in the simulator: build it,
+//! [`ClusterRunner::reset`] the votes, write [`ClusterRunner::faults_mut`],
+//! [`ClusterRunner::run`]. A scenario-level caller goes through
+//! `ptp_core::Session`, which does exactly that.
 
 use crate::api::{Action, CommitMsg, Participant, TimerTag, Vote};
-use crate::options::RunOptions;
 use crate::outcome::SiteOutcome;
 use ptp_model::Decision;
 use ptp_simnet::{
@@ -141,22 +142,10 @@ impl<P: Participant> Actor<CommitMsg> for ProtocolActor<P> {
     }
 }
 
-/// Result of running a commit protocol through one scenario.
-#[derive(Debug)]
-pub struct ProtocolRun {
-    /// Per-site outcomes (index = site id).
-    pub outcomes: Vec<SiteOutcome>,
-    /// Full network trace.
-    pub trace: Trace,
-    /// Simulator report.
-    pub report: RunReport,
-}
-
 /// A reusable protocol-execution harness: build once, run many scenarios.
 ///
 /// ```
 /// use ptp_protocols::api::Vote;
-/// use ptp_protocols::options::RunOptions;
 /// use ptp_protocols::runner::ClusterRunner;
 /// use ptp_protocols::{ProtocolKind, Verdict};
 /// use ptp_simnet::{DelayModel, NetConfig, SimTime, SiteId};
@@ -168,8 +157,8 @@ pub struct ProtocolRun {
 ///     let groups = runner.faults_mut().partition.reset_single(SimTime(at), None, 2);
 ///     groups[0].extend([SiteId(0), SiteId(1)]);
 ///     groups[1].push(SiteId(2));
-///     let run = runner.run(NetConfig::default(), &DelayModel::Fixed(900), &RunOptions::new());
-///     assert!(Verdict::judge(&run.outcomes).is_resilient());
+///     let (outcomes, _, _) = runner.run(NetConfig::default(), &DelayModel::Fixed(900), false);
+///     assert!(Verdict::judge(outcomes).is_resilient());
 /// }
 /// ```
 pub struct ClusterRunner<P: Participant> {
@@ -196,22 +185,6 @@ impl<P: Participant> ClusterRunner<P> {
             scratch: Some(SimScratch::new()),
             outcomes: vec![SiteOutcome::default(); n],
         }
-    }
-
-    /// Number of sites.
-    pub fn site_count(&self) -> usize {
-        self.actors.len()
-    }
-
-    /// The participants, in site order.
-    pub fn participants(&self) -> impl Iterator<Item = &P> {
-        self.actors.iter().map(|a| &a.inner)
-    }
-
-    /// Mutable access to the participants (for custom re-initialisation
-    /// between runs; most callers want [`ClusterRunner::reset`]).
-    pub fn participants_mut(&mut self) -> impl Iterator<Item = &mut P> {
-        self.actors.iter_mut().map(|a| &mut a.inner)
     }
 
     /// Resets every participant for a fresh run: the master (site 0) and one
@@ -260,13 +233,13 @@ impl<P: Participant> ClusterRunner<P> {
     }
 
     /// Runs the cluster once under the plan in [`ClusterRunner::faults_mut`],
-    /// returning the outcomes by reference — the zero-copy path the sweep
-    /// engine uses.
+    /// returning the outcomes by reference; the trace is empty unless
+    /// `record` is set.
     ///
     /// The caller is responsible for having [`ClusterRunner::reset`] the
     /// participants and written the fault plan; `config.max_time` is the
     /// horizon.
-    pub fn run_borrowed(
+    pub fn run(
         &mut self,
         config: NetConfig,
         delay: &DelayModel,
@@ -286,49 +259,6 @@ impl<P: Participant> ClusterRunner<P> {
         }
         (&self.outcomes, trace, report)
     }
-
-    /// Runs the cluster once under typed [`RunOptions`], returning owned
-    /// outcomes.
-    pub fn run(
-        &mut self,
-        config: NetConfig,
-        delay: &DelayModel,
-        options: &RunOptions,
-    ) -> ProtocolRun {
-        let (outcomes, trace, report) = self.run_borrowed(config, delay, options.record);
-        ProtocolRun { outcomes: outcomes.to_vec(), trace, report }
-    }
-}
-
-/// One-shot execution of `participants` (site `i` = `participants[i]`,
-/// site 0 the master) under `faults` (a whole [`FaultPlan`] in ticks, or
-/// just a [`ptp_simnet::PartitionEngine`]) with typed [`RunOptions`].
-///
-/// Builds a [`ClusterRunner`], runs it once and discards it; workloads that
-/// run many scenarios should keep a runner (or a `ptp_core::Session`)
-/// instead.
-pub fn run_protocol_opts<P: Participant>(
-    participants: Vec<P>,
-    config: NetConfig,
-    faults: impl Into<FaultPlan>,
-    delay: &DelayModel,
-    options: &RunOptions,
-) -> ProtocolRun {
-    let mut runner = ClusterRunner::new(participants);
-    *runner.faults_mut() = faults.into();
-    runner.run(config, delay, options)
-}
-
-/// Runs `participants` under the given network conditions, recording a full
-/// trace (the timing experiments measure over it). Equivalent to
-/// [`run_protocol_opts`] with [`RunOptions::recording`].
-pub fn run_protocol<P: Participant>(
-    participants: Vec<P>,
-    config: NetConfig,
-    faults: impl Into<FaultPlan>,
-    delay: &DelayModel,
-) -> ProtocolRun {
-    run_protocol_opts(participants, config, faults, delay, &RunOptions::recording())
 }
 
 #[cfg(test)]
@@ -340,6 +270,8 @@ mod tests {
     use ptp_model::protocols::two_phase;
     use ptp_simnet::{PartitionEngine, PartitionSpec, SimTime};
 
+    type Run = (Vec<SiteOutcome>, Trace, RunReport);
+
     fn two_pc_parts(votes: &[Vote]) -> Vec<FsaParticipant> {
         let spec = Arc::new(two_phase(votes.len() + 1));
         (0..spec.n())
@@ -350,35 +282,38 @@ mod tests {
             .collect()
     }
 
-    fn run_2pc(votes: &[Vote]) -> ProtocolRun {
-        run_protocol(
-            two_pc_parts(votes),
-            NetConfig::default(),
-            PartitionEngine::always_connected(),
-            &DelayModel::Fixed(300),
-        )
+    /// Runs `runner` once under its current plan at 300 ticks a message.
+    fn run<P: Participant>(runner: &mut ClusterRunner<P>, record: bool) -> Run {
+        let (outcomes, trace, report) =
+            runner.run(NetConfig::default(), &DelayModel::Fixed(300), record);
+        (outcomes.to_vec(), trace, report)
+    }
+
+    /// A fresh 2PC cluster, connected throughout, recorded.
+    fn run_2pc(votes: &[Vote]) -> Run {
+        run(&mut ClusterRunner::new(two_pc_parts(votes)), true)
     }
 
     #[test]
     fn failure_free_2pc_commits_on_unanimous_yes() {
-        let run = run_2pc(&[Vote::Yes, Vote::Yes]);
-        assert_eq!(Verdict::judge(&run.outcomes), Verdict::AllCommit);
+        let (outcomes, _, _) = run_2pc(&[Vote::Yes, Vote::Yes]);
+        assert_eq!(Verdict::judge(&outcomes), Verdict::AllCommit);
     }
 
     #[test]
     fn failure_free_2pc_aborts_on_any_no() {
-        let run = run_2pc(&[Vote::Yes, Vote::No]);
-        assert_eq!(Verdict::judge(&run.outcomes), Verdict::AllAbort);
+        let (outcomes, _, _) = run_2pc(&[Vote::Yes, Vote::No]);
+        assert_eq!(Verdict::judge(&outcomes), Verdict::AllAbort);
     }
 
     #[test]
     fn decision_timestamps_recorded() {
-        let run = run_2pc(&[Vote::Yes, Vote::Yes]);
-        for o in &run.outcomes {
+        let (outcomes, _, _) = run_2pc(&[Vote::Yes, Vote::Yes]);
+        for o in &outcomes {
             assert!(o.decided_at.is_some());
         }
         // Master decides before the slaves receive the commit message.
-        assert!(run.outcomes[0].decided_at <= run.outcomes[1].decided_at);
+        assert!(outcomes[0].decided_at <= outcomes[1].decided_at);
     }
 
     #[test]
@@ -387,32 +322,25 @@ mod tests {
             .into_iter()
             .map(|p| Box::new(p) as Box<dyn Participant>)
             .collect();
-        let run = run_protocol(
-            boxed,
-            NetConfig::default(),
-            PartitionEngine::always_connected(),
-            &DelayModel::Fixed(300),
-        );
-        assert_eq!(Verdict::judge(&run.outcomes), Verdict::AllCommit);
+        let (outcomes, _, _) = run(&mut ClusterRunner::new(boxed), false);
+        assert_eq!(Verdict::judge(&outcomes), Verdict::AllCommit);
     }
 
     #[test]
-    fn reused_runner_matches_one_shot_runs() {
-        // The tentpole guarantee at this layer: a runner reused across runs
-        // (with participant resets in between) is indistinguishable from
-        // fresh one-shot executions — outcomes, trace and report.
+    fn reused_runner_matches_fresh_runners() {
+        // A runner reused across runs (with participant resets in between)
+        // is indistinguishable from a fresh one: outcomes, trace and report.
         let mut runner = ClusterRunner::new(two_pc_parts(&[Vote::Yes, Vote::Yes]));
         let votes_grid = [[Vote::Yes, Vote::Yes], [Vote::No, Vote::Yes], [Vote::Yes, Vote::Yes]];
         for votes in votes_grid {
             runner.reset(&votes);
             runner.faults_mut().partition.clear();
-            let reused =
-                runner.run(NetConfig::default(), &DelayModel::Fixed(300), &RunOptions::recording());
+            let reused = run(&mut runner, true);
             let fresh = run_2pc(&votes);
-            assert_eq!(reused.outcomes, fresh.outcomes);
-            assert_eq!(reused.trace.events(), fresh.trace.events());
-            assert_eq!(reused.report.events, fresh.report.events);
-            assert_eq!(reused.report.counters, fresh.report.counters);
+            assert_eq!(reused.0, fresh.0);
+            assert_eq!(reused.1.events(), fresh.1.events());
+            assert_eq!(reused.2.events, fresh.2.events);
+            assert_eq!(reused.2.counters, fresh.2.counters);
         }
     }
 
@@ -424,10 +352,10 @@ mod tests {
             let groups = runner.faults_mut().partition.reset_single(SimTime(at), None, 2);
             groups[0].extend([SiteId(0), SiteId(1)]);
             groups[1].push(SiteId(2));
-            let run = runner.run(NetConfig::default(), &DelayModel::Fixed(300), &RunOptions::new());
-            assert!(run.trace.is_empty(), "counters mode records no trace");
+            let (outcomes, trace, _) = run(&mut runner, false);
+            assert!(trace.is_empty(), "counters mode records no trace");
             // Plain 2PC under partition: never inconsistent.
-            assert!(Verdict::judge(&run.outcomes).is_atomic());
+            assert!(Verdict::judge(&outcomes).is_atomic());
         }
     }
 
@@ -463,20 +391,15 @@ mod tests {
             ]);
             assert_eq!(runner.faults_mut().partition.episodes(), expected.episodes());
 
-            let reused =
-                runner.run(NetConfig::default(), &DelayModel::Fixed(300), &RunOptions::new());
-            let fresh = run_protocol_opts(
-                two_pc_parts(&[Vote::Yes, Vote::Yes]),
-                NetConfig::default(),
-                expected,
-                &DelayModel::Fixed(300),
-                &RunOptions::new(),
-            );
-            assert_eq!(reused.outcomes, fresh.outcomes, "round {round}");
-            assert_eq!(reused.report.counters, fresh.report.counters, "round {round}");
+            let reused = run(&mut runner, false);
+            let mut fresh_runner = ClusterRunner::new(two_pc_parts(&[Vote::Yes, Vote::Yes]));
+            *fresh_runner.faults_mut() = expected.into();
+            let fresh = run(&mut fresh_runner, false);
+            assert_eq!(reused.0, fresh.0, "round {round}");
+            assert_eq!(reused.2.counters, fresh.2.counters, "round {round}");
             // 2PC across any partition schedule: atomic (it may block, it
             // never lies).
-            assert!(Verdict::judge(&reused.outcomes).is_atomic());
+            assert!(Verdict::judge(&reused.0).is_atomic());
         }
     }
 
@@ -484,7 +407,8 @@ mod tests {
     fn profile_total_counts_every_dispatch_and_leaves_the_run_alone() {
         const N: usize = 4;
         let delay = DelayModel::Uniform { seed: 7, min: 1, max: 1000 };
-        let run = |runner: &mut ClusterRunner<crate::AnyParticipant>, split: Option<SimTime>| {
+        let split_run = |runner: &mut ClusterRunner<crate::AnyParticipant>,
+                         split: Option<SimTime>| {
             runner.reset(&[Vote::Yes; N - 1]);
             let partition = &mut runner.faults_mut().partition;
             match split {
@@ -495,7 +419,8 @@ mod tests {
                     groups[1].extend([SiteId(2), SiteId(3)]);
                 }
             }
-            runner.run(NetConfig::default(), &delay, &RunOptions::recording())
+            let (outcomes, trace, report) = runner.run(NetConfig::default(), &delay, true);
+            (outcomes.to_vec(), trace, report)
         };
         for kind in crate::ProtocolKind::ALL {
             let name = kind.name();
@@ -504,11 +429,12 @@ mod tests {
             profiled.set_profiling(true);
             // A clean run, and one whose split at T / 2 bounces messages.
             for split in [None, Some(SimTime(500))] {
-                let (quiet, timed) = (run(&mut plain, split), run(&mut profiled, split));
-                assert_eq!(quiet.outcomes, timed.outcomes, "{name} {split:?}");
-                assert_eq!(quiet.report.counters, timed.report.counters, "{name} {split:?}");
-                assert_eq!(quiet.trace.events(), timed.trace.events(), "{name} {split:?}");
-                let c = timed.report.counters;
+                let (quiet, timed) =
+                    (split_run(&mut plain, split), split_run(&mut profiled, split));
+                assert_eq!(quiet.0, timed.0, "{name} {split:?}");
+                assert_eq!(quiet.2.counters, timed.2.counters, "{name} {split:?}");
+                assert_eq!(quiet.1.events(), timed.1.events(), "{name} {split:?}");
+                let c = timed.2.counters;
                 assert_eq!(c.crashes, 0);
                 assert_eq!(c.returned > 0, split.is_some(), "{name} {split:?}: {c:?}");
                 // One handler call per start, delivery, return and fired timer.
@@ -521,19 +447,19 @@ mod tests {
         let mut prof = ClusterRunner::new(two_pc_parts(&[Vote::Yes, Vote::Yes]));
         prof.set_profiling(true);
         prof.reset(&[Vote::Yes, Vote::Yes]);
-        prof.run(NetConfig::default(), &DelayModel::Fixed(300), &RunOptions::new());
+        run(&mut prof, false);
         assert!(!prof.take_profile().is_empty());
 
         // take_profile drains but keeps recording; a second run refills it.
         assert!(prof.take_profile().is_empty());
         prof.reset(&[Vote::Yes, Vote::Yes]);
-        prof.run(NetConfig::default(), &DelayModel::Fixed(300), &RunOptions::new());
+        run(&mut prof, false);
         assert!(!prof.take_profile().is_empty());
 
         // Turning profiling off stops the recording.
         prof.set_profiling(false);
         prof.reset(&[Vote::Yes, Vote::Yes]);
-        prof.run(NetConfig::default(), &DelayModel::Fixed(300), &RunOptions::new());
+        run(&mut prof, false);
         assert!(prof.take_profile().is_empty());
     }
 }

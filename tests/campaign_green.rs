@@ -1,14 +1,15 @@
 //! Seeded chaos-campaign gate for CI.
 //!
 //! Samples a safe-family campaign — partitions, degraded-delay windows, and
-//! duplicate envelopes, but no crash-during-partition overlap (the Sec. 7
-//! impossibility territory) — and requires every timeline to leave the
-//! paper's protocol atomic. The seed is pinned, so a red run here names a
-//! timeline index that `Campaign::timeline(index)` reproduces exactly.
+//! duplicate envelopes — and requires every timeline to leave the paper's
+//! protocol atomic. The seed is pinned, so a red run here names a timeline
+//! index that `Campaign::timeline(index)` reproduces exactly.
 //!
 //! The same loop then points the same timelines at the store that serves —
 //! `run_planned` for HL-3PC and Quorum under a sharded and a flat topology,
-//! leases and anti-entropy on — where a timeline must also pass the store
+//! leases and anti-entropy on, crashes armed too under the family's crash
+//! rule (none from a partition's onset until 6T after its heal: the Sec. 7
+//! impossibility territory) — where a timeline must also pass the store
 //! audit (atomicity, WAL discipline, provenance), leave every served read
 //! linearizable and, for HL-3PC once healed, every replica converged and no
 //! lock held. A release build raises those four campaigns to 20 000
@@ -18,9 +19,7 @@ use ptp_core::ddb::cluster::CommitProtocol;
 use ptp_core::ddb::topology::ShardTopology;
 use ptp_core::protocols::{Verdict, Vote};
 use ptp_core::scenario::{Scenario, ScenarioBuilder};
-use ptp_core::{
-    run_scenario_opts, Campaign, CampaignConfig, CampaignReport, ProtocolKind, RunOptions, Session,
-};
+use ptp_core::{Campaign, CampaignConfig, CampaignReport, ProtocolKind, RunOptions, Session};
 use ptp_simnet::{DelayModel, EnvelopeFault, EnvelopeMatch, SimDuration, SiteId, TraceEvent};
 
 #[test]
@@ -50,8 +49,8 @@ fn ghost_duplicate_of_a_yes_vote_must_not_fabricate_an_undeliverable_bounce() {
         .partition(vec![vec![SiteId(0), SiteId(1)], vec![SiteId(2), SiteId(3)]])
         .duplicate(EnvelopeMatch::kind("yes"), 1191)
         .build();
-    let result =
-        run_scenario_opts(ProtocolKind::HuangLi3pc, &timeline.scenario(), &RunOptions::recording());
+    let result = Session::new(ProtocolKind::HuangLi3pc, 4)
+        .run_with(&timeline.scenario(), &RunOptions::recording());
     assert!(result.verdict.is_atomic(), "verdict: {:?}", result.verdict);
     let ghost_dropped =
         result.trace.events().iter().any(|e| matches!(e, TraceEvent::Dropped { kind: "yes", .. }));
@@ -97,13 +96,18 @@ fn fifty_timeline_safe_campaign_is_green_for_the_quorum_protocol() {
     );
 }
 
-/// `protocol` on the planned store over `topology`: 400 timelines in a
-/// debug build, 20 000 in a release one.
-fn assert_planned_campaign_green(protocol: CommitProtocol, topology: ShardTopology, crashes: bool) {
+/// The planned campaigns' configuration: every fault class armed.
+fn armed(protocol: CommitProtocol, n: usize, timelines: usize) -> CampaignConfig {
+    let mut config = CampaignConfig::safe(ProtocolKind::from(protocol), n, timelines, 0xC1_2026);
+    config.crashes = true;
+    config
+}
+
+/// `protocol` on the planned store over `topology`, every fault class
+/// armed: 400 timelines in a debug build, 20 000 in a release one.
+fn assert_planned_campaign_green(protocol: CommitProtocol, topology: ShardTopology) {
     let timelines = if cfg!(debug_assertions) { 400 } else { 20_000 };
-    let kind = ProtocolKind::from(protocol);
-    let mut config = CampaignConfig::safe(kind, topology.sites(), timelines, 0xC1_2026);
-    config.crashes = crashes;
+    let config = armed(protocol, topology.sites(), timelines);
     let report = Campaign::new(config).run_planned(&topology, protocol);
     assert_eq!(report.executed, timelines);
     assert!(report.all_green(), "{}", report.failures[0].render());
@@ -114,16 +118,16 @@ fn assert_planned_campaign_green(protocol: CommitProtocol, topology: ShardTopolo
 /// group, so no crash can silence a probe the termination protocol counts.
 #[test]
 fn planned_campaign_is_green_for_huang_li_on_the_sharded_store() {
-    assert_planned_campaign_green(CommitProtocol::HuangLi, ShardTopology::uniform(6, 3, 2), true);
+    assert_planned_campaign_green(CommitProtocol::HuangLi, ShardTopology::uniform(6, 3, 2));
 }
 
-/// The flat database is the planned store at `uniform(n, 1, n)`. Crashes
-/// stay off here: in a four-site group a slave that crashes within a few
-/// `T` of a heal is Sec. 7's "G1 slave crashes before probing" (ROADMAP
-/// item 1 files the one such timeline in 20 000).
+/// The flat database is the planned store at `uniform(n, 1, n)`, every
+/// fault class armed. A four-site group is where a slave crashing within a
+/// few `T` of a heal is Sec. 7's "G1 slave crashes before probing": the
+/// family's crash window keeps those timelines out.
 #[test]
 fn planned_campaign_is_green_for_huang_li_on_the_flat_database() {
-    assert_planned_campaign_green(CommitProtocol::HuangLi, ShardTopology::uniform(4, 1, 4), false);
+    assert_planned_campaign_green(CommitProtocol::HuangLi, ShardTopology::uniform(4, 1, 4));
 }
 
 /// Quorum on the sharded store, every fault class armed. Quorum blocks by
@@ -132,15 +136,14 @@ fn planned_campaign_is_green_for_huang_li_on_the_flat_database() {
 #[test]
 fn planned_campaign_is_green_for_quorum_on_the_sharded_store() {
     let topology = ShardTopology::uniform(6, 3, 2);
-    assert_planned_campaign_green(CommitProtocol::QuorumMajority, topology, true);
+    assert_planned_campaign_green(CommitProtocol::QuorumMajority, topology);
 }
 
-/// Quorum on the flat database, crashes off. With crashes on, timeline 447
-/// still fails: a crash after a heal, ROADMAP item 1(c)'s class.
+/// Quorum on the flat database, every fault class armed.
 #[test]
 fn planned_campaign_is_green_for_quorum_on_the_flat_database() {
     let topology = ShardTopology::uniform(4, 1, 4);
-    assert_planned_campaign_green(CommitProtocol::QuorumMajority, topology, false);
+    assert_planned_campaign_green(CommitProtocol::QuorumMajority, topology);
 }
 
 /// Timeline `index` of `config`'s planned campaign, run alone: timeline 0
@@ -182,5 +185,29 @@ fn planned_timeline_93_a_recovered_replica_learns_the_commit_it_acked() {
     config.crashes = true;
     let topology = ShardTopology::uniform(6, 3, 2);
     let report = run_planned_timeline(config, 93, &topology, CommitProtocol::HuangLi);
+    assert!(report.all_green(), "{}", report.failures[0].render());
+}
+
+/// Timeline 3117 of HL-3PC's flat-database campaign with crashes on, alone.
+/// As first filed it crashed slave 1 at 5062, 725 ticks after the heal of
+/// `{0,1,2} | {3}` (2861–4337), before its probe; the master counted it as
+/// prepared-in-G2 and committed while site 3 aborted. The family's crash
+/// window no longer samples that crash.
+#[test]
+fn planned_timeline_3117_samples_no_crash_inside_the_termination_window() {
+    let topology = ShardTopology::uniform(4, 1, 4);
+    let config = armed(CommitProtocol::HuangLi, 4, 1);
+    let report = run_planned_timeline(config, 3117, &topology, CommitProtocol::HuangLi);
+    assert!(report.all_green(), "{}", report.failures[0].render());
+}
+
+/// Timeline 447 of Quorum's flat-database campaign with crashes on, alone.
+/// As first filed it crashed site 2 at 3778, 1654 ticks after the heal of
+/// `{0,2,3} | {1}` (1115–2124): the same class as 3117.
+#[test]
+fn planned_timeline_447_samples_no_crash_inside_the_termination_window() {
+    let topology = ShardTopology::uniform(4, 1, 4);
+    let config = armed(CommitProtocol::QuorumMajority, 4, 1);
+    let report = run_planned_timeline(config, 447, &topology, CommitProtocol::QuorumMajority);
     assert!(report.all_green(), "{}", report.failures[0].render());
 }

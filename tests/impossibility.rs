@@ -2,7 +2,7 @@
 //! counterexamples, as tests: each *must* produce a violation, documenting
 //! that the paper's model boundaries are real.
 
-use ptp_core::{run_scenario, sweep, ProtocolKind, RunOptions, Scenario, Session, SweepGrid};
+use ptp_core::{sweep_serial, ProtocolKind, RunOptions, Scenario, Session, SweepGrid};
 use ptp_model::Decision;
 use ptp_protocols::Verdict;
 use ptp_simnet::{
@@ -20,7 +20,7 @@ fn message_loss_breaks_the_termination_protocol() {
         DelayModel::Uniform { seed: 11, min: 1, max: 1000 },
         DelayModel::Uniform { seed: 12, min: 1, max: 1000 },
     ];
-    let report = sweep(ProtocolKind::HuangLi3pc, &grid);
+    let report = sweep_serial(ProtocolKind::HuangLi3pc, &grid);
     assert!(
         report.inconsistent_count + report.blocked_count > 0,
         "dropping undeliverables must break some scenario: {report:?}"
@@ -38,7 +38,7 @@ fn optimistic_model_is_what_saves_it() {
         DelayModel::Uniform { seed: 11, min: 1, max: 1000 },
         DelayModel::Uniform { seed: 12, min: 1, max: 1000 },
     ];
-    let report = sweep(ProtocolKind::HuangLi3pc, &grid);
+    let report = sweep_serial(ProtocolKind::HuangLi3pc, &grid);
     assert!(report.fully_resilient(), "{report:?}");
 }
 
@@ -55,7 +55,7 @@ fn multiple_partitioning_breaks_the_termination_protocol() {
     };
     let scenario =
         Scenario::new(4).delay(crafted).partition_schedule(PartitionEngine::new(vec![three_way]));
-    let result = run_scenario(ProtocolKind::HuangLi3pc, &scenario);
+    let result = Session::new(ProtocolKind::HuangLi3pc, 4).run(&scenario);
     assert!(
         matches!(result.verdict, Verdict::Inconsistent { .. }),
         "three-way split must violate atomicity, got {:?}",
@@ -70,7 +70,7 @@ fn sec7_counterexample_1_lone_prepared_g2_slave_crashes() {
         .partition_g2(vec![SiteId(2), SiteId(3)], 2500)
         .delay(schedule)
         .fail(FailureSpec::crash(SiteId(2), SimTime(3000)));
-    let result = run_scenario(ProtocolKind::HuangLi3pc, &scenario);
+    let result = Session::new(ProtocolKind::HuangLi3pc, 4).run(&scenario);
     // G1 commits; the surviving G2 slave aborts.
     assert_eq!(result.outcomes[0].decision, Some(Decision::Commit));
     assert_eq!(result.outcomes[1].decision, Some(Decision::Commit));
@@ -101,8 +101,9 @@ fn without_crashes_the_same_scenarios_are_fine() {
     // crash is load-bearing.
     let schedule = ScheduleBuilder::with_default(1000).outbound(7, 400).build();
     let s1 = Scenario::new(4).partition_g2(vec![SiteId(2), SiteId(3)], 2500).delay(schedule);
-    assert!(run_scenario(ProtocolKind::HuangLi3pc, &s1).verdict.is_resilient());
+    let mut session = Session::new(ProtocolKind::HuangLi3pc, 4);
+    assert!(session.run(&s1).verdict.is_resilient());
 
     let s2 = Scenario::new(4).partition_g2(vec![SiteId(3)], 2500);
-    assert!(run_scenario(ProtocolKind::HuangLi3pc, &s2).verdict.is_resilient());
+    assert!(session.run(&s2).verdict.is_resilient());
 }

@@ -12,24 +12,26 @@
 use ptp_core::model::concurrency::ConcurrencySets;
 use ptp_core::model::protocols::three_phase;
 use ptp_core::model::{GlobalGraph, StateRef};
-use ptp_core::{run_scenario, ProtocolKind, Scenario};
+use ptp_core::{sweep_serial, ProtocolKind, Scenario, Session, SweepGrid};
 use ptp_protocols::api::Vote;
-use ptp_protocols::runner::run_protocol;
+use ptp_protocols::runner::ClusterRunner;
 use ptp_protocols::Verdict;
-use ptp_simnet::{DelayModel, NetConfig, PartitionEngine, TraceEvent};
+use ptp_simnet::{DelayModel, NetConfig, Trace, TraceEvent};
+
+/// One recorded failure-free run of the interpreted 3PC under `votes`.
+fn interpreted(votes: &[Vote], delay: &DelayModel) -> (Verdict, Trace) {
+    let mut runner = ClusterRunner::new(ProtocolKind::Plain3pc.cluster(votes.len() + 1, votes));
+    let (outcomes, trace, _) = runner.run(NetConfig::default(), delay, true);
+    (Verdict::judge(outcomes), trace)
+}
 
 #[test]
 fn interpreted_and_engine_3pc_agree_failure_free() {
     for seed in 0..10u64 {
         let delay = DelayModel::Uniform { seed, min: 1, max: 1000 };
-        let interpreted = run_protocol(
-            ProtocolKind::Plain3pc.cluster(4, &[Vote::Yes; 3]),
-            NetConfig::default(),
-            PartitionEngine::always_connected(),
-            &delay,
-        );
-        let engine = run_scenario(ProtocolKind::HuangLi3pc, &Scenario::new(4).delay(delay));
-        assert_eq!(Verdict::judge(&interpreted.outcomes), engine.verdict, "seed {seed}");
+        let (interpreted, _) = interpreted(&[Vote::Yes; 3], &delay);
+        let engine = Session::new(ProtocolKind::HuangLi3pc, 4).run(&Scenario::new(4).delay(delay));
+        assert_eq!(interpreted, engine.verdict, "seed {seed}");
     }
 }
 
@@ -40,17 +42,10 @@ fn interpreted_and_engine_agree_on_no_votes() {
         [Vote::Yes, Vote::No, Vote::Yes],
         [Vote::Yes, Vote::Yes, Vote::No],
     ] {
-        let interpreted = run_protocol(
-            ProtocolKind::Plain3pc.cluster(4, &votes),
-            NetConfig::default(),
-            PartitionEngine::always_connected(),
-            &DelayModel::Fixed(700),
-        );
-        let engine = run_scenario(
-            ProtocolKind::HuangLi3pc,
-            &Scenario::new(4).votes(votes.to_vec()).delay(DelayModel::Fixed(700)),
-        );
-        assert_eq!(Verdict::judge(&interpreted.outcomes), Verdict::AllAbort);
+        let (interpreted, _) = interpreted(&votes, &DelayModel::Fixed(700));
+        let engine = Session::new(ProtocolKind::HuangLi3pc, 4)
+            .run(&Scenario::new(4).votes(votes.to_vec()).delay(DelayModel::Fixed(700)));
+        assert_eq!(interpreted, Verdict::AllAbort);
         assert_eq!(engine.verdict, Verdict::AllAbort);
     }
 }
@@ -65,15 +60,11 @@ fn simulated_concurrency_is_within_model_concurrency_sets() {
     let csets = ConcurrencySets::compute(&spec, &graph);
 
     for seed in 0..20u64 {
-        let run = run_protocol(
-            ProtocolKind::Plain3pc.cluster(3, &[Vote::Yes; 2]),
-            NetConfig::default(),
-            PartitionEngine::always_connected(),
-            &DelayModel::Uniform { seed, min: 1, max: 1000 },
-        );
+        let (_, trace) =
+            interpreted(&[Vote::Yes; 2], &DelayModel::Uniform { seed, min: 1, max: 1000 });
         // Current state per site, updated event by event.
         let mut current: Vec<usize> = vec![0; 3];
-        for ev in run.trace.events() {
+        for ev in trace.events() {
             if let TraceEvent::Note { site, label: "enter-state", detail, .. } = ev {
                 current[site.index()] = *detail as usize;
                 // After every transition, all pairs must be mutually
@@ -112,13 +103,9 @@ fn every_simulated_state_is_reachable_in_the_model() {
         }
     }
     for seed in 0..10u64 {
-        let run = run_protocol(
-            ProtocolKind::Plain3pc.cluster(3, &[Vote::Yes; 2]),
-            NetConfig::default(),
-            PartitionEngine::always_connected(),
-            &DelayModel::Uniform { seed, min: 1, max: 1000 },
-        );
-        for ev in run.trace.events() {
+        let (_, trace) =
+            interpreted(&[Vote::Yes; 2], &DelayModel::Uniform { seed, min: 1, max: 1000 });
+        for ev in trace.events() {
             if let TraceEvent::Note { site, label: "enter-state", detail, .. } = ev {
                 assert!(
                     reachable.contains(&(site.index(), *detail as usize)),
@@ -133,10 +120,9 @@ fn every_simulated_state_is_reachable_in_the_model() {
 fn decisions_match_terminal_global_states() {
     // Failure-free terminal global states of the model are all-commit or
     // all-abort; simulated runs must land in one of them.
-    let result = run_scenario(ProtocolKind::Plain3pc, &Scenario::new(3));
-    assert_eq!(result.verdict, Verdict::AllCommit);
-    let aborted =
-        run_scenario(ProtocolKind::Plain3pc, &Scenario::new(3).votes(vec![Vote::No, Vote::Yes]));
+    let mut session = Session::new(ProtocolKind::Plain3pc, 3);
+    assert_eq!(session.run(&Scenario::new(3)).verdict, Verdict::AllCommit);
+    let aborted = session.run(&Scenario::new(3).votes(vec![Vote::No, Vote::Yes]));
     assert_eq!(aborted.verdict, Verdict::AllAbort);
 }
 
@@ -146,10 +132,9 @@ fn fsa_interpreter_handles_partition_like_sim_engine_under_sec3_conditions() {
     // analysis say the same thing: inconsistency exists at n = 3. (The
     // model predicts it via Rule (a) assignments; the simulator exhibits
     // it.)
-    use ptp_core::{sweep, SweepGrid};
     let mut grid = SweepGrid::standard(3);
     grid.partition_times = (0..=16).map(|i| i * 250).collect();
     grid.delays = vec![DelayModel::Fixed(1000)];
-    let report = sweep(ProtocolKind::Naive3pc, &grid);
+    let report = sweep_serial(ProtocolKind::Naive3pc, &grid);
     assert!(!report.fully_atomic());
 }

@@ -20,7 +20,7 @@
 //! partition instant / schedule seed that breaks the property.
 
 use proptest::prelude::*;
-use ptp_core::{run_scenario_opts, PartitionShape, ProtocolKind, RunOptions, Scenario};
+use ptp_core::{PartitionShape, ProtocolKind, Scenario, Session};
 use ptp_simnet::{DelayModel, SiteId};
 
 proptest! {
@@ -53,7 +53,7 @@ proptest! {
             at,
             heal_at: heal.map(|h| at + h),
         };
-        let result = run_scenario_opts(ProtocolKind::HuangLi3pc, &scenario, &RunOptions::new());
+        let result = Session::new(ProtocolKind::HuangLi3pc, scenario.n).run(&scenario);
         prop_assert!(
             result.verdict.is_resilient(),
             "scenario {:?} -> {:?}",
@@ -71,7 +71,7 @@ proptest! {
         let scenario = Scenario::new(3)
             .partition_g2(vec![SiteId(g2_single)], at)
             .delay(DelayModel::Uniform { seed, min: 1, max: 1000 });
-        let result = run_scenario_opts(ProtocolKind::HuangLi4pc, &scenario, &RunOptions::new());
+        let result = Session::new(ProtocolKind::HuangLi4pc, scenario.n).run(&scenario);
         prop_assert!(result.verdict.is_resilient());
     }
 
@@ -84,7 +84,7 @@ proptest! {
         let scenario = Scenario::new(3)
             .partition_g2(vec![SiteId(2)], at)
             .delay(DelayModel::Uniform { seed, min: 1, max: 1000 });
-        let result = run_scenario_opts(ProtocolKind::Plain2pc, &scenario, &RunOptions::new());
+        let result = Session::new(ProtocolKind::Plain2pc, scenario.n).run(&scenario);
         prop_assert!(result.verdict.is_atomic());
     }
 
@@ -102,7 +102,7 @@ proptest! {
         let scenario = Scenario::new(5)
             .partition_g2(g2, at)
             .delay(DelayModel::Uniform { seed, min: 1, max: 1000 });
-        let result = run_scenario_opts(ProtocolKind::QuorumMajority, &scenario, &RunOptions::new());
+        let result = Session::new(ProtocolKind::QuorumMajority, scenario.n).run(&scenario);
         prop_assert!(result.verdict.is_atomic());
     }
 }

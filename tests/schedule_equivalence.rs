@@ -11,7 +11,7 @@
 //!    buffer recycling across schedule rewrites never leaks state.
 
 use proptest::prelude::*;
-use ptp_core::{run_scenario_opts, ProtocolKind, RunOptions, Scenario, SessionPool};
+use ptp_core::{ProtocolKind, RunOptions, Scenario, Session, SessionPool};
 use ptp_simnet::rng::SmallRng;
 use ptp_simnet::{DelayModel, PartitionEngine, PartitionSpec, SimTime, SiteId};
 
@@ -103,8 +103,8 @@ proptest! {
             .delay(delay);
 
         for kind in ProtocolKind::ALL {
-            let a = run_scenario_opts(kind, &legacy, &RunOptions::recording());
-            let b = run_scenario_opts(kind, &schedule, &RunOptions::recording());
+            let a = Session::new(kind, n).run_with(&legacy, &RunOptions::recording());
+            let b = Session::new(kind, n).run_with(&schedule, &RunOptions::recording());
             assert_results_identical(kind, "single-episode schedule vs Simple", &a, &b)?;
         }
     }
@@ -128,7 +128,7 @@ proptest! {
             let reused = POOL.with(|pool| {
                 pool.borrow_mut().session(kind, n).run_with(&scenario, &RunOptions::recording())
             });
-            let fresh = run_scenario_opts(kind, &scenario, &RunOptions::recording());
+            let fresh = Session::new(kind, n).run_with(&scenario, &RunOptions::recording());
             assert_results_identical(kind, "reused session vs one-shot", &reused, &fresh)?;
         }
     }

@@ -12,9 +12,7 @@
 //! results and with fresh one-shot runs.
 
 use proptest::prelude::*;
-use ptp_core::{
-    run_scenario_opts, PartitionShape, ProtocolKind, RunOptions, Scenario, ScenarioResult, Session,
-};
+use ptp_core::{PartitionShape, ProtocolKind, RunOptions, Scenario, ScenarioResult, Session};
 use ptp_simnet::rng::SmallRng;
 use ptp_simnet::{DelayModel, PartitionEngine, PartitionSpec, SimTime, SiteId};
 
@@ -98,7 +96,7 @@ fn session_reused_100_times_matches_one_shot_for_every_kind() {
             let options =
                 if rng.gen_range(0..=1) == 0 { RunOptions::recording() } else { RunOptions::new() };
             let warm = session.run_with(&scenario, &options);
-            let fresh = run_scenario_opts(kind, &scenario, &options);
+            let fresh = Session::new(kind, N).run_with(&scenario, &options);
             assert_identical(kind, i, &warm, &fresh);
             if !options.record {
                 assert!(warm.trace.is_empty(), "{} #{i}: counters mode traced", kind.name());
@@ -135,7 +133,7 @@ proptest! {
         let _ = session.run(&Scenario::new(N));
         let fast = session.verdict(&scenario, &options);
         let full = session.run_with(&scenario, &options);
-        let fresh = run_scenario_opts(ProtocolKind::HuangLi3pc, &scenario, &options);
+        let fresh = Session::new(ProtocolKind::HuangLi3pc, N).run_with(&scenario, &options);
         prop_assert_eq!(&fast, &full.verdict);
         prop_assert_eq!(&full.verdict, &fresh.verdict);
         prop_assert_eq!(full.outcomes, fresh.outcomes);

@@ -21,29 +21,21 @@
 //! "Sweep pruning is sound" step runs; the debug build of tier-1 keeps the
 //! engine's `debug_assert!` (a pruned column saw no bounce) in the loop.
 
+#[path = "common/grid.rs"]
+mod grid;
+
+use grid::scenario_of;
 use proptest::prelude::*;
 use ptp_bench::dense_grid;
 use ptp_core::{
     all_simple_boundaries, sweep_serial, sweep_with_session, sweep_with_threads, ProtocolKind,
-    RunOptions, Scenario, ScenarioSpec, ScheduleShape, Session, SweepGrid, SweepReport,
+    RunOptions, Scenario, ScheduleShape, Session, SweepGrid, SweepReport,
 };
 use ptp_protocols::{Verdict, Vote};
-use ptp_simnet::{DelayModel, PartitionEngine, SiteId};
+use ptp_simnet::{DelayModel, SiteId};
 
 /// Counterexamples a `SweepReport` keeps per category.
 const KEEP: usize = 8;
-
-/// The scenario of one grid cell, built without any of the sweep engine's
-/// recycling.
-fn scenario_of(grid: &SweepGrid, spec: &ScenarioSpec<'_>) -> Scenario {
-    let mut scenario = Scenario::new(grid.n)
-        .votes(grid.votes[spec.vote_index].clone())
-        .delay(grid.delays[spec.delay_index].clone());
-    scenario.mode = grid.mode;
-    let mut schedule = PartitionEngine::always_connected();
-    spec.shape.write_schedule(grid.n, spec.g2, spec.at, spec.heal, &mut schedule);
-    scenario.partition_schedule(schedule)
-}
 
 /// Simulates every cell and folds the verdicts the way a serial scan does.
 fn brute_force(kind: ProtocolKind, grid: &SweepGrid) -> SweepReport {

@@ -17,7 +17,7 @@
 use ptp_core::livenet::run_live_plan;
 use ptp_core::protocols::api::Vote;
 use ptp_core::scenario::ScenarioBuilder;
-use ptp_core::{run_scenario, run_scenario_opts, ProtocolKind, RunOptions, Scenario, Timeline};
+use ptp_core::{ProtocolKind, RunOptions, Scenario, Session, Timeline};
 use ptp_simnet::SiteId;
 use std::time::Duration;
 
@@ -36,8 +36,8 @@ fn single_episode_timeline_matches_legacy_simple_cell_for_cell() {
     let legacy = Scenario::new(n).transient_partition(vec![SiteId(2), SiteId(3)], 1500, 6000);
     let opts = RunOptions::recording();
     for kind in ProtocolKind::ALL {
-        let dsl = run_scenario_opts(kind, &timeline.scenario(), &opts);
-        let reference = run_scenario_opts(kind, &legacy, &opts);
+        let dsl = Session::new(kind, n).run_with(&timeline.scenario(), &opts);
+        let reference = Session::new(kind, n).run_with(&legacy, &opts);
         assert_eq!(dsl.verdict, reference.verdict, "{}", kind.name());
         assert_eq!(dsl.outcomes, reference.outcomes, "{}", kind.name());
         assert_eq!(dsl.report.counters, reference.report.counters, "{}", kind.name());
@@ -57,8 +57,8 @@ fn permanent_partition_timeline_matches_legacy_simple_cell_for_cell() {
     let legacy = Scenario::new(n).partition_g2(g2, 2500);
     let opts = RunOptions::recording();
     for kind in ProtocolKind::ALL {
-        let dsl = run_scenario_opts(kind, &timeline.scenario(), &opts);
-        let reference = run_scenario_opts(kind, &legacy, &opts);
+        let dsl = Session::new(kind, n).run_with(&timeline.scenario(), &opts);
+        let reference = Session::new(kind, n).run_with(&legacy, &opts);
         assert_eq!(dsl.verdict, reference.verdict, "{}", kind.name());
         assert_eq!(dsl.outcomes, reference.outcomes, "{}", kind.name());
         assert_eq!(dsl.trace.events(), reference.trace.events(), "{}", kind.name());
@@ -139,7 +139,7 @@ fn degrade_and_duplicate_timeline_is_clean_on_sim_and_livenet() {
         .duplicate(ptp_simnet::EnvelopeMatch::kind("xact"), 400)
         .build();
 
-    let sim = run_scenario(ProtocolKind::HuangLi3pc, &timeline.scenario());
+    let sim = Session::new(ProtocolKind::HuangLi3pc, timeline.n).run(&timeline.scenario());
     assert!(sim.verdict.is_resilient(), "{:?}", sim.verdict);
 
     let t = Duration::from_millis(8);

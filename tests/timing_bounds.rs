@@ -3,8 +3,13 @@
 //! must never exceed the stated bound.
 
 use ptp_core::cases::max_wait_after_p_timeout;
-use ptp_core::{run_scenario, ProtocolKind, RunOptions, Scenario, Session};
+use ptp_core::{ProtocolKind, RunOptions, Scenario, ScenarioResult, Session};
 use ptp_simnet::{DelayModel, ScheduleBuilder, SiteId, Trace, TraceEvent};
+
+/// One recorded HL-3PC run of `scenario`.
+fn recorded(scenario: &Scenario) -> ScenarioResult {
+    Session::new(ProtocolKind::HuangLi3pc, scenario.n).run_with(scenario, &RunOptions::recording())
+}
 
 fn probe_gap(trace: &Trace) -> Option<u64> {
     let first_ud = trace.events().iter().find_map(|e| match e {
@@ -54,7 +59,7 @@ fn fig5_no_spurious_timeouts_failure_free() {
         DelayModel::Fixed(1),
         DelayModel::Uniform { seed: 3, min: 1, max: 1000 },
     ] {
-        let result = run_scenario(ProtocolKind::HuangLi3pc, &Scenario::new(5).delay(delay));
+        let result = recorded(&Scenario::new(5).delay(delay));
         let timeouts = result
             .trace
             .events()
@@ -74,7 +79,7 @@ fn fig6_adversarial_probe_gap_is_tight_but_bounded() {
     // as the delay bound allows: gap approaches 5T from below.
     let schedule = ScheduleBuilder::with_default(1000).outbound(5, 1).return_leg(5, 1).build();
     let scenario = Scenario::new(3).partition_g2(vec![SiteId(2)], 2001).delay(schedule);
-    let result = run_scenario(ProtocolKind::HuangLi3pc, &scenario);
+    let result = recorded(&scenario);
     let gap = probe_gap(&result.trace).expect("UD + probe must occur");
     assert!(gap <= 5000, "gap {gap} exceeds 5T");
     assert!(gap >= 4900, "adversarial schedule should approach 5T, got {gap}");
@@ -106,7 +111,7 @@ fn fig7_adversarial_w_wait_is_tight_but_bounded() {
     let schedule =
         ScheduleBuilder::with_default(1000).outbound(1, 1).outbound(4, 998).outbound(6, 1).build();
     let scenario = Scenario::new(3).partition_g2(vec![SiteId(1), SiteId(2)], 3000).delay(schedule);
-    let result = run_scenario(ProtocolKind::HuangLi3pc, &scenario);
+    let result = recorded(&scenario);
     let gap = max_w_wait(&result.trace, 3).expect("w wait must occur");
     assert!(gap <= 6000, "gap {gap} exceeds 6T");
     assert!(gap >= 5900, "adversarial schedule should approach 6T, got {gap}");
@@ -177,7 +182,7 @@ fn decision_latency_bounded_under_any_partition() {
     for n in [3usize, 5, 9, 17] {
         let g2 = (n as u16 / 2..n as u16).map(SiteId).collect();
         let result =
-            run_scenario(ProtocolKind::HuangLi3pc, &Scenario::new(n).partition_g2(g2, 2500));
+            Session::new(ProtocolKind::HuangLi3pc, n).run(&Scenario::new(n).partition_g2(g2, 2500));
         assert!(result.verdict.is_resilient(), "n = {n}: {:?}", result.verdict);
     }
 }
