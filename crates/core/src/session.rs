@@ -2,7 +2,7 @@
 //!
 //! `Session::new(kind, n)` builds the protocol cluster **once** —
 //! enum-dispatched, one flat allocation — and `session.run(&scenario)`
-//! resets and reuses it, together with the simulator's event heap, timer
+//! resets and reuses it, together with the simulator's event queue, timer
 //! slab and the fault plan's group and list buffers, for every subsequent run.
 //! The sweep engine runs each worker's grid cells through one session, so
 //! the steady-state hot path performs no per-cell cluster construction, no

@@ -11,7 +11,11 @@
 //! Semantics:
 //! * Incoming messages are pooled; a transition fires as soon as all the
 //!   messages it reads are available (the master's "all yes" reads arrive
-//!   one at a time).
+//!   one at a time). Of the enabled transitions, the first in spec order
+//!   that matches the site's vote fires (a yes voter's first that writes no
+//!   "no", a no voter's first that does), else the first enabled one; one
+//!   scan over the spec finds it, and it fires borrowed from the spec, so a
+//!   transition allocates nothing.
 //! * Entering a non-final state (re-)arms the commit-protocol timeout — 2T
 //!   for the master, 3T for slaves (Fig. 5).
 //! * On timeout or receipt of an undeliverable message, the augmentation's
@@ -19,11 +23,12 @@
 //!   commit/abort state, exactly like the dashed transitions of Fig. 2. If
 //!   the augmentation assigns nothing, the site notes that it is blocked
 //!   and keeps listening (the paper's blocked site: locks held, waiting for
-//!   the failure to be repaired).
+//!   the failure to be repaired). The augmentation is resolved for the
+//!   site's role once, at construction, into a table indexed by state.
 
 use crate::api::{Action, CommitMsg, Participant, TimerTag, Vote};
 use crate::timing::{MASTER_PROTO_T, SLAVE_PROTO_T};
-use ptp_model::{Augmentation, Decision, Msg, ProtocolSpec, Role, StateKind};
+use ptp_model::{Augmentation, Decision, Msg, ProtocolSpec, Role, StateKind, Transition};
 use ptp_simnet::SiteId;
 use std::sync::Arc;
 
@@ -32,7 +37,9 @@ pub struct FsaParticipant {
     spec: Arc<ProtocolSpec>,
     site: usize,
     vote: Vote,
-    augmentation: Option<Augmentation>,
+    /// The augmentation's `(timeout, undeliverable)` decisions for this
+    /// site's role, indexed by state: all `None` without one.
+    augmented: Vec<(Option<Decision>, Option<Decision>)>,
     state: usize,
     pool: Vec<Msg>,
     decided: Option<Decision>,
@@ -50,11 +57,21 @@ impl FsaParticipant {
         augmentation: Option<Augmentation>,
     ) -> Self {
         assert!(site < spec.n(), "site out of range");
+        let role = spec.role_of(site);
+        let augmented = spec.sites[site]
+            .states
+            .iter()
+            .map(|st| {
+                augmentation.as_ref().map_or((None, None), |a| {
+                    (a.timeout_for(role, &st.name), a.ud_for(role, &st.name))
+                })
+            })
+            .collect();
         FsaParticipant {
             spec,
             site,
             vote,
-            augmentation,
+            augmented,
             state: 0,
             pool: Vec::new(),
             decided: None,
@@ -70,10 +87,6 @@ impl FsaParticipant {
         self.spec.sites[self.site].states[self.state].kind
     }
 
-    fn current_name(&self) -> &str {
-        &self.spec.sites[self.site].states[self.state].name
-    }
-
     fn proto_timeout_t(&self) -> u64 {
         match self.role() {
             Role::Master => MASTER_PROTO_T,
@@ -81,52 +94,37 @@ impl FsaParticipant {
         }
     }
 
-    /// Does the pool contain every message `reads` needs?
-    fn pool_has_all(&self, reads: &[Msg]) -> bool {
+    /// Does `pool` contain every message `reads` needs?
+    fn pool_has_all(pool: &[Msg], reads: &[Msg]) -> bool {
         reads.iter().all(|r| {
             let needed = reads.iter().filter(|x| *x == r).count();
-            let have = self.pool.iter().filter(|x| *x == r).count();
+            let have = pool.iter().filter(|x| *x == r).count();
             have >= needed
         })
     }
 
-    /// Writes a "no"-kind message?
-    fn writes_no(&self, t: &ptp_model::Transition) -> bool {
-        t.writes.iter().any(|w| self.spec.kinds[w.kind as usize] == "no")
-    }
-
     /// Fires enabled transitions until quiescent.
     fn advance(&mut self, out: &mut Vec<Action>) {
-        loop {
-            if self.current_kind().is_final() {
-                return;
-            }
-            let ss = &self.spec.sites[self.site];
-            let enabled: Vec<usize> = ss
-                .transitions
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.from == self.state && self.pool_has_all(&t.reads))
-                .map(|(i, _)| i)
-                .collect();
-            if enabled.is_empty() {
-                return;
-            }
+        while !self.current_kind().is_final() {
+            // Borrow the spec through its own field, so the pool can change
+            // while a transition is read from it.
+            let spec = &*self.spec;
+            let writes_no =
+                |t: &Transition| t.writes.iter().any(|w| spec.kinds[w.kind as usize] == "no");
             // Vote policy picks among alternatives (yes vs no at the slave's
             // initial state); otherwise the first enabled transition fires.
-            let chosen = match self.vote {
-                Vote::No => enabled
-                    .iter()
-                    .copied()
-                    .find(|i| self.writes_no(&ss.transitions[*i]))
-                    .unwrap_or(enabled[0]),
-                Vote::Yes => enabled
-                    .iter()
-                    .copied()
-                    .find(|i| !self.writes_no(&ss.transitions[*i]))
-                    .unwrap_or(enabled[0]),
-            };
-            let t = self.spec.sites[self.site].transitions[chosen].clone();
+            let mut chosen = None;
+            for t in &spec.sites[self.site].transitions {
+                if t.from != self.state || !Self::pool_has_all(&self.pool, &t.reads) {
+                    continue;
+                }
+                if writes_no(t) == (self.vote == Vote::No) {
+                    chosen = Some(t);
+                    break;
+                }
+                chosen = chosen.or(Some(t));
+            }
+            let Some(t) = chosen else { return };
             for r in &t.reads {
                 let pos = self.pool.iter().position(|m| m == r).expect("read in pool");
                 self.pool.swap_remove(pos);
@@ -134,10 +132,11 @@ impl FsaParticipant {
             for w in &t.writes {
                 out.push(Action::Send {
                     to: SiteId(w.dst as u16),
-                    msg: CommitMsg::Kind(self.spec.kinds[w.kind as usize]),
+                    msg: CommitMsg::Kind(spec.kinds[w.kind as usize]),
                 });
             }
-            self.enter(t.to, out);
+            let to = t.to;
+            self.enter(to, out);
         }
     }
 
@@ -206,9 +205,7 @@ impl Participant for FsaParticipant {
             return;
         }
         out.push(Action::Note("ud-received", self.state as u64));
-        let decision =
-            self.augmentation.as_ref().and_then(|a| a.ud_for(self.role(), self.current_name()));
-        match decision {
+        match self.augmented[self.state].1 {
             Some(d) => self.jump_to_decision(d, out),
             None => {
                 if !self.blocked_noted {
@@ -224,11 +221,7 @@ impl Participant for FsaParticipant {
             return;
         }
         out.push(Action::Note("proto-timeout", self.state as u64));
-        let decision = self
-            .augmentation
-            .as_ref()
-            .and_then(|a| a.timeout_for(self.role(), self.current_name()));
-        match decision {
+        match self.augmented[self.state].0 {
             Some(d) => self.jump_to_decision(d, out),
             None => {
                 if !self.blocked_noted {

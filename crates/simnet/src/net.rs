@@ -321,8 +321,8 @@ impl<P: Payload> Core<P> {
     }
 }
 
-/// The simulator's reusable buffers: event queue (message heap and timer
-/// lane), timer slab, crash flags, and the fault plan (whose partition-group
+/// The simulator's reusable buffers: event queue (message wheel, far heap
+/// and timer lane), timer slab, crash flags, and the fault plan (whose partition-group
 /// vectors and fault lists a session rewrites between runs).
 ///
 /// A simulation built with [`Simulation::with_scratch`] and finished with
@@ -463,9 +463,9 @@ impl<P: Payload, A: Actor<P>> Simulation<P, A> {
         let n = actors.len();
         let SimScratch { mut queue, mut timers, mut crashed, faults } = scratch;
         // Broadcast peaks put O(n²) deliveries plus O(n) timers in flight;
-        // reserving once here keeps the message heap and the timer lane from
+        // reserving once here keeps the wheel and the timer lane from
         // reallocating mid-run.
-        queue.reset(n * n + 2 * faults.failures.len() + 8, 4 * n);
+        queue.reset(config.t_unit, n * n + 8, 4 * n);
         timers.reset();
         crashed.clear();
         crashed.resize(n, false);
@@ -1124,6 +1124,91 @@ mod tests {
         assert_eq!(busy.last_landing, SimTime(200));
         let (silent_again, _) = run(false, scratch);
         assert_eq!(silent_again.last_landing, SimTime::ZERO);
+    }
+
+    /// Site 0 sends a "ping" at 0, arms timers for 3000 and 3100, and
+    /// sends a "tick" from the first: both messages to site 1, `T` = 1000.
+    struct Late;
+
+    impl Actor<&'static str> for Late {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, &'static str>) {
+            if ctx.me() == SiteId(0) {
+                ctx.send(SiteId(1), "ping");
+                ctx.set_timer(SimDuration(3000), 1);
+                ctx.set_timer(SimDuration(3100), 2);
+            }
+        }
+        fn on_message(&mut self, _: Envelope<&'static str>, _: &mut Ctx<'_, &'static str>) {}
+        fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, &'static str>) {
+            if tag == 1 {
+                ctx.send(SiteId(1), "tick");
+            }
+        }
+    }
+
+    #[test]
+    fn a_delivery_delayed_past_the_window_still_lands_in_event_order() {
+        use crate::envfault::{EnvelopeFault, EnvelopeMatch};
+        // The ping is delayed to 3100, beyond the 2048-instant window of its
+        // send; the tick, sent at 3000, lands at 3100 from inside it. Site 2
+        // crashes at 3100 and the second timer expires then.
+        let plan = FaultPlan {
+            env_faults: vec![EnvelopeFault::delay(EnvelopeMatch::kind("ping"), SimDuration(3000))],
+            failures: vec![FailureSpec::crash(SiteId(2), SimTime(3100))],
+            ..FaultPlan::default()
+        };
+        let sim = Simulation::new(
+            NetConfig::default(),
+            vec![Late, Late, Late],
+            plan,
+            &DelayModel::Fixed(100),
+        );
+        let (_, trace, _) = sim.run();
+        let at_3100: Vec<String> = trace
+            .events()
+            .iter()
+            .filter(|e| e.at() == SimTime(3100))
+            .map(|e| match e {
+                TraceEvent::Crashed { site, .. } => format!("crash {site}"),
+                TraceEvent::Delivered { kind, .. } => format!("deliver {kind}"),
+                TraceEvent::TimerFired { tag, .. } => format!("timer {tag}"),
+                other => format!("{other:?}"),
+            })
+            .collect();
+        // Crash first, then the messages by sequence — the far ping was
+        // pushed before the tick — then the timer.
+        assert_eq!(at_3100, ["crash site2", "deliver ping", "deliver tick", "timer 2"]);
+    }
+
+    #[test]
+    fn a_run_sizes_the_window_for_its_own_clock() {
+        let run = |t_unit: u64, delay: u64, scratch: SimScratch<&'static str>| {
+            let board = Rc::new(RefCell::new(Board::default()));
+            let a = Echo { board: board.clone(), peer: Some(SiteId(1)), starts_ping: true };
+            let b = Echo { board: board.clone(), peer: None, starts_ping: false };
+            let config =
+                NetConfig { t_unit, max_time: SimTime(200 * t_unit), ..NetConfig::default() };
+            let mut sim = Simulation::with_scratch(
+                config,
+                vec![a, b],
+                &DelayModel::Fixed(delay),
+                false,
+                scratch,
+            );
+            // A send of `T` lands inside the window: the wheel holds it.
+            sim.core.send(SiteId(1), SiteId(0), "pong");
+            let (window, in_wheel) = sim.core.queue.wheel_size_and_len();
+            let (_, _, _, scratch) = sim.run_recycling();
+            let delivered = board.borrow().delivered.clone();
+            (window, in_wheel, delivered, scratch)
+        };
+        let (window, in_wheel, delivered, scratch) = run(10_000, 9_000, SimScratch::new());
+        assert_eq!((window, in_wheel), (32_768, 1));
+        assert_eq!(delivered, [(0, "pong", 9_000), (1, "ping", 9_000), (0, "pong", 18_000)]);
+        // The recycled scratch shrinks its window to the next clock's.
+        let (window, in_wheel, delivered, _) = run(10, 10, scratch);
+        assert_eq!((window, in_wheel), (32, 1));
+        assert_eq!(delivered, [(0, "pong", 10), (1, "ping", 10), (0, "pong", 20)]);
     }
 
     #[test]
