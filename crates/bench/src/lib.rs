@@ -1,42 +1,19 @@
-//! Shared plumbing for the experiment binaries (`src/bin/exp_*.rs`) that
-//! regenerate every figure and table of Huang & Li (ICDE 1987), and for the
-//! two emitters that pin a *claim* in a committed record.
-//!
-//! Experiment ↔ paper map (see ARCHITECTURE.md for the full index):
-//!
-//! | binary | paper artifact |
-//! |---|---|
-//! | `exp_fig1_2pc` | Fig. 1 + the 2PC blocking diagnosis |
-//! | `exp_fig2_e2pc` | Fig. 2 + the Sec. 3 multisite counterexample |
-//! | `exp_fig3_3pc` | Fig. 3 + the naive-augmentation counterexample |
-//! | `exp_lemma12_conditions` | Lemmas 1 & 2 |
-//! | `exp_lemma3_augmentations` | Lemma 3 |
-//! | `exp_fig5_timeouts` | Fig. 5 |
-//! | `exp_fig6_probe_bound` | Fig. 6 |
-//! | `exp_fig7_wait_w_bound` | Fig. 7 |
-//! | `exp_fig9_case_table` | Fig. 9 + the Sec. 6 case table |
-//! | `exp_thm9_resilience` | Theorem 9 |
-//! | `exp_thm10_generic` | Theorem 10 |
-//! | `exp_impossibility` | the Sec. 2 impossibility theorems |
-//! | `exp_assumptions` | the Sec. 7 assumption-necessity counterexamples |
-//! | `exp_blocking_availability` | Sec. 1–2 motivation (locks + blocking) |
-//! | `exp_quorum_baseline` | reference \[5\] baseline comparison |
-//! | `exp_multi_partition` | partition-schedule families beyond the paper's model (`BENCH_schedule.json`) |
-//! | `exp_shard_availability` | shard-level availability of the sharded store under each schedule family |
-//! | `bench_read` | local read paths ≥ 5× the commit-round path (`BENCH_read.json`) |
-//! | `bench_campaign` | all-green safe campaigns (protocol cluster, sharded store) + the shrunk 2PC counterexample (`BENCH_campaign.json`) |
+//! The reproduction of Huang & Li (ICDE 1987) as one checked artifact,
+//! [`paper`] — a registry of every experiment and the claims it asserts,
+//! run by the `exp` binary and by `tests/paper.rs` — plus the two emitters
+//! that pin a claim in a committed record (`bench_read`, `bench_campaign`)
+//! and [`record`], the one writer of all three `BENCH_*.json` records.
 //!
 //! How fast anything is — sweeps, the database, the sharded store, the
 //! live server, the instruments — is the business of the frozen
 //! `benchmark/` package alone (ARCHITECTURE.md maps each retired `bench_*`
-//! binary to its rungs). The three records above go through [`record`],
-//! the one writer. `PTP_SWEEP_THREADS` caps the sweep worker count; sweeps
-//! are parallel by default and deterministic at any thread count.
+//! binary to its rungs). `PTP_SWEEP_THREADS` caps the sweep worker count;
+//! sweeps are parallel by default and deterministic at any thread count.
 
+pub mod paper;
 pub mod record;
 
-use ptp_core::report::Table;
-use ptp_core::{sweep_with_session, ProtocolKind, SessionPool, SweepGrid, SweepReport};
+use ptp_core::SweepGrid;
 use ptp_simnet::DelayModel;
 
 /// The delay schedules used by default across experiments: the slowest
@@ -84,60 +61,6 @@ pub fn median_of(samples: &mut [f64]) -> f64 {
     }
 }
 
-/// Renders a sweep report as one table row.
-pub fn sweep_row(kind: ProtocolKind, report: &SweepReport) -> Vec<String> {
-    vec![
-        kind.name().to_string(),
-        report.total.to_string(),
-        report.all_commit.to_string(),
-        report.all_abort.to_string(),
-        report.blocked_count.to_string(),
-        report.inconsistent_count.to_string(),
-        if report.fully_resilient() { "YES".into() } else { "no".into() },
-    ]
-}
-
-/// Runs a set of protocols over one grid and prints the scorecard:
-/// [`print_scorecard_pooled`] over clusters of its own.
-pub fn print_scorecard(title: &str, kinds: &[ProtocolKind], grid: &SweepGrid) {
-    print_scorecard_pooled(&mut SessionPool::new(), title, kinds, grid);
-}
-
-/// Prints the scorecard of `kinds` over `grid`, each swept serially through
-/// the caller's [`SessionPool`]: every `(kind, n)` cluster is built once for
-/// the whole binary and reused across every grid it sweeps, and the line
-/// under the table — how many of the cells were simulated rather than
-/// proved ([`ptp_core::Session::executed`]) — does not depend on a thread
-/// count.
-pub fn print_scorecard_pooled(
-    pool: &mut SessionPool,
-    title: &str,
-    kinds: &[ProtocolKind],
-    grid: &SweepGrid,
-) {
-    println!("== {title} ==");
-    println!("({} scenarios per protocol)\n", grid.size());
-    let mut table = Table::new(vec![
-        "protocol",
-        "scenarios",
-        "all-commit",
-        "all-abort",
-        "blocked",
-        "inconsistent",
-        "resilient?",
-    ]);
-    let mut simulated = 0;
-    for &kind in kinds {
-        let session = pool.session(kind, grid.n);
-        let before = session.executed();
-        let report = sweep_with_session(session, grid);
-        simulated += session.executed() - before;
-        table.row(sweep_row(kind, &report));
-    }
-    println!("{}", table.render());
-    println!("(simulated {simulated} of {} cells)\n", kinds.len() * grid.size());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,12 +75,6 @@ mod tests {
         let g = dense_grid(3);
         assert_eq!(g.partition_times.len(), 65);
         assert_eq!(g.partition_times[1] - g.partition_times[0], 125);
-    }
-
-    #[test]
-    fn sweep_row_shape() {
-        let report = SweepReport::default();
-        assert_eq!(sweep_row(ProtocolKind::Plain2pc, &report).len(), 7);
     }
 
     #[test]

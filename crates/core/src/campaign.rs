@@ -30,7 +30,7 @@
 //! A crash during a partition is the paper's Sec. 7 impossibility, and so
 //! is one inside the termination protocol's window after a heal (a G1
 //! slave that crashes before its probe counts as prepared-in-G2); the
-//! window is Fig. 7's 6T bound (`exp_fig7_wait_w_bound`). So a shrunk
+//! window is Fig. 7's 6T bound (`exp fig7`). So a shrunk
 //! minimum stays a timeline of the family sampled.
 //!
 //! The flat subject ([`Campaign::run`]) with crashes on stays ungated: the
@@ -113,7 +113,7 @@ const MAX_EVENTS: u64 = 6;
 
 /// The family's crash window: no crash from a partition's onset until this
 /// many `T` after its heal — Fig. 7's bound on how long after its `w`
-/// timeout a slave may still learn a commit (`exp_fig7_wait_w_bound`).
+/// timeout a slave may still learn a commit (`exp fig7`).
 const CRASH_WINDOW_T: u64 = 6;
 
 /// The safe family as one rule over a timeline's events in time order (see

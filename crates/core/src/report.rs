@@ -1,6 +1,6 @@
-//! Minimal fixed-width table rendering for the experiment binaries.
+//! Minimal fixed-width table rendering for the experiments.
 //!
-//! The `exp_*` binaries in `ptp-bench` print the same rows the paper
+//! The experiments of `ptp_bench::paper` print the same rows the paper
 //! states; this module keeps their formatting consistent and dependency-free.
 
 /// A simple left-aligned text table.
@@ -25,12 +25,15 @@ impl Table {
     }
 
     /// Renders with padded columns and a separator under the header.
+    /// Widths count characters, not bytes, so a cell like `∞ → 5T rule`
+    /// pads like any other.
     pub fn render(&self) -> String {
         let cols = self.header.len();
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
+        let width = |cell: &String| cell.chars().count();
+        let mut widths: Vec<usize> = self.header.iter().map(width).collect();
         for row in &self.rows {
             for c in 0..cols {
-                widths[c] = widths[c].max(row[c].len());
+                widths[c] = widths[c].max(width(&row[c]));
             }
         }
         let render_row = |cells: &[String]| -> String {
@@ -40,7 +43,7 @@ impl Table {
                     line.push_str("  ");
                 }
                 line.push_str(cell);
-                line.extend(std::iter::repeat_n(' ', widths[c] - cell.len()));
+                line.extend(std::iter::repeat_n(' ', widths[c] - width(cell)));
             }
             line.trim_end().to_string()
         };
@@ -65,14 +68,19 @@ mod tests {
         let mut t = Table::new(vec!["case", "bound"]);
         t.row(vec!["2.1", "T"]);
         t.row(vec!["3.2.2.2", "5T"]);
+        t.row(vec!["∞ → 5T rule", "∞"]);
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 5);
         assert!(lines[0].starts_with("case"));
         assert!(lines[2].starts_with("2.1"));
-        // Column alignment: "bound"/"T"/"5T" start at the same offset.
-        let col = lines[0].find("bound").unwrap();
-        assert_eq!(lines[2].find('T'), Some(col));
+        // Column alignment, in characters: "bound"/"T"/"∞" start at the same
+        // column, and the separator is exactly as wide as the header.
+        let column = |line: &str, byte: usize| line[..byte].chars().count();
+        let col = column(lines[0], lines[0].find("bound").unwrap());
+        assert_eq!(column(lines[2], lines[2].find('T').unwrap()), col);
+        assert_eq!(column(lines[4], lines[4].rfind('∞').unwrap()), col);
+        assert_eq!(lines[1].chars().count(), lines[0].chars().count());
     }
 
     #[test]

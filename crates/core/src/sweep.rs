@@ -1007,7 +1007,8 @@ mod tests {
     #[test]
     fn pooled_session_sweep_matches_serial_across_grids() {
         // One SessionPool session swept over two different grids (the
-        // exp_thm9 pattern) must reproduce the fresh-session reports.
+        // Theorem 9 experiment's pattern) must reproduce the fresh-session
+        // reports.
         let mut pool = crate::SessionPool::new();
         let mut dense = SweepGrid::standard(3);
         dense.partition_times = (0..=8).map(|i| i * 500).collect();

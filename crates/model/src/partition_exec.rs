@@ -12,8 +12,8 @@
 //! [`find_violation`] explores that whole space mechanically: every
 //! reachable failure-free global state × every simple boundary × every
 //! interleaving of deliveries, UD receipts and timeouts. It is the
-//! untimed, *exhaustive* counterpart of the timed grid search in
-//! `exp_lemma3_augmentations`: together they show every one of the 4096
+//! untimed, *exhaustive* counterpart of the timed grid search of the
+//! `lemma3` experiment (`ptp_bench::paper`): together they show every one of the 4096
 //! timeout/UD augmentations of 3PC admits an atomicity violation — both
 //! under the paper's adversary and under concrete bounded-delay schedules.
 

@@ -50,7 +50,7 @@ pub fn huang_li_3pc_cluster(
 }
 
 /// The paper's protocol with non-default timer constants — used by the
-/// timing experiment (E6, `exp_fig5_timeouts`) to show the paper's
+/// timing experiment (E6, `exp fig5`) to show the paper's
 /// 2T/3T/5T/6T values are necessary.
 pub fn huang_li_3pc_cluster_with_timing_any(
     n: usize,

@@ -6,8 +6,8 @@
 //! rewritten machine ships. The naive protocol it replaced lives here, as
 //! [`NaiveQuorum`], the oracle beside its check:
 //!
-//! 1. across **all four schedule families** of the `exp_multi_partition`
-//!    benchmark grid, the shipped Quorum and the oracle reach the same
+//! 1. across **all four schedule families** of the `multi_partition`
+//!    experiment's grid (`ptp_bench::paper::family_grid`), the shipped Quorum and the oracle reach the same
 //!    verdict on every cell, and both match the counts frozen in the
 //!    committed `BENCH_schedule.json`;
 //! 2. a permanently-partitioned minority still blocks, but with a
@@ -18,15 +18,14 @@
 mod grid;
 
 use grid::scenario_of;
+use ptp_bench::paper::family_grid;
 use ptp_core::model::Decision;
 use ptp_core::protocols::api::{Action, CommitMsg, Participant, TimerTag, Vote};
 use ptp_core::protocols::runner::ClusterRunner;
 use ptp_core::protocols::timing::{MASTER_PROTO_T, SLAVE_PROTO_T};
 use ptp_core::protocols::{QuorumConfig, Verdict};
-use ptp_core::{
-    sweep_with_session, ProtocolKind, RunOptions, Scenario, ScheduleShape, Session, SweepGrid,
-};
-use ptp_simnet::{DelayModel, ScheduleBuilder, SiteId, Trace};
+use ptp_core::{sweep_with_session, ProtocolKind, RunOptions, Scenario, ScheduleShape, Session};
+use ptp_simnet::{SiteId, Trace};
 use std::collections::BTreeMap;
 
 const N: usize = 4;
@@ -274,20 +273,6 @@ fn run_naive(
     scenario.write_faults(runner.faults_mut());
     let (outcomes, trace, _) = runner.run(scenario.net_config(), &scenario.delay, record);
     (Verdict::judge(outcomes), trace)
-}
-
-/// The exact per-family grid of `exp_multi_partition` (all simple
-/// boundaries × T/4 instants up to 8T × {permanent, heal-after-3T} × three
-/// delay schedules).
-fn family_grid(shape: ScheduleShape) -> SweepGrid {
-    let mut grid = SweepGrid::standard(N).with_shapes(vec![shape]);
-    grid.heals = vec![None, Some(3000)];
-    grid.delays = vec![
-        DelayModel::Fixed(1000),
-        DelayModel::Uniform { seed: 11, min: 1, max: 1000 },
-        ScheduleBuilder::with_default(1000).outbound(7, 400).build(),
-    ];
-    grid
 }
 
 /// `(all_commit, all_abort, blocked, inconsistent)` of a list of verdicts.

@@ -1,118 +1,10 @@
-//! The Sec. 6 case tree, exercised end to end: a sweep of transient
-//! partitions must populate the tree's cases, stay resilient in all of
-//! them, and respect the per-case wait bounds — including the unbounded
-//! case 3.2.2.2 that the 5T rule converts into a commit.
+//! The Sec. 6 case tree of transient partitions: each test names one claim
+//! of `ptp_bench::paper`, whose experiment computes it (`tests/paper.rs`
+//! checks every claim and every rendered output).
 
-use ptp_core::cases::{classify, max_wait_after_p_timeout, TransientCase};
-use ptp_core::{ProtocolKind, RunOptions, Scenario, Session};
-use ptp_simnet::{DelayModel, SiteId};
-use std::collections::BTreeMap;
-
-fn sweep_cases() -> BTreeMap<TransientCase, (usize, u64)> {
-    let mut per_case: BTreeMap<TransientCase, (usize, u64)> = BTreeMap::new();
-    let mut session = Session::new(ProtocolKind::HuangLi3pc, 3);
-    let recording = RunOptions::recording();
-    for g2 in [vec![SiteId(2)], vec![SiteId(1), SiteId(2)]] {
-        for at in (1500..=4750).step_by(250) {
-            for heal_after in [500u64, 1500, 3000, 6000] {
-                for seed in 0..8u64 {
-                    let delay = if seed == 0 {
-                        DelayModel::Fixed(1000)
-                    } else {
-                        DelayModel::Uniform { seed, min: 1, max: 1000 }
-                    };
-                    let scenario = Scenario::new(3)
-                        .transient_partition(g2.clone(), at, at + heal_after)
-                        .delay(delay);
-                    let result = session.run_with(&scenario, &recording);
-                    assert!(
-                        result.verdict.is_resilient(),
-                        "g2={g2:?} at={at} heal=+{heal_after} seed={seed}: {:?}",
-                        result.verdict
-                    );
-                    let case = classify(&result.trace, &g2);
-                    let wait = max_wait_after_p_timeout(&result.trace, 3).unwrap_or(0);
-                    let e = per_case.entry(case).or_insert((0, 0));
-                    e.0 += 1;
-                    e.1 = e.1.max(wait);
-                }
-            }
-        }
-    }
-    per_case
-}
-
-#[test]
-fn case_tree_is_populated_and_bounded() {
-    let per_case = sweep_cases();
-
-    // The main branches must all appear in a sweep this dense.
-    for case in [
-        TransientCase::Case1,
-        TransientCase::Case3_1,
-        TransientCase::Case3_2_1,
-        TransientCase::Case3_2_2_1,
-        TransientCase::Case3_2_2_2,
-    ] {
-        assert!(per_case.contains_key(&case), "case {case:?} missing from sweep: {per_case:?}");
-    }
-
-    // Every measured wait stays within the Sec. 6 analysis (5T overall).
-    for (case, (_, max_wait)) in &per_case {
-        assert!(*max_wait <= 5000, "case {case:?} waited {max_wait} > 5T");
-    }
-
-    // Case 3.2.2.2 is where the 5T rule fires: the wait reaches exactly 5T.
-    let (_, wait_3222) = per_case[&TransientCase::Case3_2_2_2];
-    assert_eq!(wait_3222, 5000, "the 5T rule defines this case's wait");
-}
-
-#[test]
-fn static_variant_survives_permanent_but_only_transient_survives_heals() {
-    // Under a permanent partition both variants are resilient. Under a
-    // transient partition the static variant can leave the probing slave
-    // waiting forever only in case 3.2.2.2 — which needs all commits
-    // *sent*; with our grid it is rare but the transient variant must be
-    // resilient everywhere regardless.
-    let mut session = Session::new(ProtocolKind::HuangLi3pc, 3);
-    for at in (1500..=4500).step_by(250) {
-        for heal_after in [500u64, 2000, 5000] {
-            let scenario = Scenario::new(3)
-                .transient_partition(vec![SiteId(2)], at, at + heal_after)
-                .delay(DelayModel::Fixed(1000));
-            let result = session.run(&scenario);
-            assert!(result.verdict.is_resilient(), "transient at={at} heal=+{heal_after}");
-        }
-    }
-}
-
-#[test]
-fn transient_heal_mid_collection_still_consistent() {
-    // Heal while the master's 5T window is open: probes that suddenly can
-    // cross must not confuse the PB/UD rule (the subtle scenario analysed
-    // in the termination-protocol module docs).
-    let mut session = Session::new(ProtocolKind::HuangLi3pc, 4);
-    for heal_after in (500..=8000).step_by(250) {
-        let scenario = Scenario::new(4)
-            .transient_partition(vec![SiteId(2), SiteId(3)], 2500, 2500 + heal_after)
-            .delay(DelayModel::Fixed(1000));
-        let result = session.run(&scenario);
-        assert!(result.verdict.is_resilient(), "heal=+{heal_after}: {:?}", result.verdict);
-    }
-}
-
-#[test]
-fn outside_tree_cases_are_still_resilient() {
-    // Partitions during phase 1 (before any prepare) sit outside the Sec. 6
-    // tree but must of course still terminate consistently (abort).
-    let mut session = Session::new(ProtocolKind::HuangLi3pc, 3);
-    let recording = RunOptions::recording();
-    for at in (0..=1400).step_by(200) {
-        let scenario = Scenario::new(3)
-            .transient_partition(vec![SiteId(2)], at, at + 2000)
-            .delay(DelayModel::Fixed(1000));
-        let result = session.run_with(&scenario, &recording);
-        assert!(result.verdict.is_resilient());
-        assert_eq!(classify(&result.trace, &[SiteId(2)]), TransientCase::OutsideTree);
-    }
+ptp_bench::claim_tests! {
+    case_tree_is_populated_and_bounded => "fig9" / "case_tree_populated_and_3222_waits_5t",
+    static_variant_survives_permanent_but_only_transient_survives_heals => "fig9" / "all_resilient",
+    transient_heal_mid_collection_still_consistent => "fig9" / "heal_mid_collection_resilient",
+    outside_tree_cases_are_still_resilient => "fig9" / "phase1_partitions_outside_tree_resilient",
 }
