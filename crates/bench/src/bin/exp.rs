@@ -6,8 +6,10 @@
 //! exp all               run every experiment
 //! ```
 //!
-//! Exits non-zero when a claim fails. `exp multi_partition` (and `exp all`)
-//! writes the committed `BENCH_schedule.json` record in the repository root.
+//! Exits non-zero when a claim fails. An experiment that returns a record
+//! writes it in the repository root: `exp all` regenerates all three
+//! (`multi_partition` → `BENCH_schedule.json`, `campaign` →
+//! `BENCH_campaign.json`, `read_paths` → `BENCH_read.json`).
 
 use ptp_bench::paper::{find, Experiment, EXPERIMENTS};
 use std::process::ExitCode;

@@ -1,8 +1,8 @@
 //! The reproduction of Huang & Li (ICDE 1987) as one checked artifact,
 //! [`paper`] — a registry of every experiment and the claims it asserts,
-//! run by the `exp` binary and by `tests/paper.rs` — plus the two emitters
-//! that pin a claim in a committed record (`bench_read`, `bench_campaign`)
-//! and [`record`], the one writer of all three `BENCH_*.json` records.
+//! run by the `exp` binary and by `tests/paper.rs`; three of its entries
+//! return a committed record — and [`record`], the one writer of all three
+//! `BENCH_*.json` records.
 //!
 //! How fast anything is — sweeps, the database, the sharded store, the
 //! live server, the instruments — is the business of the frozen
@@ -36,13 +36,6 @@ pub fn dense_grid(n: usize) -> SweepGrid {
     grid.partition_times = (0..=64).map(|i| i * 125).collect();
     grid.delays = standard_delays(1000);
     grid
-}
-
-/// The measurement budget in milliseconds: `BENCH_BUDGET_MS` if set (the
-/// CI smoke runs set 20), else `default`. Both emitters scale their sample
-/// counts from this one knob.
-pub fn bench_budget_ms(default: u64) -> u64 {
-    std::env::var("BENCH_BUDGET_MS").ok().and_then(|s| s.parse().ok()).unwrap_or(default)
 }
 
 /// Median of the samples (sorts in place; mean of the middle two when even).

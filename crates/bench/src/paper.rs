@@ -1,26 +1,32 @@
 //! The paper as one checked artifact: every figure, lemma and theorem of
 //! Huang & Li (ICDE 1987) this repository reproduces, plus the two
-//! experiments that leave the paper's model, is one [`Experiment`] in
-//! [`EXPERIMENTS`]. Running one renders its tables and states its
-//! [`Claim`]s — what the paper says, computed and judged.
+//! experiments that leave the paper's model and the two that hold the
+//! serving store to its claims, is one [`Experiment`] in [`EXPERIMENTS`].
+//! Running one renders its tables and states its [`Claim`]s — what the
+//! paper says, computed and judged.
 //!
 //! The `exp` binary prints them (`exp list`, `exp <name>…`, `exp all`) and
 //! exits non-zero when a claim fails; `tests/paper.rs` runs every entry,
 //! asserts every claim and compares each rendered output with its committed
-//! golden, `paper/<name>.txt`. Every output is deterministic: no wall clock
-//! and no thread count reaches the text. `multi_partition` alone returns a
-//! record, `BENCH_schedule.json`, and only the `exp` binary writes it.
+//! golden, `paper/<name>.txt`. Every output is deterministic: no wall clock,
+//! no thread count and no host reaches the text. Three entries return the
+//! committed record that pins their claims — `multi_partition`
+//! (`BENCH_schedule.json`), `campaign` (`BENCH_campaign.json`) and
+//! `read_paths` (`BENCH_read.json`) — with wall times in the record only,
+//! as context; only the `exp` binary writes records.
 
 mod beyond;
 mod bounds;
 mod fsa;
 mod resilience;
+mod store;
 
 pub use beyond::family_grid;
 
 use crate::record::Obj;
 use ptp_core::report::Table;
 use ptp_core::{sweep_with_session, ProtocolKind, SessionPool, SweepGrid, SweepReport};
+use std::sync::OnceLock;
 
 /// Appends one formatted line to an [`Output`]'s text (`say!(o)` appends an
 /// empty one).
@@ -52,7 +58,7 @@ pub struct Output {
     pub text: String,
     /// In the order they were judged.
     pub claims: Vec<Claim>,
-    /// A committed record and its file name: `multi_partition` only.
+    /// The committed record that pins the claims, and its file name.
     pub record: Option<(&'static str, Obj)>,
 }
 
@@ -210,6 +216,16 @@ pub const EXPERIMENTS: &[Experiment] = &[
         artifact: "per-shard availability of the sharded store per schedule family",
         run: beyond::shard_availability,
     },
+    Experiment {
+        name: "campaign",
+        artifact: "chaos campaigns + 2PC's shrunk counterexample → BENCH_campaign.json",
+        run: store::campaign,
+    },
+    Experiment {
+        name: "read_paths",
+        artifact: "local read paths against the commit round → BENCH_read.json",
+        run: store::read_paths,
+    },
 ];
 
 /// The registry entry called `name`.
@@ -217,11 +233,15 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.name == name)
 }
 
-/// Runs `experiment` and panics, naming both, unless its claim `claim`
-/// exists and holds.
+/// Panics, naming both, unless `experiment`'s claim `claim` exists and
+/// holds. Each experiment runs at most once per process, however many
+/// claims of it are asserted.
 pub fn assert_claim(experiment: &str, claim: &str) {
-    let e = find(experiment).unwrap_or_else(|| panic!("no experiment `{experiment}`"));
-    let out = (e.run)();
+    static RUNS: [OnceLock<Output>; EXPERIMENTS.len()] =
+        [const { OnceLock::new() }; EXPERIMENTS.len()];
+    let i = EXPERIMENTS.iter().position(|e| e.name == experiment);
+    let i = i.unwrap_or_else(|| panic!("no experiment `{experiment}`"));
+    let out = RUNS[i].get_or_init(EXPERIMENTS[i].run);
     let c = out.claims.iter().find(|c| c.name == claim);
     let c = c.unwrap_or_else(|| panic!("{experiment} states no claim `{claim}`"));
     assert!(c.holds, "{experiment}/{claim} fails: {}", c.detail);
@@ -230,10 +250,11 @@ pub fn assert_claim(experiment: &str, claim: &str) {
 /// One `#[test]` per `name => "experiment" / "claim"` line, each an
 /// [`assert_claim`]: a named test that states no claim of its own.
 ///
-/// A shim that keeps the names of tests whose bodies became claims; each
-/// line re-runs its whole experiment, which `tests/paper.rs` already
-/// checks. New claims go into an experiment, not here, and the shim and
-/// its four test files can go once those names may be retired.
+/// A shim that keeps the names of tests whose bodies became claims; the
+/// lines of one test file share one run of each experiment, which
+/// `tests/paper.rs` already checks. New claims go into an experiment, not
+/// here, and the shim and its four test files can go once those names may
+/// be retired.
 #[macro_export]
 macro_rules! claim_tests {
     ($($test:ident => $experiment:literal / $claim:literal,)*) => {$(

@@ -50,7 +50,7 @@ use ptp_model::Decision;
 use ptp_protocols::ProtocolKind;
 use ptp_simnet::{
     DegradeWindow, DelayModel, EnvelopeFault, FailureSpec, FaultPlan, NetConfig, PartitionEngine,
-    RunReport, SimTime, Simulation, SiteId, Trace,
+    RunReport, Simulation, SiteId, Trace,
 };
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -386,11 +386,10 @@ impl<W: Workload> Cluster<W> {
     pub fn run(self) -> DbRun {
         let (plans, submissions, seed) = self.workload.lower();
         let plans = Arc::new(plans);
-        let horizon = self.config.max_time;
         let net = SimNet { config: self.config, faults: self.faults, delay: self.delay };
         let (sites, metrics, trace, report) =
             run_sites(plans.clone(), &submissions, seed, self.protocol, self.opts, net);
-        let (shards, cross_shard) = aggregate(&plans, &metrics, horizon);
+        let (shards, cross_shard) = aggregate(&plans, &metrics);
         let mut run = DbRun {
             reads: aggregate_reads(&plans, &metrics),
             plans,
@@ -488,11 +487,6 @@ pub struct ShardMetrics {
     /// Expected `(transaction, group member)` decisions
     /// (`txns × group size`).
     pub member_slots: usize,
-    /// Total lock-hold ticks attributed to this shard (horizon stands in
-    /// for still-held locks).
-    pub lock_hold_ticks: u64,
-    /// Lock-hold intervals still open at the end of the run.
-    pub locks_still_held: usize,
 }
 
 impl ShardMetrics {
@@ -550,11 +544,7 @@ impl ReadReport {
 }
 
 /// Derives the per-shard and cross-shard reports from the shared metrics.
-fn aggregate(
-    plans: &PlanTable,
-    metrics: &Metrics,
-    horizon: SimTime,
-) -> (Vec<ShardMetrics>, CrossShardReport) {
+fn aggregate(plans: &PlanTable, metrics: &Metrics) -> (Vec<ShardMetrics>, CrossShardReport) {
     let topology = &plans.topology;
     let mut shards: Vec<ShardMetrics> = (0..topology.shards())
         .map(|s| ShardMetrics {
@@ -567,8 +557,6 @@ fn aggregate(
             undecided: 0,
             member_decisions: 0,
             member_slots: 0,
-            lock_hold_ticks: 0,
-            locks_still_held: 0,
         })
         .collect();
     let mut cross = CrossShardReport::default();
@@ -599,21 +587,6 @@ fn aggregate(
                 m.member_decisions +=
                     topology.group(s).iter().filter(|site| d.contains_key(&site.0)).count();
             }
-        }
-    }
-
-    // Attribute each lock-hold interval to the first involved shard whose
-    // replica group contains the holding site.
-    for hold in &metrics.lock_holds {
-        let Some(plan) = plans.get(hold.txn) else { continue };
-        let Some(&shard) = plan.shards().iter().find(|&&s| topology.group(s).contains(&hold.site))
-        else {
-            continue;
-        };
-        let end = hold.to.unwrap_or(horizon);
-        shards[shard].lock_hold_ticks += end.ticks().saturating_sub(hold.from.ticks());
-        if hold.to.is_none() {
-            shards[shard].locks_still_held += 1;
         }
     }
 
@@ -716,7 +689,7 @@ pub fn run_sites(
 mod tests {
     use super::*;
     use crate::value::WriteOp;
-    use ptp_simnet::{EnvelopeMatch, PartitionSpec, SimDuration};
+    use ptp_simnet::{EnvelopeMatch, PartitionSpec, SimDuration, SimTime};
 
     const PROTOCOLS: [CommitProtocol; 3] =
         [CommitProtocol::TwoPhase, CommitProtocol::HuangLi, CommitProtocol::QuorumMajority];

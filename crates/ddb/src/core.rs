@@ -1209,15 +1209,22 @@ impl<H: Host> Hosted<'_, H> {
                     let keys = read.keys_at(self.site.me).map(Staged::to_vec).unwrap_or_default();
                     self.admit(txn, route, Work::Read { keys });
                 }
-                Some(Route::Write(_)) => {
+                // A write plan's xact is for its group's members only.
+                Some(Route::Write(plan)) if plan.virtual_of(self.site.me).is_some() => {
                     self.admit(txn, route, Work::Xact { writes: writes.unwrap_or_default() });
                 }
                 _ => {}
             },
-            CommitMsg::Kind(SHARD_APPLY) => {
-                let (writes, stamps) = (writes.unwrap_or_default(), sync.map(|body| body.versions));
-                self.admit(txn, None, Work::Apply { writes, stamps, via: Via::Ship });
-            }
+            // A ship installs only when its sender is a master the plan
+            // ships from to this site.
+            CommitMsg::Kind(SHARD_APPLY) => match route {
+                Some(Route::Write(plan)) if plan.ships_from(src).contains(&self.site.me) => {
+                    let stamps = sync.map(|body| body.versions);
+                    let writes = writes.unwrap_or_default();
+                    self.admit(txn, None, Work::Apply { writes, stamps, via: Via::Ship });
+                }
+                _ => {}
+            },
             CommitMsg::Kind(SHARD_ABORT) => self.admit_abort_ship(txn),
             // Replica side: echo the round straight back.
             CommitMsg::Kind(LEASE_RENEW) => self.send(src, DbMsg::bare(txn, LEASE_ACK)),
@@ -1562,6 +1569,66 @@ mod tests {
         let stamps = &ship.sync.as_ref().expect("a stamped ship").versions;
         assert_eq!(stamps[..], [(k1.clone(), 1)]);
         assert!(!core.site.locks.is_locked(&k1));
+        assert_eq!(core.storage().get(&k1).and_then(Value::as_u64), Some(9));
+    }
+
+    /// Transaction 1, writing 9 to one key of shard 0 of `topology`.
+    fn shard0_write(topology: &ShardTopology) -> (PlanTable, DbMsg, Key) {
+        let k = key_in(topology, 0);
+        let write = WriteOp { key: k.clone(), value: Value::from_u64(9) };
+        let spec = ShardTxnSpec { id: TxnId(1), writes: vec![write.clone()] };
+        let plans = PlanTable::compile(topology.clone(), &[spec]);
+        (plans, DbMsg { writes: Some(vec![write]), ..DbMsg::bare(TxnId(1), "xact") }, k)
+    }
+
+    #[test]
+    fn an_xact_for_another_group_starts_nothing() {
+        // Shard 0's group is [0, 1]; site 2 is no member of its plan (it
+        // used to panic starting a participant it has no virtual id for).
+        let topology = ShardTopology::uniform(6, 3, 2);
+        let (plans, xact, k) = shard0_write(&topology);
+        let mut core = site(2, plans, CommitProtocol::HuangLi, ShardNodeOpts::default());
+        let mut host = Script::durable();
+        core.with(&mut host).on_message(SiteId(0), xact);
+        host.run_timers(&mut core);
+        assert!(host.sent.is_empty() && host.events.is_empty());
+        assert_eq!((core.in_flight(), core.site.finished.len()), (0, 0));
+        assert!(!core.site.locks.is_locked(&k));
+    }
+
+    #[test]
+    fn an_xact_for_a_one_site_group_elsewhere_writes_nothing() {
+        // Shard 0's group is site 0 alone. Site 1 used to take the plan as
+        // its own one-site group, commit it and store the write.
+        let topology = ShardTopology::uniform(3, 3, 1);
+        let (plans, xact, k) = shard0_write(&topology);
+        let mut core = site(1, plans, CommitProtocol::HuangLi, ShardNodeOpts::default());
+        let mut host = Script::durable();
+        core.with(&mut host).on_message(SiteId(5), xact);
+        assert_eq!(host.completed(1), None);
+        assert_eq!(core.storage().get(&k), None);
+        assert!(core.wal().durable().is_empty());
+    }
+
+    #[test]
+    fn a_ship_installs_only_from_a_master_that_ships_here() {
+        // Cross-shard transaction 1 over shards [0, 1] of `uniform(4, 2, 2)`:
+        // master 2 ships to its replica 3, master 0 ships to site 1 only.
+        let topology = ShardTopology::uniform(4, 2, 2);
+        let (k0, k1) = (key_in(&topology, 0), key_in(&topology, 1));
+        let writes = [&k0, &k1].map(|k| WriteOp { key: k.clone(), value: Value::from_u64(9) });
+        let spec = ShardTxnSpec { id: TxnId(1), writes: writes.to_vec() };
+        let plans = PlanTable::compile(topology, &[spec]);
+        let mut core = site(3, plans, CommitProtocol::HuangLi, ShardNodeOpts::default());
+        let mut host = Script::durable();
+        let ship = || DbMsg {
+            writes: Some(vec![writes[1].clone()]),
+            ..DbMsg::bare(TxnId(1), SHARD_APPLY)
+        };
+        core.with(&mut host).on_message(SiteId(0), ship());
+        assert_eq!((host.completed(1), core.storage().get(&k1)), (None, None));
+        core.with(&mut host).on_message(SiteId(2), ship());
+        assert_eq!(host.completed(1), Some((Decision::Commit, Via::Ship)));
         assert_eq!(core.storage().get(&k1).and_then(Value::as_u64), Some(9));
     }
 
