@@ -14,11 +14,49 @@
 //! [`ScenarioResult`]s (outcomes, verdict, trace, report) to a fresh
 //! session's first run — the property suite checks this for every
 //! [`ProtocolKind`].
+//!
+//! ## Proving before simulating
+//!
+//! A partition acts only on messages outstanding when it occurs (Lemma 3's
+//! set-up; [`ptp_simnet::PartitionEngine::bounce_instant`] ignores every
+//! episode with `e.at > delivery_at`). A commit is over within a few `T`,
+//! so on a grid that runs partition instants out to `8T` about half the
+//! scenarios are the partition-free run over again. The session keeps one
+//! rule, here and nowhere else:
+//!
+//! > If a scenario's first episode starts strictly after `L0`, the latest
+//! > instant any message of its own run was scheduled to land
+//! > ([`RunReport::last_landing`]), then that run *is* the partition-free
+//! > run of its key — everything else the run reads: votes, delay model,
+//! > `T`, horizon, [`ptp_simnet::PartitionMode`] and [`RunOptions::record`]
+//! > — and it is the run of every scenario with the same key whose first
+//! > episode starts after `L0`.
+//!
+//! Proof. (1) Every send of such a run has `delivery_at <= L0 < at <= e.at`
+//! for every episode `e`, so `bounce_instant` answers `None` for each, as it
+//! does under an empty schedule: the run is the partition-free run `P`, event
+//! for event — the same outcomes, report and trace, since the schedule is
+//! read only when a message is routed. (2) A scenario with the same key and
+//! first episode at `at' > L0` replays `P` for as long as none of its sends
+//! bounces, and every send of `P` has `delivery_at <= L0 < at'`, so none
+//! does. (3) Boundary, shape, heal and mode only say what an episode does to
+//! a message it reaches; none is reached. ∎
+//!
+//! The session learns `(L0, verdict, outcomes, report, trace)` per key from
+//! the first run it simulates that satisfies the rule — there is no
+//! pre-pass and no extra run — and answers later scenarios of the key from
+//! it, whichever of [`Session::run`], [`Session::run_with`] and
+//! [`Session::verdict`] asks. The bound is strict: a message landing *at*
+//! the partition instant bounces. A scenario with site failures,
+//! degraded-delay windows or envelope faults always simulates and teaches
+//! nothing: the rule speaks of partitions only. The memo holds the
+//! [`Session::PARTITION_FREE_RUNS`] most recently learned keys, and
+//! [`Session::executed`] counts only the runs actually simulated.
 
-use crate::scenario::{ProtocolKind, Scenario};
+use crate::scenario::{PartitionShape, ProtocolKind, Scenario};
 use ptp_protocols::runner::ClusterRunner;
 use ptp_protocols::{AnyParticipant, RunOptions, SiteOutcome, Verdict, Vote};
-use ptp_simnet::{RunReport, Trace};
+use ptp_simnet::{DelayModel, PartitionMode, RunReport, SimTime, Trace};
 
 /// The result of one scenario run.
 #[derive(Debug)]
@@ -59,16 +97,77 @@ pub struct Session {
     n: usize,
     runner: ClusterRunner<AnyParticipant>,
     executed: u64,
+    /// The partition-free runs learned so far, newest first, at most
+    /// [`Session::PARTITION_FREE_RUNS`] of them (module docs, "Proving
+    /// before simulating").
+    partition_free: Vec<PartitionFreeRun>,
+}
+
+/// One learned partition-free run: its key (everything the run reads but
+/// the partition schedule), its last landing instant `L0` and its result.
+struct PartitionFreeRun {
+    votes: Vec<Vote>,
+    delay: DelayModel,
+    t_unit: u64,
+    horizon_t: u64,
+    mode: PartitionMode,
+    record: bool,
+    last_landing: SimTime,
+    verdict: Verdict,
+    outcomes: Vec<SiteOutcome>,
+    report: RunReport,
+    trace: Trace,
+}
+
+impl PartitionFreeRun {
+    /// Was this run learned under `scenario`'s key?
+    fn has_key_of(&self, scenario: &Scenario, options: &RunOptions) -> bool {
+        self.delay == scenario.delay
+            && self.votes == scenario.votes
+            && self.t_unit == scenario.t_unit
+            && self.horizon_t == scenario.horizon_t
+            && self.mode == scenario.mode
+            && self.record == options.record
+    }
+}
+
+/// The rule: a schedule whose first episode starts at `first` (`None`: no
+/// episode) cannot reach a run whose last message was due to land at
+/// `last_landing`. Strictly: a message landing *at* the partition instant
+/// bounces.
+fn out_of_reach(first: Option<SimTime>, last_landing: SimTime) -> bool {
+    first.is_none_or(|at| at > last_landing)
+}
+
+/// Does `scenario` inject partitions only? A site failure, a degraded-delay
+/// window or an envelope fault is outside what the rule speaks of.
+fn partitions_only(scenario: &Scenario) -> bool {
+    let faults = &scenario.faults;
+    faults.failures.is_empty() && faults.degrades.is_empty() && faults.env_faults.is_empty()
+}
+
+/// When `scenario`'s first partition episode starts; `None` if it has none.
+fn first_episode(scenario: &Scenario) -> Option<SimTime> {
+    match &scenario.partition {
+        PartitionShape::Simple { at, .. } => Some(SimTime(*at)),
+        PartitionShape::None => scenario.faults.partition.episodes().iter().map(|e| e.at).min(),
+    }
 }
 
 impl Session {
+    /// How many partition-free runs a session remembers: enough for every
+    /// `(delay, votes)` pair of `ptp_bench::dense_grid(n)` (5) and of the
+    /// Theorem 9 scorecards that share one pooled session (20) at once.
+    /// Learning one more forgets the oldest.
+    pub const PARTITION_FREE_RUNS: usize = 32;
+
     /// Builds the cluster for `kind` with `n` sites (site 0 the master).
     /// Votes are supplied per run by each scenario.
     pub fn new(kind: ProtocolKind, n: usize) -> Session {
         assert!(n >= 2);
         let votes = vec![Vote::Yes; n - 1];
         let runner = ClusterRunner::new(kind.cluster(n, &votes));
-        Session { kind, n, runner, executed: 0 }
+        Session { kind, n, runner, executed: 0, partition_free: Vec::new() }
     }
 
     /// The protocol this session runs.
@@ -82,10 +181,10 @@ impl Session {
     }
 
     /// How many simulations this session has run since it was built. It only
-    /// grows. A sweep answers a cell without simulating it when it can prove
-    /// the verdict (see [`mod@crate::sweep`]'s execution model), so reading this
-    /// before and after a sweep tells how many of the grid's cells were
-    /// actually run.
+    /// grows. The session answers a scenario without simulating it when it
+    /// can prove the result (module docs, "Proving before simulating"), and
+    /// such an answer does not count, so reading this before and after a
+    /// sweep tells how many of the grid's cells were actually run.
     pub fn executed(&self) -> u64 {
         self.executed
     }
@@ -112,32 +211,114 @@ impl Session {
     }
 
     /// Runs `scenario` under typed [`RunOptions`], to the scenario's own
-    /// horizon.
+    /// horizon — or, when a partition-free run the session remembers
+    /// provably is this run, returns copies of that run's verdict,
+    /// outcomes, report and trace without simulating (module docs).
     ///
     /// # Panics
     ///
     /// If `scenario.n` differs from the session's cluster size.
     pub fn run_with(&mut self, scenario: &Scenario, options: &RunOptions) -> ScenarioResult {
-        let (trace, report) = self.execute(scenario, options);
-        let outcomes = self.runner.last_outcomes().to_vec();
-        ScenarioResult { verdict: Verdict::judge(&outcomes), outcomes, trace, report }
+        if let Some(run) = self.recall(scenario, options) {
+            return ScenarioResult {
+                verdict: run.verdict.clone(),
+                outcomes: run.outcomes.clone(),
+                trace: run.trace.clone(),
+                report: run.report,
+            };
+        }
+        let (verdict, trace, report) = self.simulate(scenario, options);
+        ScenarioResult { verdict, outcomes: self.runner.last_outcomes().to_vec(), trace, report }
     }
 
     /// Runs `scenario` and returns only the verdict — the sweep hot path:
-    /// no outcome vector, no trace, nothing cloned.
+    /// no outcome vector, no trace, nothing cloned. Answered from the memo
+    /// as [`Session::run_with`] is.
     pub fn verdict(&mut self, scenario: &Scenario, options: &RunOptions) -> Verdict {
-        self.verdict_and_report(scenario, options).0
+        match self.recall(scenario, options) {
+            Some(run) => run.verdict.clone(),
+            None => self.simulate(scenario, options).0,
+        }
     }
 
-    /// [`Session::verdict`] with the simulator's report beside it: the sweep
-    /// engine reads [`ptp_simnet::RunReport::last_landing`] off it.
-    pub(crate) fn verdict_and_report(
+    /// The remembered run that provably is `scenario`'s, if any.
+    fn recall(&self, scenario: &Scenario, options: &RunOptions) -> Option<&PartitionFreeRun> {
+        if !partitions_only(scenario) {
+            return None;
+        }
+        // A key is learned at most once (see `remember`), so the first run
+        // of the key is the only one that can answer.
+        let run = self.partition_free.iter().find(|run| run.has_key_of(scenario, options))?;
+        out_of_reach(first_episode(scenario), run.last_landing).then_some(run)
+    }
+
+    /// Simulates `scenario`, and remembers the run when no episode can have
+    /// reached it.
+    fn simulate(
         &mut self,
         scenario: &Scenario,
         options: &RunOptions,
-    ) -> (Verdict, RunReport) {
-        let (_, report) = self.execute(scenario, options);
-        (Verdict::judge(self.runner.last_outcomes()), report)
+    ) -> (Verdict, Trace, RunReport) {
+        let (trace, report) = self.execute(scenario, options);
+        let verdict = Verdict::judge(self.runner.last_outcomes());
+        if partitions_only(scenario) && out_of_reach(first_episode(scenario), report.last_landing) {
+            // Nothing but partitions, and none reached the run: it cannot
+            // have lost or returned a message.
+            debug_assert!(
+                report.counters.returned == 0 && report.counters.dropped == 0,
+                "no episode reached the run, yet {:?}",
+                report.counters
+            );
+            self.remember(scenario, options, &verdict, &trace, report);
+        }
+        (verdict, trace, report)
+    }
+
+    /// Stores the run just simulated at the front, overwriting the oldest
+    /// run once the memo is full. An overwrite reuses that run's buffers, so
+    /// a warm session learns without allocating.
+    fn remember(
+        &mut self,
+        scenario: &Scenario,
+        options: &RunOptions,
+        verdict: &Verdict,
+        trace: &Trace,
+        report: RunReport,
+    ) {
+        // The key cannot be known yet: a scenario its run did not answer
+        // starts no later than that run's last landing, and then so does its
+        // own run's, whether or not an episode reached it.
+        debug_assert!(!self.partition_free.iter().any(|run| run.has_key_of(scenario, options)));
+        let outcomes = self.runner.last_outcomes();
+        if self.partition_free.len() < Self::PARTITION_FREE_RUNS {
+            self.partition_free.push(PartitionFreeRun {
+                votes: scenario.votes.clone(),
+                delay: scenario.delay.clone(),
+                t_unit: scenario.t_unit,
+                horizon_t: scenario.horizon_t,
+                mode: scenario.mode,
+                record: options.record,
+                last_landing: report.last_landing,
+                verdict: verdict.clone(),
+                outcomes: outcomes.to_vec(),
+                report,
+                trace: trace.clone(),
+            });
+        } else {
+            let run = self.partition_free.last_mut().expect("the memo is full");
+            run.votes.clone_from(&scenario.votes);
+            run.delay.clone_from(&scenario.delay);
+            (run.t_unit, run.horizon_t, run.mode) =
+                (scenario.t_unit, scenario.horizon_t, scenario.mode);
+            run.record = options.record;
+            run.last_landing = report.last_landing;
+            run.verdict.clone_from(verdict);
+            run.outcomes.clear();
+            run.outcomes.extend_from_slice(outcomes);
+            run.report = report;
+            run.trace.clone_from(trace);
+        }
+        self.partition_free.rotate_right(1);
     }
 
     fn execute(&mut self, scenario: &Scenario, options: &RunOptions) -> (Trace, RunReport) {
@@ -337,6 +518,56 @@ mod tests {
         let full = session.run(&s);
         assert_eq!(v, full.verdict);
         assert!(matches!(v, Verdict::Blocked { .. }));
+    }
+
+    #[test]
+    fn a_partition_after_the_last_landing_is_answered_without_simulating() {
+        let mut session = Session::new(ProtocolKind::HuangLi3pc, 3);
+        let clean = session.run(&Scenario::new(3));
+        let last_landing = clean.report.last_landing.ticks();
+        let late = Scenario::new(3).partition_g2(vec![SiteId(2)], last_landing + 1);
+        let answer = session.run(&late);
+        assert_eq!(session.executed(), 1, "answered from the partition-free run");
+        assert_eq!((&answer.verdict, &answer.outcomes), (&clean.verdict, &clean.outcomes));
+        assert_eq!(answer.report.events, clean.report.events);
+        assert_eq!(session.verdict(&late, &RunOptions::new()), clean.verdict);
+        assert_eq!(session.executed(), 1);
+        // Strict: a partition at the last landing bounces that message.
+        let _ = session.run(&Scenario::new(3).partition_g2(vec![SiteId(2)], last_landing));
+        assert_eq!(session.executed(), 2);
+        // Recording is part of the key: the first recorded run simulates,
+        // the second is answered, trace and all.
+        let recorded = session.run_with(&late, &RunOptions::recording());
+        let again = session.run_with(&late, &RunOptions::recording());
+        assert_eq!(session.executed(), 3);
+        assert!(!again.trace.is_empty());
+        assert_eq!(again.trace.events(), recorded.trace.events());
+    }
+
+    #[test]
+    fn the_memo_forgets_its_oldest_run_beyond_its_bound() {
+        let mut session = Session::new(ProtocolKind::Plain2pc, 3);
+        let clean = |d: u64| Scenario::new(3).delay(DelayModel::Fixed(d));
+        let bound = Session::PARTITION_FREE_RUNS as u64;
+        for round in 0..2 {
+            for d in 1..=bound {
+                let _ = session.run(&clean(d));
+            }
+            assert_eq!(session.executed(), bound, "round {round}: all remembered");
+        }
+        // One more key forgets the oldest, and only it, however recently the
+        // oldest was asked for.
+        let _ = session.run(&clean(1));
+        let _ = session.run(&clean(bound + 1));
+        let _ = session.run(&clean(2));
+        assert_eq!(session.executed(), bound + 1);
+        let _ = session.run(&clean(1));
+        assert_eq!(session.executed(), bound + 2, "the oldest was forgotten");
+        // Re-learning it forgot the next oldest.
+        let _ = session.run(&clean(3));
+        assert_eq!(session.executed(), bound + 2);
+        let _ = session.run(&clean(2));
+        assert_eq!(session.executed(), bound + 3);
     }
 
     #[test]

@@ -21,44 +21,26 @@
 //! others: [`sweep_serial`], [`sweep_with_session`] (a caller's session)
 //! and [`sweep_with_threads`]. Each worker owns one
 //! [`crate::Session`] (the cluster and simulator buffers are built once per
-//! worker, not once per cell) plus one [`Scenario`] scratch buffer (votes /
-//! G2 / delay are only rewritten when the decoded indices change), and runs
+//! worker, not once per cell) plus one [`Scenario`] scratch buffer per
+//! delay model of the grid (votes and G2 are rewritten in place, a delay
+//! model is never cloned per cell), and runs
 //! cells through the verdict-only fast path — so the steady-state hot path
 //! performs no cluster construction, no participant boxing, no G1/G2
 //! rebuild, and no trace allocation.
 //!
 //! ### Proving before simulating
 //!
-//! A partition acts only on messages outstanding when it occurs (Lemma 3's
-//! set-up; [`PartitionEngine::bounce_instant`] ignores every episode with
-//! `e.at > delivery_at`). A commit is over within a few `T`, so on a grid
-//! that runs partition instants out to `8T` about half the cells are the
-//! partition-free run over again. The engine keeps one rule, in `CellState`
-//! and nowhere else:
-//!
-//! > If a cell's first episode starts strictly after `L0`, the latest
-//! > instant any message of its own run was scheduled to land
-//! > ([`ptp_simnet::RunReport::last_landing`]), then that run *is* the
-//! > partition-free run of its `(delay, votes)` pair, and its verdict holds
-//! > for every cell of the grid with the same pair whose `at > L0`.
-//!
-//! Proof. (1) Every send of such a run has `delivery_at <= L0 < at <= e.at`
-//! for every episode `e`, so `bounce_instant` answers `None` for each, as it
-//! does under an empty schedule: the run is the partition-free run `P`, event
-//! for event. (2) A cell with the same delays and votes and `at' > L0`
-//! replays `P` for as long as none of its sends bounces, and every send of
-//! `P` has `delivery_at <= L0 < at'`, so none does. (3) Boundary, shape, heal
-//! and [`PartitionMode`] only say what an episode does to a message it
-//! reaches; none is reached. ∎
-//!
-//! Each worker learns `(L0, verdict)` per `(delay, votes)` pair from the
-//! first cell it simulates that satisfies the rule — there is no pre-pass
-//! and no extra run — and answers later cells of the pair from it. The
-//! bound is strict: a message landing *at* the partition instant is
-//! bounced. Reports are unchanged by construction (`tests/sweep_pruning.rs`
-//! folds [`crate::Session::verdict`] over every cell as oracle); only
+//! A partition that starts after a run's last message has landed cannot
+//! touch the run, so about half the cells of a grid that runs partition
+//! instants out to `8T` are the partition-free run over again. The engine
+//! does not decide that itself: every cell goes through
+//! [`crate::Session::verdict`], and the session answers such a cell from
+//! the partition-free run it already simulated (the rule and its proof are
+//! in [`mod@crate::session`], "Proving before simulating"). Reports are
+//! unchanged by construction (`tests/sweep_pruning.rs` folds a fresh
+//! session's [`crate::Session::verdict`] per cell as oracle); only
 //! [`crate::Session::executed`] tells how many cells were simulated, and
-//! since each worker learns on its own that count is kept out of
+//! since each worker's session learns on its own that count is kept out of
 //! [`SweepReport`].
 
 use crate::scenario::{PartitionShape, ProtocolKind, Scenario};
@@ -532,54 +514,33 @@ const BLOCK: usize = 64;
 /// spawn/teardown would dominate.
 const PARALLEL_THRESHOLD: usize = 2 * BLOCK;
 
-/// Per-sweep scenario scratch: one [`Scenario`] reused across every cell,
-/// so votes/G2/delay buffers are recycled instead of reallocated
-/// ~`grid.size()` times. The session it drives is supplied per call —
-/// owned by a worker ([`sweep_with_threads`]) or borrowed from a caller's
+/// Per-sweep scenario scratch: one [`Scenario`] per delay model of the grid,
+/// reused across every cell, so votes/G2 buffers are recycled instead of
+/// reallocated ~`grid.size()` times and no delay model is cloned per cell
+/// (the delay index varies second fastest in the decode order). The session
+/// it drives is supplied per call — owned by a worker
+/// ([`sweep_with_threads`]) or borrowed from a caller's
 /// [`crate::SessionPool`] ([`sweep_with_session`]).
 struct CellState {
-    scenario: Scenario,
+    scenarios: Vec<Scenario>,
     options: RunOptions,
-    delay_index: Option<usize>,
-    /// The partition-free run of each `(delay_index, vote_index)` pair, once
-    /// a simulated cell has shown it: the latest landing instant `L0` of
-    /// that run and its verdict, which every cell of the pair with
-    /// `at > L0` shares (module docs, "Proving before simulating").
-    partition_free: Vec<Option<(SimTime, Verdict)>>,
 }
 
 impl CellState {
     fn new(grid: &SweepGrid) -> CellState {
-        let mut scenario = Scenario::new(grid.n);
-        scenario.mode = grid.mode;
+        let scenario = |delay: &DelayModel| {
+            let mut scenario = Scenario::new(grid.n).delay(delay.clone());
+            scenario.mode = grid.mode;
+            scenario
+        };
         CellState {
-            scenario,
+            scenarios: grid.delays.iter().map(scenario).collect(),
             options: RunOptions::new(),
-            delay_index: None,
-            partition_free: vec![None; grid.delays.len() * grid.votes.len()],
         }
     }
 
     fn run(&mut self, session: &mut Session, grid: &SweepGrid, spec: &ScenarioSpec<'_>) -> Verdict {
-        // The rule: this cell's episodes (the first of every shape starts
-        // at `spec.at`) cannot reach a run whose last message was due to
-        // land strictly earlier. Strictly: one landing *at* `spec.at` bounces.
-        let out_of_reach = |last_landing: SimTime| SimTime(spec.at) > last_landing;
-        let pair = spec.delay_index * grid.votes.len() + spec.vote_index;
-        if let Some((last_landing, verdict)) = &self.partition_free[pair] {
-            if out_of_reach(*last_landing) {
-                return verdict.clone();
-            }
-        }
-
-        let scenario = &mut self.scenario;
-        if self.delay_index != Some(spec.delay_index) {
-            // DelayModel clones can be heavy (scheduled/per-link maps);
-            // vote-index varies fastest in the decode order, so this
-            // triggers once per delay change, not once per cell.
-            scenario.delay = grid.delays[spec.delay_index].clone();
-            self.delay_index = Some(spec.delay_index);
-        }
+        let scenario = &mut self.scenarios[spec.delay_index];
         scenario.votes.clear();
         scenario.votes.extend_from_slice(&grid.votes[spec.vote_index]);
         match spec.shape {
@@ -610,18 +571,7 @@ impl CellState {
                 shape.write_schedule(grid.n, spec.g2, spec.at, spec.heal, schedule);
             }
         }
-        let (verdict, report) = session.verdict_and_report(scenario, &self.options);
-        if out_of_reach(report.last_landing) {
-            // Sweep scenarios carry no crashes or envelope faults, so a run
-            // no episode reached cannot have lost or returned a message.
-            debug_assert!(
-                report.counters.returned == 0 && report.counters.dropped == 0,
-                "{spec:?} touched no message, yet {:?}",
-                report.counters
-            );
-            self.partition_free[pair] = Some((report.last_landing, verdict.clone()));
-        }
-        verdict
+        session.verdict(scenario, &self.options)
     }
 }
 

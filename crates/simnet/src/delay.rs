@@ -25,7 +25,7 @@ pub enum Leg {
 }
 
 /// A deterministic source of per-message delays, in ticks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DelayModel {
     /// Every message takes exactly this many ticks (per leg).
     Fixed(u64),

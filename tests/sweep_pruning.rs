@@ -1,9 +1,10 @@
-//! The sweep engine answers a cell without simulating it when it can prove
-//! the verdict: a partition whose first episode starts strictly after the
+//! A session answers a scenario without simulating it when it can prove
+//! the result: a partition whose first episode starts strictly after the
 //! last message of the run was due to land cannot have touched the run
-//! (`ptp_core::sweep`, "Proving before simulating"). Brute force — one
-//! `Session::verdict` per cell, each from a scenario built here from
-//! scratch — is the oracle:
+//! (`ptp_core::session`, "Proving before simulating"), and the sweep engine
+//! sends every cell through that rule. Brute force — one `Session::verdict`
+//! per cell, each from a fresh session and a scenario built here from
+//! scratch, so no memo can answer it — is the oracle:
 //!
 //! * the whole `SweepReport` (totals *and* kept counterexamples) of
 //!   `sweep_serial` and of `sweep_with_threads(.., 1 | 2 | 3)` equals the
@@ -12,14 +13,15 @@
 //!   vector with a `No`, unsorted and duplicated partition instants, and
 //!   fixed / seeded / per-link delays;
 //! * pruning is live (the dense Theorem 9 grid simulates well under its
-//!   size), never fires early (a grid of instants no later than `T`
-//!   simulates every cell) and its bound is strict (cells whose instant
-//!   *equals* the last landing instant are in the suite, and are where
-//!   `>=` in place of `>` goes wrong).
+//!   size, and a second sweep through the same session re-learns nothing),
+//!   never fires early (a grid of instants no later than `T` simulates
+//!   every cell) and its bound is strict (cells whose instant *equals* the
+//!   last landing instant are in the suite, and are where `>=` in place of
+//!   `>` goes wrong).
 //!
 //! The property runs more cases in a release build, which is what CI's
 //! "Sweep pruning is sound" step runs; the debug build of tier-1 keeps the
-//! engine's `debug_assert!` (a pruned column saw no bounce) in the loop.
+//! session's `debug_assert!` (a remembered run saw no bounce) in the loop.
 
 #[path = "common/grid.rs"]
 mod grid;
@@ -37,13 +39,16 @@ use ptp_simnet::{DelayModel, SiteId};
 /// Counterexamples a `SweepReport` keeps per category.
 const KEEP: usize = 8;
 
-/// Simulates every cell and folds the verdicts the way a serial scan does.
+/// Simulates every cell, each in a session of its own, and folds the
+/// verdicts the way a serial scan does.
 fn brute_force(kind: ProtocolKind, grid: &SweepGrid) -> SweepReport {
-    let mut session = Session::new(kind, grid.n);
     let mut report = SweepReport::default();
+    let mut executed = 0;
     for index in 0..grid.size() {
         let spec = grid.scenario(index);
+        let mut session = Session::new(kind, grid.n);
         let verdict = session.verdict(&scenario_of(grid, &spec), &RunOptions::new());
+        executed += session.executed();
         report.total += 1;
         match verdict {
             Verdict::AllCommit => report.all_commit += 1,
@@ -62,7 +67,7 @@ fn brute_force(kind: ProtocolKind, grid: &SweepGrid) -> SweepReport {
             }
         }
     }
-    assert_eq!(session.executed(), grid.size() as u64, "the oracle simulates every cell");
+    assert_eq!(executed, grid.size() as u64, "the oracle simulates every cell");
     report
 }
 
@@ -173,10 +178,15 @@ fn pruning_is_live_on_the_dense_theorem_9_grid() {
         "simulated {executed} of {} cells: pruning went dead",
         grid.size()
     );
-    // It only grows: a second sweep adds its own simulations on top.
+    // It only grows: a second sweep adds its own simulations on top. The
+    // session still remembers the partition-free run of every
+    // `(delay, votes)` pair, so the second sweep simulates exactly the cells
+    // the rule cannot answer: the first sweep's count less the one learning
+    // run per pair.
     let again = sweep_with_session(&mut session, &grid);
     assert_eq!(again, report);
-    assert_eq!(session.executed() as usize, 2 * executed);
+    let pairs = grid.delays.len() * grid.votes.len();
+    assert_eq!(session.executed() as usize, 2 * executed - pairs);
 }
 
 #[test]
