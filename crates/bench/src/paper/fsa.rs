@@ -9,7 +9,7 @@ use ptp_core::model::concurrency::ConcurrencySets;
 use ptp_core::model::dot::to_dot;
 use ptp_core::model::partition_exec;
 use ptp_core::model::protocols::{
-    extended_two_phase, four_phase, modified_three_phase, three_phase, two_phase,
+    EXTENDED_TWO_PHASE, FOUR_PHASE, MODIFIED_THREE_PHASE, THREE_PHASE, TWO_PHASE,
 };
 use ptp_core::model::resilience::check_conditions;
 use ptp_core::model::rules::derive_rules_augmentation;
@@ -30,7 +30,7 @@ use ptp_simnet::{DelayModel, NetConfig, SimTime, SiteId};
 /// decides inconsistently.
 pub(super) fn fig1() -> Output {
     let mut o = Output::default();
-    let spec = two_phase(3);
+    let spec = TWO_PHASE.spec(3);
     say!(o, "== E1 / Fig. 1: two-phase commit ==\n");
     say!(o, "{spec}");
 
@@ -86,7 +86,7 @@ pub(super) fn fig2() -> Output {
     let mut o = Output::default();
     say!(o, "== E2 / Fig. 2: extended two-phase commit ==\n");
 
-    let derivation = derive_rules_augmentation(&extended_two_phase(2));
+    let derivation = derive_rules_augmentation(&EXTENDED_TWO_PHASE.spec(2));
     say!(o, "Rule (a)/(b) augmentation derived at n = 2:");
     for ((role, state), d) in &derivation.augmentation.timeout {
         say!(o, "  timeout {role:?}:{state:<3} -> {d}");
@@ -158,7 +158,7 @@ pub(super) fn fig2() -> Output {
     say!(
         o,
         "\n--- DOT (Fig. 2, augmented) ---\n{}",
-        to_dot(&extended_two_phase(3), Some(&derivation.augmentation))
+        to_dot(&EXTENDED_TWO_PHASE.spec(3), Some(&derivation.augmentation))
     );
     o
 }
@@ -168,7 +168,7 @@ pub(super) fn fig2() -> Output {
 /// deciding inconsistently.
 pub(super) fn fig3() -> Output {
     let mut o = Output::default();
-    let spec = three_phase(3);
+    let spec = THREE_PHASE.spec(3);
     say!(o, "== E3 / Fig. 3: three-phase commit ==\n");
 
     let graph = GlobalGraph::explore(&spec);
@@ -242,11 +242,11 @@ pub(super) fn lemma12() -> Output {
     let mut wrong: Vec<(String, usize)> = Vec::new();
     for n in [2usize, 3, 4] {
         for spec in [
-            two_phase(n),
-            extended_two_phase(n),
-            three_phase(n),
-            modified_three_phase(n),
-            four_phase(n),
+            TWO_PHASE.spec(n),
+            EXTENDED_TWO_PHASE.spec(n),
+            THREE_PHASE.spec(n),
+            MODIFIED_THREE_PHASE.spec(n),
+            FOUR_PHASE.spec(n),
         ] {
             let report = check_conditions(&spec);
             let fails = (!report.lemma1.is_empty(), !report.lemma2.is_empty());
@@ -297,7 +297,7 @@ pub(super) fn lemma12() -> Output {
 pub(super) fn lemma3() -> Output {
     let mut o = Output::default();
     say!(o, "== E5 / Lemma 3: exhaustive augmentation search ==\n");
-    let spec = three_phase(3);
+    let spec = THREE_PHASE.spec(3);
     let augmentations = enumerate_augmentations(&spec);
     let rules_index = find_augmentation(&spec, &derive_rules_augmentation(&spec).augmentation);
     let total = augmentations.len();
@@ -370,7 +370,7 @@ const VOTES: [[Vote; 2]; 2] = [[Vote::Yes, Vote::Yes], [Vote::No, Vote::Yes]];
 /// The first cell of Lemma 3's timed grid where 3PC augmented by `aug`
 /// decides inconsistently. The cluster is built once and reset per cell.
 fn timed_violation(aug: &Augmentation) -> Option<(Vec<SiteId>, u64)> {
-    let cluster = fsa_cluster_any(three_phase(3), &[Vote::Yes; 2], Some(aug.clone()));
+    let cluster = fsa_cluster_any(THREE_PHASE.spec(3), &[Vote::Yes; 2], Some(aug.clone()));
     let mut runner = ClusterRunner::new(cluster);
     for g2 in BOUNDARIES {
         for at in (0..INSTANTS as u64).map(|i| i * 500) {

@@ -9,7 +9,7 @@ use crate::{dense_grid, standard_delays};
 use ptp_core::ddb::cluster::{CommitProtocol, DbCluster};
 use ptp_core::ddb::site::TxnSpec;
 use ptp_core::ddb::value::{Key, TxnId, Value, WriteOp};
-use ptp_core::model::protocols::four_phase;
+use ptp_core::model::protocols::FOUR_PHASE;
 use ptp_core::model::resilience::check_conditions;
 use ptp_core::model::Decision;
 use ptp_core::report::Table;
@@ -119,7 +119,7 @@ pub(super) fn thm10() -> Output {
     let mut o = Output::default();
     say!(o, "== E11 / Theorem 10: the generic construction on a 4-phase protocol ==\n");
 
-    let report = check_conditions(&four_phase(3));
+    let report = check_conditions(&FOUR_PHASE.spec(3));
     let holds = report.satisfies_conditions();
     say!(
         o,

@@ -90,25 +90,25 @@ pub fn find_augmentation(spec: &ProtocolSpec, target: &Augmentation) -> Option<u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::three_phase;
+    use crate::protocols::THREE_PHASE;
     use crate::rules::derive_rules_augmentation;
 
     #[test]
     fn three_pc_has_six_augmentable_states() {
-        let states = augmentable_states(&three_phase(3));
+        let states = augmentable_states(&THREE_PHASE.spec(3));
         let names: Vec<String> = states.iter().map(|(_, n)| n.clone()).collect();
         assert_eq!(names, vec!["q1", "w1", "p1", "q", "w", "p"]);
     }
 
     #[test]
     fn enumeration_size_is_4_to_the_k() {
-        let augs = enumerate_augmentations(&three_phase(3));
+        let augs = enumerate_augmentations(&THREE_PHASE.spec(3));
         assert_eq!(augs.len(), 4096);
     }
 
     #[test]
     fn enumeration_is_exhaustive_and_distinct() {
-        let augs = enumerate_augmentations(&three_phase(3));
+        let augs = enumerate_augmentations(&THREE_PHASE.spec(3));
         let mut seen = std::collections::HashSet::new();
         for a in &augs {
             let key = format!("{a:?}");
@@ -118,7 +118,7 @@ mod tests {
 
     #[test]
     fn every_augmentation_is_total() {
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let augs = enumerate_augmentations(&spec);
         let states = augmentable_states(&spec);
         for a in augs.iter().take(64) {
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn rules_assignment_is_in_the_enumeration() {
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let rules = derive_rules_augmentation(&spec).augmentation;
         let idx = find_augmentation(&spec, &rules).expect("rules assign all states");
         let augs = enumerate_augmentations(&spec);
@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn index_zero_is_all_abort() {
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let augs = enumerate_augmentations(&spec);
         assert!(augs[0].timeout.values().all(|d| *d == Decision::Abort));
         assert!(augs[0].ud.values().all(|d| *d == Decision::Abort));
@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn last_index_is_all_commit() {
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let augs = enumerate_augmentations(&spec);
         let last = augs.last().unwrap();
         assert!(last.timeout.values().all(|d| *d == Decision::Commit));

@@ -70,7 +70,7 @@ impl Committability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::{three_phase, two_phase};
+    use crate::protocols::{THREE_PHASE, TWO_PHASE};
 
     fn classify(spec: &ProtocolSpec) -> Committability {
         Committability::compute(spec, &GlobalGraph::explore(spec))
@@ -78,7 +78,7 @@ mod tests {
 
     #[test]
     fn yes_implied_for_3pc_slave() {
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let flags = yes_implied(&spec.sites[1]);
         let idx = |name: &str| spec.sites[1].state_index(name);
         assert!(!flags[idx("q")]);
@@ -90,7 +90,7 @@ mod tests {
 
     #[test]
     fn yes_implied_for_3pc_master() {
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let flags = yes_implied(&spec.sites[0]);
         let idx = |name: &str| spec.sites[0].state_index(name);
         assert!(!flags[idx("q1")]);
@@ -102,7 +102,7 @@ mod tests {
     #[test]
     fn three_pc_prepared_states_are_committable() {
         // The paper: committable states in 3PC are exactly p1, p_i, c1, c_i.
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let cl = classify(&spec);
         assert!(cl.is_committable(spec.state_ref(0, "p1")));
         assert!(cl.is_committable(spec.state_ref(0, "c1")));
@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn three_pc_wait_states_are_noncommittable() {
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let cl = classify(&spec);
         assert!(!cl.is_committable(spec.state_ref(0, "q1")));
         assert!(!cl.is_committable(spec.state_ref(0, "w1")));
@@ -125,7 +125,7 @@ mod tests {
     fn two_pc_commit_states_are_committable_wait_not() {
         // The paper (Sec. 3): 2PC's slave w is noncommittable yet has c1 in
         // its concurrency set — the blocking diagnosis.
-        let spec = two_phase(3);
+        let spec = TWO_PHASE.spec(3);
         let cl = classify(&spec);
         assert!(cl.is_committable(spec.state_ref(0, "c1")));
         assert!(cl.is_committable(spec.state_ref(1, "c")));
@@ -134,7 +134,7 @@ mod tests {
 
     #[test]
     fn committable_count_3pc() {
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let cl = classify(&spec);
         // p1, c1 on the master; p, c on each of the two slaves = 6.
         assert_eq!(cl.committable_states().count(), 6);
@@ -143,7 +143,7 @@ mod tests {
     #[test]
     fn multisite_does_not_change_classification() {
         for n in [2, 3, 4] {
-            let spec = three_phase(n);
+            let spec = THREE_PHASE.spec(n);
             let cl = classify(&spec);
             assert!(cl.is_committable(spec.state_ref(0, "p1")), "n={n}");
             assert!(!cl.is_committable(spec.state_ref(1, "w")), "n={n}");

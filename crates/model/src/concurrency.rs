@@ -86,7 +86,7 @@ pub fn sender_set(spec: &ProtocolSpec, s: StateRef) -> BTreeSet<StateRef> {
 mod tests {
     use super::*;
     use crate::fsa::StateKind;
-    use crate::protocols::{three_phase, two_phase};
+    use crate::protocols::{THREE_PHASE, TWO_PHASE};
 
     fn csets(spec: &ProtocolSpec) -> ConcurrencySets {
         ConcurrencySets::compute(spec, &GlobalGraph::explore(spec))
@@ -96,7 +96,7 @@ mod tests {
     fn two_pc_slave_wait_has_commit_and_abort_concurrent() {
         // The classic 2PC blocking diagnosis: C(w_slave) contains both c1
         // and a1.
-        let spec = two_phase(3);
+        let spec = TWO_PHASE.spec(3);
         let cs = csets(&spec);
         let w = spec.state_ref(1, "w");
         assert!(cs.contains_commit(&spec, w));
@@ -105,7 +105,7 @@ mod tests {
 
     #[test]
     fn three_pc_slave_wait_has_no_commit_concurrent_at_n2() {
-        let spec = three_phase(2);
+        let spec = THREE_PHASE.spec(2);
         let cs = csets(&spec);
         let w = spec.state_ref(1, "w");
         assert!(!cs.contains_commit(&spec, w));
@@ -118,7 +118,7 @@ mod tests {
     fn three_pc_slave_wait_gains_abort_concurrent_at_n3() {
         // With a second slave, a no-vote elsewhere can abort the master
         // while this slave still waits — abort enters C(w).
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let cs = csets(&spec);
         assert!(cs.contains_abort(&spec, spec.state_ref(1, "w")));
     }
@@ -127,7 +127,7 @@ mod tests {
     fn three_pc_multisite_slave_wait_still_no_commit() {
         // Lemma 1 precondition holds for 3PC even with n=3: while slave i is
         // in w, nobody can have committed (the master needs i's ack first).
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let cs = csets(&spec);
         let w = spec.state_ref(1, "w");
         assert!(!cs.contains_commit(&spec, w));
@@ -138,7 +138,7 @@ mod tests {
         // With n>=3, slave 2 in p can coexist with the master in c1 (the
         // master committed after receiving all acks) — the fact behind the
         // Sec. 3 naive-augmentation counterexample (commit ∈ C(p2)).
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let cs = csets(&spec);
         let p = spec.state_ref(1, "p");
         assert!(cs.contains_commit(&spec, p));
@@ -147,7 +147,7 @@ mod tests {
     #[test]
     fn paper_sec3_concurrency_facts() {
         // "abort ∈ C(w3), commit ∈ C(p2), p2 ∈ C(w3)".
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let cs = csets(&spec);
         let w3 = spec.state_ref(2, "w");
         let p2 = spec.state_ref(1, "p");
@@ -160,7 +160,7 @@ mod tests {
     fn master_p1_in_3pc_has_no_commit_concurrent() {
         // Nobody can be committed while the master is still in p1 — commits
         // are sent on the p1 -> c1 transition.
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let cs = csets(&spec);
         let p1 = spec.state_ref(0, "p1");
         assert!(!cs.contains_commit(&spec, p1));
@@ -168,7 +168,7 @@ mod tests {
 
     #[test]
     fn concurrency_sets_never_include_own_site() {
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let cs = csets(&spec);
         for (s, set) in cs.iter() {
             assert!(set.iter().all(|t| t.site != s.site));
@@ -178,7 +178,7 @@ mod tests {
     #[test]
     fn sender_set_of_slave_wait_in_3pc_is_master_w1() {
         // w reads prepare/abort, both written by transitions out of w1.
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let senders = sender_set(&spec, spec.state_ref(1, "w"));
         assert_eq!(senders.len(), 1);
         let only = *senders.iter().next().unwrap();
@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn sender_set_of_slave_prepared_in_3pc_is_master_p1() {
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let senders = sender_set(&spec, spec.state_ref(1, "p"));
         let names: Vec<&str> = senders.iter().map(|s| spec.state_name(*s)).collect();
         assert_eq!(names, vec!["p1"]);
@@ -196,13 +196,13 @@ mod tests {
     #[test]
     fn sender_set_of_spontaneous_state_is_empty() {
         // q1's only transition is spontaneous; nothing is receivable there.
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         assert!(sender_set(&spec, spec.state_ref(0, "q1")).is_empty());
     }
 
     #[test]
     fn unreachable_state_has_empty_concurrency_set() {
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let cs = csets(&spec);
         // All states of 3PC are reachable; check the API contract instead on
         // a state ref we synthesize for site 1 — every real state must have a

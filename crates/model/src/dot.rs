@@ -6,7 +6,7 @@
 //! from an [`Augmentation`] are drawn dashed, undeliverable-message
 //! transitions dotted — matching the legend of the paper's Fig. 2.
 
-use crate::fsa::{Augmentation, Decision, ProtocolSpec, Role, StateKind};
+use crate::fsa::{Augmentation, ProtocolSpec, Role, StateKind};
 use std::fmt::Write as _;
 
 /// Renders the protocol (and optional augmentation) as a DOT digraph.
@@ -69,7 +69,7 @@ pub fn to_dot(spec: &ProtocolSpec, augmentation: Option<&Augmentation>) -> Strin
                         role_tag(role),
                         st.name,
                         role_tag(role),
-                        decision_state(ss, d),
+                        ss.states[ss.decision_state(d)].name,
                     );
                 }
                 if let Some(d) = aug.ud_for(role, &st.name) {
@@ -79,7 +79,7 @@ pub fn to_dot(spec: &ProtocolSpec, augmentation: Option<&Augmentation>) -> Strin
                         role_tag(role),
                         st.name,
                         role_tag(role),
-                        decision_state(ss, d),
+                        ss.states[ss.decision_state(d)].name,
                     );
                 }
             }
@@ -95,19 +95,6 @@ fn role_tag(role: Role) -> &'static str {
         Role::Master => "m",
         Role::Slave => "s",
     }
-}
-
-/// Name of the site's commit/abort state.
-fn decision_state(ss: &crate::fsa::SiteSpec, d: Decision) -> &str {
-    let kind = match d {
-        Decision::Commit => StateKind::Commit,
-        Decision::Abort => StateKind::Abort,
-    };
-    ss.states
-        .iter()
-        .find(|s| s.kind == kind)
-        .map(|s| s.name.as_str())
-        .expect("protocol has commit and abort states")
 }
 
 /// Joins kind names, collapsing duplicates ("yes,yes" -> "yes*").
@@ -132,12 +119,12 @@ fn dedup_join(kinds: &[&str]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::{modified_three_phase, three_phase, two_phase};
+    use crate::protocols::{MODIFIED_THREE_PHASE, THREE_PHASE, TWO_PHASE};
     use crate::rules::derive_rules_augmentation;
 
     #[test]
     fn dot_contains_master_and_slave_clusters() {
-        let dot = to_dot(&two_phase(3), None);
+        let dot = to_dot(&TWO_PHASE.spec(3), None);
         assert!(dot.contains("cluster_0"));
         assert!(dot.contains("cluster_1"));
         assert!(dot.contains("master (site 1)"));
@@ -146,14 +133,14 @@ mod tests {
 
     #[test]
     fn final_states_are_double_circles() {
-        let dot = to_dot(&three_phase(3), None);
+        let dot = to_dot(&THREE_PHASE.spec(3), None);
         assert!(dot.contains("\"m_c1\" [label=\"c1\", shape=doublecircle]"));
         assert!(dot.contains("\"s_a\" [label=\"a\", shape=doublecircle]"));
     }
 
     #[test]
     fn augmented_dot_has_dashed_timeout_edges() {
-        let spec = three_phase(2);
+        let spec = THREE_PHASE.spec(2);
         let aug = derive_rules_augmentation(&spec).augmentation;
         let dot = to_dot(&spec, Some(&aug));
         assert!(dot.contains("style=dashed"));
@@ -163,20 +150,20 @@ mod tests {
     #[test]
     fn duplicate_kinds_collapse() {
         // The master reads yes from every slave: rendered once with a star.
-        let dot = to_dot(&three_phase(4), None);
+        let dot = to_dot(&THREE_PHASE.spec(4), None);
         assert!(dot.contains("yes*"));
         assert!(!dot.contains("yes,yes"));
     }
 
     #[test]
     fn modified_3pc_has_w_to_c_edge() {
-        let dot = to_dot(&modified_three_phase(3), None);
+        let dot = to_dot(&MODIFIED_THREE_PHASE.spec(3), None);
         assert!(dot.contains("\"s_w\" -> \"s_c\""));
     }
 
     #[test]
     fn output_is_valid_ish_dot() {
-        let dot = to_dot(&two_phase(2), None);
+        let dot = to_dot(&TWO_PHASE.spec(2), None);
         assert!(dot.starts_with("digraph"));
         assert!(dot.trim_end().ends_with('}'));
         // Balanced braces.

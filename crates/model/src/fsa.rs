@@ -73,6 +73,18 @@ pub struct Transition {
     pub votes_yes: bool,
 }
 
+impl Transition {
+    /// True if `pool` holds every message this transition reads (multiset
+    /// containment: counts matter if `reads` repeats an instance).
+    #[inline]
+    pub fn enabled_by(&self, pool: &[Msg]) -> bool {
+        self.reads.iter().all(|r| {
+            let needed = self.reads.iter().filter(|x| *x == r).count();
+            pool.iter().filter(|x| *x == r).count() >= needed
+        })
+    }
+}
+
 /// One site's automaton.
 #[derive(Debug, Clone, Default)]
 pub struct SiteSpec {
@@ -92,6 +104,19 @@ impl SiteSpec {
             .iter()
             .position(|s| s.name == name)
             .unwrap_or_else(|| panic!("unknown state {name:?}"))
+    }
+
+    /// Index of the state that decides `d` (the site's commit or abort
+    /// state).
+    pub fn decision_state(&self, d: Decision) -> usize {
+        let kind = match d {
+            Decision::Commit => StateKind::Commit,
+            Decision::Abort => StateKind::Abort,
+        };
+        self.states
+            .iter()
+            .position(|s| s.kind == kind)
+            .expect("protocol has commit and abort states")
     }
 }
 
@@ -298,7 +323,7 @@ impl Augmentation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::three_phase;
+    use crate::protocols::THREE_PHASE;
 
     #[test]
     fn state_kind_finality() {
@@ -310,13 +335,13 @@ mod tests {
 
     #[test]
     fn three_phase_validates() {
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         spec.validate().expect("3PC spec must be well-formed");
     }
 
     #[test]
     fn state_lookup_roundtrip() {
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let w1 = spec.state_ref(0, "w1");
         assert_eq!(spec.state_name(w1), "w1");
         assert_eq!(spec.state_kind(w1), StateKind::Intermediate);
@@ -324,14 +349,14 @@ mod tests {
 
     #[test]
     fn role_assignment() {
-        let spec = three_phase(4);
+        let spec = THREE_PHASE.spec(4);
         assert_eq!(spec.role_of(0), Role::Master);
         assert_eq!(spec.role_of(3), Role::Slave);
     }
 
     #[test]
     fn all_states_counts() {
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         // master: q1,w1,p1,c1,a1 = 5; slaves: q,w,p,c,a = 5 each.
         assert_eq!(spec.all_states().count(), 15);
     }
@@ -339,13 +364,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown state")]
     fn unknown_state_panics() {
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         spec.state_ref(0, "nope");
     }
 
     #[test]
     fn validate_rejects_bad_addressing() {
-        let mut spec = three_phase(3);
+        let mut spec = THREE_PHASE.spec(3);
         // Make slave 1 read a message addressed to site 2.
         spec.sites[1].transitions[0].reads[0].dst = 2;
         assert!(spec.validate().is_err());
@@ -353,7 +378,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_transition_out_of_final() {
-        let mut spec = three_phase(3);
+        let mut spec = THREE_PHASE.spec(3);
         let c1 = spec.sites[0].state_index("c1");
         spec.sites[0].transitions.push(Transition {
             from: c1,
@@ -363,6 +388,21 @@ mod tests {
             votes_yes: false,
         });
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn enabled_by_respects_multiplicity() {
+        let m = Msg { kind: 0, src: 0, dst: 1 };
+        let reads = |reads| Transition { from: 0, to: 1, reads, writes: vec![], votes_yes: false };
+        assert!(reads(vec![m]).enabled_by(&[m]));
+        assert!(!reads(vec![m, m]).enabled_by(&[m]));
+    }
+
+    #[test]
+    fn decision_states() {
+        let spec = THREE_PHASE.spec(3);
+        assert_eq!(spec.sites[0].decision_state(Decision::Commit), spec.sites[0].state_index("c1"));
+        assert_eq!(spec.sites[1].decision_state(Decision::Abort), spec.sites[1].state_index("a"));
     }
 
     #[test]
@@ -376,7 +416,7 @@ mod tests {
 
     #[test]
     fn display_renders_all_transitions() {
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let text = spec.to_string();
         assert!(text.contains("protocol 3PC"));
         assert!(text.contains("w1"));

@@ -29,17 +29,6 @@ impl GlobalState {
         GlobalState { locals: vec![0; spec.n()], msgs: Vec::new() }
     }
 
-    /// True if `self.msgs` contains every message in `reads` (multiset
-    /// containment).
-    fn contains_all(&self, reads: &[Msg]) -> bool {
-        // Counts matter if `reads` repeats an instance.
-        reads.iter().all(|r| {
-            let needed = reads.iter().filter(|x| *x == r).count();
-            let have = self.msgs.iter().filter(|x| *x == r).count();
-            have >= needed
-        })
-    }
-
     /// Applies a transition of `site`: consumes `reads`, produces `writes`,
     /// moves the local state.
     fn apply(&self, site: usize, to: usize, reads: &[Msg], writes: &[Msg]) -> GlobalState {
@@ -99,7 +88,7 @@ impl GlobalGraph {
             for (site, ss) in spec.sites.iter().enumerate() {
                 let local = g.locals[site] as usize;
                 for (ti, t) in ss.transitions.iter().enumerate() {
-                    if t.from != local || !g.contains_all(&t.reads) {
+                    if t.from != local || !t.enabled_by(&g.msgs) {
                         continue;
                     }
                     let next = g.apply(site, t.to, &t.reads, &t.writes);
@@ -129,11 +118,11 @@ impl GlobalGraph {
 mod tests {
     use super::*;
     use crate::fsa::StateKind;
-    use crate::protocols::{three_phase, two_phase};
+    use crate::protocols::{THREE_PHASE, TWO_PHASE};
 
     #[test]
     fn initial_state_is_all_q_no_messages() {
-        let spec = two_phase(3);
+        let spec = TWO_PHASE.spec(3);
         let g = GlobalState::initial(&spec);
         assert_eq!(g.locals, vec![0, 0, 0]);
         assert!(g.msgs.is_empty());
@@ -141,7 +130,7 @@ mod tests {
 
     #[test]
     fn two_phase_two_sites_reachability() {
-        let spec = two_phase(2);
+        let spec = TWO_PHASE.spec(2);
         let graph = GlobalGraph::explore(&spec);
         // Must include the all-commit and all-abort terminal states.
         let c1 = spec.state_ref(0, "c1").state as u8;
@@ -154,7 +143,7 @@ mod tests {
 
     #[test]
     fn terminal_states_are_decision_states() {
-        let spec = two_phase(2);
+        let spec = TWO_PHASE.spec(2);
         let graph = GlobalGraph::explore(&spec);
         for idx in graph.terminal_states() {
             let g = &graph.states[idx];
@@ -174,7 +163,7 @@ mod tests {
     fn no_mixed_decisions_in_failure_free_runs() {
         // Atomicity of the base protocols in the absence of failures: no
         // reachable global state has one site committed and another aborted.
-        for spec in [two_phase(3), three_phase(3)] {
+        for spec in [TWO_PHASE.spec(3), THREE_PHASE.spec(3)] {
             let graph = GlobalGraph::explore(&spec);
             for g in &graph.states {
                 let mut commit = false;
@@ -193,25 +182,17 @@ mod tests {
 
     #[test]
     fn three_phase_graph_is_larger_than_two_phase() {
-        let g2 = GlobalGraph::explore(&two_phase(3));
-        let g3 = GlobalGraph::explore(&three_phase(3));
+        let g2 = GlobalGraph::explore(&TWO_PHASE.spec(3));
+        let g3 = GlobalGraph::explore(&THREE_PHASE.spec(3));
         assert!(g3.states.len() > g2.states.len());
     }
 
     #[test]
     fn explore_is_deterministic() {
-        let a = GlobalGraph::explore(&three_phase(3));
-        let b = GlobalGraph::explore(&three_phase(3));
+        let a = GlobalGraph::explore(&THREE_PHASE.spec(3));
+        let b = GlobalGraph::explore(&THREE_PHASE.spec(3));
         assert_eq!(a.states, b.states);
         assert_eq!(a.edges.len(), b.edges.len());
-    }
-
-    #[test]
-    fn contains_all_respects_multiplicity() {
-        let m = Msg { kind: 0, src: 0, dst: 1 };
-        let g = GlobalState { locals: vec![0, 0], msgs: vec![m] };
-        assert!(g.contains_all(&[m]));
-        assert!(!g.contains_all(&[m, m]));
     }
 
     #[test]

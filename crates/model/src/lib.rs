@@ -9,7 +9,7 @@
 //!
 //! | Paper concept | Here |
 //! |---|---|
-//! | Commit protocol FSAs (Figs. 1, 2, 3, 8) | [`protocols`] constructors |
+//! | Commit protocol FSAs (Figs. 1, 2, 3, 8) | [`protocols`] shapes, [`protocols::ProtocolShape::spec`] |
 //! | Global states / reachability | [`global::GlobalGraph`] |
 //! | Concurrency set `C(s)` | [`concurrency::ConcurrencySets`] |
 //! | Sender set `S(s)` | [`concurrency::sender_set`] |
@@ -22,10 +22,10 @@
 //! ## Example: the 2PC blocking diagnosis, mechanically
 //!
 //! ```
-//! use ptp_model::protocols::two_phase;
+//! use ptp_model::protocols::TWO_PHASE;
 //! use ptp_model::resilience::check_conditions;
 //!
-//! let report = check_conditions(&two_phase(3));
+//! let report = check_conditions(&TWO_PHASE.spec(3));
 //! // 2PC violates both necessary conditions: its slave wait state has both
 //! // a commit and an abort in its concurrency set, and is noncommittable
 //! // with a commit concurrent.

@@ -17,7 +17,7 @@
 //! timeout/UD augmentations of 3PC admits an atomicity violation — both
 //! under the paper's adversary and under concrete bounded-delay schedules.
 
-use crate::fsa::{Augmentation, Decision, Msg, ProtocolSpec, StateKind};
+use crate::fsa::{Augmentation, Msg, ProtocolSpec, StateKind};
 use crate::global::{GlobalGraph, GlobalState};
 use std::collections::{HashSet, VecDeque};
 
@@ -153,7 +153,7 @@ fn successors(spec: &ProtocolSpec, aug: &Augmentation, g2: &[usize], cfg: &Confi
 
         // (a) Base transitions over the deliverable pool.
         for t in &spec.sites[site].transitions {
-            if t.from != local || !contains_all(&cfg.pool, &t.reads) {
+            if t.from != local || !t.enabled_by(&cfg.pool) {
                 continue;
             }
             let mut next = cfg.clone();
@@ -179,7 +179,7 @@ fn successors(spec: &ProtocolSpec, aug: &Augmentation, g2: &[usize], cfg: &Confi
             let mut next = cfg.clone();
             next.ud.remove(pos);
             if let Some(d) = aug.ud_for(role, name) {
-                next.locals[site] = decision_state(spec, site, d);
+                next.locals[site] = spec.sites[site].decision_state(d) as u8;
             }
             out.push(next);
         }
@@ -188,38 +188,24 @@ fn successors(spec: &ProtocolSpec, aug: &Augmentation, g2: &[usize], cfg: &Confi
         // final).
         if let Some(d) = aug.timeout_for(role, name) {
             let mut next = cfg.clone();
-            next.locals[site] = decision_state(spec, site, d);
+            next.locals[site] = spec.sites[site].decision_state(d) as u8;
             out.push(next);
         }
     }
     out
 }
 
-fn contains_all(pool: &[Msg], reads: &[Msg]) -> bool {
-    reads.iter().all(|r| {
-        let needed = reads.iter().filter(|x| *x == r).count();
-        pool.iter().filter(|x| *x == r).count() >= needed
-    })
-}
-
-fn decision_state(spec: &ProtocolSpec, site: usize, d: Decision) -> u8 {
-    let want = match d {
-        Decision::Commit => StateKind::Commit,
-        Decision::Abort => StateKind::Abort,
-    };
-    spec.sites[site].states.iter().position(|s| s.kind == want).expect("final states exist") as u8
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::three_phase;
+    use crate::fsa::Decision;
+    use crate::protocols::THREE_PHASE;
     use crate::rules::derive_rules_augmentation;
 
     #[test]
     fn rules_augmentation_has_an_abstract_violation() {
         // The Sec. 3 observation, found by the paper's own adversary.
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let aug = derive_rules_augmentation(&spec).augmentation;
         let witness = find_violation(&spec, &aug);
         assert!(witness.is_some(), "Rule (a)/(b) 3PC must break abstractly");
@@ -227,7 +213,7 @@ mod tests {
 
     #[test]
     fn witness_is_a_real_mixed_configuration() {
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let aug = derive_rules_augmentation(&spec).augmentation;
         let w = find_violation(&spec, &aug).unwrap();
         assert!(violates(&spec, &w.locals));
@@ -239,7 +225,7 @@ mod tests {
     fn all_abort_augmentation_still_breaks() {
         // Timeout/UD everywhere-to-abort conflicts with a commit already
         // sent: partition right after the master's p1 -> c1 transition.
-        let spec = three_phase(3);
+        let spec = THREE_PHASE.spec(3);
         let mut aug = Augmentation::default();
         for (role, name) in
             [(crate::Role::Master, "q1"), (crate::Role::Master, "w1"), (crate::Role::Master, "p1")]
@@ -262,7 +248,7 @@ mod tests {
         // so it can still fabricate violations; this documents the
         // difference between the two adversaries rather than contradicting
         // the rules' two-site sufficiency.
-        let spec = three_phase(2);
+        let spec = THREE_PHASE.spec(2);
         let aug = derive_rules_augmentation(&spec).augmentation;
         // Either outcome is allowed; the function must simply terminate on
         // the full space.

@@ -87,12 +87,12 @@ pub fn check_conditions_with(spec: &ProtocolSpec, graph: &GlobalGraph) -> Resili
 mod tests {
     use super::*;
     use crate::protocols::{
-        extended_two_phase, four_phase, modified_three_phase, three_phase, two_phase,
+        EXTENDED_TWO_PHASE, FOUR_PHASE, MODIFIED_THREE_PHASE, THREE_PHASE, TWO_PHASE,
     };
 
     #[test]
     fn two_pc_violates_both_lemmas() {
-        let spec = two_phase(3);
+        let spec = TWO_PHASE.spec(3);
         let report = check_conditions(&spec);
         assert!(!report.satisfies_conditions());
         // The violating state must include the slave wait state.
@@ -107,7 +107,7 @@ mod tests {
         // wait state has both a commit (another slave's c) and an abort in
         // its concurrency set, and is noncommittable with a commit
         // concurrent.
-        let spec = extended_two_phase(3);
+        let spec = EXTENDED_TWO_PHASE.spec(3);
         let report = check_conditions(&spec);
         let w = spec.state_ref(1, "w");
         assert!(report.lemma1.iter().any(|v| v.state == w));
@@ -118,7 +118,7 @@ mod tests {
     fn extended_two_pc_slave_wait_clean_at_n2() {
         // At n=2 the ack phase keeps commits out of C(w): the Sec. 3 failure
         // is genuinely a multisite phenomenon.
-        let spec = extended_two_phase(2);
+        let spec = EXTENDED_TWO_PHASE.spec(2);
         let graph = GlobalGraph::explore(&spec);
         let csets = ConcurrencySets::compute(&spec, &graph);
         let w = spec.state_ref(1, "w");
@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn three_pc_satisfies_both_lemmas() {
         for n in [2, 3, 4] {
-            let report = check_conditions(&three_phase(n));
+            let report = check_conditions(&THREE_PHASE.spec(n));
             assert!(report.satisfies_conditions(), "3PC n={n}: {report:?}");
         }
     }
@@ -136,20 +136,20 @@ mod tests {
     #[test]
     fn modified_three_pc_satisfies_both_lemmas() {
         for n in [2, 3, 4] {
-            let report = check_conditions(&modified_three_phase(n));
+            let report = check_conditions(&MODIFIED_THREE_PHASE.spec(n));
             assert!(report.satisfies_conditions(), "M3PC n={n}: {report:?}");
         }
     }
 
     #[test]
     fn four_pc_satisfies_both_lemmas() {
-        let report = check_conditions(&four_phase(3));
+        let report = check_conditions(&FOUR_PHASE.spec(3));
         assert!(report.satisfies_conditions(), "{report:?}");
     }
 
     #[test]
     fn violations_carry_witnesses() {
-        let spec = two_phase(3);
+        let spec = TWO_PHASE.spec(3);
         let report = check_conditions(&spec);
         for v in &report.lemma1 {
             assert_eq!(spec.state_kind(v.commit_witness), StateKind::Commit);

@@ -99,14 +99,14 @@ pub fn derive_rules_augmentation(spec: &ProtocolSpec) -> RuleDerivation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::{extended_two_phase, three_phase, two_phase};
+    use crate::protocols::{EXTENDED_TWO_PHASE, THREE_PHASE, TWO_PHASE};
 
     #[test]
     fn e2pc_two_site_derivation_matches_paper() {
         // Derived at n=2 (where the rules are necessary and sufficient):
         //   master: timeout w1 -> abort, p1 -> commit; UD w1/p1 -> abort.
         //   slave:  timeout q -> abort, w -> abort; UD w -> abort.
-        let d = derive_rules_augmentation(&extended_two_phase(2));
+        let d = derive_rules_augmentation(&EXTENDED_TWO_PHASE.spec(2));
         assert!(d.conflicts.is_empty(), "{:?}", d.conflicts);
         let a = &d.augmentation;
         assert_eq!(a.timeout_for(Role::Master, "w1"), Some(Decision::Abort));
@@ -123,7 +123,7 @@ mod tests {
         // Without the ack phase, C(w_slave) contains c1 at n=2, so Rule (a)
         // sends the slave's timeout to commit — the historically familiar
         // "presume commit after yes" of the optimistic two-site protocol.
-        let d = derive_rules_augmentation(&two_phase(2));
+        let d = derive_rules_augmentation(&TWO_PHASE.spec(2));
         assert_eq!(d.augmentation.timeout_for(Role::Slave, "w"), Some(Decision::Commit));
         assert_eq!(d.augmentation.timeout_for(Role::Master, "w1"), Some(Decision::Abort));
     }
@@ -133,7 +133,7 @@ mod tests {
         // The paper: "the timeout transition from w3 should go to the abort
         // state and the timeout transition from p2 should go to the commit
         // state" (for n=3).
-        let d = derive_rules_augmentation(&three_phase(3));
+        let d = derive_rules_augmentation(&THREE_PHASE.spec(3));
         assert!(d.conflicts.is_empty());
         let a = &d.augmentation;
         assert_eq!(a.timeout_for(Role::Slave, "w"), Some(Decision::Abort));
@@ -146,29 +146,29 @@ mod tests {
 
     #[test]
     fn no_ud_for_states_that_receive_nothing() {
-        let d = derive_rules_augmentation(&three_phase(3));
+        let d = derive_rules_augmentation(&THREE_PHASE.spec(3));
         // q1's transition is spontaneous: no sender set, no UD transition.
         assert_eq!(d.augmentation.ud_for(Role::Master, "q1"), None);
     }
 
     #[test]
     fn final_states_get_no_assignments() {
-        let d = derive_rules_augmentation(&three_phase(3));
+        let d = derive_rules_augmentation(&THREE_PHASE.spec(3));
         assert_eq!(d.augmentation.timeout_for(Role::Master, "c1"), None);
         assert_eq!(d.augmentation.timeout_for(Role::Slave, "a"), None);
     }
 
     #[test]
     fn derivation_is_deterministic() {
-        let a = derive_rules_augmentation(&three_phase(3));
-        let b = derive_rules_augmentation(&three_phase(3));
+        let a = derive_rules_augmentation(&THREE_PHASE.spec(3));
+        let b = derive_rules_augmentation(&THREE_PHASE.spec(3));
         assert_eq!(a.augmentation, b.augmentation);
     }
 
     #[test]
     fn slave_symmetry_holds_for_larger_n() {
         // Would panic inside if slaves disagreed.
-        let d = derive_rules_augmentation(&three_phase(5));
+        let d = derive_rules_augmentation(&THREE_PHASE.spec(5));
         assert!(d.conflicts.is_empty());
     }
 }

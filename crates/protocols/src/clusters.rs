@@ -11,9 +11,8 @@ use crate::api::{Participant, Vote};
 use crate::dispatch::AnyParticipant;
 use crate::interp::FsaParticipant;
 use crate::kind::ProtocolKind;
-use crate::termination::{
-    PhasePlan, ProtocolTiming, TerminationMaster, TerminationSlave, TerminationVariant,
-};
+use crate::termination::{ProtocolTiming, TerminationMaster, TerminationSlave, TerminationVariant};
+use ptp_model::protocols::MODIFIED_THREE_PHASE;
 use ptp_model::{Augmentation, ProtocolSpec};
 use ptp_simnet::SiteId;
 use std::sync::Arc;
@@ -59,20 +58,12 @@ pub fn huang_li_3pc_cluster_with_timing_any(
     timing: ProtocolTiming,
 ) -> Vec<AnyParticipant> {
     assert_eq!(votes.len(), n - 1);
-    let plan = PhasePlan::three_phase();
+    let shape = &MODIFIED_THREE_PHASE;
     let mut parts: Vec<AnyParticipant> =
-        vec![TerminationMaster::with_timing(plan.clone(), n, timing).into()];
+        vec![TerminationMaster::with_timing(shape, n, timing).into()];
     for (i, &vote) in votes.iter().enumerate() {
-        parts.push(
-            TerminationSlave::with_timing(
-                plan.clone(),
-                SiteId(i as u16 + 1),
-                vote,
-                variant,
-                timing,
-            )
-            .into(),
-        );
+        let site = SiteId(i as u16 + 1);
+        parts.push(TerminationSlave::with_timing(shape, site, vote, variant, timing).into());
     }
     parts
 }

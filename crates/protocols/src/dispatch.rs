@@ -102,12 +102,13 @@ impl From<QuorumSite> for AnyParticipant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::termination::{PhasePlan, TerminationVariant};
+    use crate::termination::TerminationVariant;
+    use ptp_model::protocols::MODIFIED_THREE_PHASE;
 
     #[test]
     fn enum_forwards_to_inner_machine() {
         let mut s: AnyParticipant = TerminationSlave::new(
-            PhasePlan::three_phase(),
+            &MODIFIED_THREE_PHASE,
             SiteId(1),
             Vote::Yes,
             TerminationVariant::Transient,
@@ -125,7 +126,7 @@ mod tests {
 
     #[test]
     fn boxed_round_trip_behaves() {
-        let m: AnyParticipant = TerminationMaster::new(PhasePlan::three_phase(), 3).into();
+        let m: AnyParticipant = TerminationMaster::new(&MODIFIED_THREE_PHASE, 3).into();
         let mut boxed = m.boxed();
         let mut out = Vec::new();
         boxed.start(&mut out);

@@ -94,15 +94,6 @@ impl FsaParticipant {
         }
     }
 
-    /// Does `pool` contain every message `reads` needs?
-    fn pool_has_all(pool: &[Msg], reads: &[Msg]) -> bool {
-        reads.iter().all(|r| {
-            let needed = reads.iter().filter(|x| *x == r).count();
-            let have = pool.iter().filter(|x| *x == r).count();
-            have >= needed
-        })
-    }
-
     /// Fires enabled transitions until quiescent.
     fn advance(&mut self, out: &mut Vec<Action>) {
         while !self.current_kind().is_final() {
@@ -115,7 +106,7 @@ impl FsaParticipant {
             // initial state); otherwise the first enabled transition fires.
             let mut chosen = None;
             for t in &spec.sites[self.site].transitions {
-                if t.from != self.state || !Self::pool_has_all(&self.pool, &t.reads) {
+                if t.from != self.state || !t.enabled_by(&self.pool) {
                     continue;
                 }
                 if writes_no(t) == (self.vote == Vote::No) {
@@ -166,15 +157,7 @@ impl FsaParticipant {
 
     /// Applies an augmentation decision as a silent transition.
     fn jump_to_decision(&mut self, d: Decision, out: &mut Vec<Action>) {
-        let want = match d {
-            Decision::Commit => StateKind::Commit,
-            Decision::Abort => StateKind::Abort,
-        };
-        let target = self.spec.sites[self.site]
-            .states
-            .iter()
-            .position(|s| s.kind == want)
-            .expect("protocol has commit and abort states");
+        let target = self.spec.sites[self.site].decision_state(d);
         self.enter(target, out);
     }
 }
@@ -258,7 +241,7 @@ impl Participant for FsaParticipant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptp_model::protocols::{three_phase, two_phase};
+    use ptp_model::protocols::{THREE_PHASE, TWO_PHASE};
 
     fn drive_to_quiescence(parts: &mut [FsaParticipant]) -> Vec<Option<Decision>> {
         // Simple synchronous message pump (no delays, no partitions):
@@ -310,35 +293,35 @@ mod tests {
 
     #[test]
     fn two_pc_all_yes_commits_without_network() {
-        let mut parts = participants(two_phase(3), &[Vote::Yes, Vote::Yes]);
+        let mut parts = participants(TWO_PHASE.spec(3), &[Vote::Yes, Vote::Yes]);
         let decisions = drive_to_quiescence(&mut parts);
         assert!(decisions.iter().all(|d| *d == Some(Decision::Commit)));
     }
 
     #[test]
     fn two_pc_one_no_aborts() {
-        let mut parts = participants(two_phase(3), &[Vote::No, Vote::Yes]);
+        let mut parts = participants(TWO_PHASE.spec(3), &[Vote::No, Vote::Yes]);
         let decisions = drive_to_quiescence(&mut parts);
         assert!(decisions.iter().all(|d| *d == Some(Decision::Abort)));
     }
 
     #[test]
     fn three_pc_all_yes_commits() {
-        let mut parts = participants(three_phase(4), &[Vote::Yes; 3]);
+        let mut parts = participants(THREE_PHASE.spec(4), &[Vote::Yes; 3]);
         let decisions = drive_to_quiescence(&mut parts);
         assert!(decisions.iter().all(|d| *d == Some(Decision::Commit)));
     }
 
     #[test]
     fn three_pc_mixed_votes_abort() {
-        let mut parts = participants(three_phase(4), &[Vote::Yes, Vote::No, Vote::Yes]);
+        let mut parts = participants(THREE_PHASE.spec(4), &[Vote::Yes, Vote::No, Vote::Yes]);
         let decisions = drive_to_quiescence(&mut parts);
         assert!(decisions.iter().all(|d| *d == Some(Decision::Abort)));
     }
 
     #[test]
     fn timeout_without_augmentation_blocks() {
-        let spec = Arc::new(two_phase(2));
+        let spec = Arc::new(TWO_PHASE.spec(2));
         let mut p = FsaParticipant::new(spec, 1, Vote::Yes, None);
         let mut out = Vec::new();
         p.start(&mut out);
@@ -354,7 +337,7 @@ mod tests {
     #[test]
     fn timeout_with_augmentation_decides() {
         use ptp_model::rules::derive_rules_augmentation;
-        let spec = Arc::new(two_phase(2));
+        let spec = Arc::new(TWO_PHASE.spec(2));
         let aug = derive_rules_augmentation(&spec).augmentation;
         let mut p = FsaParticipant::new(spec, 1, Vote::Yes, Some(aug));
         let mut out = Vec::new();
@@ -370,7 +353,7 @@ mod tests {
     #[test]
     fn ud_with_augmentation_decides() {
         use ptp_model::rules::derive_rules_augmentation;
-        let spec = Arc::new(two_phase(2));
+        let spec = Arc::new(TWO_PHASE.spec(2));
         let aug = derive_rules_augmentation(&spec).augmentation;
         let mut p = FsaParticipant::new(spec, 1, Vote::Yes, Some(aug));
         let mut out = Vec::new();
@@ -385,7 +368,7 @@ mod tests {
 
     #[test]
     fn messages_after_decision_are_ignored() {
-        let spec = Arc::new(two_phase(2));
+        let spec = Arc::new(TWO_PHASE.spec(2));
         let mut p = FsaParticipant::new(spec, 1, Vote::No, None);
         let mut out = Vec::new();
         p.start(&mut out);
@@ -400,7 +383,7 @@ mod tests {
     #[test]
     fn master_reads_arrive_out_of_order() {
         // Master must buffer yes votes until all are present.
-        let spec = Arc::new(two_phase(3));
+        let spec = Arc::new(TWO_PHASE.spec(3));
         let mut m = FsaParticipant::new(spec, 0, Vote::Yes, None);
         let mut out = Vec::new();
         m.start(&mut out);

@@ -24,8 +24,10 @@ use crate::api::Vote;
 use crate::dispatch::AnyParticipant;
 use crate::interp::FsaParticipant;
 use crate::quorum::{QuorumConfig, QuorumSite};
-use crate::termination::{PhasePlan, TerminationMaster, TerminationSlave, TerminationVariant};
-use ptp_model::protocols::{extended_two_phase, three_phase, two_phase};
+use crate::termination::{TerminationMaster, TerminationSlave, TerminationVariant};
+use ptp_model::protocols::{
+    ProtocolShape, EXTENDED_TWO_PHASE, FOUR_PHASE, MODIFIED_THREE_PHASE, THREE_PHASE, TWO_PHASE,
+};
 use ptp_model::rules::derive_rules_augmentation;
 use ptp_model::{Augmentation, ProtocolSpec};
 use ptp_simnet::SiteId;
@@ -96,28 +98,29 @@ impl ProtocolKind {
     /// per group size the builder is asked for.
     pub fn builder(self) -> SiteBuilder {
         match self {
-            ProtocolKind::Plain2pc => fsa_builder(|n| (two_phase(n), None)),
+            ProtocolKind::Plain2pc => fsa_builder(|n| (TWO_PHASE.spec(n), None)),
             ProtocolKind::Extended2pc => fsa_builder(|n| {
                 // Derived at n = 2, where Skeen & Stonebraker proved the rules
                 // sufficient, and applied per state name at any n — the
                 // protocol the paper's Sec. 3 observation breaks at n = 3.
-                let augmentation = derive_rules_augmentation(&extended_two_phase(2)).augmentation;
-                (extended_two_phase(n), Some(augmentation))
+                let augmentation =
+                    derive_rules_augmentation(&EXTENDED_TWO_PHASE.spec(2)).augmentation;
+                (EXTENDED_TWO_PHASE.spec(n), Some(augmentation))
             }),
-            ProtocolKind::Plain3pc => fsa_builder(|n| (three_phase(n), None)),
+            ProtocolKind::Plain3pc => fsa_builder(|n| (THREE_PHASE.spec(n), None)),
             ProtocolKind::Naive3pc => fsa_builder(|n| {
-                let spec = three_phase(n);
+                let spec = THREE_PHASE.spec(n);
                 let augmentation = derive_rules_augmentation(&spec).augmentation;
                 (spec, Some(augmentation))
             }),
             ProtocolKind::HuangLi3pc => {
-                termination_builder(PhasePlan::three_phase(), TerminationVariant::Transient)
+                termination_builder(&MODIFIED_THREE_PHASE, TerminationVariant::Transient)
             }
             ProtocolKind::HuangLi3pcStatic => {
-                termination_builder(PhasePlan::three_phase(), TerminationVariant::Static)
+                termination_builder(&MODIFIED_THREE_PHASE, TerminationVariant::Static)
             }
             ProtocolKind::HuangLi4pc => {
-                termination_builder(PhasePlan::four_phase(), TerminationVariant::Transient)
+                termination_builder(&FOUR_PHASE, TerminationVariant::Transient)
             }
             ProtocolKind::QuorumMajority => Rc::new(|site, n, vote| {
                 QuorumSite::new(QuorumConfig::majority(n), site, vote).into()
@@ -150,14 +153,14 @@ fn fsa_builder(derive: fn(usize) -> (ProtocolSpec, Option<Augmentation>)) -> Sit
     })
 }
 
-/// A termination-protocol builder over `plan` (Theorem 10's generic
+/// A termination-protocol builder over `shape` (Theorem 10's generic
 /// master–slave engine) in the given variant.
-fn termination_builder(plan: PhasePlan, variant: TerminationVariant) -> SiteBuilder {
+fn termination_builder(shape: &'static ProtocolShape, variant: TerminationVariant) -> SiteBuilder {
     Rc::new(move |site, n, vote| {
         if site == SiteId(0) {
-            TerminationMaster::new(plan.clone(), n).into()
+            TerminationMaster::new(shape, n).into()
         } else {
-            TerminationSlave::new(plan.clone(), site, vote, variant).into()
+            TerminationSlave::new(shape, site, vote, variant).into()
         }
     })
 }

@@ -73,4 +73,4 @@ pub use options::RunOptions;
 pub use outcome::{SiteOutcome, Verdict};
 pub use quorum::QuorumConfig;
 pub use runner::ClusterRunner;
-pub use termination::{PhasePlan, TerminationMaster, TerminationSlave, TerminationVariant};
+pub use termination::{TerminationMaster, TerminationSlave, TerminationVariant};

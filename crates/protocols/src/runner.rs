@@ -267,13 +267,13 @@ mod tests {
     use crate::api::Vote;
     use crate::interp::FsaParticipant;
     use crate::outcome::Verdict;
-    use ptp_model::protocols::two_phase;
+    use ptp_model::protocols::TWO_PHASE;
     use ptp_simnet::{PartitionEngine, PartitionSpec, SimTime};
 
     type Run = (Vec<SiteOutcome>, Trace, RunReport);
 
     fn two_pc_parts(votes: &[Vote]) -> Vec<FsaParticipant> {
-        let spec = Arc::new(two_phase(votes.len() + 1));
+        let spec = Arc::new(TWO_PHASE.spec(votes.len() + 1));
         (0..spec.n())
             .map(|site| {
                 let vote = if site == 0 { Vote::Yes } else { votes[site - 1] };

@@ -1,15 +1,18 @@
 //! The paper's termination protocol (Secs. 5 and 6), implemented as the
-//! generic master–slave engine of Theorem 10 and instantiated for the
-//! modified three-phase commit (the paper's protocol) and a four-phase
-//! variant.
+//! generic master–slave engine of Theorem 10 and run on the model's
+//! [`MODIFIED_THREE_PHASE`] (the paper's protocol) and [`FOUR_PHASE`]: the
+//! same [`ProtocolShape`] values `ptp-model` generates their FSAs from.
 //!
 //! # The protocol (Sec. 5.3)
 //!
 //! The commit protocol runs in rounds: the master broadcasts a request and
-//! collects one reply from every slave. One round's request is the
-//! *decisive message* `m` (3PC: `prepare`) — the message that moves slaves
-//! from noncommittable to committable states. After the last round the
-//! master broadcasts `commit`.
+//! collects one reply from every slave. The first request after the vote
+//! is the *decisive message* `m` (3PC: `prepare`) — the message that moves
+//! slaves from noncommittable to committable states. After the last round
+//! the master broadcasts `commit`.
+//!
+//! [`MODIFIED_THREE_PHASE`]: ptp_model::protocols::MODIFIED_THREE_PHASE
+//! [`FOUR_PHASE`]: ptp_model::protocols::FOUR_PHASE
 //!
 //! Termination behaviour, exactly as specified in Sec. 5.3 (state names in
 //! brackets are the 3PC instance):
@@ -44,74 +47,27 @@ use crate::api::{Action, CommitMsg, Participant, TimerTag, Vote};
 use crate::timing::{
     MASTER_COLLECT_T, MASTER_PROTO_T, SLAVE_PROTO_T, SLAVE_P_WAIT_T, SLAVE_W_WAIT_T,
 };
+use ptp_model::protocols::ProtocolShape;
 use ptp_model::Decision;
 use ptp_simnet::SiteId;
 
-/// One request/reply round of a master–slave commit protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Round {
-    /// The master's broadcast for this round.
-    pub request: &'static str,
-    /// The slaves' reply.
-    pub reply: &'static str,
-}
+/// The decisive round: its request is Theorem 10's message `m`. It is
+/// always the first request after the vote — the first message the master
+/// sends once it holds every yes, so the first that makes slaves
+/// committable (3PC and 4PC: `prepare`).
+const DECISIVE: usize = 1;
 
-/// A master–slave commit protocol shape: the rounds, and which round's
-/// request is the decisive message `m` of Theorem 10.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhasePlan {
-    /// Protocol name for traces.
-    pub name: &'static str,
-    /// The request/reply rounds, in order. After the last round's replies
-    /// the master broadcasts `commit`.
-    pub rounds: Vec<Round>,
-    /// Index of the decisive round (must not be the vote round 0).
-    pub decisive: usize,
-}
-
-impl PhasePlan {
-    /// The modified three-phase commit protocol (Figs. 3 and 8): rounds
-    /// `xact/yes`, `prepare/ack`; `prepare` is decisive.
-    pub fn three_phase() -> PhasePlan {
-        PhasePlan {
-            name: "M3PC",
-            rounds: vec![
-                Round { request: "xact", reply: "yes" },
-                Round { request: "prepare", reply: "ack" },
-            ],
-            decisive: 1,
-        }
-    }
-
-    /// A four-phase protocol (Theorem 10 exercise): rounds `xact/yes`,
-    /// `prepare/ack`, `ready/ack2`; `prepare` is decisive.
-    pub fn four_phase() -> PhasePlan {
-        PhasePlan {
-            name: "4PC",
-            rounds: vec![
-                Round { request: "xact", reply: "yes" },
-                Round { request: "prepare", reply: "ack" },
-                Round { request: "ready", reply: "ack2" },
-            ],
-            decisive: 1,
-        }
-    }
-
-    fn validate(&self) {
-        assert!(self.rounds.len() >= 2, "need a vote round and a decisive round");
-        assert!(
-            (1..self.rounds.len()).contains(&self.decisive),
-            "decisive round must come after the vote round"
-        );
-    }
-
-    fn round_of_request(&self, kind: &str) -> Option<usize> {
-        self.rounds.iter().position(|r| r.request == kind)
-    }
-
-    fn round_of_reply(&self, kind: &str) -> Option<usize> {
-        self.rounds.iter().position(|r| r.reply == kind)
-    }
+/// What the engine needs of a shape: a vote round and a decisive round,
+/// slaves that accept an early commit (Fig. 8), and a decision nobody
+/// acknowledges.
+fn assert_runs(shape: &ProtocolShape) {
+    assert!(
+        shape.rounds.len() > DECISIVE,
+        "{}: need a vote round and a decisive round",
+        shape.name
+    );
+    assert!(shape.early_commit, "{}: slaves must accept an early commit (Fig. 8)", shape.name);
+    assert!(shape.decision_ack.is_none(), "{}: the engine's decision takes no acks", shape.name);
 }
 
 /// The protocol's timer constants in units of `T`. Defaults to the paper's
@@ -161,7 +117,8 @@ pub enum TerminationVariant {
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum MState {
-    /// Sent `rounds[k].request`, collecting replies.
+    /// Sent `rounds[k].request`, collecting replies (the shape's wait
+    /// state for round `k`: `w1`, `p1`, 4PC's `r1`).
     Round(usize),
     /// Sec. 5.3 collection window after UD(prepare).
     Collecting,
@@ -204,7 +161,10 @@ impl SlaveSet {
 
 /// The termination-protocol master (the paper's site 1).
 pub struct TerminationMaster {
-    plan: PhasePlan,
+    /// Held by reference: the 56-byte shape inline would make the master
+    /// the largest `AnyParticipant` variant, every pool arena's slot 184
+    /// bytes instead of 144.
+    shape: &'static ProtocolShape,
     n: usize,
     timing: ProtocolTiming,
     state: MState,
@@ -220,17 +180,17 @@ pub struct TerminationMaster {
 
 impl TerminationMaster {
     /// Master for a cluster of `n` sites (including itself, site 0).
-    pub fn new(plan: PhasePlan, n: usize) -> Self {
-        Self::with_timing(plan, n, ProtocolTiming::default())
+    pub fn new(shape: &'static ProtocolShape, n: usize) -> Self {
+        Self::with_timing(shape, n, ProtocolTiming::default())
     }
 
     /// Master with non-default timer constants (ablation experiments).
-    pub fn with_timing(plan: PhasePlan, n: usize, timing: ProtocolTiming) -> Self {
-        plan.validate();
+    pub fn with_timing(shape: &'static ProtocolShape, n: usize, timing: ProtocolTiming) -> Self {
+        assert_runs(shape);
         assert!(n >= 2);
         assert!(n <= 64, "slave bookkeeping is a 64-bit mask");
         TerminationMaster {
-            plan,
+            shape,
             n,
             timing,
             state: MState::Round(0),
@@ -263,7 +223,7 @@ impl TerminationMaster {
         self.state = MState::Round(k);
         self.replies.clear();
         out.push(Action::Note("master-round", k as u64));
-        out.push(Action::Broadcast { msg: CommitMsg::Kind(self.plan.rounds[k].request) });
+        out.push(Action::Broadcast { msg: CommitMsg::Kind(self.shape.rounds[k].request) });
         out.push(Action::SetTimer { t_units: self.timing.master_proto, tag: TimerTag::Proto });
     }
 }
@@ -283,11 +243,11 @@ impl Participant for TerminationMaster {
                 self.decide(Decision::Abort, true, out);
             }
             (MState::Round(k), CommitMsg::Kind(kind))
-                if self.plan.round_of_reply(kind) == Some(*k) =>
+                if self.shape.round_of_reply(kind) == Some(*k) =>
             {
                 self.replies.insert(from.0);
                 if self.replies.len() == self.n - 1 {
-                    if *k + 1 < self.plan.rounds.len() {
+                    if *k + 1 < self.shape.rounds.len() {
                         let next = *k + 1;
                         self.begin_round(next, out);
                     } else {
@@ -317,17 +277,17 @@ impl Participant for TerminationMaster {
 
     fn on_ud(&mut self, original_dst: SiteId, msg: &CommitMsg, out: &mut Vec<Action>) {
         let CommitMsg::Kind(kind) = msg else { return };
-        let Some(k) = self.plan.round_of_request(kind) else {
+        let Some(k) = self.shape.round_of_request(kind) else {
             return; // UD of our commit/abort broadcast: already decided.
         };
         match &self.state {
             MState::Done(_) => {}
-            MState::Round(cur) if *cur == k && k < self.plan.decisive => {
+            MState::Round(cur) if *cur == k && k < DECISIVE => {
                 // UD(xact_i): no slave can be committable yet — abort all.
                 out.push(Action::Note("master-ud-early", original_dst.0 as u64));
                 self.decide(Decision::Abort, true, out);
             }
-            MState::Round(cur) if *cur == k && k == self.plan.decisive => {
+            MState::Round(cur) if *cur == k && k == DECISIVE => {
                 // UD(prepare_i): enter the Sec. 5.3 collection window.
                 // UD := {i}; PB := Ø; reset timer 5T.
                 out.push(Action::Note("master-ud-prepare", original_dst.0 as u64));
@@ -343,7 +303,7 @@ impl Participant for TerminationMaster {
                 out.push(Action::Note("master-ud-late", original_dst.0 as u64));
                 self.decide(Decision::Commit, true, out);
             }
-            MState::Collecting if k == self.plan.decisive => {
+            MState::Collecting if k == DECISIVE => {
                 // Another UD(prepare_j): UD := UD + {j}.
                 out.push(Action::Note("master-ud-prepare", original_dst.0 as u64));
                 self.ud.insert(original_dst.0);
@@ -355,7 +315,7 @@ impl Participant for TerminationMaster {
     fn on_timer(&mut self, tag: TimerTag, out: &mut Vec<Action>) {
         match (&self.state, tag) {
             (MState::Round(k), TimerTag::Proto) => {
-                if *k < self.plan.decisive {
+                if *k < DECISIVE {
                     // w1 timeout: send abort_1-n.
                     out.push(Action::Note("master-timeout-early", *k as u64));
                     self.decide(Decision::Abort, true, out);
@@ -386,8 +346,7 @@ impl Participant for TerminationMaster {
 
     fn state_name(&self) -> &'static str {
         match &self.state {
-            MState::Round(0) => "w1",
-            MState::Round(_) => "p1",
+            MState::Round(k) => self.shape.master_wait(*k),
             MState::Collecting => "p1-collecting",
             MState::Done(Decision::Commit) => "c1",
             MState::Done(Decision::Abort) => "a1",
@@ -395,7 +354,7 @@ impl Participant for TerminationMaster {
     }
 
     fn reset(&mut self, _vote: Vote) {
-        // The master has no vote; its plan, size and timing are fixed.
+        // The master has no vote; its shape, size and timing are fixed.
         self.state = MState::Round(0);
         self.replies.clear();
         self.ud.clear();
@@ -410,8 +369,9 @@ impl Participant for TerminationMaster {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SState {
-    /// Waiting for `rounds[k].request` (k = 0 is `q`; 1..=decisive is `w`;
-    /// beyond decisive is `p`) or, after the last round, for `commit`.
+    /// Waiting for `rounds[k].request` or, after the last round, for
+    /// `commit` (k = 0 is `q`; else the shape's wait after round `k - 1`:
+    /// `w`, `p`, 4PC's `r`).
     Await(usize),
     /// Timed out pre-decisive: 6T window for a commit/abort (Fig. 7).
     WWaiting,
@@ -423,7 +383,7 @@ enum SState {
 
 /// The termination-protocol slave (the paper's sites 2..n).
 pub struct TerminationSlave {
-    plan: PhasePlan,
+    shape: &'static ProtocolShape,
     me: u16,
     vote: Vote,
     variant: TerminationVariant,
@@ -434,22 +394,27 @@ pub struct TerminationSlave {
 
 impl TerminationSlave {
     /// Slave `me` (1-based site id within the cluster).
-    pub fn new(plan: PhasePlan, me: SiteId, vote: Vote, variant: TerminationVariant) -> Self {
-        Self::with_timing(plan, me, vote, variant, ProtocolTiming::default())
+    pub fn new(
+        shape: &'static ProtocolShape,
+        me: SiteId,
+        vote: Vote,
+        variant: TerminationVariant,
+    ) -> Self {
+        Self::with_timing(shape, me, vote, variant, ProtocolTiming::default())
     }
 
     /// Slave with non-default timer constants (ablation experiments).
     pub fn with_timing(
-        plan: PhasePlan,
+        shape: &'static ProtocolShape,
         me: SiteId,
         vote: Vote,
         variant: TerminationVariant,
         timing: ProtocolTiming,
     ) -> Self {
-        plan.validate();
+        assert_runs(shape);
         assert!(me.0 >= 1, "site 0 is the master");
         TerminationSlave {
-            plan,
+            shape,
             me: me.0,
             vote,
             variant,
@@ -492,7 +457,7 @@ impl Participant for TerminationSlave {
                 self.decide(Decision::Abort, out);
             }
             req => {
-                let Some(k) = self.plan.round_of_request(req) else { return };
+                let Some(k) = self.shape.round_of_request(req) else { return };
                 let SState::Await(cur) = self.state else {
                     // A request while in a termination wait: stale (see the
                     // module docs timing argument); ignore.
@@ -510,7 +475,7 @@ impl Participant for TerminationSlave {
                 }
                 out.push(Action::Send {
                     to: SiteId(0),
-                    msg: CommitMsg::Kind(self.plan.rounds[k].reply),
+                    msg: CommitMsg::Kind(self.shape.rounds[k].reply),
                 });
                 out.push(Action::Note("slave-round", (k + 1) as u64));
                 self.state = SState::Await(k + 1);
@@ -537,8 +502,8 @@ impl Participant for TerminationSlave {
                 }
             }
             CommitMsg::Kind(kind) => {
-                if let Some(k) = self.plan.round_of_reply(kind) {
-                    if k < self.plan.decisive {
+                if let Some(k) = self.shape.round_of_reply(kind) {
+                    if k < DECISIVE {
                         // UD(yes_i): send abort_1-n.
                         out.push(Action::Note("slave-ud-vote", self.me as u64));
                         out.push(Action::Broadcast { msg: CommitMsg::Kind("abort") });
@@ -564,7 +529,7 @@ impl Participant for TerminationSlave {
                 out.push(Action::Note("slave-timeout-q", self.me as u64));
                 self.decide(Decision::Abort, out);
             }
-            (SState::Await(k), TimerTag::Proto) if k <= self.plan.decisive => {
+            (SState::Await(k), TimerTag::Proto) if k <= DECISIVE => {
                 // w_i timeout: reset timer 6T and wait for a commit/abort.
                 out.push(Action::Note("slave-timeout-w", self.me as u64));
                 self.state = SState::WWaiting;
@@ -605,8 +570,7 @@ impl Participant for TerminationSlave {
     fn state_name(&self) -> &'static str {
         match self.state {
             SState::Await(0) => "q",
-            SState::Await(k) if k <= self.plan.decisive => "w",
-            SState::Await(_) => "p",
+            SState::Await(k) => self.shape.slave_wait(k - 1),
             SState::WWaiting => "w-waiting",
             SState::Probing => "probing",
             SState::Done(Decision::Commit) => "c",
@@ -624,6 +588,7 @@ impl Participant for TerminationSlave {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptp_model::protocols::{FOUR_PHASE, MODIFIED_THREE_PHASE, THREE_PHASE, TWO_PHASE};
 
     fn acts_contain_broadcast(out: &[Action], kind: &str) -> bool {
         out.iter().any(|a| matches!(a, Action::Broadcast { msg: CommitMsg::Kind(k) } if *k == kind))
@@ -631,7 +596,7 @@ mod tests {
 
     #[test]
     fn master_happy_path_3pc() {
-        let mut m = TerminationMaster::new(PhasePlan::three_phase(), 3);
+        let mut m = TerminationMaster::new(&MODIFIED_THREE_PHASE, 3);
         let mut out = Vec::new();
         m.start(&mut out);
         assert!(acts_contain_broadcast(&out, "xact"));
@@ -653,7 +618,7 @@ mod tests {
 
     #[test]
     fn master_aborts_on_no() {
-        let mut m = TerminationMaster::new(PhasePlan::three_phase(), 3);
+        let mut m = TerminationMaster::new(&MODIFIED_THREE_PHASE, 3);
         let mut out = Vec::new();
         m.start(&mut out);
         out.clear();
@@ -664,7 +629,7 @@ mod tests {
 
     #[test]
     fn master_w1_timeout_aborts() {
-        let mut m = TerminationMaster::new(PhasePlan::three_phase(), 3);
+        let mut m = TerminationMaster::new(&MODIFIED_THREE_PHASE, 3);
         let mut out = Vec::new();
         m.start(&mut out);
         out.clear();
@@ -675,7 +640,7 @@ mod tests {
 
     #[test]
     fn master_p1_timeout_commits() {
-        let mut m = TerminationMaster::new(PhasePlan::three_phase(), 3);
+        let mut m = TerminationMaster::new(&MODIFIED_THREE_PHASE, 3);
         let mut out = Vec::new();
         m.start(&mut out);
         m.on_msg(SiteId(1), &CommitMsg::Kind("yes"), &mut out);
@@ -689,7 +654,7 @@ mod tests {
     #[test]
     fn master_collection_aborts_when_sets_match() {
         // UD = {2}; probe from slave 1 only: slaves − UD = {1} = PB → abort.
-        let mut m = TerminationMaster::new(PhasePlan::three_phase(), 3);
+        let mut m = TerminationMaster::new(&MODIFIED_THREE_PHASE, 3);
         let mut out = Vec::new();
         m.start(&mut out);
         m.on_msg(SiteId(1), &CommitMsg::Kind("yes"), &mut out);
@@ -710,7 +675,7 @@ mod tests {
         // it committed): slaves − UD = {1} ≠ Ø = PB? PB empty → differ →
         // commit. Also the dual: probes from both while UD = {2} → {1} ≠
         // {1,2} → commit.
-        let mut m = TerminationMaster::new(PhasePlan::three_phase(), 4);
+        let mut m = TerminationMaster::new(&MODIFIED_THREE_PHASE, 4);
         let mut out = Vec::new();
         m.start(&mut out);
         for s in 1..4 {
@@ -728,7 +693,7 @@ mod tests {
 
     #[test]
     fn master_ud_xact_aborts() {
-        let mut m = TerminationMaster::new(PhasePlan::three_phase(), 3);
+        let mut m = TerminationMaster::new(&MODIFIED_THREE_PHASE, 3);
         let mut out = Vec::new();
         m.start(&mut out);
         out.clear();
@@ -739,7 +704,7 @@ mod tests {
     #[test]
     fn slave_happy_path_3pc() {
         let mut s = TerminationSlave::new(
-            PhasePlan::three_phase(),
+            &MODIFIED_THREE_PHASE,
             SiteId(1),
             Vote::Yes,
             TerminationVariant::Transient,
@@ -762,7 +727,7 @@ mod tests {
     #[test]
     fn slave_votes_no() {
         let mut s = TerminationSlave::new(
-            PhasePlan::three_phase(),
+            &MODIFIED_THREE_PHASE,
             SiteId(2),
             Vote::No,
             TerminationVariant::Transient,
@@ -780,7 +745,7 @@ mod tests {
     #[test]
     fn slave_w_timeout_then_6t_abort() {
         let mut s = TerminationSlave::new(
-            PhasePlan::three_phase(),
+            &MODIFIED_THREE_PHASE,
             SiteId(1),
             Vote::Yes,
             TerminationVariant::Transient,
@@ -802,7 +767,7 @@ mod tests {
     #[test]
     fn slave_w_waiting_accepts_late_commit() {
         let mut s = TerminationSlave::new(
-            PhasePlan::three_phase(),
+            &MODIFIED_THREE_PHASE,
             SiteId(1),
             Vote::Yes,
             TerminationVariant::Transient,
@@ -820,7 +785,7 @@ mod tests {
     #[test]
     fn slave_p_timeout_probes_then_ud_probe_commits_and_broadcasts() {
         let mut s = TerminationSlave::new(
-            PhasePlan::three_phase(),
+            &MODIFIED_THREE_PHASE,
             SiteId(2),
             Vote::Yes,
             TerminationVariant::Transient,
@@ -845,7 +810,7 @@ mod tests {
     #[test]
     fn slave_ud_yes_broadcasts_abort() {
         let mut s = TerminationSlave::new(
-            PhasePlan::three_phase(),
+            &MODIFIED_THREE_PHASE,
             SiteId(1),
             Vote::Yes,
             TerminationVariant::Transient,
@@ -862,7 +827,7 @@ mod tests {
     #[test]
     fn slave_ud_ack_broadcasts_commit() {
         let mut s = TerminationSlave::new(
-            PhasePlan::three_phase(),
+            &MODIFIED_THREE_PHASE,
             SiteId(1),
             Vote::Yes,
             TerminationVariant::Transient,
@@ -883,8 +848,7 @@ mod tests {
             (TerminationVariant::Transient, Some(Decision::Commit)),
             (TerminationVariant::Static, None),
         ] {
-            let mut s =
-                TerminationSlave::new(PhasePlan::three_phase(), SiteId(1), Vote::Yes, variant);
+            let mut s = TerminationSlave::new(&MODIFIED_THREE_PHASE, SiteId(1), Vote::Yes, variant);
             let mut out = Vec::new();
             s.start(&mut out);
             s.on_msg(SiteId(0), &CommitMsg::Kind("xact"), &mut out);
@@ -899,7 +863,7 @@ mod tests {
     #[test]
     fn slave_q_timeout_aborts() {
         let mut s = TerminationSlave::new(
-            PhasePlan::three_phase(),
+            &MODIFIED_THREE_PHASE,
             SiteId(1),
             Vote::Yes,
             TerminationVariant::Transient,
@@ -916,7 +880,7 @@ mod tests {
         // The master's collection window can end in abort; a probing G1
         // slave must follow it (Sec. 5.3 pseudocode's "receive an abort").
         let mut s = TerminationSlave::new(
-            PhasePlan::three_phase(),
+            &MODIFIED_THREE_PHASE,
             SiteId(1),
             Vote::Yes,
             TerminationVariant::Transient,
@@ -933,7 +897,7 @@ mod tests {
 
     #[test]
     fn four_phase_plan_master_ud_ready_commits() {
-        let mut m = TerminationMaster::new(PhasePlan::four_phase(), 3);
+        let mut m = TerminationMaster::new(&FOUR_PHASE, 3);
         let mut out = Vec::new();
         m.start(&mut out);
         for s in 1..3 {
@@ -942,7 +906,7 @@ mod tests {
         for s in 1..3 {
             m.on_msg(SiteId(s), &CommitMsg::Kind("ack"), &mut out);
         }
-        assert_eq!(m.state_name(), "p1");
+        assert_eq!(m.state_name(), "r1");
         out.clear();
         m.on_ud(SiteId(2), &CommitMsg::Kind("ready"), &mut out);
         assert!(acts_contain_broadcast(&out, "commit"));
@@ -950,16 +914,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "early commit")]
+    fn plain_three_phase_rejected() {
+        TerminationMaster::new(&THREE_PHASE, 3);
+    }
+
+    #[test]
     #[should_panic(expected = "decisive round")]
-    fn decisive_zero_rejected() {
-        let plan = PhasePlan {
-            name: "bad",
-            rounds: vec![
-                Round { request: "xact", reply: "yes" },
-                Round { request: "prepare", reply: "ack" },
-            ],
-            decisive: 0,
-        };
-        TerminationMaster::new(plan, 3);
+    fn one_round_rejected() {
+        TerminationSlave::new(&TWO_PHASE, SiteId(1), Vote::Yes, TerminationVariant::Transient);
+    }
+
+    #[test]
+    fn four_phase_slave_waits_in_r() {
+        let mut s = TerminationSlave::new(&FOUR_PHASE, SiteId(1), Vote::Yes, Default::default());
+        let mut out = Vec::new();
+        s.start(&mut out);
+        for (request, state) in [("xact", "w"), ("prepare", "p"), ("ready", "r")] {
+            s.on_msg(SiteId(0), &CommitMsg::Kind(request), &mut out);
+            assert_eq!(s.state_name(), state);
+        }
     }
 }

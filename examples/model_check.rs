@@ -10,7 +10,7 @@ use ptp_core::model::committable::Committability;
 use ptp_core::model::concurrency::ConcurrencySets;
 use ptp_core::model::dot::to_dot;
 use ptp_core::model::protocols::{
-    extended_two_phase, four_phase, modified_three_phase, three_phase, two_phase,
+    EXTENDED_TWO_PHASE, FOUR_PHASE, MODIFIED_THREE_PHASE, THREE_PHASE, TWO_PHASE,
 };
 use ptp_core::model::resilience::check_conditions;
 use ptp_core::model::rules::derive_rules_augmentation;
@@ -58,17 +58,17 @@ fn analyze(spec: &ProtocolSpec) {
 
 fn main() {
     for spec in [
-        two_phase(3),
-        extended_two_phase(3),
-        three_phase(3),
-        modified_three_phase(3),
-        four_phase(3),
+        TWO_PHASE.spec(3),
+        EXTENDED_TWO_PHASE.spec(3),
+        THREE_PHASE.spec(3),
+        MODIFIED_THREE_PHASE.spec(3),
+        FOUR_PHASE.spec(3),
     ] {
         analyze(&spec);
     }
 
     // The Sec. 3 derivation story: the rules that work at n=2...
-    let d2 = derive_rules_augmentation(&extended_two_phase(2));
+    let d2 = derive_rules_augmentation(&EXTENDED_TWO_PHASE.spec(2));
     println!("Rule (a)/(b) augmentation of E2PC derived at n=2:");
     for ((role, state), decision) in &d2.augmentation.timeout {
         println!("  timeout in {role:?}:{state} -> {decision}");
@@ -81,10 +81,10 @@ fn main() {
     let out_dir = std::env::temp_dir().join("ptp-figures");
     std::fs::create_dir_all(&out_dir).expect("create figure dir");
     for (file, spec, aug) in [
-        ("fig1_2pc.dot", two_phase(3), None),
-        ("fig2_e2pc.dot", extended_two_phase(3), Some(d2.augmentation.clone())),
-        ("fig3_3pc.dot", three_phase(3), None),
-        ("fig8_m3pc.dot", modified_three_phase(3), None),
+        ("fig1_2pc.dot", TWO_PHASE.spec(3), None),
+        ("fig2_e2pc.dot", EXTENDED_TWO_PHASE.spec(3), Some(d2.augmentation.clone())),
+        ("fig3_3pc.dot", THREE_PHASE.spec(3), None),
+        ("fig8_m3pc.dot", MODIFIED_THREE_PHASE.spec(3), None),
     ] {
         let path = out_dir.join(file);
         std::fs::write(&path, to_dot(&spec, aug.as_ref())).expect("write dot");

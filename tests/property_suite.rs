@@ -726,7 +726,7 @@ mod lock_props {
 mod model_props {
     use proptest::prelude::*;
     use ptp_core::model::concurrency::ConcurrencySets;
-    use ptp_core::model::protocols::{three_phase, two_phase};
+    use ptp_core::model::protocols::{THREE_PHASE, TWO_PHASE};
     use ptp_core::model::rules::derive_rules_augmentation;
     use ptp_core::model::GlobalGraph;
 
@@ -735,8 +735,8 @@ mod model_props {
 
         #[test]
         fn exploration_is_deterministic(n in 2usize..5) {
-            let a = GlobalGraph::explore(&three_phase(n));
-            let b = GlobalGraph::explore(&three_phase(n));
+            let a = GlobalGraph::explore(&THREE_PHASE.spec(n));
+            let b = GlobalGraph::explore(&THREE_PHASE.spec(n));
             prop_assert_eq!(a.states, b.states);
         }
 
@@ -744,7 +744,7 @@ mod model_props {
         fn concurrency_sets_are_symmetric(n in 2usize..5) {
             // If t ∈ C(s) then s ∈ C(t): both come from the same global
             // state, so the relation must be symmetric.
-            let spec = two_phase(n);
+            let spec = TWO_PHASE.spec(n);
             let graph = GlobalGraph::explore(&spec);
             let csets = ConcurrencySets::compute(&spec, &graph);
             for s in spec.all_states() {
@@ -759,8 +759,8 @@ mod model_props {
 
         #[test]
         fn rule_derivation_is_deterministic(n in 2usize..5) {
-            let a = derive_rules_augmentation(&three_phase(n)).augmentation;
-            let b = derive_rules_augmentation(&three_phase(n)).augmentation;
+            let a = derive_rules_augmentation(&THREE_PHASE.spec(n)).augmentation;
+            let b = derive_rules_augmentation(&THREE_PHASE.spec(n)).augmentation;
             prop_assert_eq!(a, b);
         }
     }
