@@ -46,9 +46,9 @@ pub struct ProtocolShape {
     pub name: &'static str,
     /// The request/reply rounds in order, the vote first.
     pub rounds: &'static [Round],
-    /// The slaves' acknowledgement of the commit, if the master waits for
-    /// one before it commits itself (E2PC's `ack`).
-    pub decision_ack: Option<&'static str>,
+    /// Whether the master waits for the slaves' `ack` of the commit before
+    /// it commits itself (E2PC).
+    pub decision_ack: bool,
     /// Whether a slave accepts `commit` in every wait state, not only after
     /// the last round (Fig. 8).
     pub early_commit: bool,
@@ -65,20 +65,20 @@ const READY: Round = Round { request: "ready", reply: "ack2" };
 
 /// Fig. 1: the two-phase commit protocol.
 pub const TWO_PHASE: ProtocolShape =
-    ProtocolShape { name: "2PC", rounds: &[VOTE], decision_ack: None, early_commit: false };
+    ProtocolShape { name: "2PC", rounds: &[VOTE], decision_ack: false, early_commit: false };
 
 /// The base protocol of Fig. 2: two-phase commit with a decision-ack phase.
 /// The master commits the slaves from `w1`, then waits in `p1` for their
 /// acks. Timeout/UD transitions are *not* part of this spec — derive them
 /// with [`crate::rules::derive_rules_augmentation`] on the two-site instance.
 pub const EXTENDED_TWO_PHASE: ProtocolShape =
-    ProtocolShape { name: "E2PC", rounds: &[VOTE], decision_ack: Some("ack"), early_commit: false };
+    ProtocolShape { name: "E2PC", rounds: &[VOTE], decision_ack: true, early_commit: false };
 
 /// Fig. 3: Skeen's three-phase commit protocol.
 pub const THREE_PHASE: ProtocolShape = ProtocolShape {
     name: "3PC",
     rounds: &[VOTE, PREPARE],
-    decision_ack: None,
+    decision_ack: false,
     early_commit: false,
 };
 
@@ -95,7 +95,7 @@ pub const MODIFIED_THREE_PHASE: ProtocolShape =
 pub const FOUR_PHASE: ProtocolShape = ProtocolShape {
     name: "4PC",
     rounds: &[VOTE, PREPARE, READY],
-    decision_ack: None,
+    decision_ack: false,
     early_commit: true,
 };
 
@@ -124,14 +124,21 @@ impl ProtocolShape {
     pub fn spec(&self, n: usize) -> ProtocolSpec {
         assert!(n >= 2, "need a master and at least one slave");
         let rounds = self.rounds.len();
-        let waits = rounds + usize::from(self.decision_ack.is_some());
+        let waits = rounds + usize::from(self.decision_ack);
         assert!(waits <= WAITS.len(), "{}: more wait states than names", self.name);
+        assert!(
+            !self.decision_ack || self.round_of_reply("ack").is_none(),
+            "{}: `ack` is both a round's reply and the decision ack",
+            self.name
+        );
 
         let vote = self.rounds[0];
         let mut kinds = vec![vote.request, vote.reply, "no"];
         kinds.extend(self.rounds[1..].iter().flat_map(|r| [r.request, r.reply]));
         kinds.extend(["commit", "abort"]);
-        kinds.extend(self.decision_ack);
+        if self.decision_ack {
+            kinds.push("ack");
+        }
         let m = |kind: &str, src: usize, dst: usize| Msg {
             kind: kinds.iter().position(|k| *k == kind).expect("declared kind") as u8,
             src: src as u8,
@@ -151,8 +158,8 @@ impl ProtocolShape {
             let collect = step(k + 1, k + 2, from_slaves(round.reply), to_slaves(next, 0));
             master.push(Transition { votes_yes: k == 0, ..collect });
         }
-        if let Some(ack) = self.decision_ack {
-            master.push(step(waits, c1, from_slaves(ack), vec![]));
+        if self.decision_ack {
+            master.push(step(waits, c1, from_slaves("ack"), vec![]));
         }
         master.extend((1..n).map(|j| step(1, a1, vec![m("no", j, 0)], to_slaves("abort", j))));
         let mut sites = vec![SiteSpec {
@@ -171,7 +178,7 @@ impl ProtocolShape {
             for k in 1..=rounds {
                 let (read, reply) = match self.rounds.get(k) {
                     Some(round) => (round.request, Some(round.reply)),
-                    None => ("commit", self.decision_ack),
+                    None => ("commit", self.decision_ack.then_some("ack")),
                 };
                 let reply = reply.map(|kind| m(kind, i, 0)).into_iter().collect();
                 t.push(step(k, k + 1, vec![m(read, 0, i)], reply));
@@ -316,6 +323,23 @@ mod tests {
         assert!(p.kinds.contains(&"ack2"));
         assert_eq!(p.sites[0].states.len(), 6);
         assert_eq!(p.sites[1].states.len(), 6);
+    }
+
+    #[test]
+    fn three_phase_has_prepare_round() {
+        let p = THREE_PHASE.spec(3);
+        assert!(p.kinds.contains(&"prepare"));
+        assert!(p.kinds.contains(&"ack"));
+        assert_eq!(p.sites[0].states.len(), 5);
+    }
+
+    #[test]
+    fn slaves_are_symmetric() {
+        let p = THREE_PHASE.spec(4);
+        for i in 2..4 {
+            assert_eq!(p.sites[1].states.len(), p.sites[i].states.len());
+            assert_eq!(p.sites[1].transitions.len(), p.sites[i].transitions.len());
+        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ fn assert_runs(shape: &ProtocolShape) {
         shape.name
     );
     assert!(shape.early_commit, "{}: slaves must accept an early commit (Fig. 8)", shape.name);
-    assert!(shape.decision_ack.is_none(), "{}: the engine's decision takes no acks", shape.name);
+    assert!(!shape.decision_ack, "{}: the engine's decision takes no acks", shape.name);
 }
 
 /// The protocol's timer constants in units of `T`. Defaults to the paper's
