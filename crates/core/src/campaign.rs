@@ -402,6 +402,11 @@ struct Planned {
 
 impl Planned {
     fn execute(&self, case: &Case) -> DbRun {
+        self.store(case).run()
+    }
+
+    /// The store that serves `case`.
+    fn store(&self, case: &Case) -> ShardCluster {
         let (timeline, workload) = case.planned();
         let t = timeline.t_unit;
         let mut store = ShardCluster::new(self.topology.clone(), self.protocol)
@@ -423,7 +428,7 @@ impl Planned {
         for (at, spec) in &workload.reads {
             store = store.submit_read(*at, spec.clone());
         }
-        store.run()
+        store
     }
 
     /// The oracles: the store [`audit`], read history and — for the
@@ -474,7 +479,7 @@ impl Subject for Planned {
     }
 
     fn replay(&mut self, case: &Case) -> Trace {
-        self.execute(case).trace
+        self.store(case).recording().run().trace
     }
 }
 
@@ -853,6 +858,45 @@ mod tests {
         let rendered = report.failures[0].render();
         for needle in ["minimal counterexample", "flight recorder:", "\"events\": ["] {
             assert!(rendered.contains(needle), "{rendered}");
+        }
+    }
+
+    /// The planned store with every case condemned unheard.
+    struct Condemned(Planned);
+
+    impl Subject for Condemned {
+        fn crashable(&self) -> Vec<SiteId> {
+            self.0.crashable()
+        }
+
+        fn workload(&self, seed: u64) -> Option<Workload> {
+            self.0.workload(seed)
+        }
+
+        fn judge(&mut self, _: &Case) -> Option<String> {
+            Some("condemned".into())
+        }
+
+        fn replay(&mut self, case: &Case) -> Trace {
+            self.0.replay(case)
+        }
+    }
+
+    #[test]
+    fn a_planned_counterexample_carries_its_message_lines() {
+        // A store run keeps only its sites' notes unless it records; the
+        // replay behind a planned flight dump records, so the dump shows
+        // what the network did.
+        let topology = ShardTopology::uniform(6, 3, 2);
+        let campaign = Campaign::new(db_config(2, 7));
+        let report = campaign.drive(Condemned(planned(topology, CommitProtocol::HuangLi)));
+        assert_eq!(report.failures.len(), 2);
+        for f in &report.failures {
+            assert!(
+                f.flight.contains("\"kind\": \"send\"") && f.flight.contains("\"kind\": \"recv\""),
+                "a planned replay must keep its envelopes: {}",
+                f.flight
+            );
         }
     }
 

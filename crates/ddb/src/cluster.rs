@@ -15,8 +15,10 @@
 //! [`ShardNode`] per site, all in **one** simulation, so a single partition
 //! schedule or failure spec cuts across every replica group at once — and
 //! harvests one [`DbRun`]: the plans, the metrics, every site's final
-//! storage, WAL and decisions, and the per-shard, cross-shard and read
-//! reports. A flat run's one shard is its whole group.
+//! storage, WAL and decisions, the per-shard, cross-shard and read
+//! reports, and the trace: its sites' notes, or — asked for with
+//! [`Cluster::recording`] — every envelope, timer and fault beside them. A
+//! flat run's one shard is its whole group.
 //!
 //! ```
 //! use ptp_ddb::cluster::{CommitProtocol, ShardCluster};
@@ -39,7 +41,7 @@
 use crate::audit::SiteRemains;
 use crate::core::SiteCore;
 use crate::lease::LeaseConfig;
-use crate::node::{ShardNode, ShardNodeOpts};
+use crate::node::{RunLog, ShardNode, ShardNodeOpts};
 use crate::plan::{PlanTable, ShardReadSpec, ShardTxnSpec};
 use crate::site::{Metrics, ParticipantBuilder, ParticipantFactory, ReadPath, ReadSpec, TxnSpec};
 use crate::storage::Storage;
@@ -50,7 +52,7 @@ use ptp_model::Decision;
 use ptp_protocols::ProtocolKind;
 use ptp_simnet::{
     DegradeWindow, DelayModel, EnvelopeFault, FailureSpec, FaultPlan, NetConfig, PartitionEngine,
-    RunReport, Simulation, SiteId, Trace,
+    RunReport, SimScratch, Simulation, SiteId, Trace,
 };
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -135,6 +137,7 @@ pub struct Cluster<W> {
     pub config: NetConfig,
     workload: W,
     opts: ShardNodeOpts,
+    record: bool,
 }
 
 /// How a [`Cluster`] addresses its workload: by site ([`Flat`]) or by key
@@ -346,7 +349,18 @@ impl<W: Workload> Cluster<W> {
             config: NetConfig::default(),
             workload,
             opts: ShardNodeOpts::default(),
+            record: false,
         }
+    }
+
+    /// Records the whole simulator trace — every envelope, timer and fault
+    /// beside the sites' notes — as
+    /// [`RunOptions::recording`](ptp_protocols::RunOptions::recording) does
+    /// for a protocol session. Without it a run's [`DbRun::trace`] holds the
+    /// notes only, in the same order.
+    pub fn recording(mut self) -> Self {
+        self.record = true;
+        self
     }
 
     /// Sets the partition schedule.
@@ -386,7 +400,12 @@ impl<W: Workload> Cluster<W> {
     pub fn run(self) -> DbRun {
         let (plans, submissions, seed) = self.workload.lower();
         let plans = Arc::new(plans);
-        let net = SimNet { config: self.config, faults: self.faults, delay: self.delay };
+        let net = SimNet {
+            config: self.config,
+            faults: self.faults,
+            delay: self.delay,
+            record: self.record,
+        };
         let (sites, metrics, trace, report) =
             run_sites(plans.clone(), &submissions, seed, self.protocol, self.opts, net);
         let (shards, cross_shard) = aggregate(&plans, &metrics);
@@ -433,7 +452,8 @@ pub struct DbRun {
     pub reads: ReadReport,
     /// The compiled plans the sites ran.
     pub plans: Arc<PlanTable>,
-    /// Full network trace.
+    /// The sites' notes, in the order they were made; with
+    /// [`Cluster::recording`], the full simulator trace.
     pub trace: Trace,
     /// Simulator report.
     pub report: RunReport,
@@ -629,6 +649,9 @@ pub struct SimNet {
     pub faults: FaultPlan,
     /// Message delays.
     pub delay: DelayModel,
+    /// Whether the simulator records its whole trace; off, the run's trace
+    /// is its sites' notes.
+    pub record: bool,
 }
 
 /// The one driver: runs planned transactions to quiescence (or the
@@ -636,7 +659,8 @@ pub struct SimNet {
 /// with initial committed `(site, key, value)` data, each `(tick, txn)`
 /// submission armed at its plan's master (per master in slice order), all
 /// in **one** simulation over `net` — and hands back the site cores as it
-/// left them (in site order) beside the run's metrics, trace and report.
+/// left them (in site order) beside the run's metrics, trace (the sites'
+/// notes unless `net.record`) and report.
 /// [`Cluster::run`] harvests them; a test that needs a whole site calls
 /// this directly.
 pub fn run_sites(
@@ -661,7 +685,8 @@ pub fn run_sites(
         workloads[master.index()].push((at, txn));
     }
 
-    let metrics = Rc::new(RefCell::new(Metrics::default()));
+    let notes = (!net.record).then(Vec::new);
+    let log = Rc::new(RefCell::new(RunLog { metrics: Metrics::default(), notes }));
     let factory = ParticipantFactory::pooled(protocol.participant_builder());
     let actors: Vec<ShardNode> = seeds
         .into_iter()
@@ -672,7 +697,7 @@ pub fn run_sites(
                 SiteId(i as u16),
                 plans.clone(),
                 factory.clone(),
-                metrics.clone(),
+                log.clone(),
                 workload,
                 storage,
                 opts,
@@ -680,9 +705,13 @@ pub fn run_sites(
         })
         .collect();
 
-    let (actors, trace, report) = Simulation::new(net.config, actors, net.faults, &net.delay).run();
+    let mut scratch = SimScratch::new();
+    scratch.faults = net.faults;
+    let sim = Simulation::with_scratch(net.config, actors, &net.delay, net.record, scratch);
+    let (actors, trace, report) = sim.run();
     let sites = actors.into_iter().map(ShardNode::into_core).collect();
-    (sites, metrics.take(), trace, report)
+    let RunLog { metrics, notes } = log.take();
+    (sites, metrics, notes.map_or(trace, Trace::from), report)
 }
 
 #[cfg(test)]

@@ -5,8 +5,9 @@
 //! The host is thin. It lends the core the simulator's clock, network and
 //! timers (a [`TimerKey`] becomes the `u64` tag the trace shows), flushes
 //! the WAL on the spot (simulated stable storage is free), submits the
-//! workload from pre-loaded timers, and writes the shared [`Metrics`] and
-//! the trace notes from the core's [`SiteEvent`]s.
+//! workload from pre-loaded timers, and writes the run's [`RunLog`] — the
+//! shared [`Metrics`] and the sites' notes — from the core's
+//! [`SiteEvent`]s.
 
 use crate::core::{Host, Hosted, SiteCore, SiteEvent, TimerKey, Via};
 use crate::plan::PlanTable;
@@ -16,7 +17,7 @@ use crate::value::{IdMap, TxnId};
 use crate::wal::Wal;
 use ptp_model::Decision;
 use ptp_protocols::api::TimerTag;
-use ptp_simnet::{Actor, Ctx, Envelope, SimDuration, SiteId, TimerHandle};
+use ptp_simnet::{Actor, Ctx, Envelope, SimDuration, SiteId, TimerHandle, TraceEvent};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -52,10 +53,22 @@ fn encode(key: TimerKey) -> u64 {
     }
 }
 
+/// What a run's sites write as they go, shared by every [`ShardNode`] of
+/// the run.
+#[derive(Debug, Default)]
+pub struct RunLog {
+    /// Decisions, submissions, lock-hold intervals, served reads.
+    pub metrics: Metrics,
+    /// Every note the sites made, in the order they made it — `None` when
+    /// the simulator records the whole trace, where the notes land beside
+    /// the envelopes and timers.
+    pub notes: Option<Vec<TraceEvent>>,
+}
+
 /// The core's environment during one handler call.
 struct SimHost<'a, 'c> {
     ctx: &'a mut Ctx<'c, DbMsg>,
-    metrics: &'a RefCell<Metrics>,
+    log: &'a RefCell<RunLog>,
     timers: &'a mut IdMap<u64, TimerHandle>,
     holds: &'a mut IdMap<TxnId, usize>,
 }
@@ -92,26 +105,27 @@ impl Host for SimHost<'_, '_> {
         true
     }
 
-    /// Writes the event's metrics, then its trace note.
+    /// Writes the event's metrics, then its note.
     fn event(&mut self, event: SiteEvent) {
         let (now, me) = (self.ctx.now(), self.ctx.me());
-        let mut m = self.metrics.borrow_mut();
-        let (label, txn) = match event {
+        let mut log = self.log.borrow_mut();
+        let RunLog { metrics: m, notes } = &mut *log;
+        let (label, detail) = match event {
             SiteEvent::Submitted { txn, read: false } => {
                 m.submitted.insert(txn, now);
-                ("txn-submitted", txn)
+                ("txn-submitted", txn.0 as u64)
             }
             SiteEvent::Submitted { txn, read: true } => {
                 m.reads_submitted.insert(txn, now);
-                ("read-submitted", txn)
+                ("read-submitted", txn.0 as u64)
             }
-            SiteEvent::LockWait { txn, work } => (work, txn),
+            SiteEvent::LockWait { txn, work } => (work, txn.0 as u64),
             SiteEvent::LocksHeld { txn } => {
                 self.holds.insert(txn, m.lock_holds.len());
                 return m.lock_holds.push(LockHold { site: me, txn, from: now, to: None });
             }
             SiteEvent::Decided { .. } => return,
-            SiteEvent::Completed { txn, via: Via::Sync, .. } => ("sync-installed", txn),
+            SiteEvent::Completed { txn, via: Via::Sync, .. } => ("sync-installed", txn.0 as u64),
             SiteEvent::Completed { txn, decision, via, .. } => {
                 m.decisions.entry(txn).or_default().insert(me.0, (decision, now));
                 match (via, decision) {
@@ -120,10 +134,10 @@ impl Host for SimHost<'_, '_> {
                         // the replica never voted, so the interval records
                         // contention only.
                         m.lock_holds.push(LockHold { site: me, txn, from: now, to: Some(now) });
-                        ("shard-applied", txn)
+                        ("shard-applied", txn.0 as u64)
                     }
-                    (Via::Ship | Via::Replay, Decision::Abort) => ("shard-aborted", txn),
-                    (Via::ParkedAbort, _) => ("parked-abort", txn),
+                    (Via::Ship | Via::Replay, Decision::Abort) => ("shard-aborted", txn.0 as u64),
+                    (Via::ParkedAbort, _) => ("parked-abort", txn.0 as u64),
                     _ => {
                         if let Some(hold) = self.holds.remove(&txn) {
                             m.lock_holds[hold].to = Some(now);
@@ -134,26 +148,30 @@ impl Host for SimHost<'_, '_> {
             }
             SiteEvent::ReadServed { txn, path, values } => {
                 m.reads.push(ReadRecord { id: txn, site: me, at: now, path, values });
-                ("read-served", txn)
+                ("read-served", txn.0 as u64)
             }
-            SiteEvent::ReadAborted { txn, parked: true, .. } => ("read-parked-abort", txn),
+            SiteEvent::ReadAborted { txn, parked: true, .. } => ("read-parked-abort", txn.0 as u64),
             SiteEvent::ReadAborted { txn, coordinator, .. } => {
                 if coordinator {
                     m.read_aborts.insert(txn, now);
                 }
-                ("read-aborted", txn)
+                ("read-aborted", txn.0 as u64)
             }
-            SiteEvent::Recovered(txns) => return self.ctx.note("recovered", txns as u64),
-            SiteEvent::Note(label, detail) => return self.ctx.note(label, detail),
+            SiteEvent::Recovered(txns) => ("recovered", txns as u64),
+            SiteEvent::Note(label, detail) => (label, detail),
         };
-        self.ctx.note(label, txn.0 as u64);
+        // The simulator counts the note, and keeps it when it records.
+        self.ctx.note(label, detail);
+        if let Some(notes) = notes {
+            notes.push(TraceEvent::Note { at: now, site: me, label, detail });
+        }
     }
 }
 
 /// A simulated database site.
 pub struct ShardNode {
     core: SiteCore,
-    metrics: Rc<RefCell<Metrics>>,
+    log: Rc<RefCell<RunLog>>,
     /// Transactions this site submits (it is their plan's master): `(tick,
     /// txn)` in submission order. Includes read-only transactions — the
     /// plan table tells them apart.
@@ -174,7 +192,7 @@ impl ShardNode {
         me: SiteId,
         plans: Arc<PlanTable>,
         factory: ParticipantFactory,
-        metrics: Rc<RefCell<Metrics>>,
+        log: Rc<RefCell<RunLog>>,
         workload: Vec<(u64, TxnId)>,
         storage: Storage,
         opts: ShardNodeOpts,
@@ -184,7 +202,7 @@ impl ShardNode {
             "a transaction is submitted away from its master"
         );
         let core = SiteCore::new(me, plans, factory, storage, opts);
-        ShardNode { core, metrics, workload, timers: IdMap::default(), holds: IdMap::default() }
+        ShardNode { core, log, workload, timers: IdMap::default(), holds: IdMap::default() }
     }
 
     /// The hosted core, to inspect and take apart after the run.
@@ -194,8 +212,8 @@ impl ShardNode {
 
     /// Runs `call` on the core, hosted for this handler.
     fn hosted(&mut self, ctx: &mut Ctx<'_, DbMsg>, call: impl FnOnce(Hosted<'_, SimHost<'_, '_>>)) {
-        let ShardNode { core, metrics, timers, holds, .. } = self;
-        call(core.with(&mut SimHost { ctx, metrics, timers, holds }));
+        let ShardNode { core, log, timers, holds, .. } = self;
+        call(core.with(&mut SimHost { ctx, log, timers, holds }));
     }
 }
 
@@ -237,7 +255,7 @@ impl Actor<DbMsg> for ShardNode {
     /// blocked-lock accounting. Pure metrics bookkeeping; the state itself
     /// is torn down in [`Hosted::recover`].
     fn on_crash(&mut self, ctx: &mut Ctx<'_, DbMsg>) {
-        let mut m = self.metrics.borrow_mut();
+        let m = &mut self.log.borrow_mut().metrics;
         // Every hold ends at the same instant: the map's order is not read.
         for (_, hold) in std::mem::take(&mut self.holds) {
             m.lock_holds[hold].to = Some(ctx.now());

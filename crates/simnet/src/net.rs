@@ -1238,4 +1238,45 @@ mod tests {
         let (_, trace, _) = sim.run();
         assert_eq!(trace.first_note(SiteId(0), "hello"), Some((SimTime(0), 42)));
     }
+
+    #[test]
+    fn an_unrecorded_run_counts_its_notes_as_a_recorded_one_does() {
+        /// Notes at start, on every delivery and on its one timer.
+        struct Chatty;
+        impl Actor<&'static str> for Chatty {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, &'static str>) {
+                ctx.note("start", ctx.me().0 as u64);
+                ctx.set_timer(SimDuration(250), 7);
+                if ctx.me() == SiteId(0) {
+                    ctx.send(SiteId(1), "ping");
+                }
+            }
+            fn on_message(&mut self, env: Envelope<&'static str>, ctx: &mut Ctx<'_, &'static str>) {
+                ctx.note("got", env.id.0);
+                if env.payload == "ping" {
+                    ctx.send(env.src, "pong");
+                }
+            }
+            fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, &'static str>) {
+                ctx.note("timer", tag);
+            }
+        }
+        let run = |record: bool| {
+            let sim = Simulation::with_scratch(
+                NetConfig::default(),
+                vec![Chatty, Chatty],
+                &DelayModel::Fixed(100),
+                record,
+                SimScratch::new(),
+            );
+            let (_, trace, report) = sim.run();
+            (trace, report)
+        };
+        let ((recorded, full), (unrecorded, quiet)) = (run(true), run(false));
+        assert!(unrecorded.is_empty());
+        assert_eq!(quiet.counters, full.counters);
+        assert_eq!(quiet.events, full.events);
+        let notes = recorded.events().iter().filter(|e| matches!(e, TraceEvent::Note { .. }));
+        assert_eq!((full.counters.notes, notes.count()), (6, 6));
+    }
 }

@@ -117,6 +117,23 @@ pub struct Trace {
     events: Vec<TraceEvent>,
 }
 
+/// A trace of events logged elsewhere — a host that keeps only its sites'
+/// notes builds its run's trace from them — kept in the given order.
+///
+/// ```
+/// use ptp_simnet::{SimTime, SiteId, Trace, TraceEvent};
+///
+/// let note = |at, detail| TraceEvent::Note { at: SimTime(at), site: SiteId(1), label: "voted", detail };
+/// let trace = Trace::from(vec![note(12, 1), note(30, 0)]);
+/// assert_eq!(trace.len(), 2);
+/// assert_eq!(trace.first_note(SiteId(1), "voted"), Some((SimTime(12), 1)));
+/// ```
+impl From<Vec<TraceEvent>> for Trace {
+    fn from(events: Vec<TraceEvent>) -> Trace {
+        Trace { events }
+    }
+}
+
 impl Trace {
     pub(crate) fn push(&mut self, ev: TraceEvent) {
         self.events.push(ev);

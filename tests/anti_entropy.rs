@@ -107,13 +107,13 @@ fn without_anti_entropy_the_stranded_replica_stays_diverged() {
 fn anti_entropy_goes_silent_once_converged() {
     // Post-convergence, every sync request is answered with silence (no
     // response message at all) — the chain must not generate steady-state
-    // traffic. Count sync responses in the trace: at least one (the
+    // traffic. Count sync responses in the recorded trace: at least one (the
     // catch-up), then none in the tail of the run.
     let topo = ShardTopology::uniform(4, 2, 2);
     let (k0, k1) = (key_in(&topo, 0), key_in(&topo, 1));
     let replica = topo.group(1)[1];
 
-    let run = stranded_replica_cluster(&topo, &k0, &k1).anti_entropy(3_000).run();
+    let run = stranded_replica_cluster(&topo, &k0, &k1).anti_entropy(3_000).recording().run();
     let responses: Vec<SimTime> = run
         .trace
         .events()

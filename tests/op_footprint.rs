@@ -63,6 +63,7 @@ fn a_finished_transaction_leaves_a_site_its_decision_and_a_commit_id() {
         config: NetConfig { max_time: horizon, ..NetConfig::default() },
         faults: FaultPlan::default(),
         delay: DelayModel::Fixed(700),
+        record: false,
     };
 
     let (sites, metrics, trace, report) = run_sites(

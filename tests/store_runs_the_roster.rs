@@ -18,7 +18,7 @@
 //! The flat store is in turn the one-shard store: a `DbCluster` whose every
 //! site stages every key runs, event for event, what a `ShardCluster` over
 //! one shard replicated at every site runs for the same key-addressed
-//! transactions.
+//! transactions (whole recorded traces compared).
 
 use ptp_core::ddb::cluster::{CommitProtocol, DbCluster, ShardCluster};
 use ptp_core::ddb::plan::ShardTxnSpec;
@@ -119,7 +119,7 @@ fn the_flat_store_is_the_one_shard_store_bit_for_bit() {
                         flat = flat.submit(at, TxnSpec { id: TxnId(i), writes: per_site });
                         sharded = sharded.submit(at, ShardTxnSpec { id: TxnId(i), writes });
                     }
-                    let (flat, sharded) = (flat.run(), sharded.run());
+                    let (flat, sharded) = (flat.recording().run(), sharded.recording().run());
 
                     let tag = format!("{} n={n} {delay:?} cut={cut:?}", protocol.name());
                     assert!(flat.metrics == sharded.metrics, "{tag}: metrics");
