@@ -18,11 +18,12 @@
 //! so a failure report's `(seed, index)` pair replays bit-for-bit.
 //!
 //! The default fault family stays inside the paper's model for the
-//! Huang–Li protocols: two-group partitions with heals and degraded-delay
-//! windows (delays still bounded by `T`). Site crashes are opt-in
-//! ([`CampaignConfig::crashes`]), only at sites that master no shard (a
-//! crashed coordinator is outside the model). The family is one rule, which
-//! the sampler draws through and the shrinker filters its candidates by:
+//! Huang–Li protocols: two-group partitions with heals, degraded-delay
+//! windows (delays still bounded by `T`) and envelope duplicates. Site
+//! crashes are the one opt-in class ([`CampaignConfig::crashes`]), only at
+//! sites that master no shard (a crashed coordinator is outside the
+//! model). The family is one rule, which the sampler draws through and the
+//! shrinker filters its candidates by:
 //!
 //! > at most one two-group partition; a crash only in full connectivity;
 //! > and no crash from the partition's onset until 6·`T` after its heal.
@@ -83,12 +84,9 @@ pub struct CampaignConfig {
     /// The campaign seed; every timeline derives deterministically from it.
     pub seed: u64,
     /// Sample crash/recover pairs of sites that master nothing, under the
-    /// family's crash rule (see the module docs).
+    /// family's crash rule (see the module docs). Degraded-delay windows
+    /// (bands within `T`) and envelope duplicates are always sampled.
     pub crashes: bool,
-    /// Sample degraded-delay windows (bands stay within `T`).
-    pub degrades: bool,
-    /// Sample envelope-duplication faults.
-    pub duplicates: bool,
 }
 
 impl CampaignConfig {
@@ -96,15 +94,7 @@ impl CampaignConfig {
     /// envelope duplicates — everything the Huang–Li protocols are designed
     /// to survive, so an audited failure is a real finding.
     pub fn safe(kind: ProtocolKind, n: usize, timelines: usize, seed: u64) -> CampaignConfig {
-        CampaignConfig {
-            kind,
-            n,
-            timelines,
-            seed,
-            crashes: false,
-            degrades: true,
-            duplicates: true,
-        }
+        CampaignConfig { kind, n, timelines, seed, crashes: false }
     }
 }
 
@@ -538,19 +528,19 @@ impl Campaign {
                     }
                     None => None,
                 },
-                2 if cfg.degrades => {
+                2 => {
                     let min = rng.gen_range(1..=900);
                     let max = rng.gen_range(min..=1000);
                     Some(TimelineEvent::Degrade { min, max })
                 }
-                3 if cfg.duplicates => {
+                3 => {
                     const KINDS: [&str; 5] = ["xact", "yes", "prepare", "ack", "commit"];
                     let kind = KINDS[rng.gen_range(0..=(KINDS.len() - 1) as u64) as usize];
                     let after = SimDuration(rng.gen_range(100..=1500));
                     env_faults.push(EnvelopeFault::duplicate(EnvelopeMatch::kind(kind), after));
                     None
                 }
-                _ => None, // the sampled fault class is disabled: empty slot
+                _ => None, // crashes off, or the family admits no such event: empty slot
             };
             if let Some(event) = event.map(|event| TimedEvent { at: t, event }) {
                 assert!(family.admits(&event), "the sampler drew outside its family: {event:?}");
@@ -1031,13 +1021,10 @@ mod tests {
         assert!(judged.iter().all(Family::admits_all), "the shrinker left the family");
     }
 
-    /// Partitions + crashes only, as the retired flat-database read audit
-    /// sampled.
+    /// The safe family with crashes armed.
     fn db_config(timelines: usize, seed: u64) -> CampaignConfig {
         let mut config = CampaignConfig::safe(ProtocolKind::HuangLi3pc, 4, timelines, seed);
         config.crashes = true;
-        config.degrades = false;
-        config.duplicates = false;
         config
     }
 

@@ -6,7 +6,7 @@
 //! slab and the fault plan's group and list buffers, for every subsequent run.
 //! The sweep engine runs each worker's grid cells through one session, so
 //! the steady-state hot path performs no per-cell cluster construction, no
-//! `Box<dyn Participant>` allocation, and no G1/G2 vector rebuilds.
+//! per-site allocation, and no G1/G2 vector rebuilds.
 //!
 //! A single scenario is `Session::new(kind, scenario.n).run(&scenario)`.
 //!

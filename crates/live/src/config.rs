@@ -21,25 +21,28 @@ pub enum KeySkew {
 /// Group-commit and coalescing windows.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
-    /// `true` enables group-commit WAL flushing and protocol-message
-    /// coalescing; `false` mirrors the simulator's flush points exactly
-    /// (force-write per record, one channel send per message).
-    pub enabled: bool,
     /// The batch window: at most one WAL flush and one coalesced send per
-    /// destination per window.
+    /// destination per window. Zero turns batching off.
     pub window: Duration,
 }
 
 impl BatchConfig {
     /// Batching off: per-record force writes, per-message sends.
     pub fn off() -> BatchConfig {
-        BatchConfig { enabled: false, window: Duration::ZERO }
+        BatchConfig { window: Duration::ZERO }
     }
 
     /// Batching on with the given window.
     pub fn on(window: Duration) -> BatchConfig {
         assert!(!window.is_zero(), "a batch window must have positive length");
-        BatchConfig { enabled: true, window }
+        BatchConfig { window }
+    }
+
+    /// Whether group-commit WAL flushing and protocol-message coalescing
+    /// are on; off mirrors the simulator's flush points exactly
+    /// (force-write per record, one channel send per message).
+    pub fn enabled(&self) -> bool {
+        !self.window.is_zero()
     }
 }
 
@@ -180,9 +183,6 @@ impl LiveOptions {
         assert!(self.keys_per_shard >= 1);
         if let KeySkew::HotKey { hot_fraction } = self.skew {
             assert!((0.0..=1.0).contains(&hot_fraction));
-        }
-        if self.batch.enabled {
-            assert!(!self.batch.window.is_zero());
         }
         if let Some(lease) = self.lease {
             assert!(

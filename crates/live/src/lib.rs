@@ -470,7 +470,7 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
         flushes: reports.iter().map(|r| r.counters.flushes).sum(),
         channel_sends: reports.iter().map(|r| r.counters.channel_sends).sum(),
         protocol_messages: reports.iter().map(|r| r.counters.protocol_messages).sum(),
-        batching: opts.batch.enabled,
+        batching: opts.batch.enabled(),
         lease_reads: reports.iter().map(|r| r.counters.reads_lease).sum(),
         lock_reads: reports.iter().map(|r| r.counters.reads_local).sum(),
         sync_installs: reports.iter().map(|r| r.counters.sync_installs).sum(),

@@ -196,7 +196,7 @@ impl Host for ThreadHost {
         if let Some(span) = self.spans.get_mut(&msg.txn) {
             span.rounds += 1;
         }
-        if self.batch.enabled {
+        if self.batch.enabled() {
             self.outbuf[dst.index()].push(msg);
         } else {
             self.counters.channel_sends += 1;
@@ -213,7 +213,7 @@ impl Host for ThreadHost {
     }
 
     fn flush(&mut self, wal: &mut Wal) -> bool {
-        if self.batch.enabled {
+        if self.batch.enabled() {
             return false; // the window tick flushes
         }
         self.spin_flush();
@@ -364,14 +364,14 @@ impl LiveNode {
         loop {
             let now = self.host.now();
             self.fire_due_timers(now);
-            if self.host.batch.enabled && now >= next_tick {
+            if self.host.batch.enabled() && now >= next_tick {
                 if !self.host.crashed {
                     self.window_tick();
                 }
                 next_tick = now + window;
             }
             let mut wake = self.host.timers.next_deadline().unwrap_or(now + 20_000_000);
-            if self.host.batch.enabled {
+            if self.host.batch.enabled() {
                 wake = wake.min(next_tick);
             }
             match inbox.recv_timeout(Duration::from_nanos(wake.saturating_sub(now))) {
@@ -404,7 +404,7 @@ impl LiveNode {
                 Ok(_) | Err(RecvTimeoutError::Timeout) => {}
             }
         }
-        if self.host.batch.enabled && !self.host.crashed {
+        if self.host.batch.enabled() && !self.host.crashed {
             self.window_tick();
         }
         let (host, in_flight_at_shutdown) = (self.host, self.core.in_flight());

@@ -60,7 +60,8 @@ pub use router::{host_time, Inbound, LiveConfig, LivePartition, Outbound, Router
 pub use timers::Timers;
 
 use ptp_model::Decision;
-use ptp_protocols::api::{CommitMsg, Participant};
+use ptp_protocols::api::CommitMsg;
+use ptp_protocols::AnyParticipant;
 use ptp_simnet::{FaultPlan, Payload, SiteId};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -105,13 +106,10 @@ impl LiveOutcome {
 }
 
 /// Runs the participants (site `i` = `participants[i]`, site 0 the master)
-/// on threads until everyone decides or `config.run_timeout` elapses.
-///
-/// Generic over the participant type: boxed `Vec<Box<dyn Participant>>`
-/// clusters and enum-dispatched `Vec<ptp_protocols::AnyParticipant>` ones
-/// (from [`ptp_protocols::ProtocolKind::cluster`]) both work.
-pub fn run_live<P: Participant + 'static>(
-    participants: Vec<P>,
+/// on threads until everyone decides or `config.run_timeout` elapses. The
+/// cluster is the roster's ([`ptp_protocols::ProtocolKind::cluster`]).
+pub fn run_live(
+    participants: Vec<AnyParticipant>,
     config: LiveConfig,
     partition: Option<LivePartition>,
 ) -> LiveOutcome {
@@ -126,8 +124,8 @@ pub fn run_live<P: Participant + 'static>(
 /// processing messages and timers; if it recovers it resumes with its
 /// protocol state intact (the livenet harness models the network-level
 /// message loss, not WAL recovery, which lives in `ptp-live`).
-pub fn run_live_plan<P: Participant + 'static>(
-    participants: Vec<P>,
+pub fn run_live_plan(
+    participants: Vec<AnyParticipant>,
     config: LiveConfig,
     faults: FaultPlan,
 ) -> LiveOutcome {
@@ -204,14 +202,13 @@ pub fn run_live_plan<P: Participant + 'static>(
 mod tests {
     use super::*;
     use ptp_protocols::api::Vote;
-    use ptp_protocols::{AnyParticipant, ProtocolKind};
+    use ptp_protocols::ProtocolKind;
     use ptp_simnet::FailureSpec;
 
     fn cfg() -> LiveConfig {
         LiveConfig::with_t(Duration::from_millis(8))
     }
 
-    // Enum-dispatched cluster: the live threads run without a single box.
     fn hl_cluster(n: usize) -> Vec<AnyParticipant> {
         ProtocolKind::HuangLi3pc.cluster(n, &vec![Vote::Yes; n - 1])
     }

@@ -1,18 +1,19 @@
-//! The per-site thread: drives one [`Participant`] with real messages and
+//! The per-site thread: drives one protocol site with real messages and
 //! real timers.
 
 use crate::router::{Inbound, LiveConfig, Outbound};
 use crate::timers::Timers;
 use ptp_model::Decision;
 use ptp_protocols::api::{Action, CommitMsg, Participant, TimerTag};
+use ptp_protocols::AnyParticipant;
 use ptp_simnet::SiteId;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
-pub(crate) struct SiteRunner<P: Participant> {
+pub(crate) struct SiteRunner {
     me: SiteId,
     n: usize,
-    participant: P,
+    participant: AnyParticipant,
     inbox: Receiver<Inbound<CommitMsg>>,
     router: Sender<Outbound<CommitMsg>>,
     done: Sender<(SiteId, Decision)>,
@@ -24,18 +25,20 @@ pub(crate) struct SiteRunner<P: Participant> {
     /// Down right now: ignore traffic, discard due timers (the router
     /// drops this site's messages too — see `Router::run`).
     crashed: bool,
+    /// The action buffer every handler writes into, drained by `apply`.
+    pending: Vec<Action>,
 }
 
-impl<P: Participant> SiteRunner<P> {
+impl SiteRunner {
     pub(crate) fn new(
         me: SiteId,
         n: usize,
-        participant: P,
+        participant: AnyParticipant,
         inbox: Receiver<Inbound<CommitMsg>>,
         router: Sender<Outbound<CommitMsg>>,
         done: Sender<(SiteId, Decision)>,
         config: LiveConfig,
-    ) -> SiteRunner<P> {
+    ) -> SiteRunner {
         SiteRunner {
             me,
             n,
@@ -48,6 +51,7 @@ impl<P: Participant> SiteRunner<P> {
             timers: Timers::default(),
             decided: None,
             crashed: false,
+            pending: Vec::new(),
         }
     }
 
@@ -56,8 +60,16 @@ impl<P: Participant> SiteRunner<P> {
         self.started.elapsed().as_nanos() as u64
     }
 
-    fn apply(&mut self, actions: Vec<Action>) {
-        for action in actions {
+    /// Runs one handler into the reused buffer and applies what it asked for.
+    fn dispatch(&mut self, f: impl FnOnce(&mut AnyParticipant, &mut Vec<Action>)) {
+        let mut out = std::mem::take(&mut self.pending);
+        f(&mut self.participant, &mut out);
+        self.apply(&mut out);
+        self.pending = out;
+    }
+
+    fn apply(&mut self, actions: &mut Vec<Action>) {
+        for action in actions.drain(..) {
             match action {
                 Action::Send { to, msg } => {
                     let _ = self.router.send(Outbound { src: self.me, dst: to, msg });
@@ -90,9 +102,7 @@ impl<P: Participant> SiteRunner<P> {
     fn fire_due_timers(&mut self, now: u64) {
         while let Some(tag) = self.timers.pop_due(now) {
             if !self.crashed {
-                let mut actions = Vec::new();
-                self.participant.on_timer(tag, &mut actions);
-                self.apply(actions);
+                self.dispatch(|p, out| p.on_timer(tag, out));
             }
         }
     }
@@ -100,9 +110,7 @@ impl<P: Participant> SiteRunner<P> {
     /// Runs until the inbox closes. Continues after deciding so peers can
     /// still be answered (e.g. quorum state requests).
     pub(crate) fn run(mut self) {
-        let mut out = Vec::new();
-        self.participant.start(&mut out);
-        self.apply(out);
+        self.dispatch(|p, out| p.start(out));
 
         loop {
             let now = self.now();
@@ -110,14 +118,10 @@ impl<P: Participant> SiteRunner<P> {
             let wake = self.timers.next_deadline().unwrap_or(now + 50_000_000);
             match self.inbox.recv_timeout(Duration::from_nanos(wake.saturating_sub(now))) {
                 Ok(Inbound::Deliver { src, msg }) if !self.crashed => {
-                    let mut actions = Vec::new();
-                    self.participant.on_msg(src, &msg, &mut actions);
-                    self.apply(actions);
+                    self.dispatch(|p, out| p.on_msg(src, &msg, out));
                 }
                 Ok(Inbound::Undeliverable { original_dst, msg }) if !self.crashed => {
-                    let mut actions = Vec::new();
-                    self.participant.on_ud(original_dst, &msg, &mut actions);
-                    self.apply(actions);
+                    self.dispatch(|p, out| p.on_ud(original_dst, &msg, out));
                 }
                 Ok(Inbound::Crash) => self.crashed = true,
                 Ok(Inbound::Recover) => self.crashed = false,

@@ -175,32 +175,6 @@ pub trait Participant: Send {
     fn reset(&mut self, vote: Vote);
 }
 
-/// Boxed participants delegate, so heterogeneous `Box<dyn Participant>`
-/// clusters keep working wherever a `P: Participant` is expected.
-impl Participant for Box<dyn Participant> {
-    fn start(&mut self, out: &mut Vec<Action>) {
-        (**self).start(out);
-    }
-    fn on_msg(&mut self, from: SiteId, msg: &CommitMsg, out: &mut Vec<Action>) {
-        (**self).on_msg(from, msg, out);
-    }
-    fn on_ud(&mut self, original_dst: SiteId, msg: &CommitMsg, out: &mut Vec<Action>) {
-        (**self).on_ud(original_dst, msg, out);
-    }
-    fn on_timer(&mut self, tag: TimerTag, out: &mut Vec<Action>) {
-        (**self).on_timer(tag, out);
-    }
-    fn decision(&self) -> Option<Decision> {
-        (**self).decision()
-    }
-    fn state_name(&self) -> &'static str {
-        (**self).state_name()
-    }
-    fn reset(&mut self, vote: Vote) {
-        (**self).reset(vote);
-    }
-}
-
 /// How a slave votes when the transaction arrives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Vote {

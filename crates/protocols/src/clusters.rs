@@ -4,10 +4,10 @@
 //! [`ProtocolKind::cluster`]. What is left here is what no kind describes:
 //! [`fsa_cluster_any`] interprets any spec under any augmentation (Lemma 3's
 //! 4096 of them), [`huang_li_3pc_cluster_with_timing_any`] stretches the
-//! paper's timer constants (Fig. 5), and [`huang_li_3pc_cluster`] boxes the
-//! paper's protocol for embeddings that want trait objects.
+//! paper's timer constants (Fig. 5), and [`huang_li_3pc_cluster`] names the
+//! paper's protocol by its termination variant.
 
-use crate::api::{Participant, Vote};
+use crate::api::Vote;
 use crate::dispatch::AnyParticipant;
 use crate::interp::FsaParticipant;
 use crate::kind::ProtocolKind;
@@ -35,17 +35,18 @@ pub fn fsa_cluster_any(
 }
 
 /// The paper's protocol (modified 3PC with the termination protocol, in
-/// `variant`) as boxed trait objects: [`ProtocolKind::cluster`], boxed.
+/// `variant`): the roster's [`ProtocolKind::HuangLi3pc`] or
+/// [`ProtocolKind::HuangLi3pcStatic`] cluster.
 pub fn huang_li_3pc_cluster(
     n: usize,
     votes: &[Vote],
     variant: TerminationVariant,
-) -> Vec<Box<dyn Participant>> {
+) -> Vec<AnyParticipant> {
     let kind = match variant {
         TerminationVariant::Transient => ProtocolKind::HuangLi3pc,
         TerminationVariant::Static => ProtocolKind::HuangLi3pcStatic,
     };
-    kind.cluster(n, votes).into_iter().map(AnyParticipant::boxed).collect()
+    kind.cluster(n, votes)
 }
 
 /// The paper's protocol with non-default timer constants — used by the
@@ -71,6 +72,7 @@ pub fn huang_li_3pc_cluster_with_timing_any(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Participant;
     use crate::outcome::{SiteOutcome, Verdict};
     use crate::runner::ClusterRunner;
     use ptp_simnet::{DelayModel, NetConfig, PartitionEngine, PartitionSpec, SimTime, Trace};
@@ -129,21 +131,21 @@ mod tests {
     }
 
     #[test]
-    fn boxed_cluster_is_the_rosters_in_either_variant() {
+    fn huang_li_3pc_cluster_is_the_rosters_in_either_variant() {
         let parts = huang_li_3pc_cluster(4, &[Vote::Yes; 3], TerminationVariant::Transient);
         assert_eq!(parts.len(), 4);
         assert_eq!(parts[0].state_name(), "w1");
         assert_eq!(parts[1].state_name(), "q");
-        let run = |parts: Vec<Box<dyn Participant>>| {
+        let run = |parts: Vec<AnyParticipant>| {
             run_split(parts, vec![SiteId(2)], &DelayModel::Fixed(900)).0
         };
         for (variant, kind) in [
             (TerminationVariant::Transient, ProtocolKind::HuangLi3pc),
             (TerminationVariant::Static, ProtocolKind::HuangLi3pcStatic),
         ] {
-            let boxed = huang_li_3pc_cluster(3, &[Vote::Yes; 2], variant);
-            let roster = kind.cluster(3, &[Vote::Yes; 2]).into_iter().map(AnyParticipant::boxed);
-            assert_eq!(run(boxed), run(roster.collect()), "{variant:?}");
+            let named = huang_li_3pc_cluster(3, &[Vote::Yes; 2], variant);
+            let roster = kind.cluster(3, &[Vote::Yes; 2]);
+            assert_eq!(run(named), run(roster), "{variant:?}");
         }
     }
 }

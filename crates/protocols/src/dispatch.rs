@@ -1,13 +1,13 @@
 //! Enum dispatch over the concrete participant types.
 //!
-//! `Box<dyn Participant>` clusters pay one heap allocation per site and a
-//! vtable call per event. Every protocol in this workspace is built from
-//! four concrete state machines, so a closed enum covers them all:
-//! [`AnyParticipant`] stores the participant inline (a `Vec<AnyParticipant>`
-//! is one flat allocation) and forwards each trait method through a `match`
-//! whose arms are statically dispatched — the sweep hot path never touches
-//! a vtable. The `ptp_core::Session` cluster is a
-//! [`crate::runner::ClusterRunner`]`<AnyParticipant>`.
+//! Every protocol in this workspace is built from four concrete state
+//! machines, so a closed enum covers them all: [`AnyParticipant`] stores the
+//! participant inline (a `Vec<AnyParticipant>` is one flat allocation) and
+//! forwards each trait method through a `match` whose arms are statically
+//! dispatched — no heap allocation per site and no vtable call per event.
+//! The `ptp_core::Session` cluster is a
+//! [`crate::runner::ClusterRunner`]`<AnyParticipant>`, and the thread
+//! runtime (`ptp-livenet`) runs the same vector.
 
 use crate::api::{Action, CommitMsg, Participant, TimerTag, Vote};
 use crate::interp::FsaParticipant;
@@ -39,19 +39,6 @@ macro_rules! each {
             AnyParticipant::Quorum($p) => $body,
         }
     };
-}
-
-impl AnyParticipant {
-    /// Re-boxes into the historical trait-object form (for APIs that still
-    /// take `Vec<Box<dyn Participant>>`).
-    pub fn boxed(self) -> Box<dyn Participant> {
-        match self {
-            AnyParticipant::Fsa(p) => Box::new(p),
-            AnyParticipant::Master(p) => Box::new(p),
-            AnyParticipant::Slave(p) => Box::new(p),
-            AnyParticipant::Quorum(p) => Box::new(p),
-        }
-    }
 }
 
 impl Participant for AnyParticipant {
@@ -122,14 +109,5 @@ mod tests {
         s.reset(Vote::No);
         assert_eq!(s.state_name(), "q");
         assert_eq!(s.decision(), None);
-    }
-
-    #[test]
-    fn boxed_round_trip_behaves() {
-        let m: AnyParticipant = TerminationMaster::new(&MODIFIED_THREE_PHASE, 3).into();
-        let mut boxed = m.boxed();
-        let mut out = Vec::new();
-        boxed.start(&mut out);
-        assert_eq!(boxed.state_name(), "w1");
     }
 }

@@ -23,7 +23,7 @@
 use crate::api::Vote;
 use crate::dispatch::AnyParticipant;
 use crate::interp::FsaParticipant;
-use crate::quorum::{QuorumConfig, QuorumSite};
+use crate::quorum::QuorumSite;
 use crate::termination::{TerminationMaster, TerminationSlave, TerminationVariant};
 use ptp_model::protocols::{
     ProtocolShape, EXTENDED_TWO_PHASE, FOUR_PHASE, MODIFIED_THREE_PHASE, THREE_PHASE, TWO_PHASE,
@@ -122,9 +122,9 @@ impl ProtocolKind {
             ProtocolKind::HuangLi4pc => {
                 termination_builder(&FOUR_PHASE, TerminationVariant::Transient)
             }
-            ProtocolKind::QuorumMajority => Rc::new(|site, n, vote| {
-                QuorumSite::new(QuorumConfig::majority(n), site, vote).into()
-            }),
+            ProtocolKind::QuorumMajority => {
+                Rc::new(|site, n, vote| QuorumSite::new(n, site, vote).into())
+            }
         }
     }
 

@@ -21,7 +21,7 @@
 //! size, [`ProtocolKind::cluster`] for a whole flat, enum-dispatched
 //! [`AnyParticipant`] vector — see [`dispatch`]), for the simulator, the
 //! database and the tests alike; [`clusters`] keeps the few clusters no
-//! kind names (any FSA augmentation, stretched timers, a boxed form).
+//! kind names (any FSA augmentation, stretched timers).
 //! [`runner::ClusterRunner`] is the one execution harness: build it once,
 //! then reset, write its fault plan and run, as often as needed
 //! (`ptp_core::Session` wraps it, and is how a scenario runs);
@@ -71,6 +71,5 @@ pub use dispatch::AnyParticipant;
 pub use kind::{ProtocolKind, SiteBuilder};
 pub use options::RunOptions;
 pub use outcome::{SiteOutcome, Verdict};
-pub use quorum::QuorumConfig;
 pub use runner::ClusterRunner;
 pub use termination::{TerminationMaster, TerminationSlave, TerminationVariant};

@@ -11,10 +11,11 @@
 //! * aborts if it can see an abort, or at least `Va` sites in total;
 //! * otherwise **blocks** and retries.
 //!
-//! With `Vc + Va > n`, at most one of the two partition groups can reach
-//! either quorum, so atomicity is preserved — but the minority group blocks
-//! until the partition heals. The contrast with the paper's protocol (both
-//! groups terminate, Theorem 9) is exactly what E15 measures.
+//! Both quorums are majorities, `Vc = Va = ⌊n/2⌋ + 1`. With `Vc + Va > n`,
+//! at most one of the two partition groups can reach either quorum, so
+//! atomicity is preserved — but the minority group blocks until the
+//! partition heals. The contrast with the paper's protocol (both groups
+//! terminate, Theorem 9) is exactly what E15 measures.
 //!
 //! ## The hot path
 //!
@@ -71,31 +72,6 @@ use crate::termination::SlaveSet;
 use crate::timing::{MASTER_PROTO_T, SLAVE_PROTO_T};
 use ptp_model::Decision;
 use ptp_simnet::SiteId;
-
-/// Quorum sizes. Safety requires `vc + va > n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuorumConfig {
-    /// Total number of sites (master included).
-    pub n: usize,
-    /// Commit quorum: prepared sites needed to commit during termination.
-    pub vc: usize,
-    /// Abort quorum: reachable sites needed to abort during termination.
-    pub va: usize,
-}
-
-impl QuorumConfig {
-    /// Majority quorums: `vc = va = ⌊n/2⌋ + 1`.
-    pub fn majority(n: usize) -> QuorumConfig {
-        QuorumConfig { n, vc: n / 2 + 1, va: n / 2 + 1 }
-    }
-
-    fn validate(&self) {
-        assert!(self.n >= 2);
-        assert!(self.n <= 64, "the master's voter set is a 64-bit mask");
-        assert!(self.vc >= 1 && self.va >= 1);
-        assert!(self.vc + self.va > self.n, "quorums must intersect: vc + va > n");
-    }
-}
 
 /// Blocked retries that re-collect *immediately*, exactly like the naive
 /// protocol, before exponential spacing kicks in. Partition schedules
@@ -238,7 +214,8 @@ enum QPhase {
 
 /// One site of the quorum-commit protocol (master if `me == 0`).
 pub struct QuorumSite {
-    cfg: QuorumConfig,
+    /// Total number of sites (master included).
+    n: usize,
     me: u16,
     vote: Vote,
     phase: QPhase,
@@ -258,16 +235,18 @@ pub struct QuorumSite {
 }
 
 impl QuorumSite {
-    /// Creates site `me` of a quorum-commit cluster.
-    pub fn new(cfg: QuorumConfig, me: SiteId, vote: Vote) -> Self {
-        cfg.validate();
+    /// Creates site `me` of an `n`-site quorum-commit cluster with
+    /// majority quorums.
+    pub fn new(n: usize, me: SiteId, vote: Vote) -> Self {
+        assert!(n >= 2);
+        assert!(n <= 64, "the master's voter set is a 64-bit mask");
         QuorumSite {
-            cfg,
+            n,
             me: me.0,
             vote,
             phase: if me.0 == 0 { QPhase::Wait } else { QPhase::Initial },
             replies: SlaveSet::default(),
-            reports: ReportTally::new(cfg.n),
+            reports: ReportTally::new(n),
             collecting: false,
             retry_wait: false,
             retry_round: 0,
@@ -278,6 +257,12 @@ impl QuorumSite {
 
     fn is_master(&self) -> bool {
         self.me == 0
+    }
+
+    /// The commit quorum (prepared sites) and the abort quorum (reachable
+    /// sites) alike: `⌊n/2⌋ + 1`, so any two quorums intersect.
+    fn majority(&self) -> usize {
+        self.n / 2 + 1
     }
 
     fn class(&self) -> StateClass {
@@ -334,10 +319,10 @@ impl QuorumSite {
             self.decide(Decision::Commit, true, out);
         } else if self.reports.aborted > 0 {
             self.decide(Decision::Abort, true, out);
-        } else if self.reports.prepared >= self.cfg.vc {
+        } else if self.reports.prepared >= self.majority() {
             out.push(Action::Note("quorum-commit", self.reports.prepared as u64));
             self.decide(Decision::Commit, true, out);
-        } else if self.reports.reachable >= self.cfg.va {
+        } else if self.reports.reachable >= self.majority() {
             out.push(Action::Note("quorum-abort", self.reports.reachable as u64));
             self.decide(Decision::Abort, true, out);
         } else {
@@ -422,7 +407,7 @@ impl Participant for QuorumSite {
             ("no", QPhase::Wait, true) => self.decide(Decision::Abort, true, out),
             ("yes", QPhase::Wait, true) => {
                 self.replies.insert(from.0);
-                if self.replies.len() == self.cfg.n - 1 {
+                if self.replies.len() == self.n - 1 {
                     self.replies.clear();
                     self.phase = QPhase::Prepared;
                     out.push(Action::Broadcast { msg: CommitMsg::Kind("prepare") });
@@ -431,7 +416,7 @@ impl Participant for QuorumSite {
             }
             ("ack", QPhase::Prepared, true) => {
                 self.replies.insert(from.0);
-                if self.replies.len() == self.cfg.n - 1 {
+                if self.replies.len() == self.n - 1 {
                     self.decide(Decision::Commit, true, out);
                 }
             }
@@ -519,22 +504,8 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn majority_config() {
-        let c = QuorumConfig::majority(5);
-        assert_eq!((c.vc, c.va), (3, 3));
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "quorums must intersect")]
-    fn non_intersecting_quorums_rejected() {
-        QuorumConfig { n: 5, vc: 2, va: 2 }.validate();
-    }
-
-    #[test]
     fn happy_path_commits() {
-        let cfg = QuorumConfig::majority(3);
-        let mut m = QuorumSite::new(cfg, SiteId(0), Vote::Yes);
+        let mut m = QuorumSite::new(3, SiteId(0), Vote::Yes);
         let mut out = Vec::new();
         m.start(&mut out);
         m.on_msg(SiteId(1), &CommitMsg::Kind("yes"), &mut out);
@@ -547,8 +518,7 @@ mod tests {
 
     #[test]
     fn state_reports_always_answered() {
-        let cfg = QuorumConfig::majority(3);
-        let mut s = QuorumSite::new(cfg, SiteId(1), Vote::Yes);
+        let mut s = QuorumSite::new(3, SiteId(1), Vote::Yes);
         let mut out = Vec::new();
         s.start(&mut out);
         out.clear();
@@ -561,8 +531,7 @@ mod tests {
 
     #[test]
     fn collection_commits_with_commit_quorum() {
-        let cfg = QuorumConfig::majority(3);
-        let mut s = QuorumSite::new(cfg, SiteId(1), Vote::Yes);
+        let mut s = QuorumSite::new(3, SiteId(1), Vote::Yes);
         let mut out = Vec::new();
         s.start(&mut out);
         s.on_msg(SiteId(0), &CommitMsg::Kind("xact"), &mut out);
@@ -581,8 +550,7 @@ mod tests {
 
     #[test]
     fn minority_blocks_then_backs_off() {
-        let cfg = QuorumConfig::majority(5);
-        let mut s = QuorumSite::new(cfg, SiteId(4), Vote::Yes);
+        let mut s = QuorumSite::new(5, SiteId(4), Vote::Yes);
         let mut out = Vec::new();
         s.start(&mut out);
         s.on_msg(SiteId(0), &CommitMsg::Kind("xact"), &mut out);
@@ -627,8 +595,7 @@ mod tests {
 
     #[test]
     fn abort_quorum_aborts_unprepared_group() {
-        let cfg = QuorumConfig::majority(3);
-        let mut s = QuorumSite::new(cfg, SiteId(1), Vote::Yes);
+        let mut s = QuorumSite::new(3, SiteId(1), Vote::Yes);
         let mut out = Vec::new();
         s.start(&mut out);
         s.on_msg(SiteId(0), &CommitMsg::Kind("xact"), &mut out);
@@ -643,8 +610,7 @@ mod tests {
 
     #[test]
     fn adopts_observed_decision() {
-        let cfg = QuorumConfig::majority(3);
-        let mut s = QuorumSite::new(cfg, SiteId(1), Vote::Yes);
+        let mut s = QuorumSite::new(3, SiteId(1), Vote::Yes);
         let mut out = Vec::new();
         s.start(&mut out);
         s.on_msg(SiteId(0), &CommitMsg::Kind("xact"), &mut out);
@@ -665,8 +631,7 @@ mod tests {
         // resolving blocked-or-undecided rounds early drifts the poll
         // cadence off the naive 2T grid and flips verdicts on
         // multi-episode schedules (see the module docs).
-        let cfg = QuorumConfig::majority(3);
-        let mut s = QuorumSite::new(cfg, SiteId(1), Vote::Yes);
+        let mut s = QuorumSite::new(3, SiteId(1), Vote::Yes);
         let mut out = Vec::new();
         s.start(&mut out);
         s.on_msg(SiteId(0), &CommitMsg::Kind("xact"), &mut out);
@@ -684,8 +649,7 @@ mod tests {
     fn piggybacked_decisive_class_is_adopted() {
         // A collecting site that *receives* a state-req carrying a decisive
         // class adopts the decision without a round trip of its own.
-        let cfg = QuorumConfig::majority(3);
-        let mut s = QuorumSite::new(cfg, SiteId(1), Vote::Yes);
+        let mut s = QuorumSite::new(3, SiteId(1), Vote::Yes);
         let mut out = Vec::new();
         s.start(&mut out);
         s.on_msg(SiteId(0), &CommitMsg::Kind("xact"), &mut out);
@@ -709,8 +673,7 @@ mod tests {
         // An *undecided* piggybacked class must not enter the tally: the
         // extra `reachable` entry would let the abort quorum fire in rounds
         // where the timer-resolved naive protocol stayed blocked.
-        let cfg = QuorumConfig::majority(3);
-        let mut s = QuorumSite::new(cfg, SiteId(1), Vote::Yes);
+        let mut s = QuorumSite::new(3, SiteId(1), Vote::Yes);
         let mut out = Vec::new();
         s.start(&mut out);
         s.on_msg(SiteId(0), &CommitMsg::Kind("xact"), &mut out);

@@ -5,9 +5,9 @@
 //! ([`ptp_simnet::SimScratch`]) and an outcome scratch vector, so running a
 //! cluster through thousands of scenarios allocates per run only what a
 //! single simulation inherently needs. It is generic over the participant
-//! type — `ClusterRunner<AnyParticipant>` (what `ptp_core::Session` uses)
-//! dispatches protocol events without any vtable; `ClusterRunner<Box<dyn
-//! Participant>>` keeps the historical heterogeneous clusters working.
+//! type: `ClusterRunner<AnyParticipant>` (what `ptp_core::Session` uses)
+//! dispatches protocol events without any vtable, and a test can run an
+//! oracle machine of its own through the same harness.
 //!
 //! It is the one way a protocol cluster runs in the simulator: build it,
 //! [`ClusterRunner::reset`] the votes, write [`ClusterRunner::faults_mut`],
@@ -314,16 +314,6 @@ mod tests {
         }
         // Master decides before the slaves receive the commit message.
         assert!(outcomes[0].decided_at <= outcomes[1].decided_at);
-    }
-
-    #[test]
-    fn boxed_participants_still_run() {
-        let boxed: Vec<Box<dyn Participant>> = two_pc_parts(&[Vote::Yes, Vote::Yes])
-            .into_iter()
-            .map(|p| Box::new(p) as Box<dyn Participant>)
-            .collect();
-        let (outcomes, _, _) = run(&mut ClusterRunner::new(boxed), false);
-        assert_eq!(Verdict::judge(&outcomes), Verdict::AllCommit);
     }
 
     #[test]

@@ -495,11 +495,6 @@ impl<P: Payload, A: Actor<P>> Simulation<P, A> {
         }
     }
 
-    /// Number of sites.
-    pub fn site_count(&self) -> usize {
-        self.actors.len()
-    }
-
     /// [`Simulation::run`], additionally returning the reusable buffers for
     /// the next [`Simulation::with_scratch`] construction.
     pub fn run_recycling(self) -> (Vec<A>, Trace, RunReport, SimScratch<P>) {

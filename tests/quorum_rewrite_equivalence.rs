@@ -23,7 +23,7 @@ use ptp_core::model::Decision;
 use ptp_core::protocols::api::{Action, CommitMsg, Participant, TimerTag, Vote};
 use ptp_core::protocols::runner::ClusterRunner;
 use ptp_core::protocols::timing::{MASTER_PROTO_T, SLAVE_PROTO_T};
-use ptp_core::protocols::{QuorumConfig, Verdict};
+use ptp_core::protocols::Verdict;
 use ptp_core::{sweep_with_session, ProtocolKind, RunOptions, Scenario, ScheduleShape, Session};
 use ptp_simnet::{SiteId, Trace};
 use std::collections::BTreeMap;
@@ -52,7 +52,12 @@ enum Phase {
 /// and re-collected immediately while blocked. Every round collects into a
 /// fresh map of reports.
 struct NaiveQuorum {
-    cfg: QuorumConfig,
+    /// Total number of sites (master included).
+    n: usize,
+    /// Commit quorum: prepared sites needed to commit during termination.
+    vc: usize,
+    /// Abort quorum: reachable sites needed to abort during termination.
+    va: usize,
     me: u16,
     vote: Vote,
     phase: Phase,
@@ -66,10 +71,12 @@ struct NaiveQuorum {
 
 impl NaiveQuorum {
     fn cluster(n: usize) -> Vec<NaiveQuorum> {
-        let cfg = QuorumConfig::majority(n);
+        let majority = n / 2 + 1;
         (0..n as u16)
             .map(|me| NaiveQuorum {
-                cfg,
+                n,
+                vc: majority,
+                va: majority,
                 me,
                 vote: Vote::Yes,
                 phase: if me == 0 { Phase::Wait } else { Phase::Initial },
@@ -133,10 +140,10 @@ impl NaiveQuorum {
             self.decide(Decision::Commit, true, out);
         } else if count(&[ABORTED]) > 0 {
             self.decide(Decision::Abort, true, out);
-        } else if prepared >= self.cfg.vc {
+        } else if prepared >= self.vc {
             out.push(Action::Note("quorum-commit", prepared as u64));
             self.decide(Decision::Commit, true, out);
-        } else if reachable >= self.cfg.va {
+        } else if reachable >= self.va {
             out.push(Action::Note("quorum-abort", reachable as u64));
             self.decide(Decision::Abort, true, out);
         } else {
@@ -153,7 +160,7 @@ impl NaiveQuorum {
         if !self.replies.contains(&from.0) {
             self.replies.push(from.0);
         }
-        self.replies.len() == self.cfg.n - 1
+        self.replies.len() == self.n - 1
     }
 }
 
