@@ -5,11 +5,11 @@
 
 use crate::plan::PlanTable;
 use crate::storage::Storage;
-use crate::value::{Key, TxnId, Value};
+use crate::value::{Decisions, Key, TxnId, Value};
 use crate::wal::Wal;
 use ptp_model::Decision;
 use ptp_simnet::{FaultPlan, SiteId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// An audit keeps this many violation lines.
 pub const MAX_VIOLATIONS: usize = 20;
@@ -41,7 +41,7 @@ pub struct SiteRemains<'a> {
     /// The write-ahead log.
     pub wal: &'a Wal,
     /// Every decision the site recorded.
-    pub finished: &'a BTreeMap<TxnId, Decision>,
+    pub finished: &'a Decisions,
 }
 
 /// Audits a finished run: `sites` by site index, `keys` every key to check
@@ -95,7 +95,7 @@ pub fn audit<'k>(
 
     let mut committed_writers_of: HashMap<&Key, Vec<TxnId>> = HashMap::new();
     for (row, (txn, plan)) in plans.iter().enumerate() {
-        let recorded = |i: usize| sites[i].finished.get(&txn).copied();
+        let recorded = |i: usize| sites[i].finished.get(txn);
         let view = match acks {
             Some(acks) => acks(txn),
             None => recorded(plan.master().index()).or_else(|| (0..sites.len()).find_map(recorded)),
@@ -208,7 +208,7 @@ mod tests {
         pools: Vec<Vec<Key>>,
         storages: Vec<Storage>,
         wals: Vec<Wal>,
-        finished: Vec<BTreeMap<TxnId, Decision>>,
+        finished: Vec<Decisions>,
     }
 
     impl ByHand {
@@ -257,7 +257,7 @@ mod tests {
             pools,
             storages: vec![Storage::new(); 6],
             wals: vec![Wal::new(); 6],
-            finished: vec![BTreeMap::new(); 6],
+            finished: vec![Decisions::default(); 6],
         };
         for (txn, plan) in run.plans.iter() {
             for site in plan.group().iter().copied().chain(plan.replicas()) {
@@ -432,7 +432,7 @@ mod tests {
         // A master that never decided (a blocked Quorum master does not):
         // the decision its group recorded stands in for the client's.
         let mut undecided = served();
-        undecided.finished[m.index()].remove(&TxnId(1));
+        undecided.finished[m.index()].remove(TxnId(1));
         let mut cut = FaultPlan::default();
         cut.failures.push(ptp_simnet::FailureSpec::crash(m, ptp_simnet::SimTime(20_000)));
         let keys = seeds.iter().map(|(key, value)| (key, Some(value)));

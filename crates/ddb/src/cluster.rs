@@ -46,7 +46,7 @@ use crate::plan::{PlanTable, ShardReadSpec, ShardTxnSpec};
 use crate::site::{Metrics, ParticipantBuilder, ParticipantFactory, ReadPath, ReadSpec, TxnSpec};
 use crate::storage::Storage;
 use crate::topology::ShardTopology;
-use crate::value::{Key, TxnId, Value};
+use crate::value::{Decisions, Key, TxnId, Value};
 use crate::wal::Wal;
 use ptp_model::Decision;
 use ptp_protocols::ProtocolKind;
@@ -462,7 +462,7 @@ pub struct DbRun {
     /// Final write-ahead log per site (durable + volatile records).
     pub wals: Vec<Wal>,
     /// Every decision each site recorded.
-    pub finished: Vec<BTreeMap<TxnId, Decision>>,
+    pub finished: Vec<Decisions>,
     /// Transactions with a commit protocol still in flight per site
     /// (blocked) at the end.
     pub blocked: Vec<Vec<TxnId>>,

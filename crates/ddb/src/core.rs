@@ -52,21 +52,22 @@
 //! sync request's pending ids, recovery freeing participants, the
 //! storage's `Debug`) it is sorted first. A map stays ordered only where
 //! its order is read: committed storage (digests), the per-shard version
-//! index (the sync merge), `owed` (replay order). `finished` is ordered
-//! too: a hashed one costs a long run more memory than its probes save.
+//! index (the sync merge), `owed` (replay order). `finished`, which a
+//! long run fills with one entry per transaction, is a [`Decisions`]: two
+//! bits per id in words of 64, ordered, smaller than any map of entries.
 //!
 //! **Log reclaim.** The core checkpoints its own WAL
 //! ([`Wal::checkpoint`]) as transactions complete, whenever the log has
 //! grown by more than a fixed floor and more than the last checkpoint left
-//! in play: a finished transaction costs the log a 4-byte commit id, and a
-//! recovery scan costs what is in flight. No host takes part.
+//! in play: a finished transaction costs the log one bit of a commit-id
+//! set, and a recovery scan costs what is in flight. No host takes part.
 
 use crate::lease::{LeaseConfig, LeaseTable};
 use crate::locks::{LockGrant, LockMode, LockTable};
 use crate::plan::{PlanTable, ReadView, Staged, TxnView};
 use crate::site::{DbMsg, ParticipantFactory, ParticipantPool, ReadPath, Stamps, SyncPayload};
 use crate::storage::Storage;
-use crate::value::{IdMap, Key, TxnId, Value, WriteOp};
+use crate::value::{Decisions, IdMap, Key, TxnId, Value, WriteOp};
 use crate::wal::{Record, Wal};
 use ptp_model::Decision;
 use ptp_protocols::api::{Action, CommitMsg, Participant, TimerTag, Vote};
@@ -105,7 +106,7 @@ const CTRL_BASE: u32 = 0xFF00_0000;
 /// Transaction-id namespace for synthetic anti-entropy install batches
 /// (`SYNC_BASE + per-site counter`), so delta installs run the normal WAL
 /// discipline without colliding with planned transactions.
-const SYNC_BASE: u32 = 0xFE00_0000;
+pub(crate) const SYNC_BASE: u32 = 0xFE00_0000;
 
 /// The log is not checkpointed for fewer reclaimable records than this: a
 /// short run's log stays whole, and a long run's costs a bounded scan.
@@ -331,9 +332,8 @@ struct Site {
     locks: LockTable,
     slots: IdMap<TxnId, TxnSlot>,
     parked: IdMap<TxnId, Work>,
-    /// Ordered, though only probed on the event path: a hashed map would
-    /// cost a long run's memory more than its lookups save.
-    finished: BTreeMap<TxnId, Decision>,
+    /// The decision of every transaction finished here: two bits each.
+    finished: Decisions,
     /// Transactions a crash left undecided at this participant: their
     /// outcome is the coordinator's, so none is presumed; known (a
     /// duplicate xact starts nothing) until a replayed decision settles
@@ -400,7 +400,7 @@ impl SiteCore {
             locks: LockTable::new(),
             slots: IdMap::default(),
             parked: IdMap::default(),
-            finished: BTreeMap::new(),
+            finished: Decisions::default(),
             in_doubt: BTreeSet::new(),
             pending: Vec::new(),
             held: false,
@@ -452,7 +452,7 @@ impl SiteCore {
     }
 
     /// The site's durable remains: storage, WAL and recorded outcomes.
-    pub fn into_parts(self) -> (Storage, Wal, BTreeMap<TxnId, Decision>) {
+    pub fn into_parts(self) -> (Storage, Wal, Decisions) {
         (self.site.storage, self.site.wal, self.site.finished)
     }
 
@@ -471,7 +471,7 @@ impl<H: Host> Hosted<'_, H> {
     /// duplicate wait-queue entries in the lock table and overwrite its
     /// [`Work`] entry.
     fn known(&self, txn: TxnId) -> bool {
-        self.site.finished.contains_key(&txn)
+        self.site.finished.contains_key(txn)
             || self.site.in_doubt.contains(&txn)
             || self.site.slots.contains_key(&txn)
             || self.site.parked.contains_key(&txn)
@@ -1062,7 +1062,7 @@ impl<H: Host> Hosted<'_, H> {
             .iter()
             .chain(missing)
             .filter_map(|t| {
-                Some((*t, *self.site.finished.get(t)?, self.site.out_stamps.get(t).cloned()))
+                Some((*t, self.site.finished.get(*t)?, self.site.out_stamps.get(t).cloned()))
             })
             .collect();
         let mut delta = Vec::new();
@@ -1149,7 +1149,7 @@ impl<H: Host> Hosted<'_, H> {
         decision: Decision,
         stamps: Option<Stamps>,
     ) {
-        if self.site.finished.contains_key(&txn) {
+        if self.site.finished.contains_key(txn) {
             // Known already (this site reported it before the master had
             // finished it, the master lost its books in a crash, or the
             // outcome raced this reply): say so in the next request.
@@ -1361,7 +1361,7 @@ impl<H: Host> Hosted<'_, H> {
         self.start();
         // What this master finished before the crash is owed afresh: the
         // record of who knows it was volatile.
-        for txn in self.site.finished.keys().copied().collect::<Vec<_>>() {
+        for txn in self.site.finished.keys().collect::<Vec<_>>() {
             self.owe(txn, self.plans.get(txn));
         }
         for &txn in &summary.redone {
@@ -1522,8 +1522,8 @@ mod tests {
         let began = |r: &Record| matches!(r, Record::Begin { txn, .. } if *txn == TxnId(3));
         assert!(core.wal().durable().iter().any(began), "txn 3 never began");
         host.run_timers(&mut core);
-        assert_eq!(core.site.finished.get(&TxnId(2)), Some(&Decision::Abort));
-        assert!(core.site.finished.contains_key(&TxnId(3)), "txn 3 must terminate");
+        assert_eq!(core.site.finished.get(TxnId(2)), Some(Decision::Abort));
+        assert!(core.site.finished.contains_key(TxnId(3)), "txn 3 must terminate");
         assert_eq!(core.site.locks.waiting_count(), 0);
     }
 
@@ -1666,7 +1666,7 @@ mod tests {
         core.with(&mut host).flushed();
         // The commit record was never flushed, and the outcome is the
         // coordinator's (site 0): recovery records no decision.
-        assert_eq!(core.site.finished.get(&TxnId(1)), None);
+        assert_eq!(core.site.finished.get(TxnId(1)), None);
         assert_eq!(core.storage().get(&k1), None);
         assert!(!core.site.locks.is_locked(&k1));
         assert_eq!(core.in_flight(), 0);
@@ -1688,7 +1688,7 @@ mod tests {
         core.with(&mut host).flushed();
         host.run_timers(&mut core);
         assert!(core.site.in_doubt.contains(&TxnId(1)));
-        assert_eq!(core.site.finished.get(&TxnId(1)), None);
+        assert_eq!(core.site.finished.get(TxnId(1)), None);
         assert_eq!(core.in_flight(), 0);
         assert!(!core.site.locks.is_locked(&k1));
         assert_eq!(host.sent.len(), 1, "the duplicated xact drew a vote");
@@ -1718,7 +1718,7 @@ mod tests {
         let sent = host.sent.len();
         core.with(&mut host).on_message(SiteId(0), xact());
         assert_eq!((host.sent.len(), core.in_flight()), (sent, 0), "txn 1 started again");
-        assert_eq!(core.site.finished.get(&TxnId(1)), None);
+        assert_eq!(core.site.finished.get(TxnId(1)), None);
 
         // The master's decision, replayed by anti-entropy, settles it.
         let decisions = vec![(TxnId(1), Decision::Commit, None)];
@@ -1726,7 +1726,7 @@ mod tests {
         let resp = DbMsg { sync: Some(Box::new(payload)), ..ctrl_msg(SYNC_RESP, 0, 0) };
         core.with(&mut host).on_message(SiteId(0), resp);
         assert_eq!(host.completed(1), Some((Decision::Commit, Via::Replay)));
-        assert_eq!(core.site.finished.get(&TxnId(1)), Some(&Decision::Commit));
+        assert_eq!(core.site.finished.get(TxnId(1)), Some(Decision::Commit));
         assert_eq!(core.storage().get(&k), Some(&Value::from_u64(9)));
         assert!(core.site.in_doubt.is_empty());
     }
@@ -1877,7 +1877,7 @@ mod tests {
             .pending
             .iter()
             .chain(missing)
-            .filter_map(|t| Some((*t, *site.finished.get(t)?, site.out_stamps.get(t).cloned())))
+            .filter_map(|t| Some((*t, site.finished.get(*t)?, site.out_stamps.get(t).cloned())))
             .collect();
         let replica_versions: BTreeMap<&Key, u64> =
             req.versions.iter().map(|(k, v)| (k, *v)).collect();

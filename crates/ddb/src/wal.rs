@@ -15,7 +15,8 @@
 //! [`Wal::flush`]; a crash ([`Wal::crash`]) discards everything beyond the
 //! flushed watermark, exactly like losing the OS page cache.
 
-use crate::value::{Key, TxnId, WriteOp};
+use crate::value::{Decisions, Key, TxnId, WriteOp};
+use ptp_model::Decision;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -76,10 +77,13 @@ pub enum RecoveryAction {
 pub struct Checkpoint {
     /// Records dropped so far, so that positions stay logical.
     dropped: usize,
-    /// The ids of the dropped `Commit` records, in log order — what an
-    /// audit of "one durable commit record per committed transaction"
-    /// counts ([`Wal::durable_commits`]).
-    commits: Vec<TxnId>,
+    /// The ids of the dropped `Commit` records, as a set (every id marked
+    /// committed) — what an audit of "one durable commit record per
+    /// committed transaction" counts ([`Wal::durable_commits`]).
+    commits: Decisions,
+    /// The id of every dropped `Commit` record beyond its transaction's
+    /// first: a doubled record is what that audit looks for.
+    repeats: Vec<TxnId>,
     /// Per key, how many dropped committed transactions wrote it — what a
     /// recovering site's version recount reads ([`Wal::committed_writes`]).
     /// Bounded by the key vocabulary.
@@ -195,8 +199,9 @@ impl Wal {
     /// complete — its `Applied` or `Abort` record is on stable storage, so
     /// recovery has nothing left to do for it (Sec. 2) — and folds what
     /// later readers still need of them into the [`Checkpoint`]: the id of
-    /// each dropped `Commit` record, and per key the writes of the dropped
-    /// transactions that had one (each transaction's `Begin` keys once).
+    /// each dropped `Commit` record (a bit in a word of 64 ids, but for a
+    /// repeat), and per key the writes of the dropped transactions that had
+    /// one (each transaction's `Begin` keys once).
     /// Volatile records and transactions still in play are untouched, and
     /// positions stay logical. Costs one pass over the held records;
     /// returns how many are left.
@@ -224,7 +229,7 @@ impl Wal {
         let state_of = |txn: TxnId| {
             states.binary_search_by_key(&txn, |&(t, _)| t).map_or(0, |at| states[at].1)
         };
-        let Checkpoint { dropped, commits, writes } = &mut self.checkpoint;
+        let Checkpoint { dropped, commits, repeats, writes } = &mut self.checkpoint;
         let mut at = 0;
         self.records.retain(|rec| {
             at += 1;
@@ -243,7 +248,12 @@ impl Wal {
                         }
                     }
                 }
-                Record::Commit { txn } => commits.push(*txn),
+                Record::Commit { txn } => {
+                    let repeat = commits.insert(*txn, Decision::Commit).is_some();
+                    if repeat {
+                        repeats.push(*txn);
+                    }
+                }
                 _ => {}
             }
             *dropped += 1;
@@ -253,13 +263,15 @@ impl Wal {
     }
 
     /// The transaction of every durable `Commit` record, one item per
-    /// record: those a checkpoint dropped, then those still held.
+    /// record but not in log order: those a checkpoint dropped, ascending,
+    /// then their repeats, then those still held.
     pub fn durable_commits(&self) -> impl Iterator<Item = TxnId> + '_ {
         let held = self.durable().iter().filter_map(|rec| match rec {
             Record::Commit { txn } => Some(*txn),
             _ => None,
         });
-        self.checkpoint.commits.iter().copied().chain(held)
+        let Checkpoint { commits, repeats, .. } = &self.checkpoint;
+        commits.keys().chain(repeats.iter().copied()).chain(held)
     }
 
     /// Per key, how many durably committed transactions wrote it: a
@@ -324,6 +336,7 @@ impl Wal {
 mod tests {
     use super::*;
     use crate::value::{Key, Value};
+    use proptest::prelude::*;
 
     fn w(key: &str, v: u64) -> WriteOp {
         WriteOp { key: Key::from(key), value: Value::from_u64(v) }
@@ -488,5 +501,57 @@ mod tests {
         wal.append_durable(Record::Applied { txn: TxnId(1) });
         assert_eq!(wal.checkpoint(), 0);
         assert_eq!(wal.durable_commits().collect::<Vec<_>>(), [TxnId(1), TxnId(1)]);
+    }
+
+    proptest! {
+        /// A log that checkpoints at random and its twin that never does
+        /// (whose durable `Commit` records, in log order, are what the
+        /// checkpoint's retired `Vec<TxnId>` and the held tail listed) run
+        /// one script of appends, doubled commit records, flushes and
+        /// crashes: both count the same ids, repeats included.
+        #[test]
+        fn checkpointed_commit_ids_are_the_retired_vec_as_a_sorted_multiset(
+            script in prop::collection::vec((0u8..7, 0u32..40), 0..240),
+        ) {
+            let (mut wal, mut twin) = (Wal::new(), Wal::new());
+            for (op, id) in script {
+                // Ids 61 apart: most transactions have a word of their own.
+                let txn = TxnId(id * 61);
+                let record = match op {
+                    0 => Some(Record::Begin { txn, writes: vec![w("a", id as u64)] }),
+                    1 | 2 => Some(Record::Commit { txn }),
+                    3 => Some(Record::Applied { txn }),
+                    4 => {
+                        wal.flush();
+                        twin.flush();
+                        None
+                    }
+                    5 => {
+                        wal.crash();
+                        twin.crash();
+                        None
+                    }
+                    _ => {
+                        wal.checkpoint();
+                        None
+                    }
+                };
+                if let Some(record) = record {
+                    wal.append(record.clone());
+                    twin.append(record);
+                }
+            }
+            let retired: Vec<TxnId> = (twin.durable().iter())
+                .filter_map(|rec| match rec {
+                    Record::Commit { txn } => Some(*txn),
+                    _ => None,
+                })
+                .collect();
+            let sorted = |mut ids: Vec<TxnId>| {
+                ids.sort_unstable();
+                ids
+            };
+            prop_assert_eq!(sorted(wal.durable_commits().collect()), sorted(retired));
+        }
     }
 }

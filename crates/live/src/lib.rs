@@ -844,8 +844,8 @@ mod tests {
                 check(d, "client ack".to_string(), &mut violate);
             }
             for r in reports {
-                if let Some(d) = r.finished.get(&txn) {
-                    check(*d, format!("site {}", r.site), &mut violate);
+                if let Some(d) = r.finished.get(txn) {
+                    check(d, format!("site {}", r.site), &mut violate);
                 }
             }
 
@@ -882,7 +882,7 @@ mod tests {
                                     "{txn}: committed but site {site} holds {count} durable commit records"
                                 ));
                             }
-                            if r.finished.get(&txn) != Some(&Decision::Commit) {
+                            if r.finished.get(txn) != Some(Decision::Commit) {
                                 violate(format!(
                                     "{txn}: committed but site {site} never recorded it"
                                 ));

@@ -25,14 +25,14 @@ use crate::config::{BatchConfig, LiveOptions};
 use ptp_ddb::core::{Host, SiteCore, SiteEvent, TimerKey, Via};
 use ptp_ddb::plan::{PlanTable, TxnView};
 use ptp_ddb::site::{DbMsg, ParticipantFactory, ReadPath};
-use ptp_ddb::value::{TxnId, Value};
+use ptp_ddb::value::{Decisions, TxnId, Value};
 use ptp_ddb::wal::Wal;
 use ptp_ddb::{ShardNodeOpts, Storage};
 use ptp_livenet::{Inbound, Outbound, Timers};
 use ptp_model::Decision;
 use ptp_obs::{FlightRecorder, ObsConfig, TxnSpan};
 use ptp_simnet::{Payload, SiteId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -80,7 +80,7 @@ pub struct NodeReport {
     /// The WAL at shutdown (after a final window flush).
     pub wal: Wal,
     /// Every decision this site recorded.
-    pub finished: BTreeMap<TxnId, Decision>,
+    pub finished: Decisions,
     /// Transactions still in flight at shutdown (0 = clean drain).
     pub in_flight_at_shutdown: usize,
     /// What the site counted while it ran.
