@@ -5,8 +5,9 @@
 //! paper's model — [`crate::DbCluster`]'s site-addressed [`TxnSpec`]s, one
 //! fully-replicated group, site 0 master of every transaction — verbatim
 //! onto one all-sites group. [`PlanTable::compile`] / [`PlanTable::route`]
-//! is the router of the sharded store: every key-addressed [`ShardTxnSpec`]
-//! is classified at build time:
+//! (and [`PlanTable::compile_sized`], for write sets yielded by a
+//! generator) is the router of the sharded store: every key-addressed
+//! write or read set is classified at build time:
 //!
 //! * **single-shard** — all keys land in one shard; the commit protocol
 //!   runs *inside* that shard's replica group (master = the group's first
@@ -238,29 +239,39 @@ impl<T> Routed<T> {
         self.ends.push(offset(self.items.len()) - row.items);
     }
 
+    /// Sizes the arenas for `plans` more plans of `items` items in all.
+    fn reserve(&mut self, plans: usize, items: usize) {
+        self.rows.reserve_exact(plans);
+        self.ends.reserve(plans);
+        self.items.reserve_exact(items);
+    }
+
+    /// Sizes the arenas for `specs`, counted.
+    fn reserve_for<S: AsRef<[T]>>(&mut self, specs: impl Iterator<Item = (TxnId, S)>) {
+        let (plans, items) = specs
+            .fold((0, 0), |(plans, items), (_, spec)| (plans + 1, items + spec.as_ref().len()));
+        self.reserve(plans, items);
+    }
+
     /// Routes every `(id, items)` of `specs` by the shard of each item's
     /// `key`: items grouped by shard in shard order, spec order inside a
     /// shard; one shape over each distinct shard set, made on first use.
-    fn route<'s>(
+    fn route<S: AsRef<[T]>>(
         &mut self,
         topology: &ShardTopology,
-        specs: impl Iterator<Item = (TxnId, &'s [T])> + Clone,
+        specs: impl Iterator<Item = (TxnId, S)>,
         key: impl Fn(&T) -> &Key,
         shape_over: impl Fn(&ShardTopology, &[usize]) -> RouteShape,
         what: &str,
     ) where
-        T: Clone + 's,
+        T: Clone,
     {
-        let (plans, items) =
-            specs.clone().fold((0, 0), |(plans, items), (_, spec)| (plans + 1, items + spec.len()));
-        self.rows.reserve_exact(plans);
-        self.ends.reserve(plans);
-        self.items.reserve_exact(items);
         // The interning index: shape indices ordered by shard set.
         let mut by_shards: Vec<u32> = Vec::new();
         // (shard, position in the spec) per item, and the shard set.
         let (mut order, mut shards) = (Vec::new(), Vec::new());
         for (id, spec) in specs {
+            let spec = spec.as_ref();
             assert!(!spec.is_empty(), "{id} has an empty {what}");
             order.clear();
             order.extend(spec.iter().map(|item| topology.shard_of(key(item))).zip(0..));
@@ -532,7 +543,8 @@ impl TxnPlan {
     /// Panics if the write set is empty (nothing to route).
     pub fn compile(topology: &ShardTopology, spec: &ShardTxnSpec) -> TxnPlan {
         let mut routed = Routed::new();
-        route_writes(&mut routed, topology, std::iter::once(spec));
+        routed.reserve(1, spec.writes.len());
+        route_writes(&mut routed, topology, std::iter::once((spec.id, &spec.writes)));
         TxnPlan(routed)
     }
 
@@ -548,13 +560,12 @@ impl TxnPlan {
     }
 }
 
-fn route_writes<'s>(
+fn route_writes<S: AsRef<[WriteOp]>>(
     routed: &mut Routed<WriteOp>,
     topology: &ShardTopology,
-    specs: impl Iterator<Item = &'s ShardTxnSpec> + Clone,
+    txns: impl Iterator<Item = (TxnId, S)>,
 ) {
-    let specs = specs.map(|spec| (spec.id, spec.writes.as_slice()));
-    routed.route(topology, specs, |w| &w.key, RouteShape::write, "write set");
+    routed.route(topology, txns, |w| &w.key, RouteShape::write, "write set");
 }
 
 /// The compiled routing of a whole workload, shared read-only by every
@@ -586,9 +597,35 @@ impl PlanTable {
         reads: impl IntoIterator<Item = &'s ShardReadSpec, IntoIter: Clone>,
     ) -> PlanTable {
         let mut table = PlanTable { topology, writes: Routed::new(), reads: Routed::new() };
-        route_writes(&mut table.writes, &table.topology, txns.into_iter());
-        let reads = reads.into_iter().map(|spec| (spec.id, spec.keys.as_slice()));
+        let txns = txns.into_iter().map(|spec| (spec.id, &spec.writes));
+        table.writes.reserve_for(txns.clone());
+        route_writes(&mut table.writes, &table.topology, txns);
+        let reads = reads.into_iter().map(|spec| (spec.id, &spec.keys));
+        table.reads.reserve_for(reads.clone());
         table.reads.route(&table.topology, reads, |key| key, RouteShape::read, "key set");
+        table.index();
+        table
+    }
+
+    /// Compiles write plans as `txns` yields them — each an id and its
+    /// write set, owned or borrowed — into arenas sized for `plans` plans
+    /// of `writes` writes in all. A workload generated on the fly compiles
+    /// so without first becoming a list of [`ShardTxnSpec`]s, which
+    /// [`PlanTable::compile`] walks once to size the arenas; sizes that are
+    /// off cost a regrowth, nothing else. Duplicate ids are rejected.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a duplicate id, and on an empty write set.
+    pub fn compile_sized<S: AsRef<[WriteOp]>>(
+        topology: ShardTopology,
+        txns: impl IntoIterator<Item = (TxnId, S)>,
+        plans: usize,
+        writes: usize,
+    ) -> PlanTable {
+        let mut table = PlanTable { topology, writes: Routed::new(), reads: Routed::new() };
+        table.writes.reserve(plans, writes);
+        route_writes(&mut table.writes, &table.topology, txns.into_iter());
         table.index();
         table
     }

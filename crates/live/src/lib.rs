@@ -58,7 +58,7 @@ pub use ptp_ddb::audit::AuditReport;
 // fields.
 pub use ptp_obs::{LatencySummary, ObsConfig, Registry, Series, StageTable};
 
-use driver::{OpKind, Schedule, ScheduledOp, READ_BASE};
+use driver::{OpKind, ScheduledOp, Workload, READ_BASE};
 use ptp_ddb::audit::{audit, SiteRemains, MAX_VIOLATIONS};
 use ptp_ddb::plan::PlanTable;
 use ptp_ddb::site::ParticipantFactory;
@@ -87,7 +87,8 @@ struct Ack {
 /// Every acknowledgement of a run, in dense tables sized once from the
 /// schedule — the driver numbers writes `1..=W` and reads from
 /// [`READ_BASE`] up, so an operation's id is its slot. 16 bytes per write
-/// and 32 per read, nothing that rehashes while the run is being timed.
+/// and 40 per read (a returned `Option<Value>` is 24), nothing that
+/// rehashes while the run is being timed.
 struct Ledger {
     /// The ack of write `id`, at `id - 1`.
     writes: Vec<Option<Ack>>,
@@ -192,7 +193,7 @@ impl Ledger {
         // the plan to look in (reads of never-written keys return nothing).
         let mut checked_reads = 0usize;
         for op in ops {
-            let OpKind::Read(key) = &op.kind else { continue };
+            let OpKind::Read(key) = op.kind(pools) else { continue };
             if self.ack(op.txn).is_none() {
                 continue;
             }
@@ -277,11 +278,9 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
     opts.validate();
     let topo = ShardTopology::uniform(opts.sites, opts.shards, opts.replication);
     let pools = topo.key_pool(opts.keys_per_shard);
-    let schedule = driver::generate(opts, &topo, &pools);
-    let plans = Arc::new(PlanTable::compile(topo.clone(), &schedule.specs));
-    // From here on the plan arena holds every write set: the specs go.
-    let Schedule { ops, specs, writes: issued_writes, reads: issued_reads } = schedule;
-    drop(specs);
+    let Workload { ops, plans, writes: issued_writes, reads: issued_reads } =
+        driver::compile(opts, &topo, &pools);
+    let plans = Arc::new(plans);
     let n = opts.sites;
 
     let (router_tx, router_rx) = mpsc::channel::<Outbound<Packet>>();
@@ -318,14 +317,17 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
     drop(router_tx);
     drop(completions_tx);
 
-    let driver_ops = Arc::clone(&ops);
+    // The driver thread owns the schedule while it injects it, and hands it
+    // back on join.
+    let expected = ops.len();
     let driver_txs = site_txs.clone();
-    let driver_handle =
-        std::thread::spawn(move || driver::run_driver(&driver_ops, driver_txs, start));
+    let driver_handle = std::thread::spawn(move || {
+        driver::run_driver(&ops, &topo, &pools, driver_txs, start);
+        (ops, pools)
+    });
 
     // Collect acks until every scheduled op completed or the drain deadline
     // passes (open loop: the driver never waits, so backlog drains here).
-    let expected = ops.len();
     let deadline = start + opts.duration + opts.drain_timeout;
     let mut ledger = Ledger::new(issued_writes, issued_reads);
     while ledger.acked < expected {
@@ -363,7 +365,7 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
     for tx in &site_txs {
         let _ = tx.send(Inbound::Shutdown);
     }
-    let _ = driver_handle.join();
+    let (ops, pools) = driver_handle.join().expect("the driver thread does not panic");
     let mut reports: Vec<NodeReport> = Vec::with_capacity(n);
     for h in node_handles {
         reports.push(h.join().expect("site threads do not panic"));
@@ -384,8 +386,9 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
     let mut series = opts.obs.series_bin.map(Series::new);
     for op in ops.iter() {
         let Some(Ack { at_ns, decision }) = ledger.ack(op.txn) else { continue };
-        let latency = at_ns.saturating_sub(op.at.as_nanos() as u64) / 1_000;
-        match op.kind {
+        let latency = at_ns.saturating_sub(op.at().as_nanos() as u64) / 1_000;
+        let kind = op.kind(&pools);
+        match kind {
             OpKind::Write => {
                 write_hist.record(latency);
                 completed_writes += 1;
@@ -406,7 +409,8 @@ pub fn run_server(opts: &LiveOptions) -> LiveReport {
             s.record(Duration::from_nanos(at_ns), latency);
         }
         if let Some(span) = ledger.spans.get(&op.txn.0) {
-            attribute_span(&mut stages, &faults, op, span, start, Duration::from_nanos(at_ns));
+            let acked = Duration::from_nanos(at_ns);
+            attribute_span(&mut stages, &faults, op.at(), kind, span, start, acked);
         }
     }
     let achieved_rate = match last_commit_ns {
@@ -507,7 +511,8 @@ fn fault_phase(faults: &FaultPlan, at: SimTime) -> &'static str {
 fn attribute_span(
     stages: &mut StageTable,
     faults: &FaultPlan,
-    op: &ScheduledOp,
+    at: Duration,
+    kind: OpKind<'_>,
     span: &TxnSpan,
     start: Instant,
     acked: Duration,
@@ -517,8 +522,8 @@ fn attribute_span(
     };
     let phase = fault_phase(faults, host_time(acked));
     let acked = start + acked;
-    stages.add(span.path, phase, STAGE_QUEUE, us(span.recv, start + op.at));
-    match op.kind {
+    stages.add(span.path, phase, STAGE_QUEUE, us(span.recv, start + at));
+    match kind {
         OpKind::Write => {
             let Some(locked) = span.locked else { return };
             stages.add(span.path, phase, STAGE_LOCK_WAIT, us(locked, span.recv));
@@ -947,7 +952,7 @@ mod tests {
             }
         }
         for op in ops {
-            let OpKind::Read(key) = &op.kind else { continue };
+            let OpKind::Read(key) = op.kind(pools) else { continue };
             if ledger.ack(op.txn).is_none() {
                 continue;
             }
@@ -976,7 +981,7 @@ mod tests {
 
     /// What an audit reads of a run.
     struct ByHand {
-        ops: Arc<[ScheduledOp]>,
+        ops: Vec<ScheduledOp>,
         plans: PlanTable,
         pools: Vec<Vec<Key>>,
         ledger: Ledger,
@@ -1016,7 +1021,7 @@ mod tests {
         let start = Instant::now();
         let mut ledger = Ledger::new(schedule.writes, schedule.reads);
         for op in schedule.ops.iter() {
-            let (txn, at) = (op.txn, start + op.at + Duration::from_millis(1));
+            let (txn, at) = (op.txn, start + op.at() + Duration::from_millis(1));
             ledger.record(
                 Completion { txn, decision: Decision::Commit, value: None, at, span: None },
                 start,
@@ -1146,6 +1151,12 @@ mod tests {
         }
         assert!(failed > 0 && failed < 2 * cases as usize, "{failed} of {cases} failed");
         assert!(capped > 0, "no case reached the line cap");
+    }
+
+    #[test]
+    fn a_ledger_slot_is_sixteen_bytes_a_write_and_forty_a_read() {
+        assert_eq!(std::mem::size_of::<Option<Ack>>(), 16);
+        assert_eq!(std::mem::size_of::<Option<(Ack, Option<Value>)>>(), 40);
     }
 
     #[test]

@@ -38,8 +38,8 @@ const BYTES_PER_EXTRA_FINISHED: usize = 8;
 /// Runs `release` and returns what it gave back: its result, and the heap
 /// bytes it freed on balance.
 fn freed_by<T>(release: impl FnOnce() -> T) -> (T, usize) {
-    let (result, _, live) = common::measure(release);
-    (result, usize::try_from(-live).expect("releasing frees more than it allocates"))
+    let (result, tally) = common::measure(release);
+    (result, usize::try_from(-tally.bytes).expect("releasing frees more than it allocates"))
 }
 
 #[test]

@@ -22,8 +22,12 @@ const ALLOCATIONS: usize = 100;
 /// Runs `build` and returns what it allocated: the number of allocations
 /// (growth included) and the heap bytes its result keeps alive.
 fn measure<T>(build: impl FnOnce() -> T) -> (T, usize, usize) {
-    let (built, allocations, live) = common::measure(build);
-    (built, allocations, usize::try_from(live).expect("a build frees no more than it allocates"))
+    let (built, tally) = common::measure(build);
+    (
+        built,
+        tally.allocations,
+        usize::try_from(tally.bytes).expect("a build frees no more than it allocates"),
+    )
 }
 
 /// Holds a build of [`PLANS`] plans to both bounds.

@@ -52,10 +52,10 @@ fn a_warm_session_simulates_a_decided_cell_without_allocating() {
             let before = session.executed();
             let (mut cells, mut allocations) = (0, 0);
             for scenario in &scenarios {
-                let (verdict, count, _) = common::measure(|| session.verdict(scenario, &options));
+                let (verdict, tally) = common::measure(|| session.verdict(scenario, &options));
                 if matches!(verdict, Verdict::AllCommit | Verdict::AllAbort) {
                     cells += 1;
-                    allocations += count;
+                    allocations += tally.allocations;
                 }
             }
             assert!(cells > 0, "{kind:?} at n = {n} decided no cell");
