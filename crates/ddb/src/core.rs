@@ -55,6 +55,10 @@
 //! index (the sync merge), `owed` (replay order). `finished`, which a
 //! long run fills with one entry per transaction, is a [`Decisions`]: two
 //! bits per id in words of 64, ordered, smaller than any map of entries.
+//! The stamps this site assigned are kept only while something can read
+//! them: until the transaction's ships, and past them only while a replica
+//! is owed its decision — the last replica's sync request that reports it
+//! known drops them.
 //!
 //! **Log reclaim.** The core checkpoints its own WAL
 //! ([`Wal::checkpoint`]) as transactions complete, whenever the log has
@@ -359,7 +363,10 @@ struct Site {
     /// docs). A shard's index is what a sync request sends and what the
     /// master merges it against, as it stands.
     versions: Vec<BTreeMap<Key, u64>>,
-    /// The stamps this site assigned, as authority, per transaction.
+    /// The stamps this site assigned, as authority, per transaction: held
+    /// from [`Hosted::assign_versions`] to the ships, and past them only
+    /// while some replica is owed the decision (a sync response replays it
+    /// with them) — dropped when the last one reports knowing it.
     out_stamps: IdMap<TxnId, Stamps>,
     /// Synthetic ids handed to anti-entropy install batches (a plain
     /// counter: it survives a crash so the ids in the log stay unique).
@@ -371,6 +378,13 @@ struct Site {
     /// shard that plan the replica in and that it has not reported knowing —
     /// what a sync response replays.
     owed: BTreeMap<(usize, u16), BTreeSet<TxnId>>,
+}
+
+impl Site {
+    /// Whether some replica is still owed `txn`'s decision.
+    fn owed_anywhere(&self, txn: TxnId) -> bool {
+        self.owed.values().any(|owed| owed.contains(&txn))
+    }
 }
 
 impl SiteCore {
@@ -782,11 +796,12 @@ impl<H: Host> Hosted<'_, H> {
     /// whichever master's ship arrives first and drops the rest as
     /// duplicates.
     fn ship(&mut self, txn: TxnId, plan: TxnView<'_>, decision: Decision) {
-        // The stamps outlive the ships only while anti-entropy may replay
-        // the decision.
-        let stamps = match self.site.opts.anti_entropy {
-            Some(_) => self.site.out_stamps.get(&txn).cloned(),
-            None => self.site.out_stamps.remove(&txn),
+        // The ships are the stamps' last reader unless `owe`, just before,
+        // left the decision owed to a replica: a sync response may still
+        // replay it, and the stamps go when the last one reports it known.
+        let stamps = match self.site.out_stamps.get(&txn) {
+            Some(_) if !self.site.owed_anywhere(txn) => self.site.out_stamps.remove(&txn),
+            held => held.cloned(),
         };
         for &replica in plan.ships_from(self.site.me) {
             let msg = match decision {
@@ -1065,6 +1080,14 @@ impl<H: Host> Hosted<'_, H> {
                 Some((*t, self.site.finished.get(*t)?, self.site.out_stamps.get(t).cloned()))
             })
             .collect();
+        // A finished transaction no replica is owed leaves its stamps no
+        // reader. Dropped only now that the answer holds them: a request may
+        // list an id it reports known as pending too.
+        for t in &req.known {
+            if self.site.finished.contains_key(*t) && !self.site.owed_anywhere(*t) {
+                self.site.out_stamps.remove(t);
+            }
+        }
         let mut delta = Vec::new();
         let mut stamps = Vec::new();
         let mut theirs = req.versions.iter().peekable();
@@ -1568,6 +1591,7 @@ mod tests {
         // This master stamped its key's first version; the ship carries it.
         let stamps = &ship.sync.as_ref().expect("a stamped ship").versions;
         assert_eq!(stamps[..], [(k1.clone(), 1)]);
+        assert!(core.site.out_stamps.is_empty(), "anti-entropy is off: the ship takes the stamps");
         assert!(!core.site.locks.is_locked(&k1));
         assert_eq!(core.storage().get(&k1).and_then(Value::as_u64), Some(9));
     }
@@ -1856,6 +1880,50 @@ mod tests {
         assert_eq!(core.storage().get(&key_in(&topology, 0)), Some(&Value::from_u64(7)));
     }
 
+    /// A sync request for `shard` listing `pending` in flight and `known`
+    /// finished, with no stamps.
+    fn sync_req(shard: usize, pending: &[u32], known: &[u32]) -> DbMsg {
+        let ids = |ids: &[u32]| ids.iter().copied().map(TxnId).collect();
+        let payload =
+            SyncPayload { pending: ids(pending), known: ids(known), ..Default::default() };
+        DbMsg { sync: Some(Box::new(payload)), ..ctrl_msg(SYNC_REQ, shard, 0) }
+    }
+
+    #[test]
+    fn a_masters_stamps_live_until_the_last_replica_owed_them_syncs() {
+        // Shard 0 of `uniform(4, 2, 3)` is `[0, 1, 2]`: master 0 commits
+        // transaction 1 with both replicas and owes each the decision.
+        let topology = ShardTopology::uniform(4, 2, 3);
+        let (plans, _, k) = shard0_write(&topology);
+        let opts = ShardNodeOpts { lease: None, anti_entropy: Some(50) };
+        let (mut core, mut host) =
+            (site(0, plans, CommitProtocol::TwoPhase, opts), Script::durable());
+        core.with(&mut host).submit(TxnId(1));
+        for replica in [1, 2] {
+            core.with(&mut host).on_message(SiteId(replica), DbMsg::bare(TxnId(1), "yes"));
+        }
+        assert_eq!(host.completed(1), Some((Decision::Commit, Via::Protocol)));
+        let stamps: Stamps = [(k.clone(), 1)].into();
+        assert_eq!(core.site.out_stamps.get(&TxnId(1)), Some(&stamps), "owed, so kept");
+
+        let mut answer = |core: &mut SiteCore, from: u16, req: DbMsg| {
+            host.sent.clear();
+            core.with(&mut host).on_message(SiteId(from), req);
+            let (to, resp) = host.sent.pop().expect("a sync response");
+            assert_eq!((to, resp.kind()), (SiteId(from), SYNC_RESP));
+            resp.sync.expect("a sync body").decisions
+        };
+        assert_eq!(answer(&mut core, 1, sync_req(0, &[], &[1])), [], "replica 1 knows it");
+        assert_eq!(core.site.out_stamps.get(&TxnId(1)), Some(&stamps), "replica 2 is owed it");
+        // Replica 2 has it in flight, then misses it altogether.
+        let replayed = vec![(TxnId(1), Decision::Commit, Some(stamps))];
+        assert_eq!(answer(&mut core, 2, sync_req(0, &[1], &[])), replayed);
+        assert_eq!(answer(&mut core, 2, sync_req(0, &[], &[])), replayed);
+        assert_eq!(answer(&mut core, 2, sync_req(0, &[], &[1])), []);
+        assert!(core.site.out_stamps.is_empty(), "no replica is owed it: the stamps go");
+        assert!(core.site.owed.values().all(BTreeSet::is_empty));
+    }
+
     /// The master's answer to `req` as `handle_sync_req` computed it before
     /// the per-shard version index — a scan of the whole store against a map
     /// of the request, `versions` being the master's one flat version map —
@@ -2014,6 +2082,134 @@ mod tests {
     }
 
     #[test]
+    fn the_sync_merge_answers_a_request_sequence_as_a_master_that_kept_every_stamp() {
+        use ptp_simnet::rng::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(0x5C4A_2049);
+        let mut draw = |n: u64| rng.gen_range(0..=n - 1);
+        // `uniform(2, 4, 2)`: site 0 masters all four shards, so a decision
+        // can stay owed to a replica of another shard than the requests'.
+        let topologies = [(3, 3, 2), (2, 1, 2), (4, 2, 3), (2, 4, 2)];
+        let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
+        for _ in 0..800 {
+            let (n, shards, r) = topologies[draw(4) as usize];
+            let topology = ShardTopology::uniform(n, shards, r);
+            let shard = draw(shards as u64) as usize;
+            let (master, replicas) = (topology.master(shard), &topology.group(shard)[1..]);
+            let mut core = site(
+                master.0,
+                PlanTable::compile(topology.clone(), &[]),
+                CommitProtocol::HuangLi,
+                ShardNodeOpts { lease: None, anti_entropy: Some(50) },
+            );
+            // Owed-to sets of this master's other shards.
+            let elsewhere: Vec<(usize, u16)> = (0..shards)
+                .filter(|&s| s != shard && topology.master(s) == master)
+                .flat_map(|s| topology.group(s)[1..].iter().map(move |r| (s, r.0)))
+                .collect();
+
+            // A store the delta reads.
+            let mut flat = BTreeMap::new();
+            for (i, k) in topology.key_pool(3).concat().into_iter().enumerate() {
+                let version = draw(3);
+                core.site.storage.seed(k.clone(), Value::from_u64(i as u64));
+                core.site.versions[topology.shard_of(&k)].insert(k.clone(), version);
+                flat.insert(k, version);
+            }
+            // Transactions 1..=6 as the protocol leaves them: unknown here,
+            // in flight with its stamps assigned, or finished — each replica
+            // then either owed it or having reported it — with stamps only
+            // while some replica is owed it. 7 and 8 this master never saw.
+            let mut reported: BTreeMap<u16, BTreeSet<TxnId>> = BTreeMap::new();
+            for t in (1..=6).map(TxnId) {
+                let stamps: Stamps = [(Key::from("k"), t.0 as u64)].into();
+                let decision = match draw(4) {
+                    0 => continue,
+                    1 => {
+                        core.site.out_stamps.insert(t, stamps);
+                        continue;
+                    }
+                    2 => Decision::Abort,
+                    _ => Decision::Commit,
+                };
+                core.site.finished.insert(t, decision);
+                for replica in replicas {
+                    match draw(2) {
+                        0 => core.site.owed.entry((shard, replica.0)).or_default().insert(t),
+                        _ => reported.entry(replica.0).or_default().insert(t),
+                    };
+                }
+                for &entry in &elsewhere {
+                    if draw(3) == 0 {
+                        core.site.owed.entry(entry).or_default().insert(t);
+                    }
+                }
+                if decision == Decision::Commit && core.site.owed_anywhere(t) && draw(4) != 0 {
+                    core.site.out_stamps.insert(t, stamps);
+                }
+            }
+
+            // Two or three requests, none listing in flight an id its
+            // sender reported known before.
+            let kept = core.site.out_stamps.clone();
+            let mut dropped = false;
+            for _ in 0..2 + draw(2) {
+                let from = replicas[draw(replicas.len() as u64) as usize];
+                let reported = reported.entry(from.0).or_default();
+                let pending: Vec<TxnId> =
+                    (1..=8).map(TxnId).filter(|t| !reported.contains(t) && draw(3) == 0).collect();
+                let known: Vec<TxnId> = (1..=8).map(TxnId).filter(|_| draw(3) == 0).collect();
+                reported.extend(&known);
+                let req = SyncPayload { pending, known, ..SyncPayload::default() };
+                // The ids this request takes off its sender's owed set.
+                let owed = core.site.owed.get(&(shard, from.0));
+                let settled: Vec<TxnId> = req
+                    .known
+                    .iter()
+                    .copied()
+                    .filter(|t| owed.is_some_and(|o| o.contains(t)))
+                    .collect();
+
+                let held = std::mem::replace(&mut core.site.out_stamps, kept.clone());
+                let expected = scanned_answer(&core, &flat, shard, from, &req);
+                core.site.out_stamps = held;
+                let mut host = Script::durable();
+                let msg = DbMsg { sync: Some(Box::new(req)), ..ctrl_msg(SYNC_REQ, shard, 0) };
+                core.with(&mut host).on_message(from, msg);
+                assert_eq!(host.sent, expected.into_iter().map(|m| (from, m)).collect::<Vec<_>>());
+
+                let answered = host.sent.iter().filter_map(|(_, m)| m.sync.as_ref());
+                let replayed = answered.flat_map(|p| &p.decisions).any(|d| d.2.is_some());
+                *seen.entry("stamps replayed after a drop").or_default() +=
+                    usize::from(dropped && replayed);
+                for t in settled.iter().filter(|t| kept.contains_key(t)) {
+                    let held = core.site.out_stamps.contains_key(t);
+                    dropped |= !held;
+                    let case = if held { "kept for another replica" } else { "dropped" };
+                    *seen.entry(case).or_default() += 1;
+                }
+            }
+            // Stamps in flight all stay; a finished transaction's stay
+            // exactly while some replica is owed it.
+            for t in kept.keys() {
+                let finished = core.site.finished.contains_key(*t);
+                let owed = finished && core.site.owed_anywhere(*t);
+                assert_eq!(core.site.out_stamps.contains_key(t), !finished || owed, "{t:?}");
+                let case = if finished { "finished" } else { "in flight" };
+                *seen.entry(case).or_default() += 1;
+            }
+        }
+        for case in [
+            "dropped",
+            "kept for another replica",
+            "stamps replayed after a drop",
+            "finished",
+            "in flight",
+        ] {
+            assert!(seen.get(case).copied().unwrap_or(0) > 20, "{case} too rare: {seen:?}");
+        }
+    }
+
+    #[test]
     fn the_core_checkpoints_its_own_log_and_recovers_the_same_versions() {
         // One site, one shard, no one to poll: every submission commits on
         // the spot, three log records each. Anti-entropy on, so versions
@@ -2030,6 +2226,7 @@ mod tests {
             core.with(&mut host).submit(TxnId(id));
         }
         assert_eq!(host.completed(txns), Some((Decision::Commit, Via::Protocol)));
+        assert!(core.site.out_stamps.is_empty(), "no replica is owed a decision: no stamp kept");
         let wal = core.wal();
         assert_eq!((wal.len(), wal.unflushed()), (3 * txns as usize, 0), "positions are logical");
         assert!(wal.held() <= CHECKPOINT_FLOOR + 3, "{} records held", wal.held());
