@@ -19,10 +19,17 @@
 //!
 //! A partition acts only on messages outstanding when it occurs (Lemma 3's
 //! set-up; [`ptp_simnet::PartitionEngine::bounce_instant`] ignores every
-//! episode with `e.at > delivery_at`). A commit is over within a few `T`,
-//! so on a grid that runs partition instants out to `8T` about half the
-//! scenarios are the partition-free run over again. The session keeps one
-//! rule, here and nowhere else:
+//! episode with `e.at > delivery_at`), and under a fixed delay slaves that
+//! vote alike and sit on the same side of every cut are interchangeable.
+//! So many cells of a grid are a run the session has already simulated,
+//! either verbatim or up to a relabelling of slaves. The session keeps two
+//! rules, here and nowhere else, and answers such cells without simulating,
+//! whichever of [`Session::run`], [`Session::run_with`] and
+//! [`Session::verdict`] asks. A scenario with site failures, degraded-delay
+//! windows or envelope faults always simulates and teaches nothing: both
+//! rules speak of partitions only.
+//!
+//! ### Rule 1: the partition-free run
 //!
 //! > If a scenario's first episode starts strictly after `L0`, the latest
 //! > instant any message of its own run was scheduled to land
@@ -45,18 +52,72 @@
 //! The session learns `(L0, verdict, outcomes, report, trace)` per key from
 //! the first run it simulates that satisfies the rule — there is no
 //! pre-pass and no extra run — and answers later scenarios of the key from
-//! it, whichever of [`Session::run`], [`Session::run_with`] and
-//! [`Session::verdict`] asks. The bound is strict: a message landing *at*
-//! the partition instant bounces. A scenario with site failures,
-//! degraded-delay windows or envelope faults always simulates and teaches
-//! nothing: the rule speaks of partitions only. The memo holds the
-//! [`Session::PARTITION_FREE_RUNS`] most recently learned keys, and
+//! it. The bound is strict: a message landing *at* the partition instant
+//! bounces. The memo holds the [`Session::PARTITION_FREE_RUNS`] most
+//! recently learned keys.
+//!
+//! ### Rule 2: the slave-relabelled twin
+//!
+//! A slave's *colour* is its vote together with its group in every episode
+//! of the schedule (the index of the first group that lists it, or
+//! "unlisted", which isolates it). The master, site 0, is not coloured: it
+//! keeps its own place.
+//!
+//! > If a scenario injects partitions only, uses [`DelayModel::Fixed`] and
+//! > records no trace, and the session has simulated a *twin* — a scenario
+//! > with the same key (delay, `T`, horizon, mode, each episode's instant
+//! > and heal, the master's group in each) and the same number of slaves of
+//! > every colour — then the scenario's run is the twin's relabelled by
+//! > `σ`, the map that keeps every colour and keeps site order within each
+//! > colour: `outcomes[σ(i)] = twin[i]`, the verdict judged from those
+//! > outcomes, the report as the twin's.
+//!
+//! Argument. Let `W` be the twin and `S` the scenario. (1) *Sites.* The
+//! roster builds site `σ(i)` of `S` with the vote of site `i` of `W` (the
+//! colour holds the vote), and a protocol site reads its own id only to
+//! tell master from slave and to address replies: no state machine of the
+//! roster singles a slave out by number. (2) *Links.* A fixed delay gives
+//! every message the same `d >= 1` ticks, whoever sends it; an episode cuts
+//! a pair of sites by their group indices alone, and `σ` keeps every
+//! slave's group in every episode and the master's is part of the key, so
+//! a message `i → j` of `W` lands, bounces or is dropped exactly when
+//! `σ(i) → σ(j)` of `S` does. (3) *Instants.* By induction over instants,
+//! every site `σ(i)` of `S` receives at each instant the same multiset of
+//! deliveries, returns and timer expiries, from the relabelled senders, as
+//! site `i` of `W`: what it does at an instant depends on what it received
+//! before (the hypothesis) and on what lands now, and a message sent at an
+//! instant lands `d >= 1` ticks later, never within it. What `σ` does not
+//! keep is the *order* of one site's events within one instant when their
+//! senders differ in colour: the event queue delivers same-instant messages
+//! in send order, which follows site order across colours. So the rule
+//! stands on one more property of the roster: a site's handling of the
+//! events of one instant — its next state, its decision and when, and the
+//! multiset of what it sends — does not depend on their order. (4)
+//! *Report.* Event and message counts are sums over sites, and the stop
+//! reason, the last event's instant and the last landing are instants of
+//! the run, so `σ` leaves the report as it is. The trace is not: it lists
+//! events in queue order under site ids, which is why the rule requires
+//! `record` off. Seeded, scheduled and per-link delays, site failures,
+//! degraded windows and envelope faults all draw on or name a link, a site
+//! or a send order, and are outside the rule.
+//!
+//! Property (3) is the protocols', so it is checked rather than proved: a
+//! debug build simulates every symmetric answer as well and asserts that
+//! the simulation is the relabelled twin in outcomes and report, so every
+//! debug sweep checks the rule on its own cells, and `tests/sweep_pruning.rs`
+//! folds a fresh session per cell as oracle over random grids. The session
+//! learns a twin from every simulated run the rule covers that rule 1 does
+//! not, and holds the [`Session::SYMMETRIC_RUNS`] most recently learned.
+//!
+//! Both memos are looked up by key hash (a fixed-capacity ring indexed by an
+//! open-addressed table), overwrite their oldest entry in place once full,
+//! and so a warm session answers and learns without allocating.
 //! [`Session::executed`] counts only the runs actually simulated.
 
 use crate::scenario::{PartitionShape, ProtocolKind, Scenario};
 use ptp_protocols::runner::ClusterRunner;
 use ptp_protocols::{AnyParticipant, RunOptions, SiteOutcome, Verdict, Vote};
-use ptp_simnet::{DelayModel, PartitionMode, RunReport, SimTime, Trace};
+use ptp_simnet::{DelayModel, PartitionMode, RunReport, SimTime, SiteId, Trace};
 
 /// The result of one scenario run.
 #[derive(Debug)]
@@ -97,10 +158,15 @@ pub struct Session {
     n: usize,
     runner: ClusterRunner<AnyParticipant>,
     executed: u64,
-    /// The partition-free runs learned so far, newest first, at most
-    /// [`Session::PARTITION_FREE_RUNS`] of them (module docs, "Proving
-    /// before simulating").
-    partition_free: Vec<PartitionFreeRun>,
+    /// Rule 1's memo: the partition-free runs learned so far (module docs,
+    /// "Proving before simulating").
+    partition_free: Memo<PartitionFreeRun>,
+    /// Rule 2's memo: the twins learned so far.
+    twins: Memo<Twin>,
+    /// The current scenario's rule-2 key and canonical slave order.
+    signature: Signature,
+    /// The outcomes of the last symmetric answer, relabelled.
+    relabelled: Vec<SiteOutcome>,
 }
 
 /// One learned partition-free run: its key (everything the run reads but
@@ -131,7 +197,258 @@ impl PartitionFreeRun {
     }
 }
 
-/// The rule: a schedule whose first episode starts at `first` (`None`: no
+/// The hash of rule 1's key of `scenario` under `options`. A scheduled or
+/// per-link delay hashes by its default and size only; the lookup compares
+/// whole keys.
+fn partition_free_hash(scenario: &Scenario, options: &RunOptions) -> u64 {
+    let delay = match &scenario.delay {
+        DelayModel::Fixed(d) => [0, *d, 0, 0],
+        DelayModel::Uniform { seed, min, max } => [1, *seed, *min, *max],
+        DelayModel::Scheduled { overrides, default } => [2, *default, overrides.len() as u64, 0],
+        DelayModel::PerLink { links, default } => [3, *default, links.len() as u64, 0],
+    };
+    let words = delay.into_iter().chain([
+        scenario.t_unit,
+        scenario.horizon_t,
+        scenario.mode as u64,
+        u64::from(options.record),
+    ]);
+    hash_words(words.chain(scenario.votes.iter().map(|&v| v as u64)))
+}
+
+/// A well-mixed 64-bit hash of `words` (FxHash steps, a SplitMix64 finish).
+fn hash_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = words
+        .into_iter()
+        .fold(0u64, |h, w| (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95));
+    h ^= h >> 30;
+    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h ^= h >> 27;
+    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ h >> 31
+}
+
+/// One learned twin: its rule-2 key and its result, outcomes in canonical
+/// order (the master's, then the slaves' in [`Signature::order`]).
+struct Twin {
+    key: Vec<u64>,
+    outcomes: Vec<SiteOutcome>,
+    report: RunReport,
+}
+
+/// Most episodes a rule-2 key encodes: a colour packs the vote in bit 0 and
+/// one byte per episode above it.
+const COLOURED_EPISODES: usize = 7;
+
+/// Rule 2's view of one scenario: its key and its slaves in canonical order.
+#[derive(Default)]
+struct Signature {
+    /// Delay, `T`, horizon, mode, episode count, then per episode its
+    /// instant, heal (flag and instant) and the master's group, then the
+    /// slaves' colours in ascending order.
+    key: Vec<u64>,
+    /// `(colour, site)` of every slave, sorted: by colour, and by site
+    /// within a colour. The `j`-th entries of two scenarios with one key
+    /// are `σ`-images of each other.
+    order: Vec<(u64, u16)>,
+    hash: u64,
+}
+
+impl Signature {
+    /// Writes `scenario`'s key and canonical order; false when rule 2 does
+    /// not cover the scenario.
+    fn sign(&mut self, scenario: &Scenario, options: &RunOptions) -> bool {
+        let DelayModel::Fixed(d) = scenario.delay else { return false };
+        if options.record || !partitions_only(scenario) {
+            return false;
+        }
+        let episodes = match &scenario.partition {
+            PartitionShape::Simple { .. } => 1,
+            PartitionShape::None => scenario.faults.partition.episodes().len(),
+        };
+        if episodes > COLOURED_EPISODES {
+            return false;
+        }
+        self.key.clear();
+        let mode = scenario.mode as u64;
+        self.key.extend([d, scenario.t_unit, scenario.horizon_t, mode, episodes as u64]);
+        self.order.clear();
+        self.order.extend(scenario.votes.iter().zip(1..).map(|(&v, site)| (v as u64, site)));
+        let coloured = match &scenario.partition {
+            PartitionShape::Simple { g2, at, heal_at } => {
+                let sides = |site| Some(usize::from(g2.contains(&site)));
+                self.episode(0, *at, *heal_at, sides)
+            }
+            PartitionShape::None => {
+                scenario.faults.partition.episodes().iter().enumerate().all(|(i, e)| {
+                    let group = |site| e.groups.iter().position(|g| g.contains(&site));
+                    self.episode(i, e.at.ticks(), e.heal_at.map(SimTime::ticks), group)
+                })
+            }
+        };
+        if !coloured {
+            return false;
+        }
+        self.order.sort_unstable();
+        self.key.extend(self.order.iter().map(|&(colour, _)| colour));
+        self.hash = hash_words(self.key.iter().copied());
+        true
+    }
+
+    /// Appends episode `e` to the key and each slave's group in it to its
+    /// colour; false if a group index does not fit a byte.
+    fn episode(
+        &mut self,
+        e: usize,
+        at: u64,
+        heal_at: Option<u64>,
+        group_of: impl Fn(SiteId) -> Option<usize>,
+    ) -> bool {
+        // 0 is "unlisted", group `g` is `g + 1`.
+        let code = |site| group_of(site).map_or(Some(0), |g| u8::try_from(g + 1).ok());
+        let Some(master) = code(SiteId(0)) else { return false };
+        self.key.extend([at, u64::from(heal_at.is_some()), heal_at.unwrap_or(0), master.into()]);
+        for (colour, site) in &mut self.order {
+            let Some(group) = code(SiteId(*site)) else { return false };
+            *colour |= u64::from(group) << (1 + 8 * e);
+        }
+        true
+    }
+
+    /// `outcomes` of a run of the signed scenario, in canonical order.
+    fn canonical(&self, outcomes: &[SiteOutcome], into: &mut Vec<SiteOutcome>) {
+        into.clear();
+        into.push(outcomes[0]);
+        into.extend(self.order.iter().map(|&(_, site)| outcomes[usize::from(site)]));
+    }
+
+    /// A twin's canonical `outcomes` relabelled onto the signed scenario's
+    /// sites: `into[σ(i)] = twin[i]`.
+    fn relabel(&self, canonical: &[SiteOutcome], into: &mut Vec<SiteOutcome>) {
+        into.clear();
+        into.resize(canonical.len(), SiteOutcome::default());
+        into[0] = canonical[0];
+        for (&(_, site), &outcome) in self.order.iter().zip(&canonical[1..]) {
+            into[usize::from(site)] = outcome;
+        }
+    }
+}
+
+/// A free slot of [`Memo::index`].
+const EMPTY: u32 = u32::MAX;
+
+/// A fixed-capacity memo of learned runs, looked up by key hash: a ring of
+/// at most `capacity` entries that overwrites its oldest once full, and an
+/// open-addressed index (linear probing, twice the capacity, a power of
+/// two) from a hash to its ring slot. The index is sized on the first
+/// learned run and the ring grows with what is learned, so an empty session
+/// allocates nothing for a memo.
+struct Memo<E> {
+    capacity: usize,
+    /// `(hash, entry)` in ring order.
+    entries: Vec<(u64, E)>,
+    /// The ring slot a run learned into a full memo overwrites: the oldest.
+    oldest: usize,
+    index: Vec<u32>,
+}
+
+impl<E> Memo<E> {
+    fn new(capacity: usize) -> Memo<E> {
+        assert!(capacity > 0 && capacity < EMPTY as usize);
+        Memo { capacity, entries: Vec::new(), oldest: 0, index: Vec::new() }
+    }
+
+    fn mask(&self) -> usize {
+        self.index.len() - 1
+    }
+
+    /// The ring slot of the entry filed under `hash` that `is_key` accepts.
+    fn find(&self, hash: u64, is_key: impl Fn(&E) -> bool) -> Option<usize> {
+        if self.index.is_empty() {
+            return None;
+        }
+        let mut probe = hash as usize & self.mask();
+        loop {
+            let slot = self.index[probe];
+            if slot == EMPTY {
+                return None;
+            }
+            let (h, entry) = &self.entries[slot as usize];
+            if *h == hash && is_key(entry) {
+                return Some(slot as usize);
+            }
+            probe = (probe + 1) & self.mask();
+        }
+    }
+
+    fn get(&self, slot: usize) -> &E {
+        &self.entries[slot].1
+    }
+
+    /// Files a run learned under `hash`: while there is room `None`, and the
+    /// caller [`Memo::push`]es it; once full the oldest entry, re-filed under
+    /// `hash`, for the caller to overwrite in place.
+    fn recycle(&mut self, hash: u64) -> Option<&mut E> {
+        if self.entries.len() < self.capacity {
+            return None;
+        }
+        let slot = self.oldest;
+        self.oldest = (slot + 1) % self.capacity;
+        self.unindex(slot);
+        self.entries[slot].0 = hash;
+        self.index_slot(slot);
+        Some(&mut self.entries[slot].1)
+    }
+
+    fn push(&mut self, hash: u64, entry: E) {
+        assert!(self.entries.len() < self.capacity, "a full memo recycles");
+        if self.index.is_empty() {
+            self.index = vec![EMPTY; (2 * self.capacity).next_power_of_two()];
+        }
+        self.entries.push((hash, entry));
+        self.index_slot(self.entries.len() - 1);
+    }
+
+    fn home(&self, slot: u32) -> usize {
+        self.entries[slot as usize].0 as usize & self.mask()
+    }
+
+    fn index_slot(&mut self, slot: usize) {
+        let mut probe = self.home(slot as u32);
+        while self.index[probe] != EMPTY {
+            probe = (probe + 1) & self.mask();
+        }
+        self.index[probe] = slot as u32;
+    }
+
+    /// Takes `slot` out of the index by backward-shift deletion: every later
+    /// entry of its probe run that may sit in the hole moves into it, so no
+    /// run is broken and no tombstone is left.
+    fn unindex(&mut self, slot: usize) {
+        let mask = self.mask();
+        let mut hole = self.home(slot as u32);
+        while self.index[hole] as usize != slot {
+            hole = (hole + 1) & mask;
+        }
+        let mut probe = hole;
+        loop {
+            probe = (probe + 1) & mask;
+            let moved = self.index[probe];
+            if moved == EMPTY {
+                break;
+            }
+            // It may move if the hole lies on its way from its home.
+            let home = self.home(moved);
+            if probe.wrapping_sub(home) & mask >= probe.wrapping_sub(hole) & mask {
+                self.index[hole] = moved;
+                hole = probe;
+            }
+        }
+        self.index[hole] = EMPTY;
+    }
+}
+
+/// Rule 1: a schedule whose first episode starts at `first` (`None`: no
 /// episode) cannot reach a run whose last message was due to land at
 /// `last_landing`. Strictly: a message landing *at* the partition instant
 /// bounces.
@@ -140,7 +457,7 @@ fn out_of_reach(first: Option<SimTime>, last_landing: SimTime) -> bool {
 }
 
 /// Does `scenario` inject partitions only? A site failure, a degraded-delay
-/// window or an envelope fault is outside what the rule speaks of.
+/// window or an envelope fault is outside what either rule speaks of.
 fn partitions_only(scenario: &Scenario) -> bool {
     let faults = &scenario.faults;
     faults.failures.is_empty() && faults.degrades.is_empty() && faults.env_faults.is_empty()
@@ -154,6 +471,18 @@ fn first_episode(scenario: &Scenario) -> Option<SimTime> {
     }
 }
 
+/// What the memos know of a scenario.
+enum Recall {
+    /// Rule 1: the partition-free run in this slot is the scenario's.
+    PartitionFree(usize),
+    /// Rule 2: the scenario's run is a twin's, whose outcomes are now in
+    /// [`Session::relabelled`] and whose report this is.
+    Twin(RunReport),
+    /// Neither: simulate; `signed` if rule 2 covers the scenario, so the
+    /// run is to be learned as a twin.
+    Unknown { signed: bool },
+}
+
 impl Session {
     /// How many partition-free runs a session remembers: enough for every
     /// `(delay, votes)` pair of `ptp_bench::dense_grid(n)` (5) and of the
@@ -161,13 +490,27 @@ impl Session {
     /// Learning one more forgets the oldest.
     pub const PARTITION_FREE_RUNS: usize = 32;
 
+    /// How many twins a session remembers: enough for every fixed-delay key
+    /// of `ptp_bench::dense_grid(6)` at once (3 delays × 65 instants × 5
+    /// boundary sizes = 975). Learning one more forgets the oldest.
+    pub const SYMMETRIC_RUNS: usize = 1024;
+
     /// Builds the cluster for `kind` with `n` sites (site 0 the master).
     /// Votes are supplied per run by each scenario.
     pub fn new(kind: ProtocolKind, n: usize) -> Session {
         assert!(n >= 2);
         let votes = vec![Vote::Yes; n - 1];
         let runner = ClusterRunner::new(kind.cluster(n, &votes));
-        Session { kind, n, runner, executed: 0, partition_free: Vec::new() }
+        Session {
+            kind,
+            n,
+            runner,
+            executed: 0,
+            partition_free: Memo::new(Self::PARTITION_FREE_RUNS),
+            twins: Memo::new(Self::SYMMETRIC_RUNS),
+            signature: Signature::default(),
+            relabelled: Vec::with_capacity(n),
+        }
     }
 
     /// The protocol this session runs.
@@ -211,53 +554,105 @@ impl Session {
     }
 
     /// Runs `scenario` under typed [`RunOptions`], to the scenario's own
-    /// horizon — or, when a partition-free run the session remembers
-    /// provably is this run, returns copies of that run's verdict,
-    /// outcomes, report and trace without simulating (module docs).
+    /// horizon — or, when a run the session remembers provably is this run
+    /// (module docs), answers from it without simulating: a partition-free
+    /// run's verdict, outcomes, report and trace as they are, a twin's
+    /// outcomes relabelled, the verdict judged from them and its report.
     ///
     /// # Panics
     ///
     /// If `scenario.n` differs from the session's cluster size.
     pub fn run_with(&mut self, scenario: &Scenario, options: &RunOptions) -> ScenarioResult {
-        if let Some(run) = self.recall(scenario, options) {
-            return ScenarioResult {
-                verdict: run.verdict.clone(),
-                outcomes: run.outcomes.clone(),
-                trace: run.trace.clone(),
-                report: run.report,
-            };
+        match self.recall(scenario, options) {
+            Recall::PartitionFree(slot) => {
+                let run = self.partition_free.get(slot);
+                ScenarioResult {
+                    verdict: run.verdict.clone(),
+                    outcomes: run.outcomes.clone(),
+                    trace: run.trace.clone(),
+                    report: run.report,
+                }
+            }
+            Recall::Twin(report) => ScenarioResult {
+                verdict: Verdict::judge(&self.relabelled),
+                outcomes: self.relabelled.clone(),
+                trace: Trace::default(),
+                report,
+            },
+            Recall::Unknown { signed } => {
+                let (verdict, trace, report) = self.simulate(scenario, options, signed);
+                let outcomes = self.runner.last_outcomes().to_vec();
+                ScenarioResult { verdict, outcomes, trace, report }
+            }
         }
-        let (verdict, trace, report) = self.simulate(scenario, options);
-        ScenarioResult { verdict, outcomes: self.runner.last_outcomes().to_vec(), trace, report }
     }
 
     /// Runs `scenario` and returns only the verdict — the sweep hot path:
-    /// no outcome vector, no trace, nothing cloned. Answered from the memo
+    /// no outcome vector, no trace, nothing cloned. Answered from the memos
     /// as [`Session::run_with`] is.
     pub fn verdict(&mut self, scenario: &Scenario, options: &RunOptions) -> Verdict {
         match self.recall(scenario, options) {
-            Some(run) => run.verdict.clone(),
-            None => self.simulate(scenario, options).0,
+            Recall::PartitionFree(slot) => self.partition_free.get(slot).verdict.clone(),
+            Recall::Twin(_) => Verdict::judge(&self.relabelled),
+            Recall::Unknown { signed } => self.simulate(scenario, options, signed).0,
         }
     }
 
-    /// The remembered run that provably is `scenario`'s, if any.
-    fn recall(&self, scenario: &Scenario, options: &RunOptions) -> Option<&PartitionFreeRun> {
+    /// What the memos know of `scenario`: rule 1 is asked first, then rule 2.
+    fn recall(&mut self, scenario: &Scenario, options: &RunOptions) -> Recall {
         if !partitions_only(scenario) {
-            return None;
+            return Recall::Unknown { signed: false };
         }
-        // A key is learned at most once (see `remember`), so the first run
-        // of the key is the only one that can answer.
-        let run = self.partition_free.iter().find(|run| run.has_key_of(scenario, options))?;
-        out_of_reach(first_episode(scenario), run.last_landing).then_some(run)
+        // A key is learned at most once (see `remember`), so the one run of
+        // the key is the only one that can answer.
+        let hash = partition_free_hash(scenario, options);
+        if let Some(slot) = self.partition_free.find(hash, |run| run.has_key_of(scenario, options))
+        {
+            if out_of_reach(first_episode(scenario), self.partition_free.get(slot).last_landing) {
+                return Recall::PartitionFree(slot);
+            }
+        }
+        if !self.signature.sign(scenario, options) {
+            return Recall::Unknown { signed: false };
+        }
+        let signature = &self.signature;
+        let Some(slot) = self.twins.find(signature.hash, |twin| twin.key == signature.key) else {
+            return Recall::Unknown { signed: true };
+        };
+        let twin = self.twins.get(slot);
+        signature.relabel(&twin.outcomes, &mut self.relabelled);
+        let report = twin.report;
+        if cfg!(debug_assertions) {
+            self.check_twin(scenario, &report);
+        }
+        Recall::Twin(report)
     }
 
-    /// Simulates `scenario`, and remembers the run when no episode can have
-    /// reached it.
+    /// Simulates a symmetric answer's scenario without counting or learning
+    /// it, and asserts that the run is the relabelled twin (module docs,
+    /// rule 2, property (3)). Debug builds only.
+    fn check_twin(&mut self, scenario: &Scenario, report: &RunReport) {
+        let executed = self.executed;
+        let (_, simulated) = self.execute(scenario, &RunOptions::new());
+        self.executed = executed;
+        assert!(
+            self.runner.last_outcomes() == self.relabelled && simulated == *report,
+            "{} at n = {}: the relabelled twin is not the run of {scenario:?}:\n\
+             simulated {:?}, {simulated:?}\nanswered  {:?}, {report:?}",
+            self.kind.name(),
+            self.n,
+            self.runner.last_outcomes(),
+            self.relabelled,
+        );
+    }
+
+    /// Simulates `scenario`, and remembers the run: as a partition-free run
+    /// when no episode can have reached it, else as a twin when `signed`.
     fn simulate(
         &mut self,
         scenario: &Scenario,
         options: &RunOptions,
+        signed: bool,
     ) -> (Verdict, Trace, RunReport) {
         let (trace, report) = self.execute(scenario, options);
         let verdict = Verdict::judge(self.runner.last_outcomes());
@@ -270,11 +665,13 @@ impl Session {
                 report.counters
             );
             self.remember(scenario, options, &verdict, &trace, report);
+        } else if signed {
+            self.learn_twin(report);
         }
         (verdict, trace, report)
     }
 
-    /// Stores the run just simulated at the front, overwriting the oldest
+    /// Stores the partition-free run just simulated, overwriting the oldest
     /// run once the memo is full. An overwrite reuses that run's buffers, so
     /// a warm session learns without allocating.
     fn remember(
@@ -285,27 +682,16 @@ impl Session {
         trace: &Trace,
         report: RunReport,
     ) {
+        let hash = partition_free_hash(scenario, options);
         // The key cannot be known yet: a scenario its run did not answer
         // starts no later than that run's last landing, and then so does its
         // own run's, whether or not an episode reached it.
-        debug_assert!(!self.partition_free.iter().any(|run| run.has_key_of(scenario, options)));
+        debug_assert!(self
+            .partition_free
+            .find(hash, |run| run.has_key_of(scenario, options))
+            .is_none());
         let outcomes = self.runner.last_outcomes();
-        if self.partition_free.len() < Self::PARTITION_FREE_RUNS {
-            self.partition_free.push(PartitionFreeRun {
-                votes: scenario.votes.clone(),
-                delay: scenario.delay.clone(),
-                t_unit: scenario.t_unit,
-                horizon_t: scenario.horizon_t,
-                mode: scenario.mode,
-                record: options.record,
-                last_landing: report.last_landing,
-                verdict: verdict.clone(),
-                outcomes: outcomes.to_vec(),
-                report,
-                trace: trace.clone(),
-            });
-        } else {
-            let run = self.partition_free.last_mut().expect("the memo is full");
+        if let Some(run) = self.partition_free.recycle(hash) {
             run.votes.clone_from(&scenario.votes);
             run.delay.clone_from(&scenario.delay);
             (run.t_unit, run.horizon_t, run.mode) =
@@ -317,8 +703,38 @@ impl Session {
             run.outcomes.extend_from_slice(outcomes);
             run.report = report;
             run.trace.clone_from(trace);
+        } else {
+            let run = PartitionFreeRun {
+                votes: scenario.votes.clone(),
+                delay: scenario.delay.clone(),
+                t_unit: scenario.t_unit,
+                horizon_t: scenario.horizon_t,
+                mode: scenario.mode,
+                record: options.record,
+                last_landing: report.last_landing,
+                verdict: verdict.clone(),
+                outcomes: outcomes.to_vec(),
+                report,
+                trace: trace.clone(),
+            };
+            self.partition_free.push(hash, run);
         }
-        self.partition_free.rotate_right(1);
+    }
+
+    /// Stores the run just simulated as the twin of its signature (which
+    /// [`Session::recall`] found unknown), overwriting the oldest twin in
+    /// place once the memo is full.
+    fn learn_twin(&mut self, report: RunReport) {
+        let (signature, outcomes) = (&self.signature, self.runner.last_outcomes());
+        if let Some(twin) = self.twins.recycle(signature.hash) {
+            twin.key.clone_from(&signature.key);
+            signature.canonical(outcomes, &mut twin.outcomes);
+            twin.report = report;
+        } else {
+            let mut twin = Twin { key: signature.key.clone(), outcomes: Vec::new(), report };
+            signature.canonical(outcomes, &mut twin.outcomes);
+            self.twins.push(signature.hash, twin);
+        }
     }
 
     fn execute(&mut self, scenario: &Scenario, options: &RunOptions) -> (Trace, RunReport) {
@@ -568,6 +984,38 @@ mod tests {
         assert_eq!(session.executed(), bound + 2);
         let _ = session.run(&clean(2));
         assert_eq!(session.executed(), bound + 3);
+    }
+
+    #[test]
+    fn the_memo_index_finds_exactly_what_its_ring_holds() {
+        // A FIFO of (hash, key) pairs is the oracle. Hashes are drawn from
+        // a range narrower than the index, so probe runs collide, wrap
+        // round the table's end and lose members to backward shifts.
+        let mut rng = ptp_simnet::rng::SmallRng::seed_from_u64(50);
+        for capacity in [1, 2, 3, 8, 32] {
+            let mut memo: Memo<u64> = Memo::new(capacity);
+            let mut oracle = std::collections::VecDeque::new();
+            let hash_of = |key: u64| key % (capacity as u64 + 3) * 0x9e37_79b9;
+            for _ in 0..4000 {
+                let key = rng.gen_range(0..=(4 * capacity as u64));
+                let hash = hash_of(key);
+                let found = memo.find(hash, |&k| k == key).map(|slot| *memo.get(slot));
+                let expected = oracle.iter().find(|&&(_, k)| k == key).map(|&(_, k)| k);
+                assert_eq!(found, expected, "capacity {capacity}, key {key}");
+                if found.is_none() {
+                    if oracle.len() == capacity {
+                        oracle.pop_front();
+                    }
+                    oracle.push_back((hash, key));
+                    match memo.recycle(hash) {
+                        Some(entry) => *entry = key,
+                        None => memo.push(hash, key),
+                    }
+                }
+                let indexed = memo.index.iter().filter(|&&slot| slot != EMPTY).count();
+                assert_eq!(indexed, oracle.len(), "capacity {capacity}: one index slot per entry");
+            }
+        }
     }
 
     #[test]

@@ -32,11 +32,14 @@
 //!
 //! A partition that starts after a run's last message has landed cannot
 //! touch the run, so about half the cells of a grid that runs partition
-//! instants out to `8T` are the partition-free run over again. The engine
-//! does not decide that itself: every cell goes through
+//! instants out to `8T` are the partition-free run over again; and under a
+//! fixed delay a boundary is, up to relabelling its slaves, any other of
+//! the same size, so most of the rest repeat a cell already run. The
+//! engine does not decide that itself: every cell goes through
 //! [`crate::Session::verdict`], and the session answers such a cell from
-//! the partition-free run it already simulated (the rule and its proof are
-//! in [`mod@crate::session`], "Proving before simulating"). Reports are
+//! the partition-free run or the twin it already simulated (both rules and
+//! their argument are in [`mod@crate::session`], "Proving before
+//! simulating"). Reports are
 //! unchanged by construction (`tests/sweep_pruning.rs` folds a fresh
 //! session's [`crate::Session::verdict`] per cell as oracle); only
 //! [`crate::Session::executed`] tells how many cells were simulated, and

@@ -370,7 +370,7 @@ pub enum StopReason {
 }
 
 /// Summary of a completed run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunReport {
     /// Why the loop stopped.
     pub stop: StopReason,

@@ -1,23 +1,30 @@
-//! A warm `Session` answers a scenario without simulating it when a
-//! partition-free run it already simulated provably is the scenario's run
-//! (`ptp_core::session`, "Proving before simulating"). Whatever it answers
-//! must be what a fresh session — which remembers nothing — computes for the
-//! same scenario, field for field: verdict, outcomes, report and trace.
+//! A warm `Session` answers a scenario without simulating it when a run it
+//! already simulated provably is the scenario's run (`ptp_core::session`,
+//! "Proving before simulating"): the partition-free run of its key (rule 1),
+//! or, under a fixed delay, a twin with as many slaves of every colour,
+//! relabelled (rule 2). Whatever it answers must be what a fresh session —
+//! which remembers nothing — computes for the same scenario, field for
+//! field: verdict (its site lists included), per-site outcomes, report and
+//! trace.
 //!
 //! Every cell of `ptp_bench::dense_grid(3)` and `dense_grid(4)` (whose fixed
 //! delays put a partition instant *on* each column's last landing, checked
 //! below), then a schedule-family grid with `Scheduled` and `PerLink`
-//! delays, a `No` vote, transient heals and the pessimistic model, for all
-//! eight protocol kinds, with recording off and on. A scenario with a crash
-//! or another non-partition fault is never answered from the memo and never
-//! teaches it.
+//! delays, a `No` vote, transient heals and the pessimistic model, then a
+//! fixed-delay schedule-family grid of same-size boundaries with a `No` at
+//! different slaves, where rule 2 answers, for all eight protocol kinds,
+//! with recording off and on. A scenario with a crash or another
+//! non-partition fault is never answered from the memo and never teaches
+//! it.
 
 #[path = "common/grid.rs"]
 mod grid;
 
 use grid::scenario_of;
 use ptp_bench::dense_grid;
-use ptp_core::{ProtocolKind, RunOptions, Scenario, ScenarioResult, Session, SweepGrid};
+use ptp_core::{
+    ProtocolKind, RunOptions, Scenario, ScenarioResult, ScheduleShape, Session, SweepGrid,
+};
 use ptp_protocols::Vote;
 use ptp_simnet::{
     DegradeWindow, DelayModel, EnvelopeFault, EnvelopeMatch, FailureSpec, SimTime, SiteId,
@@ -102,6 +109,64 @@ fn a_warm_session_answers_schedule_families_under_every_delay_kind_and_mode() {
         for grid in &grids {
             let answered = check_grid(&mut warm, kind, grid);
             assert!(answered > 0, "{} {:?}: the memo answered nothing", kind.name(), grid.mode);
+        }
+    }
+}
+
+#[test]
+fn a_symmetric_answer_is_the_run_a_fresh_session_simulates() {
+    // Five boundaries in two sizes, a `No` at the first or the last slave,
+    // two fixed delays, permanent and healing partitions, every schedule
+    // family, both models: most cells have a twin. `run` and `run_with`
+    // answer alike; `run` asks here.
+    let mut grid = SweepGrid::schedule_families(4);
+    grid.boundaries = vec![
+        vec![SiteId(1)],
+        vec![SiteId(2)],
+        vec![SiteId(3)],
+        vec![SiteId(1), SiteId(2)],
+        vec![SiteId(2), SiteId(3)],
+    ];
+    grid.partition_times = (0..=5).map(|i| i * 500).collect();
+    grid.heals = vec![None, Some(1000)];
+    grid.delays = vec![DelayModel::Fixed(1000), DelayModel::Fixed(1)];
+    grid.votes = vec![
+        vec![Vote::Yes; 3],
+        vec![Vote::No, Vote::Yes, Vote::Yes],
+        vec![Vote::Yes, Vote::Yes, Vote::No],
+    ];
+    assert_eq!(grid.shapes, ScheduleShape::FAMILIES);
+    for grid in [grid.clone(), grid.pessimistic()] {
+        for kind in ProtocolKind::ALL {
+            // Rule 1 answers a cell whose first episode starts after the
+            // last landing of its partition-free run; rule 2 answers the
+            // other answered cells.
+            let last_landing: Vec<Vec<u64>> = (grid.delays.iter())
+                .map(|delay| {
+                    let clean = |votes: &Vec<Vote>| {
+                        let mut clean = Scenario::new(4).delay(delay.clone()).votes(votes.clone());
+                        clean.mode = grid.mode;
+                        Session::new(kind, 4).run(&clean).report.last_landing.ticks()
+                    };
+                    grid.votes.iter().map(clean).collect()
+                })
+                .collect();
+            let mut warm = Session::new(kind, 4);
+            let mut symmetric = 0;
+            for index in 0..grid.size() {
+                let spec = grid.scenario(index);
+                let scenario = scenario_of(&grid, &spec);
+                let before = warm.executed();
+                let answer = warm.run(&scenario);
+                if warm.executed() == before
+                    && spec.at <= last_landing[spec.delay_index][spec.vote_index]
+                {
+                    symmetric += 1;
+                }
+                let cell = format!("{} cell {index}, {:?}", kind.name(), grid.mode);
+                assert_same(&answer, &Session::new(kind, 4).run(&scenario), &cell);
+            }
+            assert!(symmetric > 0, "{} {:?}: rule 2 answered nothing", kind.name(), grid.mode);
         }
     }
 }
